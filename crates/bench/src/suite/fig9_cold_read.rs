@@ -66,18 +66,7 @@ pub(crate) fn run(report: &mut Report) {
 
     // ---- Our engine on a throttled device ----------------------------------
     {
-        let dev = Arc::new(ThrottledDevice::new(
-            MemDevice::new(2 << 30),
-            ThrottleProfile::nvme(),
-        ));
-        let store = LobsterStore::new(
-            "Our",
-            dev,
-            mem_device(256 << 20),
-            our_config(1),
-            LobsterMode::Blobs,
-        )
-        .expect("create");
+        let store = throttled_store("Our", our_config(1));
         for i in 0..corpus.len() {
             store
                 .put(&corpus.articles()[i].title, &corpus.body(i))
@@ -153,17 +142,12 @@ pub(crate) fn run(report: &mut Report) {
     // measured — that is where faulting dominates.
     let mut axis: Vec<(&str, f64)> = Vec::new();
     for (label, batched) in [("batched", true), ("serial", false)] {
-        let dev = Arc::new(ThrottledDevice::new(
-            MemDevice::new(2 << 30),
-            ThrottleProfile::nvme(),
-        ));
         let mut cfg = our_config(1);
         cfg.batched_faults = batched;
         if !batched {
             cfg.readahead_extents = 0;
         }
-        let store = LobsterStore::new(label, dev, mem_device(256 << 20), cfg, LobsterMode::Blobs)
-            .expect("create");
+        let store = throttled_store(label, cfg);
         for i in 0..corpus.len() {
             store
                 .put(&corpus.articles()[i].title, &corpus.body(i))
@@ -195,6 +179,53 @@ pub(crate) fn run(report: &mut Report) {
         speedup,
         true,
     ));
+
+    // ---- Content-bounded cold read: 1 MiB BLOBs ------------------------------
+    // Under the default tier table 1 MiB is nine extents, 511 pages
+    // allocated, 256 of content. One cold get of each BLOB: the pages the
+    // device is asked for (deterministic) and the wall time per get.
+    {
+        let store = throttled_store("Our", our_config(1));
+        let blobs = scaled(1600).max(32);
+        let body = vec![0x5Au8; 1 << 20];
+        for i in 0..blobs {
+            store.put(&format!("mib{i}"), &body).expect("load");
+        }
+        store.flush().expect("checkpoint");
+        store.database().node_pool().drop_caches();
+        let before = store.database().metrics().snapshot();
+        let t0 = Instant::now();
+        for i in 0..blobs {
+            store
+                .get(&format!("mib{i}"), &mut |b| {
+                    std::hint::black_box(b.len());
+                })
+                .expect("read");
+        }
+        let get_us = t0.elapsed().as_secs_f64() * 1e6 / blobs as f64;
+        let delta = store.database().metrics().snapshot() - before;
+        let pages = delta.pages_read as f64 / blobs as f64;
+        println!(
+            "\ncold 1 MiB get: {pages:.1} pages read per get (256 hold content, 511 allocated), {get_us:.0} us per get"
+        );
+        report.push(Entry::new(
+            "Our.cold_1mib",
+            "pages_read_per_get",
+            "pages",
+            pages,
+            false,
+        ));
+        report.push(Entry::new("Our.cold_1mib", "get_us", "us", get_us, false).counters(delta));
+    }
+}
+
+/// Our engine, BLOB mode, on the throttled NVMe-model data device.
+fn throttled_store(name: &str, cfg: lobster_core::Config) -> LobsterStore {
+    let dev = Arc::new(ThrottledDevice::new(
+        MemDevice::new(2 << 30),
+        ThrottleProfile::nvme(),
+    ));
+    LobsterStore::new(name, dev, mem_device(256 << 20), cfg, LobsterMode::Blobs).expect("create")
 }
 
 /// Record the series into the report: one throughput entry per time bucket,

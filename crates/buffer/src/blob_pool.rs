@@ -117,19 +117,24 @@ impl BlobPool {
         }
     }
 
-    /// Like [`BlobPool::write_range`] with `load_existing`, but only the
-    /// first `valid_pages` pages hold prior content worth loading (growth
-    /// into a partially filled extent).
+    /// Growth into a partially filled extent: like [`BlobPool::write_range`]
+    /// with `load_existing`, but only the first `valid_pages` pages hold
+    /// prior content worth loading. `spec` is the extent's content view
+    /// *after* the write, `capacity` its allocated pages. A resident
+    /// framing that is too small is re-framed to twice its size (within
+    /// `capacity`), so a run of small appends copies each byte O(1) times
+    /// instead of once per append.
     pub fn write_range_partial(
         &self,
         spec: ExtentSpec,
+        capacity: u64,
         byte_off: usize,
         src: &[u8],
         valid_pages: u64,
     ) -> Result<()> {
         match self {
             BlobPool::Vm(p) => {
-                let mut g = p.write_extent_partial(spec, valid_pages)?;
+                let mut g = p.write_extent_growing(spec, capacity, valid_pages)?;
                 g[byte_off..byte_off + src.len()].copy_from_slice(src);
                 p.metrics().bump_memcpy(src.len() as u64);
                 g.mark_dirty();
@@ -138,6 +143,17 @@ impl BlobPool {
             }
             // The hash-table pool already loads per page.
             BlobPool::Ht(p) => p.write_range(spec, byte_off, src, true),
+        }
+    }
+
+    /// The content of `spec`'s extent shrank to `spec.pages`: release the
+    /// frames a resident copy holds beyond them, if that is safe right now
+    /// (see [`ExtentPool::trim_extent`]). The hash-table pool evicts per
+    /// page and needs no help.
+    pub fn trim_extent(&self, spec: ExtentSpec) {
+        match self {
+            BlobPool::Vm(p) => p.trim_extent(spec),
+            BlobPool::Ht(_) => {}
         }
     }
 
@@ -286,7 +302,9 @@ impl BlobPool {
         }
     }
 
-    /// Discard extents without write-back (delete / rollback).
+    /// Discard extents without write-back (delete / rollback). Either view
+    /// of an extent works: the vm pool drops whatever is resident at
+    /// `spec.start`, the hash-table pool every page of `spec` it holds.
     pub fn drop_extents(&self, extents: &[ExtentSpec]) {
         for &spec in extents {
             match self {

@@ -11,6 +11,14 @@
 //! an extent is always contiguous in memory and a multi-extent BLOB can be
 //! presented contiguously via virtual-memory aliasing (§IV-B).
 //!
+//! The pool frames, faults, aliases and evicts exactly the `pages` a caller's
+//! [`ExtentSpec`] names, and records that count in the entry word. The engine
+//! hands it the *content view* of a BLOB (each extent clipped to the pages
+//! that hold content), so tier slack never costs a frame or a device read. A
+//! later caller naming *more* pages than are resident (the content grew, under
+//! the BLOB's exclusive key lock) is served by re-framing under the exclusive
+//! latch; one naming fewer simply sees the larger resident range.
+//!
 //! Eviction is randomized and *size-fair* (§III-G "Fair extent eviction"):
 //! an N-page extent is N times more likely to be evicted than a single page,
 //! implemented exactly as the paper's pseudo-code
@@ -332,21 +340,23 @@ impl ExtentPool {
     /// Fix an extent shared, loading it from the device on a miss (one
     /// contiguous read for the whole extent).
     pub fn read_extent(&self, spec: ExtentSpec) -> Result<ShGuard<'_>> {
-        let frame = self.fix_shared(spec)?;
+        let (frame, pages) = self.fix_shared(spec)?;
         Ok(ShGuard {
             pool: self,
             spec,
             frame,
+            pages,
             _not_send: PhantomData,
         })
     }
 
     /// Take a shared latch on `spec` without constructing a guard, loading
-    /// the extent on a miss; returns the frame index. Every call must be
-    /// paired with one [`ExtentPool::release_shared`]. The raw form exists
-    /// for the commit pipeline's in-flight flush batches, which hold their
-    /// latches across call frames (a borrow-tied [`ShGuard`] cannot).
-    fn fix_shared(&self, spec: ExtentSpec) -> Result<u64> {
+    /// the extent on a miss; returns the frame index and the resident page
+    /// count (at least `spec.pages`). Every call must be paired with one
+    /// [`ExtentPool::release_shared`]. The raw form exists for the commit
+    /// pipeline's in-flight flush batches, which hold their latches across
+    /// call frames (a borrow-tied [`ShGuard`] cannot).
+    fn fix_shared(&self, spec: ExtentSpec) -> Result<(u64, u64)> {
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.metrics.translations.fetch_add(1, Ordering::Relaxed);
         self.metrics
@@ -369,8 +379,6 @@ impl ExtentPool {
                         .is_ok()
                     {
                         self.audit.claim_exclusive(spec.start.raw());
-                        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                         match self.load_extent(spec, spec.pages) {
                             Ok(frame) => {
                                 // Enter shared with count 1 (ledger converts
@@ -378,7 +386,7 @@ impl ExtentPool {
                                 self.audit.convert_claim_to_shared(spec.start.raw());
                                 // ordering: Release; frame/evicted state is published before the word is visible
                                 entry.store(pack(1, 0, spec.pages, frame), Ordering::Release);
-                                return Ok(frame);
+                                return Ok((frame, spec.pages));
                             }
                             Err(err) => {
                                 self.audit.release_claim(spec.start.raw());
@@ -395,13 +403,7 @@ impl ExtentPool {
                     self.poll_prefetches();
                     spin_loop();
                 }
-                n if n < MAX_SHARED => {
-                    debug_assert_eq!(
-                        pages_of(e),
-                        spec.pages,
-                        "extent size mismatch at {:?}",
-                        spec.start
-                    );
+                n if n < MAX_SHARED && pages_of(e) >= spec.pages => {
                     if entry
                         .compare_exchange_weak(
                             e,
@@ -418,10 +420,45 @@ impl ExtentPool {
                             // ordering: relaxed metrics counter; snapshot readers tolerate staleness
                             self.metrics.readahead_hit.fetch_add(1, Ordering::Relaxed);
                         }
-                        return Ok(frame_of(e));
+                        return Ok((frame_of(e), pages_of(e)));
                     }
                 }
-                _ => spin_loop(), // shared count saturated
+                0 => {
+                    // Resident with fewer pages than the caller names (a
+                    // trim whose truncate then rolled back): grow under
+                    // the exclusive latch, then enter shared.
+                    if entry
+                        .compare_exchange_weak(
+                            e,
+                            pack(TAG_LOCKED, flags_of(e), pages_of(e), frame_of(e)),
+                            Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
+                            Ordering::Acquire,
+                        )
+                        .is_ok()
+                    {
+                        self.audit.claim_exclusive(spec.start.raw());
+                        let grown = self.grow_locked(spec.start, e, spec.pages, spec.pages);
+                        let (word, result) = match grown {
+                            Ok(frame) => {
+                                self.audit.convert_claim_to_shared(spec.start.raw());
+                                (
+                                    pack(1, flags_of(e), spec.pages, frame),
+                                    Ok((frame, spec.pages)),
+                                )
+                            }
+                            Err(err) => {
+                                self.audit.release_claim(spec.start.raw());
+                                (pack(0, flags_of(e), pages_of(e), frame_of(e)), Err(err))
+                            }
+                        };
+                        // ordering: Release; the re-framed bytes are published before the word is visible
+                        entry.store(word, Ordering::Release);
+                        return result;
+                    }
+                }
+                // Shared count saturated, or readers still hold a smaller
+                // framing that must drain before it can grow.
+                _ => spin_loop(),
             }
         }
     }
@@ -465,12 +502,34 @@ impl ExtentPool {
         self.fix_exclusive(spec, spec.pages)
     }
 
-    /// Fix exclusive, loading only the first `valid_pages` pages from the
-    /// device — growth into a partially filled extent: pages past the
-    /// valid content hold nothing and are about to be overwritten, so a
-    /// 2-page-full 1024-page extent costs 2 page reads, not 1024.
-    pub fn write_extent_partial(&self, spec: ExtentSpec, valid_pages: u64) -> Result<XGuard<'_>> {
-        self.fix_exclusive(spec, valid_pages.min(spec.pages))
+    /// Fix exclusive for growth into a partially filled extent (append):
+    /// only the first `valid_pages` pages are loaded from the device —
+    /// pages past the valid content hold nothing and are about to be
+    /// overwritten, so a 2-page-full 1024-page extent costs 2 page reads,
+    /// not 1024. A resident framing smaller than `spec.pages` is re-framed
+    /// (resident pages copied, never re-read) to at least twice its size,
+    /// capped at the extent's allocated `capacity`, so repeated small
+    /// appends amortize the copy.
+    pub fn write_extent_growing(
+        &self,
+        spec: ExtentSpec,
+        capacity: u64,
+        valid_pages: u64,
+    ) -> Result<XGuard<'_>> {
+        // ordering: Acquire; pairs with the Release publishes of this word. An unlatched
+        // probe: a racing re-frame only makes the doubling guess stale, never wrong.
+        let e = self.entry(spec.start).load(Ordering::Acquire);
+        let resident = if tag_of(e) == TAG_EVICTED {
+            0
+        } else {
+            pages_of(e)
+        };
+        let pages = if resident < spec.pages {
+            spec.pages.max((2 * resident).min(capacity))
+        } else {
+            spec.pages
+        };
+        self.fix_exclusive(ExtentSpec::new(spec.start, pages), valid_pages.min(pages))
     }
 
     /// Fix a *fresh* extent exclusive without reading the device (the pages
@@ -502,8 +561,6 @@ impl ExtentPool {
                         .is_ok()
                     {
                         self.audit.acquire_exclusive(spec.start.raw());
-                        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                         match self.load_extent(spec, load_pages) {
                             Ok(frame) => {
                                 // Stay locked; the guard releases on drop.
@@ -516,6 +573,7 @@ impl ExtentPool {
                                     pool: self,
                                     spec,
                                     frame,
+                                    pages: spec.pages,
                                     _not_send: PhantomData,
                                 });
                             }
@@ -545,10 +603,34 @@ impl ExtentPool {
                             // ordering: relaxed metrics counter; snapshot readers tolerate staleness
                             self.metrics.readahead_hit.fetch_add(1, Ordering::Relaxed);
                         }
+                        let (mut frame, mut pages) = (frame_of(e), pages_of(e));
+                        if pages < spec.pages {
+                            // The content grew past the resident framing.
+                            match self.grow_locked(spec.start, e, spec.pages, load_pages) {
+                                Ok(f) => {
+                                    (frame, pages) = (f, spec.pages);
+                                    entry.store(
+                                        pack(TAG_LOCKED, flags_of(e), pages, frame),
+                                        // ordering: Release; the re-framed bytes are published before the word is visible
+                                        Ordering::Release,
+                                    );
+                                }
+                                Err(err) => {
+                                    self.audit.release_exclusive(spec.start.raw());
+                                    entry.store(
+                                        pack(0, flags_of(e), pages, frame),
+                                        // ordering: Release; hands the untouched old framing back unlatched
+                                        Ordering::Release,
+                                    );
+                                    return Err(err);
+                                }
+                            }
+                        }
                         return Ok(XGuard {
                             pool: self,
                             spec,
-                            frame: frame_of(e),
+                            frame,
+                            pages,
                             _not_send: PhantomData,
                         });
                     }
@@ -600,35 +682,115 @@ impl ExtentPool {
 
     fn load_extent(&self, spec: ExtentSpec, load_pages: u64) -> Result<u64> {
         let frame = self.allocate_frames(spec.pages)?;
-        if load_pages > 0 {
-            let t = self.metrics.latencies.timer();
-            let len = (load_pages * self.geo.page_size() as u64) as usize;
-            let off = (frame as usize) * self.geo.page_size();
-            // SAFETY: we own this frame range exclusively until the entry is
-            // published.
-            let buf = unsafe { self.arena.frame_slice_mut(off, len) };
-            let (res, stats) = self
-                .retry
-                .run(|| self.device.read_at(buf, self.geo.offset_of(spec.start)));
-            self.metrics.bump_io_retry(stats.retries, stats.gave_up);
-            if let Err(err) = res {
-                // The caller rolls the page-table entry back; the frames
-                // are ours to return.
-                self.frames.free(frame, spec.pages);
-                return Err(err);
-            }
-            self.metrics.latencies.pool_fault.record_timer(t);
-            self.metrics
-                .pages_read
-                .fetch_add(load_pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-            self.metrics
-                .bytes_read
-                .fetch_add(len as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        if let Err(err) = self.read_into_frames(spec.start, frame, 0, load_pages) {
+            // The caller rolls the page-table entry back; the frames
+            // are ours to return.
+            self.frames.free(frame, spec.pages);
+            return Err(err);
         }
         self.resident.lock().insert(spec.start);
         self.max_resident_pages
             .fetch_max(spec.pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
         Ok(frame)
+    }
+
+    /// Blocking device read of extent pages `[from, to)` into the frame
+    /// range starting at `frame` (the extent's page 0), under the retry
+    /// policy, counted as one cache miss. The caller owns the frames
+    /// exclusively. A no-op when the range is empty.
+    fn read_into_frames(&self, pid: Pid, frame: u64, from: u64, to: u64) -> Result<()> {
+        if to <= from {
+            return Ok(());
+        }
+        // A miss is a device read; framing a fresh extent
+        // (`create_extent`) is not one.
+        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let p = self.geo.page_size();
+        let t = self.metrics.latencies.timer();
+        let len = ((to - from) as usize) * p;
+        // SAFETY: the caller owns this frame range exclusively until the
+        // entry is published.
+        let buf = unsafe {
+            self.arena
+                .frame_slice_mut(((frame + from) as usize) * p, len)
+        };
+        let (res, stats) = self.retry.run(|| {
+            self.device
+                .read_at(buf, self.geo.offset_of(pid.offset(from)))
+        });
+        self.metrics.bump_io_retry(stats.retries, stats.gave_up);
+        res?;
+        self.metrics.latencies.pool_fault.record_timer(t);
+        self.metrics
+            .pages_read
+            .fetch_add(to - from, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.metrics
+            .bytes_read
+            .fetch_add(len as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        Ok(())
+    }
+
+    /// Re-frame a resident extent to `pages` (more than it holds), with its
+    /// entry already `TAG_LOCKED` by the caller: reserve the larger frame
+    /// range, copy the resident pages across, and read pages
+    /// `[resident, load_to)` from the device (the no-steal pool never holds
+    /// newer bytes than the device for pages it has not framed). Returns the
+    /// new frame; the caller publishes it. On error the old framing is
+    /// untouched.
+    fn grow_locked(&self, pid: Pid, e: u64, pages: u64, load_to: u64) -> Result<u64> {
+        let (old_frame, old_pages) = (frame_of(e), pages_of(e));
+        debug_assert!(old_pages < pages);
+        let frame = self.allocate_frames(pages)?;
+        if let Err(err) = self.read_into_frames(pid, frame, old_pages, load_to.min(pages)) {
+            self.frames.free(frame, pages);
+            return Err(err);
+        }
+        let p = self.geo.page_size();
+        let len = (old_pages as usize) * p;
+        // SAFETY: both ranges are allocated, hence disjoint, and exclusively
+        // ours: the old one through the locked entry, the new one until the
+        // caller publishes it.
+        unsafe {
+            let src = self.arena.frame_slice_mut((old_frame as usize) * p, len);
+            self.arena
+                .frame_slice_mut((frame as usize) * p, len)
+                .copy_from_slice(src);
+        }
+        self.metrics.bump_memcpy(len as u64);
+        self.frames.free(old_frame, old_pages);
+        self.max_resident_pages.fetch_max(pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
+        Ok(frame)
+    }
+
+    /// Give back the frames a resident extent holds beyond `spec.pages`
+    /// (its content shrank). Best effort: only an unlatched, clean, unpinned
+    /// extent is trimmed — a dirty one may still have a queued flush naming
+    /// the pages being cut — and anything else is left for eviction.
+    pub fn trim_extent(&self, spec: ExtentSpec) {
+        let entry = self.entry(spec.start);
+        // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
+        let e = entry.load(Ordering::Acquire);
+        let (frame, pages) = (frame_of(e), pages_of(e));
+        if tag_of(e) != 0 || flags_of(e) != 0 || pages <= spec.pages || spec.pages == 0 {
+            return;
+        }
+        if entry
+            .compare_exchange(
+                e,
+                pack(TAG_LOCKED, 0, pages, frame),
+                Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
+                Ordering::Acquire,
+            )
+            .is_err()
+        {
+            return;
+        }
+        self.audit.claim_exclusive(spec.start.raw());
+        self.frames.free(frame + spec.pages, pages - spec.pages);
+        self.audit.release_claim(spec.start.raw());
+        // ordering: Release; the shorter framing is published before the word is visible
+        entry.store(pack(0, 0, spec.pages, frame), Ordering::Release);
     }
 
     fn allocate_frames(&self, pages: u64) -> Result<u64> {
@@ -1156,7 +1318,19 @@ impl ExtentPool {
         let mut reqs = Vec::with_capacity(items.len());
         let p = self.geo.page_size();
         for (latched, item) in items.iter().enumerate() {
-            let frame = match self.fix_shared(item.spec) {
+            // The dirty range must lie inside the resident framing: the
+            // request below points straight into the arena.
+            let fixed = self.fix_shared(item.spec).and_then(|(frame, pages)| {
+                if item.dirty_from + item.dirty_pages <= pages {
+                    return Ok(frame);
+                }
+                self.release_shared(item.spec.start);
+                Err(Error::InvalidArgument(format!(
+                    "flush of pages {}+{} exceeds the {pages} resident pages of {:?}",
+                    item.dirty_from, item.dirty_pages, item.spec.start
+                )))
+            });
+            let frame = match fixed {
                 Ok(f) => f,
                 Err(e) => {
                     for prior in &items[..latched] {
@@ -1224,8 +1398,8 @@ impl ExtentPool {
             if tag_of(e) == TAG_EVICTED || e & DIRTY_BIT == 0 {
                 continue;
             }
-            let spec = ExtentSpec::new(pid, pages_of(e));
-            let g = self.read_extent(spec)?;
+            let g = self.read_extent(ExtentSpec::new(pid, pages_of(e)))?;
+            let spec = ExtentSpec::new(pid, g.pages);
             scratch.clear();
             scratch.extend_from_slice(&g);
             drop(g); // don't hold the latch across the visitor
@@ -1243,9 +1417,10 @@ impl ExtentPool {
             if tag_of(e) == TAG_EVICTED || e & DIRTY_BIT == 0 {
                 continue;
             }
-            let spec = ExtentSpec::new(pid, pages_of(e));
-            let g = self.read_extent(spec)?;
-            self.write_frames_to_device(pid, g.frame, 0, spec.pages)?;
+            // Write what is resident once latched: an append may have
+            // re-framed the extent since the unlatched probe above.
+            let g = self.read_extent(ExtentSpec::new(pid, pages_of(e)))?;
+            self.write_frames_to_device(pid, g.frame, 0, g.pages)?;
             self.set_dirty(pid, false);
             self.set_prevent_evict(pid, false);
         }
@@ -1362,9 +1537,11 @@ impl ExtentPool {
             return Ok(f(&guards[0][..len]));
         }
 
+        // Each extent contributes the pages the caller named — a guard may
+        // span more (a resident framing wider than the content).
+        let p = self.geo.page_size();
         if let Some(am) = &self.aliasing {
             if self.arena.supports_alias() {
-                let p = self.geo.page_size();
                 let parts: Vec<(usize, usize)> = guards
                     .iter()
                     .map(|g| ((g.frame as usize) * p, (g.spec.pages as usize) * p))
@@ -1387,7 +1564,7 @@ impl ExtentPool {
         // Gather-copy fallback.
         let mut buf = Vec::with_capacity(len);
         for g in &guards {
-            let take = (len - buf.len()).min(g.len());
+            let take = (len - buf.len()).min((g.spec.pages as usize) * p);
             buf.extend_from_slice(&g[..take]);
             if buf.len() == len {
                 break;
@@ -1411,7 +1588,7 @@ impl ExtentPool {
                 break;
             }
             let g = self.read_extent(*spec)?;
-            let take = remaining.min(g.len());
+            let take = remaining.min((spec.pages as usize) * self.geo.page_size());
             if let Some(r) = f(&g[..take]) {
                 return Ok(Some(r));
             }
@@ -1438,7 +1615,7 @@ impl ExtentPool {
     pub fn lease_extent(&self, spec: ExtentSpec) -> Result<()> {
         // Force residency under a shared latch, then pin while still
         // latched so eviction cannot slip between the load and the pin.
-        let _frame = self.fix_shared(spec)?;
+        self.fix_shared(spec)?;
         self.set_prevent_evict(spec.start, true);
         self.release_shared(spec.start);
         Ok(())
@@ -1497,7 +1674,7 @@ impl Drop for ExtentPool {
 
 // --------------------------------------------------------------- guards ---
 
-/// Shared (read) latch on one extent. Derefs to the extent's bytes.
+/// Shared (read) latch on one extent. Derefs to the extent's resident bytes.
 ///
 /// `!Send`: releases must happen on the acquiring thread so the debug
 /// auditor's per-thread held-key tracking stays balanced (the raw
@@ -1507,6 +1684,8 @@ pub struct ShGuard<'p> {
     pool: &'p ExtentPool,
     spec: ExtentSpec,
     frame: u64,
+    /// Resident pages behind `frame` (at least `spec.pages`).
+    pages: u64,
     _not_send: PhantomData<*mut ()>,
 }
 
@@ -1524,7 +1703,7 @@ impl ShGuard<'_> {
 impl Deref for ShGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        let len = (self.spec.pages as usize) * self.pool.geo.page_size();
+        let len = (self.pages as usize) * self.pool.geo.page_size();
         // SAFETY: shared latch held; writers are excluded.
         unsafe {
             self.pool
@@ -1540,13 +1719,16 @@ impl Drop for ShGuard<'_> {
     }
 }
 
-/// Exclusive (write) latch on one extent. Derefs mutably to its bytes.
+/// Exclusive (write) latch on one extent. Derefs mutably to its resident
+/// bytes.
 ///
 /// `!Send` for the same thread-affinity reason as [`ShGuard`].
 pub struct XGuard<'p> {
     pool: &'p ExtentPool,
     spec: ExtentSpec,
     frame: u64,
+    /// Resident pages behind `frame` (at least `spec.pages`).
+    pages: u64,
     _not_send: PhantomData<*mut ()>,
 }
 
@@ -1575,7 +1757,7 @@ impl XGuard<'_> {
 impl Deref for XGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        let len = (self.spec.pages as usize) * self.pool.geo.page_size();
+        let len = (self.pages as usize) * self.pool.geo.page_size();
         // SAFETY: exclusive latch held.
         unsafe {
             self.pool
@@ -1587,7 +1769,7 @@ impl Deref for XGuard<'_> {
 
 impl DerefMut for XGuard<'_> {
     fn deref_mut(&mut self) -> &mut [u8] {
-        let len = (self.spec.pages as usize) * self.pool.geo.page_size();
+        let len = (self.pages as usize) * self.pool.geo.page_size();
         // SAFETY: exclusive latch held.
         unsafe {
             self.pool

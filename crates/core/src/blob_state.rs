@@ -10,7 +10,7 @@
 
 use lobster_extent::{ExtentSpec, TierTable};
 use lobster_sha256::Midstate;
-use lobster_types::{read_u32, read_u64, Error, Pid, Result, MAX_EXTENTS_PER_BLOB};
+use lobster_types::{read_u32, read_u64, Error, Geometry, Pid, Result, MAX_EXTENTS_PER_BLOB};
 
 /// Length of the embedded content prefix.
 pub const PREFIX_LEN: usize = 32;
@@ -35,8 +35,11 @@ pub struct BlobState {
 }
 
 impl BlobState {
-    /// Build the physical extent list: tier extents (sizes from the static
-    /// tier table) followed by the tail extent if present.
+    /// The *allocation view* of the extent list: tier extents at their full
+    /// sizes from the static tier table, followed by the tail extent if
+    /// present. This is what the BLOB occupies on the device, and the only
+    /// view the allocator (free, fence, quarantine, rebuild), the
+    /// defragmenter's ranking and space accounting may use.
     pub fn extent_specs(&self, table: &TierTable) -> Vec<ExtentSpec> {
         let mut specs: Vec<ExtentSpec> = self
             .extents
@@ -47,6 +50,24 @@ impl BlobState {
         if let Some((pid, pages)) = self.tail {
             specs.push(ExtentSpec::new(pid, pages));
         }
+        specs
+    }
+
+    /// The *content view* of the extent list: each extent clipped to the
+    /// pages of `size` not already held by the extents before it, extents
+    /// without content dropped. Only the last entry can be narrower than
+    /// its allocation, so positions line up with [`BlobState::extent_specs`].
+    /// This is the only view the buffer pool may be handed — it frames,
+    /// faults, aliases and prefetches exactly these pages, so tier slack
+    /// is never read or cached.
+    pub fn content_specs(&self, table: &TierTable, geo: Geometry) -> Vec<ExtentSpec> {
+        let mut left = geo.pages_for(self.size);
+        let mut specs = self.extent_specs(table);
+        specs.retain_mut(|spec| {
+            spec.pages = spec.pages.min(left);
+            left -= spec.pages;
+            spec.pages > 0
+        });
         specs
     }
 
@@ -204,6 +225,44 @@ mod tests {
             ]
         );
         assert_eq!(s.capacity_pages(&table), 6);
+    }
+
+    #[test]
+    fn content_specs_clip_to_the_pages_holding_content() {
+        let table = TierTable::new(TierPolicy::default());
+        let geo = Geometry::new(4096);
+        // 1 MiB under the default table: tiers 1, 2, 4, ..., 128 are full
+        // (255 pages) and the 256-page tier holds the one remaining page.
+        let mut s = sample();
+        s.size = 1 << 20;
+        s.tail = None;
+        s.extents = (0..9).map(|i| Pid::new(1000 * (i + 1))).collect();
+        let alloc = s.extent_specs(&table);
+        let content = s.content_specs(&table, geo);
+        assert_eq!(alloc.iter().map(|e| e.pages).sum::<u64>(), 511);
+        assert_eq!(content.iter().map(|e| e.pages).sum::<u64>(), 256);
+        assert_eq!(content[..8], alloc[..8]);
+        assert_eq!(content[8], ExtentSpec::new(alloc[8].start, 1));
+        // A size ending mid-page still owns that page; extents beyond the
+        // content vanish from the view.
+        s.size = 3 * 4096 + 1;
+        let content = s.content_specs(&table, geo);
+        assert_eq!(
+            content,
+            vec![
+                ExtentSpec::new(alloc[0].start, 1),
+                ExtentSpec::new(alloc[1].start, 2),
+                ExtentSpec::new(alloc[2].start, 1),
+            ]
+        );
+        // The tail extent clips like any other last extent.
+        s.extents.truncate(2);
+        s.tail = Some((Pid::new(77), 5));
+        s.size = 4 * 4096;
+        assert_eq!(
+            s.content_specs(&table, geo).last(),
+            Some(&ExtentSpec::new(Pid::new(77), 1))
+        );
     }
 
     #[test]

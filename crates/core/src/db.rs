@@ -87,9 +87,11 @@ pub struct Config {
     /// Cold multi-extent BLOB reads fault every evicted extent in one
     /// IoEngine batch instead of one blocking read per extent.
     pub batched_faults: bool,
-    /// Sequential-readahead window for range reads: a range read touching
-    /// extent `i` prefetches extents `i+1..i+1+readahead_extents`
-    /// asynchronously. `0` disables readahead.
+    /// Sequential-readahead window for range reads: an observably
+    /// sequential range read (it starts the blob, or starts where the
+    /// worker's previous one on the same blob ended) touching extent `i`
+    /// prefetches extents `i+1..i+1+readahead_extents` asynchronously; a
+    /// random one prefetches nothing. `0` disables readahead.
     pub readahead_extents: usize,
     /// Commit-pipeline depth: how many durable groups' extent-flush
     /// batches the group committer keeps in flight while its WAL stage
@@ -217,6 +219,11 @@ pub struct Database {
     /// recycles the evidence; the set itself is runtime-lifetime —
     /// recovery's SHA fixpoint re-detects persistent rot on reopen.
     quarantined: Mutex<HashSet<(String, Vec<u8>)>>,
+    /// Per worker: `(first extent pid, end offset)` of its last range read
+    /// — the evidence readahead needs that an access is sequential
+    /// (`Txn::note_range_access`). A hint only; workers sharing an id
+    /// merely lose readahead.
+    pub(crate) last_range: Vec<Mutex<(u64, u64)>>,
     ddl_lock: Mutex<()>,
 }
 
@@ -278,6 +285,7 @@ impl Database {
             xcommit_watermark: AtomicU64::new(0),
             cmp_factories: HashMap::new(),
             quarantined: Mutex::new(HashSet::new()),
+            last_range: Self::range_cells(&cfg),
             ddl_lock: Mutex::new(()),
             cfg,
         });
@@ -404,11 +412,18 @@ impl Database {
             xcommit_watermark: AtomicU64::new(xcommit_watermark),
             cmp_factories: comparators,
             quarantined: Mutex::new(HashSet::new()),
+            last_range: Self::range_cells(&cfg),
             ddl_lock: Mutex::new(()),
             cfg,
         });
         let report = recover(&db)?;
         Ok((db, report))
+    }
+
+    fn range_cells(cfg: &Config) -> Vec<Mutex<(u64, u64)>> {
+        (0..cfg.workers.max(1))
+            .map(|_| Mutex::new((u64::MAX, 0)))
+            .collect()
     }
 
     fn build_pools(

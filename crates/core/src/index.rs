@@ -25,31 +25,30 @@ use lobster_btree::KeyCmp;
 use lobster_buffer::BlobPool;
 use lobster_extent::TierTable;
 use lobster_sync::Arc;
-use lobster_types::Result;
+use lobster_types::{Geometry, Result};
 use std::cmp::Ordering;
 
 /// The incremental Blob State comparator.
 pub struct BlobStateCmp {
     pool: BlobPool,
     table: Arc<TierTable>,
+    geo: Geometry,
 }
 
 impl BlobStateCmp {
     pub fn new(db: &Database) -> Arc<Self> {
-        Arc::new(BlobStateCmp {
-            pool: db.blob_pool().clone(),
-            table: db.tier_table().clone(),
-        })
+        Self::from_parts(db.blob_pool().clone(), db.tier_table().clone())
     }
 
     pub fn from_parts(pool: BlobPool, table: Arc<TierTable>) -> Arc<Self> {
-        Arc::new(BlobStateCmp { pool, table })
+        let geo = Geometry::new(pool.page_size());
+        Arc::new(BlobStateCmp { pool, table, geo })
     }
 
     /// Compare the contents of two BLOBs extent-incrementally.
     fn cmp_contents(&self, a: &BlobState, b: &BlobState) -> Ordering {
-        let specs_a = a.extent_specs(&self.table);
-        let specs_b = b.extent_specs(&self.table);
+        let specs_a = a.content_specs(&self.table, self.geo);
+        let specs_b = b.content_specs(&self.table, self.geo);
         let mut cur_a = ChunkCursor::new(&self.pool, specs_a, a.size);
         let mut cur_b = ChunkCursor::new(&self.pool, specs_b, b.size);
         loop {

@@ -521,7 +521,7 @@ fn redo_content(
     let state = BlobState::decode(&encoded)?;
     let page = db.geo.page_size() as u64;
     let mut ext_base = 0u64;
-    for spec in state.extent_specs(&db.table) {
+    for spec in state.content_specs(&db.table, db.geo) {
         let ext_bytes = spec.pages * page;
         let ext_end = ext_base + ext_bytes;
         let lo = byte_offset.max(ext_base);
@@ -553,7 +553,7 @@ pub(crate) fn validate_blob(db: &Database, state: &BlobState) -> Result<bool> {
         return Ok(Sha256::digest(&state.prefix[..end]) == state.sha256
             && state.size <= crate::blob_state::PREFIX_LEN as u64);
     }
-    let specs = state.extent_specs(&db.table);
+    let specs = state.content_specs(&db.table, db.geo);
     let mut hasher = Sha256::new();
     db.blob_pool
         .for_each_extent::<()>(&specs, state.size, |chunk| {

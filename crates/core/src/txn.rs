@@ -24,7 +24,7 @@ use lobster_extent::{plan_growth, plan_sequence, ExtentSpec};
 use lobster_sha256::Sha256;
 use lobster_sync::atomic::Ordering;
 use lobster_sync::Arc;
-use lobster_types::{Error, Result};
+use lobster_types::{Error, Geometry, Pid, Result};
 use lobster_wal::LogRecord;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,6 +110,47 @@ impl Txn {
 
     fn lock(&self, rel: &Relation, key: &[u8], mode: LockMode) -> Result<()> {
         self.db.locks.lock(self.id, rel.id, key, mode)
+    }
+
+    /// The content view of `state`'s extents — the only view the buffer
+    /// pool is handed (see [`BlobState::content_specs`]).
+    fn content_specs(&self, state: &BlobState) -> Vec<ExtentSpec> {
+        state.content_specs(&self.db.table, self.db.geo)
+    }
+
+    /// Write `chunk` into the freshly allocated extent `alloc` and stage
+    /// its commit-time flush, feeding every copied byte to `digest`. Only
+    /// the pages `chunk` occupies are framed and flushed; the rest of the
+    /// allocation is slack the pool never sees.
+    fn fill_fresh(
+        &mut self,
+        alloc: ExtentSpec,
+        chunk: &[u8],
+        digest: &mut dyn FnMut(&[u8]),
+    ) -> Result<()> {
+        let pages = self.db.geo.pages_for(chunk.len() as u64).max(1);
+        let content = ExtentSpec::new(alloc.start, pages);
+        self.db
+            .blob_pool
+            .fill_extent_hashed(content, chunk, digest)?;
+        self.toflush.push(FlushItem::whole(content));
+        Ok(())
+    }
+
+    /// Record this worker's range access `[offset, end)` to `state`'s blob
+    /// and report whether it is observably sequential: it starts the blob,
+    /// or it starts where this worker's previous range access to the same
+    /// blob ended. Only then may readahead run past the touched extents.
+    fn note_range_access(&self, state: &BlobState, offset: u64, end: u64) -> bool {
+        let blob = state
+            .extents
+            .first()
+            .copied()
+            .or(state.tail.map(|(pid, _)| pid))
+            .map_or(u64::MAX, Pid::raw);
+        let cells = &self.db.last_range;
+        let prev = std::mem::replace(&mut *cells[self.worker % cells.len()].lock(), (blob, end));
+        offset == 0 || prev == (blob, offset)
     }
 
     // ------------------------------------------------------ kv rows -----
@@ -242,14 +283,7 @@ impl Txn {
             self.allocated.push(spec);
             let ext_bytes = (spec.pages as usize) * geo.page_size();
             let chunk = &data[off..data.len().min(off + ext_bytes)];
-            self.db
-                .blob_pool
-                .fill_extent_hashed(spec, chunk, &mut |b| hasher.update(b))?;
-            self.toflush.push(FlushItem {
-                spec,
-                dirty_from: 0,
-                dirty_pages: geo.pages_for(chunk.len() as u64).max(1),
-            });
+            self.fill_fresh(spec, chunk, &mut |b| hasher.update(b))?;
             extents.push(spec.start);
             off += chunk.len();
         }
@@ -258,14 +292,7 @@ impl Txn {
                 let spec = self.db.alloc.allocate_tail(tp)?;
                 self.allocated.push(spec);
                 let chunk = &data[off..];
-                self.db
-                    .blob_pool
-                    .fill_extent_hashed(spec, chunk, &mut |b| hasher.update(b))?;
-                self.toflush.push(FlushItem {
-                    spec,
-                    dirty_from: 0,
-                    dirty_pages: geo.pages_for(chunk.len() as u64).max(1),
-                });
+                self.fill_fresh(spec, chunk, &mut |b| hasher.update(b))?;
                 off += chunk.len();
                 Some((spec.start, tp))
             }
@@ -361,7 +388,7 @@ impl Txn {
             }
             return Ok(f(&state.prefix[..state.size as usize]));
         }
-        let specs = state.extent_specs(&self.db.table);
+        let specs = self.content_specs(&state);
         if !self.db.cfg.verify_reads {
             return self
                 .db
@@ -411,7 +438,8 @@ impl Txn {
             .metrics
             .corruption_detected
             .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.db.quarantine_blob(rel, key, specs);
+        self.db
+            .quarantine_blob(rel, key, &state.extent_specs(&self.db.table));
         Err(Error::Corruption(format!(
             "BLOB hash mismatch in relation '{}' survived a device re-read; blob quarantined",
             rel.name
@@ -446,13 +474,22 @@ impl Txn {
         self.check_active()?;
         self.lock(rel, key, LockMode::Shared)?;
         let state = self.require_state(rel, key)?;
-        self.read_state_range(&state, offset, buf)
+        self.read_state_range(&state, offset, buf, true)
     }
 
     /// Range read against a known Blob State: select the extent run
     /// covering `[offset, offset + buf.len())` and present only that run
-    /// contiguously.
-    fn read_state_range(&self, state: &BlobState, offset: u64, buf: &mut [u8]) -> Result<usize> {
+    /// contiguously — no extent past the range's end is ever fetched in
+    /// the foreground. With `readahead`, an observably sequential access
+    /// (see [`Txn::note_range_access`]) additionally prefetches the next
+    /// `readahead_extents` extents; a random one prefetches nothing.
+    fn read_state_range(
+        &self,
+        state: &BlobState,
+        offset: u64,
+        buf: &mut [u8],
+        readahead: bool,
+    ) -> Result<usize> {
         if offset >= state.size || buf.is_empty() {
             return Ok(0);
         }
@@ -464,37 +501,16 @@ impl Txn {
             buf[..n].copy_from_slice(&state.prefix[offset as usize..offset as usize + n]);
             return Ok(n);
         }
-        let specs = state.extent_specs(&self.db.table);
-        let page = self.db.geo.page_size() as u64;
+        let specs = self.content_specs(state);
         let end_byte = offset + n as u64;
-
-        let mut first = 0usize;
-        let mut first_base = 0u64;
-        let mut last = specs.len();
-        let mut base = 0u64;
-        let mut seen_first = false;
-        for (i, spec) in specs.iter().enumerate() {
-            if base >= end_byte {
-                last = i;
-                break;
-            }
-            let next = base + spec.pages * page;
-            if !seen_first && next > offset {
-                first = i;
-                first_base = base;
-                seen_first = true;
-            }
-            base = next;
-        }
-        debug_assert!(seen_first, "offset < size implies a covering extent");
+        let (first, last, first_base) = covering_run(&specs, self.db.geo, offset, end_byte);
 
         let local = (offset - first_base) as usize;
-        // Sequential-readahead hint: a range read touching extents
-        // `first..last` will, under streaming access, touch `last..` next.
-        // Issue the prefetch before the foreground read so the two batches
-        // overlap on the device.
+        // A sequential reader touching extents `first..last` touches
+        // `last..` next. Issue the prefetch before the foreground read so
+        // the two batches overlap on the device.
         let ra = self.db.cfg.readahead_extents;
-        if ra > 0 && last < specs.len() {
+        if readahead && ra > 0 && self.note_range_access(state, offset, end_byte) {
             self.db
                 .blob_pool
                 .prefetch(&specs[last..specs.len().min(last + ra)]);
@@ -551,29 +567,10 @@ impl Txn {
             return Ok(n);
         }
 
-        // Select the covering extent run (same walk as read_state_range).
-        let specs = state.extent_specs(&self.db.table);
+        let specs = self.content_specs(&state);
         let page = self.db.geo.page_size() as u64;
         let end_byte = offset + n;
-        let mut first = 0usize;
-        let mut first_base = 0u64;
-        let mut last = specs.len();
-        let mut base = 0u64;
-        let mut seen_first = false;
-        for (i, spec) in specs.iter().enumerate() {
-            if base >= end_byte {
-                last = i;
-                break;
-            }
-            let next = base + spec.pages * page;
-            if !seen_first && next > offset {
-                first = i;
-                first_base = base;
-                seen_first = true;
-            }
-            base = next;
-        }
-        debug_assert!(seen_first, "offset < size implies a covering extent");
+        let (first, last, first_base) = covering_run(&specs, self.db.geo, offset, end_byte);
 
         // Admission: charge the run's pinned footprint against the gate
         // *before* taking any lease, so rejected streams pin nothing.
@@ -606,16 +603,24 @@ impl Txn {
             taken: 0,
             gate: gate.map(|(g, _)| (g, lease_bytes)),
         };
+        // A stream is sequential by construction: the extents after its
+        // first are read next, so their faults overlap the first lease.
+        // The window stops at the end of the requested range unless the
+        // access pattern says the client will ask for what follows.
+        let ra = self.db.cfg.readahead_extents;
+        let stop = if self.note_range_access(&state, offset, end_byte) {
+            specs.len()
+        } else {
+            last
+        };
+        if ra > 0 && first + 1 < stop {
+            self.db
+                .blob_pool
+                .prefetch(&specs[first + 1..stop.min(first + 1 + ra)]);
+        }
         for spec in run {
             self.db.blob_pool.lease_extent(*spec)?;
             leases.taken += 1;
-        }
-        // Sequential-streaming readahead, same hint as get_blob_range.
-        let ra = self.db.cfg.readahead_extents;
-        if ra > 0 && last < specs.len() {
-            self.db
-                .blob_pool
-                .prefetch(&specs[last..specs.len().min(last + ra)]);
         }
 
         // Walk the run chunk by chunk. Blob byte x lives at run byte
@@ -692,8 +697,8 @@ impl Txn {
         self.lock(rel, key, LockMode::Exclusive)?;
         let old_encoded = rel.tree.lookup(key)?.ok_or(Error::KeyNotFound)?;
         let mut state = BlobState::decode(&old_encoded)?;
-        let geo = self.db.geo;
-        let table = &self.db.table;
+        let db = self.db.clone();
+        let (geo, table) = (db.geo, db.table.as_ref());
         let old_size = state.size;
         let new_size = old_size + data.len() as u64;
 
@@ -711,7 +716,7 @@ impl Txn {
                 hasher.update(&state.prefix[boundary as usize..old_size as usize]);
             } else {
                 let mut partial = vec![0u8; (old_size - boundary) as usize];
-                let (spec, byte_off) = locate_extent(&state, table, geo.page_size(), boundary);
+                let (spec, byte_off) = locate_extent(&state, table, geo, boundary);
                 self.db
                     .blob_pool
                     .read_range_uncached(spec, byte_off, &mut partial)?;
@@ -762,20 +767,15 @@ impl Txn {
             let pos = state.extents.len();
             let clone_spec = self.db.alloc.allocate_tier(pos)?;
             self.allocated.push(clone_spec);
-            let tail_spec = ExtentSpec::new(tpid, tpages);
             let covered = geo.bytes_for(table.cumulative_pages(pos));
-            let tail_bytes = (old_size - covered) as usize;
+            let tail_bytes = old_size - covered;
+            let tail_content = ExtentSpec::new(tpid, geo.pages_for(tail_bytes));
             let content =
                 self.db
                     .blob_pool
-                    .read_blob(self.worker, &[tail_spec], tail_bytes as u64, |b| b.to_vec())?;
-            self.db.blob_pool.fill_extent(clone_spec, &content)?;
-            self.toflush.push(FlushItem {
-                spec: clone_spec,
-                dirty_from: 0,
-                dirty_pages: geo.pages_for(tail_bytes as u64).max(1),
-            });
-            self.freed.push(tail_spec);
+                    .read_blob(self.worker, &[tail_content], tail_bytes, |b| b.to_vec())?;
+            self.fill_fresh(clone_spec, &content, &mut |_| ())?;
+            self.freed.push(ExtentSpec::new(tpid, tpages));
             state.extents.push(clone_spec.start);
             state.tail = None;
         }
@@ -786,21 +786,23 @@ impl Txn {
         let cap_bytes = geo.bytes_for(table.cumulative_pages(existing));
         if fill_old < cap_bytes && !fill_data.is_empty() && existing > 0 {
             let pos = existing - 1;
-            let spec = ExtentSpec::new(state.extents[pos], table.size_of(pos));
             let covered = geo.bytes_for(table.cumulative_pages(pos));
             let off_in_ext = (fill_old - covered) as usize;
             let take = ((cap_bytes - fill_old) as usize).min(fill_data.len());
             // Only the pages holding prior content need loading; the rest
             // of the extent is free capacity about to be overwritten.
             let valid_pages = off_in_ext.div_ceil(geo.page_size()) as u64;
+            let first_dirty = off_in_ext / geo.page_size();
+            let last_dirty = (off_in_ext + take).div_ceil(geo.page_size());
+            // The extent's content view once this append lands.
+            let spec = ExtentSpec::new(state.extents[pos], last_dirty as u64);
             self.db.blob_pool.write_range_partial(
                 spec,
+                table.size_of(pos),
                 off_in_ext,
                 &fill_data[..take],
                 valid_pages,
             )?;
-            let first_dirty = off_in_ext / geo.page_size();
-            let last_dirty = (off_in_ext + take).div_ceil(geo.page_size());
             self.toflush.push(FlushItem {
                 spec,
                 dirty_from: first_dirty as u64,
@@ -822,12 +824,7 @@ impl Txn {
             self.allocated.push(spec);
             let ext_bytes = (spec.pages as usize) * geo.page_size();
             let chunk = &fill_data[data_off..fill_data.len().min(data_off + ext_bytes)];
-            self.db.blob_pool.fill_extent(spec, chunk)?;
-            self.toflush.push(FlushItem {
-                spec,
-                dirty_from: 0,
-                dirty_pages: geo.pages_for(chunk.len() as u64).max(1),
-            });
+            self.fill_fresh(spec, chunk, &mut |_| ())?;
             state.extents.push(spec.start);
             data_off += chunk.len();
         }
@@ -835,12 +832,7 @@ impl Txn {
             let spec = self.db.alloc.allocate_tail(tp)?;
             self.allocated.push(spec);
             let chunk = &fill_data[data_off..];
-            self.db.blob_pool.fill_extent(spec, chunk)?;
-            self.toflush.push(FlushItem {
-                spec,
-                dirty_from: 0,
-                dirty_pages: geo.pages_for(chunk.len() as u64).max(1),
-            });
+            self.fill_fresh(spec, chunk, &mut |_| ())?;
             state.tail = Some((spec.start, tp));
             data_off += chunk.len();
         }
@@ -931,6 +923,11 @@ impl Txn {
         state.sha_midstate = hasher.midstate().state_bytes();
         state.sha256 = hasher.finalize();
         state.prefix = BlobState::make_prefix(&content);
+        // The surviving last extent now holds fewer content pages than a
+        // resident copy may frame.
+        if let Some(last) = self.content_specs(&state).last() {
+            self.db.blob_pool.trim_extent(*last);
+        }
 
         let encoded = state.encode();
         rel.tree.insert(key, &encoded, true)?;
@@ -955,7 +952,7 @@ impl Txn {
     /// (See also `locate_extent` for single-extent addressing.)
     fn read_slice(&self, state: &BlobState, off: u64, len: usize) -> Result<Vec<u8>> {
         let mut out = vec![0u8; len];
-        let n = self.read_state_range(state, off, &mut out)?;
+        let n = self.read_state_range(state, off, &mut out, false)?;
         debug_assert_eq!(n, len, "read_slice must stay within the blob");
         Ok(out)
     }
@@ -1013,8 +1010,9 @@ impl Txn {
             return Ok(());
         }
 
-        // Walk the extents overlapping [offset, offset+len).
-        let specs = state.extent_specs(&self.db.table);
+        // Walk the extents overlapping [offset, offset+len), by content:
+        // an extent's cloning cost is what it holds, not what it reserves.
+        let specs = self.content_specs(&state);
         let mut ext_base = 0u64; // byte offset of the extent within the blob
         for (i, spec) in specs.iter().enumerate() {
             let ext_bytes = spec.pages * page as u64;
@@ -1060,26 +1058,27 @@ impl Txn {
                     });
                 } else {
                     // Clone: copy the extent, patch it, swap the pointer.
-                    let is_tail = state.tail.is_some() && i == specs.len() - 1;
-                    let clone_spec = if is_tail {
-                        self.db.alloc.allocate_tail(spec.pages)?
-                    } else {
-                        self.db.alloc.allocate_tier(i)?
+                    // The old and new placements are sized by allocation.
+                    let (clone_spec, old_spec) = match state.tail {
+                        Some((tpid, tpages)) if i == state.extents.len() => (
+                            self.db.alloc.allocate_tail(tpages)?,
+                            ExtentSpec::new(tpid, tpages),
+                        ),
+                        _ => (
+                            self.db.alloc.allocate_tier(i)?,
+                            ExtentSpec::new(spec.start, self.db.table.size_of(i)),
+                        ),
                     };
+                    let is_tail = i == state.extents.len();
                     self.allocated.push(clone_spec);
-                    let live = (state.size - ext_base).min(ext_bytes) as usize;
+                    let live = (state.size - ext_base).min(ext_bytes);
                     let mut content =
                         self.db
                             .blob_pool
-                            .read_blob(self.worker, &[*spec], live as u64, |b| b.to_vec())?;
+                            .read_blob(self.worker, &[*spec], live, |b| b.to_vec())?;
                     content[local_off..local_off + overlap].copy_from_slice(slice);
-                    self.db.blob_pool.fill_extent(clone_spec, &content)?;
-                    self.toflush.push(FlushItem {
-                        spec: clone_spec,
-                        dirty_from: 0,
-                        dirty_pages: geo.pages_for(live as u64).max(1),
-                    });
-                    self.freed.push(*spec);
+                    self.fill_fresh(clone_spec, &content, &mut |_| ())?;
+                    self.freed.push(old_spec);
                     if is_tail {
                         state.tail = Some((clone_spec.start, clone_spec.pages));
                     } else {
@@ -1095,7 +1094,7 @@ impl Txn {
 
         // Content changed: recompute the hash over the full object (growth
         // is the only op with a cheap incremental path, §III-D).
-        let specs = state.extent_specs(&self.db.table);
+        let specs = self.content_specs(&state);
         let mut hasher = Sha256::new();
         self.db
             .blob_pool
@@ -1175,7 +1174,8 @@ impl Txn {
         // extents are leased (stable frame reads), cold ones are read
         // uncached from the device — the copy never faults data into the
         // pool or evicts anything hot. Hashing rides the same pass.
-        let src = crate::defrag::SourceGuard::new(&self.db.blob_pool, &old_specs);
+        let db = self.db.clone();
+        let src = crate::defrag::SourceGuard::new(&db.blob_pool, &self.content_specs(&state));
         let mut hasher = Sha256::new();
         let mut extents = Vec::with_capacity(plan.sizes.len());
         let mut off = 0u64;
@@ -1186,14 +1186,7 @@ impl Txn {
             let len = ((state.size - off) as usize).min(ext_bytes);
             let mut buf = vec![0u8; len];
             read_blob_window(&self.db, &state, off, &mut buf)?;
-            self.db
-                .blob_pool
-                .fill_extent_hashed(spec, &buf, &mut |b| hasher.update(b))?;
-            self.toflush.push(FlushItem {
-                spec,
-                dirty_from: 0,
-                dirty_pages: geo.pages_for(len as u64).max(1),
-            });
+            self.fill_fresh(spec, &buf, &mut |b| hasher.update(b))?;
             extents.push(spec.start);
             off += len as u64;
         }
@@ -1204,14 +1197,7 @@ impl Txn {
                 let len = (state.size - off) as usize;
                 let mut buf = vec![0u8; len];
                 read_blob_window(&self.db, &state, off, &mut buf)?;
-                self.db
-                    .blob_pool
-                    .fill_extent_hashed(spec, &buf, &mut |b| hasher.update(b))?;
-                self.toflush.push(FlushItem {
-                    spec,
-                    dirty_from: 0,
-                    dirty_pages: geo.pages_for(len as u64).max(1),
-                });
+                self.fill_fresh(spec, &buf, &mut |b| hasher.update(b))?;
                 off += len as u64;
                 Some((spec.start, tp))
             }
@@ -1310,10 +1296,8 @@ impl Txn {
         if state.extents.is_empty() && state.tail.is_none() {
             hasher.update(&state.prefix[..state.size as usize]);
         } else {
-            let src = crate::defrag::SourceGuard::new(
-                &self.db.blob_pool,
-                &state.extent_specs(&self.db.table),
-            );
+            let src =
+                crate::defrag::SourceGuard::new(&self.db.blob_pool, &self.content_specs(&state));
             let mut buf = vec![0u8; (256 << 10).min(state.size as usize)];
             let mut off = 0u64;
             while off < state.size {
@@ -1536,7 +1520,7 @@ pub(crate) fn read_blob_window(
     let page = db.geo.page_size();
     let mut done = 0usize;
     while done < buf.len() {
-        let (spec, in_ext) = locate_extent(state, &db.table, page, off);
+        let (spec, in_ext) = locate_extent(state, &db.table, db.geo, off);
         let avail = (spec.pages as usize) * page - in_ext;
         let take = avail.min(buf.len() - done);
         db.blob_pool
@@ -1547,21 +1531,44 @@ pub(crate) fn read_blob_window(
     Ok(())
 }
 
-/// The extent containing blob byte `off`, and the byte offset within it.
+/// The extent (content view) containing blob byte `off`, and the byte
+/// offset within it.
 fn locate_extent(
     state: &BlobState,
     table: &lobster_extent::TierTable,
-    page_size: usize,
+    geo: Geometry,
     off: u64,
 ) -> (ExtentSpec, usize) {
-    let page = page_size as u64;
     let mut base = 0u64;
-    for spec in state.extent_specs(table) {
-        let next = base + spec.pages * page;
+    for spec in state.content_specs(table, geo) {
+        let next = base + geo.bytes_for(spec.pages);
         if off < next {
             return (spec, (off - base) as usize);
         }
         base = next;
     }
-    unreachable!("offset {off} beyond the extent sequence");
+    unreachable!("offset {off} beyond the blob's content");
+}
+
+/// The run of `specs` covering blob bytes `[offset, end)`: indices
+/// `first..last`, and the blob byte offset at which extent `first` starts.
+/// `offset` must lie inside the content `specs` describes.
+fn covering_run(specs: &[ExtentSpec], geo: Geometry, offset: u64, end: u64) -> (usize, usize, u64) {
+    let mut first = None;
+    let mut last = specs.len();
+    let mut base = 0u64;
+    for (i, spec) in specs.iter().enumerate() {
+        if base >= end {
+            last = i;
+            break;
+        }
+        let next = base + geo.bytes_for(spec.pages);
+        if first.is_none() && next > offset {
+            first = Some((i, base));
+        }
+        base = next;
+    }
+    debug_assert!(first.is_some(), "offset < size implies a covering extent");
+    let (first, first_base) = first.unwrap_or((0, 0));
+    (first, last, first_base)
 }

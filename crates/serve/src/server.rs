@@ -463,11 +463,27 @@ fn handle_request(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> bool 
                         && stream.write_all(&body).is_ok()
                 }
                 Ok(None) => write_response_header(stream, Status::NotFound, 0).is_ok(),
-                Err(_) => write_response_header(stream, Status::ServerErr, 0).is_ok(),
+                Err(e) => write_response_header(stream, read_error_status(shared, &e), 0).is_ok(),
             }
         }
         Request::Get { key } => do_stream(stream, shared, w, &key, 0, u64::MAX),
         Request::GetRange { key, offset, len } => do_stream(stream, shared, w, &key, offset, len),
+    }
+}
+
+/// Status for a read request (GET, GET_RANGE, STAT) that failed before any
+/// body byte was sent. Contention is the client's cue to retry, like a
+/// `do_put` that ran out of conflict retries: a lost wait-die race or lock
+/// timeout (`TxnConflict`) and an exhausted pin budget (`BufferFull`) are
+/// counted rejections answered `BUSY`; only real faults are `SERVER_ERR`.
+fn read_error_status(shared: &Shared, e: &Error) -> Status {
+    match e {
+        Error::TxnConflict | Error::BufferFull => {
+            // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+            shared.metrics.serve_rejects.fetch_add(1, Ordering::Relaxed);
+            Status::Busy
+        }
+        _ => Status::ServerErr,
     }
 }
 
@@ -519,9 +535,9 @@ fn do_stream(
             let _ = t.commit();
             return write_response_header(stream, Status::NotFound, 0).is_ok();
         }
-        Err(_) => {
+        Err(e) => {
             let _ = t.commit();
-            return write_response_header(stream, Status::ServerErr, 0).is_ok();
+            return write_response_header(stream, read_error_status(shared, &e), 0).is_ok();
         }
     };
     if n == 0 {
@@ -559,12 +575,9 @@ fn do_stream(
             debug_assert_eq!(streamed, n);
             true
         }
-        Err(Error::BufferFull) if !sent_header => {
-            // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-            shared.metrics.serve_rejects.fetch_add(1, Ordering::Relaxed);
-            write_response_header(stream, Status::Busy, 0).is_ok()
+        Err(e) if !sent_header => {
+            write_response_header(stream, read_error_status(shared, &e), 0).is_ok()
         }
-        Err(_) if !sent_header => write_response_header(stream, Status::ServerErr, 0).is_ok(),
         Err(_) => {
             // Header already on the wire: the body is short and the
             // client sees a disconnect. Pins and gate budget were

@@ -290,6 +290,45 @@ fn connection_cap_sheds_with_busy() {
     handle.shutdown().unwrap();
 }
 
+#[test]
+fn lock_conflict_on_reads_is_a_clean_busy_then_success() {
+    let (sdb, handle) = start_server(2, ServeConfig::default());
+    let rel = sdb.relation("blobs").unwrap();
+    let addr = handle.local_addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let data = pattern(300_000, 7);
+    assert_eq!(c.put(b"contended", &data).unwrap(), Status::Ok);
+
+    // An in-process writer holds the key's exclusive lock. The server's
+    // read transactions are younger, so wait-die refuses them at once.
+    let mut writer = sdb.begin_with_worker(0);
+    writer.delete_blob(&rel, b"contended").unwrap();
+
+    let before = sdb.metrics().snapshot().serve_rejects;
+    assert_eq!(c.get(b"contended").unwrap().status, Status::Busy);
+    assert_eq!(
+        c.get_range(b"contended", 10, 100).unwrap().status,
+        Status::Busy
+    );
+    assert_eq!(c.stat(b"contended").unwrap().status, Status::Busy);
+    assert_eq!(
+        sdb.metrics().snapshot().serve_rejects - before,
+        3,
+        "every refused read is a counted rejection"
+    );
+
+    // The same connection succeeds once the lock is gone.
+    writer.abort();
+    let got = c.get(b"contended").unwrap();
+    assert_eq!(got.status, Status::Ok);
+    assert_eq!(got.body, data);
+    assert_eq!(
+        c.stat(b"contended").unwrap().stat().unwrap().size,
+        data.len() as u64
+    );
+    handle.shutdown().unwrap();
+}
+
 // ------------------------------------------------------------- shutdown ---
 
 #[test]
@@ -351,9 +390,16 @@ fn graceful_shutdown_quiesces_defragmenter() {
     }
     for i in (0..48u32).step_by(2) {
         let key = format!("frag-{i}").into_bytes();
-        let mut t = sdb.begin();
-        t.delete_blob(&srel, &key).unwrap();
-        t.commit().unwrap();
+        // A relocation or scrub may hold the key: the younger delete loses
+        // wait-die and retries, like any engine-side writer.
+        loop {
+            let mut t = sdb.begin();
+            match t.delete_blob(&srel, &key) {
+                Ok(()) => break t.commit().unwrap(),
+                Err(lobster_types::Error::TxnConflict) => t.abort(),
+                Err(e) => panic!("delete of frag-{i}: {e}"),
+            }
+        }
     }
     for i in 0..24u32 {
         let key = format!("refill-{i}").into_bytes();

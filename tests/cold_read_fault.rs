@@ -2,11 +2,14 @@
 //! fully evicted pool must go to the device as one batched IoEngine
 //! submission (not one blocking read per extent), stay byte-exact over
 //! latency-modeling and crash-injecting devices, and sequential range reads
-//! must drive the readahead prefetcher.
+//! must drive the readahead prefetcher. Over a counting device, a cold read
+//! moves exactly the pages that hold content: no tier slack, no extent past
+//! the requested range, no readahead on random access.
 
 use lobster::core::{Config, Database, RelationKind};
 use lobster::storage::{CrashDevice, Device, MemDevice, ThrottleProfile, ThrottledDevice};
-use std::sync::Arc;
+use lobster::types::Result;
+use std::sync::{Arc, Mutex};
 
 const BLOB_LEN: usize = 600 << 10; // ~150 pages => dozens of tiered extents
 
@@ -154,4 +157,149 @@ fn readahead_can_be_disabled() {
     txn.commit().unwrap();
     let delta = db.metrics().snapshot() - before;
     assert_eq!(delta.readahead_issued, 0);
+}
+
+// ------------------------------------------------- exact device counts ---
+
+/// A memory device that logs every read as `(byte offset, byte length)`.
+struct CountingDevice {
+    inner: MemDevice,
+    reads: Mutex<Vec<(u64, usize)>>,
+}
+
+impl CountingDevice {
+    fn new(capacity: usize) -> Arc<Self> {
+        Arc::new(CountingDevice {
+            inner: MemDevice::new(capacity),
+            reads: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// The reads logged since the last call.
+    fn take_reads(&self) -> Vec<(u64, usize)> {
+        std::mem::take(&mut self.reads.lock().unwrap())
+    }
+}
+
+impl Device for CountingDevice {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<()> {
+        self.reads.lock().unwrap().push((offset, buf.len()));
+        self.inner.read_at(buf, offset)
+    }
+    fn write_at(&self, buf: &[u8], offset: u64) -> Result<()> {
+        self.inner.write_at(buf, offset)
+    }
+    fn sync(&self) -> Result<()> {
+        self.inner.sync()
+    }
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+}
+
+const MIB: usize = 1 << 20;
+const PAGE: usize = 4096;
+
+/// One cold 1 MiB BLOB over a counting device, default tier table: nine
+/// tier extents of 1, 2, 4, ..., 256 pages (511 allocated), 256 of content.
+/// The B-Tree path to the key is warm, so the device log that follows
+/// holds content reads only.
+fn cold_mib_blob() -> (Arc<CountingDevice>, Arc<Database>, Vec<u8>) {
+    let dev = CountingDevice::new(256 << 20);
+    let wal: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
+    let db = Database::create(dev.clone(), wal, cfg()).unwrap();
+    let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
+    let data: Vec<u8> = (0..MIB).map(|i| (i * 131 % 251) as u8).collect();
+    let mut txn = db.begin();
+    txn.put_blob(&rel, b"big", &data).unwrap();
+    txn.commit().unwrap();
+    db.checkpoint().unwrap();
+    db.blob_pool().drop_caches();
+    db.node_pool().drop_caches();
+    let mut txn = db.begin();
+    let state = txn.blob_state(&rel, b"big").unwrap().unwrap();
+    txn.commit().unwrap();
+    assert_eq!(state.extents.len(), 9, "1 MiB spans nine default tiers");
+    dev.take_reads();
+    (dev, db, data)
+}
+
+#[test]
+fn cold_get_reads_and_frames_exactly_the_content_pages() {
+    let (dev, db, data) = cold_mib_blob();
+    let frames_before = db.node_pool().frames_in_use();
+    let before = db.metrics().snapshot();
+
+    assert_eq!(read_back(&db), data);
+
+    let reads = dev.take_reads();
+    let delta = db.metrics().snapshot() - before;
+    assert_eq!(
+        reads.iter().map(|&(_, len)| len).sum::<usize>(),
+        MIB,
+        "a cold 1 MiB get reads 256 pages, not the 511 allocated: {reads:?}"
+    );
+    assert_eq!(reads.len(), 9, "one device read per extent");
+    assert_eq!(delta.pages_read, 256);
+    assert_eq!(
+        delta.cache_misses,
+        reads.len() as u64,
+        "a pool miss is a device read"
+    );
+    assert_eq!(
+        db.node_pool().frames_in_use() - frames_before,
+        256,
+        "only content pages are framed"
+    );
+}
+
+#[test]
+fn random_range_reads_issue_no_readahead() {
+    let (_dev, db, data) = cold_mib_blob();
+    let rel = db.relation("blobs").unwrap();
+    let before = db.metrics().snapshot();
+    let mut buf = vec![0u8; 64 << 10];
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..200 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        // Never offset 0 and never where the previous read ended: those are
+        // the two patterns that count as sequential.
+        let off = 1 + (x % (MIB - buf.len() - 1) as u64) as usize;
+        let mut txn = db.begin();
+        let n = txn
+            .get_blob_range(&rel, b"big", off as u64, &mut buf)
+            .unwrap();
+        txn.commit().unwrap();
+        assert_eq!(&buf[..n], &data[off..off + n], "range at {off} corrupted");
+    }
+    let delta = db.metrics().snapshot() - before;
+    assert_eq!(delta.readahead_issued, 0, "random access must not prefetch");
+}
+
+#[test]
+fn range_read_never_fetches_an_extent_past_its_end() {
+    let (dev, db, data) = cold_mib_blob();
+    let rel = db.relation("blobs").unwrap();
+    let mut txn = db.begin();
+    let state = txn.blob_state(&rel, b"big").unwrap().unwrap();
+    // 64 KiB starting in the 16-page extent (blob pages 15..31) and ending
+    // in the 32-page one (pages 31..63): exactly those two may be read.
+    let off = 20 * PAGE + 5;
+    let mut buf = vec![0u8; 64 << 10];
+    let n = txn
+        .get_blob_range(&rel, b"big", off as u64, &mut buf)
+        .unwrap();
+    txn.commit().unwrap();
+    assert_eq!(&buf[..n], &data[off..off + n]);
+
+    let mut reads = dev.take_reads();
+    reads.sort_unstable();
+    let mut want = vec![
+        (state.extents[4].raw() * PAGE as u64, 16 * PAGE),
+        (state.extents[5].raw() * PAGE as u64, 32 * PAGE),
+    ];
+    want.sort_unstable();
+    assert_eq!(reads, want, "only the covering extents are fetched");
 }
