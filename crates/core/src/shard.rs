@@ -534,7 +534,7 @@ impl ShardedTxn {
         len: u64,
         chunk: usize,
         gate: Option<(&lobster_buffer::PinGate, std::time::Duration)>,
-        sink: &mut dyn FnMut(&[u8]) -> Result<()>,
+        sink: &mut dyn FnMut(u64, &[u8]) -> Result<()>,
     ) -> Result<u64> {
         let s = self.route(key);
         self.txn_for(s)

@@ -73,6 +73,9 @@ pub struct Txn {
     /// (`StageCtx::retire`). Distinct from `freed`, whose extents carry
     /// no fence and may be recycled by any later allocation.
     refenced: Vec<ExtentSpec>,
+    /// Lock-table shards holding this transaction's locks (one bit each),
+    /// so the release visits those and not the whole table.
+    lock_shards: u64,
     state: TxnState,
 }
 
@@ -88,6 +91,7 @@ impl Txn {
             allocated: Vec::new(),
             freed: Vec::new(),
             refenced: Vec::new(),
+            lock_shards: 0,
             state: TxnState::Active,
         }
     }
@@ -108,8 +112,9 @@ impl Txn {
         }
     }
 
-    fn lock(&self, rel: &Relation, key: &[u8], mode: LockMode) -> Result<()> {
-        self.db.locks.lock(self.id, rel.id, key, mode)
+    fn lock(&mut self, rel: &Relation, key: &[u8], mode: LockMode) -> Result<()> {
+        self.lock_shards |= self.db.locks.lock(self.id, rel.id, key, mode)?;
+        Ok(())
     }
 
     /// The content view of `state`'s extents — the only view the buffer
@@ -529,6 +534,15 @@ impl Txn {
     /// zero-copy range read). Returns the bytes streamed (clamped at the
     /// BLOB size).
     ///
+    /// This is the one resolution of the request — one shared key lock,
+    /// one B-Tree descent, one Blob State decode — so the caller needs no
+    /// preceding [`Txn::blob_state`]: every `sink(total, bytes)` call
+    /// carries the resolved stream length `total` (what this returns), and
+    /// a caller framing a response writes its header from the first call.
+    /// A missing key is `Error::KeyNotFound`; an empty range returns
+    /// `Ok(0)` without calling `sink`. Every refusal (lock conflict, gate
+    /// timeout) happens before the first `sink` call.
+    ///
     /// Every extent intersecting the range is held under a *streaming
     /// lease* (`prevent_evict` pin — see `ExtentPool::lease_extent`) for
     /// the duration of the stream, so chunks hit resident frames instead
@@ -550,7 +564,7 @@ impl Txn {
         len: u64,
         chunk: usize,
         gate: Option<(&lobster_buffer::PinGate, std::time::Duration)>,
-        sink: &mut dyn FnMut(&[u8]) -> Result<()>,
+        sink: &mut dyn FnMut(u64, &[u8]) -> Result<()>,
     ) -> Result<u64> {
         self.check_active()?;
         self.lock(rel, key, LockMode::Shared)?;
@@ -563,7 +577,7 @@ impl Txn {
         // Inline-prefix fast path: the whole range lives in the Blob
         // State — one sink call, zero content I/O, zero leases.
         if offset as usize + n as usize <= PREFIX_LEN {
-            sink(&state.prefix[offset as usize..(offset + n) as usize])?;
+            sink(n, &state.prefix[offset as usize..(offset + n) as usize])?;
             return Ok(n);
         }
 
@@ -636,7 +650,7 @@ impl Txn {
                 let local = (pos - ext_base) as usize;
                 self.db
                     .blob_pool
-                    .read_chunk(*spec, local, take, |b| sink(b))??;
+                    .read_chunk(*spec, local, take, |b| sink(n, b))??;
                 pos += take as u64;
             }
             ext_base = ext_end;
@@ -1387,7 +1401,7 @@ impl Txn {
                 db.committer.wait_for(epoch)?;
             }
         }
-        db.locks.release_all(self.id);
+        db.locks.release_all(self.id, self.lock_shards);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
         self.state = TxnState::Committed;
@@ -1438,7 +1452,7 @@ impl Txn {
             freed: std::mem::take(&mut self.freed),
             refenced: std::mem::take(&mut self.refenced),
         })?;
-        db.locks.release_all(self.id);
+        db.locks.release_all(self.id, self.lock_shards);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
         self.state = TxnState::Committed;
@@ -1495,7 +1509,7 @@ impl Txn {
             // useful for log analytics.
             let _ = db.wal.append_batch(&[LogRecord::TxnAbort { txn: self.id }]);
         }
-        db.locks.release_all(self.id);
+        db.locks.release_all(self.id, self.lock_shards);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);
     }

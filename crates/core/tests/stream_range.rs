@@ -48,14 +48,18 @@ fn stream_collect(
     let mut t = db.begin();
     let mut out = Vec::new();
     let mut calls = 0usize;
+    let mut announced = Vec::new();
     let n = t
-        .stream_blob_range(rel, key, offset, len, chunk, gate, &mut |b| {
+        .stream_blob_range(rel, key, offset, len, chunk, gate, &mut |total, b| {
             calls += 1;
+            announced.push(total);
             out.extend_from_slice(b);
             Ok(())
         })
         .unwrap();
     t.commit().unwrap();
+    // Every sink call carries the resolved stream length.
+    assert!(announced.iter().all(|&total| total == n));
     (n, out, calls)
 }
 
@@ -149,7 +153,7 @@ fn sink_error_releases_leases_and_gate_budget() {
             u64::MAX,
             4096,
             Some((&gate, Duration::from_millis(100))),
-            &mut |_| {
+            &mut |_, _| {
                 calls += 1;
                 if calls >= 3 {
                     // Simulated client disconnect mid-stream.
@@ -193,7 +197,7 @@ fn exhausted_gate_rejects_with_buffer_full() {
             u64::MAX,
             4096,
             Some((&gate, Duration::from_millis(20))),
-            &mut |_| {
+            &mut |_, _| {
                 calls += 1;
                 Ok(())
             },
@@ -229,7 +233,7 @@ fn sharded_stream_routes_and_matches() {
         let mut t = sdb.begin_with_worker(i as usize);
         let mut out = Vec::new();
         let n = t
-            .stream_blob_range(&rel, &key, 100, 30_000, 8192, None, &mut |b| {
+            .stream_blob_range(&rel, &key, 100, 30_000, 8192, None, &mut |_, b| {
                 out.extend_from_slice(b);
                 Ok(())
             })
@@ -238,4 +242,59 @@ fn sharded_stream_routes_and_matches() {
         assert_eq!(n, 30_000);
         assert_eq!(&out[..], &data[100..30_100]);
     }
+}
+
+/// The stream is the request's only resolution: it reports a missing key
+/// and an empty range itself, and costs one B-Tree descent — what a bare
+/// `blob_state` costs — not two.
+#[test]
+fn stream_is_the_single_resolution() {
+    let db = mem_db(small_cfg());
+    let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
+    let data = pattern(4096, 5);
+    let mut t = db.begin();
+    t.put_blob(&rel, b"k", &data).unwrap();
+    t.commit().unwrap();
+
+    let mut t = db.begin();
+    let err = t
+        .stream_blob_range(&rel, b"absent", 0, u64::MAX, 4096, None, &mut |_, _| Ok(()))
+        .unwrap_err();
+    assert!(matches!(err, Error::KeyNotFound), "got {err:?}");
+    let mut calls = 0;
+    for (offset, len) in [(4096, 10), (0, 0), (u64::MAX, u64::MAX)] {
+        let n = t
+            .stream_blob_range(&rel, b"k", offset, len, 4096, None, &mut |_, _| {
+                calls += 1;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(n, 0);
+    }
+    assert_eq!(calls, 0, "an empty range never reaches the sink");
+    t.commit().unwrap();
+
+    let descents = |f: &mut dyn FnMut(&mut lobster_core::Txn)| {
+        let before = db.metrics().snapshot().btree_node_accesses;
+        let mut t = db.begin();
+        f(&mut t);
+        t.commit().unwrap();
+        db.metrics().snapshot().btree_node_accesses - before
+    };
+    let stat = descents(&mut |t| {
+        t.blob_state(&rel, b"k").unwrap().unwrap();
+    });
+    let mut out = Vec::new();
+    let stream = descents(&mut |t| {
+        let n = t
+            .stream_blob_range(&rel, b"k", 0, u64::MAX, 4096, None, &mut |_, b| {
+                out.extend_from_slice(b);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(n, 4096);
+    });
+    assert_eq!(out, data);
+    assert!(stat > 0);
+    assert_eq!(stream, stat, "one descent per stream");
 }

@@ -126,10 +126,16 @@ fn cfg_test_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
                     let (e, _) = scan_attr(toks, j + 1);
                     j = e;
                 }
-                // `mod name {` or `pub mod name {`
+                // `mod name {`, `pub mod name {` or `pub(crate) mod name {`
                 let mut k = j;
                 if k < toks.len() && toks[k].is_ident("pub") {
                     k += 1;
+                    if k < toks.len() && toks[k].is_punct('(') {
+                        while k < toks.len() && !toks[k].is_punct(')') {
+                            k += 1;
+                        }
+                        k += 1;
+                    }
                 }
                 if k + 1 < toks.len() && toks[k].is_ident("mod") {
                     // find the opening brace (or `;` for a file mod —
@@ -343,5 +349,14 @@ mod tests {
         assert!(f.in_test_mod(3));
         assert!(f.in_test_mod(4));
         assert!(!f.in_test_mod(6));
+        // A test module that shares helpers with a sibling's tests.
+        for vis in ["pub", "pub(crate)", "pub(in crate::x)"] {
+            let f = SourceFile::parse(
+                "crates/x/src/lib.rs",
+                &format!("fn a() {{}}\n#[cfg(test)]\n{vis} mod tests {{\n  fn b() {{}}\n}}\nfn c() {{}}\n"),
+            );
+            assert!(f.in_test_mod(4), "{vis}");
+            assert!(!f.in_test_mod(6), "{vis}");
+        }
     }
 }

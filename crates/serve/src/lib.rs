@@ -16,7 +16,8 @@ pub mod protocol;
 pub mod server;
 
 pub use protocol::{
-    encode_request, parse_request, read_response, write_response_header, Client, Opcode, Parsed,
-    Request, Response, StatReply, Status, DEFAULT_MAX_FRAME,
+    encode_request, parse_borrowed, parse_request, read_response, write_response,
+    write_response_header, Client, Opcode, Parsed, Request, Response, StatReply, Status,
+    DEFAULT_MAX_FRAME,
 };
 pub use server::{ServeConfig, Server, ServerHandle, WorkerSlots};

@@ -31,9 +31,22 @@
 //! Socket writes carry [`ServeConfig::write_timeout`]; a dead client
 //! fails its stream, which releases its leases, gate budget, and worker
 //! slot on the error path (RAII in `Txn::stream_blob_range`).
+//!
+//! # One of each per request
+//!
+//! A session reads into one reusable buffer and parses the request in
+//! place (`protocol::FrameBuf`, `parse_borrowed`): keys and PUT values
+//! reach the engine as slices of that buffer. A GET is one engine call —
+//! `stream_blob_range` takes the key lock, descends the B-Tree and
+//! decodes the Blob State once, and hands the resolved length to the sink
+//! with the first chunk — and its response header leaves in the same
+//! vectored write as that chunk, straight from the pool frame
+//! (`protocol::write_response`), so a small object is one system call on
+//! each side of the socket.
 
 use crate::protocol::{
-    parse_request, write_response_header, Parsed, Request, Status, DEFAULT_MAX_FRAME,
+    parse_borrowed, write_response, write_response_header, FrameBuf, FrameRead, Parsed, Request,
+    Status, DEFAULT_MAX_FRAME,
 };
 use lobster_buffer::PinGate;
 use lobster_core::{ShardedDatabase, ShardedRelation};
@@ -41,7 +54,7 @@ use lobster_metrics::Metrics;
 use lobster_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use lobster_sync::{Arc, Condvar, Mutex};
 use lobster_types::{Error, Result};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -171,6 +184,22 @@ struct Shared {
     metrics: Metrics,
 }
 
+impl Shared {
+    fn new(sdb: Arc<ShardedDatabase>, rel: ShardedRelation, cfg: ServeConfig) -> Shared {
+        Shared {
+            slots: WorkerSlots::new(sdb.config().workers, sdb.num_shards()),
+            gate: PinGate::new(cfg.gate_budget),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            active: AtomicUsize::new(0),
+            // lint-allow(no-panic-in-request-path): server construction, not the request path; a sharded DB always has >= 1 shard
+            metrics: Arc::clone(sdb.shards()[0].metrics()),
+            sdb,
+            rel,
+            cfg,
+        }
+    }
+}
+
 /// Running server. Obtain via [`Server::start`]; stop via
 /// [`ServerHandle::shutdown`].
 pub struct Server;
@@ -195,18 +224,7 @@ impl Server {
         listener.set_nonblocking(true).map_err(Error::Io)?;
         let addr = listener.local_addr().map_err(Error::Io)?;
 
-        let workers = sdb.config().workers;
-        let shared = Arc::new(Shared {
-            slots: WorkerSlots::new(workers, sdb.num_shards()),
-            gate: PinGate::new(cfg.gate_budget),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            active: AtomicUsize::new(0),
-            // lint-allow(no-panic-in-request-path): server construction, not the request path; a sharded DB always has >= 1 shard
-            metrics: Arc::clone(sdb.shards()[0].metrics()),
-            sdb,
-            rel,
-            cfg,
-        });
+        let shared = Arc::new(Shared::new(sdb, rel, cfg));
         let sessions = Arc::new(Mutex::new(Vec::new()));
 
         let acc_shared = Arc::clone(&shared);
@@ -310,74 +328,20 @@ fn accept_loop(
     }
 }
 
-/// Result of waiting for one complete request frame.
-enum FrameRead {
-    Body(Vec<u8>),
-    /// Length prefix exceeds `max_frame`; the stream cannot be re-synced.
-    TooLarge,
-    /// Peer closed between frames.
-    CleanEof,
-    /// Peer closed mid-frame or errored.
-    DirtyEof,
-    /// Server is draining and no frame is pending.
-    Shutdown,
-}
-
-/// Accumulate bytes until `buf` holds one complete frame, popping and
-/// returning its body. Reads tick on a short timeout so the session
-/// notices the shutdown flag while idle.
-fn next_frame(stream: &mut TcpStream, buf: &mut Vec<u8>, shared: &Shared) -> FrameRead {
-    let mut tmp = [0u8; 16 << 10];
-    loop {
-        if let Some(len_bytes) = buf.first_chunk::<4>() {
-            let len = u32::from_le_bytes(*len_bytes);
-            if len > shared.cfg.max_frame {
-                return FrameRead::TooLarge;
-            }
-            let total = 4 + len as usize;
-            if buf.len() >= total {
-                let rest = buf.split_off(total);
-                let mut frame = std::mem::replace(buf, rest);
-                frame.drain(..4);
-                return FrameRead::Body(frame);
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Drain policy: fully received requests are in-flight and get
-            // served (handled above); partial frames are not.
-            return FrameRead::Shutdown;
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => {
-                return if buf.is_empty() {
-                    FrameRead::CleanEof
-                } else {
-                    FrameRead::DirtyEof
-                };
-            }
-            // lint-allow(no-panic-in-request-path): Read's contract caps n at tmp.len()
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // timeout tick: re-check shutdown
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return FrameRead::DirtyEof,
-        }
-    }
-}
-
 fn session(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
+    // Reads tick on a short timeout so an idle session notices the
+    // shutdown flag.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let mut buf = Vec::new();
+    let mut frames = FrameBuf::default();
     loop {
-        match next_frame(&mut stream, &mut buf, shared) {
+        // Drain policy: fully received requests are in flight and get
+        // served; partial frames are not.
+        let draining = || shared.shutdown.load(Ordering::SeqCst);
+        match frames.next_frame(&mut stream, shared.cfg.max_frame, draining) {
             FrameRead::Body(body) => {
-                if !handle_request(&mut stream, &body, shared) {
+                if !handle_request(&mut stream, body, shared) {
                     return;
                 }
             }
@@ -395,7 +359,7 @@ fn session(mut stream: TcpStream, shared: &Shared) {
                     .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
                 return;
             }
-            FrameRead::Shutdown => {
+            FrameRead::Stopped => {
                 let _ = write_response_header(&mut stream, Status::ShuttingDown, 0);
                 return;
             }
@@ -403,39 +367,41 @@ fn session(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Serve one request; returns `false` when the connection must close
-/// (mid-stream failure leaves the response body short — the only safe
-/// continuation is a disconnect the client can detect).
-fn handle_request(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> bool {
+/// Serve one request, parsed in place: `body` is a view into the
+/// session's read buffer and keys and values go to the engine as slices
+/// of it. Returns `false` when the connection must close (mid-stream
+/// failure leaves the response body short — the only safe continuation is
+/// a disconnect the client can detect).
+fn handle_request(out: &mut impl Write, body: &[u8], shared: &Shared) -> bool {
     shared
         .metrics
         .serve_requests
         .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-    let req = match parse_request(body) {
+    let req = match parse_borrowed(body) {
         Parsed::Req(r) => r,
         Parsed::UnknownOpcode => {
-            return write_response_header(stream, Status::UnknownOpcode, 0).is_ok();
+            return write_response_header(out, Status::UnknownOpcode, 0).is_ok();
         }
         Parsed::Bad => {
-            return write_response_header(stream, Status::BadFrame, 0).is_ok();
+            return write_response_header(out, Status::BadFrame, 0).is_ok();
         }
     };
 
     // Everything else runs engine work: lease a worker slot, preferring
     // the key's home shard.
-    let key: &[u8] = match &req {
+    let key = match req {
         Request::Put { key, .. }
         | Request::Get { key }
         | Request::GetRange { key, .. }
         | Request::Stat { key } => key,
         // No engine work: answered without leasing a worker slot.
-        Request::Ping => return write_response_header(stream, Status::Ok, 0).is_ok(),
+        Request::Ping => return write_response_header(out, Status::Ok, 0).is_ok(),
     };
     let shard = shared.sdb.shard_for_key(key);
     let Some(w) = shared.slots.acquire(shard, shared.cfg.slot_timeout) else {
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         shared.metrics.serve_rejects.fetch_add(1, Ordering::Relaxed);
-        return write_response_header(stream, Status::Busy, 0).is_ok();
+        return write_response_header(out, Status::Busy, 0).is_ok();
     };
     let _slot = SlotGuard {
         slots: &shared.slots,
@@ -445,39 +411,40 @@ fn handle_request(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> bool 
     match req {
         // Already answered before the slot lease; kept total (a stray
         // Ping degrades to a harmless Ok header) rather than panicking.
-        Request::Ping => write_response_header(stream, Status::Ok, 0).is_ok(),
+        Request::Ping => write_response_header(out, Status::Ok, 0).is_ok(),
         Request::Put { key, value } => {
-            let status = do_put(shared, w, &key, &value);
-            write_response_header(stream, status, 0).is_ok()
+            let status = do_put(shared, w, key, value);
+            write_response_header(out, status, 0).is_ok()
         }
         Request::Stat { key } => {
             let mut t = shared.sdb.begin_with_worker(w);
-            let r = t.blob_state(&shared.rel, &key);
+            let r = t.blob_state(&shared.rel, key);
             let _ = t.commit();
             match r {
                 Ok(Some(state)) => {
-                    let mut body = Vec::with_capacity(40);
-                    body.extend_from_slice(&state.size.to_le_bytes());
-                    body.extend_from_slice(&state.sha256);
-                    write_response_header(stream, Status::Ok, 40).is_ok()
-                        && stream.write_all(&body).is_ok()
+                    let mut reply = [0u8; 40];
+                    let (size, sha256) = reply.split_at_mut(8);
+                    size.copy_from_slice(&state.size.to_le_bytes());
+                    sha256.copy_from_slice(&state.sha256);
+                    write_response(out, Status::Ok, 40, &reply).is_ok()
                 }
-                Ok(None) => write_response_header(stream, Status::NotFound, 0).is_ok(),
-                Err(e) => write_response_header(stream, read_error_status(shared, &e), 0).is_ok(),
+                Ok(None) => write_response_header(out, Status::NotFound, 0).is_ok(),
+                Err(e) => write_response_header(out, read_error_status(shared, &e), 0).is_ok(),
             }
         }
-        Request::Get { key } => do_stream(stream, shared, w, &key, 0, u64::MAX),
-        Request::GetRange { key, offset, len } => do_stream(stream, shared, w, &key, offset, len),
+        Request::Get { key } => do_stream(out, shared, w, key, 0, u64::MAX),
+        Request::GetRange { key, offset, len } => do_stream(out, shared, w, key, offset, len),
     }
 }
 
 /// Status for a read request (GET, GET_RANGE, STAT) that failed before any
-/// body byte was sent. Contention is the client's cue to retry, like a
+/// response byte was sent. Contention is the client's cue to retry, like a
 /// `do_put` that ran out of conflict retries: a lost wait-die race or lock
 /// timeout (`TxnConflict`) and an exhausted pin budget (`BufferFull`) are
 /// counted rejections answered `BUSY`; only real faults are `SERVER_ERR`.
 fn read_error_status(shared: &Shared, e: &Error) -> Status {
     match e {
+        Error::KeyNotFound => Status::NotFound,
         Error::TxnConflict | Error::BufferFull => {
             // ordering: relaxed metrics counter; snapshot readers tolerate staleness
             shared.metrics.serve_rejects.fetch_add(1, Ordering::Relaxed);
@@ -516,11 +483,17 @@ fn do_put(shared: &Shared, w: usize, key: &[u8], value: &[u8]) -> Status {
     Status::Busy
 }
 
-/// Serve a get/get_range: resolve the Blob State (for the response
-/// length), then stream chunks straight out of the buffer pool under
-/// streaming leases. Returns `false` if the connection must close.
+/// Serve a get/get_range: one engine call resolves the Blob State and
+/// streams chunks straight out of the buffer pool under streaming leases.
+/// Returns `false` if the connection must close.
+///
+/// Nothing goes on the wire before the stream's first sink call, which
+/// carries the resolved length: the header leaves with that first chunk,
+/// in one vectored write from the pool frame, and every refusal ahead of
+/// it — missing key, lost lock race, pin-gate timeout — is still a clean
+/// status frame.
 fn do_stream(
-    stream: &mut TcpStream,
+    out: &mut impl Write,
     shared: &Shared,
     w: usize,
     key: &[u8],
@@ -528,40 +501,21 @@ fn do_stream(
     len: u64,
 ) -> bool {
     let mut t = shared.sdb.begin_with_worker(w);
-    // The Shared lock taken here pins the state for the stream below.
-    let n = match t.blob_state(&shared.rel, key) {
-        Ok(Some(state)) => len.min(state.size.saturating_sub(offset)),
-        Ok(None) => {
-            let _ = t.commit();
-            return write_response_header(stream, Status::NotFound, 0).is_ok();
-        }
-        Err(e) => {
-            let _ = t.commit();
-            return write_response_header(stream, read_error_status(shared, &e), 0).is_ok();
-        }
-    };
-    if n == 0 {
-        let _ = t.commit();
-        return write_response_header(stream, Status::Ok, 0).is_ok();
-    }
-
-    // The header is written lazily from the first chunk's sink call, so a
-    // pin-gate rejection (which precedes any chunk) can still become a
-    // clean BUSY frame instead of a broken stream.
     let mut sent_header = false;
     let res = t.stream_blob_range(
         &shared.rel,
         key,
         offset,
-        n,
+        len,
         shared.cfg.chunk_bytes,
         Some((&shared.gate, shared.cfg.gate_timeout)),
-        &mut |chunk| {
-            if !sent_header {
-                write_response_header(stream, Status::Ok, n)?;
+        &mut |total, chunk| {
+            if sent_header {
+                out.write_all(chunk).map_err(Error::Io)?;
+            } else {
+                write_response(out, Status::Ok, total, chunk)?;
                 sent_header = true;
             }
-            stream.write_all(chunk).map_err(Error::Io)?;
             shared
                 .metrics
                 .serve_bytes_streamed
@@ -571,12 +525,11 @@ fn do_stream(
     );
     let _ = t.commit();
     match res {
-        Ok(streamed) => {
-            debug_assert_eq!(streamed, n);
-            true
-        }
+        Ok(_) if sent_header => true,
+        // An empty range (or blob) never reaches the sink.
+        Ok(_) => write_response_header(out, Status::Ok, 0).is_ok(),
         Err(e) if !sent_header => {
-            write_response_header(stream, read_error_status(shared, &e), 0).is_ok()
+            write_response_header(out, read_error_status(shared, &e), 0).is_ok()
         }
         Err(_) => {
             // Header already on the wire: the body is short and the
@@ -588,5 +541,86 @@ fn do_stream(
                 .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::tests::ChoppyWriter;
+    use crate::protocol::{encode_request, read_response};
+    use lobster_core::{Config, RelationKind, ShardDevices};
+    use lobster_storage::MemDevice;
+
+    fn shared() -> Shared {
+        let cfg = Config {
+            pool_frames: 1024,
+            workers: 2,
+            commit_wait: false,
+            ..Config::default()
+        };
+        let parts = vec![ShardDevices {
+            data: Arc::new(MemDevice::new(32 << 20)) as _,
+            wal: Arc::new(MemDevice::new(8 << 20)) as _,
+        }];
+        let sdb = ShardedDatabase::create(parts, cfg).unwrap();
+        let rel = sdb.create_relation("blobs", RelationKind::Blob).unwrap();
+        Shared::new(sdb, rel, ServeConfig::default())
+    }
+
+    /// Serve `req` into a writer taking `per_call` bytes a call.
+    fn serve(shared: &Shared, req: &Request, per_call: usize) -> ChoppyWriter {
+        let mut out = ChoppyWriter::new(per_call);
+        assert!(handle_request(&mut out, &encode_request(req)[4..], shared));
+        out
+    }
+
+    #[test]
+    fn one_write_per_small_response() {
+        let shared = shared();
+        let key = b"k".to_vec();
+        let value: Vec<u8> = (0..4096u32).map(|i| (i * 7) as u8).collect();
+        let put = Request::Put {
+            key: key.clone(),
+            value: value.clone(),
+        };
+        let out = serve(&shared, &put, usize::MAX);
+        assert_eq!((out.writes, out.vectored_writes), (1, 0));
+
+        // GET and STAT: header and body leave together.
+        let get = Request::Get { key: key.clone() };
+        let whole = serve(&shared, &get, usize::MAX);
+        assert_eq!((whole.writes, whole.vectored_writes), (0, 1));
+        let r = read_response(&mut &whole.bytes[..]).unwrap();
+        assert_eq!((r.status, &r.body), (Status::Ok, &value));
+        let stat = serve(&shared, &Request::Stat { key: key.clone() }, usize::MAX);
+        assert_eq!((stat.writes, stat.vectored_writes), (0, 1));
+        assert_eq!(stat.bytes.len(), 49);
+
+        // A socket that takes the response a few bytes at a time still
+        // carries the same bytes.
+        for per_call in [1, 8, 9, 10, 4095] {
+            assert_eq!(serve(&shared, &get, per_call).bytes, whole.bytes);
+        }
+
+        // Refusals ahead of the first chunk are bare status frames.
+        let absent = serve(
+            &shared,
+            &Request::Get {
+                key: b"no".to_vec(),
+            },
+            usize::MAX,
+        );
+        assert_eq!(
+            absent.bytes,
+            [Status::NotFound as u8, 0, 0, 0, 0, 0, 0, 0, 0]
+        );
+        let range = Request::GetRange {
+            key,
+            offset: 4096,
+            len: 1,
+        };
+        assert_eq!(serve(&shared, &range, usize::MAX).bytes, [0; 9]);
+        assert_eq!(shared.gate.in_use(), 0);
     }
 }

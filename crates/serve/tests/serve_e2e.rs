@@ -134,6 +134,187 @@ fn requests_route_across_all_shards() {
     handle.shutdown().unwrap();
 }
 
+// ------------------------------------------------------------ wire format ---
+
+/// Read one response the way the parent's client did: the nine header
+/// bytes, then the body, as two `read_exact`s.
+fn read_frame(s: &mut TcpStream) -> ([u8; 9], Vec<u8>) {
+    let mut hdr = [0u8; 9];
+    s.read_exact(&mut hdr).unwrap();
+    let mut body = vec![0u8; u64::from_le_bytes(hdr[1..].try_into().unwrap()) as usize];
+    s.read_exact(&mut body).unwrap();
+    (hdr, body)
+}
+
+fn header(status: Status, body_len: u64) -> [u8; 9] {
+    let mut hdr = [status as u8; 9];
+    hdr[1..].copy_from_slice(&body_len.to_le_bytes());
+    hdr
+}
+
+/// The frames documented in `protocol.rs`, written out by hand over a raw
+/// socket: how the server batches its writes is not part of the format.
+#[test]
+fn hand_written_frames_get_the_documented_bytes() {
+    let (_sdb, handle) = start_server(2, ServeConfig::default());
+    let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+    let data = pattern(4096, 3);
+    let key = b"wire";
+    let keyed = |op: u8, tail: &[u8]| {
+        let mut f = ((1 + 2 + key.len() + tail.len()) as u32)
+            .to_le_bytes()
+            .to_vec();
+        f.push(op);
+        f.extend_from_slice(&(key.len() as u16).to_le_bytes());
+        f.extend_from_slice(key);
+        f.extend_from_slice(tail);
+        f
+    };
+
+    // PING: u32 body_len = 1 | opcode 1.
+    s.write_all(&[1, 0, 0, 0, 1]).unwrap();
+    assert_eq!(read_frame(&mut s), (header(Status::Ok, 0), vec![]));
+
+    // GET of a key that is not there: a bare NOT_FOUND header.
+    s.write_all(&keyed(3, &[])).unwrap();
+    assert_eq!(read_frame(&mut s), (header(Status::NotFound, 0), vec![]));
+
+    // PUT: opcode 2 | klen | key | u32 vlen | value.
+    let mut tail = (data.len() as u32).to_le_bytes().to_vec();
+    tail.extend_from_slice(&data);
+    s.write_all(&keyed(2, &tail)).unwrap();
+    assert_eq!(read_frame(&mut s), (header(Status::Ok, 0), vec![]));
+
+    // GET: status | u64 body_len | payload.
+    s.write_all(&keyed(3, &[])).unwrap();
+    assert_eq!(read_frame(&mut s), (header(Status::Ok, 4096), data.clone()));
+
+    // GET_RANGE: ... | u64 offset | u64 len; clamped at the blob's end,
+    // and an empty range is OK with no body.
+    let range = |offset: u64, len: u64| [offset.to_le_bytes(), len.to_le_bytes()].concat();
+    s.write_all(&keyed(4, &range(4000, 1000))).unwrap();
+    assert_eq!(
+        read_frame(&mut s),
+        (header(Status::Ok, 96), data[4000..].to_vec())
+    );
+    s.write_all(&keyed(4, &range(4096, 10))).unwrap();
+    assert_eq!(read_frame(&mut s), (header(Status::Ok, 0), vec![]));
+
+    // STAT: body = u64 size | sha256.
+    s.write_all(&keyed(5, &[])).unwrap();
+    let mut stat = 4096u64.to_le_bytes().to_vec();
+    stat.extend_from_slice(&lobster_sha256::Sha256::digest(&data));
+    assert_eq!(read_frame(&mut s), (header(Status::Ok, 40), stat));
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (_sdb, handle) = start_server(2, ServeConfig::default());
+    let mut c = Client::connect(&handle.local_addr().to_string()).unwrap();
+    let data = pattern(4096, 11);
+    assert_eq!(c.put(b"piped", &data).unwrap(), Status::Ok);
+
+    // STAT, GET and PING in one TCP write; nothing is read in between.
+    let wire = [
+        lobster_serve::Request::Stat {
+            key: b"piped".to_vec(),
+        },
+        lobster_serve::Request::Get {
+            key: b"piped".to_vec(),
+        },
+        lobster_serve::Request::Ping,
+    ]
+    .iter()
+    .flat_map(lobster_serve::encode_request)
+    .collect::<Vec<u8>>();
+    let mut s = c.stream();
+    s.write_all(&wire).unwrap();
+    let stat = lobster_serve::read_response(&mut s).unwrap();
+    assert_eq!(stat.stat().expect("stat reply").size, 4096);
+    let got = lobster_serve::read_response(&mut s).unwrap();
+    assert_eq!((got.status, got.body), (Status::Ok, data));
+    let pong = lobster_serve::read_response(&mut s).unwrap();
+    assert_eq!((pong.status, pong.body.len()), (Status::Ok, 0));
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn frame_split_across_two_writes_is_served_once() {
+    let (sdb, handle) = start_server(1, ServeConfig::default());
+    let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+    s.set_nodelay(true).unwrap();
+    let data = pattern(4096, 12);
+    let mut c = Client::connect(&handle.local_addr().to_string()).unwrap();
+    assert_eq!(c.put(b"split", &data).unwrap(), Status::Ok);
+
+    let frame = lobster_serve::encode_request(&lobster_serve::Request::Get {
+        key: b"split".to_vec(),
+    });
+    let before = sdb.metrics().snapshot().serve_requests;
+    for cut in 1..frame.len() {
+        s.write_all(&frame[..cut]).unwrap();
+        // Let the first piece arrive, and be read, on its own.
+        std::thread::sleep(Duration::from_millis(2));
+        s.write_all(&frame[cut..]).unwrap();
+        let r = lobster_serve::read_response(&mut s).unwrap();
+        assert_eq!((r.status, &r.body), (Status::Ok, &data), "cut at {cut}");
+    }
+    assert_eq!(
+        sdb.metrics().snapshot().serve_requests - before,
+        frame.len() as u64 - 1,
+        "one request served per frame, however it arrived"
+    );
+    handle.shutdown().unwrap();
+}
+
+/// What one served GET of a resident 4 KiB blob costs inside the engine:
+/// one B-Tree descent (what a bare `blob_state` costs — the parent's GET
+/// took two), no byte copied, one request counted.
+#[test]
+fn served_get_resolves_once_and_copies_nothing() {
+    let (sdb, handle) = start_server(1, ServeConfig::default());
+    let rel = sdb.relation("blobs").unwrap();
+    let mut c = Client::connect(&handle.local_addr().to_string()).unwrap();
+    let data = pattern(4096, 13);
+    assert_eq!(c.put(b"once", &data).unwrap(), Status::Ok);
+    // Make the blob resident and the connection warm.
+    assert_eq!(c.get(b"once").unwrap().body, data);
+    // A reply is on the wire before the session counts its bytes and
+    // commits. Requests of one connection are served in turn, so once a
+    // PING is answered the GET before it has finished all of that.
+    assert_eq!(c.ping().unwrap(), Status::Ok);
+    sdb.wait_for_durability().unwrap();
+
+    let before = sdb.metrics().snapshot();
+    let mut t = sdb.begin();
+    assert_eq!(t.blob_state(&rel, b"once").unwrap().unwrap().size, 4096);
+    t.commit().unwrap();
+    let one_descent = sdb.metrics().snapshot().btree_node_accesses - before.btree_node_accesses;
+    assert!(one_descent > 0);
+
+    let before = sdb.metrics().snapshot();
+    assert_eq!(c.get(b"once").unwrap().body, data);
+    // No PING here, it would be a second request: wait for the GET's
+    // commit, the last thing it does.
+    assert!(wait_until(Duration::from_secs(5), || {
+        sdb.metrics().snapshot().txn_commits > before.txn_commits
+    }));
+    let after = sdb.metrics().snapshot();
+    assert_eq!(
+        after.btree_node_accesses - before.btree_node_accesses,
+        one_descent
+    );
+    assert_eq!(after.memcpy_bytes - before.memcpy_bytes, 0);
+    assert_eq!(after.serve_requests - before.serve_requests, 1);
+    assert_eq!(
+        after.serve_bytes_streamed - before.serve_bytes_streamed,
+        4096
+    );
+    assert_eq!(after.txn_commits - before.txn_commits, 1);
+    handle.shutdown().unwrap();
+}
+
 // -------------------------------------------------------- framing edges ---
 
 #[test]

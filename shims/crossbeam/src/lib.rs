@@ -133,7 +133,12 @@ pub mod channel {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender gone: wake blocked receivers so they observe
-                // the disconnect.
+                // the disconnect. The count is their wait predicate but is
+                // not changed under the queue mutex, so pass through it
+                // before notifying: a receiver that read the old count is
+                // then parked (and woken) instead of parking after a wake
+                // that found nobody.
+                drop(self.0.queue.lock().unwrap_or_else(|p| p.into_inner()));
                 self.0.cv.notify_all();
             }
         }
@@ -230,6 +235,18 @@ pub mod channel {
             let (tx, rx) = unbounded::<i32>();
             drop(rx);
             assert!(tx.send(5).is_err());
+        }
+
+        /// A receiver parked in an untimed `recv` must observe the last
+        /// sender's drop however the two interleave.
+        #[test]
+        fn blocked_recv_sees_racing_disconnect() {
+            for _ in 0..2_000 {
+                let (tx, rx) = unbounded::<i32>();
+                let waiter = std::thread::spawn(move || rx.recv());
+                drop(tx);
+                assert_eq!(waiter.join().unwrap(), Err(RecvError));
+            }
         }
 
         #[test]

@@ -152,9 +152,13 @@ impl WaitTimeoutResult {
 #[derive(Default)]
 pub struct Condvar {
     cv: std::sync::Condvar,
-    /// parking_lot requires every waiter to use the same mutex; std enforces
-    /// it dynamically as well, so no extra bookkeeping is needed. Kept as a
-    /// counter so `notify_one` can early-out like parking_lot does.
+    /// Threads inside `wait`/`wait_for`. A waiter registers while it still
+    /// holds the paired mutex, so a notifier that changed the predicate
+    /// under that mutex either ran before the waiter locked (the waiter
+    /// sees the change and never waits) or locks after the waiter's unlock
+    /// and therefore reads a count that includes it. With no waiter
+    /// registered, `notify_*` return without the futex call — what the
+    /// real parking_lot does with its empty-queue check.
     waiters: AtomicU32,
 }
 
@@ -168,6 +172,7 @@ impl Condvar {
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard present");
+        // ordering: Relaxed; the mutex release inside `cv.wait` publishes the count
         self.waiters.fetch_add(1, Ordering::Relaxed);
         let inner = match self.cv.wait(inner) {
             Ok(g) => g,
@@ -183,27 +188,38 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("guard present");
+        // ordering: Relaxed; the mutex release inside `cv.wait_timeout` publishes the count
         self.waiters.fetch_add(1, Ordering::Relaxed);
         let (inner, res) = match self.cv.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
+            Err(p) => p.into_inner(),
         };
         self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(inner);
         WaitTimeoutResult(res.timed_out())
     }
 
+    /// Wake one waiter; `false` (and no system call) when none is
+    /// registered.
     pub fn notify_one(&self) -> bool {
+        // ordering: Relaxed; a waiter that must not be missed registered before
+        // unlocking the mutex this notifier changed the predicate under
+        if self.waiters.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
         self.cv.notify_one();
-        self.waiters.load(Ordering::Relaxed) > 0
+        true
     }
 
+    /// Wake every waiter; returns how many were registered (0 = no system
+    /// call).
     pub fn notify_all(&self) -> usize {
-        self.cv.notify_all();
-        self.waiters.load(Ordering::Relaxed) as usize
+        // ordering: Relaxed; as in `notify_one`
+        let n = self.waiters.load(Ordering::Relaxed) as usize;
+        if n > 0 {
+            self.cv.notify_all();
+        }
+        n
     }
 }
 
@@ -247,6 +263,48 @@ mod tests {
         *pair.0.lock() = true;
         pair.1.notify_all();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn notify_without_waiter_is_a_no_op() {
+        let cv = Condvar::new();
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
+        // A timed-out waiter deregisters itself.
+        let m = Mutex::new(());
+        let r = cv.wait_for(&mut m.lock(), Duration::from_millis(1));
+        assert!(r.timed_out());
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
+    }
+
+    /// Two threads hand a token back and forth, each changing the
+    /// predicate under the mutex and notifying *after* unlocking — the
+    /// window in which a waiter not yet counted would be skipped by the
+    /// early-out. Untimed waits: one lost wake-up hangs the test.
+    #[test]
+    fn waiter_registered_before_unlock_is_always_woken() {
+        const ROUNDS: u32 = 20_000;
+        let shared = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let player = |parity: u32| {
+            let shared = shared.clone();
+            std::thread::spawn(move || {
+                let (m, cv) = &*shared;
+                for _ in 0..ROUNDS {
+                    let mut turn = m.lock();
+                    while *turn % 2 != parity {
+                        cv.wait(&mut turn);
+                    }
+                    *turn += 1;
+                    drop(turn);
+                    cv.notify_one();
+                }
+            })
+        };
+        let (a, b) = (player(0), player(1));
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!(*shared.0.lock(), 2 * ROUNDS);
     }
 
     #[test]
