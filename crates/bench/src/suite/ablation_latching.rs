@@ -51,8 +51,6 @@ pub(crate) fn run(report: &mut Report) {
                     frames: 128 * 1024,
                     alias: None,
                     io_threads: 4,
-                    batched_faults: true,
-                    io_retries: 3,
                 },
                 metrics.clone(),
             ))

@@ -164,14 +164,14 @@ pub(crate) fn run(report: &mut Report) {
         table.print();
     }
 
-    commit_pipeline_ablation(report);
+    commit_pipeline_panel(report);
 }
 
-/// Ablation: pipelined (two-stage) vs serial group commit.
+/// The commit pipeline under a real durability barrier.
 ///
 /// The panels above follow the paper's competitor setup — fsync disabled —
 /// where the committer's fsync costs nothing and pipelining has nothing to
-/// hide. This axis instead enables a real durability barrier (1 ms, a
+/// hide. This panel instead enables a real durability barrier (1 ms, a
 /// SATA/consumer-class fsync) on *both* devices, with write bandwidth
 /// calibrated to the SHA-256 ratio like `mem_device`, and a small buffer
 /// pool whose pin budget bounds how far the foreground can run ahead.
@@ -179,73 +179,50 @@ pub(crate) fn run(report: &mut Report) {
 /// amortizes the fsync away; with it, each group's fsync and its extent
 /// flush are comparable — exactly the regime the two-stage pipeline
 /// targets: group N+1's fsync overlaps group N's extent writes.
-/// `commit_inflight_flushes = 1` reproduces the old serial
-/// fsync→flush→recycle committer.
-fn commit_pipeline_ablation(report: &mut Report) {
-    println!("\n--- ablation: pipelined vs serial group commit (fsync enabled) ---");
-    let mut table = Table::new(&["committer", "txn/s", "stalls", "peak in-flight"]);
-    let mut axis: Vec<(&str, f64)> = Vec::new();
-    for (label, inflight) in [("pipelined", 2usize), ("serial", 1usize)] {
-        let device = |bytes: usize| -> Arc<dyn lobster_storage::Device> {
-            let mut profile = ThrottleProfile::nvme();
-            profile.write_bw = 1_200_000_000;
-            profile.read_bw = 2_000_000_000;
-            profile.sync_latency = Duration::from_millis(1); // fsync ON
-            Arc::new(ThrottledDevice::new(MemDevice::new(bytes), profile))
-        };
-        let mut cfg = our_config(1);
-        cfg.commit_inflight_flushes = inflight;
-        // 4 MiB pool -> 1 MiB pin budget (~10 unflushed commits): commit
-        // backpressure, not pool capacity, paces the foreground.
-        cfg.pool_frames = 1024;
-        let store = LobsterStore::new(
-            label,
-            device(3 << 30),
-            device(512 << 20),
-            cfg,
-            LobsterMode::Blobs,
-        )
-        .expect("create lobster store");
-        let mut gen = YcsbGenerator::new(YcsbConfig {
-            records: scaled(400) as u64,
-            read_ratio: 0.0, // update-only: every op rides the commit path
-            payload: PayloadDist::Fixed(100 * 1024),
-            zipf_theta: 0.99,
-            seed: 42,
-        });
-        load_ycsb(&store, &mut gen).expect("load");
-        let before = store.stats().metrics;
-        let run = run_ycsb(&store, &mut gen, scaled(1500).max(300)).expect("run");
-        let after = store.stats().metrics;
-        let delta = after - before;
-        report.push(
-            Entry::throughput(format!("Our.{label}"), run.throughput())
-                .param("panel", "commit_pipeline")
-                .latency("op", run.summary())
-                .counters(delta),
-        );
-        table.row(&[
-            label.to_string(),
-            fmt_rate(run.throughput()),
-            delta.commit_stalls.to_string(),
-            // The gauge is a lifetime high-water mark, not a window delta.
-            after.commit_inflight_peak.to_string(),
-        ]);
-        axis.push((label, run.throughput()));
-    }
-    table.print();
-    let speedup = axis[0].1 / axis[1].1.max(1e-9);
-    println!(
-        "\ncommit-pipeline ablation: pipelined {} vs serial {} -> {speedup:.2}x from overlapping \
-         WAL fsync with in-flight extent flushes",
-        fmt_rate(axis[0].1),
-        fmt_rate(axis[1].1),
+fn commit_pipeline_panel(report: &mut Report) {
+    println!("\n--- commit pipeline, fsync enabled ---");
+    let device = |bytes: usize| -> Arc<dyn lobster_storage::Device> {
+        let mut profile = ThrottleProfile::nvme();
+        profile.write_bw = 1_200_000_000;
+        profile.read_bw = 2_000_000_000;
+        profile.sync_latency = Duration::from_millis(1); // fsync ON
+        Arc::new(ThrottledDevice::new(MemDevice::new(bytes), profile))
+    };
+    let mut cfg = our_config(1);
+    // 4 MiB pool -> 1 MiB pin budget (~10 unflushed commits): commit
+    // backpressure, not pool capacity, paces the foreground.
+    cfg.pool_frames = 1024;
+    let store = LobsterStore::new(
+        "pipelined",
+        device(3 << 30),
+        device(512 << 20),
+        cfg,
+        LobsterMode::Blobs,
+    )
+    .expect("create lobster store");
+    let mut gen = YcsbGenerator::new(YcsbConfig {
+        records: scaled(400) as u64,
+        read_ratio: 0.0, // update-only: every op rides the commit path
+        payload: PayloadDist::Fixed(100 * 1024),
+        zipf_theta: 0.99,
+        seed: 42,
+    });
+    load_ycsb(&store, &mut gen).expect("load");
+    let before = store.stats().metrics;
+    let run = run_ycsb(&store, &mut gen, scaled(1500).max(300)).expect("run");
+    let after = store.stats().metrics;
+    let delta = after - before;
+    report.push(
+        Entry::throughput("Our.pipelined", run.throughput())
+            .param("panel", "commit_pipeline")
+            .latency("op", run.summary())
+            .counters(delta),
     );
-    report.push(Entry::new(
-        "Our",
-        "commit_pipeline_speedup",
-        "x",
-        speedup,
-        true,
-    ));
+    // The in-flight gauge is a lifetime high-water mark, not a window delta.
+    println!(
+        "{} txn/s, {} stalls, peak {} flushes in flight",
+        fmt_rate(run.throughput()),
+        delta.commit_stalls,
+        after.commit_inflight_peak,
+    );
 }

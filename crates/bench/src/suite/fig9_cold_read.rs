@@ -134,52 +134,6 @@ pub(crate) fn run(report: &mut Report) {
     report.push(Entry::new("Our", "speedup_cold", "x", first_ratio, true));
     report.push(Entry::new("Our", "speedup_warm", "x", last_ratio, true));
 
-    // ---- Ablation: batched vs serial cold faulting --------------------------
-    // Same engine, same device model; only the read path differs. `batched`
-    // faults every evicted extent of a BLOB with one IoEngine submission
-    // (latencies overlap on the device); `serial` reproduces the old
-    // one-blocking-read-per-extent loop. Only the first (coldest) bucket is
-    // measured — that is where faulting dominates.
-    let mut axis: Vec<(&str, f64)> = Vec::new();
-    for (label, batched) in [("batched", true), ("serial", false)] {
-        let mut cfg = our_config(1);
-        cfg.batched_faults = batched;
-        if !batched {
-            cfg.readahead_extents = 0;
-        }
-        let store = throttled_store(label, cfg);
-        for i in 0..corpus.len() {
-            store
-                .put(&corpus.articles()[i].title, &corpus.body(i))
-                .expect("load");
-        }
-        store.flush().expect("checkpoint");
-        store.database().node_pool().drop_caches();
-        let lat0 = store.database().metrics().latencies.snapshot();
-        let cold = measure_buckets(&store, &corpus, 1, reads_per_bucket);
-        let lat = store.database().metrics().latencies.snapshot() - lat0;
-        report.push(
-            Entry::throughput(format!("Our.{label}"), cold[0].rate)
-                .param("bucket", 1)
-                .latency("op", cold[0].latency.summary())
-                .engine_latencies(&lat.summaries()),
-        );
-        axis.push((label, cold[0].rate));
-    }
-    let speedup = axis[0].1 / axis[1].1.max(1e-9);
-    println!(
-        "\ncold-fault ablation (bucket1): batched {} vs serial {} -> {speedup:.2}x from one-batch multi-extent faulting",
-        fmt_rate(axis[0].1),
-        fmt_rate(axis[1].1),
-    );
-    report.push(Entry::new(
-        "Our",
-        "batched_fault_speedup",
-        "x",
-        speedup,
-        true,
-    ));
-
     // ---- Content-bounded cold read: 1 MiB BLOBs ------------------------------
     // Under the default tier table 1 MiB is nine extents, 511 pages
     // allocated, 256 of content. One cold get of each BLOB: the pages the

@@ -125,8 +125,6 @@ pub(crate) fn run(report: &mut Report) {
                 frames: 32 * 1024,
                 alias: None,
                 io_threads: 1,
-                batched_faults: true,
-                io_retries: 3,
             },
             lobster_metrics::new_metrics(),
         );

@@ -6,7 +6,6 @@
 use crate::Report;
 
 pub mod ablation_latching;
-pub mod ablation_out_of_place;
 pub mod ablation_tail_extent;
 pub mod ablation_tier_formula;
 pub mod aging;
@@ -18,7 +17,6 @@ pub mod fig7_metadata;
 pub mod fig8_hot_read;
 pub mod fig9_cold_read;
 pub mod micro_primitives;
-pub mod serve_curve;
 pub mod table1_survey;
 pub mod table2_shared_area;
 pub mod table3_indexing;
@@ -120,13 +118,6 @@ static SPECS: &[BenchSpec] = &[
         run: ablation_tier_formula::run,
     },
     BenchSpec {
-        name: "ablation_out_of_place",
-        target: "ablation_out_of_place",
-        title: "Ablation — out-of-place extent writes",
-        paper_ref: "§III-C",
-        run: ablation_out_of_place::run,
-    },
-    BenchSpec {
         name: "ablation_tail_extent",
         target: "ablation_tail_extent",
         title: "Ablation — tail extents",
@@ -153,13 +144,6 @@ static SPECS: &[BenchSpec] = &[
         title: "Aging — churn torture with/without online defragmentation",
         paper_ref: "§III-D free lists + maintenance",
         run: aging::run,
-    },
-    BenchSpec {
-        name: "serve",
-        target: "serve_curve",
-        title: "Serving curve — lobster-serve vs modeled client/server",
-        paper_ref: "§II / §V-B client-server overhead",
-        run: serve_curve::run,
     },
 ];
 
@@ -218,7 +202,7 @@ mod tests {
             assert!(find(a.name).is_some());
             assert!(find(a.target).is_some());
         }
-        assert_eq!(all().len(), 18);
+        assert_eq!(all().len(), 16);
         assert!(find("no_such_bench").is_none());
     }
 }

@@ -28,8 +28,6 @@ mod tests {
                 frames,
                 alias: None,
                 io_threads: 1,
-                batched_faults: true,
-                io_retries: 3,
             },
             lobster_metrics::new_metrics(),
         );

@@ -19,8 +19,6 @@ fn tree(frames: u64, node_pages: u64) -> BTree {
             frames,
             alias: None,
             io_threads: 1,
-            batched_faults: true,
-            io_retries: 3,
         },
         lobster_metrics::new_metrics(),
     );
@@ -146,7 +144,7 @@ proptest! {
         let pool = ExtentPool::new(
             dev,
             Geometry::new(4096),
-            PoolConfig { frames: 512, alias: None, io_threads: 1, batched_faults: true, io_retries: 3 },
+            PoolConfig { frames: 512, alias: None, io_threads: 1 },
             lobster_metrics::new_metrics(),
         );
         let table = Arc::new(TierTable::new(TierPolicy::default()));

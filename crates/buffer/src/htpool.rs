@@ -10,7 +10,7 @@
 use lobster_extent::ExtentSpec;
 use lobster_metrics::Metrics;
 use lobster_storage::{AsyncIo, BatchHandle, Device, IoKind, IoReq};
-use lobster_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use lobster_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use lobster_sync::audit::LatchLedger;
 use lobster_sync::{Arc, Mutex, RwLock};
 use lobster_types::{Error, Geometry, Pid, Result, RetryPolicy};
@@ -18,11 +18,10 @@ use rand::Rng;
 use std::collections::HashMap;
 
 // Memory-ordering note (satellite audit, PR 4): `Relaxed` here is confined
-// to metrics bumps, the `pages` size estimate (eviction pacing only — the
-// sharded maps are the authoritative residency state, under their locks),
-// and the `batched_faults` config flag. The per-frame `dirty`/`prevent_evict`
-// flags use Acquire/Release: eviction reads them to decide whether a frame
-// may be dropped.
+// to metrics bumps and the `pages` size estimate (eviction pacing only — the
+// sharded maps are the authoritative residency state, under their locks).
+// The per-frame `dirty`/`prevent_evict` flags use Acquire/Release: eviction
+// reads them to decide whether a frame may be dropped.
 
 const SHARDS: usize = 64;
 
@@ -72,9 +71,6 @@ pub struct HashTablePool {
     max_pages: u64,
     pages: AtomicU64,
     io: AsyncIo,
-    batched_faults: AtomicBool,
-    /// Transient-read retry budget (plumbed like `batched_faults`).
-    io_retries: AtomicU32,
     metrics: Metrics,
     /// Debug-only pin ledger (per-page `prevent_evict` shadow).
     audit: LatchLedger,
@@ -94,31 +90,9 @@ impl HashTablePool {
             max_pages,
             pages: AtomicU64::new(0),
             io: AsyncIo::new(device, 2),
-            batched_faults: AtomicBool::new(true),
-            io_retries: AtomicU32::new(3),
             metrics,
             audit: LatchLedger::new(),
         })
-    }
-
-    /// Enable or disable the batched cold-read fault path (plumbed from the
-    /// engine configuration; on by default).
-    pub fn set_batched_faults(&self, on: bool) {
-        // ordering: Relaxed; config knob, a worker may lag a toggle by one fault
-        self.batched_faults.store(on, Ordering::Relaxed);
-    }
-
-    /// Set the transient-read retry budget (plumbed from the engine
-    /// configuration; `0` restores fail-fast).
-    pub fn set_io_retries(&self, n: u32) {
-        // ordering: Relaxed; config knob, any recent value is acceptable
-        self.io_retries.store(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn retry(&self) -> RetryPolicy {
-        // ordering: Relaxed; config knob read (see set_io_retries)
-        RetryPolicy::new(self.io_retries.load(Ordering::Relaxed))
     }
 
     pub fn pages_in_use(&self) -> u64 {
@@ -210,7 +184,7 @@ impl HashTablePool {
         let p = self.geo.page_size();
         let mut scratch = vec![0u8; (spec.pages as usize) * p];
         let t = self.metrics.latencies.timer();
-        let (res, stats) = self.retry().run(|| {
+        let (res, stats) = RetryPolicy::DEFAULT.run(|| {
             self.device
                 .read_at(&mut scratch, self.geo.offset_of(spec.start))
         });
@@ -249,8 +223,8 @@ impl HashTablePool {
 
     /// Batched cold-read faulting: every extent with a missing page is read
     /// from the device in ONE [`AsyncIo`] submission, then distributed into
-    /// page frames. Compare the serial path, which issues one blocking read
-    /// per extent from inside `get_or_load_page`.
+    /// page frames. A lone cold extent is left to `get_or_load_page`, which
+    /// issues one blocking read for it.
     fn fault_many(&self, extents: &[ExtentSpec]) -> Result<()> {
         let p = self.geo.page_size();
         let missing: Vec<ExtentSpec> = extents
@@ -259,7 +233,7 @@ impl HashTablePool {
             .filter(|spec| (0..spec.pages).any(|i| !self.resident_quiet(spec.start.offset(i))))
             .collect();
         if missing.len() < 2 {
-            // Zero or one cold extent: the serial path is already minimal.
+            // Zero or one cold extent: `get_or_load_page` is already minimal.
             return Ok(());
         }
         let mut bufs: Vec<Vec<u8>> = missing
@@ -279,21 +253,17 @@ impl HashTablePool {
         let t = self.metrics.latencies.timer();
         // SAFETY: `bufs` outlives the blocking wait and is not touched until
         // the batch completes.
-        if let Err(err) = unsafe { self.io.submit_and_wait(reqs) } {
-            // The engine reports only the first error per batch. With
-            // retries enabled, fall back to serial re-reads into the same
-            // owned buffers: each extent runs under the retry policy,
-            // successes distribute into page frames, and the first extent
-            // that exhausts its budget surfaces its error (its pages stay
-            // cold for the caller's serial path to report consistently).
-            let retry = self.retry();
-            if retry.max_retries == 0 {
-                return Err(err);
-            }
+        if unsafe { self.io.submit_and_wait(reqs) }.is_err() {
+            // The engine reports only the first error per batch. Fall back
+            // to serial re-reads into the same owned buffers: each extent
+            // runs under the retry policy, successes distribute into page
+            // frames, and the first extent that exhausts its budget
+            // surfaces its error (its pages stay cold for the caller's
+            // serial path to report consistently).
             let mut first_err: Option<Error> = None;
             for (spec, buf) in missing.iter().zip(bufs.iter_mut()) {
-                let (res, stats) =
-                    retry.run(|| self.device.read_at(buf, self.geo.offset_of(spec.start)));
+                let (res, stats) = RetryPolicy::DEFAULT
+                    .run(|| self.device.read_at(buf, self.geo.offset_of(spec.start)));
                 self.metrics.bump_io_retry(stats.retries, stats.gave_up);
                 match res {
                     Ok(()) => {
@@ -321,8 +291,9 @@ impl HashTablePool {
         self.metrics
             .pages_faulted_batched
             .fetch_add(total, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                                                  // One miss per cold extent, matching what the serial path would have
-                                                  // charged via its triggering page.
+
+        // One miss per cold extent, matching what `get_or_load_page` charges
+        // a lone cold extent via its triggering page.
         self.metrics
             .cache_misses
             .fetch_add(missing.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
@@ -460,8 +431,7 @@ impl HashTablePool {
         len: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        // ordering: Relaxed; config knob, a stale read just picks the other fault path
-        if self.batched_faults.load(Ordering::Relaxed) && extents.len() > 1 {
+        if extents.len() > 1 {
             self.fault_many(extents)?;
         }
         let p = self.geo.page_size();

@@ -50,8 +50,6 @@ mod tests {
                 shared_bytes: 512 * 1024,
             }),
             io_threads: 2,
-            batched_faults: true,
-            io_retries: 3,
         };
         ExtentPool::new(
             dev,
@@ -272,8 +270,6 @@ mod tests {
                     frames: 64,
                     alias: None,
                     io_threads: 1,
-                    batched_faults: true,
-                    io_retries: 3,
                 },
                 m.clone(),
             )),

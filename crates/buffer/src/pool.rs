@@ -145,13 +145,6 @@ pub struct PoolConfig {
     pub alias: Option<AliasConfig>,
     /// Threads in the asynchronous I/O engine.
     pub io_threads: usize,
-    /// Fault all evicted extents of a multi-extent BLOB with one batched
-    /// I/O submission instead of one blocking read per extent (§V cold
-    /// reads). `false` reproduces the serial per-extent fault path.
-    pub batched_faults: bool,
-    /// Transient-I/O retry budget for device reads on the fault path
-    /// (see [`RetryPolicy`]); `0` restores fail-fast.
-    pub io_retries: u32,
 }
 
 impl Default for PoolConfig {
@@ -160,8 +153,6 @@ impl Default for PoolConfig {
             frames: 16 * 1024, // 64 MiB at 4 KiB pages
             alias: None,
             io_threads: 4,
-            batched_faults: true,
-            io_retries: 3,
         }
     }
 }
@@ -243,9 +234,6 @@ pub struct ExtentPool {
     device: Arc<dyn Device>,
     metrics: Metrics,
     frame_count: u64,
-    batched_faults: bool,
-    /// Transient-read retry policy for the fault paths.
-    retry: RetryPolicy,
     /// Readahead batches not yet reaped.
     inflight: Mutex<Vec<PrefetchBatch>>,
     /// Prefetched extents no foreground read has consumed yet (tracks the
@@ -286,8 +274,6 @@ impl ExtentPool {
             device,
             metrics,
             frame_count: cfg.frames,
-            batched_faults: cfg.batched_faults,
-            retry: RetryPolicy::new(cfg.io_retries),
             inflight: Mutex::new(Vec::new()),
             prefetched: Mutex::new(HashSet::new()),
             prefetched_live: AtomicU64::new(0),
@@ -715,7 +701,7 @@ impl ExtentPool {
             self.arena
                 .frame_slice_mut(((frame + from) as usize) * p, len)
         };
-        let (res, stats) = self.retry.run(|| {
+        let (res, stats) = RetryPolicy::DEFAULT.run(|| {
             self.device
                 .read_at(buf, self.geo.offset_of(pid.offset(from)))
         });
@@ -943,15 +929,11 @@ impl ExtentPool {
         // SAFETY: the frames stay reserved until the wait returns.
         if let Err(err) = unsafe { self.io.submit_and_wait(reqs) } {
             // The I/O engine reports only the *first* error per batch, with
-            // no per-request attribution. With retries enabled, keep every
-            // claim and frame and fall back to serial re-reads (reads are
-            // idempotent into frames we own exclusively): each extent runs
-            // under the retry policy, successes publish as usual, and only
-            // the extents that exhaust their budget roll back.
-            if self.retry.max_retries == 0 {
-                rollback(&claimed, claimed.len());
-                return Err(err);
-            }
+            // no per-request attribution. Keep every claim and frame and
+            // fall back to serial re-reads (reads are idempotent into
+            // frames we own exclusively): each extent runs under the retry
+            // policy, successes publish as usual, and only the extents
+            // that exhaust their budget roll back.
             return self.fault_many_serial_fallback(&claimed, rollback, err);
         }
         // One record per batch: the whole overlapped round trip is the
@@ -994,8 +976,7 @@ impl ExtentPool {
             // SAFETY: the frame range stays exclusively ours until the
             // extent is published or rolled back below.
             let buf = unsafe { self.arena.frame_slice_mut((frame as usize) * p, len) };
-            let (res, stats) = self
-                .retry
+            let (res, stats) = RetryPolicy::DEFAULT
                 .run(|| self.device.read_at(buf, self.geo.offset_of(spec.start)));
             self.metrics.bump_io_retry(stats.retries, stats.gave_up);
             match res {
@@ -1518,7 +1499,7 @@ impl ExtentPool {
     ) -> Result<R> {
         // Fault every evicted extent with one batched submission before
         // acquiring the guards (the serial loop below then hits).
-        if self.batched_faults && extents.len() > 1 {
+        if extents.len() > 1 {
             self.fault_many(extents)?;
         }
         let guards: Vec<ShGuard<'_>> = extents

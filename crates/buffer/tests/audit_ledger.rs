@@ -21,8 +21,6 @@ fn vm_pool(frames: u64) -> Arc<ExtentPool> {
             frames,
             alias: None,
             io_threads: 2,
-            batched_faults: true,
-            io_retries: 3,
         },
         lobster_metrics::new_metrics(),
     )

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 const PAGE: usize = 4096;
 
-fn vm_pool(frames: u64, batched: bool) -> Arc<ExtentPool> {
+fn vm_pool(frames: u64) -> Arc<ExtentPool> {
     let dev: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
     ExtentPool::new(
         dev,
@@ -19,8 +19,6 @@ fn vm_pool(frames: u64, batched: bool) -> Arc<ExtentPool> {
             frames,
             alias: None,
             io_threads: 2,
-            batched_faults: batched,
-            io_retries: 3,
         },
         lobster_metrics::new_metrics(),
     )
@@ -64,7 +62,7 @@ fn check_content(view: &[u8], n: u64, pages: u64) {
 #[test]
 fn cold_64_extent_read_is_one_batch() {
     let (n, pages) = (64u64, 2u64);
-    let pool = vm_pool(256, true);
+    let pool = vm_pool(256);
     let specs = seed_cold_blob(&pool, n, pages);
 
     let before = pool.metrics().snapshot();
@@ -81,32 +79,11 @@ fn cold_64_extent_read_is_one_batch() {
     assert_eq!(delta.cache_misses, n, "every extent was cold");
 }
 
-/// The serial path (batched_faults disabled) must read the same bytes and
-/// never report a batch.
-#[test]
-fn serial_path_matches_batched_content() {
-    let (n, pages) = (16u64, 3u64);
-    let pool = vm_pool(256, false);
-    let specs = seed_cold_blob(&pool, n, pages);
-
-    let before = pool.metrics().snapshot();
-    pool.read_blob(0, &specs, n * pages * PAGE as u64, |view| {
-        check_content(view, n, pages)
-    })
-    .unwrap();
-    let delta = pool.metrics().snapshot() - before;
-
-    assert_eq!(delta.fault_batches, 0);
-    assert_eq!(delta.pages_faulted_batched, 0);
-    assert_eq!(delta.pages_read, n * pages);
-    assert_eq!(delta.cache_misses, n);
-}
-
 /// A warm second read faults nothing.
 #[test]
 fn warm_read_faults_nothing() {
     let (n, pages) = (8u64, 2u64);
-    let pool = vm_pool(64, true);
+    let pool = vm_pool(64);
     let specs = seed_cold_blob(&pool, n, pages);
     pool.read_blob(0, &specs, n * pages * PAGE as u64, |_| ())
         .unwrap();
@@ -127,7 +104,7 @@ fn warm_read_faults_nothing() {
 #[test]
 fn prefetch_publishes_and_counts_hits() {
     let (n, pages) = (4u64, 2u64);
-    let pool = vm_pool(64, true);
+    let pool = vm_pool(64);
     let specs = seed_cold_blob(&pool, n, pages);
 
     let before = pool.metrics().snapshot();
@@ -160,7 +137,7 @@ fn prefetch_publishes_and_counts_hits() {
 #[test]
 fn unconsumed_prefetch_counts_wasted() {
     let (n, pages) = (4u64, 2u64);
-    let pool = vm_pool(64, true);
+    let pool = vm_pool(64);
     let specs = seed_cold_blob(&pool, n, pages);
 
     let before = pool.metrics().snapshot();
@@ -179,7 +156,7 @@ fn unconsumed_prefetch_counts_wasted() {
 /// frames the prefetch is skipped entirely.
 #[test]
 fn prefetch_never_evicts_for_room() {
-    let pool = vm_pool(8, true);
+    let pool = vm_pool(8);
     // Two 4-page extents on the device, evicted.
     let cold = seed_cold_blob(&pool, 2, 4);
     // Fill all 8 frames with resident extents.
@@ -217,7 +194,7 @@ fn prefetch_never_evicts_for_room() {
 #[test]
 fn concurrent_readers_evictor_prefetcher_stress() {
     let (n, pages) = (8u64, 2u64);
-    let pool = vm_pool(64, true);
+    let pool = vm_pool(64);
     let specs = seed_cold_blob(&pool, n, pages);
     let iters = if cfg!(debug_assertions) { 100 } else { 1000 };
 

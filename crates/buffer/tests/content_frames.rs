@@ -37,7 +37,7 @@ impl Device for CountingDevice {
     }
 }
 
-fn pool(frames: u64, batched: bool) -> (Arc<ExtentPool>, Arc<CountingDevice>) {
+fn pool(frames: u64) -> (Arc<ExtentPool>, Arc<CountingDevice>) {
     let dev = Arc::new(CountingDevice {
         inner: MemDevice::new(16 << 20),
         reads: AtomicU64::new(0),
@@ -48,7 +48,6 @@ fn pool(frames: u64, batched: bool) -> (Arc<ExtentPool>, Arc<CountingDevice>) {
         Geometry::new(PAGE),
         PoolConfig {
             frames,
-            batched_faults: batched,
             ..PoolConfig::default()
         },
         lobster_metrics::new_metrics(),
@@ -93,37 +92,35 @@ fn assert_pages(bytes: &[u8], start: u64, n: usize) {
 /// (`create_extent`) is not a miss, and a hit reads nothing.
 #[test]
 fn cache_misses_equal_device_reads() {
-    for batched in [false, true] {
-        let (pool, dev) = pool(256, batched);
-        let misses = || pool.metrics().snapshot().cache_misses;
-        let specs: Vec<ExtentSpec> = (0..8u64)
-            .map(|e| ExtentSpec::new(Pid::new(e * 8), 1 + e % 4))
-            .collect();
-        for spec in &specs {
-            seed(&pool, *spec);
-        }
-        assert_eq!(
-            (misses(), reads(&dev)),
-            (0, 0),
-            "fresh extents miss nothing"
-        );
-
-        let items: Vec<FlushItem> = specs.iter().map(|s| FlushItem::whole(*s)).collect();
-        pool.flush_extents(&items).unwrap();
-        assert_eq!((misses(), reads(&dev)), (0, 0), "flushing resident extents");
-
-        pool.drop_caches();
-        let len: u64 = specs[..4].iter().map(|s| s.pages * PAGE as u64).sum();
-        pool.read_blob(0, &specs[..4], len, |_| ()).unwrap();
-        assert_eq!((misses(), reads(&dev)), (4, 4), "batched={batched}");
-        for spec in &specs {
-            drop(pool.read_extent(*spec).unwrap());
-        }
-        assert_eq!((misses(), reads(&dev)), (8, 8), "four hits, four misses");
-        drop(pool.write_extent(specs[0]).unwrap());
-        assert_eq!((misses(), reads(&dev)), (8, 8), "exclusive hit");
-        assert_eq!(pool.audit().held_latches(), 0);
+    let (pool, dev) = pool(256);
+    let misses = || pool.metrics().snapshot().cache_misses;
+    let specs: Vec<ExtentSpec> = (0..8u64)
+        .map(|e| ExtentSpec::new(Pid::new(e * 8), 1 + e % 4))
+        .collect();
+    for spec in &specs {
+        seed(&pool, *spec);
     }
+    assert_eq!(
+        (misses(), reads(&dev)),
+        (0, 0),
+        "fresh extents miss nothing"
+    );
+
+    let items: Vec<FlushItem> = specs.iter().map(|s| FlushItem::whole(*s)).collect();
+    pool.flush_extents(&items).unwrap();
+    assert_eq!((misses(), reads(&dev)), (0, 0), "flushing resident extents");
+
+    pool.drop_caches();
+    let len: u64 = specs[..4].iter().map(|s| s.pages * PAGE as u64).sum();
+    pool.read_blob(0, &specs[..4], len, |_| ()).unwrap();
+    assert_eq!((misses(), reads(&dev)), (4, 4), "one read per cold extent");
+    for spec in &specs {
+        drop(pool.read_extent(*spec).unwrap());
+    }
+    assert_eq!((misses(), reads(&dev)), (8, 8), "four hits, four misses");
+    drop(pool.write_extent(specs[0]).unwrap());
+    assert_eq!((misses(), reads(&dev)), (8, 8), "exclusive hit");
+    assert_eq!(pool.audit().held_latches(), 0);
 }
 
 /// Growth into a resident, content-framed extent copies the resident pages
@@ -132,7 +129,7 @@ fn cache_misses_equal_device_reads() {
 #[test]
 fn growth_reframes_a_resident_extent_without_rereading() {
     for clean in [false, true] {
-        let (pool, dev) = pool(64, true);
+        let (pool, dev) = pool(64);
         let start = Pid::new(32);
         seed(&pool, ExtentSpec::new(start, 2));
         if clean {
@@ -186,7 +183,7 @@ fn growth_reframes_a_resident_extent_without_rereading() {
 /// before it, and frames only what the content needs after it.
 #[test]
 fn growth_into_a_cold_extent_reads_only_valid_pages() {
-    let (pool, dev) = pool(64, true);
+    let (pool, dev) = pool(64);
     let start = Pid::new(8);
     seed(&pool, ExtentSpec::new(start, 2));
     pool.flush_extents(&[FlushItem::whole(ExtentSpec::new(start, 2))])
@@ -208,7 +205,7 @@ fn growth_into_a_cold_extent_reads_only_valid_pages() {
 /// one naming fewer sees the wider resident range.
 #[test]
 fn readers_with_wider_and_narrower_specs() {
-    let (pool, dev) = pool(64, true);
+    let (pool, dev) = pool(64);
     let start = Pid::new(16);
     seed(&pool, ExtentSpec::new(start, 5));
     pool.flush_extents(&[FlushItem::whole(ExtentSpec::new(start, 5))])
@@ -254,7 +251,7 @@ fn readers_with_wider_and_narrower_specs() {
 /// content; a dirty one keeps them, because a queued flush may name them.
 #[test]
 fn trim_returns_frames_of_clean_extents_only() {
-    let (pool, dev) = pool(64, true);
+    let (pool, dev) = pool(64);
     let clean = Pid::new(0);
     let dirty = Pid::new(16);
     seed(&pool, ExtentSpec::new(clean, 8));
@@ -292,7 +289,7 @@ fn trim_returns_frames_of_clean_extents_only() {
 /// request points into the arena, and leaves no latch behind.
 #[test]
 fn flush_past_the_resident_pages_is_refused() {
-    let (pool, _dev) = pool(64, true);
+    let (pool, _dev) = pool(64);
     let a = ExtentSpec::new(Pid::new(0), 2);
     let b = ExtentSpec::new(Pid::new(8), 2);
     seed(&pool, a);

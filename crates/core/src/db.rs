@@ -18,7 +18,6 @@ use lobster_sync::RwLock;
 use lobster_types::{read_u32, read_u64, Error, Geometry, Pid, Result};
 use lobster_wal::{LogRecord, Wal};
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
 
 /// Builds a relation's comparator once the database (whose pools the
 /// comparator may need) exists. Registered by name for
@@ -61,12 +60,14 @@ pub enum UpdatePolicy {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
+    // knob: fixed at create; `open` reads it back from the header
     pub page_size: usize,
     /// Buffer frames for the (vm) pool, or page budget for the hash-table
     /// pool; the B-Tree node pool always uses the vm pool.
     pub pool_frames: u64,
     pub pool_variant: PoolVariant,
     pub io_threads: usize,
+    // knob: fixed at create; `open` reads it back from the header
     pub tier_policy: TierPolicy,
     /// Allocate tail extents for new BLOBs (§III-A / §III-H trade-off).
     pub use_tail_extents: bool,
@@ -76,34 +77,22 @@ pub struct Config {
     /// Worker sessions (sizes the aliasing areas).
     pub workers: usize,
     /// Pages per B-Tree node.
+    // knob: fixed at create; `open` reads it back from the header
     pub node_pages: u64,
+    // knob: tests pin each §III-D scheme so both stay covered; `Auto` picks per extent
     pub update_policy: UpdatePolicy,
-    pub lock_timeout: Duration,
     /// `true`: commit returns only after the WAL fsync and the extent flush
     /// (full durability). `false`: commits are handed to a background group
     /// committer and return immediately — the paper's "critical path does
     /// not involve I/O" configuration (asynchronous commit).
     pub commit_wait: bool,
-    /// Cold multi-extent BLOB reads fault every evicted extent in one
-    /// IoEngine batch instead of one blocking read per extent.
-    pub batched_faults: bool,
     /// Sequential-readahead window for range reads: an observably
     /// sequential range read (it starts the blob, or starts where the
     /// worker's previous one on the same blob ended) touching extent `i`
     /// prefetches extents `i+1..i+1+readahead_extents` asynchronously; a
     /// random one prefetches nothing. `0` disables readahead.
+    // knob: fault-injection tests set 0 for a foreground-only device-op schedule
     pub readahead_extents: usize,
-    /// Commit-pipeline depth: how many durable groups' extent-flush
-    /// batches the group committer keeps in flight while its WAL stage
-    /// fsyncs the next group. `1` reproduces the serial
-    /// fsync→flush→recycle committer (the fig. 6 ablation baseline).
-    pub commit_inflight_flushes: usize,
-    /// Transient-I/O retry budget at the device choke points (buffer-pool
-    /// faulting, WAL append/fsync, commit flush): how many times a
-    /// transiently failing operation is re-attempted with exponential
-    /// backoff before its error surfaces. `0` restores fail-fast (the
-    /// ablation knob for the fault-sweep experiments).
-    pub io_retries: u32,
     /// Verify BLOB content against the Blob State SHA-256 on every
     /// `get_blob`: a mismatch re-reads the extents once from the device
     /// (a transient device lie clears; real rot does not), then
@@ -131,12 +120,8 @@ impl Default for Config {
             workers: 4,
             node_pages: 1,
             update_policy: UpdatePolicy::Auto,
-            lock_timeout: Duration::from_secs(5),
             commit_wait: true,
-            batched_faults: true,
             readahead_extents: 4,
-            commit_inflight_flushes: 2,
-            io_retries: 3,
             verify_reads: false,
         }
     }
@@ -246,7 +231,6 @@ impl Database {
         ));
         let (node_pool, blob_pool) = Self::build_pools(&cfg, device.clone(), geo, metrics.clone());
         let wal = Wal::create(wal_device, metrics.clone())?;
-        wal.set_io_retries(cfg.io_retries);
         let catalog_tree = BTree::create(
             node_pool.clone(),
             alloc.clone(),
@@ -262,8 +246,6 @@ impl Database {
             metrics.clone(),
             cfg.page_size as u64,
             cfg.pool_frames * cfg.page_size as u64 / 4,
-            cfg.commit_inflight_flushes,
-            cfg.io_retries,
         );
         let db = Arc::new(Database {
             geo,
@@ -273,7 +255,7 @@ impl Database {
             alloc,
             table,
             wal,
-            locks: LockManager::new(cfg.lock_timeout),
+            locks: LockManager::default(),
             registry: RwLock::new(Registry::default()),
             catalog_tree,
             next_txn: AtomicU64::new(1),
@@ -372,7 +354,6 @@ impl Database {
         ));
         let (node_pool, blob_pool) = Self::build_pools(&cfg, device.clone(), geo, metrics.clone());
         let wal = Wal::open(wal_device, metrics.clone())?;
-        wal.set_io_retries(cfg.io_retries);
         let catalog_tree = BTree::open(
             node_pool.clone(),
             alloc.clone(),
@@ -389,8 +370,6 @@ impl Database {
             metrics.clone(),
             cfg.page_size as u64,
             cfg.pool_frames * cfg.page_size as u64 / 4,
-            cfg.commit_inflight_flushes,
-            cfg.io_retries,
         );
         let db = Arc::new(Database {
             geo,
@@ -400,7 +379,7 @@ impl Database {
             alloc,
             table,
             wal,
-            locks: LockManager::new(cfg.lock_timeout),
+            locks: LockManager::default(),
             registry: RwLock::new(Registry::default()),
             catalog_tree,
             next_txn: AtomicU64::new(1),
@@ -446,8 +425,6 @@ impl Database {
                         frames: cfg.pool_frames,
                         alias,
                         io_threads: cfg.io_threads,
-                        batched_faults: cfg.batched_faults,
-                        io_retries: cfg.io_retries,
                     },
                     metrics,
                 );
@@ -464,14 +441,10 @@ impl Database {
                         frames: node_frames,
                         alias: None,
                         io_threads: cfg.io_threads,
-                        batched_faults: cfg.batched_faults,
-                        io_retries: cfg.io_retries,
                     },
                     metrics.clone(),
                 );
                 let ht = HashTablePool::new(device, geo, cfg.pool_frames, metrics);
-                ht.set_batched_faults(cfg.batched_faults);
-                ht.set_io_retries(cfg.io_retries);
                 (node_pool, BlobPool::Ht(ht))
             }
         }

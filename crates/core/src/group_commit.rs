@@ -4,8 +4,8 @@
 //! Stage 1 — the **WAL stage** — absorbs queued [`CommitBatch`]es into
 //! groups, appends their records and makes them durable with one group
 //! fsync. Stage 2 — the **flush stage** — receives each durable group and
-//! keeps up to `Config::commit_inflight_flushes` extent-flush batches in
-//! flight concurrently (non-blocking submissions reaped through
+//! keeps up to [`INFLIGHT_FLUSHES`] extent-flush batches in flight
+//! concurrently (non-blocking submissions reaped through
 //! [`FlushTicket`]s), so group N+1's WAL fsync overlaps group N's extent
 //! writes instead of the log device idling during every flush and the
 //! extent engine idling during every fsync.
@@ -18,10 +18,7 @@
 //! so writes to one extent cannot reorder; the same admission check
 //! covers extents a group merely *recycles* at retire (deletes' freed,
 //! relocations' refenced), because dropping them from the pool would
-//! spin on the earlier flight's latches on the flush thread itself. With
-//! `commit_inflight_flushes <= 1` the WAL stage flushes inline, exactly
-//! reproducing the serial fsync→flush→recycle committer (the ablation
-//! baseline).
+//! spin on the earlier flight's latches on the flush thread itself.
 //!
 //! Completion is tracked per batch through durable **epochs**: `submit`
 //! assigns epoch N to the N-th batch, and a condvar-guarded frontier
@@ -53,6 +50,11 @@ use std::time::Duration;
 /// How often the flush stage interleaves ticket polling with waiting for
 /// new durable groups while batches are in flight.
 const POLL_TICK: Duration = Duration::from_micros(200);
+
+/// Commit-pipeline depth: how many durable groups' extent-flush batches
+/// the flush stage keeps in flight while the WAL stage fsyncs the next
+/// group.
+const INFLIGHT_FLUSHES: usize = 2;
 
 pub(crate) struct CommitBatch {
     pub records: Vec<LogRecord>,
@@ -249,29 +251,21 @@ struct StageCtx {
     progress: Arc<Progress>,
     budget: Arc<PinBudget>,
     page_size: u64,
-    /// Transient-I/O retry budget for flush-stage device errors: the
-    /// sticky fail-stop is the *last* resort, entered only once a
-    /// transient error survives this budget (permanent errors fail-stop
-    /// immediately).
-    retry: RetryPolicy,
 }
 
 impl StageCtx {
-    /// A flush attempt failed with `err`: if the error is transient and a
-    /// retry budget exists, re-run the batch synchronously under backoff —
-    /// extent flushes are idempotent (same frames, same offsets) — before
-    /// letting the error reach the sticky fail-stop. The failed attempt
-    /// counts against the budget as the first retry.
+    /// A flush attempt failed with `err`: if the error is transient,
+    /// re-run the batch synchronously under backoff — extent flushes are
+    /// idempotent (same frames, same offsets) — before letting the error
+    /// reach the sticky fail-stop, which is the *last* resort (permanent
+    /// errors fail-stop immediately). The failed attempt counts against
+    /// the retry budget as the first retry.
     fn flush_retry(&self, items: &[FlushItem], err: Error) -> Result<()> {
         if !err.is_transient_io() {
             return Err(err);
         }
-        if self.retry.max_retries == 0 {
-            self.metrics.bump_io_retry(0, true);
-            return Err(err);
-        }
-        std::thread::sleep(Duration::from_micros(self.retry.backoff_us(0)));
-        let mut policy = self.retry;
+        let mut policy = RetryPolicy::DEFAULT;
+        std::thread::sleep(Duration::from_micros(policy.backoff_us(0)));
         policy.max_retries -= 1;
         let (res, stats) = policy.run(|| self.blob_pool.flush_extents(items));
         self.metrics.bump_io_retry(1 + stats.retries, stats.gave_up);
@@ -332,7 +326,6 @@ pub(crate) struct GroupCommitter {
 }
 
 impl GroupCommitter {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         wal: Arc<Wal>,
         blob_pool: BlobPool,
@@ -341,8 +334,6 @@ impl GroupCommitter {
         metrics: Metrics,
         page_size: u64,
         pinned_limit_bytes: u64,
-        inflight_flushes: usize,
-        io_retries: u32,
     ) -> Self {
         let (tx, rx) = crossbeam::channel::unbounded::<(u64, CommitBatch)>();
         // Backpressure by *bytes*: submitters block while the pipeline pins
@@ -362,25 +353,16 @@ impl GroupCommitter {
             progress: progress.clone(),
             budget: budget.clone(),
             page_size,
-            retry: RetryPolicy::new(io_retries),
         };
 
-        // Flush stage — only spawned when pipelining. With a limit of 1 the
-        // WAL stage flushes inline, which *is* the serial committer.
-        let limit = inflight_flushes.max(1);
-        let (flush_handle, forward) = if limit > 1 {
-            let (gtx, grx) = crossbeam::channel::unbounded::<DurableGroup>();
-            let fctx = ctx.clone();
-            let fshutdown = shutdown.clone();
-            let handle = thread::Builder::new()
-                .name("lobster-commit-flush".into())
-                .spawn(move || flush_stage(grx, fctx, limit, fshutdown))
-                // lint-allow(no-panic-in-request-path): engine startup, before any request path; a failed spawn is fatal by design
-                .expect("spawn commit flush stage");
-            (Some(handle), Some(gtx))
-        } else {
-            (None, None)
-        };
+        let (forward, grx) = crossbeam::channel::unbounded::<DurableGroup>();
+        let fctx = ctx.clone();
+        let fshutdown = shutdown.clone();
+        let flush_handle = thread::Builder::new()
+            .name("lobster-commit-flush".into())
+            .spawn(move || flush_stage(grx, fctx, fshutdown))
+            // lint-allow(no-panic-in-request-path): engine startup, before any request path; a failed spawn is fatal by design
+            .expect("spawn commit flush stage");
 
         let wal_handle = thread::Builder::new()
             .name("lobster-group-commit".into())
@@ -395,7 +377,7 @@ impl GroupCommitter {
             page_size,
             shutdown,
             wal_handle: Some(wal_handle),
-            flush_handle,
+            flush_handle: Some(flush_handle),
         }
     }
 
@@ -476,11 +458,10 @@ impl Drop for GroupCommitter {
 }
 
 /// Stage 1: absorb queued batches into groups, make their records durable
-/// with one group fsync, then hand each durable group downstream (or, in
-/// serial mode, flush inline).
+/// with one group fsync, then hand each durable group downstream.
 fn wal_stage(
     rx: crossbeam::channel::Receiver<(u64, CommitBatch)>,
-    forward: Option<crossbeam::channel::Sender<DurableGroup>>,
+    forward: crossbeam::channel::Sender<DurableGroup>,
     wal: Arc<Wal>,
     ckpt_gate: Arc<RwLock<()>>,
     ctx: StageCtx,
@@ -520,33 +501,16 @@ fn wal_stage(
             // WAL-fsync-first, per group: records that never became durable
             // forbid the extent flush (§III-C ordering).
             Err(e) => ctx.retire(group, Err(e)),
-            Ok(()) => match &forward {
-                // 2a. Pipelined: hand off; the next group's fsync overlaps
-                // this group's extent writes. If the flush stage exited
-                // early, retire the group as failed so waiters terminate
-                // with the sticky error instead of hanging or panicking.
-                Some(gtx) => {
-                    if let Err(crossbeam::channel::SendError(group)) = gtx.send(group) {
-                        let e = Error::Io(std::io::Error::other("commit flush stage exited"));
-                        ctx.retire(group, Err(e));
-                    }
+            // 2. Hand off; the next group's fsync overlaps this group's
+            // extent writes. If the flush stage exited early, retire the
+            // group as failed so waiters terminate with the sticky error
+            // instead of hanging or panicking.
+            Ok(()) => {
+                if let Err(crossbeam::channel::SendError(group)) = forward.send(group) {
+                    let e = Error::Io(std::io::Error::other("commit flush stage exited"));
+                    ctx.retire(group, Err(e));
                 }
-                // 2b. Serial ablation: flush inline under the gate, exactly
-                // the old one-stage committer.
-                None => {
-                    let result = if group.items.is_empty() {
-                        Ok(())
-                    } else {
-                        ctx.metrics
-                            .commit_flush_batches
-                            .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                        ctx.blob_pool
-                            .flush_extents(&group.items)
-                            .or_else(|e| ctx.flush_retry(&group.items, e))
-                    };
-                    ctx.retire(group, result);
-                }
-            },
+            }
         }
     }
     // Channel disconnected: dropping `forward` lets the flush stage drain
@@ -561,14 +525,13 @@ struct InflightFlush {
     starts: HashSet<u64>,
 }
 
-/// Stage 2: keep up to `limit` extent-flush batches in flight, reaping
-/// completions and retiring their groups. `shutdown` is the committer's
-/// drop flag: the poll loop must not keep spinning through its timeout
-/// tick once the committer is being torn down.
+/// Stage 2: keep up to [`INFLIGHT_FLUSHES`] extent-flush batches in
+/// flight, reaping completions and retiring their groups. `shutdown` is
+/// the committer's drop flag: the poll loop must not keep spinning through
+/// its timeout tick once the committer is being torn down.
 fn flush_stage(
     grx: crossbeam::channel::Receiver<DurableGroup>,
     ctx: StageCtx,
-    limit: usize,
     shutdown: Arc<AtomicBool>,
 ) {
     let mut inflight: Vec<InflightFlush> = Vec::new();
@@ -634,7 +597,7 @@ fn flush_stage(
             });
             let victim = match overlapping {
                 Some(i) => i,
-                None if !group.items.is_empty() && inflight.len() >= limit => 0,
+                None if !group.items.is_empty() && inflight.len() >= INFLIGHT_FLUSHES => 0,
                 None => break,
             };
             // ordering: relaxed metrics counter; snapshot readers tolerate staleness

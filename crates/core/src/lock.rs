@@ -70,28 +70,27 @@ const SHARDS: usize = 64;
 
 type LockShard = Mutex<HashMap<(u32, Vec<u8>), LockState>>;
 
+/// Upper bound on waiting before an older transaction gives up (guards
+/// against holders that never release, e.g. a stuck session).
+const WAIT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// The lock table, sharded by key hash.
 pub struct LockManager {
     shards: Vec<LockShard>,
-    /// Upper bound on waiting before an older transaction gives up (guards
-    /// against holders that never release, e.g. a stuck session).
+    /// [`WAIT_TIMEOUT`]; a field so the unit tests can shorten it.
     wait_timeout: Duration,
 }
 
 impl Default for LockManager {
     fn default() -> Self {
-        Self::new(Duration::from_secs(5))
+        LockManager {
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            wait_timeout: WAIT_TIMEOUT,
+        }
     }
 }
 
 impl LockManager {
-    pub fn new(wait_timeout: Duration) -> Self {
-        LockManager {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            wait_timeout,
-        }
-    }
-
     fn shard_of(relation: u32, key: &[u8]) -> usize {
         let mut h = relation as u64 ^ 0x9E37_79B9;
         for &b in key {
@@ -157,8 +156,15 @@ mod tests {
     /// transactions tracked their shards).
     const ALL: u64 = u64::MAX;
 
+    fn with_timeout(wait_timeout: Duration) -> LockManager {
+        LockManager {
+            wait_timeout,
+            ..LockManager::default()
+        }
+    }
+
     fn mgr() -> LockManager {
-        LockManager::new(Duration::from_millis(200))
+        with_timeout(Duration::from_millis(200))
     }
 
     #[test]
@@ -220,7 +226,7 @@ mod tests {
 
     #[test]
     fn older_waits_for_release() {
-        let m = std::sync::Arc::new(LockManager::new(Duration::from_secs(5)));
+        let m = std::sync::Arc::new(LockManager::default());
         m.lock(10, 0, b"k", LockMode::Exclusive).unwrap();
         let m2 = m.clone();
         let h = std::thread::spawn(move || {
@@ -269,7 +275,7 @@ mod tests {
 
     #[test]
     fn timeout_eventually_fires_for_older_waiter() {
-        let m = LockManager::new(Duration::from_millis(50));
+        let m = with_timeout(Duration::from_millis(50));
         m.lock(10, 0, b"k", LockMode::Exclusive).unwrap();
         // Older txn 5 waits, but the holder never releases: timeout.
         let start = Instant::now();
@@ -318,7 +324,7 @@ mod tests {
         #[test]
         fn schedules_match_model(steps in proptest::collection::vec(step(), 1..120)) {
             // Zero timeout: a request that would wait is refused instead.
-            let m = LockManager::new(Duration::ZERO);
+            let m = with_timeout(Duration::ZERO);
             let mut model = Model::new();
             let mut masks: HashMap<u64, u64> = HashMap::new();
             for s in steps {

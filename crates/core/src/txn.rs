@@ -18,6 +18,7 @@
 use crate::blob_state::{BlobState, PREFIX_LEN};
 use crate::catalog::{Relation, RelationKind};
 use crate::db::{BlobLogging, Database, UpdatePolicy};
+use crate::group_commit::CommitBatch;
 use crate::lock::LockMode;
 use lobster_buffer::FlushItem;
 use lobster_extent::{plan_growth, plan_sequence, ExtentSpec};
@@ -258,18 +259,7 @@ impl Txn {
                 tail: None,
                 extents: Vec::new(),
             };
-            let encoded = state.encode();
-            rel.tree.insert(key, &encoded, false)?;
-            self.undo.push(UndoOp::Insert {
-                rel: rel.id,
-                key: key.to_vec(),
-            });
-            self.records.push(LogRecord::Insert {
-                txn: self.id,
-                relation: rel.id,
-                key: key.to_vec(),
-                value: encoded,
-            });
+            self.publish_state(rel, key, None, &state)?;
             self.stage_physlog(rel, key, 0, data);
             return Ok(());
         }
@@ -314,19 +304,51 @@ impl Txn {
             tail,
             extents,
         };
-        let encoded = state.encode();
-        rel.tree.insert(key, &encoded, false)?;
-        self.undo.push(UndoOp::Insert {
-            rel: rel.id,
-            key: key.to_vec(),
-        });
-        self.records.push(LogRecord::Insert {
-            txn: self.id,
-            relation: rel.id,
-            key: key.to_vec(),
-            value: encoded,
-        });
+        self.publish_state(rel, key, None, &state)?;
         self.stage_physlog(rel, key, 0, data);
+        Ok(())
+    }
+
+    /// Publish `new` as `key`'s Blob State: write it into the relation's
+    /// tree and stage the undo entry and the WAL record. `old` is the
+    /// encoded state it replaces, `None` for a fresh key.
+    fn publish_state(
+        &mut self,
+        rel: &Relation,
+        key: &[u8],
+        old: Option<Vec<u8>>,
+        new: &BlobState,
+    ) -> Result<()> {
+        let encoded = new.encode();
+        rel.tree.insert(key, &encoded, old.is_some())?;
+        match old {
+            None => {
+                self.undo.push(UndoOp::Insert {
+                    rel: rel.id,
+                    key: key.to_vec(),
+                });
+                self.records.push(LogRecord::Insert {
+                    txn: self.id,
+                    relation: rel.id,
+                    key: key.to_vec(),
+                    value: encoded,
+                });
+            }
+            Some(old) => {
+                self.undo.push(UndoOp::Update {
+                    rel: rel.id,
+                    key: key.to_vec(),
+                    old: old.clone(),
+                });
+                self.records.push(LogRecord::Update {
+                    txn: self.id,
+                    relation: rel.id,
+                    key: key.to_vec(),
+                    old_value: old,
+                    new_value: encoded,
+                });
+            }
+        }
         Ok(())
     }
 
@@ -745,20 +767,7 @@ impl Txn {
             state.size = new_size;
             state.sha_midstate = hasher.midstate().state_bytes();
             state.sha256 = hasher.finalize();
-            let encoded = state.encode();
-            rel.tree.insert(key, &encoded, true)?;
-            self.undo.push(UndoOp::Update {
-                rel: rel.id,
-                key: key.to_vec(),
-                old: old_encoded.clone(),
-            });
-            self.records.push(LogRecord::Update {
-                txn: self.id,
-                relation: rel.id,
-                key: key.to_vec(),
-                old_value: old_encoded,
-                new_value: encoded,
-            });
+            self.publish_state(rel, key, Some(old_encoded), &state)?;
             self.stage_physlog(rel, key, old_size, data);
             return Ok(());
         }
@@ -862,20 +871,7 @@ impl Txn {
         state.sha_midstate = hasher.midstate().state_bytes();
         state.sha256 = hasher.finalize();
 
-        let encoded = state.encode();
-        rel.tree.insert(key, &encoded, true)?;
-        self.undo.push(UndoOp::Update {
-            rel: rel.id,
-            key: key.to_vec(),
-            old: old_encoded.clone(),
-        });
-        self.records.push(LogRecord::Update {
-            txn: self.id,
-            relation: rel.id,
-            key: key.to_vec(),
-            old_value: old_encoded,
-            new_value: encoded,
-        });
+        self.publish_state(rel, key, Some(old_encoded), &state)?;
         self.stage_physlog(rel, key, old_size, data);
         Ok(())
     }
@@ -943,20 +939,7 @@ impl Txn {
             self.db.blob_pool.trim_extent(*last);
         }
 
-        let encoded = state.encode();
-        rel.tree.insert(key, &encoded, true)?;
-        self.undo.push(UndoOp::Update {
-            rel: rel.id,
-            key: key.to_vec(),
-            old: old_encoded.clone(),
-        });
-        self.records.push(LogRecord::Update {
-            txn: self.id,
-            relation: rel.id,
-            key: key.to_vec(),
-            old_value: old_encoded,
-            new_value: encoded,
-        });
+        self.publish_state(rel, key, Some(old_encoded), &state)?;
         Ok(())
     }
 
@@ -1006,20 +989,7 @@ impl Txn {
             state.sha_midstate = hasher.midstate().state_bytes();
             state.sha256 = hasher.finalize();
             state.prefix = BlobState::make_prefix(&content);
-            let encoded = state.encode();
-            rel.tree.insert(key, &encoded, true)?;
-            self.undo.push(UndoOp::Update {
-                rel: rel.id,
-                key: key.to_vec(),
-                old: old_encoded.clone(),
-            });
-            self.records.push(LogRecord::Update {
-                txn: self.id,
-                relation: rel.id,
-                key: key.to_vec(),
-                old_value: old_encoded,
-                new_value: encoded,
-            });
+            self.publish_state(rel, key, Some(old_encoded), &state)?;
             self.stage_physlog(rel, key, offset, data);
             return Ok(());
         }
@@ -1123,20 +1093,7 @@ impl Txn {
             state.prefix[offset as usize..offset as usize + n].copy_from_slice(&data[..n]);
         }
 
-        let encoded = state.encode();
-        rel.tree.insert(key, &encoded, true)?;
-        self.undo.push(UndoOp::Update {
-            rel: rel.id,
-            key: key.to_vec(),
-            old: old_encoded.clone(),
-        });
-        self.records.push(LogRecord::Update {
-            txn: self.id,
-            relation: rel.id,
-            key: key.to_vec(),
-            old_value: old_encoded,
-            new_value: encoded,
-        });
+        self.publish_state(rel, key, Some(old_encoded), &state)?;
         Ok(())
     }
 
@@ -1391,12 +1348,7 @@ impl Txn {
             // its group fsync and in-flight extent flushes); they differ
             // only in whether this thread blocks on the batch's durability
             // epoch before acknowledging.
-            let epoch = db.committer.submit(crate::group_commit::CommitBatch {
-                records: std::mem::take(&mut self.records),
-                toflush: std::mem::take(&mut self.toflush),
-                freed: std::mem::take(&mut self.freed),
-                refenced: std::mem::take(&mut self.refenced),
-            })?;
+            let epoch = db.committer.submit(self.take_batch())?;
             if db.cfg.commit_wait {
                 db.committer.wait_for(epoch)?;
             }
@@ -1407,6 +1359,17 @@ impl Txn {
         self.state = TxnState::Committed;
         db.maybe_checkpoint()?;
         Ok(())
+    }
+
+    /// Move everything this transaction staged for the commit pipeline
+    /// into one batch.
+    fn take_batch(&mut self) -> CommitBatch {
+        CommitBatch {
+            records: std::mem::take(&mut self.records),
+            toflush: std::mem::take(&mut self.toflush),
+            freed: std::mem::take(&mut self.freed),
+            refenced: std::mem::take(&mut self.refenced),
+        }
     }
 
     /// Whether this transaction staged anything that needs the commit
@@ -1437,21 +1400,17 @@ impl Txn {
         db.metrics
             .extent_allocs
             .fetch_add(self.allocated.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                                                                        // The marker rides even when only flushes/frees are staged: every
-                                                                        // participant named in `mask` must be able to produce it on
-                                                                        // recovery, or the global transaction is decided aborted.
+
+        // The marker rides even when only flushes/frees are staged: every
+        // participant named in `mask` must be able to produce it on
+        // recovery, or the global transaction is decided aborted.
         self.records.push(LogRecord::TxnCrossCommit {
             txn: self.id,
             gtxn,
             shard,
             mask,
         });
-        let epoch = db.committer.submit(crate::group_commit::CommitBatch {
-            records: std::mem::take(&mut self.records),
-            toflush: std::mem::take(&mut self.toflush),
-            freed: std::mem::take(&mut self.freed),
-            refenced: std::mem::take(&mut self.refenced),
-        })?;
+        let epoch = db.committer.submit(self.take_batch())?;
         db.locks.release_all(self.id, self.lock_shards);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);

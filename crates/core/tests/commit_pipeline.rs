@@ -1,6 +1,6 @@
 //! Tests for the two-stage (pipelined) group committer: per-group
-//! WAL-fsync-before-extent-write ordering, sticky error surfacing, pin
-//! budget release on flush completion, and the serial ablation mode.
+//! WAL-fsync-before-extent-write ordering, sticky error surfacing, and pin
+//! budget release on flush completion.
 
 use lobster_core::{Config, Database, PoolVariant, RelationKind};
 use lobster_storage::{CrashDevice, Device, MemDevice};
@@ -24,7 +24,6 @@ fn pipelined_cfg() -> Config {
     Config {
         pool_frames: 4096, // 16 MiB
         commit_wait: false,
-        commit_inflight_flushes: 2,
         // Keep checkpoints out of the picture: they flush dirty extents
         // outside the committer and would pollute the device write logs.
         checkpoint_threshold: u64::MAX,
@@ -226,7 +225,7 @@ fn pin_budget_releases_on_flush_completion_not_fsync() {
     }
 }
 
-// -------------------------------------------- fused fill+hash, serial ---
+// ---------------------------------------------------- fused fill+hash ---
 
 /// `fill_extent_hashed` copies and hashes in one pass; the stored SHA-256
 /// must still match the content for both pool variants (scrub verifies).
@@ -264,39 +263,6 @@ fn fused_fill_hash_matches_scrub_both_variants() {
         assert!(report.is_clean(), "{label}: {:?}", report.corrupt);
         assert_eq!(report.blobs, 5, "{label}");
     }
-}
-
-/// `commit_inflight_flushes = 1` is the serial ablation: no flush stage is
-/// spawned, so the in-flight gauge never moves, yet commits stay correct.
-#[test]
-fn serial_mode_roundtrip_without_pipeline() {
-    let mut cfg = pipelined_cfg();
-    cfg.commit_inflight_flushes = 1;
-    let db = Database::create(
-        Arc::new(MemDevice::new(256 << 20)),
-        Arc::new(MemDevice::new(64 << 20)),
-        cfg,
-    )
-    .unwrap();
-    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    for i in 0..6u64 {
-        let mut t = db.begin();
-        t.put_blob(&rel, &i.to_be_bytes(), &pattern(120_000, i))
-            .unwrap();
-        t.commit().unwrap();
-    }
-    db.wait_for_durability().unwrap();
-    let m = db.metrics().snapshot();
-    assert_eq!(m.commit_inflight_peak, 0, "serial mode must not pipeline");
-    assert!(m.commit_flush_batches >= 1);
-    assert_eq!(m.commit_errors, 0);
-    for i in 0..6u64 {
-        let mut t = db.begin();
-        let out = t.get_blob(&rel, &i.to_be_bytes(), |b| b.to_vec()).unwrap();
-        t.commit().unwrap();
-        assert_eq!(out, pattern(120_000, i), "blob {i}");
-    }
-    assert!(db.scrub().unwrap().is_clean());
 }
 
 // ------------------------------- delete racing an in-flight flush ---

@@ -40,7 +40,6 @@ fn assert_drop_terminates(db: Arc<Database>, deadline: Duration, what: &str) {
 fn pipelined_committer_drop_terminates_under_load() {
     let cfg = Config {
         pool_frames: 2048,
-        commit_inflight_flushes: 4,
         commit_wait: false, // async commits keep the flush stage busy
         ..Config::default()
     };
@@ -70,9 +69,7 @@ fn pipelined_committer_drop_terminates_after_sticky_error() {
     let wal = Arc::new(MemDevice::new(16 << 20));
     let cfg = Config {
         pool_frames: 2048,
-        commit_inflight_flushes: 4,
         commit_wait: false,
-        io_retries: 1,
         ..Config::default()
     };
     let db = Database::create(data.clone(), wal, cfg).unwrap();

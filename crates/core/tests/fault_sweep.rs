@@ -17,7 +17,7 @@
 
 use lobster_core::{Config, Database, Relation, RelationKind};
 use lobster_storage::{FaultConfig, FaultDevice, FaultKind, MemDevice};
-use lobster_types::Error;
+use lobster_types::{Error, RetryPolicy};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -53,12 +53,10 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
     out
 }
 
-fn cfg(io_retries: u32, verify_reads: bool, batched_faults: bool) -> Config {
+fn cfg(verify_reads: bool) -> Config {
     Config {
         pool_frames: 2048,
-        io_retries,
         verify_reads,
-        batched_faults,
         // Keep the device-op schedule exactly the foreground workload's:
         // speculative prefetch reads would consume injection slots.
         readahead_extents: 0,
@@ -90,7 +88,7 @@ fn evict_blob(db: &Arc<Database>, rel: &Relation, key: &[u8]) {
 fn sweep_case(seed: u64, kind: FaultKind) -> (u64, u64, u64) {
     let data = faulty(48 << 20, seed, 150, kind, 4);
     let wal = faulty(8 << 20, seed ^ 0x5EED, 150, kind, 2);
-    let db = Database::create(data.clone(), wal.clone(), cfg(3, true, true)).unwrap();
+    let db = Database::create(data.clone(), wal.clone(), cfg(true)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
 
     let mut expected: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -218,7 +216,7 @@ fn bit_rot_is_always_caught_on_get_blob() {
     let seed = base_seed() ^ 0xB17;
     let data = faulty(48 << 20, seed, 1000, FaultKind::BitRotRead, u64::MAX);
     let wal = Arc::new(MemDevice::new(8 << 20));
-    let db = Database::create(data.clone(), wal, cfg(3, true, true)).unwrap();
+    let db = Database::create(data.clone(), wal, cfg(true)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
 
     let mut keys = Vec::new();
@@ -261,7 +259,7 @@ fn single_bit_rot_clears_on_reread() {
     let seed = base_seed() ^ 0x1B17;
     let data = faulty(48 << 20, seed, 1000, FaultKind::BitRotRead, 1);
     let wal = Arc::new(MemDevice::new(8 << 20));
-    let db = Database::create(data.clone(), wal, cfg(3, true, true)).unwrap();
+    let db = Database::create(data.clone(), wal, cfg(true)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     let content = pattern(64_000, seed);
     {
@@ -290,7 +288,7 @@ fn verify_off_ablation_serves_unverified_bytes() {
     // cannot hide in the final extent's tail slack.
     let data = faulty(48 << 20, seed, 1000, FaultKind::BitRotRead, u64::MAX);
     let wal = Arc::new(MemDevice::new(8 << 20));
-    let db = Database::create(data.clone(), wal, cfg(3, false, true)).unwrap();
+    let db = Database::create(data.clone(), wal, cfg(false)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     let content = pattern(64_000, seed);
     {
@@ -309,26 +307,31 @@ fn verify_off_ablation_serves_unverified_bytes() {
     assert!(db.quarantined_blobs().is_empty());
 }
 
-/// Satellite: `io_retries`/`io_giveups` move in lockstep with the fault
-/// device's injection log. Every transient injection observed at a retried
-/// choke point is either absorbed (one `io_retries` tick) or the op's
-/// final attempt (one `io_giveups` tick per op), so:
+/// The retry budget every choke point runs under.
+const BUDGET: u64 = RetryPolicy::DEFAULT.max_retries as u64;
+
+/// `io_retries`/`io_giveups` move in lockstep with the fault device's
+/// injection log. Every transient injection observed at a retried choke
+/// point is either absorbed (one `io_retries` tick) or the op's final
+/// attempt (one `io_giveups` tick per op), so:
 /// `io_retries == transient injections − io_giveups` exactly.
 #[test]
 fn retry_counters_match_injection_log() {
-    // Absorbed case: at most 2 injections against a budget of 3, serial
-    // (unbatched) faulting so each extent read is its own retried op.
+    // At most 2 injections against a budget of 3: all absorbed.
+    // Single-extent blobs, so each cold read is its own retried device op
+    // (a multi-extent read goes out as one batch with one reported error).
     let seed = base_seed() ^ 0xC0;
     let data = faulty(48 << 20, seed, 300, FaultKind::TransientRead, 2);
     let wal = Arc::new(MemDevice::new(8 << 20));
-    let db = Database::create(data.clone(), wal, cfg(3, false, false)).unwrap();
+    let db = Database::create(data.clone(), wal, cfg(false)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     let mut blobs = Vec::new();
-    for i in 0u64..4 {
+    for i in 0u64..16 {
         let key = format!("k{i}").into_bytes();
-        let content = pattern(80_000, seed + i);
+        let content = pattern(3_000, seed + i);
         let mut t = db.begin();
         t.put_blob(&rel, &key, &content).unwrap();
+        assert_eq!(t.blob_state(&rel, &key).unwrap().unwrap().extents.len(), 1);
         t.commit().unwrap();
         blobs.push((key, content));
     }
@@ -351,66 +354,85 @@ fn retry_counters_match_injection_log() {
     let m = db.metrics();
     assert_eq!(m.io_retries.load(Ordering::Relaxed), transient);
     assert_eq!(m.io_giveups.load(Ordering::Relaxed), 0);
+}
 
-    // Give-up case: every read fails, budget 2 → per failing op the log
-    // gains 3 transient injections, the counters gain 2 retries + 1 giveup.
+fn assert_injected(err: &Error, what: &str) {
+    assert!(
+        err.to_string().contains(what),
+        "expected the injected error ({what}), got {err:?}"
+    );
+}
+
+/// A read fault that never clears: the pool's fault path re-attempts
+/// exactly the budget, surfaces the device's error, and gives every frame
+/// it claimed back.
+#[test]
+fn pool_fault_gives_up_on_a_persistent_read_fault() {
     let seed = base_seed() ^ 0xC1;
     let data = faulty(48 << 20, seed, 1000, FaultKind::TransientRead, u64::MAX);
     let wal = Arc::new(MemDevice::new(8 << 20));
-    let db = Database::create(data.clone(), wal, cfg(2, false, false)).unwrap();
+    let db = Database::create(data.clone(), wal, cfg(false)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    let content = pattern(80_000, seed);
-    {
+    // One extent: a single retried device op. Several extents: one batch,
+    // then the per-extent fallback under the same policy.
+    let blobs = [(&b"one"[..], 3_000), (&b"many"[..], 80_000)];
+    let mut extents = Vec::new();
+    for (key, len) in blobs {
         let mut t = db.begin();
-        t.put_blob(&rel, b"doomed", &content).unwrap();
+        t.put_blob(&rel, key, &pattern(len, seed)).unwrap();
+        extents.push(t.blob_state(&rel, key).unwrap().unwrap().extents.len() as u64);
         t.commit().unwrap();
+        evict_blob(&db, &rel, key);
     }
-    evict_blob(&db, &rel, b"doomed");
-    data.arm();
-    {
-        let mut t = db.begin();
-        assert!(t.get_blob(&rel, b"doomed", |b| b.to_vec()).is_err());
-    }
-    data.disarm();
-    let transient = data
-        .injection_log()
-        .iter()
-        .filter(|i| i.kind.is_transient())
-        .count() as u64;
+    assert!(extents[0] == 1 && extents[1] > 1);
+    let frames = db.node_pool().frames_in_use();
     let m = db.metrics();
-    let retries = m.io_retries.load(Ordering::Relaxed);
-    let giveups = m.io_giveups.load(Ordering::Relaxed);
-    assert_eq!(giveups, 1, "exactly the first extent's read gives up");
-    assert_eq!(retries, transient - giveups);
-    assert_eq!(retries, 2, "budget of 2 means exactly 2 retries");
+
+    data.arm();
+    let err = db.begin().get_blob(&rel, b"one", |_| ()).unwrap_err();
+    data.disarm();
+    assert_injected(&err, "injected transient read");
+    assert_eq!(m.io_retries.load(Ordering::Relaxed), BUDGET);
+    assert_eq!(m.io_giveups.load(Ordering::Relaxed), 1);
+    assert_eq!(data.injections(), BUDGET + 1);
+    assert_eq!(db.node_pool().frames_in_use(), frames);
+
+    data.arm();
+    let err = db.begin().get_blob(&rel, b"many", |_| ()).unwrap_err();
+    data.disarm();
+    assert_injected(&err, "injected transient read");
+    assert_eq!(
+        m.io_retries.load(Ordering::Relaxed),
+        BUDGET * (1 + extents[1])
+    );
+    assert_eq!(m.io_giveups.load(Ordering::Relaxed), 1 + extents[1]);
+    assert_eq!(db.node_pool().frames_in_use(), frames);
+
+    // The device recovered: both blobs read back exactly.
+    for (key, len) in blobs {
+        let got = db.begin().get_blob(&rel, key, |b| b.to_vec()).unwrap();
+        assert_eq!(got, pattern(len, seed));
+    }
 }
 
-/// Ablation: `io_retries = 0` restores fail-fast — a single transient
-/// fault surfaces as an error instead of being absorbed.
+/// A write fault that never clears: the commit flush re-attempts exactly
+/// the budget, then the committer fail-stops and the commit reports the
+/// device's error.
 #[test]
-fn zero_retry_budget_is_fail_fast() {
-    let seed = base_seed() ^ 0xFF;
-    let data = faulty(48 << 20, seed, 1000, FaultKind::TransientRead, 1);
+fn commit_flush_gives_up_on_a_persistent_write_fault() {
+    let seed = base_seed() ^ 0xC2;
+    let data = faulty(48 << 20, seed, 1000, FaultKind::TransientWrite, u64::MAX);
     let wal = Arc::new(MemDevice::new(8 << 20));
-    let db = Database::create(data.clone(), wal, cfg(0, false, false)).unwrap();
+    let db = Database::create(data.clone(), wal, cfg(false)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    let content = pattern(64_000, seed);
-    {
-        let mut t = db.begin();
-        t.put_blob(&rel, b"x", &content).unwrap();
-        t.commit().unwrap();
-    }
-    evict_blob(&db, &rel, b"x");
     data.arm();
-    {
-        let mut t = db.begin();
-        assert!(t.get_blob(&rel, b"x", |b| b.to_vec()).is_err());
-    }
-    data.disarm();
-    let m = db.metrics();
-    assert_eq!(m.io_retries.load(Ordering::Relaxed), 0);
-    assert_eq!(m.io_giveups.load(Ordering::Relaxed), 1);
-    // The fault was one transient hiccup: the very next read succeeds.
     let mut t = db.begin();
-    assert_eq!(t.get_blob(&rel, b"x", |b| b.to_vec()).unwrap(), content);
+    t.put_blob(&rel, b"doomed", &pattern(80_000, seed)).unwrap();
+    let err = t.commit().unwrap_err();
+    data.disarm();
+    assert_injected(&err, "injected transient write");
+    let m = db.metrics();
+    assert_eq!(m.io_retries.load(Ordering::Relaxed), BUDGET);
+    assert_eq!(m.io_giveups.load(Ordering::Relaxed), 1);
+    assert_eq!(m.commit_errors.load(Ordering::Relaxed), 1);
 }

@@ -56,6 +56,9 @@ pub struct LintConfig {
     pub guard_rules: Vec<GuardRule>,
     /// Path prefixes the lock-order rule skips.
     pub lock_order_exclude: Vec<String>,
+    /// Configuration structs whose `pub` fields the dead-knob rule
+    /// requires a production caller (or a `// knob:` note) for.
+    pub knob_structs: Vec<&'static str>,
     /// How many leading lines a `lint-allow-file` pragma may appear in.
     pub head_allow_lines: u32,
 }
@@ -188,6 +191,7 @@ impl LintConfig {
                 },
             ],
             lock_order_exclude: vec!["crates/sync-models/".into(), "crates/sync/".into()],
+            knob_structs: vec!["Config", "PoolConfig", "ServeConfig", "DefragConfig"],
             head_allow_lines: 30,
         }
     }

@@ -1,7 +1,7 @@
 //! `lobster-lint` — workspace-wide static analysis for the LOBSTER
 //! engine's hand-maintained concurrency protocols.
 //!
-//! Five repo-specific rules (see [`rules`]):
+//! Six repo-specific rules (see [`rules`]):
 //!
 //! * **sync-facade** — concurrency-bearing crates import atomics, locks
 //!   and `Condvar` via `lobster-sync`, never `std::sync`/`parking_lot`
@@ -18,6 +18,9 @@
 //!   graph) form an acquisition-order graph; cycles are reported with
 //!   the full offending chain — the static complement to the runtime
 //!   `LatchLedger`.
+//! * **dead-knob** — every `pub` field of the configuration structs is
+//!   assigned by some production caller outside its defining file, or
+//!   carries a `// knob: <why>` note.
 //!
 //! Escape hatch: `// lint-allow(rule): reason` on the offending line or
 //! the line directly above; `// lint-allow-file(rule): reason` in the
@@ -246,6 +249,7 @@ pub fn all_rules() -> &'static [&'static str] {
         "guard-discipline",
         "no-panic-in-request-path",
         "lock-order",
+        "dead-knob",
     ]
 }
 
@@ -259,6 +263,7 @@ pub fn lint_files(
     let run = |name: &str| rule_filter.is_empty() || rule_filter.iter().any(|r| r == name);
     let mut diags = Vec::new();
     let mut lock = rules::lock_order::Collector::default();
+    let mut knobs = rules::dead_knob::Collector::default();
     for f in files {
         if run("sync-facade") {
             rules::facade::check(f, cfg, &mut diags);
@@ -275,9 +280,15 @@ pub fn lint_files(
         if run("lock-order") {
             lock.collect(f, cfg);
         }
+        if run("dead-knob") {
+            knobs.collect(f, cfg);
+        }
     }
     if run("lock-order") {
         lock.finalize(&mut diags);
+    }
+    if run("dead-knob") {
+        knobs.finalize(&mut diags);
     }
     diag::sort(&mut diags);
     diags.dedup();

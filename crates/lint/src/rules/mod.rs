@@ -1,7 +1,8 @@
-//! The five rules. Each is a function from a parsed [`crate::SourceFile`]
-//! (plus the policy) to diagnostics; `lock_order` additionally keeps
-//! cross-file state and emits in a finalize step.
+//! The six rules. Each is a function from a parsed [`crate::SourceFile`]
+//! (plus the policy) to diagnostics; `lock_order` and `dead_knob`
+//! additionally keep cross-file state and emit in a finalize step.
 
+pub mod dead_knob;
 pub mod facade;
 pub mod guards;
 pub mod lock_order;

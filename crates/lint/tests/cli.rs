@@ -112,6 +112,24 @@ fn bad_lock_order_fixture_reports_full_cycle_chain() {
     ));
 }
 
+/// The shape of the lock-wait knob `Config` used to carry: set by its own
+/// `Default` and by a test, read by a production caller, assigned by none.
+#[test]
+fn bad_knob_fixture_fails() {
+    let r = lint(&[
+        "--rule",
+        "dead-knob",
+        "tests/fixtures/bad_knob.rs",
+        "tests/fixtures/bad_knob_user.rs",
+    ]);
+    assert_eq!(r.code, 1, "stdout:\n{}", r.stdout);
+    assert!(r.stderr.contains("1 finding(s)"), "stderr: {}", r.stderr);
+    assert!(r.stdout.contains(
+        "tests/fixtures/bad_knob.rs:10:9 [dead-knob] `Config::lock_wait` is never assigned \
+         outside tests/fixtures/bad_knob.rs"
+    ));
+}
+
 #[test]
 fn escape_hatch_silences_every_rule() {
     let r = lint(&["tests/fixtures/allowed.rs"]);

@@ -29,3 +29,8 @@ pub fn bwd(a: &M, b: &M) {
     drop(ga);
     drop(gb);
 }
+
+pub struct DefragConfig {
+    // lint-allow(dead-knob): fixture; nothing outside this file sets it
+    pub batch_blobs: usize,
+}

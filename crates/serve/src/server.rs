@@ -21,12 +21,13 @@
 //! 1. **Connection cap** ([`ServeConfig::max_conns`]): excess accepts get
 //!    a `BUSY` frame and are closed.
 //! 2. **Worker slots**: a request that cannot lease a worker id within
-//!    [`ServeConfig::slot_timeout`] gets `BUSY`.
+//!    `SLOT_TIMEOUT` (2 s) gets `BUSY`.
 //! 3. **Pin gate** ([`PinGate`]): a streamed range read charges its
 //!    pinned extent footprint against the lease budget before pinning;
-//!    timeout → `BUSY`. A slow client therefore holds *budget* (bounded
-//!    by its own streams) — never a latch, and never the whole pool — so
-//!    eviction keeps running no matter how slowly clients drain.
+//!    `GATE_TIMEOUT` (200 ms) → `BUSY`. A slow client therefore holds
+//!    *budget* (bounded by its own streams) — never a latch, and never the
+//!    whole pool — so eviction keeps running no matter how slowly clients
+//!    drain.
 //!
 //! Socket writes carry [`ServeConfig::write_timeout`]; a dead client
 //! fails its stream, which releases its leases, gate budget, and worker
@@ -58,6 +59,11 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+/// How long a stream may wait for pin budget before `BUSY`.
+const GATE_TIMEOUT: Duration = Duration::from_millis(200);
+/// How long a request may wait for a worker slot before `BUSY`.
+const SLOT_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Server tuning knobs. `Default` is sized for the smoke/bench scale.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -66,17 +72,15 @@ pub struct ServeConfig {
     /// Admission cap: connections over this get `BUSY` and are closed.
     pub max_conns: usize,
     /// Maximum request frame body (opcode + payload).
+    // knob: the oversize-frame and fuzz tests lower it to 1 MiB to hit `TooLarge` cheaply
     pub max_frame: u32,
     /// Streaming chunk size for get/get_range responses.
     pub chunk_bytes: usize,
     /// Pin-lease budget for concurrent streams (bytes). Defaults to a
     /// quarter of the pool, mirroring the committer's pin-budget rule.
     pub gate_budget: u64,
-    /// How long a stream may wait for pin budget before `BUSY`.
-    pub gate_timeout: Duration,
-    /// How long a request may wait for a worker slot before `BUSY`.
-    pub slot_timeout: Duration,
     /// Socket write timeout; a stalled client fails its stream.
+    // knob: the stalled-client test shortens it to fail the stream promptly
     pub write_timeout: Duration,
 }
 
@@ -88,8 +92,6 @@ impl Default for ServeConfig {
             max_frame: DEFAULT_MAX_FRAME,
             chunk_bytes: 256 << 10,
             gate_budget: 64 << 20,
-            gate_timeout: Duration::from_millis(200),
-            slot_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(5),
         }
     }
@@ -398,7 +400,7 @@ fn handle_request(out: &mut impl Write, body: &[u8], shared: &Shared) -> bool {
         Request::Ping => return write_response_header(out, Status::Ok, 0).is_ok(),
     };
     let shard = shared.sdb.shard_for_key(key);
-    let Some(w) = shared.slots.acquire(shard, shared.cfg.slot_timeout) else {
+    let Some(w) = shared.slots.acquire(shard, SLOT_TIMEOUT) else {
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         shared.metrics.serve_rejects.fetch_add(1, Ordering::Relaxed);
         return write_response_header(out, Status::Busy, 0).is_ok();
@@ -508,7 +510,7 @@ fn do_stream(
         offset,
         len,
         shared.cfg.chunk_bytes,
-        Some((&shared.gate, shared.cfg.gate_timeout)),
+        Some((&shared.gate, GATE_TIMEOUT)),
         &mut |total, chunk| {
             if sent_header {
                 out.write_all(chunk).map_err(Error::Io)?;

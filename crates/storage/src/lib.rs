@@ -16,10 +16,6 @@
 //! * [`FaultDevice`] — deterministic, seed-driven transient-fault injection
 //!   (transient/permanent EIO, short writes, bit rot, misdirected writes)
 //!   with an injection log for test assertions.
-//! * [`OutOfPlaceDevice`] — the paper's §VI future-work proposal: a
-//!   translation layer that writes every logical block out of place to a
-//!   sequential frontier, with greedy garbage collection (an anti-aging
-//!   FTL in userspace).
 //! * [`AsyncIo`] — a submission/completion engine (thread-pool stand-in for
 //!   io_uring) used to flush WAL and extents concurrently at commit.
 
@@ -33,7 +29,6 @@ mod device;
 mod fault;
 mod file;
 mod mem;
-mod out_of_place;
 mod throttle;
 
 pub use async_io::{AsyncIo, BatchHandle, IoKind, IoReq};
@@ -42,5 +37,4 @@ pub use device::{Device, DeviceExt};
 pub use fault::{permanent_eio, transient_eio, FaultConfig, FaultDevice, FaultKind, Injection};
 pub use file::FileDevice;
 pub use mem::MemDevice;
-pub use out_of_place::{GcStats, OutOfPlaceDevice};
 pub use throttle::{ThrottleProfile, ThrottledDevice};

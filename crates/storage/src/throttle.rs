@@ -168,9 +168,17 @@ mod tests {
         let dev = ThrottledDevice::new(MemDevice::new(1 << 20), profile);
         let mut buf = vec![0u8; 256 * 1024];
 
-        let t0 = Instant::now();
-        dev.read_at(&mut buf, 0).unwrap();
-        let one_big = t0.elapsed();
+        // Best of three: the yield-wait overshoots its deadline by a whole
+        // timeslice when a neighbouring test holds the CPU, which can only
+        // inflate a sample.
+        let one_big = (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                dev.read_at(&mut buf, 0).unwrap();
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
 
         let t0 = Instant::now();
         for i in 0..64 {

@@ -5,9 +5,8 @@
 //! choke points that talk to the device — buffer-pool faulting, WAL
 //! append/fsync, and the group-commit flush stage — wrap their device
 //! calls in a [`RetryPolicy`] so a momentary failure is absorbed instead
-//! of poisoning the engine. Permanent errors are never retried, and a
-//! policy with `max_retries == 0` restores fail-fast behaviour exactly
-//! (the ablation knob `Config::io_retries = 0`).
+//! of poisoning the engine. Permanent errors are never retried. Every
+//! choke point runs the one engine-wide policy, [`RetryPolicy::DEFAULT`].
 //!
 //! Jitter is deterministic — derived from a caller-supplied seed and the
 //! attempt number by a splitmix-style mixer — so torture sweeps replay
@@ -21,8 +20,7 @@ use std::time::Duration;
 /// Bounded exponential backoff policy for transient I/O errors.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Maximum number of *re*-attempts after the first failure. `0`
-    /// disables retrying entirely (fail-fast).
+    /// Maximum number of *re*-attempts after the first failure.
     pub max_retries: u32,
     /// Backoff before the first retry, in microseconds.
     pub base_delay_us: u64,
@@ -42,13 +40,10 @@ pub struct RetryStats {
     pub gave_up: bool,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::new(3)
-    }
-}
-
 impl RetryPolicy {
+    /// The policy every device choke point runs: three re-attempts.
+    pub const DEFAULT: RetryPolicy = RetryPolicy::new(3);
+
     /// A policy retrying up to `max_retries` times with the default
     /// 50 µs → 5 ms backoff window.
     pub const fn new(max_retries: u32) -> Self {
@@ -58,11 +53,6 @@ impl RetryPolicy {
             max_delay_us: 5_000,
             seed: 0x10B5_7E50, // "LOBSTER-0"; any fixed value works
         }
-    }
-
-    /// The fail-fast policy: every error surfaces on the first attempt.
-    pub const fn disabled() -> Self {
-        RetryPolicy::new(0)
     }
 
     /// Derive a policy with a different jitter seed (e.g. per worker or
@@ -186,19 +176,6 @@ mod tests {
         assert_eq!(calls.get(), 1);
         assert_eq!(stats.retries, 0);
         assert!(!stats.gave_up);
-    }
-
-    #[test]
-    fn disabled_policy_is_fail_fast_for_transients() {
-        let policy = RetryPolicy::disabled();
-        let calls = Cell::new(0u32);
-        let (res, stats) = policy.run(|| -> Result<()> {
-            calls.set(calls.get() + 1);
-            Err(transient())
-        });
-        assert!(res.is_err());
-        assert_eq!(calls.get(), 1);
-        assert!(stats.gave_up);
     }
 
     #[test]

@@ -61,9 +61,6 @@ pub struct Wal {
     flushed: AtomicU64,
     flushed_cv: Condvar,
     flushed_cv_mutex: Mutex<()>,
-    /// Transient-I/O retry budget for the append/fsync choke point
-    /// ([`Wal::commit_to`] and header rewrites). `0` is fail-fast.
-    io_retries: AtomicU32,
     metrics: Metrics,
 }
 
@@ -81,7 +78,6 @@ impl Wal {
             flushed: AtomicU64::new(WAL_HEADER),
             flushed_cv: Condvar::new(),
             flushed_cv_mutex: Mutex::new(()),
-            io_retries: AtomicU32::new(3),
             metrics,
         });
         wal.write_header()?;
@@ -123,28 +119,15 @@ impl Wal {
             flushed: AtomicU64::new(end),
             flushed_cv: Condvar::new(),
             flushed_cv_mutex: Mutex::new(()),
-            io_retries: AtomicU32::new(3),
             metrics,
         }))
-    }
-
-    /// Set the transient-I/O retry budget (`Config::io_retries`; `0`
-    /// restores fail-fast).
-    pub fn set_io_retries(&self, n: u32) {
-        // ordering: Relaxed; config knob, any recent value is acceptable
-        self.io_retries.store(n, Ordering::Relaxed);
-    }
-
-    fn retry(&self) -> RetryPolicy {
-        // ordering: Relaxed; config knob read (see set_io_retries)
-        RetryPolicy::new(self.io_retries.load(Ordering::Relaxed))
     }
 
     fn write_header(&self) -> Result<()> {
         let mut header = vec![0u8; WAL_HEADER as usize];
         header[0..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
         header[4..8].copy_from_slice(&self.epoch.load(Ordering::SeqCst).to_le_bytes());
-        let (res, stats) = self.retry().run(|| {
+        let (res, stats) = RetryPolicy::DEFAULT.run(|| {
             self.device.write_at(&header, 0)?;
             self.device.sync()
         });
@@ -238,7 +221,7 @@ impl Wal {
                     // Re-run the write along with the fsync on retry: the
                     // write is idempotent, and after a failed fsync the
                     // device may not have the data.
-                    let (res, stats) = self.retry().run(|| {
+                    let (res, stats) = RetryPolicy::DEFAULT.run(|| {
                         self.device.write_at(&buf, base)?;
                         self.device.sync()
                     });
@@ -558,22 +541,27 @@ mod tests {
         assert_eq!(wal.metrics.io_giveups.load(Ordering::Relaxed), 0);
     }
 
+    /// A write fault that never clears: `commit_to` re-attempts exactly the
+    /// policy's budget, then surfaces the injected error to the caller.
     #[test]
-    fn disabled_retries_fail_fast_on_transient_fault() {
+    fn commit_gives_up_on_a_persistent_write_fault() {
         use lobster_storage::{FaultConfig, FaultDevice, FaultKind};
         let mem = MemDevice::new(8 << 20);
-        let mut cfg = FaultConfig::new(7, 1000, &[FaultKind::TransientWrite]);
-        cfg.max_injections = 1;
+        let cfg = FaultConfig::new(7, 1000, &[FaultKind::TransientWrite]);
         let fdev = Arc::new(FaultDevice::new(mem, cfg));
         let dev: Arc<dyn Device> = fdev.clone();
         let wal = Wal::create(dev, lobster_metrics::new_metrics()).unwrap();
-        wal.set_io_retries(0);
         fdev.arm();
         let res = wal.append_and_commit(&[LogRecord::TxnCommit { txn: 1 }]);
         fdev.disarm();
-        assert!(res.is_err());
-        assert_eq!(wal.metrics.io_retries.load(Ordering::Relaxed), 0);
+        match res {
+            Err(Error::Io(e)) => assert!(e.to_string().contains("injected transient write")),
+            other => panic!("expected the injected write error, got {other:?}"),
+        }
+        let budget = u64::from(RetryPolicy::DEFAULT.max_retries);
+        assert_eq!(wal.metrics.io_retries.load(Ordering::Relaxed), budget);
         assert_eq!(wal.metrics.io_giveups.load(Ordering::Relaxed), 1);
+        assert_eq!(fdev.injections(), budget + 1);
     }
 
     #[test]

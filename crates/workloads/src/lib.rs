@@ -15,16 +15,12 @@
 //! * [`driver`] — a closed-loop multi-client driver for the
 //!   `threads = 1..N` scalability axis (retry-on-conflict, merged per-op
 //!   latency histograms).
-//! * [`serve_load`] — a closed-loop many-client TCP load generator for
-//!   `lobster-serve` (one persistent connection per client, BUSY counted
-//!   as retry), driving the connections = 1..N serving axis.
 
 #![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod gitclone;
 pub mod payload;
-pub mod serve_load;
 pub mod wiki;
 pub mod ycsb;
 pub mod zipf;
@@ -32,7 +28,6 @@ pub mod zipf;
 pub use driver::{run_closed_loop, run_virtual_parallel, DriverReport, OpOutcome};
 pub use gitclone::{GitCloneTrace, TraceOp};
 pub use payload::PayloadDist;
-pub use serve_load::{populate, run_serve_load, ServeLoad};
 pub use wiki::{WikiArticle, WikiCorpus};
 pub use ycsb::{Op, YcsbConfig, YcsbGenerator};
 pub use zipf::Zipf;
