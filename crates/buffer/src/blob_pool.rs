@@ -7,8 +7,10 @@ use crate::htpool::{HashTablePool, HtFlushBatch};
 use crate::pool::{ExtentFlushBatch, ExtentPool, FlushItem};
 use lobster_extent::ExtentSpec;
 use lobster_metrics::Metrics;
+use lobster_storage::{BatchHandle, Waker};
 use lobster_sync::Arc;
-use lobster_types::{Pid, Result};
+use lobster_types::Result;
+use std::time::Instant;
 
 /// The active BLOB buffer pool.
 #[derive(Clone)]
@@ -52,8 +54,7 @@ impl BlobPool {
                 let mut g = p.create_extent(spec)?;
                 g[..src.len()].copy_from_slice(src);
                 p.metrics().bump_memcpy(src.len() as u64);
-                g.mark_dirty();
-                g.set_prevent_evict();
+                g.stage_flush();
                 Ok(())
             }
             BlobPool::Ht(p) => p.fill_extent(spec, src),
@@ -82,8 +83,7 @@ impl BlobPool {
                     digest(d);
                 }
                 p.metrics().bump_memcpy(src.len() as u64);
-                g.mark_dirty();
-                g.set_prevent_evict();
+                g.stage_flush();
                 Ok(())
             }
             BlobPool::Ht(p) => p.fill_extent_hashed(spec, src, digest),
@@ -109,8 +109,7 @@ impl BlobPool {
                 };
                 g[byte_off..byte_off + src.len()].copy_from_slice(src);
                 p.metrics().bump_memcpy(src.len() as u64);
-                g.mark_dirty();
-                g.set_prevent_evict();
+                g.stage_flush();
                 Ok(())
             }
             BlobPool::Ht(p) => p.write_range(spec, byte_off, src, load_existing),
@@ -137,8 +136,7 @@ impl BlobPool {
                 let mut g = p.write_extent_growing(spec, capacity, valid_pages)?;
                 g[byte_off..byte_off + src.len()].copy_from_slice(src);
                 p.metrics().bump_memcpy(src.len() as u64);
-                g.mark_dirty();
-                g.set_prevent_evict();
+                g.stage_flush();
                 Ok(())
             }
             // The hash-table pool already loads per page.
@@ -276,9 +274,11 @@ impl BlobPool {
     /// Begin the commit-time flush without blocking: submit one batched
     /// asynchronous write of the dirty ranges and return the in-flight
     /// ticket. The single-flush ordering (§III-C) is the caller's
-    /// responsibility: the batch's WAL records must be fsynced *before*
-    /// this is called. Dirty/`prevent_evict` are cleared only when the
-    /// ticket is reaped.
+    /// responsibility: unless every extent named is freshly allocated —
+    /// content no durable Blob State can reference yet — the batch's WAL
+    /// records must be fsynced *before* this is called. An extent's
+    /// dirty/`prevent_evict` flags are cleared when the ticket is reaped
+    /// and no other flush of it is owed.
     pub fn flush_extents_async(&self, items: &[FlushItem]) -> Result<FlushTicket> {
         let inner = match self {
             BlobPool::Vm(p) => TicketInner::Vm {
@@ -290,14 +290,17 @@ impl BlobPool {
                 batch: p.flush_extents_begin(items)?,
             },
         };
-        Ok(FlushTicket { inner })
+        Ok(FlushTicket {
+            inner,
+            items: items.to_vec(),
+        })
     }
 
     /// Clear the `prevent_evict` pin without flushing (physical-logging
     /// mode: the WAL protects the content, eviction may write it back).
     pub fn unpin_extent(&self, spec: ExtentSpec) {
         match self {
-            BlobPool::Vm(p) => p.set_prevent_evict(spec.start, false),
+            BlobPool::Vm(p) => p.unpin_extent(spec.start),
             BlobPool::Ht(p) => p.unpin_extent(spec),
         }
     }
@@ -339,11 +342,15 @@ impl BlobPool {
 /// the pool itself alive. Reaping ([`FlushTicket::poll`] or
 /// [`FlushTicket::wait`]) is what clears the extents' dirty and
 /// `prevent_evict` flags — until then the frames stay pinned, which is the
-/// pipeline's pin-budget accounting point. Dropping an unreaped ticket
-/// blocks until the device writes land (they reference memory the ticket
-/// guards) and then finishes it.
+/// pipeline's pin-budget accounting point. A ticket may be reaped on a
+/// different thread than the one that submitted it (a transaction's eager
+/// flights travel to the committer with its commit batch). Dropping an
+/// unreaped ticket blocks until the device writes land (they reference
+/// memory the ticket guards) and then finishes it.
 pub struct FlushTicket {
     inner: TicketInner,
+    /// What the flight writes; outlives the reap, for whoever retries.
+    items: Vec<FlushItem>,
 }
 
 enum TicketInner {
@@ -392,10 +399,10 @@ impl FlushTicket {
     }
 
     /// Block until the underlying writes have completed, without reaping:
-    /// the next [`FlushTicket::poll`] returns `Some` immediately. Used by
-    /// the committer's flush stage to wait out a batch it cannot yet
-    /// retire.
-    pub fn block_until_io_done(&self) {
+    /// the next [`FlushTicket::poll`] returns `Some` immediately. Helps
+    /// execute queued requests and yield-waits out the modeled device, so
+    /// it belongs on a thread with nothing better to do.
+    fn block_until_io_done(&self) {
         match &self.inner {
             TicketInner::Vm { batch, .. } => batch.wait_done(),
             TicketInner::Ht { batch, .. } => batch.wait_done(),
@@ -403,15 +410,37 @@ impl FlushTicket {
         }
     }
 
-    /// Start pids of the extents this flight is writing (the flush stage's
-    /// write-after-write overlap check).
-    pub fn extent_starts(&self) -> impl Iterator<Item = Pid> + '_ {
-        let items = match &self.inner {
-            TicketInner::Vm { batch, .. } => batch.items(),
-            TicketInner::Ht { batch, .. } => batch.items(),
-            TicketInner::Done => &[],
-        };
-        items.iter().map(|i| i.spec.start)
+    /// The device submission of an unreaped ticket.
+    fn handle(&self) -> Option<&BatchHandle> {
+        match &self.inner {
+            TicketInner::Vm { batch, .. } => Some(batch.handle()),
+            TicketInner::Ht { batch, .. } => Some(batch.handle()),
+            TicketInner::Done => None,
+        }
+    }
+
+    /// Sleep-friendly completion, first half: have `wake` called once when
+    /// the flight's last device request has executed. `false` (and no call)
+    /// if that already happened — look at [`FlushTicket::completes_at`]
+    /// instead.
+    pub fn notify_when_executed(&self, wake: Waker) -> bool {
+        self.handle().is_some_and(|h| h.notify_when_executed(wake))
+    }
+
+    /// Second half: once every request has executed, the instant from
+    /// which [`FlushTicket::poll`] reaps the flight (the modeled device's
+    /// deadline, or the present). `None` while requests are still
+    /// executing — the waker fires when they have.
+    pub fn completes_at(&self) -> Option<Instant> {
+        match self.handle() {
+            Some(h) => h.completes_at(),
+            None => Some(Instant::now()),
+        }
+    }
+
+    /// What this flight is (or was) writing.
+    pub fn items(&self) -> &[FlushItem] {
+        &self.items
     }
 }
 

@@ -7,6 +7,7 @@
 //! pre-vmcache buffer pools (N translations per N-page extent, plus
 //! malloc+memcpy on every read).
 
+use crate::flush_ledger::FlushLedger;
 use lobster_extent::ExtentSpec;
 use lobster_metrics::Metrics;
 use lobster_storage::{AsyncIo, BatchHandle, Device, IoKind, IoReq};
@@ -15,7 +16,7 @@ use lobster_sync::audit::LatchLedger;
 use lobster_sync::{Arc, Mutex, RwLock};
 use lobster_types::{Error, Geometry, Pid, Result, RetryPolicy};
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 // Memory-ordering note (satellite audit, PR 4): `Relaxed` here is confined
 // to metrics bumps and the `pages` size estimate (eviction pacing only — the
@@ -57,9 +58,9 @@ impl HtFlushBatch {
         self.handle.wait_done();
     }
 
-    /// The flush items this batch is writing.
-    pub fn items(&self) -> &[crate::pool::FlushItem] {
-        &self.items
+    /// The submission underneath, for its completion signal.
+    pub(crate) fn handle(&self) -> &BatchHandle {
+        &self.handle
     }
 }
 
@@ -72,6 +73,9 @@ pub struct HashTablePool {
     pages: AtomicU64,
     io: AsyncIo,
     metrics: Metrics,
+    /// Commit-time flushes owed to and in flight for each dirty extent,
+    /// keyed by the extent's start page.
+    flushes: FlushLedger,
     /// Debug-only pin ledger (per-page `prevent_evict` shadow).
     audit: LatchLedger,
 }
@@ -91,6 +95,7 @@ impl HashTablePool {
             pages: AtomicU64::new(0),
             io: AsyncIo::new(device, 2),
             metrics,
+            flushes: FlushLedger::new(),
             audit: LatchLedger::new(),
         })
     }
@@ -340,6 +345,9 @@ impl HashTablePool {
     ) -> Result<()> {
         let p = self.geo.page_size();
         debug_assert!(src.len() <= (spec.pages as usize) * p);
+        // Before any flag is set: a flush finishing meanwhile then sees the
+        // count and leaves the flags alone.
+        self.flushes.stage(spec.start);
         let mut off = 0usize;
         let mut page = 0u64;
         // At least one iteration, mirroring write_range: an empty source
@@ -386,6 +394,7 @@ impl HashTablePool {
     ) -> Result<()> {
         let p = self.geo.page_size();
         debug_assert!(byte_off + src.len() <= (spec.pages as usize) * p);
+        self.flushes.stage(spec.start); // see fill_extent_hashed
         let first_page = byte_off / p;
         let last_page = (byte_off + src.len()).div_ceil(p).max(first_page + 1);
         for i in first_page..last_page.min(spec.pages as usize) {
@@ -552,6 +561,9 @@ impl HashTablePool {
                 len: buf.len(),
             })
             .collect();
+        for item in items {
+            self.flushes.begin(item.spec.start, item.spec.pages);
+        }
         // SAFETY: the write sources are owned by the returned batch and
         // outlive the requests.
         let handle = unsafe { self.io.submit(reqs) };
@@ -563,21 +575,25 @@ impl HashTablePool {
     }
 
     /// Second half of the commit-time flush: called exactly once per batch
-    /// with the reaped completion result. On success the extents' pages
-    /// become clean and evictable.
+    /// with the reaped completion result. On success an extent's pages
+    /// become clean and evictable, unless a later flush of it is still
+    /// owed.
     pub fn flush_extents_finish(&self, batch: &HtFlushBatch, result: &Result<()>) {
-        if result.is_err() {
-            return;
+        let landed = result.is_ok();
+        if landed {
+            let p = self.geo.page_size() as u64;
+            let total_pages: u64 = batch.items.iter().map(|i| i.dirty_pages).sum();
+            self.metrics
+                .pages_written
+                .fetch_add(total_pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+            self.metrics
+                .bytes_written
+                .fetch_add(total_pages * p, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         }
-        let p = self.geo.page_size() as u64;
-        let total_pages: u64 = batch.items.iter().map(|i| i.dirty_pages).sum();
-        self.metrics
-            .pages_written
-            .fetch_add(total_pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.metrics
-            .bytes_written
-            .fetch_add(total_pages * p, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         for item in &batch.items {
+            if !self.flushes.finish(item.spec.start, landed) {
+                continue;
+            }
             for i in 0..item.spec.pages {
                 let pid = item.spec.start.offset(i);
                 if let Some(frame) = self.lookup(pid) {
@@ -589,12 +605,21 @@ impl HashTablePool {
         }
     }
 
-    /// Flush every dirty page (checkpoint / shutdown).
+    /// Flush every dirty page (checkpoint / shutdown), except the pages of
+    /// an extent with a flush on the device right now — see
+    /// [`crate::ExtentPool::flush_all_dirty`].
     pub fn flush_all_dirty(&self) -> Result<()> {
+        let flying: HashSet<u64> = self
+            .flushes
+            .flights()
+            .into_iter()
+            .flat_map(|(start, pages)| (0..pages).map(move |i| start.offset(i).raw()))
+            .collect();
         for shard in &self.shards {
             let entries: Vec<(u64, Arc<PageFrame>)> = shard
                 .lock()
                 .iter()
+                .filter(|(pid, _)| !flying.contains(pid))
                 .map(|(&pid, f)| (pid, f.clone()))
                 .collect();
             for (pid, frame) in entries {
@@ -609,6 +634,8 @@ impl HashTablePool {
                 // ordering: Release; unpin is published only after the page write above
                 frame.prevent_evict.store(false, Ordering::Release);
                 self.audit.unpin(pid);
+                // Keyed by extent start: a no-op for every other page.
+                self.flushes.forget(Pid::new(pid));
             }
         }
         Ok(())
@@ -629,6 +656,7 @@ impl HashTablePool {
 
     /// Clear `prevent_evict` on an extent's pages without flushing.
     pub fn unpin_extent(&self, spec: ExtentSpec) {
+        self.flushes.forget(spec.start);
         for i in 0..spec.pages {
             let pid = spec.start.offset(i);
             if let Some(frame) = self.lookup(pid) {
@@ -641,6 +669,7 @@ impl HashTablePool {
 
     /// Discard an extent's pages without writing them back.
     pub fn drop_extent(&self, spec: ExtentSpec) {
+        self.flushes.forget(spec.start);
         for i in 0..spec.pages {
             let pid = spec.start.offset(i);
             if self.shard(pid).lock().remove(&pid.raw()).is_some() {

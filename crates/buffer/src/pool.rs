@@ -26,6 +26,7 @@
 
 use crate::alias::{AliasConfig, AliasingManager};
 use crate::arena::Arena;
+use crate::flush_ledger::FlushLedger;
 use lobster_extent::{ExtentSpec, RangeAllocator};
 use lobster_metrics::Metrics;
 use lobster_storage::{AsyncIo, BatchHandle, Device, IoKind, IoReq};
@@ -207,9 +208,9 @@ impl ExtentFlushBatch {
         self.handle.wait_done();
     }
 
-    /// The flush items this batch is writing.
-    pub fn items(&self) -> &[FlushItem] {
-        &self.items
+    /// The submission underneath, for its completion signal.
+    pub(crate) fn handle(&self) -> &BatchHandle {
+        &self.handle
     }
 }
 
@@ -241,6 +242,8 @@ pub struct ExtentPool {
     prefetched: Mutex<HashSet<u64>>,
     /// `prefetched.len()`, mirrored so the hot read path can skip the lock.
     prefetched_live: AtomicU64,
+    /// Commit-time flushes owed to and in flight for each dirty extent.
+    flushes: FlushLedger,
     /// Debug-only latch/pin ledger shadowing the page-table transitions;
     /// every method is a no-op in release builds.
     audit: LatchLedger,
@@ -277,6 +280,7 @@ impl ExtentPool {
             inflight: Mutex::new(Vec::new()),
             prefetched: Mutex::new(HashSet::new()),
             prefetched_live: AtomicU64::new(0),
+            flushes: FlushLedger::new(),
             audit: LatchLedger::new(),
         })
     }
@@ -751,7 +755,7 @@ impl ExtentPool {
 
     /// Give back the frames a resident extent holds beyond `spec.pages`
     /// (its content shrank). Best effort: only an unlatched, clean, unpinned
-    /// extent is trimmed — a dirty one may still have a queued flush naming
+    /// extent is trimmed — a dirty one still has a flush owed that may name
     /// the pages being cut — and anything else is left for eviction.
     pub fn trim_extent(&self, spec: ExtentSpec) {
         let entry = self.entry(spec.start);
@@ -1241,6 +1245,14 @@ impl ExtentPool {
         }
     }
 
+    /// Clear the `prevent_evict` pin of an extent whose staged flush will
+    /// not happen (the WAL holds the content; eviction or a checkpoint
+    /// writes it back).
+    pub fn unpin_extent(&self, pid: Pid) {
+        self.flushes.forget(pid);
+        self.set_prevent_evict(pid, false);
+    }
+
     fn set_dirty(&self, pid: Pid, on: bool) {
         let entry = self.entry(pid);
         loop {
@@ -1320,6 +1332,10 @@ impl ExtentPool {
                     return Err(e);
                 }
             };
+            // The latch is the batch's from here on, not this thread's: a
+            // transaction submits on its own thread what the committer's
+            // flush stage reaps.
+            self.audit.hand_off_shared(item.spec.start.raw());
             let off = ((frame + item.dirty_from) as usize) * p;
             let len = (item.dirty_pages as usize) * p;
             // SAFETY: the shared latch (held until finish) keeps the frames
@@ -1332,6 +1348,9 @@ impl ExtentPool {
                 len,
             });
         }
+        for item in items {
+            self.flushes.begin(item.spec.start, item.spec.pages);
+        }
         // SAFETY: the latches held by the returned batch outlive the
         // requests.
         let handle = unsafe { self.io.submit(reqs) };
@@ -1342,11 +1361,14 @@ impl ExtentPool {
     }
 
     /// Second half of the commit-time flush: called exactly once per batch
-    /// with the reaped completion result. On success the extents become
-    /// clean and evictable; either way the submission latches are
-    /// released.
+    /// with the reaped completion result. On success an extent becomes
+    /// clean and evictable — unless a later flush of it is still owed (a
+    /// second transaction wrote it after this batch was staged), in which
+    /// case the flags stay for that flush to clear. Either way the
+    /// submission latches are released.
     pub fn flush_extents_finish(&self, batch: &ExtentFlushBatch, result: &Result<()>) {
-        if result.is_ok() {
+        let landed = result.is_ok();
+        if landed {
             let p = self.geo.page_size() as u64;
             let total_pages: u64 = batch.items.iter().map(|i| i.dirty_pages).sum();
             self.metrics
@@ -1355,12 +1377,14 @@ impl ExtentPool {
             self.metrics
                 .bytes_written
                 .fetch_add(total_pages * p, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-            for item in &batch.items {
+        }
+        for item in &batch.items {
+            // Still under the batch's shared latch, so no writer can stage
+            // another flush between the count reaching zero and the clear.
+            if self.flushes.finish(item.spec.start, landed) {
                 self.set_dirty(item.spec.start, false);
                 self.set_prevent_evict(item.spec.start, false);
             }
-        }
-        for item in &batch.items {
             self.release_shared(item.spec.start);
         }
     }
@@ -1376,8 +1400,8 @@ impl ExtentPool {
         for pid in snapshot {
             // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
             let e = self.entry(pid).load(Ordering::Acquire);
-            if tag_of(e) == TAG_EVICTED || e & DIRTY_BIT == 0 {
-                continue;
+            if tag_of(e) == TAG_EVICTED || e & DIRTY_BIT == 0 || self.flushes.in_flight(pid) {
+                continue; // clean, or not the checkpoint's to write (see flush_all_dirty)
             }
             let g = self.read_extent(ExtentSpec::new(pid, pages_of(e)))?;
             let spec = ExtentSpec::new(pid, g.pages);
@@ -1389,19 +1413,26 @@ impl ExtentPool {
         Ok(())
     }
 
-    /// Flush every dirty resident extent (checkpoint / shutdown).
+    /// Flush every dirty resident extent (checkpoint / shutdown) — except
+    /// one with a flush on the device right now. The committer is quiesced
+    /// when a checkpoint runs, so such a flight is an uncommitted
+    /// transaction's eager write of a fresh extent: nothing the
+    /// checkpointed tree references, and its own ticket lands it and clears
+    /// its flags. Writing it here would put every page on the device twice.
     pub fn flush_all_dirty(&self) -> Result<()> {
         let snapshot = self.resident.lock().snapshot();
         for pid in snapshot {
             // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
             let e = self.entry(pid).load(Ordering::Acquire);
-            if tag_of(e) == TAG_EVICTED || e & DIRTY_BIT == 0 {
+            if tag_of(e) == TAG_EVICTED || e & DIRTY_BIT == 0 || self.flushes.in_flight(pid) {
                 continue;
             }
             // Write what is resident once latched: an append may have
             // re-framed the extent since the unlatched probe above.
             let g = self.read_extent(ExtentSpec::new(pid, pages_of(e)))?;
             self.write_frames_to_device(pid, g.frame, 0, g.pages)?;
+            // Whatever flush was owed has nothing left to write.
+            self.flushes.forget(pid);
             self.set_dirty(pid, false);
             self.set_prevent_evict(pid, false);
         }
@@ -1462,6 +1493,7 @@ impl ExtentPool {
                         self.audit.claim_exclusive(spec.start.raw());
                         self.frames.free(frame_of(e), pages_of(e));
                         self.resident.lock().remove(spec.start);
+                        self.flushes.forget(spec.start);
                         // Rollback of a fresh allocation may drop an extent
                         // that is still pinned; clear the ledger pin too.
                         self.audit.unpin(spec.start.raw());
@@ -1732,6 +1764,14 @@ impl XGuard<'_> {
     /// the flag.
     pub fn set_prevent_evict(&self) {
         self.pool.set_prevent_evict(self.spec.start, true);
+    }
+
+    /// The bytes just written owe the extent one commit-time flush: dirty
+    /// and pinned until that flush — and every other one owed — has landed.
+    pub fn stage_flush(&self) {
+        self.mark_dirty();
+        self.set_prevent_evict();
+        self.pool.flushes.stage(self.spec.start);
     }
 }
 

@@ -3,22 +3,43 @@
 //!
 //! Stage 1 — the **WAL stage** — absorbs queued [`CommitBatch`]es into
 //! groups, appends their records and makes them durable with one group
-//! fsync. Stage 2 — the **flush stage** — receives each durable group and
-//! keeps up to [`INFLIGHT_FLUSHES`] extent-flush batches in flight
-//! concurrently (non-blocking submissions reaped through
-//! [`FlushTicket`]s), so group N+1's WAL fsync overlaps group N's extent
-//! writes instead of the log device idling during every flush and the
-//! extent engine idling during every fsync.
+//! fsync. Stage 2 — the **flush stage** — receives each durable group,
+//! submits the extent writes that had to wait for the fsync, adopts the
+//! ones its transactions already started, and keeps up to
+//! [`INFLIGHT_FLUSHES`] submissions of its own in flight, so group N+1's
+//! WAL fsync overlaps group N's extent writes instead of the log device
+//! idling during every flush and the extent engine idling during every
+//! fsync.
 //!
-//! The single-flush ordering of §III-C is preserved *per group*: a group's
-//! extents are handed to the flush stage only after its WAL fsync
-//! returned, and a group's freed extents are recycled (and its pin budget
-//! released) only once its flush completed. Two in-flight batches never
-//! touch the same extent — the flush stage waits out the earlier flight —
-//! so writes to one extent cannot reorder; the same admission check
-//! covers extents a group merely *recycles* at retire (deletes' freed,
-//! relocations' refenced), because dropping them from the pool would
-//! spin on the earlier flight's latches on the flush thread itself.
+//! **Ordering (§III-C, per group).** The WAL must be durable before any
+//! write to an extent that may still be the durable truth. A *freshly
+//! allocated* extent never is — a freed extent recycles only when its
+//! deleter retires here, recovery validates every committed Blob State
+//! against its SHA-256 and drops the ones whose content did not arrive,
+//! and the allocator rebuild reclaims whatever no surviving Blob State
+//! references — so a transaction may start writing the fresh extents of a
+//! large put while it is still hashing ([`CommitBatch::flights`]), and the
+//! flush stage *reaps* those tickets instead of submitting them. Every
+//! in-place write (delta update, append into a partly filled extent,
+//! relocation) arrives as a [`FlushItem`] and is submitted only after its
+//! group's fsync returned. Either way a group retires — freed extents
+//! recycled, pin budget released, epochs completed — only when its fsync
+//! *and* every one of its flights have landed.
+//!
+//! Two flights never touch the same extent — the flush stage waits out
+//! the earlier one — so writes to one extent cannot reorder; the same
+//! admission check covers extents a group merely *recycles* at retire
+//! (deletes' freed, relocations' refenced), because dropping them from the
+//! pool would spin on the earlier flight's latches on the flush thread
+//! itself.
+//!
+//! **Waiting.** The flush stage sleeps on one inbox and is woken by what
+//! it waits for: a durable group from the WAL stage, the completion signal
+//! of a flight whose last device request just executed, or — for a device
+//! that models its latency — the flight's known completion instant, as the
+//! timeout of the same wait. It never polls on a tick and never
+//! yield-waits for a device: on a busy host that burns a processor a
+//! hashing client needs.
 //!
 //! Completion is tracked per batch through durable **epochs**: `submit`
 //! assigns epoch N to the N-th batch, and a condvar-guarded frontier
@@ -37,8 +58,8 @@ use lobster_sync::thread::JoinHandle;
 use lobster_sync::{thread, Arc, Condvar, Mutex, RwLock};
 use lobster_types::{Error, Result, RetryPolicy};
 use lobster_wal::{LogRecord, Wal};
-use std::collections::{BTreeSet, HashSet};
-use std::time::Duration;
+use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::time::{Duration, Instant};
 
 // Memory-ordering note (satellite audit, PR 4): `Relaxed` in this file is
 // metrics counters plus the `processed` frontier load inside
@@ -47,18 +68,18 @@ use std::time::Duration;
 // fast-path load in `wait_for`). Epoch handout, frontier publication, and
 // the in-flight group count use Acquire/Release.
 
-/// How often the flush stage interleaves ticket polling with waiting for
-/// new durable groups while batches are in flight.
-const POLL_TICK: Duration = Duration::from_micros(200);
-
-/// Commit-pipeline depth: how many durable groups' extent-flush batches
-/// the flush stage keeps in flight while the WAL stage fsyncs the next
-/// group.
+/// Commit-pipeline depth: how many durable groups the flush stage lets
+/// wait on extent writes before it holds back a group that has writes of
+/// its own to submit, while the WAL stage fsyncs the next group.
 const INFLIGHT_FLUSHES: usize = 2;
 
 pub(crate) struct CommitBatch {
     pub records: Vec<LogRecord>,
+    /// Extent ranges to write once the records are durable.
     pub toflush: Vec<FlushItem>,
+    /// Writes of fresh extents the transaction already submitted; the
+    /// flush stage reaps them.
+    pub flights: Vec<FlushTicket>,
     pub freed: Vec<ExtentSpec>,
     /// Old placements of relocated blobs: fenced in the allocator
     /// (`quarantine_extent`) when the swap was staged, so nothing can
@@ -71,9 +92,17 @@ pub(crate) struct CommitBatch {
 }
 
 impl CommitBatch {
-    /// Bytes of buffer-pool frames this batch keeps pinned until flushed.
+    /// Bytes of buffer-pool frames this batch keeps pinned until flushed:
+    /// what is still to be submitted and what is already on its way.
     fn pinned_bytes(&self, page_size: u64) -> u64 {
-        self.toflush.iter().map(|i| i.dirty_pages * page_size).sum()
+        let flying = self.flights.iter().flat_map(|t| t.items());
+        let pages: u64 = self
+            .toflush
+            .iter()
+            .chain(flying)
+            .map(|i| i.dirty_pages)
+            .sum();
+        pages * page_size
     }
 }
 
@@ -216,7 +245,10 @@ impl Progress {
 /// undergoing) its single extent flush.
 struct DurableGroup {
     epochs: Vec<u64>,
+    /// Still to be submitted.
     items: Vec<FlushItem>,
+    /// Submitted by the group's transactions before they committed.
+    flights: Vec<FlushTicket>,
     freed: Vec<ExtentSpec>,
     refenced: Vec<ExtentSpec>,
     pinned: u64,
@@ -227,6 +259,7 @@ impl DurableGroup {
         let mut group = DurableGroup {
             epochs: Vec::with_capacity(batches.len()),
             items: Vec::new(),
+            flights: Vec::new(),
             freed: Vec::new(),
             refenced: Vec::new(),
             pinned: 0,
@@ -235,6 +268,7 @@ impl DurableGroup {
             group.epochs.push(epoch);
             group.pinned += batch.pinned_bytes(page_size);
             group.items.extend(batch.toflush);
+            group.flights.extend(batch.flights);
             group.freed.extend(batch.freed);
             group.refenced.extend(batch.refenced);
         }
@@ -278,7 +312,13 @@ impl StageCtx {
     /// — budget and recycling intentionally wait for the flush, not the
     /// fsync, because until the flush lands the frames stay pinned and the
     /// freed extents' old content may still be the durable truth.
-    fn retire(&self, group: DurableGroup, result: Result<()>) {
+    fn retire(&self, mut group: DurableGroup, result: Result<()>) {
+        // Only a group that failed before the flush stage took it still
+        // holds flights: their requests point into frames the tickets
+        // latch, so they land before anything else happens to the group.
+        for ticket in group.flights.drain(..) {
+            let _ = ticket.wait();
+        }
         match result {
             Ok(()) => {
                 self.blob_pool.drop_extents(&group.freed);
@@ -317,10 +357,6 @@ pub(crate) struct GroupCommitter {
     progress: Arc<Progress>,
     budget: Arc<PinBudget>,
     page_size: u64,
-    /// Set (before the channel disconnect) when the committer is being
-    /// dropped, so the flush stage's poll loop exits on its next timeout
-    /// tick instead of spinning until the disconnect propagates.
-    shutdown: Arc<AtomicBool>,
     wal_handle: Option<JoinHandle<()>>,
     flush_handle: Option<JoinHandle<()>>,
 }
@@ -345,7 +381,6 @@ impl GroupCommitter {
             limit: pinned_limit_bytes.max(page_size),
         });
         let progress = Arc::new(Progress::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
         let ctx = StageCtx {
             blob_pool,
             alloc,
@@ -355,12 +390,12 @@ impl GroupCommitter {
             page_size,
         };
 
-        let (forward, grx) = crossbeam::channel::unbounded::<DurableGroup>();
+        let forward = Arc::new(FlushInbox::new());
+        let inbox = forward.clone();
         let fctx = ctx.clone();
-        let fshutdown = shutdown.clone();
         let flush_handle = thread::Builder::new()
             .name("lobster-commit-flush".into())
-            .spawn(move || flush_stage(grx, fctx, fshutdown))
+            .spawn(move || flush_stage(inbox, fctx))
             // lint-allow(no-panic-in-request-path): engine startup, before any request path; a failed spawn is fatal by design
             .expect("spawn commit flush stage");
 
@@ -375,7 +410,6 @@ impl GroupCommitter {
             progress,
             budget,
             page_size,
-            shutdown,
             wal_handle: Some(wal_handle),
             flush_handle: Some(flush_handle),
         }
@@ -442,12 +476,9 @@ impl Drop for GroupCommitter {
     fn drop(&mut self) {
         // Best effort: a sticky error was already surfaced to callers.
         let _ = self.drain();
-        // Flag first, then disconnect: the flush stage observes one of the
-        // two on its next poll tick even if the disconnect is slow to
-        // propagate through the WAL stage.
-        // ordering: Release; the stages' Acquire loads see all state written before shutdown
-        self.shutdown.store(true, Ordering::Release);
-        self.tx.take(); // disconnect: the WAL stage exits, then the flush stage
+        // Disconnect: the WAL stage exits and closes the flush stage's
+        // inbox, which lands what is still in flight and exits too.
+        self.tx.take();
         if let Some(h) = self.wal_handle.take() {
             let _ = h.join();
         }
@@ -457,15 +488,113 @@ impl Drop for GroupCommitter {
     }
 }
 
+/// What the flush stage sleeps on. The WAL stage pushes durable groups, the
+/// I/O workers raise `landed` when a tracked flight's last request has
+/// executed, and the WAL stage closes it on the way out; every change
+/// happens under the one mutex the stage waits on, so no wake-up is lost.
+struct FlushInbox {
+    state: Mutex<InboxState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct InboxState {
+    groups: VecDeque<DurableGroup>,
+    /// A flight may have become reapable since the stage last looked.
+    landed: bool,
+    /// No more groups will arrive.
+    closed: bool,
+    /// The flush stage exited (only ever early by panic): nobody will take
+    /// what is pushed.
+    abandoned: bool,
+}
+
+/// Why [`FlushInbox::wait`] returned.
+enum Wake {
+    Group(DurableGroup),
+    /// A completion signal or the deadline: look at the flights again.
+    Look,
+    Closed,
+}
+
+impl FlushInbox {
+    fn new() -> Self {
+        FlushInbox {
+            state: Mutex::new(InboxState::default()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Hand a durable group to the flush stage; gives it back if the stage
+    /// is gone.
+    fn push(&self, group: DurableGroup) -> Option<DurableGroup> {
+        let mut st = self.state.lock();
+        if st.abandoned {
+            return Some(group);
+        }
+        st.groups.push_back(group);
+        self.cv.notify_one();
+        None
+    }
+
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.cv.notify_one();
+    }
+
+    /// The completion signal handed to every tracked flight.
+    fn signal_landed(&self) {
+        self.state.lock().landed = true;
+        self.cv.notify_one();
+    }
+
+    /// Sleep until there is something to do: a landed flight (first — a
+    /// committer is waiting on it), the next group if `take_group`, the
+    /// close, or `until` — the earliest instant a flight that has already
+    /// executed completes on its modeled device.
+    fn wait(&self, take_group: bool, until: Option<Instant>) -> Wake {
+        let mut st = self.state.lock();
+        loop {
+            if std::mem::take(&mut st.landed) {
+                return Wake::Look;
+            }
+            if take_group {
+                if let Some(group) = st.groups.pop_front() {
+                    return Wake::Group(group);
+                }
+                if st.closed {
+                    return Wake::Closed;
+                }
+            }
+            match until.map(|t| t.saturating_duration_since(Instant::now())) {
+                Some(Duration::ZERO) => return Wake::Look,
+                Some(left) => drop(self.cv.wait_for(&mut st, left)),
+                None => self.cv.wait(&mut st),
+            }
+        }
+    }
+}
+
 /// Stage 1: absorb queued batches into groups, make their records durable
 /// with one group fsync, then hand each durable group downstream.
 fn wal_stage(
     rx: crossbeam::channel::Receiver<(u64, CommitBatch)>,
-    forward: crossbeam::channel::Sender<DurableGroup>,
+    forward: Arc<FlushInbox>,
     wal: Arc<Wal>,
     ckpt_gate: Arc<RwLock<()>>,
     ctx: StageCtx,
 ) {
+    /// Closes the inbox however this stage ends, so the flush stage (and
+    /// with it the committer's drop) never waits for groups from a stage
+    /// that is gone.
+    struct CloseOnExit(Arc<FlushInbox>);
+    impl Drop for CloseOnExit {
+        fn drop(&mut self) {
+            self.0.close();
+        }
+    }
+    let _close = CloseOnExit(forward.clone());
+
     while let Ok(first) = rx.recv() {
         // Absorb everything already queued into one group.
         let mut batches = vec![first];
@@ -498,148 +627,287 @@ fn wal_stage(
         // ordering: AcqRel; pairs with retire's fetch_sub and flush_quiesce's Acquire load
         ctx.progress.inflight_groups.fetch_add(1, Ordering::AcqRel);
         match fsync {
-            // WAL-fsync-first, per group: records that never became durable
-            // forbid the extent flush (§III-C ordering).
+            // Records that never became durable forbid every write the
+            // group still has to submit (§III-C ordering); what its
+            // transactions already wrote went to fresh extents nothing
+            // durable references.
             Err(e) => ctx.retire(group, Err(e)),
             // 2. Hand off; the next group's fsync overlaps this group's
             // extent writes. If the flush stage exited early, retire the
             // group as failed so waiters terminate with the sticky error
             // instead of hanging or panicking.
             Ok(()) => {
-                if let Err(crossbeam::channel::SendError(group)) = forward.send(group) {
+                if let Some(group) = forward.push(group) {
                     let e = Error::Io(std::io::Error::other("commit flush stage exited"));
                     ctx.retire(group, Err(e));
                 }
             }
         }
     }
-    // Channel disconnected: dropping `forward` lets the flush stage drain
-    // its in-flight tickets and exit.
 }
 
-/// One in-flight extent flush tracked by the flush stage.
+/// One durable group whose extent writes are on the device.
 struct InflightFlush {
-    ticket: FlushTicket,
+    /// Flights not yet reaped: the group's eager ones and the flush
+    /// stage's own submission.
+    tickets: Vec<FlushTicket>,
+    /// First failure among the flights already reaped.
+    failed: Option<Error>,
     group: DurableGroup,
     /// Extent starts being written, for the write-after-write check.
     starts: HashSet<u64>,
 }
 
-/// Stage 2: keep up to [`INFLIGHT_FLUSHES`] extent-flush batches in
-/// flight, reaping completions and retiring their groups. `shutdown` is
-/// the committer's drop flag: the poll loop must not keep spinning through
-/// its timeout tick once the committer is being torn down.
-fn flush_stage(
-    grx: crossbeam::channel::Receiver<DurableGroup>,
-    ctx: StageCtx,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut inflight: Vec<InflightFlush> = Vec::new();
-    loop {
-        // Reap whatever has completed (non-blocking).
+/// Where an [`InflightFlush`] stands.
+enum Flight {
+    /// Every ticket reaped; the group can retire with this result.
+    Landed(Result<()>),
+    /// Still on the device. The instant is when to look again: the earliest
+    /// modeled completion among flights whose requests have all executed,
+    /// `None` if all are still executing (their completion signal fires).
+    Flying(Option<Instant>),
+}
+
+/// The earlier of two optional instants.
+fn earlier(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+impl InflightFlush {
+    fn note(&mut self, result: Result<()>) {
+        if let Err(e) = result {
+            self.failed.get_or_insert(e);
+        }
+    }
+
+    /// Reap the tickets that have landed (a failed one gets its retry).
+    fn poll(&mut self, ctx: &StageCtx) -> Flight {
+        let mut due = None;
         let mut i = 0;
-        while i < inflight.len() {
-            match inflight[i].ticket.poll() {
+        while i < self.tickets.len() {
+            match self.tickets[i].poll() {
                 Some(result) => {
-                    let f = inflight.swap_remove(i);
-                    let result = result.or_else(|e| ctx.flush_retry(&f.group.items, e));
-                    ctx.retire(f.group, result);
+                    let ticket = self.tickets.swap_remove(i);
+                    self.note(result.or_else(|e| ctx.flush_retry(ticket.items(), e)));
                 }
-                None => i += 1,
+                None => {
+                    due = earlier(due, self.tickets[i].completes_at());
+                    i += 1;
+                }
             }
         }
-
-        let group = if inflight.is_empty() {
-            // Nothing in flight: park until work arrives.
-            match grx.recv() {
-                Ok(g) => g,
-                Err(_) => break,
-            }
+        if self.tickets.is_empty() {
+            Flight::Landed(self.failed.take().map_or(Ok(()), Err))
         } else {
-            // Batches in flight: keep polling between short channel waits.
-            match grx.recv_timeout(POLL_TICK) {
-                Ok(g) => g,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    // The committer is shutting down: stop polling for new
-                    // groups (drain() already retired everything queued) and
-                    // fall through to land the remaining flights.
-                    // ordering: Acquire; pairs with close()'s Release store
-                    if shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    continue;
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+            Flight::Flying(due)
+        }
+    }
+}
+
+/// Retire every group whose flights have all landed; returns when to look
+/// again on account of a modeled device (see [`Flight::Flying`]).
+fn reap(inflight: &mut Vec<InflightFlush>, ctx: &StageCtx) -> Option<Instant> {
+    let mut due = None;
+    let mut i = 0;
+    while i < inflight.len() {
+        match inflight[i].poll(ctx) {
+            Flight::Landed(result) => ctx.retire(inflight.remove(i).group, result),
+            Flight::Flying(at) => {
+                due = earlier(due, at);
+                i += 1;
             }
+        }
+    }
+    due
+}
+
+/// Stage 2: put each durable group's extent writes in flight — submitting
+/// what waited for the fsync, adopting what its transactions already
+/// started — and retire groups as their flights land.
+fn flush_stage(inbox: Arc<FlushInbox>, ctx: StageCtx) {
+    /// Gives later groups back to the WAL stage once this stage is gone.
+    struct AbandonOnExit(Arc<FlushInbox>);
+    impl Drop for AbandonOnExit {
+        fn drop(&mut self) {
+            self.0.state.lock().abandoned = true;
+        }
+    }
+    let _abandon = AbandonOnExit(inbox.clone());
+    // This thread sleeps until modeled completion instants with committers
+    // waiting behind it.
+    lobster_storage::precise_timed_waits();
+
+    let mut inflight: Vec<InflightFlush> = Vec::new();
+    loop {
+        let due = reap(&mut inflight, &ctx);
+        let mut group = match inbox.wait(true, due) {
+            Wake::Group(group) => group,
+            Wake::Look => continue,
+            Wake::Closed => break,
         };
 
-        // Admission: wait out in-flight batches while over the limit, and
-        // never start a second flight touching the same extent — the two
-        // device writes could reorder and land stale content. The check
-        // covers not just this group's own writes (`items`) but every
-        // extent its retire will *recycle* (`freed` from deletes,
+        // Admission: hold the group back while it has writes to submit and
+        // the pipeline is at depth, and never let it join a flight touching
+        // the same extent — the two device writes could reorder and land
+        // stale content. The check covers not just the group's own writes
+        // but every extent its retire will *recycle* (`freed` from deletes,
         // `refenced` from relocations): retiring drops those extents from
         // the pool, and `drop_extent` spin-waits on the earlier flight's
         // shared latches — on this very thread, which is the only one that
         // can reap that flight. Skipping the check for metadata-only
         // groups (a delete racing an in-flight append flush of the same
         // blob) deadlocked the whole pipeline: no retire, no recycling,
-        // allocator wedged at full.
+        // allocator wedged at full. (The group's own eager flights need no
+        // check: their extents are fresh, in no other group.)
+        let touched: Vec<u64> = (group.items.iter().map(|item| item.spec))
+            .chain(group.freed.iter().copied())
+            .chain(group.refenced.iter().copied())
+            .map(|spec| spec.start.raw())
+            .collect();
+        let conflicts = |f: &InflightFlush| touched.iter().any(|start| f.starts.contains(start));
+        let mut stalled = false;
         loop {
-            let overlapping = inflight.iter().position(|f| {
-                group
-                    .items
-                    .iter()
-                    .map(|item| item.spec.start.raw())
-                    .chain(group.freed.iter().map(|spec| spec.start.raw()))
-                    .chain(group.refenced.iter().map(|spec| spec.start.raw()))
-                    .any(|start| f.starts.contains(&start))
-            });
-            let victim = match overlapping {
-                Some(i) => i,
-                None if !group.items.is_empty() && inflight.len() >= INFLIGHT_FLUSHES => 0,
-                None => break,
-            };
-            // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-            ctx.metrics.commit_stalls.fetch_add(1, Ordering::Relaxed);
-            let f = inflight.remove(victim);
-            let result = f.ticket.wait();
-            let result = result.or_else(|e| ctx.flush_retry(&f.group.items, e));
-            ctx.retire(f.group, result);
+            let due = reap(&mut inflight, &ctx);
+            let at_depth = !group.items.is_empty() && inflight.len() >= INFLIGHT_FLUSHES;
+            if !at_depth && !inflight.iter().any(conflicts) {
+                break;
+            }
+            if !std::mem::replace(&mut stalled, true) {
+                // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+                ctx.metrics.commit_stalls.fetch_add(1, Ordering::Relaxed);
+            }
+            inbox.wait(false, due);
         }
 
-        if group.items.is_empty() {
-            // Metadata-only group: durable at fsync, nothing to flush —
-            // but only retired once no conflicting flight remains (above).
-            ctx.retire(group, Ok(()));
+        let tickets = std::mem::take(&mut group.flights);
+        let mut flight = InflightFlush {
+            starts: (tickets.iter().flat_map(|t| t.items()))
+                .map(|item| item.spec.start.raw())
+                .collect(),
+            tickets,
+            failed: None,
+            group,
+        };
+        // A write that waited for the fsync to an extent one of the group's
+        // own eager flights is still writing (two transactions of one
+        // group, on a pool whose flights hold no latch): land the flights
+        // first, for the same no-reorder rule as above.
+        let items = std::mem::take(&mut flight.group.items);
+        if (items.iter()).any(|item| flight.starts.contains(&item.spec.start.raw())) {
+            for ticket in std::mem::take(&mut flight.tickets) {
+                let eager = ticket.items().to_vec();
+                flight.note(ticket.wait().or_else(|e| ctx.flush_retry(&eager, e)));
+            }
+        }
+        if !items.is_empty() {
+            (flight.starts).extend(items.iter().map(|item| item.spec.start.raw()));
+            match ctx.blob_pool.flush_extents_async(&items) {
+                Ok(ticket) => flight.tickets.push(ticket),
+                Err(e) => flight.note(ctx.flush_retry(&items, e)),
+            }
+        }
+        if flight.tickets.is_empty() {
+            // Metadata-only group (durable at fsync, retired only now that
+            // no conflicting flight remains), or everything settled above.
+            let result = flight.failed.take().map_or(Ok(()), Err);
+            ctx.retire(flight.group, result);
             continue;
         }
-
-        match ctx.blob_pool.flush_extents_async(&group.items) {
-            Ok(ticket) => {
-                ctx.metrics
-                    .commit_flush_batches
-                    .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                let starts = ticket.extent_starts().map(|p| p.raw()).collect();
-                inflight.push(InflightFlush {
-                    ticket,
-                    group,
-                    starts,
-                });
-                ctx.metrics
-                    .commit_inflight_peak
-                    .fetch_max(inflight.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-            }
-            Err(e) => {
-                let result = ctx.flush_retry(&group.items, e);
-                ctx.retire(group, result);
-            }
+        for ticket in &flight.tickets {
+            let inbox = inbox.clone();
+            // `false`: already executed — the reap at the top of the loop
+            // sees it.
+            ticket.notify_when_executed(Box::new(move || inbox.signal_landed()));
         }
+        ctx.metrics
+            .commit_flush_batches
+            .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        inflight.push(flight);
+        ctx.metrics
+            .commit_inflight_peak
+            .fetch_max(inflight.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
     }
-    // Shutdown: land every remaining flight.
-    for f in inflight.drain(..) {
-        let result = f.ticket.wait();
-        let result = result.or_else(|e| ctx.flush_retry(&f.group.items, e));
-        ctx.retire(f.group, result);
+    // Closed: land every remaining flight.
+    loop {
+        let due = reap(&mut inflight, &ctx);
+        if inflight.is_empty() {
+            break;
+        }
+        inbox.wait(false, due);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn group(epoch: u64) -> DurableGroup {
+        DurableGroup::collect(
+            vec![(
+                epoch,
+                CommitBatch {
+                    records: Vec::new(),
+                    toflush: Vec::new(),
+                    flights: Vec::new(),
+                    freed: Vec::new(),
+                    refenced: Vec::new(),
+                },
+            )],
+            4096,
+        )
+    }
+
+    #[test]
+    fn inbox_hands_out_landed_then_groups_in_order_then_the_close() {
+        let inbox = FlushInbox::new();
+        assert!(inbox.push(group(1)).is_none());
+        assert!(inbox.push(group(2)).is_none());
+        inbox.signal_landed();
+        inbox.signal_landed(); // signals coalesce: one look covers both
+        inbox.close();
+        assert!(matches!(inbox.wait(true, None), Wake::Look));
+        assert!(matches!(inbox.wait(true, None), Wake::Group(g) if g.epochs == [1]));
+        assert!(matches!(inbox.wait(true, None), Wake::Group(g) if g.epochs == [2]));
+        assert!(matches!(inbox.wait(true, None), Wake::Closed));
+    }
+
+    #[test]
+    fn inbox_wait_for_a_flight_leaves_groups_queued_and_ends_at_the_deadline() {
+        let inbox = FlushInbox::new();
+        assert!(inbox.push(group(1)).is_none());
+        let t = Instant::now();
+        let until = t + Duration::from_millis(5);
+        assert!(matches!(inbox.wait(false, Some(until)), Wake::Look));
+        assert!(Instant::now() >= until, "returned before the deadline");
+        // A deadline already past does not sleep at all.
+        assert!(matches!(inbox.wait(false, Some(t)), Wake::Look));
+        assert!(matches!(inbox.wait(true, None), Wake::Group(g) if g.epochs == [1]));
+    }
+
+    #[test]
+    fn inbox_wakes_a_sleeping_stage_for_a_completion_signal() {
+        let inbox = Arc::new(FlushInbox::new());
+        let signal = inbox.clone();
+        // The barrier makes the signal come after the stage committed to
+        // waiting (or at least after it took the lock once).
+        let barrier = Arc::new(lobster_sync::Barrier::new(2));
+        let b = barrier.clone();
+        let h = std::thread::spawn(move || {
+            b.wait();
+            signal.signal_landed();
+        });
+        barrier.wait();
+        assert!(matches!(inbox.wait(false, None), Wake::Look));
+        h.join().expect("signal thread");
+    }
+
+    #[test]
+    fn an_abandoned_inbox_gives_the_group_back() {
+        let inbox = FlushInbox::new();
+        inbox.state.lock().abandoned = true;
+        assert!(inbox.push(group(7)).is_some_and(|g| g.epochs == [7]));
     }
 }

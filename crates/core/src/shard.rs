@@ -546,6 +546,17 @@ impl ShardedTxn {
         self.txn_for(s).append_blob(rel.on(s), key, data)
     }
 
+    pub fn update_blob(
+        &mut self,
+        rel: &ShardedRelation,
+        key: &[u8],
+        offset: u64,
+        data: &[u8],
+    ) -> Result<()> {
+        let s = self.route(key);
+        self.txn_for(s).update_blob(rel.on(s), key, offset, data)
+    }
+
     pub fn delete_blob(&mut self, rel: &ShardedRelation, key: &[u8]) -> Result<()> {
         let s = self.route(key);
         self.txn_for(s).delete_blob(rel.on(s), key)

@@ -2,12 +2,19 @@
 //!
 //! The write path implements the paper's single-flush commit protocol:
 //!
-//! 1. During the transaction, BLOB content is written *only* into buffer
-//!    frames (dirty + `prevent_evict`); log records are staged locally.
+//! 1. During the transaction, BLOB content is written into buffer frames
+//!    (dirty + `prevent_evict`); log records are staged locally. Content
+//!    in a **freshly allocated** extent may start its one device write
+//!    right away, while the next extent is still being hashed
+//!    ([`EAGER_FLUSH_PAGES`]): no durable Blob State can reference a fresh
+//!    extent, so nothing a crash could resolve to is overwritten.
 //! 2. At commit, the staged records — Blob States, not content — are
 //!    appended to the WAL and fsynced (group commit). **Only after** the
-//!    Blob State is durable are the extents flushed, with one batched
-//!    asynchronous write per extent covering only its dirty pages.
+//!    Blob State is durable is anything written *in place* — a delta
+//!    update, an append into a partly filled extent, a relocation — with
+//!    one batched asynchronous write per extent covering only its dirty
+//!    pages. The commit is durable when the fsync and every extent write,
+//!    early or late, have landed.
 //! 3. The flush clears `prevent_evict` and leaves the extents *clean*, so
 //!    eviction never writes BLOB content a second time.
 //!
@@ -20,7 +27,7 @@ use crate::catalog::{Relation, RelationKind};
 use crate::db::{BlobLogging, Database, UpdatePolicy};
 use crate::group_commit::CommitBatch;
 use crate::lock::LockMode;
-use lobster_buffer::FlushItem;
+use lobster_buffer::{FlushItem, FlushTicket};
 use lobster_extent::{plan_growth, plan_sequence, ExtentSpec};
 use lobster_sha256::Sha256;
 use lobster_sync::atomic::Ordering;
@@ -59,6 +66,15 @@ enum UndoOp {
     },
 }
 
+/// How many pages of freshly allocated, filled and hashed extents a
+/// transaction lets pile up before it submits their device write instead of
+/// leaving it to the commit pipeline. The smallest power of two above the
+/// 25 pages of a 100 KiB put, which has nothing left to hash by the time a
+/// write of its own could overlap it; under the default tier table a 1 MiB
+/// put submits after 63, 127 and 255 of its 256 pages. 64 measured the same
+/// on `lib_ingest_1m` (EXPERIMENTS.md "Budget of a 1 MiB ingest").
+const EAGER_FLUSH_PAGES: u64 = 32;
+
 /// An active transaction. Dropped without [`Txn::commit`] ⇒ rollback.
 pub struct Txn {
     db: Arc<Database>,
@@ -66,7 +82,16 @@ pub struct Txn {
     worker: usize,
     records: Vec<LogRecord>,
     undo: Vec<UndoOp>,
+    /// Extent ranges to write after the WAL fsync.
     toflush: Vec<FlushItem>,
+    /// Fresh extents, filled and not yet submitted: they join `flights`
+    /// once [`EAGER_FLUSH_PAGES`] have piled up, `toflush` otherwise.
+    fresh: Vec<FlushItem>,
+    /// Writes of fresh extents already on the device's queue. Each holds a
+    /// shared latch on its extents until reaped — by the commit pipeline,
+    /// or by [`Txn::land_flights`] before this transaction latches one of
+    /// them exclusively or drops it.
+    flights: Vec<FlushTicket>,
     allocated: Vec<ExtentSpec>,
     freed: Vec<ExtentSpec>,
     /// Old placements of relocated blobs: quarantine-fenced at swap
@@ -89,6 +114,8 @@ impl Txn {
             records: Vec::new(),
             undo: Vec::new(),
             toflush: Vec::new(),
+            fresh: Vec::new(),
+            flights: Vec::new(),
             allocated: Vec::new(),
             freed: Vec::new(),
             refenced: Vec::new(),
@@ -124,23 +151,70 @@ impl Txn {
         state.content_specs(&self.db.table, self.db.geo)
     }
 
-    /// Write `chunk` into the freshly allocated extent `alloc` and stage
-    /// its commit-time flush, feeding every copied byte to `digest`. Only
-    /// the pages `chunk` occupies are framed and flushed; the rest of the
-    /// allocation is slack the pool never sees.
+    /// Write `chunk` into the freshly allocated extent `alloc`, feeding
+    /// every copied byte to `digest`, and return the flush it now owes.
+    /// Only the pages `chunk` occupies are framed and flushed; the rest of
+    /// the allocation is slack the pool never sees.
     fn fill_fresh(
         &mut self,
         alloc: ExtentSpec,
         chunk: &[u8],
         digest: &mut dyn FnMut(&[u8]),
-    ) -> Result<()> {
+    ) -> Result<FlushItem> {
         let pages = self.db.geo.pages_for(chunk.len() as u64).max(1);
         let content = ExtentSpec::new(alloc.start, pages);
         self.db
             .blob_pool
             .fill_extent_hashed(content, chunk, digest)?;
-        self.toflush.push(FlushItem::whole(content));
+        Ok(FlushItem::whole(content))
+    }
+
+    /// [`Txn::fill_fresh`] for content nothing durable references until
+    /// this transaction commits (a new blob, growth, a cloned extent): its
+    /// write may start before the commit, once enough pages have piled up
+    /// to be worth a submission of their own — and only where the commit
+    /// will wait for that write. An asynchronous commit returns before the
+    /// flush either way, so an early write would buy its caller nothing
+    /// and cost it the processor time of the submission.
+    fn fill_fresh_eager(
+        &mut self,
+        alloc: ExtentSpec,
+        chunk: &[u8],
+        digest: &mut dyn FnMut(&[u8]),
+    ) -> Result<()> {
+        let item = self.fill_fresh(alloc, chunk, digest)?;
+        self.fresh.push(item);
+        let piled: u64 = self.fresh.iter().map(|i| i.dirty_pages).sum();
+        if self.db.cfg.commit_wait && piled >= EAGER_FLUSH_PAGES {
+            self.submit_fresh()?;
+        }
         Ok(())
+    }
+
+    /// Put the pending fresh extents on the device's queue as one batch.
+    fn submit_fresh(&mut self) -> Result<()> {
+        let ticket = self.db.blob_pool.flush_extents_async(&self.fresh)?;
+        let pages: u64 = self.fresh.iter().map(|i| i.dirty_pages).sum();
+        let m = &self.db.metrics;
+        // ordering: relaxed metrics counters; snapshot readers tolerate staleness
+        m.eager_flush_batches.fetch_add(1, Ordering::Relaxed);
+        m.eager_flush_pages.fetch_add(pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.flights.push(ticket);
+        self.fresh.clear();
+        Ok(())
+    }
+
+    /// Wait for this transaction's eager writes and reap them, releasing
+    /// their shared latches. Whatever is about to latch one of those
+    /// extents exclusively or drop it from the pool — a later verb on the
+    /// same blob, the rollback — would otherwise wait on this thread for a
+    /// ticket only this thread can reap.
+    fn land_flights(&mut self) -> Result<()> {
+        let mut result = Ok(());
+        for ticket in self.flights.drain(..) {
+            result = result.and(ticket.wait());
+        }
+        result
     }
 
     /// Record this worker's range access `[offset, end)` to `state`'s blob
@@ -278,7 +352,7 @@ impl Txn {
             self.allocated.push(spec);
             let ext_bytes = (spec.pages as usize) * geo.page_size();
             let chunk = &data[off..data.len().min(off + ext_bytes)];
-            self.fill_fresh(spec, chunk, &mut |b| hasher.update(b))?;
+            self.fill_fresh_eager(spec, chunk, &mut |b| hasher.update(b))?;
             extents.push(spec.start);
             off += chunk.len();
         }
@@ -287,7 +361,7 @@ impl Txn {
                 let spec = self.db.alloc.allocate_tail(tp)?;
                 self.allocated.push(spec);
                 let chunk = &data[off..];
-                self.fill_fresh(spec, chunk, &mut |b| hasher.update(b))?;
+                self.fill_fresh_eager(spec, chunk, &mut |b| hasher.update(b))?;
                 off += chunk.len();
                 Some((spec.start, tp))
             }
@@ -731,6 +805,8 @@ impl Txn {
         self.check_active()?;
         debug_assert_eq!(rel.kind, RelationKind::Blob);
         self.lock(rel, key, LockMode::Exclusive)?;
+        // The blob may be this transaction's own put, still being written.
+        self.land_flights()?;
         let old_encoded = rel.tree.lookup(key)?.ok_or(Error::KeyNotFound)?;
         let mut state = BlobState::decode(&old_encoded)?;
         let db = self.db.clone();
@@ -797,7 +873,7 @@ impl Txn {
                 self.db
                     .blob_pool
                     .read_blob(self.worker, &[tail_content], tail_bytes, |b| b.to_vec())?;
-            self.fill_fresh(clone_spec, &content, &mut |_| ())?;
+            self.fill_fresh_eager(clone_spec, &content, &mut |_| ())?;
             self.freed.push(ExtentSpec::new(tpid, tpages));
             state.extents.push(clone_spec.start);
             state.tail = None;
@@ -847,7 +923,7 @@ impl Txn {
             self.allocated.push(spec);
             let ext_bytes = (spec.pages as usize) * geo.page_size();
             let chunk = &fill_data[data_off..fill_data.len().min(data_off + ext_bytes)];
-            self.fill_fresh(spec, chunk, &mut |_| ())?;
+            self.fill_fresh_eager(spec, chunk, &mut |_| ())?;
             state.extents.push(spec.start);
             data_off += chunk.len();
         }
@@ -855,7 +931,7 @@ impl Txn {
             let spec = self.db.alloc.allocate_tail(tp)?;
             self.allocated.push(spec);
             let chunk = &fill_data[data_off..];
-            self.fill_fresh(spec, chunk, &mut |_| ())?;
+            self.fill_fresh_eager(spec, chunk, &mut |_| ())?;
             state.tail = Some((spec.start, tp));
             data_off += chunk.len();
         }
@@ -969,6 +1045,8 @@ impl Txn {
         self.check_active()?;
         debug_assert_eq!(rel.kind, RelationKind::Blob);
         self.lock(rel, key, LockMode::Exclusive)?;
+        // The blob may be this transaction's own put, still being written.
+        self.land_flights()?;
         let old_encoded = rel.tree.lookup(key)?.ok_or(Error::KeyNotFound)?;
         let mut state = BlobState::decode(&old_encoded)?;
         if offset + data.len() as u64 > state.size {
@@ -1061,7 +1139,7 @@ impl Txn {
                             .blob_pool
                             .read_blob(self.worker, &[*spec], live, |b| b.to_vec())?;
                     content[local_off..local_off + overlap].copy_from_slice(slice);
-                    self.fill_fresh(clone_spec, &content, &mut |_| ())?;
+                    self.fill_fresh_eager(clone_spec, &content, &mut |_| ())?;
                     self.freed.push(old_spec);
                     if is_tail {
                         state.tail = Some((clone_spec.start, clone_spec.pages));
@@ -1110,9 +1188,11 @@ impl Txn {
     ///     piggybacked scrub);
     ///  3. quarantine-fence the old extents, swap the Blob State in the
     ///     tree, and stage a [`LogRecord::BlobRelocate`];
-    ///  4. commit rides the ordinary group-commit pipeline; the fences are
-    ///     released and the old extents freed only at the durability
-    ///     frontier (`StageCtx::retire`).
+    ///  4. commit rides the ordinary group-commit pipeline — the new
+    ///     placement is written after the WAL fsync like any in-place
+    ///     change; background maintenance starts no device write early —
+    ///     and the fences are released and the old extents freed only at
+    ///     the durability frontier (`StageCtx::retire`).
     ///
     /// Returns `false` when there is nothing to move (missing key, inline
     /// blob, or quarantined blob). A hash mismatch during the copy
@@ -1157,7 +1237,8 @@ impl Txn {
             let len = ((state.size - off) as usize).min(ext_bytes);
             let mut buf = vec![0u8; len];
             read_blob_window(&self.db, &state, off, &mut buf)?;
-            self.fill_fresh(spec, &buf, &mut |b| hasher.update(b))?;
+            let item = self.fill_fresh(spec, &buf, &mut |b| hasher.update(b))?;
+            self.toflush.push(item);
             extents.push(spec.start);
             off += len as u64;
         }
@@ -1168,7 +1249,8 @@ impl Txn {
                 let len = (state.size - off) as usize;
                 let mut buf = vec![0u8; len];
                 read_blob_window(&self.db, &state, off, &mut buf)?;
-                self.fill_fresh(spec, &buf, &mut |b| hasher.update(b))?;
+                let item = self.fill_fresh(spec, &buf, &mut |b| hasher.update(b))?;
+                self.toflush.push(item);
                 off += len as u64;
                 Some((spec.start, tp))
             }
@@ -1320,8 +1402,10 @@ impl Txn {
 
     // -------------------------------------------------- commit/abort ----
 
-    /// Commit: WAL fsync first (Blob State durable), then the single
-    /// content flush, then extent recycling.
+    /// Commit: WAL fsync first (Blob State durable), then every content
+    /// write that had to wait for it; durable once those and the writes of
+    /// fresh extents started during the transaction have landed, then
+    /// extent recycling.
     ///
     /// With [`crate::Config::commit_wait`] `false`, the durability work is
     /// handed to the background group committer and this returns
@@ -1362,11 +1446,19 @@ impl Txn {
     }
 
     /// Move everything this transaction staged for the commit pipeline
-    /// into one batch.
+    /// into one batch. A transaction that started writing early submits
+    /// its remaining fresh extents the same way, so that no small write is
+    /// left waiting for the fsync; one that never did hands them over with
+    /// the rest (as does one whose submission fails: the pipeline owns the
+    /// retry).
     fn take_batch(&mut self) -> CommitBatch {
+        if self.flights.is_empty() || self.fresh.is_empty() || self.submit_fresh().is_err() {
+            self.toflush.append(&mut self.fresh);
+        }
         CommitBatch {
             records: std::mem::take(&mut self.records),
             toflush: std::mem::take(&mut self.toflush),
+            flights: std::mem::take(&mut self.flights),
             freed: std::mem::take(&mut self.freed),
             refenced: std::mem::take(&mut self.refenced),
         }
@@ -1379,6 +1471,8 @@ impl Txn {
     pub(crate) fn has_writes(&self) -> bool {
         !self.records.is_empty()
             || !self.toflush.is_empty()
+            || !self.fresh.is_empty()
+            || !self.flights.is_empty()
             || !self.freed.is_empty()
             || !self.refenced.is_empty()
     }
@@ -1429,6 +1523,9 @@ impl Txn {
         }
         self.state = TxnState::Aborted;
         let db = self.db.clone();
+        // Eager writes land first: their tickets latch frames the undo may
+        // write and the discard below drops.
+        let _ = self.land_flights();
         // Reverse logical undo.
         for op in self.undo.drain(..).rev() {
             let result = match op {
@@ -1450,7 +1547,9 @@ impl Txn {
             };
             debug_assert!(result.is_ok(), "undo must not fail");
         }
-        // Fresh allocations are discarded without ever reaching the device.
+        // Fresh allocations are discarded; what reached the device early is
+        // unreferenced garbage on pages that go back to the allocator.
+        self.fresh.clear();
         db.blob_pool.drop_extents(&self.allocated);
         for spec in self.allocated.drain(..) {
             db.alloc.free_extent(spec);

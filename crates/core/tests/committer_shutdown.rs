@@ -1,8 +1,7 @@
 //! Regression tests for group-committer teardown: dropping the database
-//! must terminate both committer stages promptly — the flush stage's
-//! polling loop checks a shutdown flag on its timeout tick instead of
-//! spinning until the channel disconnect propagates — including when the
-//! committer is sitting on a sticky I/O error.
+//! must terminate both committer stages promptly — the WAL stage closes the
+//! flush stage's inbox on its way out, which lands what is in flight and
+//! exits — including when the committer is sitting on a sticky I/O error.
 
 use lobster_core::{Config, Database, RelationKind};
 use lobster_storage::{FaultConfig, FaultDevice, FaultKind, MemDevice};
@@ -54,7 +53,7 @@ fn pipelined_committer_drop_terminates_under_load() {
         t.commit().unwrap();
     }
     // Drop with flush batches still in flight: the flush stage must notice
-    // the shutdown on its next poll tick and land its remaining flights.
+    // the close and land its remaining flights.
     drop(rel);
     assert_drop_terminates(db, Duration::from_secs(60), "under load");
 }

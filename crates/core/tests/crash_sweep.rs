@@ -10,6 +10,11 @@
 //!    committed for it (the SHA-256 validation guarantee) — never a torn
 //!    mixture.
 //! 4. The database remains fully writable afterwards.
+//!
+//! A second axis cuts power *inside a large put*: its fresh extents are
+//! written before the commit record exists, so every prefix of those writes
+//! — including a torn one — must recover to "the put never happened", with
+//! nothing leaked.
 
 use lobster_core::{Config, Database, RelationKind};
 use lobster_storage::{CrashDevice, Device, MemDevice};
@@ -247,6 +252,92 @@ fn dead_controller_crash_sweep() {
     // still land on the SHA-validated state.
     for crash_after in (0..20 * torture_mult()).step_by(3) {
         run_dead_controller_scenario(crash_after);
+    }
+}
+
+/// A 1 MiB put writes its fresh extents while it is still hashing, before
+/// its commit record exists. Power is cut after `crash_after` of those data
+/// writes (the next one torn in half), and the WAL never sees the commit.
+/// Recovery must not expose the key, must leave the checkpointed blob
+/// alone, and must hand every page the put touched back to the allocator.
+fn run_torn_eager_scenario(crash_after: u64) {
+    const CAP: usize = 96 << 20;
+    let data_dev = Arc::new(CrashDevice::new(MemDevice::new(CAP)));
+    let wal_dev = Arc::new(CrashDevice::new(MemDevice::new(32 << 20)));
+    let stable = pattern(150_000, 21);
+
+    let db = Database::create(data_dev.clone(), wal_dev.clone(), cfg()).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let mut t = db.begin();
+    t.put_blob(&rel, b"stable", &stable).unwrap();
+    t.commit().unwrap();
+    db.checkpoint().unwrap();
+    let pages = db.allocator().pages_in_use();
+    let writes = data_dev.write_log().len();
+
+    data_dev.arm_after_writes(crash_after, 128);
+    wal_dev.crash_now(); // the commit record is acknowledged and lost
+    let mut t = db.begin();
+    t.put_blob(&rel, b"big", &pattern(1 << 20, 22)).unwrap();
+    let state = t.blob_state(&rel, b"big").unwrap().unwrap();
+    let _ = t.commit(); // "succeeds": both devices lie from here on
+    assert!(
+        db.metrics().snapshot().eager_flush_batches >= 1,
+        "the put must have written before its commit"
+    );
+    let survived = data_dev.write_log().len() - writes;
+    assert!(
+        survived as u64 <= crash_after + 1,
+        "crash_after={crash_after}: {survived} data writes survived the cut"
+    );
+    assert_eq!(db.blob_pool().audit().held_latches(), 0);
+    std::mem::forget(db);
+
+    let (db2, _report) = Database::open(
+        copy_device(data_dev.inner(), CAP),
+        copy_device(wal_dev.inner(), 32 << 20),
+        cfg(),
+    )
+    .unwrap();
+    let rel2 = db2.relation("b").expect("relation survives the checkpoint");
+    let mut t = db2.begin();
+    assert!(
+        t.blob_state(&rel2, b"big").unwrap().is_none(),
+        "crash_after={crash_after}: an uncommitted put surfaced"
+    );
+    assert_eq!(
+        t.get_blob(&rel2, b"stable", |b| b.to_vec()).unwrap(),
+        stable
+    );
+    t.commit().unwrap();
+    assert_eq!(
+        db2.allocator().pages_in_use(),
+        pages,
+        "crash_after={crash_after}: pages of the torn put leaked"
+    );
+
+    // The same pages take the next put, whatever garbage they hold.
+    let again = pattern(1 << 20, 23);
+    let mut t = db2.begin();
+    t.put_blob(&rel2, b"big", &again).unwrap();
+    let state2 = t.blob_state(&rel2, b"big").unwrap().unwrap();
+    assert_eq!(state2.extents, state.extents);
+    t.commit().unwrap();
+    let mut t = db2.begin();
+    assert!(t.get_blob(&rel2, b"big", |b| b == again).unwrap());
+    t.commit().unwrap();
+    db2.checkpoint().unwrap();
+    assert_eq!(db2.blob_pool().audit().held_latches(), 0);
+    db2.blob_pool().audit().assert_no_leaked_pins();
+    assert!(db2.scrub().unwrap().is_clean());
+}
+
+#[test]
+fn torn_eager_writes_never_surface() {
+    // A 1 MiB put issues nine data writes; sweep the cut across all of them
+    // and one past (no data write lost, commit record lost).
+    for crash_after in 0..=9 {
+        run_torn_eager_scenario(crash_after);
     }
 }
 

@@ -150,8 +150,9 @@ counters! {
     metadata_ops,
     /// Commit groups fsynced by the group committer's WAL stage.
     commit_wal_groups,
-    /// Extent-flush batches submitted by the group committer (pipelined
-    /// or inline).
+    /// Durable groups whose extent writes the group committer's flush
+    /// stage put or took in flight: its own post-fsync submission, the
+    /// group's eager flights, or both — one per group either way.
     commit_flush_batches,
     /// High-water mark of concurrently in-flight commit flush batches
     /// (gauge, maintained with `fetch_max`).
@@ -160,6 +161,12 @@ counters! {
     /// submitting (at the in-flight limit, or a write-after-write overlap
     /// on the same extent).
     commit_stalls,
+    /// Flush batches a transaction submitted *before* its commit — fresh
+    /// extents of a large put, written while the next extent is hashed.
+    eager_flush_batches,
+    /// Pages in those batches. `pages_written` counts them too, once, when
+    /// their ticket is reaped.
+    eager_flush_pages,
     /// Group-committer I/O failures. Sticky: asynchronously acknowledged
     /// commits were lost, and every later drain/commit keeps erroring.
     commit_errors,

@@ -439,7 +439,7 @@ const MAX_BODY_RESERVE: u64 = 1 << 20;
 /// Read one full response (header + body) from `r`.
 ///
 /// The header's `body_len` comes from the wire, so it is taken at its
-/// word only once the body's first [`MAX_BODY_RESERVE`] bytes have
+/// word only once the body's first 1 MiB (`MAX_BODY_RESERVE`) have
 /// arrived; the rest is then reserved in one piece, fallibly, and read in
 /// place. A header claiming more than the peer sends ends as
 /// `Error::Io(UnexpectedEof)`, one claiming more than can be reserved as

@@ -32,6 +32,18 @@ unsafe impl Send for IoReq {}
 // mutably across threads within a batch.
 unsafe impl Sync for IoReq {}
 
+/// Called once, by whichever thread executes a batch's last request; see
+/// [`BatchHandle::notify_when_executed`].
+pub type Waker = Box<dyn FnOnce() + Send>;
+
+/// Whether every request of a batch has executed, and who wants to know.
+struct Executed {
+    done: bool,
+    /// Taken (and called) by the thread that sets `done`; never stored
+    /// once `done` is set.
+    waker: Option<Waker>,
+}
+
 struct BatchState {
     /// Jobs waiting to run. Workers *and* the submitter pop from here, so a
     /// batch completes at full speed even if every worker is still waking
@@ -39,10 +51,11 @@ struct BatchState {
     queue: Mutex<Vec<IoReq>>,
     pending: AtomicUsize,
     /// Latest modeled-device completion deadline across the batch:
-    /// individual request latencies overlap, io_uring-style.
+    /// individual request latencies overlap, io_uring-style. Final once
+    /// `executed.done` is set.
     deadline: Mutex<Option<Instant>>,
     error: Mutex<Option<Error>>,
-    done: Mutex<bool>,
+    executed: Mutex<Executed>,
     cond: Condvar,
 }
 
@@ -82,9 +95,16 @@ impl BatchState {
         }
         // ordering: AcqRel; the last completion acquires every worker's writes before signalling done
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut done = self.done.lock();
-            *done = true;
-            self.cond.notify_all();
+            let waker = {
+                let mut executed = self.executed.lock();
+                executed.done = true;
+                self.cond.notify_all();
+                executed.waker.take()
+            };
+            // Outside the lock: the waker takes locks of its own.
+            if let Some(wake) = waker {
+                wake();
+            }
         }
         true
     }
@@ -116,9 +136,9 @@ impl BatchHandle {
         // Drain cooperatively instead of just sleeping.
         while self.state.run_one(&self.device) {}
         {
-            let mut done = self.state.done.lock();
-            while !*done {
-                self.state.cond.wait(&mut done);
+            let mut executed = self.state.executed.lock();
+            while !executed.done {
+                self.state.cond.wait(&mut executed);
             }
         }
         // All requests are queued on the (modeled) device; wait for the
@@ -130,9 +150,38 @@ impl BatchHandle {
         }
     }
 
-    /// Non-blocking completion check.
+    /// Whether every request has executed (the modeled device may still
+    /// owe time; see [`BatchHandle::completes_at`]).
     pub fn is_complete(&self) -> bool {
-        *self.state.done.lock()
+        self.state.executed.lock().done
+    }
+
+    /// The completion signal: have `wake` called once, from the thread that
+    /// executes the batch's last request, so an owner can sleep until then
+    /// instead of polling. Returns `false` — dropping `wake` uncalled — if
+    /// every request has executed already; the caller then looks at the
+    /// batch right away. Deciding under the same lock the executing thread
+    /// sets the flag under means the wake-up is never lost and never
+    /// doubled. At most one waker per batch: a second replaces the first.
+    pub fn notify_when_executed(&self, wake: Waker) -> bool {
+        let mut executed = self.state.executed.lock();
+        if executed.done {
+            return false;
+        }
+        executed.waker = Some(wake);
+        true
+    }
+
+    /// When the batch completes on the device: `None` while requests are
+    /// still executing (the completion signal fires when the last one
+    /// has), then the latest modeled deadline — or the present for a
+    /// device that models none, so a caller sleeping until the returned
+    /// instant simply looks again at once.
+    pub fn completes_at(&self) -> Option<Instant> {
+        if !self.is_complete() {
+            return None;
+        }
+        Some(self.state.deadline.lock().unwrap_or_else(Instant::now))
     }
 
     /// Poll the batch: returns `Some(result)` once every request has
@@ -143,7 +192,7 @@ impl BatchHandle {
     /// blocking the foreground read.
     pub fn try_complete(&self) -> Option<Result<()>> {
         self.state.run_one(&self.device);
-        if !*self.state.done.lock() {
+        if !self.is_complete() {
             return None;
         }
         if let Some(deadline) = *self.state.deadline.lock() {
@@ -155,6 +204,26 @@ impl BatchHandle {
             Some(e) => Err(e),
             None => Ok(()),
         })
+    }
+}
+
+/// Ask the kernel to fire the calling thread's timed waits on time. Linux
+/// pads every timer of an ordinary thread by up to 50 µs so that wake-ups
+/// batch; a thread that sleeps until [`BatchHandle::completes_at`] with a
+/// committer waiting behind it wants the instant, not the batch. Without
+/// effect on other systems, and harmless to call twice.
+pub fn precise_timed_waits() {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn prctl(option: std::ffi::c_int, ...) -> std::ffi::c_int;
+        }
+        const PR_SET_TIMERSLACK: std::ffi::c_int = 29;
+        let slack_ns: std::ffi::c_ulong = 1;
+        // SAFETY: `PR_SET_TIMERSLACK` reads one unsigned long by value and
+        // changes only the calling thread's timer slack; no memory is
+        // handed to the kernel. A failure leaves the default in place.
+        unsafe { prctl(PR_SET_TIMERSLACK, slack_ns) };
     }
 }
 
@@ -211,7 +280,10 @@ impl AsyncIo {
             queue: Mutex::new(reqs),
             deadline: Mutex::new(None),
             error: Mutex::new(None),
-            done: Mutex::new(n == 0),
+            executed: Mutex::new(Executed {
+                done: n == 0,
+                waker: None,
+            }),
             cond: Condvar::new(),
         });
         // One wake-up per request (capped at the worker count): each worker
@@ -384,6 +456,127 @@ mod tests {
         // not touched until the batch completes.
         unsafe { io.submit_and_wait(reqs).unwrap() };
         assert!(out.iter().all(|&b| b == 3));
+    }
+
+    /// A device whose writes wait for a token on a channel: the test decides
+    /// when a request executes.
+    struct TokenDevice {
+        inner: MemDevice,
+        tokens: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Device for TokenDevice {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<()> {
+            self.inner.read_at(buf, offset)
+        }
+        fn write_at(&self, buf: &[u8], offset: u64) -> Result<()> {
+            self.tokens.lock().recv().expect("token sender alive");
+            self.inner.write_at(buf, offset)
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+        fn capacity(&self) -> u64 {
+            self.inner.capacity()
+        }
+    }
+
+    #[test]
+    fn completion_signal_fires_once_when_the_last_request_executes() {
+        let (token, tokens) = std::sync::mpsc::channel();
+        let dev: Arc<dyn Device> = Arc::new(TokenDevice {
+            inner: MemDevice::new(1 << 20),
+            tokens: Mutex::new(tokens),
+        });
+        let io = AsyncIo::new(dev, 2);
+        let mut bufs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4096]).collect();
+        let reqs: Vec<IoReq> = bufs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, s)| IoReq {
+                kind: IoKind::Write,
+                offset: (i * 4096) as u64,
+                ptr: s.as_mut_ptr(),
+                len: s.len(),
+            })
+            .collect();
+        // SAFETY: the buffers backing the requests outlive the wait and are
+        // not touched until the batch completes.
+        let handle = unsafe { io.submit(reqs) };
+
+        // No request can execute yet, so the waker is stored.
+        let fired = Arc::new(AtomicUsize::new(0));
+        let (woke_tx, woke_rx) = std::sync::mpsc::channel();
+        let counter = fired.clone();
+        assert!(handle.notify_when_executed(Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            woke_tx.send(()).expect("test alive");
+        })));
+        assert!(handle.completes_at().is_none());
+
+        // Two of three requests execute: still silent.
+        token.send(()).unwrap();
+        token.send(()).unwrap();
+        assert!(woke_rx
+            .recv_timeout(std::time::Duration::from_millis(50))
+            .is_err());
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+
+        // The last one executes: exactly one call, after which the batch
+        // reports complete without anyone having polled it.
+        token.send(()).unwrap();
+        woke_rx.recv().unwrap();
+        assert!(handle.is_complete());
+        assert!(handle.completes_at().is_some());
+
+        // Too late to register: the caller is told to look instead.
+        let counter = fired.clone();
+        assert!(!handle.notify_when_executed(Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        })));
+        handle.wait().unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn completion_signal_is_never_lost_against_a_racing_last_request() {
+        // Registration races the workers on an ungated device: whichever
+        // side takes the lock first, the owner learns of completion —
+        // through the call or through the `false` return — exactly once.
+        let dev: Arc<dyn Device> = Arc::new(MemDevice::new(1 << 20));
+        let io = AsyncIo::new(dev, 2);
+        for round in 0..200 {
+            let mut bufs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 512]).collect();
+            let reqs: Vec<IoReq> = bufs
+                .iter_mut()
+                .enumerate()
+                .map(|(i, s)| IoReq {
+                    kind: IoKind::Write,
+                    offset: (i * 512) as u64,
+                    ptr: s.as_mut_ptr(),
+                    len: s.len(),
+                })
+                .collect();
+            // SAFETY: the buffers backing the requests outlive the wait and
+            // are not touched until the batch completes.
+            let handle = unsafe { io.submit(reqs) };
+            let (woke_tx, woke_rx) = std::sync::mpsc::channel();
+            let stored = handle.notify_when_executed(Box::new(move || {
+                woke_tx.send(()).expect("test alive");
+            }));
+            if stored {
+                woke_rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("round {round}: stored waker never called"));
+            } else {
+                assert!(handle.is_complete(), "round {round}");
+                assert!(
+                    woke_rx.try_recv().is_err(),
+                    "round {round}: dropped waker ran"
+                );
+            }
+            handle.wait().unwrap();
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod file;
 mod mem;
 mod throttle;
 
-pub use async_io::{AsyncIo, BatchHandle, IoKind, IoReq};
+pub use async_io::{precise_timed_waits, AsyncIo, BatchHandle, IoKind, IoReq, Waker};
 pub use crash::CrashDevice;
 pub use device::{Device, DeviceExt};
 pub use fault::{permanent_eio, transient_eio, FaultConfig, FaultDevice, FaultKind, Injection};

@@ -8,8 +8,9 @@
 //!   within `LOOM_MAX_PREEMPTIONS` (default 3) and fails on the first
 //!   schedule that violates an assertion.
 //!
-//! The four cores mirror, at reduced scale, the protocols in
-//! `crates/buffer/src/pool.rs` and `crates/core/src/group_commit.rs`:
+//! The cores mirror, at reduced scale, the protocols in
+//! `crates/buffer/src/pool.rs`, `crates/core/src/group_commit.rs`,
+//! `crates/core/src/shard.rs` and `crates/storage/src/async_io.rs`:
 //!
 //! 1. [`latch`] — the vmcache-style packed page-table entry: shared-count /
 //!    exclusive-tag CAS transitions, and the optimistic version-validate
@@ -25,6 +26,12 @@
 //!    iff *every* participant's stage-1 WAL fsync covers the epoch its
 //!    marker landed in, and the global epoch is the minimum over shard
 //!    frontiers — never ahead of any shard's disk.
+//!
+//! 6. [`landed`] — the completion signal from an I/O worker to the commit
+//!    flush stage (`BatchHandle::notify_when_executed` feeding the stage's
+//!    inbox): registered-or-already-executed is decided under the lock the
+//!    worker completes under, so the stage never sleeps through the
+//!    completion of a flight it is tracking.
 //!
 //! Every model keeps spin loops *bounded* (a give-up path instead of an
 //! unbounded retry) so the exhaustive explorer terminates; invariants are
@@ -666,5 +673,109 @@ pub mod xshard {
     /// epoch; the first fsync satisfies it before the marker persists.
     pub fn run_broken_stale_epoch() {
         lobster_sync::model(|| run(Variant::StaleEpoch));
+    }
+}
+
+pub mod landed {
+    //! Core 6: the completion signal (`storage/src/async_io.rs`) and the
+    //! flush stage's inbox (`core/src/group_commit.rs`).
+    //!
+    //! The worker that executes a flight's last request marks the batch
+    //! executed and takes the registered waker under the batch lock, then
+    //! calls it: the waker raises `landed` under the inbox lock and
+    //! notifies. The flush stage, adopting the flight, registers its waker
+    //! under the same batch lock — unless the batch has executed already,
+    //! in which case it is told so and looks at once — and then sleeps on
+    //! the inbox until `landed`. Invariants: the stage always comes back
+    //! (a lost wake-up is a deadlock, which the checker reports), the batch
+    //! has executed when it does, and the waker runs at most once.
+    //!
+    //! Broken canary: storing the waker without looking at `executed`. A
+    //! worker that finished first has nothing to call, and the stage sleeps
+    //! forever.
+
+    use lobster_sync::atomic::{AtomicU64, Ordering};
+    use lobster_sync::{thread, Arc, Condvar, Mutex};
+
+    #[derive(Default)]
+    struct Executed {
+        done: bool,
+        /// A waker is registered (the real one is a boxed closure).
+        waker: bool,
+    }
+
+    struct World {
+        executed: Mutex<Executed>,
+        landed: Mutex<bool>,
+        inbox_cv: Condvar,
+        wakes: AtomicU64,
+    }
+
+    /// Mirror of `BatchState::run_one`'s last-request branch.
+    fn worker(w: &World) {
+        let wake = {
+            let mut e = w.executed.lock();
+            e.done = true;
+            std::mem::take(&mut e.waker)
+        };
+        if wake {
+            w.wakes.fetch_add(1, Ordering::AcqRel);
+            // `FlushInbox::signal_landed`.
+            *w.landed.lock() = true;
+            w.inbox_cv.notify_one();
+        }
+    }
+
+    /// Mirror of the flush stage adopting one flight and waiting for it.
+    fn stage(w: &World, broken: bool) {
+        // `BatchHandle::notify_when_executed`.
+        let stored = {
+            let mut e = w.executed.lock();
+            if e.done && !broken {
+                false
+            } else {
+                e.waker = true;
+                true
+            }
+        };
+        if stored {
+            // `FlushInbox::wait` with nothing else to wake for.
+            let mut landed = w.landed.lock();
+            while !*landed {
+                w.inbox_cv.wait(&mut landed);
+            }
+            *landed = false;
+        }
+        assert!(w.executed.lock().done, "stage looked before completion");
+    }
+
+    fn run(broken: bool) {
+        let w = Arc::new(World {
+            executed: Mutex::new(Executed::default()),
+            landed: Mutex::new(false),
+            inbox_cv: Condvar::new(),
+            wakes: AtomicU64::new(0),
+        });
+        let (w1, w2) = (Arc::clone(&w), Arc::clone(&w));
+        let hs = [
+            thread::spawn(move || worker(&w1)),
+            thread::spawn(move || stage(&w2, broken)),
+        ];
+        for h in hs {
+            h.join().unwrap();
+        }
+        assert!(w.wakes.load(Ordering::Acquire) <= 1, "waker ran twice");
+        assert!(!*w.landed.lock(), "a signal was left unconsumed");
+    }
+
+    /// The protocol as implemented.
+    pub fn check_completion_signal_never_lost() {
+        lobster_sync::model(|| run(false));
+    }
+
+    /// Broken canary: register blindly; the checker must find the schedule
+    /// where the worker finished first and the stage never wakes.
+    pub fn run_broken_blind_registration() {
+        lobster_sync::model(|| run(true));
     }
 }

@@ -1,4 +1,4 @@
-//! Drives the four protocol-core models.
+//! Drives the protocol-core models.
 //!
 //! Under `--cfg lobster_loom` each test is a bounded-exhaustive model check;
 //! in a normal build each is a multi-iteration smoke run (see
@@ -6,7 +6,7 @@
 //! protocol variants and require the checker to find the violation — they
 //! only assert under loom, where detection is deterministic.
 
-use lobster_sync_models::{claim, frontier, latch, pins, xshard};
+use lobster_sync_models::{claim, frontier, landed, latch, pins, xshard};
 
 #[test]
 fn latch_mutual_exclusion() {
@@ -36,6 +36,11 @@ fn pin_release_exactly_once() {
 #[test]
 fn xshard_epoch_covers_all_participants() {
     xshard::check_epoch_covers_all_participants();
+}
+
+#[test]
+fn completion_signal_never_lost() {
+    landed::check_completion_signal_never_lost();
 }
 
 #[test]
@@ -87,4 +92,13 @@ fn broken_xshard_stale_epoch_is_caught() {
         r.is_err(),
         "checker missed the stale-epoch durability decision"
     );
+}
+
+#[test]
+fn broken_blind_waker_registration_is_caught() {
+    if !lobster_sync::is_loom() {
+        return;
+    }
+    let r = std::panic::catch_unwind(landed::run_broken_blind_registration);
+    assert!(r.is_err(), "checker missed the lost completion signal");
 }

@@ -183,6 +183,13 @@ mod imp {
             tl_sub(self.id, key, 1, 0);
         }
 
+        /// The shared latch on `key` this thread just took now belongs
+        /// to a ticket another thread may release: the global count
+        /// stands, this thread's own hold goes.
+        pub fn hand_off_shared(&self, key: u64) {
+            tl_sub(self.id, key, 1, 0);
+        }
+
         fn claim(&self, key: u64) {
             self.with_key(key, |st| {
                 assert!(
@@ -328,6 +335,14 @@ impl LatchLedger {
         release_shared
     );
     key_method!(
+        /// Hand a shared latch this thread holds to a flush ticket: the
+        /// ticket is reaped — and the latch released — by whichever thread
+        /// owns it then, so the acquiring thread must stop counting it as
+        /// its own hold (a later exclusive wait on the key, after the
+        /// ticket was reaped elsewhere, is not a self-deadlock).
+        hand_off_shared
+    );
+    key_method!(
         /// Record a successful blocking exclusive acquisition (counted for
         /// order checks; released with [`Self::release_exclusive`]).
         acquire_exclusive
@@ -461,6 +476,20 @@ mod tests {
         // Shared re-entry on the same key is fine (shared latches stack).
         l.check_may_block_shared(4);
         l.release_shared(4);
+    }
+
+    #[test]
+    fn handed_off_shared_latch_is_no_longer_this_threads_hold() {
+        let l = LatchLedger::new();
+        l.acquire_shared(6);
+        l.hand_off_shared(6);
+        // Another thread reaps the ticket...
+        std::thread::scope(|s| {
+            s.spawn(|| l.release_shared(6));
+        });
+        // ...after which this thread may wait for the key exclusively.
+        l.check_may_block_exclusive(6);
+        assert_eq!(l.held_latches(), 0);
     }
 
     #[test]
