@@ -21,6 +21,7 @@
 mod alias;
 mod arena;
 mod blob_pool;
+mod entry;
 mod flush_ledger;
 mod htpool;
 mod pool;

@@ -23,9 +23,15 @@
 //! an N-page extent is N times more likely to be evicted than a single page,
 //! implemented exactly as the paper's pseudo-code
 //! `if rand(MAX_EXT_SIZE) < extent_size[pid] { evict() }`.
+//!
+//! The entry word — its layout, every legal transition, the ordering each
+//! one needs and the latch-ledger note that goes with it — lives in
+//! [`crate::entry`]; this file decides *which* transition to attempt and does
+//! the work between two of them (frames, device I/O, the resident set).
 
 use crate::alias::{AliasConfig, AliasingManager};
 use crate::arena::Arena;
+use crate::entry::{Entry, Excl, Latch, Seen};
 use crate::flush_ledger::FlushLedger;
 use lobster_extent::{ExtentSpec, RangeAllocator};
 use lobster_metrics::Metrics;
@@ -40,56 +46,9 @@ use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-// Memory-ordering note (satellite audit, PR 4): every `Ordering::Relaxed`
-// in this file is a metrics counter bump or the `max_resident_pages`
-// eviction-fairness hint — values that feed statistics, never the latch
-// protocol. All page-table-entry transitions use Acquire/AcqRel/Release:
-// the entry word is the synchronization point that publishes frame content
-// to readers.
-
-// ---------------------------------------------------------------- entry ---
-
-// Page-table entry layout (64 bits):
-//   [tag:8][prevent:1][dirty:1][pages:22][frame:32]
-// tag: 0xFF = evicted, 0xFE = locked exclusive, 0..=0xFC = shared count
-// (0 = resident, unlatched).
-const TAG_EVICTED: u64 = 0xFF;
-const TAG_LOCKED: u64 = 0xFE;
-const MAX_SHARED: u64 = 0xFC;
-
-const PREVENT_BIT: u64 = 1 << 55;
-const DIRTY_BIT: u64 = 1 << 54;
-const PAGES_SHIFT: u32 = 32;
-const PAGES_MASK: u64 = (1 << 22) - 1;
-const FRAME_MASK: u64 = (1 << 32) - 1;
-
-#[inline]
-fn pack(tag: u64, flags: u64, pages: u64, frame: u64) -> u64 {
-    debug_assert!(tag <= 0xFF && pages <= PAGES_MASK && frame <= FRAME_MASK);
-    (tag << 56) | flags | (pages << PAGES_SHIFT) | frame
-}
-
-#[inline]
-fn tag_of(e: u64) -> u64 {
-    e >> 56
-}
-
-#[inline]
-fn flags_of(e: u64) -> u64 {
-    e & (PREVENT_BIT | DIRTY_BIT)
-}
-
-#[inline]
-fn pages_of(e: u64) -> u64 {
-    (e >> PAGES_SHIFT) & PAGES_MASK
-}
-
-#[inline]
-fn frame_of(e: u64) -> u64 {
-    e & FRAME_MASK
-}
-
-const EVICTED_ENTRY: u64 = TAG_EVICTED << 56;
+// Memory-ordering note: every atomic in this file is a metrics counter, the
+// `max_resident_pages` eviction-fairness hint or the `prefetched_live` gate
+// — never the latch protocol, which is `entry.rs`'s alone.
 
 // ------------------------------------------------------------- resident ---
 
@@ -218,7 +177,7 @@ impl ExtentFlushBatch {
 struct PrefetchBatch {
     handle: BatchHandle,
     /// `(spec, frame)` of every extent the batch is loading; their page-table
-    /// entries stay `TAG_LOCKED` until the batch is published or rolled back.
+    /// entries stay locked until the batch is published or rolled back.
     claimed: Vec<(ExtentSpec, u64)>,
 }
 
@@ -258,13 +217,11 @@ impl ExtentPool {
     ) -> Arc<Self> {
         let page_capacity = device.capacity() / geo.page_size() as u64;
         assert!(page_capacity > 0, "device too small");
-        assert!(cfg.frames <= FRAME_MASK);
+        assert!(cfg.frames <= Entry::MAX_FRAME);
         let alias_bytes = cfg.alias.map(|a| a.total_bytes()).unwrap_or(0);
         let arena = Arena::new((cfg.frames as usize) * geo.page_size(), alias_bytes);
         let aliasing = cfg.alias.map(AliasingManager::new);
-        let table = (0..page_capacity)
-            .map(|_| AtomicU64::new(EVICTED_ENTRY))
-            .collect();
+        let table = Entry::table(page_capacity);
         Arc::new(ExtentPool {
             geo,
             arena,
@@ -321,8 +278,8 @@ impl ExtentPool {
     }
 
     #[inline]
-    fn entry(&self, pid: Pid) -> &AtomicU64 {
-        &self.table[pid.raw() as usize]
+    fn entry(&self, pid: Pid) -> Entry<'_> {
+        Entry::at(&self.table, pid, &self.audit)
     }
 
     // ------------------------------------------------------- latching ---
@@ -354,100 +311,44 @@ impl ExtentPool {
             .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.audit.check_may_block_shared(spec.start.raw());
         let entry = self.entry(spec.start);
+        // Publish a framing loaded under a claim and stay on it, shared.
+        let enter = |frame: u64| {
+            entry.reframe(spec.pages, frame);
+            entry.downgrade();
+            (frame, spec.pages)
+        };
         loop {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            match tag_of(e) {
-                TAG_EVICTED => {
-                    if entry
-                        .compare_exchange_weak(
-                            e,
-                            pack(TAG_LOCKED, 0, spec.pages, 0),
-                            Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.audit.claim_exclusive(spec.start.raw());
-                        match self.load_extent(spec, spec.pages) {
-                            Ok(frame) => {
-                                // Enter shared with count 1 (ledger converts
-                                // before the word republishes the extent).
-                                self.audit.convert_claim_to_shared(spec.start.raw());
-                                // ordering: Release; frame/evicted state is published before the word is visible
-                                entry.store(pack(1, 0, spec.pages, frame), Ordering::Release);
-                                return Ok((frame, spec.pages));
-                            }
-                            Err(err) => {
-                                self.audit.release_claim(spec.start.raw());
-                                // ordering: Release; frame/evicted state is published before the word is visible
-                                entry.store(EVICTED_ENTRY, Ordering::Release);
-                                return Err(err);
-                            }
-                        }
-                    }
+            let seen = entry.peek();
+            match seen.latch() {
+                Latch::Evicted if entry.try_claim(seen, Excl::Claim) => {
+                    return self
+                        .load_extent(spec, spec.pages)
+                        .map(enter)
+                        .inspect_err(|_| entry.evict(Excl::Claim));
                 }
-                TAG_LOCKED => {
-                    // The holder may be an in-flight readahead batch; reap
-                    // completed ones so the wait is bounded.
+                Latch::Shared(_) if entry.try_share(seen, spec.pages) => {
+                    self.note_hit(spec.start);
+                    return Ok((seen.frame(), seen.pages()));
+                }
+                // Resident with fewer pages than the caller names (a trim
+                // whose truncate then rolled back): grow under the
+                // exclusive latch, then enter shared.
+                Latch::Shared(0)
+                    if seen.pages() < spec.pages && entry.try_lock(seen, Excl::Claim) =>
+                {
+                    return self
+                        .grow_locked(spec.start, seen, spec.pages, spec.pages)
+                        .map(enter)
+                        .inspect_err(|_| entry.unlock(Excl::Claim));
+                }
+                // The holder may be an in-flight readahead batch; reap
+                // completed ones so the wait is bounded.
+                Latch::Locked => {
                     self.poll_prefetches();
                     spin_loop();
                 }
-                n if n < MAX_SHARED && pages_of(e) >= spec.pages => {
-                    if entry
-                        .compare_exchange_weak(
-                            e,
-                            pack(n + 1, flags_of(e), pages_of(e), frame_of(e)),
-                            Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.audit.acquire_shared(spec.start.raw());
-                        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                        self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        if self.note_prefetch_consumed(spec.start) {
-                            // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                            self.metrics.readahead_hit.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Ok((frame_of(e), pages_of(e)));
-                    }
-                }
-                0 => {
-                    // Resident with fewer pages than the caller names (a
-                    // trim whose truncate then rolled back): grow under
-                    // the exclusive latch, then enter shared.
-                    if entry
-                        .compare_exchange_weak(
-                            e,
-                            pack(TAG_LOCKED, flags_of(e), pages_of(e), frame_of(e)),
-                            Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.audit.claim_exclusive(spec.start.raw());
-                        let grown = self.grow_locked(spec.start, e, spec.pages, spec.pages);
-                        let (word, result) = match grown {
-                            Ok(frame) => {
-                                self.audit.convert_claim_to_shared(spec.start.raw());
-                                (
-                                    pack(1, flags_of(e), spec.pages, frame),
-                                    Ok((frame, spec.pages)),
-                                )
-                            }
-                            Err(err) => {
-                                self.audit.release_claim(spec.start.raw());
-                                (pack(0, flags_of(e), pages_of(e), frame_of(e)), Err(err))
-                            }
-                        };
-                        // ordering: Release; the re-framed bytes are published before the word is visible
-                        entry.store(word, Ordering::Release);
-                        return result;
-                    }
-                }
-                // Shared count saturated, or readers still hold a smaller
-                // framing that must drain before it can grow.
+                // A lost race, a saturated shared count, or readers still
+                // on a smaller framing that must drain before it can grow.
                 _ => spin_loop(),
             }
         }
@@ -455,28 +356,7 @@ impl ExtentPool {
 
     /// Drop one shared latch taken by [`ExtentPool::fix_shared`].
     fn release_shared(&self, pid: Pid) {
-        // Ledger first: the decrement below republishes availability, so
-        // recording the release after it could race a fresh acquirer and
-        // report a false double unlock.
-        self.audit.release_shared(pid.raw());
-        let entry = self.entry(pid);
-        loop {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            let n = tag_of(e);
-            debug_assert!((1..=MAX_SHARED).contains(&n));
-            if entry
-                .compare_exchange_weak(
-                    e,
-                    pack(n - 1, flags_of(e), pages_of(e), frame_of(e)),
-                    Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                return;
-            }
-        }
+        self.entry(pid).unshare();
     }
 
     /// Test-only fault injection: perform a shared release the caller never
@@ -485,6 +365,16 @@ impl ExtentPool {
     #[cfg(debug_assertions)]
     pub fn debug_force_release_shared(&self, pid: Pid) {
         self.release_shared(pid);
+    }
+
+    /// A latch was granted on a resident extent.
+    fn note_hit(&self, pid: Pid) {
+        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+        if self.note_prefetch_consumed(pid) {
+            // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+            self.metrics.readahead_hit.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Fix an extent exclusive, loading it from the device on a miss.
@@ -506,14 +396,9 @@ impl ExtentPool {
         capacity: u64,
         valid_pages: u64,
     ) -> Result<XGuard<'_>> {
-        // ordering: Acquire; pairs with the Release publishes of this word. An unlatched
-        // probe: a racing re-frame only makes the doubling guess stale, never wrong.
-        let e = self.entry(spec.start).load(Ordering::Acquire);
-        let resident = if tag_of(e) == TAG_EVICTED {
-            0
-        } else {
-            pages_of(e)
-        };
+        // An unlatched probe: a racing re-frame only makes the doubling
+        // guess stale, never wrong.
+        let resident = self.entry(spec.start).peek().pages();
         let pages = if resident < spec.pages {
             spec.pages.max((2 * resident).min(capacity))
         } else {
@@ -536,104 +421,41 @@ impl ExtentPool {
             .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.audit.check_may_block_exclusive(spec.start.raw());
         let entry = self.entry(spec.start);
+        let guard = |frame: u64, pages: u64| XGuard {
+            pool: self,
+            spec,
+            frame,
+            pages,
+            _not_send: PhantomData,
+        };
         loop {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            match tag_of(e) {
-                TAG_EVICTED => {
-                    if entry
-                        .compare_exchange_weak(
-                            e,
-                            pack(TAG_LOCKED, 0, spec.pages, 0),
-                            Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.audit.acquire_exclusive(spec.start.raw());
-                        match self.load_extent(spec, load_pages) {
-                            Ok(frame) => {
-                                // Stay locked; the guard releases on drop.
-                                entry.store(
-                                    pack(TAG_LOCKED, 0, spec.pages, frame),
-                                    // ordering: Release; frame/evicted state is published before the word is visible
-                                    Ordering::Release,
-                                );
-                                return Ok(XGuard {
-                                    pool: self,
-                                    spec,
-                                    frame,
-                                    pages: spec.pages,
-                                    _not_send: PhantomData,
-                                });
-                            }
-                            Err(err) => {
-                                self.audit.release_exclusive(spec.start.raw());
-                                // ordering: Release; frame/evicted state is published before the word is visible
-                                entry.store(EVICTED_ENTRY, Ordering::Release);
-                                return Err(err);
-                            }
-                        }
+            let seen = entry.peek();
+            let frame = match seen.latch() {
+                Latch::Evicted if entry.try_claim(seen, Excl::Guard) => self
+                    .load_extent(spec, load_pages)
+                    .inspect_err(|_| entry.evict(Excl::Guard))?,
+                Latch::Shared(0) if entry.try_lock(seen, Excl::Guard) => {
+                    self.note_hit(spec.start);
+                    if seen.pages() >= spec.pages {
+                        return Ok(guard(seen.frame(), seen.pages()));
                     }
-                }
-                0 => {
-                    if entry
-                        .compare_exchange_weak(
-                            e,
-                            pack(TAG_LOCKED, flags_of(e), pages_of(e), frame_of(e)),
-                            Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.audit.acquire_exclusive(spec.start.raw());
-                        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                        self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        if self.note_prefetch_consumed(spec.start) {
-                            // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                            self.metrics.readahead_hit.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let (mut frame, mut pages) = (frame_of(e), pages_of(e));
-                        if pages < spec.pages {
-                            // The content grew past the resident framing.
-                            match self.grow_locked(spec.start, e, spec.pages, load_pages) {
-                                Ok(f) => {
-                                    (frame, pages) = (f, spec.pages);
-                                    entry.store(
-                                        pack(TAG_LOCKED, flags_of(e), pages, frame),
-                                        // ordering: Release; the re-framed bytes are published before the word is visible
-                                        Ordering::Release,
-                                    );
-                                }
-                                Err(err) => {
-                                    self.audit.release_exclusive(spec.start.raw());
-                                    entry.store(
-                                        pack(0, flags_of(e), pages, frame),
-                                        // ordering: Release; hands the untouched old framing back unlatched
-                                        Ordering::Release,
-                                    );
-                                    return Err(err);
-                                }
-                            }
-                        }
-                        return Ok(XGuard {
-                            pool: self,
-                            spec,
-                            frame,
-                            pages,
-                            _not_send: PhantomData,
-                        });
-                    }
+                    // The content grew past the resident framing; a failure
+                    // hands the untouched old one back unlatched.
+                    self.grow_locked(spec.start, seen, spec.pages, load_pages)
+                        .inspect_err(|_| entry.unlock(Excl::Guard))?
                 }
                 _ => {
                     self.poll_prefetches();
                     spin_loop();
+                    continue;
                 }
-            }
+            };
+            // Stay locked on the new framing; the guard releases on drop.
+            entry.reframe(spec.pages, frame);
+            return Ok(guard(frame, spec.pages));
         }
     }
 
-    /// Allocate frames and (optionally) read the extent from the device.
     /// Read a small byte range of an extent *without* forcing residency: a
     /// cached extent is read under its shared latch, an evicted one
     /// straight from the device. Content only leaves the pool after it has
@@ -648,9 +470,7 @@ impl ExtentPool {
         out: &mut [u8],
     ) -> Result<()> {
         debug_assert!(byte_off + out.len() <= (spec.pages as usize) * self.geo.page_size());
-        let entry = self.entry(spec.start);
-        // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-        if tag_of(entry.load(Ordering::Acquire)) != TAG_EVICTED {
+        if self.entry(spec.start).peek().is_resident() {
             // Resident (or in flight): go through the latch. If it gets
             // evicted between the check and the fix, read_extent reloads —
             // correct, just no longer cheap.
@@ -670,6 +490,8 @@ impl ExtentPool {
         Ok(())
     }
 
+    /// Allocate frames for a claimed extent and read its first `load_pages`
+    /// pages from the device. Returns the frame; the caller publishes it.
     fn load_extent(&self, spec: ExtentSpec, load_pages: u64) -> Result<u64> {
         let frame = self.allocate_frames(spec.pages)?;
         if let Err(err) = self.read_into_frames(spec.start, frame, 0, load_pages) {
@@ -696,58 +518,68 @@ impl ExtentPool {
         // (`create_extent`) is not one.
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let p = self.geo.page_size();
         let t = self.metrics.latencies.timer();
-        let len = ((to - from) as usize) * p;
-        // SAFETY: the caller owns this frame range exclusively until the
-        // entry is published.
-        let buf = unsafe {
-            self.arena
-                .frame_slice_mut(((frame + from) as usize) * p, len)
-        };
+        self.read_with_retries(pid, frame, from, to - from)?;
+        self.metrics.latencies.pool_fault.record_timer(t);
+        self.note_pages_read(to - from);
+        Ok(())
+    }
+
+    /// One device read under the retry policy into frames the caller owns
+    /// exclusively (claimed or locked, not yet published).
+    fn read_with_retries(&self, pid: Pid, frame: u64, from: u64, pages: u64) -> Result<()> {
+        // SAFETY: the caller's claim makes the range ours until it publishes.
+        let buf = unsafe { self.frames(frame, from, pages) };
         let (res, stats) = RetryPolicy::DEFAULT.run(|| {
             self.device
                 .read_at(buf, self.geo.offset_of(pid.offset(from)))
         });
         self.metrics.bump_io_retry(stats.retries, stats.gave_up);
-        res?;
-        self.metrics.latencies.pool_fault.record_timer(t);
-        self.metrics
-            .pages_read
-            .fetch_add(to - from, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.metrics
-            .bytes_read
-            .fetch_add(len as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        Ok(())
+        res
+    }
+
+    /// The bytes of pages `[from, from + pages)` of an extent whose page 0
+    /// sits in `frame`.
+    ///
+    /// # Safety
+    /// The caller holds the latch — exclusive, or a claim, to write — that
+    /// makes the range its own for as long as it uses the slice.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn frames(&self, frame: u64, from: u64, pages: u64) -> &mut [u8] {
+        let p = self.geo.page_size();
+        // SAFETY: forwarded to the caller; a framing lies inside the arena.
+        unsafe {
+            self.arena
+                .frame_slice_mut(((frame + from) as usize) * p, (pages as usize) * p)
+        }
     }
 
     /// Re-frame a resident extent to `pages` (more than it holds), with its
-    /// entry already `TAG_LOCKED` by the caller: reserve the larger frame
-    /// range, copy the resident pages across, and read pages
+    /// entry — `seen` before that — already locked by the caller: reserve the
+    /// larger frame range, copy the resident pages across, and read pages
     /// `[resident, load_to)` from the device (the no-steal pool never holds
     /// newer bytes than the device for pages it has not framed). Returns the
     /// new frame; the caller publishes it. On error the old framing is
     /// untouched.
-    fn grow_locked(&self, pid: Pid, e: u64, pages: u64, load_to: u64) -> Result<u64> {
-        let (old_frame, old_pages) = (frame_of(e), pages_of(e));
+    fn grow_locked(&self, pid: Pid, seen: Seen, pages: u64, load_to: u64) -> Result<u64> {
+        let (old_frame, old_pages) = (seen.frame(), seen.pages());
         debug_assert!(old_pages < pages);
         let frame = self.allocate_frames(pages)?;
         if let Err(err) = self.read_into_frames(pid, frame, old_pages, load_to.min(pages)) {
             self.frames.free(frame, pages);
             return Err(err);
         }
-        let p = self.geo.page_size();
-        let len = (old_pages as usize) * p;
         // SAFETY: both ranges are allocated, hence disjoint, and exclusively
         // ours: the old one through the locked entry, the new one until the
         // caller publishes it.
-        unsafe {
-            let src = self.arena.frame_slice_mut((old_frame as usize) * p, len);
-            self.arena
-                .frame_slice_mut((frame as usize) * p, len)
-                .copy_from_slice(src);
-        }
-        self.metrics.bump_memcpy(len as u64);
+        let (src, dst) = unsafe {
+            (
+                self.frames(old_frame, 0, old_pages),
+                self.frames(frame, 0, old_pages),
+            )
+        };
+        dst.copy_from_slice(src);
+        self.metrics.bump_memcpy(src.len() as u64);
         self.frames.free(old_frame, old_pages);
         self.max_resident_pages.fetch_max(pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
         Ok(frame)
@@ -759,28 +591,18 @@ impl ExtentPool {
     /// the pages being cut — and anything else is left for eviction.
     pub fn trim_extent(&self, spec: ExtentSpec) {
         let entry = self.entry(spec.start);
-        // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-        let e = entry.load(Ordering::Acquire);
-        let (frame, pages) = (frame_of(e), pages_of(e));
-        if tag_of(e) != 0 || flags_of(e) != 0 || pages <= spec.pages || spec.pages == 0 {
-            return;
-        }
-        if entry
-            .compare_exchange(
-                e,
-                pack(TAG_LOCKED, 0, pages, frame),
-                Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                Ordering::Acquire,
-            )
-            .is_err()
+        let seen = entry.peek();
+        let (frame, pages) = (seen.frame(), seen.pages());
+        if spec.pages == 0
+            || pages <= spec.pages
+            || !seen.evictable()
+            || !entry.try_lock(seen, Excl::Claim)
         {
             return;
         }
-        self.audit.claim_exclusive(spec.start.raw());
         self.frames.free(frame + spec.pages, pages - spec.pages);
-        self.audit.release_claim(spec.start.raw());
-        // ordering: Release; the shorter framing is published before the word is visible
-        entry.store(pack(0, 0, spec.pages, frame), Ordering::Release);
+        entry.reframe(spec.pages, frame);
+        entry.unlock(Excl::Claim);
     }
 
     fn allocate_frames(&self, pages: u64) -> Result<u64> {
@@ -815,16 +637,15 @@ impl ExtentPool {
         };
         let Some(pid) = victim else { return };
         let entry = self.entry(pid);
-        // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-        let e = entry.load(Ordering::Acquire);
+        let seen = entry.peek();
         // No-steal: dirty extents are never evicted. BLOB content becomes
         // clean at the commit flush; B-Tree nodes become clean at
         // checkpoints — so the on-device tree always equals the last
         // checkpoint, which logical redo/undo recovery relies on.
-        if tag_of(e) != 0 || e & (PREVENT_BIT | DIRTY_BIT) != 0 {
+        if !seen.evictable() {
             return; // latched, dirty, pinned, or already gone
         }
-        let pages = pages_of(e);
+        let pages = seen.pages();
         // Fair eviction: rand(MAX_EXT_SIZE) < extent_size[pid].
         // ordering: Relaxed; a monotonic hint for the fairness dice roll; a stale
         // value only skews eviction probability, never correctness.
@@ -832,24 +653,18 @@ impl ExtentPool {
         if pages < max_pages && rand::thread_rng().gen_range(0..max_pages) >= pages {
             return;
         }
-        if entry
-            .compare_exchange(
-                e,
-                pack(TAG_LOCKED, flags_of(e), pages, frame_of(e)),
-                Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                Ordering::Acquire,
-            )
-            .is_err()
-        {
-            return;
+        if entry.try_lock(seen, Excl::Claim) {
+            self.evict_locked(pid, seen);
         }
-        self.audit.claim_exclusive(pid.raw());
-        let frame = frame_of(e);
-        self.frames.free(frame, pages);
+    }
+
+    /// The one way out of the pool: with the entry — `seen` before that —
+    /// locked by a claim, give its frames back, leave the resident set and
+    /// publish the word evicted.
+    fn evict_locked(&self, pid: Pid, seen: Seen) {
+        self.frames.free(seen.frame(), seen.pages());
         self.resident.lock().remove(pid);
-        self.audit.release_claim(pid.raw());
-        // ordering: Release; frame/evicted state is published before the word is visible
-        entry.store(EVICTED_ENTRY, Ordering::Release);
+        self.entry(pid).evict(Excl::Claim);
         self.note_prefetch_evicted(pid);
     }
 
@@ -867,37 +682,7 @@ impl ExtentPool {
     /// so losing a race just means another thread is already loading that
     /// extent. On any failure every claim is rolled back to `EVICTED`.
     pub fn fault_many(&self, specs: &[ExtentSpec]) -> Result<()> {
-        let mut claimed: Vec<(ExtentSpec, u64)> = Vec::new();
-        let rollback = |claimed: &[(ExtentSpec, u64)], frames_allocated: usize| {
-            for (i, (spec, frame)) in claimed.iter().enumerate() {
-                if i < frames_allocated {
-                    self.frames.free(*frame, spec.pages);
-                }
-                self.audit.release_claim(spec.start.raw());
-                self.entry(spec.start)
-                    .store(EVICTED_ENTRY, Ordering::Release); // ordering: Release; frame/evicted state is published before the word is visible
-            }
-        };
-        for &spec in specs {
-            let entry = self.entry(spec.start);
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            if tag_of(e) != TAG_EVICTED {
-                continue; // resident, or another thread is faulting it
-            }
-            if entry
-                .compare_exchange(
-                    e,
-                    pack(TAG_LOCKED, 0, spec.pages, 0),
-                    Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                self.audit.claim_exclusive(spec.start.raw());
-                claimed.push((spec, 0));
-            }
-        }
+        let mut claimed = self.claim_evicted(specs);
         if claimed.is_empty() {
             return Ok(());
         }
@@ -908,37 +693,21 @@ impl ExtentPool {
             match self.allocate_frames(claimed[i].0.pages) {
                 Ok(f) => claimed[i].1 = f,
                 Err(err) => {
-                    rollback(&claimed, i);
+                    self.abandon_claims(&claimed, i);
                     return Err(err);
                 }
             }
         }
-        let p = self.geo.page_size();
-        let reqs: Vec<IoReq> = claimed
-            .iter()
-            .map(|(spec, frame)| {
-                let len = (spec.pages as usize) * p;
-                // SAFETY: the frame range is exclusively ours until the
-                // entry is published below.
-                let ptr = unsafe { self.arena.frame_ptr((*frame as usize) * p, len) };
-                IoReq {
-                    kind: IoKind::Read,
-                    offset: self.geo.offset_of(spec.start),
-                    ptr,
-                    len,
-                }
-            })
-            .collect();
         let t = self.metrics.latencies.timer();
-        // SAFETY: the frames stay reserved until the wait returns.
-        if let Err(err) = unsafe { self.io.submit_and_wait(reqs) } {
+        // SAFETY: the frames stay claimed until the wait returns.
+        if unsafe { self.io.submit_and_wait(self.read_reqs(&claimed)) }.is_err() {
             // The I/O engine reports only the *first* error per batch, with
             // no per-request attribution. Keep every claim and frame and
             // fall back to serial re-reads (reads are idempotent into
             // frames we own exclusively): each extent runs under the retry
             // policy, successes publish as usual, and only the extents
             // that exhaust their budget roll back.
-            return self.fault_many_serial_fallback(&claimed, rollback, err);
+            return self.fault_many_serial_fallback(&claimed);
         }
         // One record per batch: the whole overlapped round trip is the
         // fault latency a foreground read observes.
@@ -949,68 +718,100 @@ impl ExtentPool {
         self.metrics
             .pages_faulted_batched
             .fetch_add(total_pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.metrics
-            .pages_read
-            .fetch_add(total_pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.metrics
-            .bytes_read
-            .fetch_add(total_pages * p as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.note_pages_read(total_pages);
         self.publish_loaded(&claimed);
         Ok(())
     }
 
+    /// Claim every extent of `specs` that is evicted right now, in list
+    /// order, with no frame yet. An extent that is resident, or that another
+    /// thread is faulting, is skipped.
+    fn claim_evicted(&self, specs: &[ExtentSpec]) -> Vec<(ExtentSpec, u64)> {
+        specs
+            .iter()
+            .filter(|spec| {
+                let entry = self.entry(spec.start);
+                entry.try_claim(entry.peek(), Excl::Claim)
+            })
+            .map(|&spec| (spec, 0))
+            .collect()
+    }
+
+    /// Roll claims back to evicted; the first `framed` of them hold frames.
+    fn abandon_claims(&self, claimed: &[(ExtentSpec, u64)], framed: usize) {
+        for (i, (spec, frame)) in claimed.iter().enumerate() {
+            if i < framed {
+                self.frames.free(*frame, spec.pages);
+            }
+            self.entry(spec.start).evict(Excl::Claim);
+        }
+    }
+
+    /// A device request over pages `[from, from + pages)` of the extent at
+    /// `pid`, whose page 0 sits in `frame`.
+    ///
+    /// # Safety
+    /// The caller holds the extent latched or claimed and keeps it so until
+    /// the request has completed: the request points into the arena.
+    unsafe fn frame_req(&self, kind: IoKind, pid: Pid, frame: u64, from: u64, pages: u64) -> IoReq {
+        let p = self.geo.page_size();
+        let len = (pages as usize) * p;
+        IoReq {
+            kind,
+            offset: self.geo.offset_of(pid.offset(from)),
+            // SAFETY: the range lies in the extent's framing, which the
+            // caller's latch makes ours.
+            ptr: unsafe { self.arena.frame_ptr(((frame + from) as usize) * p, len) },
+            len,
+        }
+    }
+
+    /// One read of its whole framing per claimed extent.
+    ///
+    /// # Safety
+    /// As [`ExtentPool::frame_req`]: the claims stand until the reads are done.
+    unsafe fn read_reqs(&self, claimed: &[(ExtentSpec, u64)]) -> Vec<IoReq> {
+        claimed
+            .iter()
+            // SAFETY: forwarded to the caller.
+            .map(|(spec, frame)| unsafe {
+                self.frame_req(IoKind::Read, spec.start, *frame, 0, spec.pages)
+            })
+            .collect()
+    }
+
+    fn note_pages_read(&self, pages: u64) {
+        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.metrics.pages_read.fetch_add(pages, Ordering::Relaxed);
+        self.metrics
+            .bytes_read
+            .fetch_add(pages * self.geo.page_size() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+    }
+
     /// Recovery path for a failed [`ExtentPool::fault_many`] batch: re-read
     /// every claimed extent serially under the retry policy. Claims and
-    /// frames are preserved across the fallback (the CAS-claim/rollback
+    /// frames are preserved across the fallback (the claim/rollback
     /// invariants of `fault_many` hold unchanged); extents that still fail
-    /// after retries are rolled back to `EVICTED` and the first such error
+    /// after retries are rolled back to evicted and the first such error
     /// is returned.
-    fn fault_many_serial_fallback(
-        &self,
-        claimed: &[(ExtentSpec, u64)],
-        rollback: impl Fn(&[(ExtentSpec, u64)], usize),
-        batch_err: Error,
-    ) -> Result<()> {
-        let p = self.geo.page_size();
-        let mut ok: Vec<(ExtentSpec, u64)> = Vec::new();
-        let mut failed: Vec<(ExtentSpec, u64)> = Vec::new();
-        let mut first_err: Option<Error> = None;
-        for &(spec, frame) in claimed {
-            let len = (spec.pages as usize) * p;
-            // SAFETY: the frame range stays exclusively ours until the
-            // extent is published or rolled back below.
-            let buf = unsafe { self.arena.frame_slice_mut((frame as usize) * p, len) };
-            let (res, stats) = RetryPolicy::DEFAULT
-                .run(|| self.device.read_at(buf, self.geo.offset_of(spec.start)));
-            self.metrics.bump_io_retry(stats.retries, stats.gave_up);
-            match res {
-                Ok(()) => ok.push((spec, frame)),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    failed.push((spec, frame));
+    fn fault_many_serial_fallback(&self, claimed: &[(ExtentSpec, u64)]) -> Result<()> {
+        let mut first_err = None;
+        for claim in claimed.chunks(1) {
+            let (spec, frame) = claim[0];
+            match self.read_with_retries(spec.start, frame, 0, spec.pages) {
+                Ok(()) => {
+                    self.note_pages_read(spec.pages);
+                    self.publish_loaded(claim);
+                }
+                Err(err) => {
+                    self.abandon_claims(claim, 1);
+                    first_err.get_or_insert(err);
                 }
             }
         }
-        let ok_pages: u64 = ok.iter().map(|(s, _)| s.pages).sum();
-        self.metrics
-            .pages_read
-            .fetch_add(ok_pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.metrics
-            .bytes_read
-            .fetch_add(ok_pages * p as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.publish_loaded(&ok);
-        rollback(&failed, failed.len());
-        match first_err {
-            Some(e) => Err(e),
-            // Every extent recovered on the serial pass; the batch error
-            // was a transient the policy absorbed.
-            None => {
-                drop(batch_err);
-                Ok(())
-            }
-        }
+        // With every extent recovered on the serial pass, the batch error
+        // was a transient the policy absorbed.
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Publish batch-loaded extents as resident and unlatched (shared
@@ -1025,9 +826,9 @@ impl ExtentPool {
         for (spec, frame) in claimed {
             self.max_resident_pages
                 .fetch_max(spec.pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
-            self.audit.release_claim(spec.start.raw());
-            self.entry(spec.start)
-                .store(pack(0, 0, spec.pages, *frame), Ordering::Release); // ordering: Release; frame/evicted state is published before the word is visible
+            let entry = self.entry(spec.start);
+            entry.reframe(spec.pages, *frame);
+            entry.unlock(Excl::Claim);
         }
     }
 
@@ -1040,59 +841,27 @@ impl ExtentPool {
     /// by free frames are skipped.
     pub fn prefetch(&self, specs: &[ExtentSpec]) {
         self.poll_prefetches();
-        let mut claimed: Vec<(ExtentSpec, u64)> = Vec::new();
-        for &spec in specs {
-            let entry = self.entry(spec.start);
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            if tag_of(e) != TAG_EVICTED {
-                continue;
+        let mut claimed = self.claim_evicted(specs);
+        claimed.retain_mut(|(spec, frame)| match self.frames.allocate(spec.pages) {
+            Ok(f) => {
+                *frame = f;
+                true
             }
-            if entry
-                .compare_exchange(
-                    e,
-                    pack(TAG_LOCKED, 0, spec.pages, 0),
-                    Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                    Ordering::Acquire,
-                )
-                .is_err()
-            {
-                continue;
+            Err(_) => {
+                self.entry(spec.start).evict(Excl::Claim);
+                false
             }
-            self.audit.claim_exclusive(spec.start.raw());
-            match self.frames.allocate(spec.pages) {
-                Ok(f) => claimed.push((spec, f)),
-                Err(_) => {
-                    self.audit.release_claim(spec.start.raw());
-                    // ordering: Release; frame/evicted state is published before the word is visible
-                    entry.store(EVICTED_ENTRY, Ordering::Release);
-                }
-            }
-        }
+        });
         if claimed.is_empty() {
             return;
         }
-        let p = self.geo.page_size();
-        let reqs: Vec<IoReq> = claimed
-            .iter()
-            .map(|(spec, frame)| {
-                let len = (spec.pages as usize) * p;
-                // SAFETY: frame range exclusively ours until published.
-                let ptr = unsafe { self.arena.frame_ptr((*frame as usize) * p, len) };
-                IoReq {
-                    kind: IoKind::Read,
-                    offset: self.geo.offset_of(spec.start),
-                    ptr,
-                    len,
-                }
-            })
-            .collect();
         self.metrics
             .readahead_issued
             .fetch_add(claimed.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                                                                 // SAFETY: the frames stay reserved (entries locked) until the batch
-                                                                 // is reaped; `Drop` drains every batch before the arena goes away.
-        let handle = unsafe { self.io.submit(reqs) };
+
+        // SAFETY: the frames stay claimed until the batch is reaped; `Drop`
+        // drains every batch before the arena goes away.
+        let handle = unsafe { self.io.submit(self.read_reqs(&claimed)) };
         self.inflight.lock().push(PrefetchBatch { handle, claimed });
     }
 
@@ -1131,12 +900,7 @@ impl ExtentPool {
     fn finish_prefetch(&self, claimed: Vec<(ExtentSpec, u64)>, result: Result<()>) {
         match result {
             Ok(()) => {
-                let total: u64 = claimed.iter().map(|(s, _)| s.pages).sum();
-                // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                self.metrics.pages_read.fetch_add(total, Ordering::Relaxed);
-                self.metrics
-                    .bytes_read
-                    .fetch_add(total * self.geo.page_size() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+                self.note_pages_read(claimed.iter().map(|(s, _)| s.pages).sum());
                 {
                     let mut set = self.prefetched.lock();
                     for (spec, _) in &claimed {
@@ -1147,17 +911,10 @@ impl ExtentPool {
                 }
                 self.publish_loaded(&claimed);
             }
-            Err(_) => {
-                // Readahead is advisory: on I/O failure the extents simply
-                // stay evicted, and the foreground read that needs them
-                // reports the error itself.
-                for (spec, frame) in &claimed {
-                    self.frames.free(*frame, spec.pages);
-                    self.audit.release_claim(spec.start.raw());
-                    self.entry(spec.start)
-                        .store(EVICTED_ENTRY, Ordering::Release); // ordering: Release; frame/evicted state is published before the word is visible
-                }
-            }
+            // Readahead is advisory: on I/O failure the extents simply stay
+            // evicted, and the foreground read that needs them reports the
+            // error itself.
+            Err(_) => self.abandon_claims(&claimed, claimed.len()),
         }
     }
 
@@ -1198,20 +955,21 @@ impl ExtentPool {
         from_page: u64,
         pages: u64,
     ) -> Result<()> {
-        let p = self.geo.page_size();
-        let off = ((frame + from_page) as usize) * p;
-        let len = (pages as usize) * p;
         // SAFETY: caller holds the extent latched.
-        let buf = unsafe { self.arena.frame_slice_mut(off, len) };
+        let buf = unsafe { self.frames(frame, from_page, pages) };
         self.device
             .write_at(buf, self.geo.offset_of(pid.offset(from_page)))?;
+        self.note_pages_written(pages);
+        Ok(())
+    }
+
+    fn note_pages_written(&self, pages: u64) {
         self.metrics
             .pages_written
             .fetch_add(pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.metrics
             .bytes_written
-            .fetch_add(len as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        Ok(())
+            .fetch_add(pages * self.geo.page_size() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
     }
 
     // ---------------------------------------------------------- flags ---
@@ -1219,30 +977,7 @@ impl ExtentPool {
     /// Set or clear the `prevent_evict` flag (§III-C "BLOB eviction"): set
     /// after allocation, cleared once the commit-time flush completes.
     pub fn set_prevent_evict(&self, pid: Pid, on: bool) {
-        let entry = self.entry(pid);
-        loop {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            if tag_of(e) == TAG_EVICTED {
-                return;
-            }
-            let new = if on {
-                e | PREVENT_BIT
-            } else {
-                e & !PREVENT_BIT
-            };
-            if entry
-                .compare_exchange_weak(e, new, Ordering::AcqRel, Ordering::Acquire) // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                .is_ok()
-            {
-                if on {
-                    self.audit.pin(pid.raw());
-                } else {
-                    self.audit.unpin(pid.raw());
-                }
-                return;
-            }
-        }
+        self.entry(pid).set_prevent_evict(on);
     }
 
     /// Clear the `prevent_evict` pin of an extent whose staged flush will
@@ -1253,35 +988,14 @@ impl ExtentPool {
         self.set_prevent_evict(pid, false);
     }
 
-    fn set_dirty(&self, pid: Pid, on: bool) {
-        let entry = self.entry(pid);
-        loop {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            if tag_of(e) == TAG_EVICTED {
-                return;
-            }
-            let new = if on { e | DIRTY_BIT } else { e & !DIRTY_BIT };
-            if entry
-                .compare_exchange_weak(e, new, Ordering::AcqRel, Ordering::Acquire) // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
     /// Whether the extent is resident and dirty (test/diagnostic hook).
     pub fn is_dirty(&self, pid: Pid) -> bool {
-        // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-        let e = self.entry(pid).load(Ordering::Acquire);
-        tag_of(e) != TAG_EVICTED && e & DIRTY_BIT != 0
+        self.entry(pid).peek().dirty()
     }
 
     /// Whether the extent is resident.
     pub fn is_resident(&self, pid: Pid) -> bool {
-        // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-        tag_of(self.entry(pid).load(Ordering::Acquire)) != TAG_EVICTED
+        self.entry(pid).peek().is_resident()
     }
 
     // ---------------------------------------------------------- flush ---
@@ -1309,7 +1023,6 @@ impl ExtentPool {
     /// arena memory.
     pub fn flush_extents_begin(&self, items: &[FlushItem]) -> Result<ExtentFlushBatch> {
         let mut reqs = Vec::with_capacity(items.len());
-        let p = self.geo.page_size();
         for (latched, item) in items.iter().enumerate() {
             // The dirty range must lie inside the resident framing: the
             // request below points straight into the arena.
@@ -1336,16 +1049,16 @@ impl ExtentPool {
             // transaction submits on its own thread what the committer's
             // flush stage reaps.
             self.audit.hand_off_shared(item.spec.start.raw());
-            let off = ((frame + item.dirty_from) as usize) * p;
-            let len = (item.dirty_pages as usize) * p;
             // SAFETY: the shared latch (held until finish) keeps the frames
             // alive and unchanged until the batch completes.
-            let ptr = unsafe { self.arena.frame_ptr(off, len) };
-            reqs.push(IoReq {
-                kind: IoKind::Write,
-                offset: self.geo.offset_of(item.spec.start.offset(item.dirty_from)),
-                ptr,
-                len,
+            reqs.push(unsafe {
+                self.frame_req(
+                    IoKind::Write,
+                    item.spec.start,
+                    frame,
+                    item.dirty_from,
+                    item.dirty_pages,
+                )
             });
         }
         for item in items {
@@ -1369,23 +1082,12 @@ impl ExtentPool {
     pub fn flush_extents_finish(&self, batch: &ExtentFlushBatch, result: &Result<()>) {
         let landed = result.is_ok();
         if landed {
-            let p = self.geo.page_size() as u64;
-            let total_pages: u64 = batch.items.iter().map(|i| i.dirty_pages).sum();
-            self.metrics
-                .pages_written
-                .fetch_add(total_pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-            self.metrics
-                .bytes_written
-                .fetch_add(total_pages * p, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+            self.note_pages_written(batch.items.iter().map(|i| i.dirty_pages).sum());
         }
         for item in &batch.items {
-            // Still under the batch's shared latch, so no writer can stage
-            // another flush between the count reaching zero and the clear.
-            if self.flushes.finish(item.spec.start, landed) {
-                self.set_dirty(item.spec.start, false);
-                self.set_prevent_evict(item.spec.start, false);
-            }
-            self.release_shared(item.spec.start);
+            let entry = self.entry(item.spec.start);
+            entry.finish_flush(&self.flushes, landed);
+            entry.unshare();
         }
     }
 
@@ -1395,16 +1097,10 @@ impl ExtentPool {
     /// turn and copies only what it keeps, instead of this pool
     /// allocating a fresh `Vec<u8>` snapshot per dirty extent.
     pub fn collect_dirty(&self, mut f: impl FnMut(ExtentSpec, &[u8]) -> Result<()>) -> Result<()> {
-        let snapshot = self.resident.lock().snapshot();
         let mut scratch: Vec<u8> = Vec::new();
-        for pid in snapshot {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = self.entry(pid).load(Ordering::Acquire);
-            if tag_of(e) == TAG_EVICTED || e & DIRTY_BIT == 0 || self.flushes.in_flight(pid) {
-                continue; // clean, or not the checkpoint's to write (see flush_all_dirty)
-            }
-            let g = self.read_extent(ExtentSpec::new(pid, pages_of(e)))?;
-            let spec = ExtentSpec::new(pid, g.pages);
+        for spec in self.dirty_without_a_flight() {
+            let g = self.read_extent(spec)?;
+            let spec = ExtentSpec::new(spec.start, g.pages);
             scratch.clear();
             scratch.extend_from_slice(&g);
             drop(g); // don't hold the latch across the visitor
@@ -1413,28 +1109,34 @@ impl ExtentPool {
         Ok(())
     }
 
-    /// Flush every dirty resident extent (checkpoint / shutdown) — except
+    /// Every dirty resident extent, as framed at an unlatched probe — except
     /// one with a flush on the device right now. The committer is quiesced
     /// when a checkpoint runs, so such a flight is an uncommitted
     /// transaction's eager write of a fresh extent: nothing the
     /// checkpointed tree references, and its own ticket lands it and clears
     /// its flags. Writing it here would put every page on the device twice.
-    pub fn flush_all_dirty(&self) -> Result<()> {
+    fn dirty_without_a_flight(&self) -> impl Iterator<Item = ExtentSpec> + '_ {
         let snapshot = self.resident.lock().snapshot();
-        for pid in snapshot {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = self.entry(pid).load(Ordering::Acquire);
-            if tag_of(e) == TAG_EVICTED || e & DIRTY_BIT == 0 || self.flushes.in_flight(pid) {
-                continue;
-            }
+        snapshot.into_iter().filter_map(move |pid| {
+            let seen = self.entry(pid).peek();
+            (seen.dirty() && !self.flushes.in_flight(pid))
+                .then(|| ExtentSpec::new(pid, seen.pages()))
+        })
+    }
+
+    /// Flush every dirty resident extent (checkpoint / shutdown) that has no
+    /// flush of its own in flight.
+    pub fn flush_all_dirty(&self) -> Result<()> {
+        for spec in self.dirty_without_a_flight() {
             // Write what is resident once latched: an append may have
-            // re-framed the extent since the unlatched probe above.
-            let g = self.read_extent(ExtentSpec::new(pid, pages_of(e)))?;
-            self.write_frames_to_device(pid, g.frame, 0, g.pages)?;
+            // re-framed the extent since the unlatched probe.
+            let g = self.read_extent(spec)?;
+            self.write_frames_to_device(spec.start, g.frame, 0, g.pages)?;
             // Whatever flush was owed has nothing left to write.
-            self.flushes.forget(pid);
-            self.set_dirty(pid, false);
-            self.set_prevent_evict(pid, false);
+            self.flushes.forget(spec.start);
+            let entry = self.entry(spec.start);
+            entry.set_dirty(false);
+            entry.set_prevent_evict(false);
         }
         Ok(())
     }
@@ -1446,63 +1148,26 @@ impl ExtentPool {
         let snapshot = self.resident.lock().snapshot();
         for pid in snapshot {
             let entry = self.entry(pid);
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            if tag_of(e) != 0 || e & (DIRTY_BIT | PREVENT_BIT) != 0 {
-                continue;
-            }
-            if entry
-                .compare_exchange(
-                    e,
-                    pack(TAG_LOCKED, flags_of(e), pages_of(e), frame_of(e)),
-                    Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                self.audit.claim_exclusive(pid.raw());
-                self.frames.free(frame_of(e), pages_of(e));
-                self.resident.lock().remove(pid);
-                self.audit.release_claim(pid.raw());
-                // ordering: Release; frame/evicted state is published before the word is visible
-                entry.store(EVICTED_ENTRY, Ordering::Release);
-                self.note_prefetch_evicted(pid);
+            let seen = entry.peek();
+            if seen.evictable() && entry.try_lock(seen, Excl::Claim) {
+                self.evict_locked(pid, seen);
             }
         }
     }
 
     /// Discard a resident extent without writing it (BLOB deletion or
-    /// transaction rollback of a fresh allocation).
+    /// transaction rollback of a fresh allocation, which may drop an extent
+    /// that is still dirty and pinned).
     pub fn drop_extent(&self, spec: ExtentSpec) {
         let entry = self.entry(spec.start);
         loop {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            match tag_of(e) {
-                TAG_EVICTED => return,
-                0 => {
-                    if entry
-                        .compare_exchange(
-                            e,
-                            pack(TAG_LOCKED, 0, pages_of(e), frame_of(e)),
-                            Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.audit.claim_exclusive(spec.start.raw());
-                        self.frames.free(frame_of(e), pages_of(e));
-                        self.resident.lock().remove(spec.start);
-                        self.flushes.forget(spec.start);
-                        // Rollback of a fresh allocation may drop an extent
-                        // that is still pinned; clear the ledger pin too.
-                        self.audit.unpin(spec.start.raw());
-                        self.audit.release_claim(spec.start.raw());
-                        // ordering: Release; frame/evicted state is published before the word is visible
-                        entry.store(EVICTED_ENTRY, Ordering::Release);
-                        self.note_prefetch_evicted(spec.start);
-                        return;
-                    }
+            let seen = entry.peek();
+            match seen.latch() {
+                Latch::Evicted => return,
+                Latch::Shared(0) if entry.try_lock(seen, Excl::Claim) => {
+                    self.flushes.forget(spec.start);
+                    self.evict_locked(spec.start, seen);
+                    return;
                 }
                 _ => {
                     self.poll_prefetches();
@@ -1644,9 +1309,8 @@ impl ExtentPool {
     /// residency probe races benignly with eviction: losing the race
     /// faults the extent back in, which is correct, merely not free.
     pub fn try_lease_resident(&self, spec: ExtentSpec) -> Result<bool> {
-        // ordering: Acquire pairs with the Release tag publication on
-        // evict/fault-in; a stale read is benign — it only declines the lease.
-        if tag_of(self.entry(spec.start).load(Ordering::Acquire)) == TAG_EVICTED {
+        // A stale peek is benign: it only declines the lease.
+        if !self.entry(spec.start).peek().is_resident() {
             return Ok(false);
         }
         self.lease_extent(spec)?;
@@ -1706,23 +1370,13 @@ impl ShGuard<'_> {
     pub fn spec(&self) -> ExtentSpec {
         self.spec
     }
-
-    /// Byte offset of this extent's frames within the arena.
-    pub fn frame_byte_offset(&self) -> usize {
-        (self.frame as usize) * self.pool.geo.page_size()
-    }
 }
 
 impl Deref for ShGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        let len = (self.pages as usize) * self.pool.geo.page_size();
         // SAFETY: shared latch held; writers are excluded.
-        unsafe {
-            self.pool
-                .arena
-                .frame_slice_mut(self.frame_byte_offset(), len)
-        }
+        unsafe { self.pool.frames(self.frame, 0, self.pages) }
     }
 }
 
@@ -1750,14 +1404,10 @@ impl XGuard<'_> {
         self.spec
     }
 
-    pub fn frame_byte_offset(&self) -> usize {
-        (self.frame as usize) * self.pool.geo.page_size()
-    }
-
     /// Mark the extent dirty (it will be written back on eviction or
     /// checkpoint unless the commit-time flush cleans it first).
     pub fn mark_dirty(&self) {
-        self.pool.set_dirty(self.spec.start, true);
+        self.pool.entry(self.spec.start).set_dirty(true);
     }
 
     /// Pin the extent against eviction until the commit-time flush clears
@@ -1769,57 +1419,29 @@ impl XGuard<'_> {
     /// The bytes just written owe the extent one commit-time flush: dirty
     /// and pinned until that flush — and every other one owed — has landed.
     pub fn stage_flush(&self) {
-        self.mark_dirty();
-        self.set_prevent_evict();
-        self.pool.flushes.stage(self.spec.start);
+        self.pool
+            .entry(self.spec.start)
+            .stage_flush(&self.pool.flushes);
     }
 }
 
 impl Deref for XGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        let len = (self.pages as usize) * self.pool.geo.page_size();
         // SAFETY: exclusive latch held.
-        unsafe {
-            self.pool
-                .arena
-                .frame_slice_mut(self.frame_byte_offset(), len)
-        }
+        unsafe { self.pool.frames(self.frame, 0, self.pages) }
     }
 }
 
 impl DerefMut for XGuard<'_> {
     fn deref_mut(&mut self) -> &mut [u8] {
-        let len = (self.pages as usize) * self.pool.geo.page_size();
         // SAFETY: exclusive latch held.
-        unsafe {
-            self.pool
-                .arena
-                .frame_slice_mut(self.frame_byte_offset(), len)
-        }
+        unsafe { self.pool.frames(self.frame, 0, self.pages) }
     }
 }
 
 impl Drop for XGuard<'_> {
     fn drop(&mut self) {
-        // Ledger first: the CAS below republishes the extent as unlatched.
-        self.pool.audit.release_exclusive(self.spec.start.raw());
-        let entry = self.pool.entry(self.spec.start);
-        loop {
-            // ordering: Acquire; pairs with the Release publishes of this word, so tag+frame imply visible bytes
-            let e = entry.load(Ordering::Acquire);
-            debug_assert_eq!(tag_of(e), TAG_LOCKED);
-            if entry
-                .compare_exchange_weak(
-                    e,
-                    pack(0, flags_of(e), pages_of(e), frame_of(e)),
-                    Ordering::AcqRel, // ordering: AcqRel on success (latch handoff), Acquire on failure retry
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                return;
-            }
-        }
+        self.pool.entry(self.spec.start).unlock(Excl::Guard);
     }
 }

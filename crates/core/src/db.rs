@@ -46,17 +46,6 @@ pub enum BlobLogging {
     Physical { segment: usize },
 }
 
-/// BLOB in-place update scheme selection (§III-D "Updating a BLOB").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UpdatePolicy {
-    /// Pick delta-log vs clone-extent per extent by modeled cost.
-    Auto,
-    /// Always delta-log (new data written twice: WAL + extent).
-    AlwaysDelta,
-    /// Always clone the extent (old data written once more).
-    AlwaysClone,
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -79,8 +68,6 @@ pub struct Config {
     /// Pages per B-Tree node.
     // knob: fixed at create; `open` reads it back from the header
     pub node_pages: u64,
-    // knob: tests pin each §III-D scheme so both stay covered; `Auto` picks per extent
-    pub update_policy: UpdatePolicy,
     /// `true`: commit returns only after the WAL fsync and the extent flush
     /// (full durability). `false`: commits are handed to a background group
     /// committer and return immediately — the paper's "critical path does
@@ -119,7 +106,6 @@ impl Default for Config {
             checkpoint_threshold: 64 << 20,
             workers: 4,
             node_pages: 1,
-            update_policy: UpdatePolicy::Auto,
             commit_wait: true,
             readahead_extents: 4,
             verify_reads: false,

@@ -54,7 +54,6 @@ pub use blob_state::{BlobState, PREFIX_LEN};
 pub use catalog::{Relation, RelationKind};
 pub use db::{
     BlobLogging, ComparatorFactory, Config, CrossCommitPolicy, Database, PoolVariant, ScrubReport,
-    UpdatePolicy,
 };
 pub use dedup::{DedupStats, DedupStore};
 pub use defrag::{

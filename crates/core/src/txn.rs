@@ -24,7 +24,7 @@
 
 use crate::blob_state::{BlobState, PREFIX_LEN};
 use crate::catalog::{Relation, RelationKind};
-use crate::db::{BlobLogging, Database, UpdatePolicy};
+use crate::db::{BlobLogging, Database};
 use crate::group_commit::CommitBatch;
 use crate::lock::LockMode;
 use lobster_buffer::{FlushItem, FlushTicket};
@@ -1034,7 +1034,7 @@ impl Txn {
 
     /// Overwrite `data` at `offset` within an existing BLOB (no size
     /// change). Each touched extent independently uses delta logging or
-    /// extent cloning per the configured [`UpdatePolicy`] (§III-D).
+    /// extent cloning, whichever writes fewer bytes (§III-D).
     pub fn update_blob(
         &mut self,
         rel: &Relation,
@@ -1088,12 +1088,7 @@ impl Txn {
 
                 // Modeled costs: delta writes the new bytes twice (WAL +
                 // extent); cloning writes the old extent content once more.
-                let use_delta = match self.db.cfg.update_policy {
-                    UpdatePolicy::AlwaysDelta => true,
-                    UpdatePolicy::AlwaysClone => false,
-                    UpdatePolicy::Auto => 2 * overlap as u64 <= ext_bytes,
-                };
-                if use_delta {
+                if 2 * overlap as u64 <= ext_bytes {
                     let before = self.read_slice(&state, lo, overlap)?;
                     self.records.push(LogRecord::BlobDelta {
                         txn: self.id,

@@ -3,7 +3,7 @@
 //! may precede it), sticky error surfacing, pin budget release on flush
 //! completion, and the flags of an extent with more than one flush owed.
 
-use lobster_core::{Config, Database, PoolVariant, RelationKind, UpdatePolicy};
+use lobster_core::{Config, Database, PoolVariant, RelationKind};
 use lobster_extent::ExtentSpec;
 use lobster_storage::{CrashDevice, Device, MemDevice};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -100,11 +100,7 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 fn wal_failure_in_place_writes_never_reach_the_data_device() {
     let data = Arc::new(CrashDevice::new(MemDevice::new(256 << 20)));
     let wal = Arc::new(CrashDevice::new(MemDevice::new(64 << 20)));
-    let cfg = Config {
-        update_policy: UpdatePolicy::AlwaysDelta,
-        ..waiting_cfg()
-    };
-    let db = Database::create(data.clone(), wal.clone(), cfg).unwrap();
+    let db = Database::create(data.clone(), wal.clone(), waiting_cfg()).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
 
     // Healthy phase: 74 pages of content, the last 11 of them in a 64-page
@@ -123,6 +119,7 @@ fn wal_failure_in_place_writes_never_reach_the_data_device() {
     wal.crash_now();
     wal.set_fail_after_crash(true);
 
+    // 5 000 bytes of a 16-page extent: a delta, patched in place.
     let mut t = db.begin();
     t.update_blob(&rel, b"x", 100_000, &pattern(5_000, 2))
         .unwrap();

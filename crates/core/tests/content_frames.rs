@@ -7,7 +7,7 @@
 //! warm and again cold after a reopen; one crash round proves recovery's
 //! SHA fixpoint sees the same content.
 
-use lobster_core::{Config, Database, RelationKind, UpdatePolicy};
+use lobster_core::{Config, Database, RelationKind};
 use lobster_storage::{CrashDevice, Device, MemDevice};
 use std::sync::Arc;
 
@@ -261,52 +261,54 @@ fn aborted_truncate_regrows_the_trimmed_extent() {
 
 #[test]
 fn update_by_delta_and_by_clone_on_a_partial_last_extent() {
-    for policy in [
-        UpdatePolicy::AlwaysDelta,
-        UpdatePolicy::AlwaysClone,
-        UpdatePolicy::Auto,
-    ] {
-        let mut h = Harness::new(Config {
-            update_policy: policy,
-            ..cfg()
-        });
-        let mut want = pattern(BASE, 1);
-        h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    let mut h = Harness::new(cfg());
+    let mut want = pattern(BASE, 1);
+    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    let extents = |h: &Harness| {
+        let mut placed = Vec::new();
+        h.commit(|t, rel| placed = t.blob_state(rel, KEY).unwrap().unwrap().extents);
+        placed
+    };
+    let put = extents(&h);
 
-        // Warm, inside the partial last extent (blob pages 63..74).
-        let patch = pattern(5_000, 2);
-        let at = 65 * PAGE + 100;
-        h.commit(|t, rel| t.update_blob(rel, KEY, at as u64, &patch).unwrap());
-        want[at..at + patch.len()].copy_from_slice(&patch);
-        h.audit(&want, &format!("{policy:?} warm"));
+    // Warm, inside the partial last extent (blob pages 63..74): 5 000 of
+    // its 45 056 content bytes, well under half, so a delta in place.
+    let patch = pattern(5_000, 2);
+    let at = 65 * PAGE + 100;
+    h.commit(|t, rel| t.update_blob(rel, KEY, at as u64, &patch).unwrap());
+    want[at..at + patch.len()].copy_from_slice(&patch);
+    assert_eq!(extents(&h), put, "delta");
+    h.audit(&want, "delta warm");
 
-        // Cold, straddling the last two extents and reaching the final byte.
-        h.db.blob_pool().drop_caches();
-        let patch = pattern(BASE - 60 * PAGE, 3);
-        let at = 60 * PAGE;
-        h.commit(|t, rel| t.update_blob(rel, KEY, at as u64, &patch).unwrap());
-        want[at..].copy_from_slice(&patch);
-        h.audit(&want, &format!("{policy:?} cold"));
+    // Cold, straddling the last two extents and reaching the final byte:
+    // three pages of the 32-page extent (a delta) and all the content of
+    // the last one (a clone, sized by what it holds, not what it reserves).
+    h.db.blob_pool().drop_caches();
+    let patch = pattern(BASE - 60 * PAGE, 3);
+    let at = 60 * PAGE;
+    h.commit(|t, rel| t.update_blob(rel, KEY, at as u64, &patch).unwrap());
+    want[at..].copy_from_slice(&patch);
+    let cloned = extents(&h);
+    assert_eq!(cloned[..6], put[..6], "delta");
+    assert_ne!(cloned[6], put[6], "clone");
+    h.audit(&want, "clone cold");
 
-        // The (possibly cloned) last extent still grows.
-        let more = pattern(40_000, 4);
-        h.commit(|t, rel| t.append_blob(rel, KEY, &more).unwrap());
-        want.extend_from_slice(&more);
-        h.audit(&want, &format!("{policy:?} append after update"));
-    }
+    // The cloned last extent still grows.
+    let more = pattern(40_000, 4);
+    h.commit(|t, rel| t.append_blob(rel, KEY, &more).unwrap());
+    want.extend_from_slice(&more);
+    h.audit(&want, "append after update");
 }
 
 #[test]
 fn aborted_delta_update_restores_the_bytes() {
-    let mut h = Harness::new(Config {
-        update_policy: UpdatePolicy::AlwaysDelta,
-        ..cfg()
-    });
+    let mut h = Harness::new(cfg());
     let want = pattern(BASE, 1);
     h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
     h.refault();
     let rel = h.db.relation("b").unwrap();
     let mut t = h.db.begin();
+    // 9 000 bytes of the last extent's 45 056: under half, so a delta.
     t.update_blob(&rel, KEY, (70 * PAGE) as u64, &pattern(9_000, 2))
         .unwrap();
     t.abort();

@@ -8,7 +8,7 @@
 //! starts — and the result must be the right bytes under the right SHA-256,
 //! before and after a reopen.
 
-use lobster_core::{Config, Database, RelationKind, ShardDevices, ShardedDatabase, UpdatePolicy};
+use lobster_core::{Config, Database, RelationKind, ShardDevices, ShardedDatabase};
 use lobster_sha256::Sha256;
 use lobster_storage::{Device, MemDevice, ThrottleProfile, ThrottledDevice};
 use std::sync::Arc;
@@ -41,9 +41,6 @@ fn cfg() -> Config {
         pool_frames: 4096,
         commit_wait: true,
         checkpoint_threshold: u64::MAX,
-        // Small overlaps patch in place, so the update takes the exclusive
-        // latch of an extent the put is still writing.
-        update_policy: UpdatePolicy::AlwaysDelta,
         ..Config::default()
     }
 }
@@ -85,6 +82,8 @@ fn same_txn_verbs_after_a_large_put_on_txn() {
     let mut t = db.begin();
     t.put_blob(&rel, b"updated", &pattern(MIB + 4096, 3))
         .unwrap();
+    // 5 000 bytes of a 128-page extent patch in place, so the update takes
+    // the exclusive latch of an extent the put is still writing.
     t.update_blob(&rel, b"updated", 700_000, &pattern(5_000, 4))
         .unwrap();
     t.commit().unwrap();

@@ -3,7 +3,7 @@
 
 use lobster_core::{
     BlobLogging, BlobStateCmp, Config, Database, ExpressionIndex, PoolVariant, RelationKind,
-    TierPolicy, Txn, UpdatePolicy,
+    TierPolicy, Txn,
 };
 use lobster_sha256::Sha256;
 use lobster_storage::{CrashDevice, Device, MemDevice};
@@ -321,40 +321,41 @@ fn truncate_survives_recovery() {
 
 #[test]
 fn update_in_place_delta_and_clone() {
-    for policy in [
-        UpdatePolicy::AlwaysDelta,
-        UpdatePolicy::AlwaysClone,
-        UpdatePolicy::Auto,
-    ] {
-        let mut cfg = small_cfg();
-        cfg.update_policy = policy;
-        let db = mem_db(cfg);
-        let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-        let mut data = pattern(100_000, 21);
-        put(&db, &rel, b"k", &data);
-
-        // Overwrite a range spanning extent boundaries.
-        let patch = pattern(20_000, 22);
-        let mut t = db.begin();
-        t.update_blob(&rel, b"k", 3_000, &patch).unwrap();
-        t.commit().unwrap();
-        data[3_000..23_000].copy_from_slice(&patch);
-        assert_eq!(get(&db, &rel, b"k"), data, "{policy:?}");
-
+    let db = mem_db(small_cfg());
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let mut data = pattern(100_000, 21);
+    put(&db, &rel, b"k", &data);
+    let state_of = |db: &Arc<Database>| {
         let mut t = db.begin();
         let state = t.blob_state(&rel, b"k").unwrap().unwrap();
         t.commit().unwrap();
-        assert_eq!(state.sha256, Sha256::digest(&data), "{policy:?}");
-        // Prefix must reflect an update at offset 0 too.
-        let mut t = db.begin();
-        t.update_blob(&rel, b"k", 0, b"XYZ").unwrap();
-        t.commit().unwrap();
-        data[..3].copy_from_slice(b"XYZ");
-        let mut t = db.begin();
-        let state = t.blob_state(&rel, b"k").unwrap().unwrap();
-        t.commit().unwrap();
-        assert_eq!(&state.prefix[..3], b"XYZ");
-    }
+        state
+    };
+    let before = state_of(&db).extents;
+
+    // One overwrite on both sides of the rule (a patch of at most half an
+    // extent is delta-logged, a larger one clones the extent): it covers a
+    // quarter of the 1-page extent, all of the 2-page one and two thirds
+    // of the 4-page one.
+    let patch = pattern(20_000, 22);
+    let mut t = db.begin();
+    t.update_blob(&rel, b"k", 3_000, &patch).unwrap();
+    t.commit().unwrap();
+    data[3_000..23_000].copy_from_slice(&patch);
+    assert_eq!(get(&db, &rel, b"k"), data);
+
+    let state = state_of(&db);
+    assert_eq!(state.sha256, Sha256::digest(&data));
+    assert_eq!(state.extents[0], before[0], "patched in place");
+    assert_ne!(state.extents[1], before[1], "cloned");
+    assert_ne!(state.extents[2], before[2], "cloned");
+    assert_eq!(state.extents[3..], before[3..], "untouched");
+
+    // Prefix must reflect an update at offset 0 too.
+    let mut t = db.begin();
+    t.update_blob(&rel, b"k", 0, b"XYZ").unwrap();
+    t.commit().unwrap();
+    assert_eq!(&state_of(&db).prefix[..3], b"XYZ");
 }
 
 #[test]
@@ -678,21 +679,26 @@ fn recovery_applies_deltas_and_appends() {
     let wal = Arc::new(MemDevice::new(32 << 20));
     let mut data = pattern(50_000, 111);
     {
-        let mut cfg = small_cfg();
-        cfg.update_policy = UpdatePolicy::AlwaysDelta;
-        let db = Database::create(dev.clone(), wal.clone(), cfg).unwrap();
+        let db = Database::create(dev.clone(), wal.clone(), small_cfg()).unwrap();
         let rel = db.create_relation("b", RelationKind::Blob).unwrap();
         put(&db, &rel, b"k", &data);
         db.checkpoint().unwrap();
 
+        // 3 000 bytes inside the last extent's six pages: a delta.
         let mut t = db.begin();
-        t.update_blob(&rel, b"k", 1000, &[0xEEu8; 3000]).unwrap();
+        let placed = t.blob_state(&rel, b"k").unwrap().unwrap().extents;
+        t.update_blob(&rel, b"k", 30_000, &[0xEEu8; 3000]).unwrap();
+        assert_eq!(
+            t.blob_state(&rel, b"k").unwrap().unwrap().extents,
+            placed,
+            "a cloned extent would leave no delta to replay"
+        );
         t.commit().unwrap();
         let extra = pattern(20_000, 112);
         let mut t = db.begin();
         t.append_blob(&rel, b"k", &extra).unwrap();
         t.commit().unwrap();
-        data[1000..4000].fill(0xEE);
+        data[30_000..33_000].fill(0xEE);
         data.extend_from_slice(&extra);
         std::mem::forget(db); // crash without checkpoint
     }

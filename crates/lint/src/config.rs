@@ -126,6 +126,10 @@ impl LintConfig {
                     index: false,
                 },
                 PanicScope {
+                    path: "crates/buffer/src/entry.rs".into(),
+                    index: false,
+                },
+                PanicScope {
                     path: "crates/buffer/src/htpool.rs".into(),
                     index: false,
                 },
@@ -180,14 +184,28 @@ impl LintConfig {
                 },
                 GuardRule {
                     what: "versioned latch",
-                    methods: vec![
-                        "fix_shared",
-                        "fix_exclusive",
-                        "release_shared",
-                        "release_exclusive",
-                    ],
+                    methods: vec!["fix_shared", "fix_exclusive", "release_shared"],
                     receiver_hints: vec![],
                     allowed_paths: vec!["crates/buffer/src/".into()],
+                },
+                GuardRule {
+                    // The raw transitions under those: `entry.rs` defines
+                    // them, `pool.rs` pairs them.
+                    what: "page-table entry transition",
+                    methods: vec![
+                        "try_claim",
+                        "try_lock",
+                        "try_share",
+                        "unshare",
+                        "unlock",
+                        "downgrade",
+                        "evict",
+                    ],
+                    receiver_hints: vec!["entry"],
+                    allowed_paths: vec![
+                        "crates/buffer/src/entry.rs".into(),
+                        "crates/buffer/src/pool.rs".into(),
+                    ],
                 },
             ],
             lock_order_exclude: vec!["crates/sync-models/".into(), "crates/sync/".into()],

@@ -1,5 +1,5 @@
-//! Extracted protocol cores from the LOBSTER latch/commit fast paths,
-//! written against `lobster-sync` so the same code runs two ways:
+//! Protocol cores of the LOBSTER commit fast paths, written against
+//! `lobster-sync` so the same code runs two ways:
 //!
 //! * `cargo test -p lobster-sync-models` — smoke mode: each model body runs
 //!   `LOBSTER_MODEL_ITERS` times (default 50) with real threads;
@@ -8,26 +8,24 @@
 //!   within `LOOM_MAX_PREEMPTIONS` (default 3) and fails on the first
 //!   schedule that violates an assertion.
 //!
-//! The cores mirror, at reduced scale, the protocols in
-//! `crates/buffer/src/pool.rs`, `crates/core/src/group_commit.rs`,
-//! `crates/core/src/shard.rs` and `crates/storage/src/async_io.rs`:
+//! The cores here are *mirrors*: reduced-scale copies of protocols in
+//! `crates/core/src/group_commit.rs`, `crates/core/src/shard.rs` and
+//! `crates/storage/src/async_io.rs`, whose production homes own threads,
+//! devices and timers that cannot run inside a model. The page-table entry
+//! word needs no mirror — its models drive the real type, next to it, in
+//! `crates/buffer/src/entry.rs` (`entry::model`: latch exclusion, fault-batch
+//! claim/rollback, flags against the flush ledger).
 //!
-//! 1. [`latch`] — the vmcache-style packed page-table entry: shared-count /
-//!    exclusive-tag CAS transitions, and the optimistic version-validate
-//!    read pattern.
-//! 2. [`claim`] — PR 1's fault-batch protocol: racing `EVICTED -> LOCKED`
-//!    CAS claims, frame allocation, and rollback on failure.
-//! 3. [`frontier`] — PR 3's two-stage commit: WAL durability strictly before
+//! 1. [`frontier`] — the two-stage commit: WAL durability strictly before
 //!    extent writes, and the contiguous durable-epoch frontier.
-//! 4. [`pins`] — `prevent_evict` pins released exactly once, pin budget
-//!    never going negative, eviction never observing a pinned extent.
-//! 5. [`xshard`] — the sharded engine's cross-shard commit epoch
+//! 2. [`pins`] — the commit pin budget: never negative, never over its
+//!    limit with more than one batch admitted, returned exactly once.
+//! 3. [`xshard`] — the sharded engine's cross-shard commit epoch
 //!    (`crates/core/src/shard.rs`): a multi-shard transaction is durable
 //!    iff *every* participant's stage-1 WAL fsync covers the epoch its
 //!    marker landed in, and the global epoch is the minimum over shard
 //!    frontiers — never ahead of any shard's disk.
-//!
-//! 6. [`landed`] — the completion signal from an I/O worker to the commit
+//! 4. [`landed`] — the completion signal from an I/O worker to the commit
 //!    flush stage (`BatchHandle::notify_when_executed` feeding the stage's
 //!    inbox): registered-or-already-executed is decided under the lock the
 //!    worker completes under, so the stage never sleeps through the
@@ -39,269 +37,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod latch {
-    //! Core 1: the packed-entry latch word from `pool.rs`.
-    //!
-    //! Layout mirror: `[tag:8][...56 bits unused here]`, tag `0xFE` =
-    //! exclusive, `0..` = shared count. A writer updates two cells under the
-    //! exclusive tag; a reader under a shared latch must never observe them
-    //! torn.
-
-    use lobster_sync::atomic::{AtomicU64, Ordering};
-    use lobster_sync::{hint, thread, Arc};
-
-    const TAG_SHIFT: u32 = 56;
-    const TAG_LOCKED: u64 = 0xFE;
-    const ONE_SHARED: u64 = 1 << TAG_SHIFT;
-
-    struct Page {
-        entry: AtomicU64,
-        a: AtomicU64,
-        b: AtomicU64,
-    }
-
-    fn reader(p: &Page, check_tag: bool) {
-        // Bounded acquisition attempts keep the schedule space finite.
-        for _ in 0..4 {
-            let e = p.entry.load(Ordering::Acquire);
-            if check_tag && (e >> TAG_SHIFT) >= TAG_LOCKED {
-                hint::spin_loop();
-                continue;
-            }
-            if p.entry
-                .compare_exchange(e, e + ONE_SHARED, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            // Shared latch held: the two cells must be coherent.
-            let x = p.a.load(Ordering::Acquire);
-            let y = p.b.load(Ordering::Acquire);
-            assert_eq!(x, y, "torn read under shared latch");
-            // Release: decrement the shared count.
-            loop {
-                let cur = p.entry.load(Ordering::Acquire);
-                if p.entry
-                    .compare_exchange(cur, cur - ONE_SHARED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-            return;
-        }
-    }
-
-    fn writer(p: &Page) {
-        // Bounded try-exclusive: only an unlatched entry (tag 0) can be
-        // locked, exactly as `fix_exclusive`'s hit path.
-        for _ in 0..4 {
-            if p.entry
-                .compare_exchange(
-                    0,
-                    TAG_LOCKED << TAG_SHIFT,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                let v = p.a.load(Ordering::Acquire) + 1;
-                p.a.store(v, Ordering::Release);
-                // A reader sneaking in here would observe a != b.
-                p.b.store(v, Ordering::Release);
-                p.entry.store(0, Ordering::Release);
-                return;
-            }
-            hint::spin_loop();
-        }
-    }
-
-    fn run(check_tag: bool) {
-        let p = Arc::new(Page {
-            entry: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        });
-        let p1 = Arc::clone(&p);
-        let r = thread::spawn(move || reader(&p1, check_tag));
-        let p2 = Arc::clone(&p);
-        let w = thread::spawn(move || writer(&p2));
-        r.join().unwrap();
-        w.join().unwrap();
-    }
-
-    /// The correct protocol: readers refuse `TAG_LOCKED` entries.
-    pub fn check_latch_excludes() {
-        lobster_sync::model(|| run(true));
-    }
-
-    /// Deliberately broken protocol (reader ignores the exclusive tag);
-    /// the checker must find the torn read. Only meaningful under loom.
-    pub fn run_broken_latch() {
-        lobster_sync::model(|| run(false));
-    }
-
-    struct Versioned {
-        v: AtomicU64,
-        a: AtomicU64,
-        b: AtomicU64,
-    }
-
-    fn opt_reader(s: &Versioned, revalidate: bool) {
-        for _ in 0..4 {
-            let v1 = s.v.load(Ordering::Acquire);
-            if v1 % 2 == 1 {
-                hint::spin_loop();
-                continue;
-            }
-            let x = s.a.load(Ordering::Acquire);
-            let y = s.b.load(Ordering::Acquire);
-            if revalidate && s.v.load(Ordering::Acquire) != v1 {
-                continue; // writer raced us; retry
-            }
-            assert_eq!(x, y, "optimistic read not validated against version bump");
-            return;
-        }
-    }
-
-    fn opt_writer(s: &Versioned) {
-        // begin: even -> odd
-        let v = s.v.load(Ordering::Acquire);
-        s.v.store(v + 1, Ordering::Release);
-        let n = s.a.load(Ordering::Acquire) + 1;
-        s.a.store(n, Ordering::Release);
-        s.b.store(n, Ordering::Release);
-        // end: odd -> even
-        s.v.store(v + 2, Ordering::Release);
-    }
-
-    fn run_opt(revalidate: bool) {
-        let s = Arc::new(Versioned {
-            v: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        });
-        let s1 = Arc::clone(&s);
-        let r = thread::spawn(move || opt_reader(&s1, revalidate));
-        let s2 = Arc::clone(&s);
-        let w = thread::spawn(move || opt_writer(&s2));
-        r.join().unwrap();
-        w.join().unwrap();
-    }
-
-    /// Optimistic read with the second version check: never torn.
-    pub fn check_optimistic_read_validates() {
-        lobster_sync::model(|| run_opt(true));
-    }
-
-    /// Optimistic read *without* revalidation; the checker must catch it.
-    pub fn run_broken_optimistic_read() {
-        lobster_sync::model(|| run_opt(false));
-    }
-}
-
-pub mod claim {
-    //! Core 2: `fault_many`'s CAS claim + rollback (PR 1).
-    //!
-    //! Two faulting threads race `EVICTED -> LOCKED` claims over two extents
-    //! with only one free frame. Whatever the schedule: no claim is leaked
-    //! (`LOCKED` left behind), no extent is loaded twice, and frames are
-    //! conserved (resident + free == initial).
-
-    use lobster_sync::atomic::{AtomicU64, Ordering};
-    use lobster_sync::{thread, Arc};
-
-    const EVICTED: u64 = u64::MAX;
-    const LOCKED: u64 = u64::MAX - 1;
-    const EXTENTS: usize = 2;
-
-    struct Table {
-        entries: [AtomicU64; EXTENTS],
-        free_frames: AtomicU64,
-        loads: [AtomicU64; EXTENTS],
-    }
-
-    fn fault_batch(t: &Table) {
-        // Phase 1: claim every evicted extent we can (list order, as in
-        // fault_many).
-        let mut claimed = [false; EXTENTS];
-        for (i, c) in claimed.iter_mut().enumerate() {
-            *c = t.entries[i]
-                .compare_exchange(EVICTED, LOCKED, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-        }
-        // Phase 2: allocate a frame per claim; roll back claims that lose
-        // the allocation race (store EVICTED, exactly like fault_many's
-        // rollback closure).
-        for (i, &c) in claimed.iter().enumerate() {
-            if !c {
-                continue;
-            }
-            let mut got = false;
-            loop {
-                let f = t.free_frames.load(Ordering::Acquire);
-                if f == 0 {
-                    break;
-                }
-                if t.free_frames
-                    .compare_exchange(f, f - 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    got = true;
-                    break;
-                }
-            }
-            if got {
-                // "Load" the extent and publish it resident (tag 0).
-                t.loads[i].fetch_add(1, Ordering::AcqRel);
-                t.entries[i].store(i as u64, Ordering::Release);
-            } else {
-                t.entries[i].store(EVICTED, Ordering::Release);
-            }
-        }
-    }
-
-    fn run() {
-        let t = Arc::new(Table {
-            entries: [AtomicU64::new(EVICTED), AtomicU64::new(EVICTED)],
-            free_frames: AtomicU64::new(1),
-            loads: [AtomicU64::new(0), AtomicU64::new(0)],
-        });
-        let hs: Vec<_> = (0..2)
-            .map(|_| {
-                let t = Arc::clone(&t);
-                thread::spawn(move || fault_batch(&t))
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        let mut resident = 0u64;
-        for (i, e) in t.entries.iter().enumerate() {
-            let v = e.load(Ordering::Acquire);
-            assert_ne!(v, LOCKED, "leaked claim on extent {i}");
-            if v != EVICTED {
-                resident += 1;
-            }
-            let loads = t.loads[i].load(Ordering::Acquire);
-            assert!(loads <= 1, "extent {i} loaded {loads} times");
-        }
-        // Frame conservation: every rollback must return nothing (it never
-        // allocated) and every publish must consume exactly one frame.
-        assert_eq!(
-            resident + t.free_frames.load(Ordering::Acquire),
-            1,
-            "frames leaked or double-allocated"
-        );
-    }
-
-    pub fn check_claim_rollback() {
-        lobster_sync::model(run);
-    }
-}
-
 pub mod frontier {
-    //! Core 3: the two-stage commit pipeline (PR 3).
+    //! The two-stage commit pipeline.
     //!
     //! A WAL-stage thread marks groups durable and forwards them; two flush
     //! workers complete them out of order. Invariants: a flush worker never
@@ -420,25 +157,23 @@ pub mod frontier {
 }
 
 pub mod pins {
-    //! Core 4: `prevent_evict` pins and the commit pin budget.
+    //! The commit pin budget (`PinBudget` in `group_commit.rs`).
     //!
-    //! Committers acquire budget, pin + dirty an extent, and hand it to a
-    //! flusher that clears the pin and returns the budget — exactly once.
-    //! An evictor races try-CAS evictions. Invariants: the pin is released
-    //! once (a second release trips the ledger), the budget never goes
-    //! negative, and eviction only ever sees flushed, unpinned extents.
+    //! Committers take budget for the extents they pin and return it when
+    //! their flush completes. Invariants: the budget never goes negative,
+    //! two batches are never admitted together past the limit, a batch
+    //! larger than the limit is still admitted when the pipeline is idle
+    //! (no deadlock — which the checker reports), and everything comes
+    //! back. The `prevent_evict` flag the budget pays for is the entry
+    //! word's, and is checked where the word lives.
 
-    use lobster_sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use lobster_sync::{thread, Arc, Condvar, Mutex};
 
-    const PIN: u64 = 1 << 55;
-    const DIRTY: u64 = 1 << 54;
-    const EVICTED: u64 = u64::MAX;
+    const LIMIT: u64 = 2;
 
     struct Budget {
         used: Mutex<u64>,
         cv: Condvar,
-        limit: u64,
     }
 
     impl Budget {
@@ -446,10 +181,15 @@ pub mod pins {
             let mut used = self.used.lock();
             // Mirror of PinBudget::acquire: always admit when idle so a
             // single oversized batch cannot deadlock.
-            while *used > 0 && *used + n > self.limit {
+            while *used > 0 && *used + n > LIMIT {
                 self.cv.wait(&mut used);
             }
             *used += n;
+            assert!(
+                *used <= LIMIT || *used == n,
+                "{n} admitted beside {} past the limit",
+                *used - n
+            );
         }
 
         fn release(&self, n: u64) {
@@ -460,90 +200,35 @@ pub mod pins {
         }
     }
 
-    struct World {
-        entries: [AtomicU64; 2],
-        flushed: [AtomicBool; 2],
-        releases: [AtomicU64; 2],
-        budget: Budget,
-    }
-
-    fn committer(w: &World, i: usize) {
-        w.budget.acquire(1);
-        // Create resident, dirty, pinned (as the commit path does before
-        // handing the extent to the flush stage). The extent starts
-        // evicted, so the evictor never sees a resident-but-unflushed
-        // window before this store.
-        let prev = w.entries[i].swap(PIN | DIRTY, Ordering::AcqRel);
-        assert_eq!(prev, EVICTED, "extent {i} created twice");
-        // The device write completes (IO reaped by poll) strictly before
-        // flush completion clears the flags — mirroring flush_extents_finish,
-        // which only runs after the async batch is done.
-        w.flushed[i].store(true, Ordering::Release);
-        // Flush completion: clear dirty+pin exactly once, then return the
-        // budget (PR 3 moved budget release to flush completion).
-        let prev = w.entries[i].swap(0, Ordering::AcqRel);
-        assert_eq!(prev & PIN, PIN, "pin released twice on extent {i}");
-        let n = w.releases[i].fetch_add(1, Ordering::AcqRel);
-        assert_eq!(n, 0, "flush completion ran twice for extent {i}");
-        w.budget.release(1);
-    }
-
-    fn evictor(w: &World) {
-        for i in 0..2 {
-            for _ in 0..3 {
-                let e = w.entries[i].load(Ordering::Acquire);
-                if e == EVICTED || e & (PIN | DIRTY) != 0 {
-                    continue; // pinned or dirty: not evictable
-                }
-                if w.entries[i]
-                    .compare_exchange(e, EVICTED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    // We evicted it, so its flush must have completed.
-                    assert!(
-                        w.flushed[i].load(Ordering::Acquire),
-                        "extent {i} evicted before flush completion"
-                    );
-                    break;
-                }
-            }
-        }
-    }
-
     fn run() {
-        let w = Arc::new(World {
-            entries: [AtomicU64::new(EVICTED), AtomicU64::new(EVICTED)],
-            flushed: [AtomicBool::new(false), AtomicBool::new(false)],
-            releases: [AtomicU64::new(0), AtomicU64::new(0)],
-            budget: Budget {
-                used: Mutex::new(0),
-                cv: Condvar::new(),
-                limit: 1,
-            },
+        let budget = Arc::new(Budget {
+            used: Mutex::new(0),
+            cv: Condvar::new(),
         });
-        let mut hs = Vec::new();
-        for i in 0..2 {
-            let w2 = Arc::clone(&w);
-            hs.push(thread::spawn(move || committer(&w2, i)));
-        }
-        let w3 = Arc::clone(&w);
-        hs.push(thread::spawn(move || evictor(&w3)));
+        // One batch at the limit, one past it, one small.
+        let hs: Vec<_> = [2, 3, 1]
+            .into_iter()
+            .map(|n| {
+                let b = Arc::clone(&budget);
+                thread::spawn(move || {
+                    b.acquire(n);
+                    b.release(n);
+                })
+            })
+            .collect();
         for h in hs {
             h.join().unwrap();
         }
-        assert_eq!(*w.budget.used.lock(), 0, "budget not fully returned");
-        for i in 0..2 {
-            assert_eq!(w.releases[i].load(Ordering::Acquire), 1);
-        }
+        assert_eq!(*budget.used.lock(), 0, "budget not fully returned");
     }
 
-    pub fn check_pin_release_exactly_once() {
+    pub fn check_budget_conserved() {
         lobster_sync::model(run);
     }
 }
 
 pub mod xshard {
-    //! Core 5: the cross-shard commit epoch from `ShardedDatabase`.
+    //! The cross-shard commit epoch from `ShardedDatabase`.
     //!
     //! Each shard runs an independent group-commit pipeline whose stage-1
     //! fsync advances a *local* durable-epoch frontier. A cross-shard
@@ -677,7 +362,7 @@ pub mod xshard {
 }
 
 pub mod landed {
-    //! Core 6: the completion signal (`storage/src/async_io.rs`) and the
+    //! The completion signal (`storage/src/async_io.rs`) and the
     //! flush stage's inbox (`core/src/group_commit.rs`).
     //!
     //! The worker that executes a flight's last request marks the batch

@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use lobster::core::{Config, Database, RelationKind, UpdatePolicy};
+use lobster::core::{Config, Database, RelationKind};
 use lobster::extent::{plan_sequence, RangeAllocator, TierPolicy, TierTable};
 use lobster::sha256::Sha256;
 use lobster::storage::MemDevice;
@@ -161,19 +161,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The engine agrees with an in-memory oracle under arbitrary operation
-    /// sequences, for every update policy and tail-extent setting.
+    /// sequences — overwrites of up to 5 000 bytes land on both sides of the
+    /// delta/clone rule — for either tail-extent setting.
     #[test]
     fn engine_matches_oracle(ops in proptest::collection::vec(blob_op(), 1..40),
-                             use_tail in any::<bool>(),
-                             policy_pick in 0u8..3) {
+                             use_tail in any::<bool>()) {
         let cfg = Config {
             pool_frames: 2048,
             use_tail_extents: use_tail,
-            update_policy: match policy_pick {
-                0 => UpdatePolicy::Auto,
-                1 => UpdatePolicy::AlwaysDelta,
-                _ => UpdatePolicy::AlwaysClone,
-            },
             ..Config::default()
         };
         let db = Database::create(
