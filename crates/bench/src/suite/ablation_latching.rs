@@ -68,9 +68,10 @@ pub(crate) fn run(report: &mut Report) {
             .map(|i| ExtentSpec::new(Pid::new(1 + i * EXTENT_PAGES), EXTENT_PAGES))
             .collect();
         for (i, spec) in specs.iter().enumerate() {
-            pool.fill_extent(
+            pool.fill_extent_hashed(
                 *spec,
                 &make_payload((EXTENT_PAGES as usize) * 4096, i as u64),
+                &mut |_| (),
             )
             .expect("fill");
             pool.flush_extents(&[FlushItem::whole(*spec)])

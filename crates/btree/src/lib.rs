@@ -171,8 +171,8 @@ mod tests {
         // truncation, giving the baseline).
         struct NoPrefixLex;
         impl KeyCmp for NoPrefixLex {
-            fn cmp_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
-                a.cmp(b)
+            fn cmp_keys(&self, a: &[u8], b: &[u8]) -> lobster_types::Result<std::cmp::Ordering> {
+                Ok(a.cmp(b))
             }
         }
 
@@ -213,10 +213,10 @@ mod tests {
         // and numeric order differ, proving the comparator is honored.
         struct NumCmp;
         impl KeyCmp for NumCmp {
-            fn cmp_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+            fn cmp_keys(&self, a: &[u8], b: &[u8]) -> lobster_types::Result<std::cmp::Ordering> {
                 let x = u64::from_le_bytes(a.try_into().unwrap());
                 let y = u64::from_le_bytes(b.try_into().unwrap());
-                x.cmp(&y)
+                Ok(x.cmp(&y))
             }
         }
         let (pool, alloc) = setup(1024);

@@ -25,7 +25,10 @@ use std::cmp::Ordering;
 
 /// Key comparator for a tree.
 pub trait KeyCmp: Send + Sync {
-    fn cmp_keys(&self, stored: &[u8], probe: &[u8]) -> Ordering;
+    /// Order `stored` against `probe`. A comparator that has to read what
+    /// the keys refer to can fail; the tree operation that asked then
+    /// returns the error, before it has changed any entry.
+    fn cmp_keys(&self, stored: &[u8], probe: &[u8]) -> Result<Ordering>;
 
     /// `true` iff `cmp_keys` is plain byte-wise comparison; enables leaf
     /// prefix truncation.
@@ -38,8 +41,8 @@ pub trait KeyCmp: Send + Sync {
 pub struct LexCmp;
 
 impl KeyCmp for LexCmp {
-    fn cmp_keys(&self, stored: &[u8], probe: &[u8]) -> Ordering {
-        stored.cmp(probe)
+    fn cmp_keys(&self, stored: &[u8], probe: &[u8]) -> Result<Ordering> {
+        Ok(stored.cmp(probe))
     }
 
     fn bytewise(&self) -> bool {
@@ -141,35 +144,34 @@ impl BTree {
     // ----------------------------------------------------- comparisons ---
 
     /// Compare the stored key of slot `i` against `probe`.
-    fn cmp_at(&self, buf: &[u8], i: usize, probe: &[u8]) -> Ordering {
+    fn cmp_at(&self, buf: &[u8], i: usize, probe: &[u8]) -> Result<Ordering> {
         let suffix = Node::key_suffix(buf, i);
-        if self.cmp.bytewise() {
-            let prefix = Node::prefix(buf);
-            let plen = prefix.len();
-            let m = plen.min(probe.len());
-            match prefix[..m].cmp(&probe[..m]) {
-                Ordering::Equal => {
-                    if probe.len() < plen {
-                        Ordering::Greater
-                    } else {
-                        suffix.cmp(&probe[plen..])
-                    }
-                }
-                other => other,
-            }
-        } else {
-            self.cmp.cmp_keys(suffix, probe)
+        if !self.cmp.bytewise() {
+            return self.cmp.cmp_keys(suffix, probe);
         }
+        let prefix = Node::prefix(buf);
+        let plen = prefix.len();
+        let m = plen.min(probe.len());
+        Ok(match prefix[..m].cmp(&probe[..m]) {
+            Ordering::Equal => {
+                if probe.len() < plen {
+                    Ordering::Greater
+                } else {
+                    suffix.cmp(&probe[plen..])
+                }
+            }
+            other => other,
+        })
     }
 
     /// First slot whose key is `>= probe`; bool is "exact match".
-    fn lower_bound(&self, buf: &[u8], probe: &[u8]) -> (usize, bool) {
+    fn lower_bound(&self, buf: &[u8], probe: &[u8]) -> Result<(usize, bool)> {
         let mut lo = 0usize;
         let mut hi = Node::count(buf);
         let mut exact = false;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match self.cmp_at(buf, mid, probe) {
+            match self.cmp_at(buf, mid, probe)? {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
                 Ordering::Equal => {
@@ -178,16 +180,16 @@ impl BTree {
                 }
             }
         }
-        (lo, exact)
+        Ok((lo, exact))
     }
 
-    fn pick_child(&self, buf: &[u8], probe: &[u8]) -> Pid {
-        let (i, _) = self.lower_bound(buf, probe);
-        if i < Node::count(buf) {
+    fn pick_child(&self, buf: &[u8], probe: &[u8]) -> Result<Pid> {
+        let (i, _) = self.lower_bound(buf, probe)?;
+        Ok(if i < Node::count(buf) {
             Node::child(buf, i)
         } else {
             Node::upper(buf)
-        }
+        })
     }
 
     // ---------------------------------------------------------- lookup ---
@@ -198,14 +200,14 @@ impl BTree {
         loop {
             self.bump_node_access();
             if Node::is_leaf(&guard) {
-                let (i, exact) = self.lower_bound(&guard, key);
+                let (i, exact) = self.lower_bound(&guard, key)?;
                 return Ok(if exact {
                     Some(f(Node::value(&guard, i)))
                 } else {
                     None
                 });
             }
-            let child = self.pick_child(&guard, key);
+            let child = self.pick_child(&guard, key)?;
             guard = self.pool.read_extent(self.spec(child))?;
         }
     }
@@ -263,7 +265,7 @@ impl BTree {
                         Some(mut p) => {
                             self.split_child(&mut p, cur_pid, cur)?;
                             // Re-pick the child from the parent.
-                            cur_pid = self.pick_child(&p, key);
+                            cur_pid = self.pick_child(&p, key)?;
                             cur = self.pool.write_extent(self.spec(cur_pid))?;
                             parent = Some(p);
                             continue;
@@ -277,7 +279,7 @@ impl BTree {
                     cur.mark_dirty();
                     return Ok(old);
                 }
-                let child = self.pick_child(&cur, key);
+                let child = self.pick_child(&cur, key)?;
                 parent = Some(cur);
                 cur_pid = child;
                 cur = self.pool.write_extent(self.spec(cur_pid))?;
@@ -322,7 +324,7 @@ impl BTree {
                 Node::rebuild_with_prefix(buf, &new_prefix);
             }
         }
-        let (i, exact) = self.lower_bound(buf, key);
+        let (i, exact) = self.lower_bound(buf, key)?;
         if exact {
             if !overwrite {
                 return Err(Error::KeyExists);
@@ -490,7 +492,7 @@ impl BTree {
             if Node::is_leaf(&g) {
                 drop(g);
                 let mut leaf = self.pool.write_extent(self.spec(cur_pid))?;
-                let (i, exact) = self.lower_bound(&leaf, key);
+                let (i, exact) = self.lower_bound(&leaf, key)?;
                 if !exact {
                     return Ok(None);
                 }
@@ -500,7 +502,7 @@ impl BTree {
                 drop(parent);
                 return Ok(Some(old));
             }
-            let child = self.pick_child(&g, key);
+            let child = self.pick_child(&g, key)?;
             parent = Some(g);
             cur_pid = child;
         }
@@ -517,10 +519,10 @@ impl BTree {
             if Node::is_leaf(&guard) {
                 break;
             }
-            let child = self.pick_child(&guard, start);
+            let child = self.pick_child(&guard, start)?;
             guard = self.pool.read_extent(self.spec(child))?;
         }
-        let (mut i, _) = self.lower_bound(&guard, start);
+        let (mut i, _) = self.lower_bound(&guard, start)?;
         loop {
             let count = Node::count(&guard);
             while i < count {

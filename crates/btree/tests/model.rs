@@ -133,11 +133,11 @@ proptest! {
         // 8 bytes — proving the tree never feeds it separator garbage.
         struct Strict;
         impl KeyCmp for Strict {
-            fn cmp_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+            fn cmp_keys(&self, a: &[u8], b: &[u8]) -> lobster_types::Result<std::cmp::Ordering> {
                 assert_eq!(a.len(), 8, "malformed stored key");
                 assert_eq!(b.len(), 8, "malformed probe key");
-                u64::from_be_bytes(a.try_into().unwrap())
-                    .cmp(&u64::from_be_bytes(b.try_into().unwrap()))
+                Ok(u64::from_be_bytes(a.try_into().unwrap())
+                    .cmp(&u64::from_be_bytes(b.try_into().unwrap())))
             }
         }
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));

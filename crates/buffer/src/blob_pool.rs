@@ -46,24 +46,11 @@ impl BlobPool {
         }
     }
 
-    /// Write fresh content into a newly allocated extent. The extent is
-    /// left dirty and pinned (`prevent_evict`) until the commit-time flush.
-    pub fn fill_extent(&self, spec: ExtentSpec, src: &[u8]) -> Result<()> {
-        match self {
-            BlobPool::Vm(p) => {
-                let mut g = p.create_extent(spec)?;
-                g[..src.len()].copy_from_slice(src);
-                p.metrics().bump_memcpy(src.len() as u64);
-                g.stage_flush();
-                Ok(())
-            }
-            BlobPool::Ht(p) => p.fill_extent(spec, src),
-        }
-    }
-
-    /// [`BlobPool::fill_extent`] fused with content hashing: `digest` sees
-    /// every copied chunk while its bytes are still hot in cache, so the
-    /// put path makes one pass over `src` instead of memcpy-then-rehash.
+    /// Write fresh content into a newly allocated extent, hashing as it
+    /// copies: `digest` sees every copied chunk while its bytes are still
+    /// hot in cache, so the put path makes one pass over `src` instead of
+    /// memcpy-then-rehash. The extent is left dirty and pinned
+    /// (`prevent_evict`) until the commit-time flush.
     pub fn fill_extent_hashed(
         &self,
         spec: ExtentSpec,
@@ -90,35 +77,24 @@ impl BlobPool {
         }
     }
 
-    /// Overwrite `src` at byte offset `byte_off` within an extent,
-    /// loading prior content from the device when `load_existing` (needed
-    /// for growth into a partially filled extent).
-    pub fn write_range(
-        &self,
-        spec: ExtentSpec,
-        byte_off: usize,
-        src: &[u8],
-        load_existing: bool,
-    ) -> Result<()> {
+    /// Overwrite `src` at byte offset `byte_off` within an existing extent,
+    /// loading its prior content from the device if it is not resident.
+    pub fn write_range(&self, spec: ExtentSpec, byte_off: usize, src: &[u8]) -> Result<()> {
         match self {
             BlobPool::Vm(p) => {
-                let mut g = if load_existing {
-                    p.write_extent(spec)?
-                } else {
-                    p.create_extent(spec)?
-                };
+                let mut g = p.write_extent(spec)?;
                 g[byte_off..byte_off + src.len()].copy_from_slice(src);
                 p.metrics().bump_memcpy(src.len() as u64);
                 g.stage_flush();
                 Ok(())
             }
-            BlobPool::Ht(p) => p.write_range(spec, byte_off, src, load_existing),
+            BlobPool::Ht(p) => p.write_range(spec, byte_off, src),
         }
     }
 
-    /// Growth into a partially filled extent: like [`BlobPool::write_range`]
-    /// with `load_existing`, but only the first `valid_pages` pages hold
-    /// prior content worth loading. `spec` is the extent's content view
+    /// Growth into a partially filled extent: like [`BlobPool::write_range`],
+    /// but only the first `valid_pages` pages hold prior content worth
+    /// loading. `spec` is the extent's content view
     /// *after* the write, `capacity` its allocated pages. A resident
     /// framing that is too small is re-framed to twice its size (within
     /// `capacity`), so a run of small appends copies each byte O(1) times
@@ -140,7 +116,7 @@ impl BlobPool {
                 Ok(())
             }
             // The hash-table pool already loads per page.
-            BlobPool::Ht(p) => p.write_range(spec, byte_off, src, true),
+            BlobPool::Ht(p) => p.write_range(spec, byte_off, src),
         }
     }
 
@@ -197,16 +173,14 @@ impl BlobPool {
         }
     }
 
-    /// Visit the BLOB extent by extent (incremental comparator path).
-    pub fn for_each_extent<R>(
-        &self,
-        extents: &[ExtentSpec],
-        len: u64,
-        f: impl FnMut(&[u8]) -> Option<R>,
-    ) -> Result<Option<R>> {
+    /// Make `extents` resident before a read that will touch all of them:
+    /// every evicted one is read with a single batched submission, so their
+    /// device latencies overlap (what [`BlobPool::read_blob`] does for the
+    /// extents it is handed).
+    pub fn fault_many(&self, extents: &[ExtentSpec]) -> Result<()> {
         match self {
-            BlobPool::Vm(p) => p.for_each_extent(extents, len, f),
-            BlobPool::Ht(p) => p.for_each_extent(extents, len, f),
+            BlobPool::Vm(p) => p.fault_many(extents),
+            BlobPool::Ht(p) => p.fault_many(extents),
         }
     }
 

@@ -230,7 +230,7 @@ impl HashTablePool {
     /// from the device in ONE [`AsyncIo`] submission, then distributed into
     /// page frames. A lone cold extent is left to `get_or_load_page`, which
     /// issues one blocking read for it.
-    fn fault_many(&self, extents: &[ExtentSpec]) -> Result<()> {
+    pub fn fault_many(&self, extents: &[ExtentSpec]) -> Result<()> {
         let p = self.geo.page_size();
         let missing: Vec<ExtentSpec> = extents
             .iter()
@@ -328,14 +328,9 @@ impl HashTablePool {
     }
 
     /// Write fresh content into a newly allocated extent's page frames
-    /// (dirty + pinned until the commit flush).
-    pub fn fill_extent(&self, spec: ExtentSpec, src: &[u8]) -> Result<()> {
-        self.write_range(spec, 0, src, false)
-    }
-
-    /// [`HashTablePool::fill_extent`] fused with content hashing: `digest`
-    /// sees each page-sized chunk right after it is copied, while the
-    /// bytes are still hot in cache — one pass over `src` instead of
+    /// (dirty + pinned until the commit flush), hashing as it copies:
+    /// `digest` sees each page-sized chunk right after it is copied, while
+    /// the bytes are still hot in cache — one pass over `src` instead of
     /// copy-then-rehash.
     pub fn fill_extent_hashed(
         &self,
@@ -350,8 +345,8 @@ impl HashTablePool {
         self.flushes.stage(spec.start);
         let mut off = 0usize;
         let mut page = 0u64;
-        // At least one iteration, mirroring write_range: an empty source
-        // still dirties (and pins) the extent's first page.
+        // At least one iteration: an empty source still dirties (and pins)
+        // the extent's first page.
         loop {
             let take = (src.len() - off).min(p);
             let pid = spec.start.offset(page);
@@ -383,15 +378,9 @@ impl HashTablePool {
         Ok(())
     }
 
-    /// Overwrite a byte range within an extent; `load_existing` pulls pages
-    /// from the device first when they might be partially overwritten.
-    pub fn write_range(
-        &self,
-        spec: ExtentSpec,
-        byte_off: usize,
-        src: &[u8],
-        load_existing: bool,
-    ) -> Result<()> {
+    /// Overwrite a byte range within an existing extent, pulling the pages
+    /// it touches from the device first (they may be partially overwritten).
+    pub fn write_range(&self, spec: ExtentSpec, byte_off: usize, src: &[u8]) -> Result<()> {
         let p = self.geo.page_size();
         debug_assert!(byte_off + src.len() <= (spec.pages as usize) * p);
         self.flushes.stage(spec.start); // see fill_extent_hashed
@@ -399,23 +388,7 @@ impl HashTablePool {
         let last_page = (byte_off + src.len()).div_ceil(p).max(first_page + 1);
         for i in first_page..last_page.min(spec.pages as usize) {
             let pid = spec.start.offset(i as u64);
-            let frame = if load_existing {
-                self.get_or_load_page(spec, pid)?
-            } else {
-                match self.lookup(pid) {
-                    Some(f) => f,
-                    None => {
-                        let page = vec![0u8; p].into_boxed_slice();
-                        let f = Arc::new(PageFrame {
-                            data: RwLock::new(page),
-                            dirty: AtomicBool::new(false),
-                            prevent_evict: AtomicBool::new(false),
-                        });
-                        self.insert(pid, f.clone());
-                        f
-                    }
-                }
-            };
+            let frame = self.get_or_load_page(spec, pid)?;
             // Byte range of this page within the extent.
             let page_start = i * p;
             let page_end = page_start + p;
@@ -479,39 +452,6 @@ impl HashTablePool {
             done += take;
         }
         Ok(())
-    }
-
-    /// Visit a BLOB extent by extent without materializing the whole object.
-    pub fn for_each_extent<R>(
-        &self,
-        extents: &[ExtentSpec],
-        len: u64,
-        mut f: impl FnMut(&[u8]) -> Option<R>,
-    ) -> Result<Option<R>> {
-        let p = self.geo.page_size();
-        let mut remaining = len as usize;
-        for spec in extents {
-            if remaining == 0 {
-                break;
-            }
-            let ext_len = ((spec.pages as usize) * p).min(remaining);
-            let mut ext_buf = Vec::with_capacity(ext_len);
-            for i in 0..spec.pages {
-                if ext_buf.len() == ext_len {
-                    break;
-                }
-                let frame = self.get_or_load_page(*spec, spec.start.offset(i))?;
-                let data = frame.data.read();
-                let take = (ext_len - ext_buf.len()).min(p);
-                ext_buf.extend_from_slice(&data[..take]);
-                self.metrics.bump_memcpy(take as u64);
-            }
-            if let Some(r) = f(&ext_buf) {
-                return Ok(Some(r));
-            }
-            remaining -= ext_len;
-        }
-        Ok(None)
     }
 
     /// Commit-time flush: one contiguous device write per extent (gathered
@@ -702,7 +642,7 @@ mod tests {
         let (p, _dev) = pool(64);
         let spec = ExtentSpec::new(Pid::new(10), 3);
         let data: Vec<u8> = (0..3 * 4096).map(|i| (i % 256) as u8).collect();
-        p.fill_extent(spec, &data).unwrap();
+        p.fill_extent_hashed(spec, &data, &mut |_| ()).unwrap();
         p.flush_extents(&[crate::pool::FlushItem::whole(spec)])
             .unwrap();
         p.drop_extent(spec);
@@ -718,7 +658,8 @@ mod tests {
         let (p, _dev) = pool(8);
         for e in 0..4u64 {
             let spec = ExtentSpec::new(Pid::new(e * 4), 4);
-            p.fill_extent(spec, &vec![e as u8; 4 * 4096]).unwrap();
+            p.fill_extent_hashed(spec, &vec![e as u8; 4 * 4096], &mut |_| ())
+                .unwrap();
             // Unpin so eviction can work.
             p.flush_extents(&[crate::pool::FlushItem::whole(spec)])
                 .unwrap();
@@ -734,12 +675,13 @@ mod tests {
     fn partial_overwrite_with_load() {
         let (p, _dev) = pool(64);
         let spec = ExtentSpec::new(Pid::new(0), 2);
-        p.fill_extent(spec, &vec![7u8; 8192]).unwrap();
+        p.fill_extent_hashed(spec, &vec![7u8; 8192], &mut |_| ())
+            .unwrap();
         p.flush_extents(&[crate::pool::FlushItem::whole(spec)])
             .unwrap();
         p.drop_extent(spec);
         // Overwrite bytes 100..300 after reload.
-        p.write_range(spec, 100, &[9u8; 200], true).unwrap();
+        p.write_range(spec, 100, &[9u8; 200]).unwrap();
         let out = p.read_blob(&[spec], 8192, |b| b.to_vec()).unwrap();
         assert_eq!(&out[..100], &vec![7u8; 100][..]);
         assert_eq!(&out[100..300], &vec![9u8; 200][..]);
@@ -751,7 +693,8 @@ mod tests {
         let (p, _dev) = pool(64);
         let m = p.metrics().clone();
         let spec = ExtentSpec::new(Pid::new(0), 8);
-        p.fill_extent(spec, &vec![1u8; 8 * 4096]).unwrap();
+        p.fill_extent_hashed(spec, &vec![1u8; 8 * 4096], &mut |_| ())
+            .unwrap();
         let before = m.snapshot().translations;
         p.read_blob(&[spec], 8 * 4096, |_| ()).unwrap();
         let delta = m.snapshot().translations - before;

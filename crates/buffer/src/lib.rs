@@ -280,7 +280,7 @@ mod tests {
         for (vi, pool) in variants.into_iter().enumerate() {
             let spec = ExtentSpec::new(Pid::new(100 + (vi as u64) * 10), 3);
             let data: Vec<u8> = (0..3 * 4096).map(|i| ((i + vi) % 251) as u8).collect();
-            pool.fill_extent(spec, &data).unwrap();
+            pool.fill_extent_hashed(spec, &data, &mut |_| ()).unwrap();
             pool.flush_extents(&[FlushItem::whole(spec)]).unwrap();
             pool.drop_extents(&[spec]);
             let out = pool

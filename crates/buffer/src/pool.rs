@@ -1252,29 +1252,6 @@ impl ExtentPool {
         Ok(f(&buf))
     }
 
-    /// Visit a BLOB extent by extent (used by the incremental Blob State
-    /// comparator, which must avoid materializing whole BLOBs).
-    pub fn for_each_extent<R>(
-        &self,
-        extents: &[ExtentSpec],
-        len: u64,
-        mut f: impl FnMut(&[u8]) -> Option<R>,
-    ) -> Result<Option<R>> {
-        let mut remaining = len as usize;
-        for spec in extents {
-            if remaining == 0 {
-                break;
-            }
-            let g = self.read_extent(*spec)?;
-            let take = remaining.min((spec.pages as usize) * self.geo.page_size());
-            if let Some(r) = f(&g[..take]) {
-                return Ok(Some(r));
-            }
-            remaining -= take;
-        }
-        Ok(None)
-    }
-
     // ------------------------------------------------- streaming lease ---
 
     /// Take a *streaming lease* on one extent: force it resident (faulting

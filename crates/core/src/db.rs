@@ -192,8 +192,8 @@ pub struct Database {
     quarantined: Mutex<HashSet<(String, Vec<u8>)>>,
     /// Per worker: `(first extent pid, end offset)` of its last range read
     /// — the evidence readahead needs that an access is sequential
-    /// (`Txn::note_range_access`). A hint only; workers sharing an id
-    /// merely lose readahead.
+    /// (`content::read_range` under `Residency::Foreground`). A hint only;
+    /// workers sharing an id merely lose readahead.
     pub(crate) last_range: Vec<Mutex<(u64, u64)>>,
     ddl_lock: Mutex<()>,
 }

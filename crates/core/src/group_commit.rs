@@ -74,7 +74,9 @@ use std::time::{Duration, Instant};
 const INFLIGHT_FLUSHES: usize = 2;
 
 pub(crate) struct CommitBatch {
-    pub records: Vec<LogRecord>,
+    /// Shared with the submitting transaction, which walks them to roll
+    /// back if the commit fails.
+    pub records: Arc<Vec<LogRecord>>,
     /// Extent ranges to write once the records are durable.
     pub toflush: Vec<FlushItem>,
     /// Writes of fresh extents the transaction already submitted; the
@@ -849,7 +851,7 @@ mod tests {
             vec![(
                 epoch,
                 CommitBatch {
-                    records: Vec::new(),
+                    records: Arc::default(),
                     toflush: Vec::new(),
                     flights: Vec::new(),
                     freed: Vec::new(),

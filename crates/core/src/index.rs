@@ -5,9 +5,15 @@
 //!
 //! 1. equality fast path — compare the embedded SHA-256 digests;
 //! 2. cheap range check — compare the embedded 32-byte prefixes;
-//! 3. only if the prefixes tie: compare the contents extent by extent,
-//!    loading extents lazily (never materializing whole BLOBs);
+//! 3. only if the prefixes tie: compare the contents piece by piece
+//!    (`lobster_extent::pieces`, at most 64 KiB of each BLOB held at a
+//!    time), faulting extents lazily and never materializing whole BLOBs;
 //! 4. if one BLOB is a prefix of the other, order by size.
+//!
+//! Step 3 reads content and can fail. The comparator returns that error,
+//! the B-Tree operation that asked returns it before changing any entry,
+//! and so does the [`BlobIndex`] call on top: a pool or device error never
+//! orders a BLOB as if it had ended.
 //!
 //! Unlike SQLite's WITHOUT-ROWID index, no BLOB content is copied into the
 //! index — the Blob State already references the data. Unlike prefix
@@ -23,10 +29,13 @@ use crate::db::Database;
 use crate::txn::Txn;
 use lobster_btree::KeyCmp;
 use lobster_buffer::BlobPool;
-use lobster_extent::TierTable;
+use lobster_extent::{pieces, Pieces, TierTable};
 use lobster_sync::Arc;
 use lobster_types::{Geometry, Result};
 use std::cmp::Ordering;
+
+/// Most content a comparison step holds per BLOB.
+const CMP_PIECE: usize = 64 << 10;
 
 /// The incremental Blob State comparator.
 pub struct BlobStateCmp {
@@ -45,47 +54,46 @@ impl BlobStateCmp {
         Arc::new(BlobStateCmp { pool, table, geo })
     }
 
-    /// Compare the contents of two BLOBs extent-incrementally.
-    fn cmp_contents(&self, a: &BlobState, b: &BlobState) -> Ordering {
-        let specs_a = a.content_specs(&self.table, self.geo);
-        let specs_b = b.content_specs(&self.table, self.geo);
-        let mut cur_a = ChunkCursor::new(&self.pool, specs_a, a.size);
-        let mut cur_b = ChunkCursor::new(&self.pool, specs_b, b.size);
+    /// Compare the contents of two BLOBs piece by piece. A read that fails
+    /// fails the comparison: "could not read" must never pass for "ended".
+    fn cmp_contents(&self, a: &BlobState, b: &BlobState) -> Result<Ordering> {
+        let view_a = a.content_specs(&self.table, self.geo);
+        let view_b = b.content_specs(&self.table, self.geo);
+        let walk = |view, size| pieces(view, self.geo, 0..size, CMP_PIECE);
+        let mut cur_a = PieceCursor::new(&self.pool, walk(&view_a, a.size));
+        let mut cur_b = PieceCursor::new(&self.pool, walk(&view_b, b.size));
         loop {
-            match (cur_a.chunk(), cur_b.chunk()) {
-                (Some(ca), Some(cb)) => {
-                    let n = ca.len().min(cb.len());
-                    match ca[..n].cmp(&cb[..n]) {
-                        Ordering::Equal => {
-                            cur_a.advance(n);
-                            cur_b.advance(n);
-                        }
-                        other => return other,
-                    }
+            let (ca, cb) = (cur_a.rest()?, cur_b.rest()?);
+            let n = ca.len().min(cb.len());
+            if n == 0 {
+                // A stream is exhausted: the shorter BLOB is a prefix of
+                // the longer one; order by size (§III-F).
+                return Ok(a.size.cmp(&b.size));
+            }
+            match ca[..n].cmp(&cb[..n]) {
+                Ordering::Equal => {
+                    cur_a.pos += n;
+                    cur_b.pos += n;
                 }
-                // One stream exhausted: the shorter BLOB is a prefix of the
-                // longer one; order by size (§III-F).
-                (None, Some(_)) => return Ordering::Less,
-                (Some(_), None) => return Ordering::Greater,
-                (None, None) => return a.size.cmp(&b.size),
+                other => return Ok(other),
             }
         }
     }
 }
 
 impl KeyCmp for BlobStateCmp {
-    fn cmp_keys(&self, stored: &[u8], probe: &[u8]) -> Ordering {
+    fn cmp_keys(&self, stored: &[u8], probe: &[u8]) -> Result<Ordering> {
         // Steps 1 and 2 read the fixed-offset fields straight out of the
         // encodings — no allocation on the overwhelmingly common paths.
         const SHA_RANGE: std::ops::Range<usize> = 8..40;
         const PREFIX_OFF: usize = 72;
         if stored.len() < PREFIX_OFF + PREFIX_LEN || probe.len() < PREFIX_OFF + PREFIX_LEN {
             // Defensive: fall back to raw bytes for undecodable keys.
-            return stored.cmp(probe);
+            return Ok(stored.cmp(probe));
         }
         // 1. SHA-256 equality fast path.
         if stored[SHA_RANGE] == probe[SHA_RANGE] {
-            return Ordering::Equal;
+            return Ok(Ordering::Equal);
         }
         // 2. Embedded-prefix range check. A difference within the common
         // 32 bytes is decisive, and so is a strict length difference (the
@@ -96,71 +104,54 @@ impl KeyCmp for BlobStateCmp {
         let pb = &probe[PREFIX_OFF..PREFIX_OFF + (size_b.min(PREFIX_LEN as u64)) as usize];
         match pa.cmp(pb) {
             Ordering::Equal => {}
-            other => return other,
+            other => return Ok(other),
         }
         // Prefixes tie with equal length. Two unequal BLOBs shorter than
         // the prefix would have been separated above, so both are at least
         // PREFIX_LEN bytes: compare content incrementally (3./4.), which
         // needs the full extent lists.
         let (Ok(a), Ok(b)) = (BlobState::decode(stored), BlobState::decode(probe)) else {
-            return stored.cmp(probe);
+            return Ok(stored.cmp(probe));
         };
         self.cmp_contents(&a, &b)
     }
 }
 
-/// Lazily materializes a BLOB's extents one at a time for streaming
-/// comparison.
-struct ChunkCursor<'p> {
-    pool: &'p BlobPool,
-    specs: Vec<lobster_extent::ExtentSpec>,
-    page_size: usize,
-    remaining: u64,
-    ext_idx: usize,
+/// Pulls a BLOB's content through the pool one bounded piece at a time,
+/// for a comparison that consumes two BLOBs in lockstep.
+struct PieceCursor<'a> {
+    pool: &'a BlobPool,
+    pieces: Pieces<'a>,
     buf: Vec<u8>,
-    buf_pos: usize,
+    /// Bytes of `buf` already compared.
+    pos: usize,
 }
 
-impl<'p> ChunkCursor<'p> {
-    fn new(pool: &'p BlobPool, specs: Vec<lobster_extent::ExtentSpec>, size: u64) -> Self {
-        ChunkCursor {
+impl<'a> PieceCursor<'a> {
+    fn new(pool: &'a BlobPool, pieces: Pieces<'a>) -> Self {
+        PieceCursor {
             pool,
-            specs,
-            page_size: pool.page_size(),
-            remaining: size,
-            ext_idx: 0,
+            pieces,
             buf: Vec::new(),
-            buf_pos: 0,
+            pos: 0,
         }
     }
 
-    /// Current unconsumed bytes, loading the next extent as needed.
-    fn chunk(&mut self) -> Option<&[u8]> {
-        if self.buf_pos < self.buf.len() {
-            return Some(&self.buf[self.buf_pos..]);
-        }
-        while self.remaining > 0 && self.ext_idx < self.specs.len() {
-            let spec = self.specs[self.ext_idx];
-            self.ext_idx += 1;
-            let ext_bytes = (spec.pages as usize) * self.page_size;
-            let take = (self.remaining as usize).min(ext_bytes);
-            let loaded = self
-                .pool
-                .read_blob(0, &[spec], take as u64, |b| b.to_vec())
-                .ok()?;
-            self.remaining -= take as u64;
-            if loaded.is_empty() {
-                continue;
+    /// The bytes not yet compared, loading the next piece when the current
+    /// one is used up; empty only at the end of the BLOB.
+    fn rest(&mut self) -> Result<&[u8]> {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+            if let Some(piece) = self.pieces.next() {
+                let buf = &mut self.buf;
+                self.pool
+                    .read_chunk(piece.spec, piece.offset, piece.len, |b| {
+                        buf.extend_from_slice(b)
+                    })?;
             }
-            self.buf = loaded;
-            self.buf_pos = 0;
-            return Some(&self.buf[self.buf_pos..]);
         }
-        None
-    }
-
-    fn advance(&mut self, n: usize) {
-        self.buf_pos += n;
+        Ok(&self.buf[self.pos..])
     }
 }
 

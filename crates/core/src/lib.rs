@@ -40,6 +40,7 @@
 
 mod blob_state;
 mod catalog;
+mod content;
 mod db;
 mod dedup;
 mod defrag;

@@ -21,8 +21,9 @@
 
 use crate::blob_state::BlobState;
 use crate::catalog::RelationKind;
+use crate::content::{self, Residency};
 use crate::db::{BlobLogging, Database};
-use lobster_sha256::Sha256;
+use lobster_extent::ExtentSpec;
 use lobster_sync::atomic::Ordering;
 use lobster_types::{Error, Result};
 use lobster_wal::LogRecord;
@@ -419,7 +420,7 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
                 .map(|set| set.contains(txn))
                 .unwrap_or(false);
             if in_final_lineage {
-                redo_content(db, *relation, key, *byte_offset, data)?;
+                unpin(db, apply_at_key(db, *relation, key, *byte_offset, data)?);
             }
         }
     }
@@ -431,53 +432,34 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
             continue;
         }
         match rec {
-            LogRecord::Insert { relation, key, .. } => {
-                if *relation == CATALOG_REL_ID {
-                    db.catalog_tree.remove(key)?;
-                } else if let Some(rel) = db.relation_by_id(*relation) {
-                    rel.tree.remove(key)?;
-                }
+            LogRecord::Insert {
+                relation: CATALOG_REL_ID,
+                key,
+                ..
+            } => {
+                db.catalog_tree.remove(key)?;
             }
             LogRecord::Update {
-                relation,
+                relation: CATALOG_REL_ID,
                 key,
                 old_value,
                 ..
             }
             | LogRecord::Delete {
-                relation,
-                key,
-                old_value,
-                ..
-            }
-            | LogRecord::BlobRelocate {
-                relation,
+                relation: CATALOG_REL_ID,
                 key,
                 old_value,
                 ..
             } => {
-                if *relation == CATALOG_REL_ID {
-                    // An uncommitted (torn) relation drop: the entry comes
-                    // back, and with it the relation.
-                    db.catalog_tree.insert(key, old_value, true)?;
-                    let name = String::from_utf8_lossy(key).into_owned();
-                    if db.relation(&name).is_none() {
-                        db.attach_relation(&name, old_value)?;
-                    }
-                } else if let Some(rel) = db.relation_by_id(*relation) {
-                    rel.tree.insert(key, old_value, true)?;
+                // An uncommitted (torn) relation drop: the entry comes
+                // back, and with it the relation.
+                db.catalog_tree.insert(key, old_value, true)?;
+                let name = String::from_utf8_lossy(key).into_owned();
+                if db.relation(&name).is_none() {
+                    db.attach_relation(&name, old_value)?;
                 }
             }
-            LogRecord::BlobDelta {
-                relation,
-                key,
-                byte_offset,
-                before,
-                ..
-            } => {
-                redo_content(db, *relation, key, *byte_offset, before)?;
-            }
-            _ => {}
+            _ => unpin(db, undo_record(db, rec)?),
         }
     }
 
@@ -503,62 +485,84 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
     Ok(report)
 }
 
-/// Apply `data` at blob byte `byte_offset` of the blob at `key` (delta /
-/// physlog redo).
-fn redo_content(
+/// Reverse one operation of a transaction that does not commit. This is
+/// the whole of undo for relation rows and BLOB bytes, at runtime
+/// (`Txn::rollback` walks its staged records backwards through it) and at
+/// restart (the undo phase above, which only adds the catalog relation's
+/// own handling). Returns the content extents a delta's before-image was
+/// written into: dirty, pinned, and owing no flush anyone has staged.
+pub(crate) fn undo_record(db: &Database, rec: &LogRecord) -> Result<Vec<ExtentSpec>> {
+    match rec {
+        LogRecord::Insert { relation, key, .. } => {
+            if let Some(rel) = db.relation_by_id(*relation) {
+                rel.tree.remove(key)?;
+            }
+        }
+        LogRecord::Update {
+            relation,
+            key,
+            old_value,
+            ..
+        }
+        | LogRecord::Delete {
+            relation,
+            key,
+            old_value,
+            ..
+        }
+        | LogRecord::BlobRelocate {
+            relation,
+            key,
+            old_value,
+            ..
+        } => {
+            if let Some(rel) = db.relation_by_id(*relation) {
+                rel.tree.insert(key, old_value, true)?;
+            }
+        }
+        LogRecord::BlobDelta {
+            relation,
+            key,
+            byte_offset,
+            before,
+            ..
+        } => return apply_at_key(db, *relation, key, *byte_offset, before),
+        _ => {}
+    }
+    Ok(Vec::new())
+}
+
+/// Write `data` at blob byte `byte_offset` of the blob now stored under
+/// `key` (delta undo, delta / physlog redo); nothing if the key is gone.
+/// Returns the content extents written.
+fn apply_at_key(
     db: &Database,
     relation: u32,
     key: &[u8],
     byte_offset: u64,
     data: &[u8],
-) -> Result<()> {
+) -> Result<Vec<ExtentSpec>> {
     let Some(rel) = db.relation_by_id(relation) else {
-        return Ok(());
+        return Ok(Vec::new());
     };
-    let Some(encoded) = rel.tree.lookup(key)? else {
-        return Ok(());
+    let Some(state) = rel.tree.lookup_map(key, BlobState::decode)?.transpose()? else {
+        return Ok(Vec::new());
     };
-    let state = BlobState::decode(&encoded)?;
-    let page = db.geo.page_size() as u64;
-    let mut ext_base = 0u64;
-    for spec in state.content_specs(&db.table, db.geo) {
-        let ext_bytes = spec.pages * page;
-        let ext_end = ext_base + ext_bytes;
-        let lo = byte_offset.max(ext_base);
-        let hi = (byte_offset + data.len() as u64).min(ext_end);
-        if lo < hi {
-            let slice = &data[(lo - byte_offset) as usize..(hi - byte_offset) as usize];
-            db.blob_pool
-                .write_range(spec, (lo - ext_base) as usize, slice, true)?;
-            // Recovery flushes everything at the end; unpin so the final
-            // flush-all can clean these extents.
-            db.blob_pool.unpin_extent(spec);
-        }
-        ext_base = ext_end;
-        if ext_base >= byte_offset + data.len() as u64 {
-            break;
-        }
-    }
-    Ok(())
+    let written = content::apply_bytes(db, &state, byte_offset, data)?;
+    Ok(written.into_iter().map(|piece| piece.spec).collect())
 }
 
-/// Check a committed Blob State's content hash by streaming the extents
-/// from the device.
-pub(crate) fn validate_blob(db: &Database, state: &BlobState) -> Result<bool> {
-    if state.extents.is_empty() && state.tail.is_none() {
-        // Inline blob (§III-B): the content is the prefix itself; an
-        // inline state is durable iff its WAL record is, so this always
-        // holds — checked anyway for scrub and for defence in depth.
-        let end = state.size.min(crate::blob_state::PREFIX_LEN as u64) as usize;
-        return Ok(Sha256::digest(&state.prefix[..end]) == state.sha256
-            && state.size <= crate::blob_state::PREFIX_LEN as u64);
+/// Recovery flushes everything at the end: waive the flush each written
+/// extent owes, so the final flush-all can clean it.
+fn unpin(db: &Database, written: Vec<ExtentSpec>) {
+    for spec in written {
+        db.blob_pool.unpin_extent(spec);
     }
-    let specs = state.content_specs(&db.table, db.geo);
-    let mut hasher = Sha256::new();
-    db.blob_pool
-        .for_each_extent::<()>(&specs, state.size, |chunk| {
-            hasher.update(chunk);
-            None
-        })?;
-    Ok(hasher.finalize() == state.sha256)
+}
+
+/// Check a committed Blob State's content hash against the extents, an
+/// extent at a time through the pool (one device request per cold extent).
+pub(crate) fn validate_blob(db: &Database, state: &BlobState) -> Result<bool> {
+    let digest = content::hash_content(db, state, Residency::Cached)?.finalize();
+    Ok(digest == state.sha256)
 }

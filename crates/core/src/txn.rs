@@ -21,19 +21,35 @@
 //! Deletes publish extents to the per-tier free lists at commit; growth
 //! resumes the SHA-256 from the stored midstate; in-place updates choose
 //! delta-logging or extent cloning by modeled cost (§III-D).
+//!
+//! Reads come in two shapes. [`Txn::get_blob`] maps the whole BLOB as one
+//! aliased slice (§IV-B). Everything else — [`Txn::get_blob_range`],
+//! [`Txn::stream_blob_range`], the before-images and clone sources of the
+//! write verbs, every rehash — is a caller of the one ranged read in
+//! [`crate::content`], which walks the one addressing function
+//! (`lobster_extent::pieces`); a new placement is laid out in one place
+//! too, [`Txn::fill_plan`].
+//!
+//! There is no separate undo log: the staged [`LogRecord`]s carry the
+//! before-images, and a rollback walks them backwards through
+//! `recovery::undo_record`, the function restart recovery applies to the
+//! records of a transaction that did not commit.
 
 use crate::blob_state::{BlobState, PREFIX_LEN};
 use crate::catalog::{Relation, RelationKind};
+use crate::content::{self, Residency};
 use crate::db::{BlobLogging, Database};
+use crate::defrag::{FenceGuard, SourceGuard};
 use crate::group_commit::CommitBatch;
 use crate::lock::LockMode;
-use lobster_buffer::{FlushItem, FlushTicket};
-use lobster_extent::{plan_growth, plan_sequence, ExtentSpec};
+use lobster_buffer::{FlushItem, FlushTicket, PinGate};
+use lobster_extent::{pieces, plan_growth, plan_sequence, ExtentSpec, SequencePlan};
 use lobster_sha256::Sha256;
 use lobster_sync::atomic::Ordering;
 use lobster_sync::Arc;
-use lobster_types::{Error, Geometry, Pid, Result};
+use lobster_types::{Error, Pid, Result};
 use lobster_wal::LogRecord;
+use std::time::Duration;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TxnState {
@@ -42,28 +58,15 @@ enum TxnState {
     Aborted,
 }
 
-/// Undo information for logical rollback.
-enum UndoOp {
-    /// Undo an insert: remove the key.
-    Insert { rel: u32, key: Vec<u8> },
-    /// Undo an update: restore the old value.
-    Update {
-        rel: u32,
-        key: Vec<u8>,
-        old: Vec<u8>,
-    },
-    /// Undo a delete: reinsert the old value.
-    Delete {
-        rel: u32,
-        key: Vec<u8>,
-        old: Vec<u8>,
-    },
-    /// Undo an in-place BLOB byte-range change.
-    BlobBytes {
-        spec: ExtentSpec,
-        byte_off_in_extent: usize,
-        before: Vec<u8>,
-    },
+/// Where [`Txn::fill_plan`] takes the bytes of a new placement from.
+enum Source<'a> {
+    /// The caller's buffer (put, append): content nothing durable
+    /// references until the commit, so its write may start before it.
+    Bytes(&'a [u8]),
+    /// The whole content of a BLOB being relocated, read from its current
+    /// placement without forcing residency. Background maintenance starts
+    /// no device write early: the copy is flushed after the WAL fsync.
+    Placement(&'a BlobState),
 }
 
 /// How many pages of freshly allocated, filled and hashed extents a
@@ -80,8 +83,13 @@ pub struct Txn {
     db: Arc<Database>,
     id: u64,
     worker: usize,
+    /// Staged log records. They are also the undo log: a rollback walks
+    /// them backwards (`recovery::undo_record`).
     records: Vec<LogRecord>,
-    undo: Vec<UndoOp>,
+    /// The records once handed to the commit pipeline, which appends them
+    /// while this transaction may still have to walk them: a commit that
+    /// fails after submission rolls back like any other.
+    submitted: Option<Arc<Vec<LogRecord>>>,
     /// Extent ranges to write after the WAL fsync.
     toflush: Vec<FlushItem>,
     /// Fresh extents, filled and not yet submitted: they join `flights`
@@ -112,7 +120,7 @@ impl Txn {
             id,
             worker,
             records: Vec::new(),
-            undo: Vec::new(),
+            submitted: None,
             toflush: Vec::new(),
             fresh: Vec::new(),
             flights: Vec::new(),
@@ -217,22 +225,6 @@ impl Txn {
         result
     }
 
-    /// Record this worker's range access `[offset, end)` to `state`'s blob
-    /// and report whether it is observably sequential: it starts the blob,
-    /// or it starts where this worker's previous range access to the same
-    /// blob ended. Only then may readahead run past the touched extents.
-    fn note_range_access(&self, state: &BlobState, offset: u64, end: u64) -> bool {
-        let blob = state
-            .extents
-            .first()
-            .copied()
-            .or(state.tail.map(|(pid, _)| pid))
-            .map_or(u64::MAX, Pid::raw);
-        let cells = &self.db.last_range;
-        let prev = std::mem::replace(&mut *cells[self.worker % cells.len()].lock(), (blob, end));
-        offset == 0 || prev == (blob, offset)
-    }
-
     // ------------------------------------------------------ kv rows -----
 
     /// Insert or overwrite a plain key/value row.
@@ -240,35 +232,22 @@ impl Txn {
         self.check_active()?;
         debug_assert_eq!(rel.kind, RelationKind::Kv);
         self.lock(rel, key, LockMode::Exclusive)?;
-        let old = rel.tree.upsert(key, value)?;
-        match old {
-            Some(old) => {
-                self.records.push(LogRecord::Update {
-                    txn: self.id,
-                    relation: rel.id,
-                    key: key.to_vec(),
-                    old_value: old.clone(),
-                    new_value: value.to_vec(),
-                });
-                self.undo.push(UndoOp::Update {
-                    rel: rel.id,
-                    key: key.to_vec(),
-                    old,
-                });
-            }
-            None => {
-                self.records.push(LogRecord::Insert {
-                    txn: self.id,
-                    relation: rel.id,
-                    key: key.to_vec(),
-                    value: value.to_vec(),
-                });
-                self.undo.push(UndoOp::Insert {
-                    rel: rel.id,
-                    key: key.to_vec(),
-                });
-            }
-        }
+        let record = match rel.tree.upsert(key, value)? {
+            Some(old_value) => LogRecord::Update {
+                txn: self.id,
+                relation: rel.id,
+                key: key.to_vec(),
+                old_value,
+                new_value: value.to_vec(),
+            },
+            None => LogRecord::Insert {
+                txn: self.id,
+                relation: rel.id,
+                key: key.to_vec(),
+                value: value.to_vec(),
+            },
+        };
+        self.records.push(record);
         Ok(())
     }
 
@@ -284,23 +263,16 @@ impl Txn {
         self.check_active()?;
         debug_assert_eq!(rel.kind, RelationKind::Kv);
         self.lock(rel, key, LockMode::Exclusive)?;
-        match rel.tree.remove(key)? {
-            Some(old) => {
-                self.records.push(LogRecord::Delete {
-                    txn: self.id,
-                    relation: rel.id,
-                    key: key.to_vec(),
-                    old_value: old.clone(),
-                });
-                self.undo.push(UndoOp::Delete {
-                    rel: rel.id,
-                    key: key.to_vec(),
-                    old,
-                });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let Some(old_value) = rel.tree.remove(key)? else {
+            return Ok(false);
+        };
+        self.records.push(LogRecord::Delete {
+            txn: self.id,
+            relation: rel.id,
+            key: key.to_vec(),
+            old_value,
+        });
+        Ok(true)
     }
 
     // ---------------------------------------------------- blob write ----
@@ -338,36 +310,14 @@ impl Txn {
             return Ok(());
         }
 
-        let geo = self.db.geo;
-        let pages = geo.pages_for(data.len() as u64);
-        let plan = plan_sequence(&self.db.table, pages, self.db.cfg.use_tail_extents)?;
-
         // Reserve the smallest extent sequence, write content into buffer
         // frames (pinned + dirty), and hash in the same pass.
+        let pages = self.db.geo.pages_for(data.len() as u64);
+        let plan = plan_sequence(&self.db.table, pages, self.db.cfg.use_tail_extents)?;
         let mut hasher = Sha256::new();
         let mut extents = Vec::with_capacity(plan.sizes.len());
-        let mut off = 0usize;
-        for (i, _) in plan.sizes.iter().enumerate() {
-            let spec = self.db.alloc.allocate_tier(plan.first_position + i)?;
-            self.allocated.push(spec);
-            let ext_bytes = (spec.pages as usize) * geo.page_size();
-            let chunk = &data[off..data.len().min(off + ext_bytes)];
-            self.fill_fresh_eager(spec, chunk, &mut |b| hasher.update(b))?;
-            extents.push(spec.start);
-            off += chunk.len();
-        }
-        let tail = match plan.tail_pages {
-            Some(tp) => {
-                let spec = self.db.alloc.allocate_tail(tp)?;
-                self.allocated.push(spec);
-                let chunk = &data[off..];
-                self.fill_fresh_eager(spec, chunk, &mut |b| hasher.update(b))?;
-                off += chunk.len();
-                Some((spec.start, tp))
-            }
-            None => None,
-        };
-        debug_assert_eq!(off, data.len());
+        let source = Source::Bytes(data);
+        let tail = self.fill_plan(&plan, source, &mut |b| hasher.update(b), &mut extents)?;
 
         let sha_midstate = hasher.midstate().state_bytes();
         let state = BlobState {
@@ -384,8 +334,8 @@ impl Txn {
     }
 
     /// Publish `new` as `key`'s Blob State: write it into the relation's
-    /// tree and stage the undo entry and the WAL record. `old` is the
-    /// encoded state it replaces, `None` for a fresh key.
+    /// tree and stage the WAL record. `old` is the encoded state it
+    /// replaces, `None` for a fresh key.
     fn publish_state(
         &mut self,
         rel: &Relation,
@@ -395,35 +345,69 @@ impl Txn {
     ) -> Result<()> {
         let encoded = new.encode();
         rel.tree.insert(key, &encoded, old.is_some())?;
-        match old {
-            None => {
-                self.undo.push(UndoOp::Insert {
-                    rel: rel.id,
-                    key: key.to_vec(),
-                });
-                self.records.push(LogRecord::Insert {
-                    txn: self.id,
-                    relation: rel.id,
-                    key: key.to_vec(),
-                    value: encoded,
-                });
+        self.records.push(match old {
+            None => LogRecord::Insert {
+                txn: self.id,
+                relation: rel.id,
+                key: key.to_vec(),
+                value: encoded,
+            },
+            Some(old_value) => LogRecord::Update {
+                txn: self.id,
+                relation: rel.id,
+                key: key.to_vec(),
+                old_value,
+                new_value: encoded,
+            },
+        });
+        Ok(())
+    }
+
+    /// Allocate `plan`'s extents in sequence order — the tier extents, then
+    /// the tail — and fill each with the next bytes of `source`, feeding
+    /// every byte written to `digest`. The head pages of the tier extents
+    /// are pushed onto `extents` and the tail is returned, ready for a Blob
+    /// State. The one place a new placement is laid out: put, append
+    /// growth and relocation differ only in `source`.
+    fn fill_plan(
+        &mut self,
+        plan: &SequencePlan,
+        source: Source<'_>,
+        digest: &mut dyn FnMut(&[u8]),
+        extents: &mut Vec<Pid>,
+    ) -> Result<Option<(Pid, u64)>> {
+        let total = match source {
+            Source::Bytes(data) => data.len(),
+            Source::Placement(state) => state.size as usize,
+        };
+        let mut tail = None;
+        let mut off = 0usize;
+        for i in 0..plan.sizes.len() + usize::from(plan.tail_pages.is_some()) {
+            let spec = match plan.tail_pages {
+                Some(pages) if i == plan.sizes.len() => self.db.alloc.allocate_tail(pages)?,
+                _ => self.db.alloc.allocate_tier(plan.first_position + i)?,
+            };
+            self.allocated.push(spec);
+            let len = (total - off).min(self.db.geo.bytes_for(spec.pages) as usize);
+            match source {
+                Source::Bytes(data) => {
+                    self.fill_fresh_eager(spec, &data[off..off + len], digest)?
+                }
+                Source::Placement(state) => {
+                    let buf = self.read_slice(state, off as u64, len, Residency::Uncached)?;
+                    let item = self.fill_fresh(spec, &buf, digest)?;
+                    self.toflush.push(item);
+                }
             }
-            Some(old) => {
-                self.undo.push(UndoOp::Update {
-                    rel: rel.id,
-                    key: key.to_vec(),
-                    old: old.clone(),
-                });
-                self.records.push(LogRecord::Update {
-                    txn: self.id,
-                    relation: rel.id,
-                    key: key.to_vec(),
-                    old_value: old,
-                    new_value: encoded,
-                });
+            off += len;
+            if i < plan.sizes.len() {
+                extents.push(spec.start);
+            } else {
+                tail = Some((spec.start, spec.pages));
             }
         }
-        Ok(())
+        debug_assert_eq!(off, total);
+        Ok(tail)
     }
 
     /// In physical-logging mode (`Our.physlog`), additionally append the
@@ -549,9 +533,10 @@ impl Txn {
 
     /// Read `buf.len()` bytes starting at `offset`; returns bytes read
     /// (clamped at the BLOB size). This is the FUSE `pread` path
-    /// (Listing 1): the copy into `buf` is the application's own buffer
-    /// copy. Only the extents intersecting the range are touched — a 4 KB
-    /// `pread` into a 1 GB BLOB loads one extent, not the BLOB.
+    /// (Listing 1): the copy into `buf`, piece by piece out of the pool's
+    /// frames, is the application's own buffer copy. Only the extents
+    /// intersecting the range are touched — a 4 KB `pread` into a 1 GB BLOB
+    /// loads one extent, not the BLOB.
     pub fn get_blob_range(
         &mut self,
         rel: &Relation,
@@ -560,69 +545,15 @@ impl Txn {
         buf: &mut [u8],
     ) -> Result<usize> {
         let t = self.db.metrics.latencies.timer();
-        let r = self.get_blob_range_inner(rel, key, offset, buf);
+        let (len, mut done) = (buf.len() as u64, 0usize);
+        let how = self.foreground(false, None);
+        let r = self.read_locked(rel, key, offset, len, usize::MAX, how, &mut |_, b| {
+            buf[done..done + b.len()].copy_from_slice(b);
+            done += b.len();
+            Ok(())
+        });
         self.db.metrics.latencies.get_blob_range.record_timer(t);
-        r
-    }
-
-    fn get_blob_range_inner(
-        &mut self,
-        rel: &Relation,
-        key: &[u8],
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<usize> {
-        self.check_active()?;
-        self.lock(rel, key, LockMode::Shared)?;
-        let state = self.require_state(rel, key)?;
-        self.read_state_range(&state, offset, buf, true)
-    }
-
-    /// Range read against a known Blob State: select the extent run
-    /// covering `[offset, offset + buf.len())` and present only that run
-    /// contiguously — no extent past the range's end is ever fetched in
-    /// the foreground. With `readahead`, an observably sequential access
-    /// (see [`Txn::note_range_access`]) additionally prefetches the next
-    /// `readahead_extents` extents; a random one prefetches nothing.
-    fn read_state_range(
-        &self,
-        state: &BlobState,
-        offset: u64,
-        buf: &mut [u8],
-        readahead: bool,
-    ) -> Result<usize> {
-        if offset >= state.size || buf.is_empty() {
-            return Ok(0);
-        }
-        let n = buf.len().min((state.size - offset) as usize);
-        // Header reads (file-type sniffing, magic bytes — §III-B's reason
-        // for embedding the prefix) are served straight from the Blob
-        // State: zero content I/O, zero latches.
-        if offset as usize + n <= PREFIX_LEN {
-            buf[..n].copy_from_slice(&state.prefix[offset as usize..offset as usize + n]);
-            return Ok(n);
-        }
-        let specs = self.content_specs(state);
-        let end_byte = offset + n as u64;
-        let (first, last, first_base) = covering_run(&specs, self.db.geo, offset, end_byte);
-
-        let local = (offset - first_base) as usize;
-        // A sequential reader touching extents `first..last` touches
-        // `last..` next. Issue the prefetch before the foreground read so
-        // the two batches overlap on the device.
-        let ra = self.db.cfg.readahead_extents;
-        if readahead && ra > 0 && self.note_range_access(state, offset, end_byte) {
-            self.db
-                .blob_pool
-                .prefetch(&specs[last..specs.len().min(last + ra)]);
-        }
-        self.db.blob_pool.read_blob(
-            self.worker,
-            &specs[first..last],
-            (local + n) as u64,
-            |view| buf[..n].copy_from_slice(&view[local..local + n]),
-        )?;
-        Ok(n)
+        r.map(|n| n as usize)
     }
 
     /// Stream `len` bytes starting at `offset` to `sink` in `chunk`-sized
@@ -644,13 +575,13 @@ impl Txn {
     /// the duration of the stream, so chunks hit resident frames instead
     /// of re-faulting between socket writes. Each chunk is passed to
     /// `sink` under a brief shared latch (held for one `sink` call, never
-    /// across calls); the lease itself is advisory, so a slow client
-    /// holds pool *budget*, never a latch. If `gate` is given, the run's
-    /// pinned footprint is acquired from it first — `Error::BufferFull`
-    /// on timeout means the pin budget is exhausted and the caller should
-    /// shed load (BUSY). Leases and gate budget are released when the
-    /// stream ends, **including on an early `sink` error** (client
-    /// disconnect mid-stream).
+    /// across calls; a chunk ends early at an extent boundary); the lease
+    /// itself is advisory, so a slow client holds pool *budget*, never a
+    /// latch. If `gate` is given, the run's pinned footprint is acquired
+    /// from it first — `Error::BufferFull` on timeout means the pin budget
+    /// is exhausted and the caller should shed load (BUSY). Leases and gate
+    /// budget are released when the stream ends, **including on an early
+    /// `sink` error** (client disconnect mid-stream).
     #[allow(clippy::too_many_arguments)]
     pub fn stream_blob_range(
         &mut self,
@@ -659,100 +590,63 @@ impl Txn {
         offset: u64,
         len: u64,
         chunk: usize,
-        gate: Option<(&lobster_buffer::PinGate, std::time::Duration)>,
+        gate: Option<(&PinGate, Duration)>,
+        sink: &mut dyn FnMut(u64, &[u8]) -> Result<()>,
+    ) -> Result<u64> {
+        let how = self.foreground(true, gate);
+        self.read_locked(rel, key, offset, len, chunk, how, sink)
+    }
+
+    /// This worker's foreground access (see [`Residency::Foreground`]).
+    fn foreground<'a>(&self, lease: bool, gate: Option<(&'a PinGate, Duration)>) -> Residency<'a> {
+        Residency::Foreground {
+            worker: self.worker,
+            lease,
+            gate,
+        }
+    }
+
+    /// The ranged read behind [`Txn::get_blob_range`] and
+    /// [`Txn::stream_blob_range`]: resolve `key` once under a shared lock,
+    /// clamp the range at the BLOB size, and hand it to the one ranged
+    /// read as a foreground access — the covering extents faulted as one
+    /// batch, readahead past them only on evidence of a sequential reader
+    /// (`how`, a [`Residency::Foreground`]).
+    #[allow(clippy::too_many_arguments)]
+    fn read_locked(
+        &mut self,
+        rel: &Relation,
+        key: &[u8],
+        offset: u64,
+        len: u64,
+        chunk: usize,
+        how: Residency<'_>,
         sink: &mut dyn FnMut(u64, &[u8]) -> Result<()>,
     ) -> Result<u64> {
         self.check_active()?;
         self.lock(rel, key, LockMode::Shared)?;
         let state = self.require_state(rel, key)?;
-        if offset >= state.size || len == 0 {
-            return Ok(0);
-        }
-        let n = len.min(state.size - offset);
-        let chunk = chunk.max(1);
-        // Inline-prefix fast path: the whole range lives in the Blob
-        // State — one sink call, zero content I/O, zero leases.
-        if offset as usize + n as usize <= PREFIX_LEN {
-            sink(n, &state.prefix[offset as usize..(offset + n) as usize])?;
-            return Ok(n);
-        }
-
-        let specs = self.content_specs(&state);
-        let page = self.db.geo.page_size() as u64;
-        let end_byte = offset + n;
-        let (first, last, first_base) = covering_run(&specs, self.db.geo, offset, end_byte);
-
-        // Admission: charge the run's pinned footprint against the gate
-        // *before* taking any lease, so rejected streams pin nothing.
-        let run = &specs[first..last];
-        let lease_bytes: u64 = run.iter().map(|s| s.pages * page).sum();
-        if let Some((g, timeout)) = gate {
-            g.acquire(lease_bytes, timeout)?;
-        }
-        // RAII: leases + gate budget release on every exit path below,
-        // including sink errors (client disconnect mid-stream).
-        struct Leases<'a> {
-            pool: &'a lobster_buffer::BlobPool,
-            run: &'a [lobster_extent::ExtentSpec],
-            taken: usize,
-            gate: Option<(&'a lobster_buffer::PinGate, u64)>,
-        }
-        impl Drop for Leases<'_> {
-            fn drop(&mut self) {
-                for spec in &self.run[..self.taken] {
-                    self.pool.unlease_extent(*spec);
-                }
-                if let Some((g, bytes)) = self.gate {
-                    g.release(bytes);
-                }
-            }
-        }
-        let mut leases = Leases {
-            pool: &self.db.blob_pool,
-            run,
-            taken: 0,
-            gate: gate.map(|(g, _)| (g, lease_bytes)),
-        };
-        // A stream is sequential by construction: the extents after its
-        // first are read next, so their faults overlap the first lease.
-        // The window stops at the end of the requested range unless the
-        // access pattern says the client will ask for what follows.
-        let ra = self.db.cfg.readahead_extents;
-        let stop = if self.note_range_access(&state, offset, end_byte) {
-            specs.len()
-        } else {
-            last
-        };
-        if ra > 0 && first + 1 < stop {
-            self.db
-                .blob_pool
-                .prefetch(&specs[first + 1..stop.min(first + 1 + ra)]);
-        }
-        for spec in run {
-            self.db.blob_pool.lease_extent(*spec)?;
-            leases.taken += 1;
-        }
-
-        // Walk the run chunk by chunk. Blob byte x lives at run byte
-        // x - first_base; chunks never span extents (an extent boundary
-        // ends the chunk early).
-        let mut pos = offset;
-        let mut ext_base = first_base;
-        for spec in run {
-            let ext_len = spec.pages * page;
-            let ext_end = ext_base + ext_len;
-            while pos < end_byte.min(ext_end) {
-                let take = (chunk as u64).min(end_byte.min(ext_end) - pos) as usize;
-                let local = (pos - ext_base) as usize;
-                self.db
-                    .blob_pool
-                    .read_chunk(*spec, local, take, |b| sink(n, b))??;
-                pos += take as u64;
-            }
-            ext_base = ext_end;
-        }
-        debug_assert_eq!(pos, end_byte);
+        let n = len.min(state.size.saturating_sub(offset));
+        let range = offset..offset.saturating_add(n);
+        content::read_range(&self.db, &state, range, chunk, how, &mut |b| sink(n, b))?;
         Ok(n)
+    }
+
+    /// `len` bytes of `state`'s content at `offset`, copied out.
+    fn read_slice(
+        &self,
+        state: &BlobState,
+        offset: u64,
+        len: usize,
+        residency: Residency<'_>,
+    ) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(len);
+        let range = offset..offset + len as u64;
+        content::read_range(&self.db, state, range, usize::MAX, residency, &mut |b| {
+            out.extend_from_slice(b);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Fetch the Blob State (metadata operation; the `fstat` analogue).
@@ -781,11 +675,6 @@ impl Txn {
         let old = rel.tree.remove(key)?.ok_or(Error::KeyNotFound)?;
         let state = BlobState::decode(&old)?;
         self.freed.extend(state.extent_specs(&self.db.table));
-        self.undo.push(UndoOp::Delete {
-            rel: rel.id,
-            key: key.to_vec(),
-            old: old.clone(),
-        });
         self.records.push(LogRecord::Delete {
             txn: self.id,
             relation: rel.id,
@@ -816,25 +705,17 @@ impl Txn {
 
         // Resume the hash before touching extents: we need the old final
         // partial block. Extent boundaries are page-aligned, so the ≤63
-        // bytes never straddle extents — one small uncached read, never a
+        // bytes never straddle extents — one small uncached read (none at
+        // all while the content still fits the prefix), never a
         // whole-extent load (§III-D: growth does not re-read content).
         let inline_old = state.extents.is_empty() && state.tail.is_none();
         let mut hasher = Sha256::resume(state.midstate());
-        let boundary = old_size & !63;
-        if old_size > boundary {
-            if inline_old {
-                // Inline blob: old content sits in the prefix (≤ 32 B, so
-                // boundary is 0).
-                hasher.update(&state.prefix[boundary as usize..old_size as usize]);
-            } else {
-                let mut partial = vec![0u8; (old_size - boundary) as usize];
-                let (spec, byte_off) = locate_extent(&state, table, geo, boundary);
-                self.db
-                    .blob_pool
-                    .read_range_uncached(spec, byte_off, &mut partial)?;
-                hasher.update(&partial);
-            }
-        }
+        let last_block = (old_size & !63)..old_size;
+        let uncached = Residency::Uncached;
+        content::read_range(&db, &state, last_block, usize::MAX, uncached, &mut |b| {
+            hasher.update(b);
+            Ok(())
+        })?;
         hasher.update(data);
 
         // Still fits inline: only the Blob State changes.
@@ -867,12 +748,12 @@ impl Txn {
             let clone_spec = self.db.alloc.allocate_tier(pos)?;
             self.allocated.push(clone_spec);
             let covered = geo.bytes_for(table.cumulative_pages(pos));
-            let tail_bytes = old_size - covered;
-            let tail_content = ExtentSpec::new(tpid, geo.pages_for(tail_bytes));
-            let content =
-                self.db
-                    .blob_pool
-                    .read_blob(self.worker, &[tail_content], tail_bytes, |b| b.to_vec())?;
+            let content = self.read_slice(
+                &state,
+                covered,
+                (old_size - covered) as usize,
+                Residency::Cached,
+            )?;
             self.fill_fresh_eager(clone_spec, &content, &mut |_| ())?;
             self.freed.push(ExtentSpec::new(tpid, tpages));
             state.extents.push(clone_spec.start);
@@ -918,24 +799,8 @@ impl Txn {
             geo.pages_for(new_size),
             self.db.cfg.use_tail_extents,
         )?;
-        for (i, _) in plan.sizes.iter().enumerate() {
-            let spec = self.db.alloc.allocate_tier(plan.first_position + i)?;
-            self.allocated.push(spec);
-            let ext_bytes = (spec.pages as usize) * geo.page_size();
-            let chunk = &fill_data[data_off..fill_data.len().min(data_off + ext_bytes)];
-            self.fill_fresh_eager(spec, chunk, &mut |_| ())?;
-            state.extents.push(spec.start);
-            data_off += chunk.len();
-        }
-        if let Some(tp) = plan.tail_pages {
-            let spec = self.db.alloc.allocate_tail(tp)?;
-            self.allocated.push(spec);
-            let chunk = &fill_data[data_off..];
-            self.fill_fresh_eager(spec, chunk, &mut |_| ())?;
-            state.tail = Some((spec.start, tp));
-            data_off += chunk.len();
-        }
-        debug_assert_eq!(data_off, fill_data.len());
+        let source = Source::Bytes(&fill_data[data_off..]);
+        state.tail = self.fill_plan(&plan, source, &mut |_| (), &mut state.extents)?;
 
         // Refresh the metadata.
         if old_size < PREFIX_LEN as u64 {
@@ -976,39 +841,35 @@ impl Txn {
         let geo = self.db.geo;
         let table = &self.db.table;
 
-        // Hash the surviving prefix first, while the old extent sequence is
-        // still intact.
-        let content = if new_size == 0 {
-            Vec::new()
-        } else {
-            self.read_slice(&state, 0, new_size as usize)?
-        };
-        let mut hasher = Sha256::new();
-        hasher.update(&content);
-
         // Keep the minimal prefix of tier extents covering `new_size`.
+        let mut freed = Vec::new();
         let covered_by_tiers = geo.bytes_for(table.cumulative_pages(state.extents.len()));
         if new_size <= covered_by_tiers {
             // The tail (if any) is now entirely beyond the size: free it.
             if let Some((tpid, tpages)) = state.tail.take() {
-                self.freed.push(ExtentSpec::new(tpid, tpages));
+                freed.push(ExtentSpec::new(tpid, tpages));
             }
             let mut keep = 0usize;
             while geo.bytes_for(table.cumulative_pages(keep)) < new_size {
                 keep += 1;
             }
             for (pos, &pid) in state.extents.iter().enumerate().skip(keep) {
-                self.freed.push(ExtentSpec::new(pid, table.size_of(pos)));
+                freed.push(ExtentSpec::new(pid, table.size_of(pos)));
             }
             state.extents.truncate(keep);
         }
         // else: the new size still reaches into the tail extent — every
         // extent survives; the tail keeps its (now oversized) page count.
 
+        // The surviving bytes stay where they are, so the shorter state
+        // already addresses them: hash it in bounded pieces. The embedded
+        // prefix is the old one cut at the new size.
         state.size = new_size;
+        state.prefix[new_size.min(PREFIX_LEN as u64) as usize..].fill(0);
+        let hasher = content::hash_content(&self.db, &state, Residency::Cached)?;
         state.sha_midstate = hasher.midstate().state_bytes();
         state.sha256 = hasher.finalize();
-        state.prefix = BlobState::make_prefix(&content);
+        self.freed.extend(freed);
         // The surviving last extent now holds fewer content pages than a
         // resident copy may frame.
         if let Some(last) = self.content_specs(&state).last() {
@@ -1017,17 +878,6 @@ impl Txn {
 
         self.publish_state(rel, key, Some(old_encoded), &state)?;
         Ok(())
-    }
-
-    /// Read `len` bytes at blob offset `off` (within existing content);
-    /// loads only the covering extents.
-    ///
-    /// (See also `locate_extent` for single-extent addressing.)
-    fn read_slice(&self, state: &BlobState, off: u64, len: usize) -> Result<Vec<u8>> {
-        let mut out = vec![0u8; len];
-        let n = self.read_state_range(state, off, &mut out, false)?;
-        debug_assert_eq!(n, len, "read_slice must stay within the blob");
-        Ok(out)
     }
 
     // -------------------------------------------------- blob update -----
@@ -1057,116 +907,82 @@ impl Txn {
         let geo = self.db.geo;
         let page = geo.page_size();
 
-        // Inline blob: the content IS the Blob State's prefix — patch it,
-        // rehash, rewrite the record. One WAL record, zero content I/O.
-        if state.extents.is_empty() && state.tail.is_none() {
-            let mut content = state.prefix[..state.size as usize].to_vec();
-            content[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-            let mut hasher = Sha256::new();
-            hasher.update(&content);
-            state.sha_midstate = hasher.midstate().state_bytes();
-            state.sha256 = hasher.finalize();
-            state.prefix = BlobState::make_prefix(&content);
-            self.publish_state(rel, key, Some(old_encoded), &state)?;
-            self.stage_physlog(rel, key, offset, data);
-            return Ok(());
-        }
-
         // Walk the extents overlapping [offset, offset+len), by content:
         // an extent's cloning cost is what it holds, not what it reserves.
+        // An inline blob has none: its content is the Blob State's prefix,
+        // patched below — one WAL record, zero content I/O.
         let specs = self.content_specs(&state);
-        let mut ext_base = 0u64; // byte offset of the extent within the blob
-        for (i, spec) in specs.iter().enumerate() {
-            let ext_bytes = spec.pages * page as u64;
-            let ext_end = ext_base + ext_bytes;
-            let lo = offset.max(ext_base);
-            let hi = (offset + data.len() as u64).min(ext_end);
-            if lo < hi {
-                let local_off = (lo - ext_base) as usize;
-                let slice = &data[(lo - offset) as usize..(hi - offset) as usize];
-                let overlap = slice.len();
+        let mut done = 0usize;
+        for piece in pieces(&specs, geo, offset..offset + data.len() as u64, usize::MAX) {
+            let lo = offset + done as u64;
+            let slice = &data[done..done + piece.len];
+            done += piece.len;
+            let ext_bytes = geo.bytes_for(piece.spec.pages);
 
-                // Modeled costs: delta writes the new bytes twice (WAL +
-                // extent); cloning writes the old extent content once more.
-                if 2 * overlap as u64 <= ext_bytes {
-                    let before = self.read_slice(&state, lo, overlap)?;
-                    self.records.push(LogRecord::BlobDelta {
-                        txn: self.id,
-                        relation: rel.id,
-                        key: key.to_vec(),
-                        byte_offset: lo,
-                        before: before.clone(),
-                        after: slice.to_vec(),
-                    });
-                    self.undo.push(UndoOp::BlobBytes {
-                        spec: *spec,
-                        byte_off_in_extent: local_off,
-                        before,
-                    });
-                    self.db
-                        .blob_pool
-                        .write_range(*spec, local_off, slice, true)?;
-                    let first = local_off / page;
-                    let last = (local_off + overlap).div_ceil(page);
+            // Modeled costs: delta writes the new bytes twice (WAL +
+            // extent); cloning writes the old extent content once more.
+            if 2 * piece.len as u64 <= ext_bytes {
+                self.records.push(LogRecord::BlobDelta {
+                    txn: self.id,
+                    relation: rel.id,
+                    key: key.to_vec(),
+                    byte_offset: lo,
+                    before: self.read_slice(&state, lo, piece.len, Residency::Cached)?,
+                    after: slice.to_vec(),
+                });
+                for written in content::apply_bytes(&self.db, &state, lo, slice)? {
+                    let first = written.offset / page;
+                    let last = (written.offset + written.len).div_ceil(page);
                     self.toflush.push(FlushItem {
-                        spec: *spec,
+                        spec: written.spec,
                         dirty_from: first as u64,
                         dirty_pages: (last - first) as u64,
                     });
-                } else {
-                    // Clone: copy the extent, patch it, swap the pointer.
-                    // The old and new placements are sized by allocation.
-                    let (clone_spec, old_spec) = match state.tail {
-                        Some((tpid, tpages)) if i == state.extents.len() => (
-                            self.db.alloc.allocate_tail(tpages)?,
-                            ExtentSpec::new(tpid, tpages),
-                        ),
-                        _ => (
-                            self.db.alloc.allocate_tier(i)?,
-                            ExtentSpec::new(spec.start, self.db.table.size_of(i)),
-                        ),
-                    };
-                    let is_tail = i == state.extents.len();
-                    self.allocated.push(clone_spec);
-                    let live = (state.size - ext_base).min(ext_bytes);
-                    let mut content =
-                        self.db
-                            .blob_pool
-                            .read_blob(self.worker, &[*spec], live, |b| b.to_vec())?;
-                    content[local_off..local_off + overlap].copy_from_slice(slice);
-                    self.fill_fresh_eager(clone_spec, &content, &mut |_| ())?;
-                    self.freed.push(old_spec);
-                    if is_tail {
-                        state.tail = Some((clone_spec.start, clone_spec.pages));
-                    } else {
-                        state.extents[i] = clone_spec.start;
-                    }
                 }
-            }
-            ext_base = ext_end;
-            if ext_base >= offset + data.len() as u64 {
-                break;
+            } else {
+                // Clone: copy the extent, patch it, swap the pointer.
+                // The old and new placements are sized by allocation.
+                let i = piece.index;
+                let is_tail = i == state.extents.len();
+                let (clone_spec, old_spec) = match state.tail {
+                    Some((tpid, tpages)) if is_tail => (
+                        self.db.alloc.allocate_tail(tpages)?,
+                        ExtentSpec::new(tpid, tpages),
+                    ),
+                    _ => (
+                        self.db.alloc.allocate_tier(i)?,
+                        ExtentSpec::new(piece.spec.start, self.db.table.size_of(i)),
+                    ),
+                };
+                self.allocated.push(clone_spec);
+                let extent_start = lo - piece.offset as u64;
+                let live = (state.size - extent_start).min(ext_bytes) as usize;
+                let mut content = self.read_slice(&state, extent_start, live, Residency::Cached)?;
+                content[piece.offset..piece.offset + piece.len].copy_from_slice(slice);
+                self.fill_fresh_eager(clone_spec, &content, &mut |_| ())?;
+                self.freed.push(old_spec);
+                if is_tail {
+                    state.tail = Some((clone_spec.start, clone_spec.pages));
+                } else {
+                    state.extents[i] = clone_spec.start;
+                }
             }
         }
 
         // Content changed: recompute the hash over the full object (growth
         // is the only op with a cheap incremental path, §III-D).
-        let specs = self.content_specs(&state);
-        let mut hasher = Sha256::new();
-        self.db
-            .blob_pool
-            .for_each_extent::<()>(&specs, state.size, |chunk| {
-                hasher.update(chunk);
-                None
-            })?;
-        state.sha_midstate = hasher.midstate().state_bytes();
-        state.sha256 = hasher.finalize();
         if offset < PREFIX_LEN as u64 {
             let n = ((PREFIX_LEN as u64 - offset) as usize).min(data.len());
             state.prefix[offset as usize..offset as usize + n].copy_from_slice(&data[..n]);
         }
+        let hasher = content::hash_content(&self.db, &state, Residency::Cached)?;
+        state.sha_midstate = hasher.midstate().state_bytes();
+        state.sha256 = hasher.finalize();
 
         self.publish_state(rel, key, Some(old_encoded), &state)?;
+        if state.extents.is_empty() && state.tail.is_none() {
+            self.stage_physlog(rel, key, offset, data);
+        }
         Ok(())
     }
 
@@ -1210,10 +1026,9 @@ impl Txn {
             return Ok(false); // evidence stays put; never move a suspect
         }
         let old_specs = state.extent_specs(&self.db.table);
-        let geo = self.db.geo;
 
         // Same size ⇒ same tier-sequence shape for the new placement.
-        let pages = geo.pages_for(state.size);
+        let pages = self.db.geo.pages_for(state.size);
         let plan = plan_sequence(&self.db.table, pages, state.tail.is_some())?;
 
         // Copy old → new through the defrag source guard: resident source
@@ -1221,38 +1036,12 @@ impl Txn {
         // uncached from the device — the copy never faults data into the
         // pool or evicts anything hot. Hashing rides the same pass.
         let db = self.db.clone();
-        let src = crate::defrag::SourceGuard::new(&db.blob_pool, &self.content_specs(&state));
+        let src = SourceGuard::new(&db.blob_pool, &self.content_specs(&state));
         let mut hasher = Sha256::new();
         let mut extents = Vec::with_capacity(plan.sizes.len());
-        let mut off = 0u64;
-        for (i, _) in plan.sizes.iter().enumerate() {
-            let spec = self.db.alloc.allocate_tier(plan.first_position + i)?;
-            self.allocated.push(spec);
-            let ext_bytes = (spec.pages as usize) * geo.page_size();
-            let len = ((state.size - off) as usize).min(ext_bytes);
-            let mut buf = vec![0u8; len];
-            read_blob_window(&self.db, &state, off, &mut buf)?;
-            let item = self.fill_fresh(spec, &buf, &mut |b| hasher.update(b))?;
-            self.toflush.push(item);
-            extents.push(spec.start);
-            off += len as u64;
-        }
-        let tail = match plan.tail_pages {
-            Some(tp) => {
-                let spec = self.db.alloc.allocate_tail(tp)?;
-                self.allocated.push(spec);
-                let len = (state.size - off) as usize;
-                let mut buf = vec![0u8; len];
-                read_blob_window(&self.db, &state, off, &mut buf)?;
-                let item = self.fill_fresh(spec, &buf, &mut |b| hasher.update(b))?;
-                self.toflush.push(item);
-                off += len as u64;
-                Some((spec.start, tp))
-            }
-            None => None,
-        };
+        let source = Source::Placement(&state);
+        let tail = self.fill_plan(&plan, source, &mut |b| hasher.update(b), &mut extents)?;
         drop(src);
-        debug_assert_eq!(off, state.size);
 
         // Piggybacked scrub: the copy re-hashed every byte of the old
         // placement. A mismatch means the *source* is rotten — feed the
@@ -1296,13 +1085,8 @@ impl Txn {
         // extents, and the fence keeps the allocator from re-issuing them
         // while the swap's durability is still unknown. The guard lifts
         // the fences again if staging fails below.
-        let fence = crate::defrag::FenceGuard::new(&self.db.alloc, old_specs);
+        let fence = FenceGuard::new(&self.db.alloc, old_specs);
         rel.tree.insert(key, &encoded, true)?;
-        self.undo.push(UndoOp::Update {
-            rel: rel.id,
-            key: key.to_vec(),
-            old: old_encoded.clone(),
-        });
         self.records.push(LogRecord::BlobRelocate {
             txn: self.id,
             relation: rel.id,
@@ -1340,23 +1124,10 @@ impl Txn {
         if self.db.is_blob_quarantined(&rel.name, key) {
             return Ok(None);
         }
-        let mut hasher = Sha256::new();
-        if state.extents.is_empty() && state.tail.is_none() {
-            hasher.update(&state.prefix[..state.size as usize]);
-        } else {
-            let src =
-                crate::defrag::SourceGuard::new(&self.db.blob_pool, &self.content_specs(&state));
-            let mut buf = vec![0u8; (256 << 10).min(state.size as usize)];
-            let mut off = 0u64;
-            while off < state.size {
-                let take = ((state.size - off) as usize).min(buf.len());
-                read_blob_window(&self.db, &state, off, &mut buf[..take])?;
-                hasher.update(&buf[..take]);
-                off += take as u64;
-            }
-            drop(src);
-        }
-        let ok = hasher.finalize() == state.sha256;
+        let src = SourceGuard::new(&self.db.blob_pool, &self.content_specs(&state));
+        let digest = content::hash_content(&self.db, &state, Residency::Uncached)?.finalize();
+        drop(src);
+        let ok = digest == state.sha256;
         // ordering: relaxed metrics counters; snapshot readers tolerate staleness
         self.db.metrics.scrub_blobs.fetch_add(1, Ordering::Relaxed);
         self.db
@@ -1450,8 +1221,10 @@ impl Txn {
         if self.flights.is_empty() || self.fresh.is_empty() || self.submit_fresh().is_err() {
             self.toflush.append(&mut self.fresh);
         }
+        let records = Arc::new(std::mem::take(&mut self.records));
+        self.submitted = Some(records.clone());
         CommitBatch {
-            records: std::mem::take(&mut self.records),
+            records,
             toflush: std::mem::take(&mut self.toflush),
             flights: std::mem::take(&mut self.flights),
             freed: std::mem::take(&mut self.freed),
@@ -1521,25 +1294,12 @@ impl Txn {
         // Eager writes land first: their tickets latch frames the undo may
         // write and the discard below drops.
         let _ = self.land_flights();
-        // Reverse logical undo.
-        for op in self.undo.drain(..).rev() {
-            let result = match op {
-                UndoOp::Insert { rel, key } => db
-                    .relation_by_id(rel)
-                    .map(|r| r.tree.remove(&key).map(drop))
-                    .unwrap_or(Ok(())),
-                UndoOp::Update { rel, key, old } | UndoOp::Delete { rel, key, old } => db
-                    .relation_by_id(rel)
-                    .map(|r| r.tree.insert(&key, &old, true).map(drop))
-                    .unwrap_or(Ok(())),
-                UndoOp::BlobBytes {
-                    spec,
-                    byte_off_in_extent,
-                    before,
-                } => db
-                    .blob_pool
-                    .write_range(spec, byte_off_in_extent, &before, true),
-            };
+        // Reverse logical undo, through the function restart recovery uses
+        // for the records of a transaction that did not commit.
+        let submitted = self.submitted.take();
+        let staged = std::mem::take(&mut self.records);
+        for rec in submitted.as_deref().unwrap_or(&staged).iter().rev() {
+            let result = crate::recovery::undo_record(&db, rec);
             debug_assert!(result.is_ok(), "undo must not fail");
         }
         // Fresh allocations are discarded; what reached the device early is
@@ -1556,7 +1316,7 @@ impl Txn {
         for spec in self.refenced.drain(..) {
             db.alloc.release_quarantine(spec);
         }
-        if !self.records.is_empty() {
+        if submitted.is_none() && !staged.is_empty() {
             // A durable abort record is unnecessary for correctness (no
             // earlier record of this txn was flushed), but harmless and
             // useful for log analytics.
@@ -1572,70 +1332,4 @@ impl Drop for Txn {
     fn drop(&mut self) {
         self.rollback();
     }
-}
-
-/// Read the blob byte window `[off, off + buf.len())` of `state`'s
-/// current placement through non-evicting uncached reads, crossing
-/// extent boundaries as needed (old and new placements need not share a
-/// tier-sequence shape, e.g. after appends).
-pub(crate) fn read_blob_window(
-    db: &Database,
-    state: &BlobState,
-    mut off: u64,
-    buf: &mut [u8],
-) -> Result<()> {
-    let page = db.geo.page_size();
-    let mut done = 0usize;
-    while done < buf.len() {
-        let (spec, in_ext) = locate_extent(state, &db.table, db.geo, off);
-        let avail = (spec.pages as usize) * page - in_ext;
-        let take = avail.min(buf.len() - done);
-        db.blob_pool
-            .read_range_uncached(spec, in_ext, &mut buf[done..done + take])?;
-        done += take;
-        off += take as u64;
-    }
-    Ok(())
-}
-
-/// The extent (content view) containing blob byte `off`, and the byte
-/// offset within it.
-fn locate_extent(
-    state: &BlobState,
-    table: &lobster_extent::TierTable,
-    geo: Geometry,
-    off: u64,
-) -> (ExtentSpec, usize) {
-    let mut base = 0u64;
-    for spec in state.content_specs(table, geo) {
-        let next = base + geo.bytes_for(spec.pages);
-        if off < next {
-            return (spec, (off - base) as usize);
-        }
-        base = next;
-    }
-    unreachable!("offset {off} beyond the blob's content");
-}
-
-/// The run of `specs` covering blob bytes `[offset, end)`: indices
-/// `first..last`, and the blob byte offset at which extent `first` starts.
-/// `offset` must lie inside the content `specs` describes.
-fn covering_run(specs: &[ExtentSpec], geo: Geometry, offset: u64, end: u64) -> (usize, usize, u64) {
-    let mut first = None;
-    let mut last = specs.len();
-    let mut base = 0u64;
-    for (i, spec) in specs.iter().enumerate() {
-        if base >= end {
-            last = i;
-            break;
-        }
-        let next = base + geo.bytes_for(spec.pages);
-        if first.is_none() && next > offset {
-            first = Some((i, base));
-        }
-        base = next;
-    }
-    debug_assert!(first.is_some(), "offset < size implies a covering extent");
-    let (first, first_base) = first.unwrap_or((0, 0));
-    (first, last, first_base)
 }

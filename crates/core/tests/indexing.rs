@@ -2,7 +2,7 @@
 //! rollback and recovery.
 
 use lobster_core::{BlobIndex, BlobStateCmp, ComparatorFactory, Config, Database, RelationKind};
-use lobster_storage::MemDevice;
+use lobster_storage::{FaultConfig, FaultDevice, FaultKind, MemDevice};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -188,6 +188,80 @@ fn reopen_helper_rebinds_after_plain_open() {
     let state = t.blob_state(&images, b"pic").unwrap().unwrap();
     t.commit().unwrap();
     assert_eq!(index.lookup(&state).unwrap(), Some(b"pic".to_vec()));
+}
+
+/// A pool or device error inside the content comparator is an error of the
+/// index operation that asked — not "end of blob", which would file the
+/// entry as a strict prefix of its neighbour. Contents here share a long
+/// head, so every comparison has to read content; the stored side is cold
+/// and its device read fails.
+#[test]
+fn comparator_read_error_fails_the_index_operation() {
+    let dev = Arc::new(FaultDevice::new(
+        MemDevice::new(128 << 20),
+        FaultConfig::new(3, 1000, &[FaultKind::PermanentRead]),
+    ));
+    let db = Database::create(dev.clone(), Arc::new(MemDevice::new(32 << 20)), cfg()).unwrap();
+    let images = db.create_relation("image", RelationKind::Blob).unwrap();
+    let index = BlobIndex::create(&db, &images).unwrap();
+
+    let head = body(42, 5_000);
+    let content = |tag: u8| [head.clone(), body(tag, 60_000)].concat();
+    let mut t = db.begin();
+    for tag in [10u8, 30, 50] {
+        index
+            .put_blob(&mut t, &images, &[b'r', tag], &content(tag))
+            .unwrap();
+    }
+    t.commit().unwrap();
+    let mut t = db.begin();
+    let probe = t.blob_state(&images, &[b'r', 30]).unwrap().unwrap();
+    t.commit().unwrap();
+    db.checkpoint().unwrap();
+
+    // Cold content, warm trees (`for_each` walks the leaves without the
+    // comparator): the only device reads left are the comparator's.
+    db.blob_pool().drop_caches();
+    for rel in [&images, &index.relation] {
+        rel.tree.for_each(|_, _| true).unwrap();
+    }
+    dev.arm();
+    let mut t = db.begin();
+    let put = index.put_blob(&mut t, &images, &[b'r', 20], &content(20));
+    assert!(put.is_err(), "a failed content read must fail the put");
+    t.abort();
+    // The SHA fast path needs no content; a probe that differs does.
+    let mut other = probe.clone();
+    other.sha256[0] ^= 1;
+    assert!(index.lookup(&other).is_err());
+    assert!(dev.injections() > 0);
+    dev.disarm();
+
+    // The fault cleared: the retry succeeds and nothing was misfiled.
+    let mut t = db.begin();
+    assert!(t.blob_state(&images, &[b'r', 20]).unwrap().is_none());
+    index
+        .put_blob(&mut t, &images, &[b'r', 20], &content(20))
+        .unwrap();
+    t.commit().unwrap();
+    assert_eq!(index.lookup(&probe).unwrap(), Some(vec![b'r', 30]));
+    let mut first = probe.clone();
+    first.prefix = [0; 32];
+    first.size = 0;
+    let mut scanned = Vec::new();
+    index
+        .scan_from(&first, |_, row| {
+            scanned.push(row.to_vec());
+            true
+        })
+        .unwrap();
+    let mut want: Vec<(Vec<u8>, Vec<u8>)> = [10u8, 20, 30, 50]
+        .iter()
+        .map(|&tag| (content(tag), vec![b'r', tag]))
+        .collect();
+    want.sort();
+    let want: Vec<Vec<u8>> = want.into_iter().map(|(_, row)| row).collect();
+    assert_eq!(scanned, want, "the index is in content order");
 }
 
 // --------------------------------------------------- comparator ordering ---

@@ -4,7 +4,7 @@
 //! success *and* on mid-stream sink errors), and pin-gate admission.
 
 use lobster_buffer::PinGate;
-use lobster_core::{Config, Database, RelationKind};
+use lobster_core::{Config, Database, PoolVariant, RelationKind};
 use lobster_storage::MemDevice;
 use lobster_types::Error;
 use std::sync::Arc;
@@ -63,53 +63,82 @@ fn stream_collect(
     (n, out, calls)
 }
 
+/// `get_blob_range`, the same slice of `get_blob`, and the concatenated
+/// stream chunks are one ranged read and must agree byte for byte — over
+/// both pools, with and without a tail extent.
 #[test]
 fn stream_matches_range_read_across_sizes_and_chunks() {
-    let db = mem_db(small_cfg());
-    let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
-    // Inline-only (≤ 32-byte prefix), sub-page, single-extent,
-    // multi-extent, and a boundary-straddling odd size.
-    let sizes = [20usize, 1000, 4096, 70_000, 262_144 + 777];
-    for (i, &size) in sizes.iter().enumerate() {
-        let key = format!("k{i}").into_bytes();
-        let data = pattern(size, i as u64 + 1);
-        let mut t = db.begin();
-        t.put_blob(&rel, &key, &data).unwrap();
-        t.commit().unwrap();
+    for (pool_variant, use_tail_extents) in [
+        (small_cfg().pool_variant, false),
+        (small_cfg().pool_variant, true),
+        (PoolVariant::Ht, false),
+        (PoolVariant::Ht, true),
+    ] {
+        let db = mem_db(Config {
+            pool_variant,
+            use_tail_extents,
+            ..small_cfg()
+        });
+        let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
+        // Inline-only (≤ 32-byte prefix), sub-page, single-extent,
+        // multi-extent, and a boundary-straddling odd size.
+        let sizes = [20usize, 1000, 4096, 70_000, 262_144 + 777];
+        for (i, &size) in sizes.iter().enumerate() {
+            let key = format!("k{i}").into_bytes();
+            let data = pattern(size, i as u64 + 1);
+            let mut t = db.begin();
+            t.put_blob(&rel, &key, &data).unwrap();
+            let state = t.blob_state(&rel, &key).unwrap().unwrap();
+            t.commit().unwrap();
+            assert_eq!(
+                state.tail.is_some(),
+                use_tail_extents && size > 4096,
+                "size={size}: tail extent"
+            );
 
-        for (offset, len) in [
-            (0u64, size as u64),
-            (0, 10),
-            (size as u64 / 2, size as u64), // clamped at EOF
-            (size as u64 - 1, 5),
-            (size as u64 + 10, 4), // past EOF → 0 bytes
-        ] {
-            for chunk in [1usize, 100, 4096, 1 << 20] {
-                let (n, streamed, calls) =
-                    stream_collect(&db, &rel, &key, offset, len, chunk, None);
+            for (offset, len) in [
+                (0u64, size as u64),
+                (0, 10),
+                (size as u64 / 2, size as u64), // clamped at EOF
+                (size as u64 - 1, 5),
+                (size as u64 + 10, 4), // past EOF → 0 bytes
+            ] {
                 let want_n = len.min((size as u64).saturating_sub(offset));
-                assert_eq!(n, want_n, "size={size} off={offset} len={len}");
-                assert_eq!(streamed.len() as u64, want_n);
-                let off = offset as usize;
-                assert_eq!(
-                    &streamed[..],
-                    &data[off.min(size)..off.min(size) + want_n as usize],
-                    "content mismatch size={size} off={offset} len={len} chunk={chunk}"
-                );
-                // Extent-backed streams must honor the chunk size (the
-                // inline-prefix fast path sends its ≤ 32 bytes as one
-                // piece).
-                if want_n > 32 {
-                    assert!(
-                        calls as u64 >= want_n.div_ceil(chunk as u64),
-                        "too few sink calls: {calls} for {want_n}B/{chunk}B chunks"
+                let off = (offset as usize).min(size);
+                let want = &data[off..off + want_n as usize];
+
+                let mut t = db.begin();
+                let mut buf = vec![0u8; len as usize];
+                let n = t.get_blob_range(&rel, &key, offset, &mut buf).unwrap();
+                let whole = t.get_blob(&rel, &key, |b| b.to_vec()).unwrap();
+                t.commit().unwrap();
+                assert_eq!(&buf[..n], want, "range size={size} off={offset} len={len}");
+                assert_eq!(&whole[off..off + want_n as usize], want);
+
+                for chunk in [1usize, 100, 4096, 1 << 20] {
+                    let (n, streamed, calls) =
+                        stream_collect(&db, &rel, &key, offset, len, chunk, None);
+                    assert_eq!(n, want_n, "size={size} off={offset} len={len}");
+                    assert_eq!(
+                        &streamed[..],
+                        want,
+                        "content mismatch size={size} off={offset} len={len} chunk={chunk}"
                     );
+                    // Extent-backed streams must honor the chunk size (the
+                    // inline-prefix fast path sends its ≤ 32 bytes as one
+                    // piece).
+                    if want_n > 32 {
+                        assert!(
+                            calls as u64 >= want_n.div_ceil(chunk as u64),
+                            "too few sink calls: {calls} for {want_n}B/{chunk}B chunks"
+                        );
+                    }
                 }
             }
         }
+        // All leases must be gone after the streams.
+        db.blob_pool().audit().assert_no_leaked_pins();
     }
-    // All leases must be gone after the streams.
-    db.blob_pool().audit().assert_no_leaked_pins();
 }
 
 #[test]

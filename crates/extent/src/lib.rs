@@ -12,6 +12,8 @@
 //!   Fibonacci baselines it compares against,
 //! * [`plan_sequence`] / [`SequencePlan`] — choosing the minimal extent
 //!   sequence (optionally with a *tail extent*) for a byte size,
+//! * [`pieces`] — the inverse question: which extent of a sequence holds a
+//!   given BLOB byte range, as an iterator of per-extent [`Piece`]s,
 //! * [`RangeAllocator`] — contiguous-range allocation with segregated free
 //!   lists (also reused by the buffer manager for frame ranges),
 //! * [`ExtentAllocator`] — page-space allocation of tiered extents and
@@ -20,9 +22,11 @@
 #![forbid(unsafe_code)]
 
 mod alloc;
+mod pieces;
 mod plan;
 mod tier;
 
 pub use alloc::{ExtentAllocator, RangeAllocator};
+pub use pieces::{pieces, Piece, Pieces};
 pub use plan::{plan_growth, plan_sequence, ExtentSpec, SequencePlan};
 pub use tier::{TierPolicy, TierTable};

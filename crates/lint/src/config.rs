@@ -142,9 +142,9 @@ impl LintConfig {
                     allowed_paths: vec![
                         // The pool implementations...
                         "crates/buffer/src/".into(),
-                        // ...and the RAII wrappers: Txn::stream_blob_range's
-                        // lease guard, which drops leases on every exit path...
-                        "crates/core/src/txn.rs".into(),
+                        // ...and the RAII wrappers: the ranged read's run
+                        // guard, which drops leases on every exit path...
+                        "crates/core/src/content.rs".into(),
                         // ...and the defragmenter's SourceGuard, which pins
                         // resident relocation sources the same way.
                         "crates/core/src/defrag.rs".into(),
@@ -174,7 +174,7 @@ impl LintConfig {
                     receiver_hints: vec!["gate", "budget", "slots"],
                     allowed_paths: vec![
                         "crates/buffer/src/stream.rs".into(),
-                        "crates/core/src/txn.rs".into(),
+                        "crates/core/src/content.rs".into(),
                         "crates/core/src/group_commit.rs".into(),
                         "crates/serve/src/server.rs".into(),
                         // The extracted pin-budget protocol core models

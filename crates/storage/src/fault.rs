@@ -210,9 +210,6 @@ impl<D: Device> FaultDevice<D> {
         if !self.armed.load(Ordering::SeqCst) || op < self.cfg.warmup_ops {
             return None;
         }
-        if self.injected.load(Ordering::SeqCst) >= self.cfg.max_injections {
-            return None;
-        }
         let h = mix64(self.cfg.seed ^ op.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         if h % 1000 >= u64::from(self.cfg.per_mille) {
             return None;
@@ -228,7 +225,14 @@ impl<D: Device> FaultDevice<D> {
             return None;
         }
         let kind = eligible[((h / 1000) % eligible.len() as u64) as usize];
-        self.injected.fetch_add(1, Ordering::SeqCst);
+        // Check the cap and count in one step: the requests of a batch
+        // run on several I/O threads at once.
+        let cap = self.cfg.max_injections;
+        self.injected
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .ok()?;
         self.log.lock().push(Injection {
             op,
             kind,

@@ -303,3 +303,44 @@ fn range_read_never_fetches_an_extent_past_its_end() {
     want.sort_unstable();
     assert_eq!(reads, want, "only the covering extents are fetched");
 }
+
+#[test]
+fn cold_range_read_over_three_extents_is_one_batch_of_exactly_their_pages() {
+    let (dev, db, data) = cold_mib_blob();
+    let rel = db.relation("blobs").unwrap();
+    let mut txn = db.begin();
+    let state = txn.blob_state(&rel, b"big").unwrap().unwrap();
+    // From the middle of the 8-page extent (blob pages 7..15), through the
+    // whole 16-page one (15..31), into the 32-page one (31..63).
+    let off = 10 * PAGE + 100;
+    let mut buf = vec![0u8; 30 * PAGE];
+    let before = db.metrics().snapshot();
+    let n = txn
+        .get_blob_range(&rel, b"big", off as u64, &mut buf)
+        .unwrap();
+    txn.commit().unwrap();
+    let delta = db.metrics().snapshot() - before;
+    assert_eq!(n, buf.len());
+    assert_eq!(&buf[..n], &data[off..off + n]);
+
+    let mut reads = dev.take_reads();
+    reads.sort_unstable();
+    let mut want: Vec<(u64, usize)> = [(3, 8), (4, 16), (5, 32)]
+        .iter()
+        .map(|&(i, pages)| (state.extents[i].raw() * PAGE as u64, pages * PAGE))
+        .collect();
+    want.sort_unstable();
+    assert_eq!(reads, want, "one device read per covering extent");
+    assert_eq!(delta.fault_batches, 1, "the run faults as one batch");
+    assert_eq!(delta.pages_faulted_batched, 56);
+    assert_eq!(delta.pages_read, 56);
+    assert_eq!(delta.cache_misses, 3);
+    assert_eq!(
+        delta.alias_ops, 0,
+        "a range read copies out of the frames; it maps nothing"
+    );
+    assert_eq!(
+        delta.readahead_issued, 0,
+        "neither at the blob's start nor where the last read ended"
+    );
+}
