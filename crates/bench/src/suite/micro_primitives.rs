@@ -2,8 +2,7 @@
 //! from: resumable SHA-256 (growth ops), B-Tree point ops (metadata
 //! path), tier-table math (allocation path), and CRC-32 (WAL framing).
 //!
-//! The standalone bench binary used criterion for these; the suite runs
-//! the same bodies under a manual timing loop with per-iteration
+//! The suite runs the bodies under a manual timing loop with per-iteration
 //! latencies recorded into a [`LocalRecorder`], so the JSON report gets
 //! p50/p95/p99 for each primitive.
 

@@ -3,8 +3,8 @@
 //! [`HashTablePool`] (`Our.ht`). The engine is written against this enum so
 //! the two variants can be swapped by configuration.
 
-use crate::htpool::{HashTablePool, HtFlushBatch};
-use crate::pool::{ExtentFlushBatch, ExtentPool, FlushItem};
+use crate::htpool::HashTablePool;
+use crate::pool::{ExtentPool, FlushBatch, FlushItem};
 use lobster_extent::ExtentSpec;
 use lobster_metrics::Metrics;
 use lobster_storage::{BatchHandle, Waker};
@@ -254,20 +254,23 @@ impl BlobPool {
     /// dirty/`prevent_evict` flags are cleared when the ticket is reaped
     /// and no other flush of it is owed.
     pub fn flush_extents_async(&self, items: &[FlushItem]) -> Result<FlushTicket> {
-        let inner = match self {
-            BlobPool::Vm(p) => TicketInner::Vm {
-                pool: p.clone(),
-                batch: p.flush_extents_begin(items)?,
-            },
-            BlobPool::Ht(p) => TicketInner::Ht {
-                pool: p.clone(),
-                batch: p.flush_extents_begin(items)?,
-            },
+        let batch = match self {
+            BlobPool::Vm(p) => p.flush_extents_begin(items)?,
+            BlobPool::Ht(p) => p.flush_extents_begin(items)?,
         };
         Ok(FlushTicket {
-            inner,
+            flight: Some((self.clone(), batch)),
             items: items.to_vec(),
         })
+    }
+
+    /// Second half of [`BlobPool::flush_extents_async`], run by the
+    /// ticket's reap with the completion result.
+    fn flush_extents_finish(&self, batch: &FlushBatch, result: &Result<()>) {
+        match self {
+            BlobPool::Vm(p) => p.flush_extents_finish(batch, result),
+            BlobPool::Ht(p) => p.flush_extents_finish(batch, result),
+        }
     }
 
     /// Clear the `prevent_evict` pin without flushing (physical-logging
@@ -322,22 +325,11 @@ impl BlobPool {
 /// unreaped ticket blocks until the device writes land (they reference
 /// memory the ticket guards) and then finishes it.
 pub struct FlushTicket {
-    inner: TicketInner,
+    /// The pool that finishes the flight, and the flight; `None` once
+    /// reaped.
+    flight: Option<(BlobPool, FlushBatch)>,
     /// What the flight writes; outlives the reap, for whoever retries.
     items: Vec<FlushItem>,
-}
-
-enum TicketInner {
-    Vm {
-        pool: Arc<ExtentPool>,
-        batch: ExtentFlushBatch,
-    },
-    Ht {
-        pool: Arc<HashTablePool>,
-        batch: HtFlushBatch,
-    },
-    /// Reaped; nothing left to do.
-    Done,
 }
 
 impl FlushTicket {
@@ -348,16 +340,9 @@ impl FlushTicket {
     /// executes device requests inline, so a poller cannot stall on
     /// modeled device time.
     pub fn poll(&mut self) -> Option<Result<()>> {
-        let result = match &self.inner {
-            TicketInner::Vm { batch, .. } => batch.try_complete()?,
-            TicketInner::Ht { batch, .. } => batch.try_complete()?,
-            TicketInner::Done => return None,
-        };
-        match std::mem::replace(&mut self.inner, TicketInner::Done) {
-            TicketInner::Vm { pool, batch } => pool.flush_extents_finish(&batch, &result),
-            TicketInner::Ht { pool, batch } => pool.flush_extents_finish(&batch, &result),
-            TicketInner::Done => unreachable!("checked above"),
-        }
+        let result = self.flight.as_ref()?.1.try_complete()?;
+        let (pool, batch) = self.flight.take()?;
+        pool.flush_extents_finish(&batch, &result);
         Some(result)
     }
 
@@ -365,11 +350,8 @@ impl FlushTicket {
     /// then reap.
     pub fn wait(mut self) -> Result<()> {
         self.block_until_io_done();
-        match self.poll() {
-            Some(result) => result,
-            // Already reaped before the call (only possible for `Done`).
-            None => Ok(()),
-        }
+        // `None`: already reaped before the call.
+        self.poll().unwrap_or(Ok(()))
     }
 
     /// Block until the underlying writes have completed, without reaping:
@@ -377,20 +359,14 @@ impl FlushTicket {
     /// execute queued requests and yield-waits out the modeled device, so
     /// it belongs on a thread with nothing better to do.
     fn block_until_io_done(&self) {
-        match &self.inner {
-            TicketInner::Vm { batch, .. } => batch.wait_done(),
-            TicketInner::Ht { batch, .. } => batch.wait_done(),
-            TicketInner::Done => {}
+        if let Some((_, batch)) = &self.flight {
+            batch.wait_done();
         }
     }
 
     /// The device submission of an unreaped ticket.
     fn handle(&self) -> Option<&BatchHandle> {
-        match &self.inner {
-            TicketInner::Vm { batch, .. } => Some(batch.handle()),
-            TicketInner::Ht { batch, .. } => Some(batch.handle()),
-            TicketInner::Done => None,
-        }
+        self.flight.as_ref().map(|(_, batch)| &batch.handle)
     }
 
     /// Sleep-friendly completion, first half: have `wake` called once when
@@ -420,9 +396,6 @@ impl FlushTicket {
 
 impl Drop for FlushTicket {
     fn drop(&mut self) {
-        if matches!(self.inner, TicketInner::Done) {
-            return;
-        }
         // The in-flight requests reference latched frames / owned scratch;
         // land them before releasing either.
         self.block_until_io_done();

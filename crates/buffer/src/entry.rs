@@ -493,7 +493,7 @@ mod model {
     //! violation — under loom only, where detection is deterministic.
 
     use super::*;
-    use lobster_sync::{hint, thread, Arc};
+    use lobster_sync::{hint, model_catches, race, Actor};
     // Bookkeeping the models assert on, invisible to the scheduler.
     use std::sync::atomic::{AtomicU64 as Plain, Ordering::SeqCst};
 
@@ -520,7 +520,7 @@ mod model {
     }
 
     /// `extents` entries, the first `resident` of them framed and unlatched.
-    fn world(extents: u64, resident: u64, free_frames: u64) -> Arc<World> {
+    fn world(extents: u64, resident: u64, free_frames: u64) -> World {
         let w = World {
             table: Entry::table(extents),
             audit: LatchLedger::new(),
@@ -537,31 +537,18 @@ mod model {
             e.reframe(1, pid.raw());
             e.unlock(Excl::Claim);
         }
-        Arc::new(w)
+        w
     }
 
     /// Run `threads` against one world, under every schedule.
-    fn check(build: fn() -> Arc<World>, threads: &[fn(&World)], then: fn(&World)) {
+    fn check(build: fn() -> World, threads: &[fn(&World)], then: fn(&World)) {
         let threads = threads.to_vec();
         lobster_sync::model(move || {
-            let w = build();
-            let hs: Vec<_> = threads
-                .iter()
-                .map(|&f| {
-                    let w = Arc::clone(&w);
-                    thread::spawn(move || f(&w))
-                })
-                .collect();
-            for h in hs {
-                h.join().unwrap();
-            }
+            let actors = threads.iter().map(|&f| Box::new(f) as Actor<World>);
+            let w = race(build(), actors.collect());
             then(&w);
             assert_eq!(w.audit.held_latches(), 0);
         });
-    }
-
-    fn caught(f: fn()) -> bool {
-        !lobster_sync::is_loom() || std::panic::catch_unwind(f).is_err()
     }
 
     /// Up to four tries at `f`.
@@ -632,7 +619,7 @@ mod model {
             let threads: &[fn(&World)] = &[reader_ignoring_the_exclusive_tag, writer];
             check(|| world(1, 1, 0), threads, |_| ())
         };
-        assert!(caught(broken), "checker missed the torn read");
+        assert!(model_catches(broken, "torn read under shared latch"));
     }
 
     // ---- claim: fault batches race over two extents and one frame ------
@@ -754,9 +741,6 @@ mod model {
             let threads: &[fn(&World)] = &[committer, committer, evictor];
             check(|| world(1, 1, 0), threads, |_| ())
         };
-        assert!(
-            caught(broken),
-            "checker missed the eviction of an extent that still owed a flush"
-        );
+        assert!(model_catches(broken, "evictable while a flush is owed"));
     }
 }

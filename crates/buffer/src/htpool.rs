@@ -8,9 +8,10 @@
 //! malloc+memcpy on every read).
 
 use crate::flush_ledger::FlushLedger;
+use crate::pool::{FlushBatch, FlushItem};
 use lobster_extent::ExtentSpec;
 use lobster_metrics::Metrics;
-use lobster_storage::{AsyncIo, BatchHandle, Device, IoKind, IoReq};
+use lobster_storage::{AsyncIo, Device, IoKind, IoReq};
 use lobster_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use lobster_sync::audit::LatchLedger;
 use lobster_sync::{Arc, Mutex, RwLock};
@@ -30,38 +31,6 @@ struct PageFrame {
     data: RwLock<Box<[u8]>>,
     dirty: AtomicBool,
     prevent_evict: AtomicBool,
-}
-
-/// One in-flight commit-time flush for the hash-table pool, submitted by
-/// [`HashTablePool::flush_extents_begin`]; the gathered scratch buffers
-/// backing the device writes live here until the batch is reaped.
-pub struct HtFlushBatch {
-    handle: BatchHandle,
-    items: Vec<crate::pool::FlushItem>,
-    /// Write sources referenced by the in-flight requests.
-    _bufs: Vec<Vec<u8>>,
-}
-
-impl HtFlushBatch {
-    /// Non-blocking completion check; never executes queued requests
-    /// inline (see [`crate::pool::ExtentFlushBatch::try_complete`]).
-    pub fn try_complete(&self) -> Option<Result<()>> {
-        if !self.handle.is_complete() {
-            return None;
-        }
-        self.handle.try_complete()
-    }
-
-    /// Block until every request has executed and the modeled device
-    /// deadline has passed; the result stays reapable.
-    pub fn wait_done(&self) {
-        self.handle.wait_done();
-    }
-
-    /// The submission underneath, for its completion signal.
-    pub(crate) fn handle(&self) -> &BatchHandle {
-        &self.handle
-    }
 }
 
 /// Page-granular hash-table buffer pool.
@@ -456,14 +425,9 @@ impl HashTablePool {
 
     /// Commit-time flush: one contiguous device write per extent (gathered
     /// from the page frames), then unpin and mark clean.
-    pub fn flush_extents(&self, items: &[crate::pool::FlushItem]) -> Result<()> {
+    pub fn flush_extents(&self, items: &[FlushItem]) -> Result<()> {
         let batch = self.flush_extents_begin(items)?;
-        batch.handle.wait_done();
-        let result = batch
-            .handle
-            .try_complete()
-            // lint-allow(no-panic-in-request-path): wait_done() just blocked on this batch; try_complete is then infallible
-            .expect("batch complete after wait_done");
+        let result = batch.wait();
         self.flush_extents_finish(&batch, &result);
         result
     }
@@ -476,7 +440,7 @@ impl HashTablePool {
     /// free to be written or even evicted while the I/O is in flight —
     /// which is exactly why the committer must never keep two in-flight
     /// batches touching the same extent (stale scratch could reorder).
-    pub fn flush_extents_begin(&self, items: &[crate::pool::FlushItem]) -> Result<HtFlushBatch> {
+    pub fn flush_extents_begin(&self, items: &[FlushItem]) -> Result<FlushBatch> {
         let p = self.geo.page_size();
         let mut bufs = Vec::with_capacity(items.len());
         for item in items {
@@ -507,10 +471,10 @@ impl HashTablePool {
         // SAFETY: the write sources are owned by the returned batch and
         // outlive the requests.
         let handle = unsafe { self.io.submit(reqs) };
-        Ok(HtFlushBatch {
+        Ok(FlushBatch {
             handle,
             items: items.to_vec(),
-            _bufs: bufs,
+            _scratch: bufs,
         })
     }
 
@@ -518,7 +482,7 @@ impl HashTablePool {
     /// with the reaped completion result. On success an extent's pages
     /// become clean and evictable, unless a later flush of it is still
     /// owed.
-    pub fn flush_extents_finish(&self, batch: &HtFlushBatch, result: &Result<()>) {
+    pub fn flush_extents_finish(&self, batch: &FlushBatch, result: &Result<()>) {
         let landed = result.is_ok();
         if landed {
             let p = self.geo.page_size() as u64;
@@ -643,8 +607,7 @@ mod tests {
         let spec = ExtentSpec::new(Pid::new(10), 3);
         let data: Vec<u8> = (0..3 * 4096).map(|i| (i % 256) as u8).collect();
         p.fill_extent_hashed(spec, &data, &mut |_| ()).unwrap();
-        p.flush_extents(&[crate::pool::FlushItem::whole(spec)])
-            .unwrap();
+        p.flush_extents(&[FlushItem::whole(spec)]).unwrap();
         p.drop_extent(spec);
         // Reload from device.
         let out = p
@@ -661,8 +624,7 @@ mod tests {
             p.fill_extent_hashed(spec, &vec![e as u8; 4 * 4096], &mut |_| ())
                 .unwrap();
             // Unpin so eviction can work.
-            p.flush_extents(&[crate::pool::FlushItem::whole(spec)])
-                .unwrap();
+            p.flush_extents(&[FlushItem::whole(spec)]).unwrap();
         }
         assert!(
             p.pages_in_use() <= 9,
@@ -677,8 +639,7 @@ mod tests {
         let spec = ExtentSpec::new(Pid::new(0), 2);
         p.fill_extent_hashed(spec, &vec![7u8; 8192], &mut |_| ())
             .unwrap();
-        p.flush_extents(&[crate::pool::FlushItem::whole(spec)])
-            .unwrap();
+        p.flush_extents(&[FlushItem::whole(spec)]).unwrap();
         p.drop_extent(spec);
         // Overwrite bytes 100..300 after reload.
         p.write_range(spec, 100, &[9u8; 200]).unwrap();

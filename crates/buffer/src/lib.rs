@@ -30,8 +30,8 @@ mod stream;
 pub use alias::{AliasConfig, AliasGuard, AliasStats, AliasingManager};
 pub use arena::{Arena, OS_PAGE};
 pub use blob_pool::{BlobPool, FlushTicket};
-pub use htpool::{HashTablePool, HtFlushBatch};
-pub use pool::{ExtentFlushBatch, ExtentPool, FlushItem, PoolConfig, ShGuard, XGuard};
+pub use htpool::HashTablePool;
+pub use pool::{ExtentPool, FlushBatch, FlushItem, PoolConfig, ShGuard, XGuard};
 pub use stream::PinGate;
 
 #[cfg(test)]

@@ -138,17 +138,21 @@ impl FlushItem {
     }
 }
 
-/// One in-flight commit-time extent flush, submitted by
-/// [`ExtentPool::flush_extents_begin`]. The shared latches taken at
-/// submission belong to this batch; [`ExtentPool::flush_extents_finish`]
-/// releases them (and, on success, clears the dirty/`prevent_evict`
-/// flags) exactly once per batch.
-pub struct ExtentFlushBatch {
-    handle: BatchHandle,
-    items: Vec<FlushItem>,
+/// One in-flight commit-time extent flush, submitted by either pool's
+/// `flush_extents_begin`. It owns what the device requests point into
+/// until the pool's `flush_extents_finish` runs, exactly once per batch:
+/// the vm pool's shared latches (released there, which on success also
+/// clears the dirty/`prevent_evict` flags) or the hash-table pool's
+/// gathered scratch buffers.
+pub struct FlushBatch {
+    /// The submission underneath, for its completion signal.
+    pub(crate) handle: BatchHandle,
+    pub(crate) items: Vec<FlushItem>,
+    /// Hash-table pool only: the write sources of the in-flight requests.
+    pub(crate) _scratch: Vec<Vec<u8>>,
 }
 
-impl ExtentFlushBatch {
+impl FlushBatch {
     /// Non-blocking completion check. Returns `Some(result)` once every
     /// request has executed and the modeled device deadline has passed.
     /// Never executes queued requests inline (the batch is done before the
@@ -162,14 +166,18 @@ impl ExtentFlushBatch {
 
     /// Block until every request has executed and the modeled device
     /// deadline has passed; the result stays reapable via
-    /// [`ExtentFlushBatch::try_complete`].
+    /// [`FlushBatch::try_complete`].
     pub fn wait_done(&self) {
         self.handle.wait_done();
     }
 
-    /// The submission underneath, for its completion signal.
-    pub(crate) fn handle(&self) -> &BatchHandle {
-        &self.handle
+    /// [`FlushBatch::wait_done`], then the result.
+    pub(crate) fn wait(&self) -> Result<()> {
+        self.wait_done();
+        self.handle
+            .try_complete()
+            // lint-allow(no-panic-in-request-path): wait_done() just blocked on this batch; try_complete is then infallible
+            .expect("batch complete after wait_done")
     }
 }
 
@@ -1005,12 +1013,7 @@ impl ExtentPool {
     /// evictable. This is the *only* time BLOB content is written (§III-C).
     pub fn flush_extents(&self, items: &[FlushItem]) -> Result<()> {
         let batch = self.flush_extents_begin(items)?;
-        batch.handle.wait_done();
-        let result = batch
-            .handle
-            .try_complete()
-            // lint-allow(no-panic-in-request-path): wait_done() just blocked on this batch; try_complete is then infallible
-            .expect("batch complete after wait_done");
+        let result = batch.wait();
         self.flush_extents_finish(&batch, &result);
         result
     }
@@ -1021,7 +1024,7 @@ impl ExtentPool {
     /// until [`ExtentPool::flush_extents_finish`] — they keep the frames
     /// resident and exclude writers while the device requests reference
     /// arena memory.
-    pub fn flush_extents_begin(&self, items: &[FlushItem]) -> Result<ExtentFlushBatch> {
+    pub fn flush_extents_begin(&self, items: &[FlushItem]) -> Result<FlushBatch> {
         let mut reqs = Vec::with_capacity(items.len());
         for (latched, item) in items.iter().enumerate() {
             // The dirty range must lie inside the resident framing: the
@@ -1067,9 +1070,10 @@ impl ExtentPool {
         // SAFETY: the latches held by the returned batch outlive the
         // requests.
         let handle = unsafe { self.io.submit(reqs) };
-        Ok(ExtentFlushBatch {
+        Ok(FlushBatch {
             handle,
             items: items.to_vec(),
+            _scratch: Vec::new(),
         })
     }
 
@@ -1079,7 +1083,7 @@ impl ExtentPool {
     /// second transaction wrote it after this batch was staged), in which
     /// case the flags stay for that flush to clear. Either way the
     /// submission latches are released.
-    pub fn flush_extents_finish(&self, batch: &ExtentFlushBatch, result: &Result<()>) {
+    pub fn flush_extents_finish(&self, batch: &FlushBatch, result: &Result<()>) {
         let landed = result.is_ok();
         if landed {
             self.note_pages_written(batch.items.iter().map(|i| i.dirty_pages).sum());

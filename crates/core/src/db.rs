@@ -3,6 +3,7 @@
 
 use crate::catalog::{decode_entry, encode_entry, Registry, Relation, RelationKind};
 use crate::group_commit::GroupCommitter;
+use crate::header::Header;
 use crate::lock::LockManager;
 use crate::recovery::{recover, RecoveryReport};
 use crate::txn::Txn;
@@ -15,7 +16,7 @@ use lobster_sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use lobster_sync::Arc;
 use lobster_sync::Mutex;
 use lobster_sync::RwLock;
-use lobster_types::{read_u32, read_u64, Error, Geometry, Pid, Result};
+use lobster_types::{Error, Geometry, Pid, Result};
 use lobster_wal::{LogRecord, Wal};
 use std::collections::{HashMap, HashSet};
 
@@ -147,7 +148,6 @@ impl ScrubReport {
     }
 }
 
-pub(crate) const DB_MAGIC: u32 = 0x4C42_4442; // "LBDB"
 const CATALOG_REL_ID: u32 = 0;
 
 /// The database engine.
@@ -205,6 +205,25 @@ impl Database {
         wal_device: Arc<dyn Device>,
         cfg: Config,
     ) -> Result<Arc<Self>> {
+        let policy = CrossCommitPolicy::TrustLocal;
+        let db = Self::assemble(device, wal_device, cfg, None, 0, HashMap::new(), policy)?;
+        db.write_header()?;
+        db.node_pool.flush_all_dirty()?;
+        db.device.sync()?;
+        Ok(db)
+    }
+
+    /// The one constructor. `catalog_root` is `None` to create the WAL and
+    /// the catalog tree, or the root an existing header names to open them.
+    fn assemble(
+        device: Arc<dyn Device>,
+        wal_device: Arc<dyn Device>,
+        cfg: Config,
+        catalog_root: Option<Pid>,
+        xcommit_watermark: u64,
+        cmp_factories: HashMap<String, ComparatorFactory>,
+        cross_commit: CrossCommitPolicy,
+    ) -> Result<Arc<Self>> {
         let metrics = new_metrics();
         let geo = Geometry::new(cfg.page_size);
         let table = Arc::new(TierTable::new(cfg.tier_policy));
@@ -216,13 +235,17 @@ impl Database {
             page_capacity,
         ));
         let (node_pool, blob_pool) = Self::build_pools(&cfg, device.clone(), geo, metrics.clone());
-        let wal = Wal::create(wal_device, metrics.clone())?;
-        let catalog_tree = BTree::create(
-            node_pool.clone(),
-            alloc.clone(),
-            Arc::new(LexCmp),
-            cfg.node_pages,
-        )?;
+        let (nodes, cmp) = (node_pool.clone(), Arc::new(LexCmp));
+        let (wal, catalog_tree) = match catalog_root {
+            None => (
+                Wal::create(wal_device, metrics.clone())?,
+                BTree::create(nodes, alloc.clone(), cmp, cfg.node_pages)?,
+            ),
+            Some(root) => (
+                Wal::open(wal_device, metrics.clone())?,
+                BTree::open(nodes, alloc.clone(), cmp, cfg.node_pages, root),
+            ),
+        };
         let ckpt_gate = Arc::new(RwLock::new(()));
         let committer = GroupCommitter::new(
             wal.clone(),
@@ -233,7 +256,7 @@ impl Database {
             cfg.page_size as u64,
             cfg.pool_frames * cfg.page_size as u64 / 4,
         );
-        let db = Arc::new(Database {
+        Ok(Arc::new(Database {
             geo,
             device,
             node_pool,
@@ -249,18 +272,14 @@ impl Database {
             metrics,
             ckpt_gate,
             committer,
-            cross_commit: CrossCommitPolicy::TrustLocal,
-            xcommit_watermark: AtomicU64::new(0),
-            cmp_factories: HashMap::new(),
+            cross_commit,
+            xcommit_watermark: AtomicU64::new(xcommit_watermark),
+            cmp_factories,
             quarantined: Mutex::new(HashSet::new()),
             last_range: Self::range_cells(&cfg),
             ddl_lock: Mutex::new(()),
             cfg,
-        });
-        db.write_header()?;
-        db.node_pool.flush_all_dirty()?;
-        db.device.sync()?;
-        Ok(db)
+        }))
     }
 
     /// Open an existing database, running crash recovery. Relations created
@@ -304,83 +323,22 @@ impl Database {
         comparators: HashMap<String, ComparatorFactory>,
         cross_commit: CrossCommitPolicy,
     ) -> Result<(Arc<Self>, RecoveryReport)> {
-        let metrics = new_metrics();
-        // Read the header: the on-disk format parameters override the
-        // caller's runtime preferences.
-        let mut header = vec![0u8; 4096];
-        device.read_at(&mut header, 0)?;
-        if read_u32(&header) != DB_MAGIC {
-            return Err(Error::Corruption("bad database magic".into()));
-        }
-        cfg.page_size = read_u32(&header[8..]) as usize;
-        let tier_tag = header[12];
-        let tpl = read_u32(&header[13..]);
-        let levels = read_u32(&header[17..]);
-        cfg.tier_policy = match tier_tag {
-            0 => TierPolicy::Paper {
-                tiers_per_level: tpl,
-                levels,
-            },
-            1 => TierPolicy::PowerOfTwo,
-            2 => TierPolicy::Fibonacci,
-            t => return Err(Error::Corruption(format!("bad tier tag {t}"))),
-        };
-        cfg.use_tail_extents = header[21] != 0;
-        let catalog_root = Pid::new(read_u64(&header[22..]));
-        cfg.node_pages = read_u64(&header[30..]);
-        let xcommit_watermark = read_u64(&header[38..]);
-
-        let geo = Geometry::new(cfg.page_size);
-        let table = Arc::new(TierTable::new(cfg.tier_policy));
-        let page_capacity = device.capacity() / cfg.page_size as u64;
-        let alloc = Arc::new(ExtentAllocator::new(
-            table.clone(),
-            Pid::new(1),
-            page_capacity,
-        ));
-        let (node_pool, blob_pool) = Self::build_pools(&cfg, device.clone(), geo, metrics.clone());
-        let wal = Wal::open(wal_device, metrics.clone())?;
-        let catalog_tree = BTree::open(
-            node_pool.clone(),
-            alloc.clone(),
-            Arc::new(LexCmp),
-            cfg.node_pages,
-            catalog_root,
-        );
-        let ckpt_gate = Arc::new(RwLock::new(()));
-        let committer = GroupCommitter::new(
-            wal.clone(),
-            blob_pool.clone(),
-            alloc.clone(),
-            ckpt_gate.clone(),
-            metrics.clone(),
-            cfg.page_size as u64,
-            cfg.pool_frames * cfg.page_size as u64 / 4,
-        );
-        let db = Arc::new(Database {
-            geo,
+        // The on-disk format parameters override the caller's runtime
+        // preferences.
+        let header = Header::read(&*device)?;
+        cfg.page_size = header.page_size;
+        cfg.tier_policy = header.tier_policy;
+        cfg.use_tail_extents = header.use_tail_extents;
+        cfg.node_pages = header.node_pages;
+        let db = Self::assemble(
             device,
-            node_pool,
-            blob_pool,
-            alloc,
-            table,
-            wal,
-            locks: LockManager::default(),
-            registry: RwLock::new(Registry::default()),
-            catalog_tree,
-            next_txn: AtomicU64::new(1),
-            next_rel: AtomicU32::new(1),
-            metrics,
-            ckpt_gate,
-            committer,
-            cross_commit,
-            xcommit_watermark: AtomicU64::new(xcommit_watermark),
-            cmp_factories: comparators,
-            quarantined: Mutex::new(HashSet::new()),
-            last_range: Self::range_cells(&cfg),
-            ddl_lock: Mutex::new(()),
+            wal_device,
             cfg,
-        });
+            Some(header.catalog_root),
+            header.xcommit_watermark,
+            comparators,
+            cross_commit,
+        )?;
         let report = recover(&db)?;
         Ok((db, report))
     }
@@ -437,28 +395,16 @@ impl Database {
     }
 
     pub(crate) fn write_header(&self) -> Result<()> {
-        let mut header = vec![0u8; 4096];
-        header[0..4].copy_from_slice(&DB_MAGIC.to_le_bytes());
-        header[4..8].copy_from_slice(&1u32.to_le_bytes()); // version
-        header[8..12].copy_from_slice(&(self.cfg.page_size as u32).to_le_bytes());
-        let (tag, tpl, levels) = match self.cfg.tier_policy {
-            TierPolicy::Paper {
-                tiers_per_level,
-                levels,
-            } => (0u8, tiers_per_level, levels),
-            TierPolicy::PowerOfTwo => (1, 0, 0),
-            TierPolicy::Fibonacci => (2, 0, 0),
+        let header = Header {
+            page_size: self.cfg.page_size,
+            tier_policy: self.cfg.tier_policy,
+            use_tail_extents: self.cfg.use_tail_extents,
+            catalog_root: self.catalog_tree.root(),
+            node_pages: self.cfg.node_pages,
+            xcommit_watermark: self.xcommit_watermark.load(Ordering::SeqCst),
+            xcommit_above: Vec::new(),
         };
-        header[12] = tag;
-        header[13..17].copy_from_slice(&tpl.to_le_bytes());
-        header[17..21].copy_from_slice(&levels.to_le_bytes());
-        header[21] = self.cfg.use_tail_extents as u8;
-        header[22..30].copy_from_slice(&self.catalog_tree.root().raw().to_le_bytes());
-        header[30..38].copy_from_slice(&self.cfg.node_pages.to_le_bytes());
-        header[38..46]
-            .copy_from_slice(&self.xcommit_watermark.load(Ordering::SeqCst).to_le_bytes());
-        self.device.write_at(&header, 0)?;
-        Ok(())
+        header.write(&*self.device)
     }
 
     /// Whether recovery should treat a `TxnCrossCommit` marker for `gtxn`

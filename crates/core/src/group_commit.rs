@@ -115,6 +115,14 @@ struct PinBudget {
 }
 
 impl PinBudget {
+    fn new(limit: u64) -> Self {
+        PinBudget {
+            used: Mutex::new(0),
+            freed_cv: Condvar::new(),
+            limit,
+        }
+    }
+
     /// Block until `bytes` fits under the limit, then take it. Always
     /// admits at least one batch, however large.
     fn acquire(&self, bytes: u64) {
@@ -138,7 +146,7 @@ impl PinBudget {
 }
 
 /// Pipeline progress shared by submitters, waiters, and both stages.
-struct Progress {
+pub(crate) struct Progress {
     /// Commit epochs handed out by `submit` (epoch N = N-th batch).
     enqueued: AtomicU64,
     /// Durability frontier: every epoch `<= processed` has its WAL records
@@ -166,7 +174,7 @@ struct ProgressState {
 }
 
 impl Progress {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Progress {
             enqueued: AtomicU64::new(0),
             processed: AtomicU64::new(0),
@@ -181,7 +189,7 @@ impl Progress {
     }
 
     /// Mark `epochs` complete and advance the contiguous frontier.
-    fn complete_epochs(&self, epochs: &[u64]) {
+    pub(crate) fn complete_epochs(&self, epochs: &[u64]) {
         let mut st = self.state.lock();
         // ordering: Relaxed is sound here: every mutation of `processed` happens under
         // this mutex, so the load observes the latest frontier.
@@ -227,11 +235,11 @@ impl Progress {
     /// Block (condvar, no spinning) until `epoch` is durable; surfaces the
     /// sticky error — a failed group still completes its epochs so waiters
     /// terminate, but they must not report durability.
-    fn wait_for(&self, epoch: u64) -> Result<()> {
-        // ordering: Acquire fast path; pairs with mark_processed's Release store
+    pub(crate) fn wait_for(&self, epoch: u64) -> Result<()> {
+        // ordering: Acquire fast path; pairs with complete_epochs's Release store
         if self.processed.load(Ordering::Acquire) < epoch {
             let mut st = self.state.lock();
-            // ordering: Acquire; re-check under the mutex, paired with the Release in mark_processed
+            // ordering: Acquire; re-check under the mutex, paired with the Release in complete_epochs
             while self.processed.load(Ordering::Acquire) < epoch {
                 self.cv.wait(&mut st);
             }
@@ -377,11 +385,7 @@ impl GroupCommitter {
         // Backpressure by *bytes*: submitters block while the pipeline pins
         // more than a quarter-pool of unflushed frames, so committer lag can
         // never exhaust the buffer pool.
-        let budget = Arc::new(PinBudget {
-            used: Mutex::new(0),
-            freed_cv: Condvar::new(),
-            limit: pinned_limit_bytes.max(page_size),
-        });
+        let budget = Arc::new(PinBudget::new(pinned_limit_bytes.max(page_size)));
         let progress = Arc::new(Progress::new());
         let ctx = StageCtx {
             blob_pool,
@@ -418,7 +422,7 @@ impl GroupCommitter {
     }
 
     /// Queue a batch; returns its durability epoch (block on it with
-    /// [`GroupCommitter::wait_for`]). Fails fast once a sticky committer
+    /// [`Progress::wait_for`]). Fails fast once a sticky committer
     /// error exists — later commits must not be acknowledged on top of a
     /// lost one.
     pub fn submit(&self, batch: CommitBatch) -> Result<u64> {
@@ -446,16 +450,17 @@ impl GroupCommitter {
         Ok(epoch)
     }
 
-    /// Block until `epoch` is fully durable: WAL records fsynced *and*
-    /// extent flush completed.
-    pub fn wait_for(&self, epoch: u64) -> Result<()> {
-        self.progress.wait_for(epoch)
+    /// The durable-epoch frontier: [`Progress::wait_for`] on it blocks
+    /// until an epoch is fully durable — WAL records fsynced *and* extent
+    /// flush completed.
+    pub fn frontier(&self) -> &Progress {
+        &self.progress
     }
 
     /// Wait until everything submitted so far is durable; surfaces the
     /// sticky committer error.
     pub fn drain(&self) -> Result<()> {
-        // ordering: Acquire; pairs with commit()'s AcqRel bump, so the target covers every prior enqueue
+        // ordering: Acquire; pairs with submit's AcqRel bump, so the target covers every prior enqueue
         let target = self.progress.enqueued.load(Ordering::Acquire);
         self.progress.wait_for(target)
     }
@@ -846,7 +851,7 @@ fn flush_stage(inbox: Arc<FlushInbox>, ctx: StageCtx) {
 mod tests {
     use super::*;
 
-    fn group(epoch: u64) -> DurableGroup {
+    pub(super) fn group(epoch: u64) -> DurableGroup {
         DurableGroup::collect(
             vec![(
                 epoch,
@@ -911,5 +916,197 @@ mod tests {
         let inbox = FlushInbox::new();
         inbox.state.lock().abandoned = true;
         assert!(inbox.push(group(7)).is_some_and(|g| g.epochs == [7]));
+    }
+}
+
+#[cfg(test)]
+mod model {
+    //! Protocol models over the real [`Progress`], [`FlushInbox`] and
+    //! [`PinBudget`]; the threads around them are the two stages and their
+    //! clients in miniature. Each `broken_*` test swaps in one deliberately
+    //! wrong participant and requires the checker to find the violation —
+    //! under loom only, where detection is deterministic.
+
+    use super::tests::group;
+    use super::*;
+    use lobster_sync::{model, model_catches, race, Actor};
+    // Bookkeeping the models assert on, invisible to the scheduler.
+    use std::sync::atomic::{AtomicBool as Plain, Ordering::SeqCst};
+
+    // ---- hand-off: no extent write before the group's WAL fsync --------
+
+    struct Pipeline {
+        inbox: FlushInbox,
+        progress: Progress,
+        /// Per epoch: its WAL fsync returned.
+        fsynced: [AtomicBool; 2],
+    }
+
+    fn wal_stage(p: &Pipeline, fsync_first: bool) {
+        for (i, fsynced) in p.fsynced.iter().enumerate() {
+            if fsync_first {
+                fsynced.store(true, Ordering::Release);
+            }
+            assert!(p.inbox.push(group(i as u64 + 1)).is_none());
+            if !fsync_first {
+                fsynced.store(true, Ordering::Release);
+            }
+        }
+        p.inbox.close();
+    }
+
+    /// Takes every group; the first one's flight is the slow one, so the
+    /// later group retires before it.
+    fn flush_stage(p: &Pipeline) {
+        let mut slow = None;
+        loop {
+            match p.inbox.wait(true, None) {
+                Wake::Group(group) => {
+                    for &e in &group.epochs {
+                        let fsynced = p.fsynced[e as usize - 1].load(Ordering::Acquire);
+                        assert!(fsynced, "extent write of epoch {e} before its WAL fsync");
+                    }
+                    match slow {
+                        None => slow = Some(group),
+                        Some(_) => p.progress.complete_epochs(&group.epochs),
+                    }
+                }
+                Wake::Look => unreachable!("no flight was tracked"),
+                Wake::Closed => break,
+            }
+        }
+        p.progress
+            .complete_epochs(&slow.expect("two groups").epochs);
+    }
+
+    fn run_hand_off(fsync_first: bool) {
+        let pipeline = Pipeline {
+            inbox: FlushInbox::new(),
+            progress: Progress::new(),
+            fsynced: Default::default(),
+        };
+        let wal: Actor<Pipeline> = Box::new(move |p| wal_stage(p, fsync_first));
+        let p = race(pipeline, vec![wal, Box::new(flush_stage)]);
+        assert_eq!(p.progress.processed.load(Ordering::Acquire), 2);
+    }
+
+    #[test]
+    fn wal_fsync_before_extent_writes() {
+        model(|| run_hand_off(true));
+    }
+
+    #[test]
+    fn broken_forward_before_fsync_is_caught() {
+        let broken = || model(|| run_hand_off(false));
+        assert!(model_catches(broken, "before its WAL fsync"));
+    }
+
+    // ---- frontier: out-of-order retires, a contiguous durable prefix ----
+
+    /// Both stages retire groups (the WAL stage the ones whose fsync
+    /// failed), in any order; a committer waiting on epoch 2 returns only
+    /// once epochs 1 *and* 2 have their extents written.
+    fn run_frontier() {
+        type Retired = (Progress, [Plain; 3]);
+        let retire = |epochs: &'static [u64]| -> Actor<Retired> {
+            Box::new(move |(progress, written)| {
+                for &e in epochs {
+                    written[e as usize - 1].store(true, SeqCst);
+                    progress.complete_epochs(&[e]);
+                }
+            })
+        };
+        let committer: Actor<Retired> = Box::new(|(progress, written)| {
+            progress.wait_for(2).expect("no error was recorded");
+            for e in 0..2 {
+                let written = written[e].load(SeqCst);
+                assert!(written, "epoch 2 durable before epoch {}'s extents", e + 1);
+            }
+        });
+        let world = (Progress::new(), Default::default());
+        let (progress, _) = &*race(world, vec![retire(&[2]), retire(&[3, 1]), committer]);
+        assert_eq!(progress.processed.load(Ordering::Acquire), 3);
+        assert!(progress.state.lock().done_above.is_empty());
+    }
+
+    #[test]
+    fn frontier_advances_over_a_contiguous_prefix_only() {
+        model(run_frontier);
+    }
+
+    // ---- pins: never past the limit with more than one batch admitted ---
+
+    const LIMIT: u64 = 2;
+
+    /// One batch at the limit, one past it (admitted when idle, or the
+    /// checker reports the deadlock), one small.
+    fn run_pins(acquire: fn(&PinBudget, u64)) {
+        let batch = |n: u64| -> Actor<PinBudget> {
+            Box::new(move |budget| {
+                acquire(budget, n);
+                let used = *budget.used.lock();
+                assert!(used >= n, "pin budget lost {n} bytes it admitted");
+                let beside = used - n;
+                assert!(
+                    used <= LIMIT || beside == 0,
+                    "{n} admitted beside {beside} past the limit"
+                );
+                budget.release(n);
+            })
+        };
+        let budget = race(PinBudget::new(LIMIT), vec![batch(2), batch(3), batch(1)]);
+        assert_eq!(*budget.used.lock(), 0, "budget not fully returned");
+    }
+
+    #[test]
+    fn pin_budget_conserved() {
+        model(|| run_pins(PinBudget::acquire));
+    }
+
+    #[test]
+    fn broken_admission_past_the_limit_is_caught() {
+        // Admits whatever is already pinned.
+        let blind: fn(&PinBudget, u64) = |budget, n| *budget.used.lock() += n;
+        let broken = move || model(move || run_pins(blind));
+        assert!(model_catches(broken, "past the limit"));
+    }
+
+    // ---- landed: a completion signal always ends the stage's sleep ------
+
+    /// The core half of the completion signal (the storage half is
+    /// `async_io::model`): two workers finish a flight each and call the
+    /// waker the stage registered; the stage, with nothing else to wake
+    /// for, sleeps until it has seen both. A lost wake-up is a deadlock.
+    fn run_landed(signal: fn(&FlushInbox)) {
+        type Flights = (FlushInbox, [AtomicBool; 2]);
+        let worker = |i: usize| -> Actor<Flights> {
+            Box::new(move |(inbox, executed)| {
+                executed[i].store(true, Ordering::Release);
+                signal(inbox);
+            })
+        };
+        let stage: Actor<Flights> = Box::new(|(inbox, executed)| {
+            while !executed.iter().all(|e| e.load(Ordering::Acquire)) {
+                assert!(matches!(inbox.wait(false, None), Wake::Look));
+            }
+        });
+        let flights = (FlushInbox::new(), Default::default());
+        race(flights, vec![worker(0), worker(1), stage]);
+    }
+
+    #[test]
+    fn completion_signal_always_ends_the_sleep() {
+        model(|| run_landed(FlushInbox::signal_landed));
+    }
+
+    #[test]
+    fn broken_signal_outside_the_inbox_lock_is_caught() {
+        // Notifies without raising `landed` under the lock the stage
+        // decides to sleep under.
+        let bare: fn(&FlushInbox) = |inbox| {
+            inbox.cv.notify_one();
+        };
+        let broken = move || model(move || run_landed(bare));
+        assert!(model_catches(broken, "deadlock"));
     }
 }

@@ -45,6 +45,7 @@ mod db;
 mod dedup;
 mod defrag;
 mod group_commit;
+mod header;
 mod index;
 mod lock;
 mod recovery;

@@ -39,7 +39,9 @@
 //! shard's recovery truncates evidence, closing the double-crash window.
 
 use crate::catalog::{Relation, RelationKind};
-use crate::db::{Config, CrossCommitPolicy, Database, DB_MAGIC};
+use crate::db::{Config, CrossCommitPolicy, Database};
+use crate::group_commit::Progress;
+use crate::header::{Header, XCOMMIT_ABOVE_CAP};
 use crate::recovery::RecoveryReport;
 use crate::txn::Txn;
 use crate::BlobState;
@@ -47,19 +49,12 @@ use lobster_metrics::{new_metrics, Metrics};
 use lobster_storage::Device;
 use lobster_sync::Arc;
 use lobster_sync::Mutex;
-use lobster_types::{read_u32, read_u64, Error, Result};
+use lobster_types::{Error, Result};
 use lobster_wal::{LogRecord, Wal};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The participant bitmask is a `u64`.
 pub const MAX_SHARDS: usize = 64;
-
-/// Maximum committed-above-watermark gtxns the header sidecar can hold
-/// (bytes 50.. of the 4096-byte header).
-const XLIST_CAP: usize = 500;
-const XLIST_COUNT_OFF: usize = 46;
-const XLIST_OFF: usize = 50;
-const WATERMARK_OFF: usize = 38;
 
 /// The pair of devices one shard owns.
 pub struct ShardDevices {
@@ -136,6 +131,21 @@ impl XState {
     }
 }
 
+/// The cross-shard durability decision: a global transaction is durable —
+/// and joins the contiguous frontier — once *every* participant's
+/// durable-epoch frontier covers the epoch its marker was submitted in.
+fn complete_when_durable<'a>(
+    xstate: &Mutex<XState>,
+    gtxn: u64,
+    participants: impl IntoIterator<Item = (&'a Progress, u64)>,
+) -> Result<()> {
+    for (frontier, epoch) in participants {
+        frontier.wait_for(epoch)?;
+    }
+    xstate.lock().complete(gtxn);
+    Ok(())
+}
+
 /// Stable 64-bit FNV-1a over the key bytes: shard placement must not
 /// change across restarts.
 fn hash_key(key: &[u8]) -> u64 {
@@ -188,12 +198,17 @@ impl ShardedDatabase {
         for p in parts {
             shards.push(Database::create(p.data, p.wal, shard_cfg.clone())?);
         }
-        Ok(Arc::new(ShardedDatabase {
+        Ok(Self::over(shards, cfg, 0))
+    }
+
+    /// `durable`: every gtxn `<=` it is decided and applied.
+    fn over(shards: Vec<Arc<Database>>, cfg: Config, durable: u64) -> Arc<Self> {
+        Arc::new(ShardedDatabase {
             shards,
             cfg,
-            xstate: Mutex::new(XState::new(0)),
+            xstate: Mutex::new(XState::new(durable)),
             ckpt_lock: Mutex::new(()),
-        }))
+        })
     }
 
     /// Open an existing sharded database, running the cross-shard commit
@@ -208,10 +223,10 @@ impl ShardedDatabase {
         let mut observed: HashMap<u64, (u64, u64)> = HashMap::new(); // gtxn -> (mask, seen)
         let mut max_gtxn = 0u64;
         for (idx, p) in parts.iter().enumerate() {
-            let (w, list) = read_xcommit_header(&p.data)?;
-            max_watermark = max_watermark.max(w);
-            max_gtxn = max_gtxn.max(w);
-            for g in list {
+            let header = Header::read(&*p.data)?;
+            max_watermark = max_watermark.max(header.xcommit_watermark);
+            max_gtxn = max_gtxn.max(header.xcommit_watermark);
+            for g in header.xcommit_above {
                 max_gtxn = max_gtxn.max(g);
                 listed.insert(g);
             }
@@ -255,7 +270,7 @@ impl ShardedDatabase {
                 blocked = true;
             }
         }
-        if above.len() > XLIST_CAP {
+        if above.len() > XCOMMIT_ABOVE_CAP {
             return Err(Error::Corruption(format!(
                 "{} undecidable cross-shard commits exceed the header sidecar",
                 above.len()
@@ -263,7 +278,7 @@ impl ShardedDatabase {
         }
         if new_watermark > max_watermark || !above.is_empty() {
             for p in &parts {
-                write_xcommit_header(&p.data, new_watermark, &above)?;
+                persist_decision(&*p.data, new_watermark, &above)?;
             }
         }
 
@@ -287,15 +302,7 @@ impl ShardedDatabase {
         // After every shard recovered, all logs were truncated: no marker
         // survives anywhere, every decision is final and fully applied, so
         // the frontier resumes above everything ever observed.
-        Ok((
-            Arc::new(ShardedDatabase {
-                shards,
-                cfg,
-                xstate: Mutex::new(XState::new(max_gtxn)),
-                ckpt_lock: Mutex::new(()),
-            }),
-            reports,
-        ))
+        Ok((Self::over(shards, cfg, max_gtxn), reports))
     }
 
     fn check_shard_count(n: usize) -> Result<()> {
@@ -619,10 +626,9 @@ impl ShardedTxn {
                 }
                 sdb.xstate.lock().mark_submitted(gtxn);
                 if sdb.cfg.commit_wait {
-                    for (i, epoch) in epochs {
-                        sdb.shards[i].committer.wait_for(epoch)?;
-                    }
-                    sdb.xstate.lock().complete(gtxn);
+                    let participants = (epochs.iter())
+                        .map(|&(i, epoch)| (sdb.shards[i].committer.frontier(), epoch));
+                    complete_when_durable(&sdb.xstate, gtxn, participants)?;
                 }
             }
         }
@@ -639,45 +645,13 @@ impl ShardedTxn {
     }
 }
 
-/// Read `(watermark, committed-above-watermark list)` from a shard's data
-/// header without opening the database.
-fn read_xcommit_header(device: &Arc<dyn Device>) -> Result<(u64, Vec<u64>)> {
-    let mut header = vec![0u8; 4096];
-    device.read_at(&mut header, 0)?;
-    if read_u32(&header) != DB_MAGIC {
-        return Err(Error::Corruption("bad database magic".into()));
-    }
-    let watermark = read_u64(&header[WATERMARK_OFF..]);
-    let count = read_u32(&header[XLIST_COUNT_OFF..]) as usize;
-    if count > XLIST_CAP {
-        return Err(Error::Corruption(format!(
-            "cross-commit sidecar count {count} exceeds capacity"
-        )));
-    }
-    let mut list = Vec::with_capacity(count);
-    for i in 0..count {
-        list.push(read_u64(&header[XLIST_OFF + 8 * i..]));
-    }
-    Ok((watermark, list))
-}
-
-/// Persist the pre-scan decision into a shard's header (read-modify-write
-/// of the whole 4096-byte block, synced).
-fn write_xcommit_header(device: &Arc<dyn Device>, watermark: u64, above: &[u64]) -> Result<()> {
-    let mut header = vec![0u8; 4096];
-    device.read_at(&mut header, 0)?;
-    if read_u32(&header) != DB_MAGIC {
-        return Err(Error::Corruption("bad database magic".into()));
-    }
-    header[WATERMARK_OFF..WATERMARK_OFF + 8].copy_from_slice(&watermark.to_le_bytes());
-    header[XLIST_COUNT_OFF..XLIST_COUNT_OFF + 4]
-        .copy_from_slice(&(above.len() as u32).to_le_bytes());
-    for (i, g) in above.iter().enumerate() {
-        header[XLIST_OFF + 8 * i..XLIST_OFF + 8 * (i + 1)].copy_from_slice(&g.to_le_bytes());
-    }
-    device.write_at(&header, 0)?;
-    device.sync()?;
-    Ok(())
+/// Persist the pre-scan decision into a shard's header, synced.
+fn persist_decision(device: &dyn Device, watermark: u64, above: &[u64]) -> Result<()> {
+    let mut header = Header::read(device)?;
+    header.xcommit_watermark = watermark;
+    header.xcommit_above = above.to_vec();
+    header.write(device)?;
+    device.sync()
 }
 
 #[cfg(test)]
@@ -692,6 +666,15 @@ mod tests {
                 wal: Arc::new(MemDevice::new(16 << 20)),
             })
             .collect()
+    }
+
+    /// Handles on the same devices, to reopen what a test is about to drop.
+    fn same_devices(parts: &[ShardDevices]) -> Vec<ShardDevices> {
+        let share = |p: &ShardDevices| ShardDevices {
+            data: p.data.clone(),
+            wal: p.wal.clone(),
+        };
+        parts.iter().map(share).collect()
     }
 
     fn cfg() -> Config {
@@ -746,13 +729,7 @@ mod tests {
     #[test]
     fn cross_shard_commit_survives_reopen() {
         let parts = mem_parts(4);
-        let keep: Vec<ShardDevices> = parts
-            .iter()
-            .map(|p| ShardDevices {
-                data: p.data.clone(),
-                wal: p.wal.clone(),
-            })
-            .collect();
+        let keep = same_devices(&parts);
         let sdb = ShardedDatabase::create(parts, cfg()).unwrap();
         let rel = sdb.create_relation("b", RelationKind::Blob).unwrap();
         let mut t = sdb.begin();
@@ -779,13 +756,7 @@ mod tests {
     #[test]
     fn coordinated_checkpoint_preserves_cross_commits() {
         let parts = mem_parts(2);
-        let keep: Vec<ShardDevices> = parts
-            .iter()
-            .map(|p| ShardDevices {
-                data: p.data.clone(),
-                wal: p.wal.clone(),
-            })
-            .collect();
+        let keep = same_devices(&parts);
         let sdb = ShardedDatabase::create(parts, cfg()).unwrap();
         let rel = sdb.create_relation("b", RelationKind::Blob).unwrap();
         let mut t = sdb.begin();
@@ -863,5 +834,82 @@ mod tests {
         x.mark_submitted(a);
         x.complete_drained();
         assert_eq!(x.watermark(), 2);
+    }
+}
+
+#[cfg(test)]
+mod model {
+    //! The cross-shard durability decision over the real [`XState`] and two
+    //! real [`Progress`] frontiers, through [`complete_when_durable`]. Each
+    //! shard pipeline *persists* an epoch (the image a crash would recover
+    //! from) before it *publishes* it on its frontier — the per-shard
+    //! stage-1 contract. Epoch 1 on each shard carries an unrelated local
+    //! commit; the cross-shard marker lands in epoch 2. Checked: when the
+    //! global transaction is declared durable, a crash at that instant
+    //! still finds the marker on every participant's disk. Each `broken_*`
+    //! test hands the decision a wrong participant list and requires the
+    //! checker to find the violation — under loom only.
+
+    use super::*;
+    use lobster_sync::atomic::{AtomicU64, Ordering};
+    use lobster_sync::{model, model_catches, race, Actor};
+
+    const MARKER_EPOCH: u64 = 2;
+
+    struct World {
+        xstate: Mutex<XState>,
+        frontiers: [Progress; 2],
+        persisted: [AtomicU64; 2],
+    }
+
+    /// `waits_on`: the `(shard, epoch)` pairs the coordinator waits for.
+    fn run(waits_on: &'static [(usize, u64)]) {
+        let pipeline = |shard: usize| -> Actor<World> {
+            Box::new(move |w| {
+                for epoch in 1..=MARKER_EPOCH {
+                    w.persisted[shard].store(epoch, Ordering::Release);
+                    w.frontiers[shard].complete_epochs(&[epoch]);
+                }
+            })
+        };
+        let coordinator: Actor<World> = Box::new(move |w| {
+            let gtxn = w.xstate.lock().allocate();
+            w.xstate.lock().mark_submitted(gtxn);
+            let participants =
+                (waits_on.iter()).map(|&(shard, epoch)| (&w.frontiers[shard], epoch));
+            complete_when_durable(&w.xstate, gtxn, participants).expect("no error was recorded");
+            for (shard, persisted) in w.persisted.iter().enumerate() {
+                let image = persisted.load(Ordering::Acquire);
+                assert!(
+                    image >= MARKER_EPOCH,
+                    "gtxn {gtxn} declared durable but shard {shard} only persisted epoch {image}"
+                );
+            }
+        });
+        let world = World {
+            xstate: Mutex::new(XState::new(0)),
+            frontiers: [Progress::new(), Progress::new()],
+            persisted: Default::default(),
+        };
+        let w = race(world, vec![pipeline(0), pipeline(1), coordinator]);
+        assert_eq!(w.xstate.lock().watermark(), 1);
+    }
+
+    #[test]
+    fn durable_only_when_every_participant_covers_its_epoch() {
+        model(|| run(&[(0, MARKER_EPOCH), (1, MARKER_EPOCH)]));
+    }
+
+    #[test]
+    fn broken_one_shard_wait_is_caught() {
+        let broken = || model(|| run(&[(0, MARKER_EPOCH)]));
+        assert!(model_catches(broken, "shard 1 only persisted"));
+    }
+
+    #[test]
+    fn broken_stale_epoch_is_caught() {
+        // Every shard is consulted, but the first fsync alone satisfies it.
+        let broken = || model(|| run(&[(0, MARKER_EPOCH - 1), (1, MARKER_EPOCH - 1)]));
+        assert!(model_catches(broken, "only persisted epoch 1"));
     }
 }

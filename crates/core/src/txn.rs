@@ -1200,7 +1200,7 @@ impl Txn {
             // epoch before acknowledging.
             let epoch = db.committer.submit(self.take_batch())?;
             if db.cfg.commit_wait {
-                db.committer.wait_for(epoch)?;
+                db.committer.frontier().wait_for(epoch)?;
             }
         }
         db.locks.release_all(self.id, self.lock_shards);

@@ -44,6 +44,9 @@ pub struct LintConfig {
     /// Crate directory names (under `crates/`) that must import
     /// concurrency primitives via `lobster-sync`.
     pub facade_crates: Vec<&'static str>,
+    /// Single files (repo-relative) bound by the facade rule inside crates
+    /// that are otherwise off it.
+    pub facade_files: Vec<&'static str>,
     /// `std::sync::<seg>` path segments the facade rule tolerates even
     /// inside facade crates — primitives the facade deliberately does
     /// not wrap because loom modelling is meaningless for them.
@@ -84,6 +87,9 @@ impl LintConfig {
                 "btree",
                 "extent",
             ],
+            // ...except the batch engine: its completion signal is a
+            // protocol the commit path rests on, model-checked in place.
+            facade_files: vec!["crates/storage/src/async_io.rs"],
             facade_allowed_segments: vec![
                 // mpsc channels are shimmed via crossbeam where they
                 // matter; OnceLock/LazyLock are init-once cells with no
@@ -98,11 +104,6 @@ impl LintConfig {
                 // The facade itself re-exports `Ordering`; its audit
                 // ledger is debug-only tooling.
                 "crates/sync/".into(),
-                // The model corpus runs under the SC-only loom
-                // scheduler, where per-site orderings are irrelevant by
-                // construction; the production twins of every modelled
-                // site are annotated at their real home.
-                "crates/sync-models/".into(),
             ],
             panic_scopes: vec![
                 PanicScope {
@@ -177,9 +178,6 @@ impl LintConfig {
                         "crates/core/src/content.rs".into(),
                         "crates/core/src/group_commit.rs".into(),
                         "crates/serve/src/server.rs".into(),
-                        // The extracted pin-budget protocol core models
-                        // the raw pairing on purpose.
-                        "crates/sync-models/".into(),
                     ],
                 },
                 GuardRule {
@@ -208,7 +206,7 @@ impl LintConfig {
                     ],
                 },
             ],
-            lock_order_exclude: vec!["crates/sync-models/".into(), "crates/sync/".into()],
+            lock_order_exclude: vec!["crates/sync/".into()],
             knob_structs: vec!["Config", "PoolConfig", "ServeConfig", "DefragConfig"],
             head_allow_lines: 30,
         }

@@ -18,7 +18,9 @@ use crate::{Diagnostic, SourceFile};
 const RULE: &str = "sync-facade";
 
 pub fn check(f: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    let bound = cfg.facade_crates.contains(&"*") || cfg.facade_crates.iter().any(|c| *c == f.krate);
+    let bound = cfg.facade_crates.contains(&"*")
+        || cfg.facade_crates.iter().any(|c| *c == f.krate)
+        || cfg.facade_files.iter().any(|p| *p == f.rel);
     if !bound {
         return;
     }

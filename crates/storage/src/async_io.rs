@@ -1,8 +1,7 @@
 use crate::Device;
+use lobster_sync::atomic::{AtomicUsize, Ordering};
+use lobster_sync::{Arc, Condvar, Mutex};
 use lobster_types::{Error, Result};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -60,6 +59,21 @@ struct BatchState {
 }
 
 impl BatchState {
+    fn new(reqs: Vec<IoReq>) -> Self {
+        let n = reqs.len();
+        BatchState {
+            pending: AtomicUsize::new(n),
+            queue: Mutex::new(reqs),
+            deadline: Mutex::new(None),
+            error: Mutex::new(None),
+            executed: Mutex::new(Executed {
+                done: n == 0,
+                waker: None,
+            }),
+            cond: Condvar::new(),
+        }
+    }
+
     fn run_one(&self, device: &Arc<dyn Device>) -> bool {
         let Some(req) = self.queue.lock().pop() else {
             return false;
@@ -275,17 +289,7 @@ impl AsyncIo {
     /// write sources must not be mutated during that window.
     pub unsafe fn submit(&self, reqs: Vec<IoReq>) -> BatchHandle {
         let n = reqs.len();
-        let state = Arc::new(BatchState {
-            pending: AtomicUsize::new(n),
-            queue: Mutex::new(reqs),
-            deadline: Mutex::new(None),
-            error: Mutex::new(None),
-            executed: Mutex::new(Executed {
-                done: n == 0,
-                waker: None,
-            }),
-            cond: Condvar::new(),
-        });
+        let state = Arc::new(BatchState::new(reqs));
         // One wake-up per request (capped at the worker count): each worker
         // drains the batch queue until it is empty.
         for _ in 0..n.min(self.workers.len()) {
@@ -334,22 +338,29 @@ mod tests {
     use super::*;
     use crate::MemDevice;
 
+    /// One write request per buffer, laid out back to back from offset 0.
+    pub(super) fn write_back_to_back(bufs: &mut [Vec<u8>]) -> Vec<IoReq> {
+        let mut offset = 0;
+        let req = |buf: &mut Vec<u8>| {
+            let at = offset;
+            offset += buf.len() as u64;
+            IoReq {
+                kind: IoKind::Write,
+                offset: at,
+                ptr: buf.as_mut_ptr(),
+                len: buf.len(),
+            }
+        };
+        bufs.iter_mut().map(req).collect()
+    }
+
     #[test]
     fn batch_write_then_read() {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new(1 << 20));
         let io = AsyncIo::new(dev.clone(), 4);
 
         let mut sources: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i + 1; 4096]).collect();
-        let reqs: Vec<IoReq> = sources
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| IoReq {
-                kind: IoKind::Write,
-                offset: (i * 4096) as u64,
-                ptr: s.as_mut_ptr(),
-                len: s.len(),
-            })
-            .collect();
+        let reqs = write_back_to_back(&mut sources);
         // SAFETY: the buffers backing the requests outlive the wait and are
         // not touched until the batch completes.
         unsafe { io.submit_and_wait(reqs).unwrap() };
@@ -405,16 +416,7 @@ mod tests {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new(1 << 20));
         let io = AsyncIo::new(dev, 1);
         let mut bufs: Vec<Vec<u8>> = (0..64).map(|i| vec![i as u8; 4096]).collect();
-        let reqs: Vec<IoReq> = bufs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| IoReq {
-                kind: IoKind::Write,
-                offset: (i * 4096) as u64,
-                ptr: s.as_mut_ptr(),
-                len: s.len(),
-            })
-            .collect();
+        let reqs = write_back_to_back(&mut bufs);
         // SAFETY: the buffers backing the requests outlive the wait and are
         // not touched until the batch completes.
         unsafe { io.submit_and_wait(reqs).unwrap() };
@@ -425,16 +427,7 @@ mod tests {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new(1 << 20));
         let io = AsyncIo::new(dev, 2);
         let mut sources: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 4096]).collect();
-        let reqs: Vec<IoReq> = sources
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| IoReq {
-                kind: IoKind::Write,
-                offset: (i * 4096) as u64,
-                ptr: s.as_mut_ptr(),
-                len: s.len(),
-            })
-            .collect();
+        let reqs = write_back_to_back(&mut sources);
         // SAFETY: the buffers backing the requests outlive the wait and are
         // not touched until the batch completes.
         let handle = unsafe { io.submit(reqs) };
@@ -490,16 +483,7 @@ mod tests {
         });
         let io = AsyncIo::new(dev, 2);
         let mut bufs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4096]).collect();
-        let reqs: Vec<IoReq> = bufs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| IoReq {
-                kind: IoKind::Write,
-                offset: (i * 4096) as u64,
-                ptr: s.as_mut_ptr(),
-                len: s.len(),
-            })
-            .collect();
+        let reqs = write_back_to_back(&mut bufs);
         // SAFETY: the buffers backing the requests outlive the wait and are
         // not touched until the batch completes.
         let handle = unsafe { io.submit(reqs) };
@@ -547,16 +531,7 @@ mod tests {
         let io = AsyncIo::new(dev, 2);
         for round in 0..200 {
             let mut bufs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 512]).collect();
-            let reqs: Vec<IoReq> = bufs
-                .iter_mut()
-                .enumerate()
-                .map(|(i, s)| IoReq {
-                    kind: IoKind::Write,
-                    offset: (i * 512) as u64,
-                    ptr: s.as_mut_ptr(),
-                    len: s.len(),
-                })
-                .collect();
+            let reqs = write_back_to_back(&mut bufs);
             // SAFETY: the buffers backing the requests outlive the wait and
             // are not touched until the batch completes.
             let handle = unsafe { io.submit(reqs) };
@@ -584,5 +559,76 @@ mod tests {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new(4096));
         let io = AsyncIo::new(dev, 3);
         drop(io); // must not hang
+    }
+}
+
+#[cfg(test)]
+mod model {
+    //! The completion signal, storage half, over the real [`BatchState`]:
+    //! [`BatchHandle::notify_when_executed`] against whichever thread runs
+    //! the batch's last request. The owner learns of the completion exactly
+    //! once — a refused registration means every request has executed, a
+    //! stored waker is called, once. (The other half, that a called waker
+    //! always gets the flush stage out of its sleep, is `FlushInbox`'s model
+    //! in `core/src/group_commit.rs`.) The `broken_*` test swaps in a wrong
+    //! caller and requires the checker to find it, under loom only.
+
+    use super::tests::write_back_to_back;
+    use super::*;
+    use crate::MemDevice;
+    use lobster_sync::thread;
+    // Bookkeeping the model asserts on, invisible to the scheduler.
+    use std::sync::atomic::{AtomicUsize as Plain, Ordering::SeqCst};
+
+    /// Two workers drain a two-request batch while its owner registers.
+    fn run(register: fn(&BatchHandle, Waker) -> bool) {
+        let mut bufs = [vec![1u8; 8], vec![2u8; 8]];
+        let reqs = write_back_to_back(&mut bufs);
+        let handle = BatchHandle {
+            state: Arc::new(BatchState::new(reqs)),
+            device: Arc::new(MemDevice::new(4096)),
+        };
+        // `bufs` outlives the workers: both are joined below.
+        let workers = [(); 2].map(|()| {
+            let (state, device) = (handle.state.clone(), handle.device.clone());
+            thread::spawn(move || while state.run_one(&device) {})
+        });
+        let wakes = Arc::new(Plain::new(0));
+        let counter = wakes.clone();
+        let wake = move || {
+            counter.fetch_add(1, SeqCst);
+        };
+        let stored = register(&handle, Box::new(wake));
+        assert!(stored || handle.is_complete(), "refused before the end");
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        let expected = usize::from(stored);
+        assert_eq!(
+            wakes.load(SeqCst),
+            expected,
+            "completion signal lost or doubled"
+        );
+        handle.wait().unwrap();
+    }
+
+    #[test]
+    fn completion_signal_fires_exactly_once_or_is_refused() {
+        lobster_sync::model(|| run(BatchHandle::notify_when_executed));
+    }
+
+    #[test]
+    fn broken_blind_waker_registration_is_caught() {
+        // Stores the waker without looking at `done`: a worker that finished
+        // first has nothing to call.
+        let blind = |handle: &BatchHandle, wake: Waker| {
+            handle.state.executed.lock().waker = Some(wake);
+            true
+        };
+        let broken = || lobster_sync::model(move || run(blind));
+        assert!(lobster_sync::model_catches(
+            broken,
+            "completion signal lost"
+        ));
     }
 }

@@ -6,8 +6,12 @@
 //! * normally — thin re-exports of `std` atomics, the `parking_lot` shim's
 //!   `Mutex`/`Condvar`/`RwLock`, and `std::thread`; zero-cost.
 //! * under `RUSTFLAGS="--cfg lobster_loom"` — the `loom` shim's modeled
-//!   equivalents, so protocol cores extracted into `lobster-sync-models`
-//!   run under bounded-exhaustive interleaving exploration. Loom-mode types
+//!   equivalents, so the `#[cfg(test)] mod model` next to a production
+//!   type (the page-table entry word in `lobster-buffer`, the batch
+//!   completion signal in `lobster-storage`, the commit path in
+//!   `lobster-core`) drives that type under bounded-exhaustive
+//!   interleaving exploration ([`model`], [`race`], [`model_catches`]).
+//!   Loom-mode types
 //!   constructed outside an active model execution fall back to the real
 //!   primitives, so the whole workspace still builds and runs under the cfg.
 //!
@@ -97,7 +101,56 @@ where
     }
 }
 
+/// One thread of a model: see [`race`].
+pub type Actor<W> = Box<dyn FnOnce(&W) + Send>;
+
+/// Inside a [`model`] body: run the actors concurrently over one shared
+/// `world` — the last on the calling thread, which would otherwise only
+/// wait, the others on threads of their own — join them all, and hand the
+/// world back for the final assertions.
+pub fn race<W: Send + Sync + 'static>(world: W, mut actors: Vec<Actor<W>>) -> Arc<W> {
+    let world = Arc::new(world);
+    let inline = actors.pop();
+    let handles: Vec<_> = actors
+        .into_iter()
+        .map(|actor| {
+            let world = Arc::clone(&world);
+            thread::spawn(move || actor(&world))
+        })
+        .collect();
+    if let Some(actor) = inline {
+        actor(&world);
+    }
+    for handle in handles {
+        handle.join().expect("model thread");
+    }
+    world
+}
+
 /// True when this build routes primitives through the loom model checker.
 pub const fn is_loom() -> bool {
     cfg!(lobster_loom)
+}
+
+/// Whether the checker catches a deliberately broken model, and for the
+/// stated reason: `broken` must panic with a message containing `reason`
+/// (`"deadlock"` for a lost wake-up). Decided under loom only, where
+/// detection is deterministic — a real-thread smoke run cannot reliably hit
+/// the race, so a normal build answers `true` without running `broken`.
+pub fn model_catches(broken: impl FnOnce() + std::panic::UnwindSafe, reason: &str) -> bool {
+    if !is_loom() {
+        return true;
+    }
+    let Err(payload) = std::panic::catch_unwind(broken) else {
+        return false;
+    };
+    let said = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied());
+    let for_the_reason = said.is_some_and(|msg| msg.contains(reason));
+    if !for_the_reason {
+        eprintln!("broken model failed with {said:?}; expected {reason:?}");
+    }
+    for_the_reason
 }

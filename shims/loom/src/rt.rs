@@ -613,6 +613,16 @@ pub fn model<F>(f: F)
 where
     F: Fn() + Send + Sync + 'static,
 {
+    explored_schedules(f);
+}
+
+/// [`model`], returning the number of schedules explored; used by the
+/// shim's own tests.
+#[doc(hidden)]
+pub fn explored_schedules<F>(f: F) -> usize
+where
+    F: Fn() + Send + Sync + 'static,
+{
     install_quiet_hook();
     let max_preemptions = env_usize("LOOM_MAX_PREEMPTIONS", 3);
     let max_iterations = env_usize("LOOM_MAX_ITERATIONS", 1_000_000);
@@ -642,41 +652,6 @@ where
                 "loom: model failed on execution {iterations} (trace length {})",
                 trace.len()
             );
-            resume_unwind(p);
-        }
-        match next_prefix(&trace, max_preemptions) {
-            Some(p) => prefix = p,
-            None => break,
-        }
-    }
-}
-
-/// Number of schedules a model would explore; used by the shim's own tests.
-#[doc(hidden)]
-pub fn explored_schedules<F>(f: F) -> usize
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    install_quiet_hook();
-    let max_preemptions = env_usize("LOOM_MAX_PREEMPTIONS", 3);
-    let sched = Arc::new(Sched::new());
-    let mut prefix: Vec<usize> = Vec::new();
-    let mut iterations = 0usize;
-    loop {
-        iterations += 1;
-        sched.begin_execution(std::mem::take(&mut prefix));
-        set_ctx(Some((Arc::clone(&sched), 0)));
-        let r = catch_unwind(AssertUnwindSafe(&f));
-        if let Err(p) = r {
-            if !p.is::<PoisonExit>() {
-                sched.poison_with(p);
-            }
-        }
-        sched.finish_thread(0);
-        sched.wait_all_finished();
-        set_ctx(None);
-        let (payload, trace) = sched.end_execution();
-        if let Some(p) = payload {
             resume_unwind(p);
         }
         match next_prefix(&trace, max_preemptions) {
