@@ -1,12 +1,9 @@
 //! Centralized bench-environment knobs (`BenchEnv`).
 //!
-//! Scale factor, device-throttle routing, and JSON emission used to be read
-//! ad hoc (`LOBSTER_BENCH_SCALE` parsed per call, a free-floating throttle
-//! `AtomicBool`), so a report could not faithfully state which knobs a run
-//! used. All knobs now resolve once, here, and the JSON reports record the
-//! exact values via [`BenchEnv::params`].
+//! The scale factor and device-throttle routing resolve once, here, so
+//! every JSON report can state the exact values a run used (via
+//! [`BenchEnv::params`]).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -14,14 +11,6 @@ use std::sync::OnceLock;
 pub struct BenchEnv {
     /// Workload scale multiplier (`LOBSTER_BENCH_SCALE`, default 1.0).
     pub scale: f64,
-    /// Directory to drop `BENCH_<name>.json` into (`LOBSTER_BENCH_JSON_DIR`);
-    /// `None` disables emission from standalone `cargo bench` targets.
-    pub json_dir: Option<PathBuf>,
-    /// Ceiling of the `threads = 1..N` scalability axis
-    /// (`LOBSTER_BENCH_THREADS`, default 4, clamped to `1..=64` — the
-    /// sharded engine's `MAX_SHARDS`). The axis runs powers of two up to
-    /// this value, so `1` collapses it to the single-shard row.
-    pub threads: usize,
     /// Route freshly built devices through the NVMe throttle model. Mutable
     /// because the I/O-bound experiments opt in per bench; reset between
     /// suite runs by [`crate::suite::run_spec`].
@@ -35,12 +24,6 @@ impl BenchEnv {
                 .ok()
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(1.0),
-            json_dir: std::env::var_os("LOBSTER_BENCH_JSON_DIR").map(PathBuf::from),
-            threads: std::env::var("LOBSTER_BENCH_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(4)
-                .clamp(1, 64),
             throttled: AtomicBool::new(false),
         }
     }
@@ -62,7 +45,6 @@ impl BenchEnv {
     pub fn params(&self) -> Vec<(String, String)> {
         vec![
             ("scale".into(), format!("{}", self.scale)),
-            ("threads".into(), format!("{}", self.threads)),
             ("throttled_devices".into(), format!("{}", self.throttled())),
         ]
     }

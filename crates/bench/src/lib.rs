@@ -1,10 +1,11 @@
 //! Shared harness machinery for the paper-reproduction benchmarks.
 //!
-//! Every `benches/*.rs` target regenerates one table or figure of the
-//! paper's evaluation (§V); see DESIGN.md's per-experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results. Scale factors are chosen
-//! so the full suite runs in minutes on a laptop; set
-//! `LOBSTER_BENCH_SCALE` (default `1.0`) to grow or shrink workloads.
+//! Every [`suite`] module regenerates one table or figure of the paper's
+//! evaluation (§V); `cargo run --release -p lobster-bench -- run all`
+//! runs them all. See DESIGN.md's per-experiment index and EXPERIMENTS.md
+//! for paper-vs-measured results. Scale factors are chosen so the full
+//! suite runs in minutes on a laptop; set `LOBSTER_BENCH_SCALE` (default
+//! `1.0`) to grow or shrink workloads.
 
 #![forbid(unsafe_code)]
 
@@ -14,7 +15,7 @@ use lobster_baselines::{
 };
 use lobster_buffer::AliasConfig;
 use lobster_core::{BlobLogging, Config, PoolVariant};
-use lobster_metrics::{LatencySummary, LocalRecorder, Snapshot};
+use lobster_metrics::{LatencySummary, LocalRecorder};
 use lobster_storage::{Device, MemDevice, ThrottleProfile, ThrottledDevice};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -200,28 +201,6 @@ pub fn sys_sqlite() -> SystemSpec {
 }
 
 // ---------------------------------------------------------------- runner ---
-
-/// Outcome of one measured run: throughput plus the per-op latency digest
-/// and the counter delta the run charged.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    pub system: String,
-    pub ops: u64,
-    pub elapsed: Duration,
-    pub stats: lobster_baselines::StoreStats,
-    pub note: String,
-    /// Harness-measured per-operation latency percentiles.
-    pub latency: LatencySummary,
-    /// Counter delta over the measured window (stats minus a pre-run
-    /// snapshot, when the caller took one; otherwise the run totals).
-    pub counters: Snapshot,
-}
-
-impl RunResult {
-    pub fn throughput(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
 
 /// Outcome of one YCSB phase: op count, wall time, per-op latency histogram.
 pub struct YcsbRun {

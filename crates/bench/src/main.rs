@@ -1,24 +1,21 @@
-//! `lobster-bench` — run any subset of the paper's benches and emit
-//! machine-readable `BENCH_<name>.json` reports, or diff two reports as a
-//! regression gate.
+//! `lobster-bench` — run any subset of the paper's benches, print their
+//! tables and write one machine-readable `BENCH_<name>.json` report each.
 //!
 //! ```text
 //! lobster-bench list
 //! lobster-bench run fig9 fig5 --out-dir bench-out
-//! lobster-bench run fig9 --json out.json
-//! lobster-bench compare baseline.json candidate.json --threshold 0.35
+//! lobster-bench run all --out-dir bench-out
 //! ```
 //!
-//! Exit codes: 0 success, 1 regression detected by `compare`, 2 usage or
-//! I/O error.
+//! Exit codes: 0 success, 2 usage or I/O error.
 
-use lobster_bench::{report, suite};
+use lobster_bench::suite;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  lobster-bench list\n  lobster-bench run <bench>... [--out-dir DIR] [--json FILE] [--best-of N]\n  lobster-bench compare <baseline.json> <candidate.json> [--threshold FRAC]\n\nbenches accept short names (fig9) or target names (fig9_cold_read); `all` runs everything.\n--best-of N repeats each bench and keeps the best value per entry (de-noising for CI).\nenvironment: LOBSTER_BENCH_SCALE (workload scale), LOBSTER_BENCH_JSON_DIR (default JSON dir)"
+        "usage:\n  lobster-bench list\n  lobster-bench run <bench>...|all [--out-dir DIR]\n\n--out-dir DIR writes BENCH_<bench>.json per bench into DIR; without it only the tables print.\nenvironment: LOBSTER_BENCH_SCALE (workload scale, default 1.0)"
     );
     ExitCode::from(2)
 }
@@ -27,17 +24,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
-            println!("{:<24} {:<24} title", "name", "target");
+            println!("{:<24} title", "name");
             for s in suite::all() {
-                println!(
-                    "{:<24} {:<24} {} [{}]",
-                    s.name, s.target, s.title, s.paper_ref
-                );
+                println!("{:<24} {} [{}]", s.name, s.title, s.paper_ref);
             }
             ExitCode::SUCCESS
         }
         Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
         _ => usage(),
     }
 }
@@ -45,22 +38,12 @@ fn main() -> ExitCode {
 fn cmd_run(args: &[String]) -> ExitCode {
     let mut names: Vec<String> = Vec::new();
     let mut out_dir: Option<PathBuf> = None;
-    let mut json_file: Option<PathBuf> = None;
-    let mut best_of = 1usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out-dir" => match it.next() {
                 Some(d) => out_dir = Some(PathBuf::from(d)),
                 None => return usage(),
-            },
-            "--json" => match it.next() {
-                Some(f) => json_file = Some(PathBuf::from(f)),
-                None => return usage(),
-            },
-            "--best-of" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => best_of = n,
-                _ => return usage(),
             },
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag '{flag}'");
@@ -85,22 +68,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
         }
     }
-    if json_file.is_some() && specs.len() != 1 {
-        eprintln!("--json FILE takes exactly one bench; use --out-dir for several");
-        return ExitCode::from(2);
-    }
 
     for spec in specs {
-        let report = suite::run_spec_best_of(spec, best_of);
-        let path = match (&json_file, &out_dir) {
-            (Some(f), _) => Some(f.clone()),
-            (None, Some(d)) => Some(d.join(report.file_name())),
-            (None, None) => lobster_bench::env()
-                .json_dir
-                .as_ref()
-                .map(|d| d.join(report.file_name())),
-        };
-        if let Some(path) = path {
+        let report = suite::run_spec(spec);
+        if let Some(dir) = &out_dir {
+            let path = dir.join(report.file_name());
             if let Err(e) = report.write_to(&path) {
                 eprintln!("error: writing {}: {e}", path.display());
                 return ExitCode::from(2);
@@ -109,66 +81,4 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-fn cmd_compare(args: &[String]) -> ExitCode {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut threshold = 0.35f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => match it.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => threshold = t,
-                _ => return usage(),
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag '{flag}'");
-                return usage();
-            }
-            f => files.push(PathBuf::from(f)),
-        }
-    }
-    let [baseline, candidate] = files.as_slice() else {
-        return usage();
-    };
-    let read = |p: &PathBuf| -> Result<String, ExitCode> {
-        std::fs::read_to_string(p).map_err(|e| {
-            eprintln!("error: reading {}: {e}", p.display());
-            ExitCode::from(2)
-        })
-    };
-    let base = match read(baseline) {
-        Ok(t) => t,
-        Err(c) => return c,
-    };
-    let cand = match read(candidate) {
-        Ok(t) => t,
-        Err(c) => return c,
-    };
-    match report::compare(&base, &cand, threshold) {
-        Ok(r) => {
-            println!(
-                "compare {} -> {} (threshold {:.0}%)",
-                baseline.display(),
-                candidate.display(),
-                threshold * 100.0
-            );
-            for line in &r.lines {
-                println!("{line}");
-            }
-            println!(
-                "\n{} compared, {} regressions, {} improvements, {} unmatched",
-                r.compared, r.regressions, r.improvements, r.unmatched
-            );
-            if r.regressions > 0 {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
 }

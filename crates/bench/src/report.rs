@@ -1,9 +1,8 @@
-//! Machine-readable bench reports: `BENCH_<name>.json` emission + compare.
+//! Machine-readable bench reports: `BENCH_<name>.json` emission.
 //!
 //! Every suite bench fills a [`Report`] with [`Entry`] rows alongside its
-//! human-readable table. A report serializes to a versioned JSON file
-//! (schema below) and two files diff with [`compare`], the CI regression
-//! gate. Schema v1:
+//! human-readable table. A report serializes to a versioned JSON file.
+//! Schema v1:
 //!
 //! ```json
 //! {
@@ -29,7 +28,7 @@ use std::path::Path;
 
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// One measured row: a value for a (system, metric, params) key, with
+/// One measured row: a value for a (system, metric, params) triple, with
 /// optional latency digests and counter deltas attached.
 #[derive(Clone, Debug)]
 pub struct Entry {
@@ -66,7 +65,7 @@ impl Entry {
         }
     }
 
-    /// The canonical gated metric: operations (or txns/files/...) per second.
+    /// The headline metric: operations (or txns/files/...) per second.
     pub fn throughput(system: impl Into<String>, ops_per_s: f64) -> Entry {
         Entry::new(system, "throughput", "ops/s", ops_per_s, true)
     }
@@ -94,20 +93,6 @@ impl Entry {
     pub fn counters(mut self, delta: Snapshot) -> Entry {
         self.counters = Some(delta);
         self
-    }
-
-    /// Stable identity of this entry inside a report, used for matching by
-    /// [`compare`].
-    pub fn key(&self) -> String {
-        let mut k = format!("{}|{}", self.system, self.metric);
-        for (p, v) in &self.params {
-            // Environment knobs are recorded but not part of identity.
-            if p == "scale" || p == "throttled_devices" {
-                continue;
-            }
-            k.push_str(&format!("|{p}={v}"));
-        }
-        k
     }
 }
 
@@ -161,29 +146,6 @@ impl Report {
                 Json::Arr(self.entries.iter().map(entry_to_json).collect()),
             ),
         ])
-    }
-
-    /// Merge a repeat run of the same bench: for each matching key keep the
-    /// better value (per its `higher_is_better` direction), new keys append.
-    /// Container/CI throughput noise is one-sided — contention only slows a
-    /// run down — so best-of-N approximates the uncontended figure and is
-    /// what the regression gate compares.
-    pub fn merge_best(&mut self, other: Report) {
-        for e in other.entries {
-            match self.entries.iter_mut().find(|m| m.key() == e.key()) {
-                Some(mine) => {
-                    let better = if e.higher_is_better {
-                        e.value > mine.value
-                    } else {
-                        e.value < mine.value
-                    };
-                    if better {
-                        *mine = e;
-                    }
-                }
-                None => self.entries.push(e),
-            }
-        }
     }
 
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
@@ -269,227 +231,74 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-// ------------------------------------------------------------- compare ---
-
-/// One comparable row extracted from a report JSON file.
-#[derive(Clone, Debug)]
-pub struct LoadedEntry {
-    pub key: String,
-    pub value: f64,
-    pub unit: String,
-    pub higher_is_better: bool,
-    pub gated: bool,
-}
-
-/// Parse a `BENCH_*.json` file into its bench name and comparable rows.
-pub fn load_entries(text: &str) -> Result<(String, Vec<LoadedEntry>), String> {
-    let root = Json::parse(text)?;
-    let version = root
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or("missing schema_version")? as u64;
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != supported {SCHEMA_VERSION}"
-        ));
-    }
-    let bench = root
-        .get("bench")
-        .and_then(Json::as_str)
-        .ok_or("missing bench name")?
-        .to_string();
-    let mut out = Vec::new();
-    for e in root
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("missing entries")?
-    {
-        let system = e.get("system").and_then(Json::as_str).unwrap_or("?");
-        let metric = e.get("metric").and_then(Json::as_str).unwrap_or("?");
-        let mut key = format!("{system}|{metric}");
-        if let Some(params) = e.get("params").and_then(Json::as_obj) {
-            for (p, v) in params {
-                if p == "scale" || p == "throttled_devices" {
-                    continue;
-                }
-                key.push_str(&format!("|{p}={}", v.as_str().unwrap_or("?")));
-            }
-        }
-        out.push(LoadedEntry {
-            key,
-            value: e.get("value").and_then(Json::as_f64).unwrap_or(f64::NAN),
-            unit: e
-                .get("unit")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            higher_is_better: matches!(e.get("higher_is_better"), Some(Json::Bool(true))),
-            // The CI gate fires on throughput rows and on tail-latency
-            // (p99) rows — the serving axis gates both; everything else
-            // (ratios, byte counts, model-derived figures) is
-            // informational. Direction comes from `higher_is_better`, so
-            // a p99 row (false) regresses on *increase*.
-            gated: metric == "throughput" || metric == "p99",
-        });
-    }
-    Ok((bench, out))
-}
-
-/// Outcome of diffing one candidate report against a baseline.
-#[derive(Debug, Default)]
-pub struct CompareResult {
-    pub lines: Vec<String>,
-    pub regressions: usize,
-    pub improvements: usize,
-    pub compared: usize,
-    pub unmatched: usize,
-}
-
-/// Diff `candidate` against `baseline`. A gated row regresses when its
-/// value moves against its `higher_is_better` direction by more than
-/// `threshold` (a fraction: 0.35 means "35% worse than baseline fails").
-pub fn compare(baseline: &str, candidate: &str, threshold: f64) -> Result<CompareResult, String> {
-    let (bench_a, base) = load_entries(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let (bench_b, cand) = load_entries(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let mut r = CompareResult::default();
-    if bench_a != bench_b {
-        r.lines.push(format!(
-            "note: comparing bench '{bench_b}' to baseline '{bench_a}'"
-        ));
-    }
-    for c in &cand {
-        let Some(b) = base.iter().find(|b| b.key == c.key) else {
-            r.unmatched += 1;
-            r.lines.push(format!(
-                "  new      {:<52} {}",
-                c.key,
-                fmt_val(c.value, &c.unit)
-            ));
-            continue;
-        };
-        r.compared += 1;
-        let ratio = if b.value.abs() > f64::EPSILON {
-            c.value / b.value
-        } else if c.value.abs() <= f64::EPSILON {
-            1.0
-        } else {
-            f64::INFINITY
-        };
-        let delta_pct = (ratio - 1.0) * 100.0;
-        let (regressed, improved) = if !c.gated || !ratio.is_finite() {
-            (false, false)
-        } else if c.higher_is_better {
-            (ratio < 1.0 - threshold, ratio > 1.0 + threshold)
-        } else {
-            (ratio > 1.0 + threshold, ratio < 1.0 - threshold)
-        };
-        let mark = if regressed {
-            r.regressions += 1;
-            "REGRESS "
-        } else if improved {
-            r.improvements += 1;
-            "improve "
-        } else if c.gated {
-            "ok      "
-        } else {
-            "info    "
-        };
-        r.lines.push(format!(
-            "  {mark} {:<52} {} -> {} ({:+.1}%)",
-            c.key,
-            fmt_val(b.value, &b.unit),
-            fmt_val(c.value, &c.unit),
-            delta_pct
-        ));
-    }
-    let missing = base.iter().filter(|b| !cand.iter().any(|c| c.key == b.key));
-    for m in missing {
-        r.unmatched += 1;
-        r.lines.push(format!(
-            "  missing  {:<52} (was {})",
-            m.key,
-            fmt_val(m.value, &m.unit)
-        ));
-    }
-    Ok(r)
-}
-
-fn fmt_val(v: f64, unit: &str) -> String {
-    if v.abs() >= 1000.0 {
-        format!("{v:.0}{}{unit}", if unit.is_empty() { "" } else { " " })
-    } else {
-        format!("{v:.3}{}{unit}", if unit.is_empty() { "" } else { " " })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn mini_report(rate: f64) -> String {
-        let mut r = Report::new("figX", "t", "p");
-        r.push(Entry::throughput("Our", rate).param("bucket", 1));
-        r.push(Entry::new("Our", "memcpy", "B/op", 512.0, false));
-        r.to_json().to_string_pretty()
-    }
-
     #[test]
-    fn json_roundtrips_through_loader() {
-        let text = mini_report(1000.0);
-        let (bench, entries) = load_entries(&text).unwrap();
-        assert_eq!(bench, "figX");
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].key, "Our|throughput|bucket=1");
-        assert!(entries[0].gated);
-        assert!(!entries[1].gated);
-    }
-
-    #[test]
-    fn compare_flags_large_regression_only() {
-        let base = mini_report(1000.0);
-        // 20% down: within a 35% threshold.
-        let ok = compare(&base, &mini_report(800.0), 0.35).unwrap();
-        assert_eq!(ok.regressions, 0, "{:?}", ok.lines);
-        // 50% down: regression.
-        let bad = compare(&base, &mini_report(500.0), 0.35).unwrap();
-        assert_eq!(bad.regressions, 1, "{:?}", bad.lines);
-        // 50% up: improvement, not a failure.
-        let up = compare(&base, &mini_report(1500.0), 0.35).unwrap();
-        assert_eq!(up.regressions, 0);
-        assert_eq!(up.improvements, 1);
-    }
-
-    #[test]
-    fn p99_rows_gate_on_increase() {
-        fn rep(p99_ns: f64) -> String {
-            let mut r = Report::new("figY", "t", "p");
-            r.push(Entry::new("Our.served", "p99", "ns", p99_ns, false).param("connections", 4));
-            r.to_json().to_string_pretty()
+    fn one_entry_report_writes_golden_json() {
+        let summary = LatencySummary {
+            count: 3,
+            mean_ns: 1500,
+            p50_ns: 1000,
+            p95_ns: 2500,
+            p99_ns: 2500,
+            max_ns: 2500,
+        };
+        let report = Report {
+            name: "figX".into(),
+            title: "t".into(),
+            paper_ref: "p".into(),
+            env: vec![("scale".into(), "0.02".into())],
+            entries: vec![Entry::throughput("Our \"hot\"\n", f64::NAN)
+                .param("payload", "120B")
+                .param("bucket", 1)
+                .latency("op", summary)
+                .counters(Snapshot {
+                    pages_read: 42,
+                    ..Snapshot::default()
+                })],
+        };
+        let golden = r#"{
+  "schema_version": 1,
+  "bench": "figX",
+  "title": "t",
+  "paper_ref": "p",
+  "git_rev": "REV",
+  "env": {
+    "scale": "0.02"
+  },
+  "entries": [
+    {
+      "system": "Our \"hot\"\n",
+      "metric": "throughput",
+      "unit": "ops/s",
+      "value": null,
+      "higher_is_better": true,
+      "params": {
+        "payload": "120B",
+        "bucket": "1"
+      },
+      "latency": {
+        "op": {
+          "count": 3,
+          "mean_ns": 1500,
+          "p50_ns": 1000,
+          "p95_ns": 2500,
+          "p99_ns": 2500,
+          "max_ns": 2500
         }
-        let base = rep(1_000_000.0);
-        let (_, entries) = load_entries(&base).unwrap();
-        assert!(entries[0].gated, "p99 rows must be gated");
-        // 30% slower: within a 50% threshold.
-        assert_eq!(
-            compare(&base, &rep(1_300_000.0), 0.5).unwrap().regressions,
-            0
-        );
-        // 2x slower: regression (lower-is-better direction).
-        assert_eq!(
-            compare(&base, &rep(2_000_000.0), 0.5).unwrap().regressions,
-            1
-        );
-        // 2x faster: improvement, not a failure.
-        let up = compare(&base, &rep(400_000.0), 0.5).unwrap();
-        assert_eq!(up.regressions, 0);
-        assert_eq!(up.improvements, 1);
+      },
+      "counters": {
+        "pages_read": 42
+      }
     }
-
-    #[test]
-    fn entry_key_ignores_env_params() {
-        let e = Entry::throughput("Our", 1.0)
-            .param("scale", "0.02")
-            .param("payload", "120B");
-        assert_eq!(e.key(), "Our|throughput|payload=120B");
+  ]
+}
+"#;
+        assert_eq!(
+            report.to_json().to_string_pretty(),
+            golden.replace("REV", &git_rev())
+        );
     }
 }

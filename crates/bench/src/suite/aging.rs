@@ -10,7 +10,7 @@
 //! online, so the same workload keeps its steady-state throughput and
 //! the fragmentation score stays bounded.
 //!
-//! Two gated rows (`defrag-off`, `defrag-on` steady-state throughput)
+//! Two headline rows (`defrag-off`, `defrag-on` steady-state throughput)
 //! plus per-window throughput/fragmentation timelines as info rows.
 //! `LOBSTER_AGING_GATE=1` (set in CI) additionally hard-asserts the
 //! acceptance criteria: on/off ratio ≥ 1.2× and a bounded score.

@@ -8,11 +8,9 @@
 //! kernel crossing at all.
 //!
 //! The threads axis runs the same workload against [`ShardedDatabase`]
-//! with `t` shards driven by `t` closed-loop clients
-//! (`LOBSTER_BENCH_THREADS` caps the axis, default 4). Each thread-count
-//! gets its own gated throughput row (`threads=t` in the entry key) and
-//! the whole axis is additionally emitted as
-//! `BENCH_fig5_small_payload.json` with the 4-shard speedup recorded.
+//! with `t` shards driven by `t` closed-loop clients. Each thread count
+//! gets its own `Our.sharded` throughput, conflict-retry and
+//! speedup-over-one-thread rows (`threads=t` in the params).
 
 use crate::*;
 use lobster_baselines::LobsterMode;
@@ -63,20 +61,11 @@ pub(crate) fn run(report: &mut Report) {
         } else {
             best_other = best_other.max(rate);
         }
-        let result = RunResult {
-            system: spec.name.to_string(),
-            ops: run.ops,
-            elapsed: run.elapsed,
-            stats: store.stats(),
-            note: String::new(),
-            latency: run.summary(),
-            counters: delta,
-        };
         report.push(
-            Entry::throughput(&result.system, rate)
+            Entry::throughput(spec.name, rate)
                 .param("payload", "120B")
                 .param("read_ratio", "0.5")
-                .latency("op", result.latency)
+                .latency("op", run.summary())
                 .counters(delta),
         );
         table.row(&[
@@ -94,29 +83,11 @@ pub(crate) fn run(report: &mut Report) {
     threads_axis(report, records, ops);
 }
 
-/// Accumulates the side report across `--best-of` repeats
-/// (`run_spec_best_of` re-runs the whole bench in-process): each repeat
-/// merges per-key best and rewrites the file, so the emitted axis gets the
-/// same one-sided de-noising as the gated report.
-fn side_sink() -> &'static std::sync::Mutex<Option<Report>> {
-    static SINK: std::sync::OnceLock<std::sync::Mutex<Option<Report>>> = std::sync::OnceLock::new();
-    SINK.get_or_init(|| std::sync::Mutex::new(None))
-}
-
-/// Thread counts for the scalability axis: powers of two up to the
-/// `LOBSTER_BENCH_THREADS` ceiling, plus the ceiling itself.
-fn thread_counts(max_t: usize) -> Vec<usize> {
-    let mut counts = vec![1usize];
-    let mut t = 2;
-    while t <= max_t {
-        counts.push(t);
-        t *= 2;
-    }
-    if *counts.last().unwrap() != max_t {
-        counts.push(max_t);
-    }
-    counts
-}
+/// Ceiling of the scalability axis: the shard count the ≥ 2.5× speedup
+/// target is stated at.
+const MAX_THREADS: usize = 4;
+/// Thread counts of the axis: powers of two up to [`MAX_THREADS`].
+const THREAD_COUNTS: [usize; 3] = [1, 2, MAX_THREADS];
 
 /// The `threads = 1..N` axis: the sharded engine with `t` hash-partitioned
 /// shards driven by `t` closed-loop clients. Keys route to shards by hash,
@@ -124,18 +95,14 @@ fn thread_counts(max_t: usize) -> Vec<usize> {
 /// pipeline; the batched load phase commits through the cross-shard group
 /// path. Wait-die conflict aborts are retried by the driver and reported.
 fn threads_axis(report: &mut Report, records: u64, ops: usize) {
-    let max_t = crate::env().threads;
-    println!("\nSharded engine, threads = 1..{max_t} (closed-loop clients):");
-
-    let spec = suite::find("fig5").expect("fig5 registered");
-    let mut side = Report::new("fig5_small_payload", spec.title, spec.paper_ref);
+    println!("\nSharded engine, threads = 1..{MAX_THREADS} (closed-loop clients):");
 
     let mut table = Table::new(&[
         "threads", "driver", "txn/s", "p50", "p95", "p99", "retries", "speedup",
     ]);
     let mut base_rate = 0.0f64;
     let mut last_speedup = 0.0f64;
-    for t in thread_counts(max_t) {
+    for t in THREAD_COUNTS {
         let parts = (0..t)
             .map(|_| ShardDevices {
                 data: mem_device(512 << 20),
@@ -250,16 +217,7 @@ fn threads_axis(report: &mut Report, records: u64, ops: usize) {
                 .param("threads", t)
                 .latency("op", s),
         );
-        // The side report is informational, so its rows use non-gated
-        // metric names; best-of merging happens in `side_sink`.
-        side.push(
-            Entry::new("Our.sharded", "ops_per_s", "ops/s", rate, true)
-                .param("payload", "120B")
-                .param("read_ratio", "0.5")
-                .param("threads", t)
-                .latency("op", s),
-        );
-        side.push(
+        report.push(
             Entry::new(
                 "Our.sharded",
                 "conflict_retries",
@@ -270,24 +228,10 @@ fn threads_axis(report: &mut Report, records: u64, ops: usize) {
             .param("threads", t)
             .param("driver", mode),
         );
-        side.push(
+        report.push(
             Entry::new("Our.sharded", "speedup_vs_1thread", "x", speedup, true).param("threads", t),
         );
     }
     table.print();
-    println!("Sharded speedup at {max_t} threads: {last_speedup:.2}x (target ≥2.5x)");
-
-    let mut sink = side_sink().lock().unwrap();
-    match sink.as_mut() {
-        Some(acc) => acc.merge_best(side),
-        None => *sink = Some(side),
-    }
-    if let Some(dir) = &crate::env().json_dir {
-        let merged = sink.as_ref().unwrap();
-        let path = dir.join(merged.file_name());
-        merged
-            .write_to(&path)
-            .expect("write fig5_small_payload json");
-        println!("wrote {}", path.display());
-    }
+    println!("Sharded speedup at {MAX_THREADS} threads: {last_speedup:.2}x (target ≥2.5x)");
 }

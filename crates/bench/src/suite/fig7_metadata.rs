@@ -129,8 +129,8 @@ pub(crate) fn run(report: &mut Report) {
             }
         }
         let rate = rounds as f64 / t0.elapsed().as_secs_f64();
-        // Real syscalls on the host tmpfs — a reality anchor, not a gated
-        // competitor (host speed varies across CI runners).
+        // Real syscalls on the host tmpfs — a reality anchor, not a
+        // competitor (host speed varies across machines).
         report.push(Entry::new("HostFs", "host_anchor", "ops/s", rate, true));
         table.row(&[
             "HostFs (real)".into(),

@@ -441,6 +441,8 @@ impl Database {
         self.geo
     }
 
+    /// The static tier table shared by every placement decision (sizes
+    /// of a Blob State's extent sequence are derived from it).
     pub fn tier_table(&self) -> &Arc<TierTable> {
         &self.table
     }
@@ -453,12 +455,6 @@ impl Database {
     /// harnesses).
     pub fn device(&self) -> Arc<dyn Device> {
         self.device.clone()
-    }
-
-    /// The static tier table shared by every placement decision (sizes
-    /// of a Blob State's extent sequence are derived from it).
-    pub fn table(&self) -> &Arc<TierTable> {
-        &self.table
     }
 
     pub fn allocator(&self) -> &Arc<ExtentAllocator> {

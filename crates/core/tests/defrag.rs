@@ -106,7 +106,7 @@ fn relocation_swaps_placement_and_preserves_content() {
         in_use_before,
         "old extents must be freed at the durability frontier"
     );
-    for spec in before.extent_specs(db.table()) {
+    for spec in before.extent_specs(db.tier_table()) {
         assert!(
             !db.allocator().is_quarantined(&spec),
             "no fence may outlive the swap's durability"
@@ -143,7 +143,7 @@ fn relocation_abort_lifts_fences_and_keeps_old_placement() {
     assert_eq!(before.extents, after.extents, "abort must restore the swap");
     assert_eq!(t.get_blob(&rel, b"x", |b| b.to_vec()).unwrap(), data);
     t.commit().unwrap();
-    for spec in before.extent_specs(db.table()) {
+    for spec in before.extent_specs(db.tier_table()) {
         assert!(
             !db.allocator().is_quarantined(&spec),
             "abort must lift the relocation fences"
