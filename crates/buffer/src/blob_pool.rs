@@ -4,12 +4,12 @@
 //! the two variants can be swapped by configuration.
 
 use crate::htpool::HashTablePool;
-use crate::pool::{ExtentPool, FlushBatch, FlushItem};
-use lobster_extent::ExtentSpec;
+use crate::pool::{ExtentPool, FlushBatch, FlushItem, PieceFlight};
+use lobster_extent::{ExtentSpec, Piece};
 use lobster_metrics::Metrics;
 use lobster_storage::{BatchHandle, Waker};
 use lobster_sync::Arc;
-use lobster_types::Result;
+use lobster_types::{Error, Result};
 use std::time::Instant;
 
 /// The active BLOB buffer pool.
@@ -173,6 +173,43 @@ impl BlobPool {
         }
     }
 
+    /// Read `pieces` (as [`lobster_extent::pieces`] yields them, from any
+    /// number of extents) into `buf` back to back, without forcing
+    /// residency — [`BlobPool::read_range_uncached`] for a whole list. On the
+    /// vmcache pool a resident piece is copied under its latch right away
+    /// and the rest go to the device as one batch, left in flight so the
+    /// caller can work while they land; nothing is framed or published. A
+    /// failed batch re-reads each piece under the retry policy, like
+    /// [`BlobPool::fault_many`]. The hash-table pool reads page by page
+    /// before returning. `buf` must hold the pieces' total length.
+    pub fn read_pieces(&self, pieces: &[Piece], mut buf: Vec<u8>) -> Result<PieceReads> {
+        let total: usize = pieces.iter().map(|p| p.len).sum();
+        if buf.len() < total {
+            return Err(Error::InvalidArgument(format!(
+                "{total} bytes of pieces into a {}-byte buffer",
+                buf.len()
+            )));
+        }
+        let flight = match self {
+            BlobPool::Vm(p) => {
+                // SAFETY: `buf` is long enough (checked above) and moves into
+                // the returned reads, which hold it untouched until the batch
+                // lands.
+                let flight = unsafe { p.submit_pieces(pieces, &mut buf)? };
+                flight.map(|f| (p.clone(), f))
+            }
+            BlobPool::Ht(p) => {
+                let mut at = 0;
+                for piece in pieces {
+                    p.read_range(piece.spec, piece.offset, &mut buf[at..at + piece.len])?;
+                    at += piece.len;
+                }
+                None
+            }
+        };
+        Ok(PieceReads { buf, flight })
+    }
+
     /// Make `extents` resident before a read that will touch all of them:
     /// every evicted one is read with a single batched submission, so their
     /// device latencies overlap (what [`BlobPool::read_blob`] does for the
@@ -307,6 +344,35 @@ impl BlobPool {
         match self {
             BlobPool::Vm(p) => p.flush_all_dirty(),
             BlobPool::Ht(p) => p.flush_all_dirty(),
+        }
+    }
+}
+
+/// The reads of one [`BlobPool::read_pieces`] call. The device requests
+/// write into the buffer the reads own, so it comes back only through
+/// [`PieceReads::wait`], and dropping the reads first lands them.
+pub struct PieceReads {
+    buf: Vec<u8>,
+    flight: Option<(Arc<ExtentPool>, PieceFlight)>,
+}
+
+impl PieceReads {
+    /// Block until every piece has landed, and hand the buffer back.
+    pub fn wait(mut self) -> Result<Vec<u8>> {
+        if let Some((pool, flight)) = self.flight.take() {
+            // The requests write into `buf`: nothing touches it before they
+            // have all completed.
+            let landed = flight.handle.wait();
+            pool.land_pieces(&flight.cold, landed, &mut self.buf)?;
+        }
+        Ok(std::mem::take(&mut self.buf))
+    }
+}
+
+impl Drop for PieceReads {
+    fn drop(&mut self) {
+        if let Some((_, flight)) = &self.flight {
+            flight.handle.wait_done();
         }
     }
 }

@@ -29,7 +29,7 @@ mod stream;
 
 pub use alias::{AliasConfig, AliasGuard, AliasStats, AliasingManager};
 pub use arena::{Arena, OS_PAGE};
-pub use blob_pool::{BlobPool, FlushTicket};
+pub use blob_pool::{BlobPool, FlushTicket, PieceReads};
 pub use htpool::HashTablePool;
 pub use pool::{ExtentPool, FlushBatch, FlushItem, PoolConfig, ShGuard, XGuard};
 pub use stream::PinGate;

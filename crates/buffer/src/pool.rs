@@ -33,7 +33,7 @@ use crate::alias::{AliasConfig, AliasingManager};
 use crate::arena::Arena;
 use crate::entry::{Entry, Excl, Latch, Seen};
 use crate::flush_ledger::FlushLedger;
-use lobster_extent::{ExtentSpec, RangeAllocator};
+use lobster_extent::{ExtentSpec, Piece, RangeAllocator};
 use lobster_metrics::Metrics;
 use lobster_storage::{AsyncIo, BatchHandle, Device, IoKind, IoReq};
 use lobster_sync::atomic::{AtomicU64, Ordering};
@@ -179,6 +179,14 @@ impl FlushBatch {
             // lint-allow(no-panic-in-request-path): wait_done() just blocked on this batch; try_complete is then infallible
             .expect("batch complete after wait_done")
     }
+}
+
+/// The device reads of one [`ExtentPool::submit_pieces`] call, in flight:
+/// the submission, and each piece it reads with where in the caller's
+/// buffer that piece lands.
+pub(crate) struct PieceFlight {
+    pub(crate) handle: BatchHandle,
+    pub(crate) cold: Vec<(Piece, usize)>,
 }
 
 /// One in-flight readahead submission: reaped by [`ExtentPool::poll_prefetches`].
@@ -477,25 +485,112 @@ impl ExtentPool {
         byte_off: usize,
         out: &mut [u8],
     ) -> Result<()> {
-        debug_assert!(byte_off + out.len() <= (spec.pages as usize) * self.geo.page_size());
-        if self.entry(spec.start).peek().is_resident() {
-            // Resident (or in flight): go through the latch. If it gets
-            // evicted between the check and the fix, read_extent reloads —
-            // correct, just no longer cheap.
-            let g = self.read_extent(spec)?;
-            out.copy_from_slice(&g[byte_off..byte_off + out.len()]);
+        if self.copy_if_resident(spec, byte_off, out)? {
             return Ok(());
         }
         self.device
             .read_at(out, self.geo.offset_of(spec.start) + byte_off as u64)?;
-        let pages = ((byte_off + out.len()).div_ceil(self.geo.page_size())
-            - byte_off / self.geo.page_size()) as u64;
+        self.note_uncached_read(byte_off, out.len());
+        Ok(())
+    }
+
+    /// The residency half of an uncached read: copy the bytes out of the
+    /// frames under the extent's shared latch if it is resident (or being
+    /// loaded), and say whether it was. If it gets evicted between the check
+    /// and the fix, `read_extent` reloads — correct, just no longer cheap.
+    fn copy_if_resident(&self, spec: ExtentSpec, byte_off: usize, out: &mut [u8]) -> Result<bool> {
+        debug_assert!(byte_off + out.len() <= (spec.pages as usize) * self.geo.page_size());
+        if !self.entry(spec.start).peek().is_resident() {
+            return Ok(false);
+        }
+        let g = self.read_extent(spec)?;
+        out.copy_from_slice(&g[byte_off..byte_off + out.len()]);
+        Ok(true)
+    }
+
+    /// Count `len` bytes at `byte_off` of an extent read past the pool.
+    fn note_uncached_read(&self, byte_off: usize, len: usize) {
+        let p = self.geo.page_size();
+        let pages = ((byte_off + len).div_ceil(p) - byte_off / p) as u64;
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.metrics.pages_read.fetch_add(pages, Ordering::Relaxed);
         self.metrics
             .bytes_read
-            .fetch_add(out.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        Ok(())
+            .fetch_add(len as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+    }
+
+    /// [`ExtentPool::read_range_uncached`] for many pieces at once, the
+    /// device reads overlapped: `pieces` land in `buf` back to back. A
+    /// resident piece is copied out under its latch now; the others go out
+    /// as one batch on the pool's I/O engine, returned in flight; once it
+    /// completes, [`ExtentPool::land_pieces`] accounts for it. Nothing is
+    /// framed, published or evicted.
+    ///
+    /// # Safety
+    /// `buf` holds at least the pieces' total length, and stays allocated
+    /// and untouched until the returned batch has completed.
+    pub(crate) unsafe fn submit_pieces(
+        &self,
+        pieces: &[Piece],
+        buf: &mut [u8],
+    ) -> Result<Option<PieceFlight>> {
+        let mut cold = Vec::new();
+        let mut at = 0;
+        for &piece in pieces {
+            let out = &mut buf[at..at + piece.len];
+            if !self.copy_if_resident(piece.spec, piece.offset, out)? {
+                cold.push((piece, at));
+            }
+            at += piece.len;
+        }
+        if cold.is_empty() {
+            return Ok(None);
+        }
+        // One base pointer for every request, taken after the last copy
+        // above touched `buf`.
+        let base = buf.as_mut_ptr();
+        let reqs = cold
+            .iter()
+            .map(|&(piece, at)| IoReq {
+                kind: IoKind::Read,
+                offset: self.geo.offset_of(piece.spec.start) + piece.offset as u64,
+                ptr: base.wrapping_add(at),
+                len: piece.len,
+            })
+            .collect();
+        // SAFETY: every request lies inside `buf` (the caller sized it), which
+        // the caller keeps alive and untouched until the batch completes.
+        let handle = unsafe { self.io.submit(reqs) };
+        Ok(Some(PieceFlight { handle, cold }))
+    }
+
+    /// Account for a batch of [`ExtentPool::submit_pieces`] that has
+    /// completed with `landed`. The I/O engine reports only a batch's first
+    /// error, so a failed batch re-reads every one of its `cold` pieces into
+    /// `buf` under the retry policy — the contract of
+    /// [`ExtentPool::fault_many`] — and returns the first error that
+    /// outlasts it.
+    pub(crate) fn land_pieces(
+        &self,
+        cold: &[(Piece, usize)],
+        landed: Result<()>,
+        buf: &mut [u8],
+    ) -> Result<()> {
+        let mut first_err = None;
+        for &(piece, at) in cold {
+            if landed.is_err() {
+                let out = &mut buf[at..at + piece.len];
+                let offset = self.geo.offset_of(piece.spec.start) + piece.offset as u64;
+                let (res, stats) = RetryPolicy::DEFAULT.run(|| self.device.read_at(out, offset));
+                self.metrics.bump_io_retry(stats.retries, stats.gave_up);
+                if let Err(err) = res {
+                    first_err.get_or_insert(err);
+                    continue;
+                }
+            }
+            self.note_uncached_read(piece.offset, piece.len);
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Allocate frames for a claimed extent and read its first `load_pages`

@@ -3,13 +3,15 @@
 //!
 //! Which extent holds BLOB byte *x* is a pure function of the tier table
 //! and the Blob State (§III-A/B); [`lobster_extent::pieces`] is that
-//! function, and the three routines here are its pool-touching users:
+//! function, and the four routines here are its pool-touching users:
 //!
 //! * [`read_range`] — the one ranged read, piece by piece, under a
 //!   [`Residency`] that says how bytes not in the pool are reached;
-//! * [`hash_content`] — SHA-256 over the whole content, for validation
-//!   (recovery, scrub) and for the verbs that cannot resume a hash (update,
-//!   truncate);
+//! * [`hash_content`] — SHA-256 over the whole content, for the verbs that
+//!   cannot resume a hash (update, truncate);
+//! * [`validate_many`] — check many BLOBs against their stored SHA-256
+//!   (recovery, scrub), streaming past the pool with the device reads
+//!   overlapped with the hashing;
 //! * [`apply_bytes`] — write bytes in place at a BLOB offset: the delta
 //!   update, and its redo and undo.
 //!
@@ -22,13 +24,19 @@ use lobster_buffer::{BlobPool, PinGate};
 use lobster_extent::{pieces, ExtentSpec, Piece};
 use lobster_sha256::Sha256;
 use lobster_types::{Pid, Result};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::Duration;
 
-/// Piece size of [`hash_content`]: bounds the scratch an uncached piece is
-/// read into (and the hash-table pool's per-piece gather) while keeping a
-/// cold scrub at a few device requests per extent.
+/// Piece size of [`hash_content`] and [`validate_many`]: bounds the scratch
+/// an uncached piece is read into (and the hash-table pool's per-piece
+/// gather) while keeping a cold read at a few device requests per extent.
 const HASH_PIECE: usize = 256 << 10;
+
+/// Content bytes [`validate_many`] has on the device at once: two batches,
+/// one hashing while the other is read, so its memory is bounded whatever
+/// the BLOB sizes.
+const IN_FLIGHT: usize = 2 << 20;
 
 /// How a ranged read reaches bytes that may not be in the pool.
 #[derive(Clone, Copy)]
@@ -186,19 +194,89 @@ fn note_range_access(db: &Database, worker: usize, state: &BlobState, range: &Ra
 
 /// SHA-256 over `state`'s whole content, returned unfinalized so a caller
 /// that stores the result can take the midstate too. Hashing holds nothing
-/// between pieces; a cold extent costs one device request under
-/// [`Residency::Cached`], one per piece under [`Residency::Uncached`].
-pub(crate) fn hash_content(
-    db: &Database,
-    state: &BlobState,
-    residency: Residency<'_>,
-) -> Result<Sha256> {
+/// between pieces, under [`Residency::Cached`]: a cold extent costs one
+/// device request and stays resident for the verb that hashes it.
+pub(crate) fn hash_content(db: &Database, state: &BlobState) -> Result<Sha256> {
     let mut hasher = Sha256::new();
+    let residency = Residency::Cached;
     read_range(db, state, 0..state.size, HASH_PIECE, residency, &mut |b| {
         hasher.update(b);
         Ok(())
     })?;
     Ok(hasher)
+}
+
+/// Whether each Blob State's content still hashes to its stored SHA-256:
+/// the recovery fixpoint's check and the online scrub's. The pieces of all
+/// the BLOBs, in order, are read in batches through
+/// [`lobster_buffer::BlobPool::read_pieces`] — a resident extent under its
+/// latch, the rest straight from the device (current, because the pool is
+/// no-steal) — and the next batch is on the device while the current one
+/// hashes. Nothing is faulted into the pool or evicted from it.
+pub(crate) fn validate_many(db: &Database, states: &[&BlobState]) -> Result<Vec<bool>> {
+    let mut hashers: Vec<Sha256> = vec![Sha256::new(); states.len()];
+    let views: Vec<Vec<ExtentSpec>> = states
+        .iter()
+        .map(|s| s.content_specs(&db.table, db.geo))
+        .collect();
+    let mut todo = states
+        .iter()
+        .zip(&views)
+        .enumerate()
+        .flat_map(|(i, (state, view))| {
+            // Content that fits the prefix is hashed from the Blob State
+            // below, as `read_range` serves it.
+            let end = if state.size <= PREFIX_LEN as u64 {
+                0
+            } else {
+                state.size
+            };
+            pieces(view, db.geo, 0..end, HASH_PIECE).map(move |p| (i, p))
+        });
+    for (hasher, state) in hashers.iter_mut().zip(states) {
+        if state.size <= PREFIX_LEN as u64 {
+            hasher.update(&state.prefix[..state.size as usize]);
+        }
+    }
+    const BATCH: usize = IN_FLIGHT / 2;
+    let mut flights = VecDeque::new();
+    let mut spare: Vec<Vec<u8>> = Vec::new();
+    loop {
+        while flights.len() * BATCH < IN_FLIGHT {
+            let mut batch: Vec<(usize, Piece)> = Vec::new();
+            let mut bytes = 0;
+            while bytes < BATCH {
+                let Some((i, piece)) = todo.next() else { break };
+                bytes += piece.len;
+                batch.push((i, piece));
+            }
+            if batch.is_empty() {
+                break;
+            }
+            // Buffers only grow, so each is zeroed once, not per batch.
+            let mut buf = spare.pop().unwrap_or_default();
+            if buf.len() < bytes {
+                buf.resize(bytes, 0);
+            }
+            let list: Vec<Piece> = batch.iter().map(|&(_, piece)| piece).collect();
+            flights.push_back((batch, db.blob_pool.read_pieces(&list, buf)?));
+        }
+        let Some((batch, reads)) = flights.pop_front() else {
+            break;
+        };
+        let buf = reads.wait()?;
+        let mut at = 0;
+        for (i, piece) in batch {
+            hashers[i].update(&buf[at..at + piece.len]);
+            at += piece.len;
+        }
+        spare.push(buf);
+    }
+    Ok(hashers
+        .into_iter()
+        .zip(states)
+        .map(|(hasher, state)| hasher.finalize() == state.sha256)
+        .collect())
 }
 
 /// Overwrite `data.len()` bytes of `state`'s content at BLOB byte `offset`,

@@ -476,7 +476,8 @@ impl Database {
     ///
     /// Holds the checkpoint gate shared, so it runs alongside normal
     /// transactions; blobs written during the scan may or may not be
-    /// visited.
+    /// visited. Content is read past the pool (recovery's validator,
+    /// `content::validate_many`), so a scrub evicts nothing.
     pub fn scrub(&self) -> Result<ScrubReport> {
         let _gate = self.ckpt_gate.read();
         let mut report = ScrubReport::default();
@@ -491,10 +492,12 @@ impl Database {
                 }
                 true
             })?;
-            for (key, state) in entries {
+            let states: Vec<_> = entries.iter().map(|(_, state)| state).collect();
+            let verdicts = crate::content::validate_many(self, &states)?;
+            for ((key, state), ok) in entries.into_iter().zip(verdicts) {
                 report.blobs += 1;
                 report.bytes += state.size;
-                if !crate::recovery::validate_blob(self, &state)? {
+                if !ok {
                     report.corrupt.push((rel.name.clone(), key));
                 }
             }

@@ -2,14 +2,20 @@
 //!
 //! Recovery is logical, over the post-checkpoint WAL:
 //!
-//! 1. **Analysis** — scan the log, collect committed transactions, and
-//!    *validate every committed BLOB's content against the SHA-256 stored
-//!    in its Blob State*. The commit protocol guarantees the Blob State is
-//!    durable before extent content is written, so a crash between WAL
-//!    fsync and the content flush leaves a committed Blob State pointing at
-//!    garbage extents — the SHA check detects this, and the transaction is
-//!    moved to the undo list (treated as failed), exactly as the paper
-//!    specifies.
+//! 1. **Analysis** — scan the log (read once, for every phase), collect
+//!    committed transactions, and *validate every committed BLOB's content
+//!    against the SHA-256 stored in its Blob State*. The commit protocol
+//!    guarantees the Blob State is durable before extent content is
+//!    written, so a crash between WAL fsync and the content flush leaves a
+//!    committed Blob State pointing at garbage extents — the SHA check
+//!    detects this, and the transaction is moved to the undo list (treated
+//!    as failed), exactly as the paper specifies. Validation never goes
+//!    through the buffer pool: each round of the fixpoint streams the
+//!    content of all its BLOBs straight from the device in batches of
+//!    pieces ([`content::validate_many`]), the next batch in flight while
+//!    the current one hashes, so it runs at device-and-hash speed and
+//!    leaves nothing cached. The shards of a sharded store run this
+//!    recovery concurrently (`ShardedDatabase::open`).
 //! 2. **Redo** — replay the operations of surviving transactions in log
 //!    order (idempotent logical redo; the B-Tree durable state equals the
 //!    last checkpoint).
@@ -21,7 +27,7 @@
 
 use crate::blob_state::BlobState;
 use crate::catalog::RelationKind;
-use crate::content::{self, Residency};
+use crate::content;
 use crate::db::{BlobLogging, Database};
 use lobster_extent::ExtentSpec;
 use lobster_sync::atomic::Ordering;
@@ -45,17 +51,16 @@ pub struct RecoveryReport {
 const CATALOG_REL_ID: u32 = 0;
 
 pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
+    let records = db.wal.read_all()?;
+
     // Phase 0: apply journaled page images. A crash between a checkpoint's
     // image fsync and its truncation leaves in-place node writes possibly
     // torn; the images restore every such page before anything reads the
     // tree.
-    {
-        let records = db.wal.read_all()?;
-        for rec in &records {
-            if let LogRecord::PageImage { pid, data } = rec {
-                db.device
-                    .write_at(data, db.geo.offset_of(lobster_types::Pid::new(*pid)))?;
-            }
+    for rec in &records {
+        if let LogRecord::PageImage { pid, data } = rec {
+            db.device
+                .write_at(data, db.geo.offset_of(lobster_types::Pid::new(*pid)))?;
         }
     }
 
@@ -70,7 +75,6 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
         db.attach_relation(&name, entry)?;
     }
 
-    let records = db.wal.read_all()?;
     let mut report = RecoveryReport {
         records: records.len() as u64,
         ..Default::default()
@@ -248,32 +252,35 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
                 .or_default()
                 .push((txn, version));
         }
-        // Fixpoint: validate tips, fail their txns, expose earlier tips.
-        let mut verdicts: HashMap<(u32, Vec<u8>, usize), bool> = HashMap::new();
+        // Fixpoint: validate tips, fail their txns, expose earlier tips. A
+        // round validates every tip not yet judged in one streaming pass;
+        // the fixpoint does not depend on the order a round fails them in.
+        let mut verdicts: HashMap<(&(u32, Vec<u8>), usize), bool> = HashMap::new();
         loop {
+            let tips: Vec<_> = chains
+                .iter()
+                .filter_map(|(chain_key, chain)| {
+                    let (idx, (txn, state)) = chain
+                        .iter()
+                        .enumerate()
+                        .rev()
+                        .find(|(_, (txn, _))| !failed.contains(txn))?;
+                    // `None`: the key's tip is a delete.
+                    Some(((chain_key, idx), *txn, state.as_ref()?))
+                })
+                .collect();
+            let unjudged: Vec<_> = tips
+                .iter()
+                .filter(|(at, _, _)| !verdicts.contains_key(at))
+                .collect();
+            let states: Vec<&BlobState> = unjudged.iter().map(|&&(_, _, state)| state).collect();
+            let judged = content::validate_many(db, &states)?;
+            for (&&(at, _, _), ok) in unjudged.iter().zip(judged) {
+                verdicts.insert(at, ok);
+            }
             let mut changed = false;
-            for ((rel, key), chain) in &chains {
-                let tip = chain
-                    .iter()
-                    .enumerate()
-                    .rev()
-                    .find(|(_, (txn, _))| !failed.contains(txn));
-                let Some((idx, (txn, Some(state)))) = tip else {
-                    continue; // key absent or tip is a delete
-                };
-                if failed.contains(txn) {
-                    continue;
-                }
-                let ok = match verdicts.get(&(*rel, key.clone(), idx)) {
-                    Some(&v) => v,
-                    None => {
-                        let v = validate_blob(db, state)?;
-                        verdicts.insert((*rel, key.clone(), idx), v);
-                        v
-                    }
-                };
-                if !ok {
-                    failed.insert(*txn);
+            for (at, txn, _) in &tips {
+                if !verdicts[at] && failed.insert(*txn) {
                     report.sha_failures += 1;
                     // ordering: relaxed metrics counter; snapshot readers tolerate staleness
                     db.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);
@@ -558,11 +565,4 @@ fn unpin(db: &Database, written: Vec<ExtentSpec>) {
     for spec in written {
         db.blob_pool.unpin_extent(spec);
     }
-}
-
-/// Check a committed Blob State's content hash against the extents, an
-/// extent at a time through the pool (one device request per cold extent).
-pub(crate) fn validate_blob(db: &Database, state: &BlobState) -> Result<bool> {
-    let digest = content::hash_content(db, state, Residency::Cached)?.finalize();
-    Ok(digest == state.sha256)
 }

@@ -212,7 +212,13 @@ impl ShardedDatabase {
     }
 
     /// Open an existing sharded database, running the cross-shard commit
-    /// decision pre-scan and then per-shard crash recovery.
+    /// decision pre-scan and then per-shard crash recovery. The pre-scan and
+    /// the persisted decision are serial; the shards then recover
+    /// concurrently (shard 0 on the calling thread, each other shard on a
+    /// thread of its own), every one validating its committed BLOBs
+    /// straight from its data device (see `recovery`). Reports come
+    /// back in shard order; on failure the first error in shard order is
+    /// returned once every shard's recovery has finished.
     pub fn open(parts: Vec<ShardDevices>, cfg: Config) -> Result<(Arc<Self>, Vec<RecoveryReport>)> {
         Self::check_shard_count(parts.len())?;
 
@@ -282,22 +288,33 @@ impl ShardedDatabase {
             }
         }
 
-        // ---- per-shard recovery under the decided set.
+        // ---- per-shard recovery under the decided set, concurrently: the
+        // shards share nothing but the decision. The calling thread recovers
+        // shard 0 instead of only waiting; every other shard gets a scoped
+        // thread. All are joined before the first error (in shard order) is
+        // returned, and the shards that did open are dropped with it.
         let decided = Arc::new(decided);
         let shard_cfg = Self::shard_config(&cfg);
-        let mut shards = Vec::with_capacity(parts.len());
-        let mut reports = Vec::with_capacity(parts.len());
-        for p in parts {
-            let (db, report) = Database::open_with_policy(
-                p.data,
-                p.wal,
-                shard_cfg.clone(),
-                HashMap::new(),
-                CrossCommitPolicy::Decided(decided.clone()),
-            )?;
-            shards.push(db);
-            reports.push(report);
-        }
+        let open = |p: ShardDevices| {
+            let policy = CrossCommitPolicy::Decided(decided.clone());
+            Database::open_with_policy(p.data, p.wal, shard_cfg.clone(), HashMap::new(), policy)
+        };
+        let mut parts = parts.into_iter();
+        let first = parts.next();
+        let opened: Vec<_> = std::thread::scope(|s| {
+            let threads: Vec<_> = parts.map(|p| s.spawn(move || open(p))).collect();
+            let mut opened: Vec<_> = first.map(open).into_iter().collect();
+            opened.extend(threads.into_iter().map(|t| {
+                t.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }));
+            opened
+        });
+        let (shards, reports) = opened
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
 
         // After every shard recovered, all logs were truncated: no marker
         // survives anywhere, every decision is final and fully applied, so

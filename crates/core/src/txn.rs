@@ -866,7 +866,7 @@ impl Txn {
         // prefix is the old one cut at the new size.
         state.size = new_size;
         state.prefix[new_size.min(PREFIX_LEN as u64) as usize..].fill(0);
-        let hasher = content::hash_content(&self.db, &state, Residency::Cached)?;
+        let hasher = content::hash_content(&self.db, &state)?;
         state.sha_midstate = hasher.midstate().state_bytes();
         state.sha256 = hasher.finalize();
         self.freed.extend(freed);
@@ -975,7 +975,7 @@ impl Txn {
             let n = ((PREFIX_LEN as u64 - offset) as usize).min(data.len());
             state.prefix[offset as usize..offset as usize + n].copy_from_slice(&data[..n]);
         }
-        let hasher = content::hash_content(&self.db, &state, Residency::Cached)?;
+        let hasher = content::hash_content(&self.db, &state)?;
         state.sha_midstate = hasher.midstate().state_bytes();
         state.sha256 = hasher.finalize();
 
@@ -1125,9 +1125,8 @@ impl Txn {
             return Ok(None);
         }
         let src = SourceGuard::new(&self.db.blob_pool, &self.content_specs(&state));
-        let digest = content::hash_content(&self.db, &state, Residency::Uncached)?.finalize();
+        let ok = content::validate_many(&self.db, &[&state])? == [true];
         drop(src);
-        let ok = digest == state.sha256;
         // ordering: relaxed metrics counters; snapshot readers tolerate staleness
         self.db.metrics.scrub_blobs.fetch_add(1, Ordering::Relaxed);
         self.db

@@ -15,8 +15,10 @@
 //! seed schedule; `LOBSTER_TORTURE_MULT` widens the sweep for the nightly
 //! torture job.
 
-use lobster_core::{Config, Database, Relation, RelationKind};
-use lobster_storage::{FaultConfig, FaultDevice, FaultKind, MemDevice};
+use lobster_core::{
+    Config, Database, RecoveryReport, Relation, RelationKind, ShardDevices, ShardedDatabase,
+};
+use lobster_storage::{Device, FaultConfig, FaultDevice, FaultKind, MemDevice};
 use lobster_types::{Error, RetryPolicy};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -435,4 +437,249 @@ fn commit_flush_gives_up_on_a_persistent_write_fault() {
     assert_eq!(m.io_retries.load(Ordering::Relaxed), BUDGET);
     assert_eq!(m.io_giveups.load(Ordering::Relaxed), 1);
     assert_eq!(m.commit_errors.load(Ordering::Relaxed), 1);
+}
+
+// ------------------------------------------------ recovery validation ---
+
+/// A memory device that logs every op in the order a [`FaultDevice`]
+/// counts them: `Some((offset, len))` for a read, `None` for a write or
+/// sync.
+struct OpLog {
+    inner: MemDevice,
+    ops: std::sync::Mutex<Vec<Option<(u64, usize)>>>,
+}
+
+impl Device for OpLog {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> lobster_types::Result<()> {
+        self.ops.lock().unwrap().push(Some((offset, buf.len())));
+        self.inner.read_at(buf, offset)
+    }
+    fn write_at(&self, buf: &[u8], offset: u64) -> lobster_types::Result<()> {
+        self.ops.lock().unwrap().push(None);
+        self.inner.write_at(buf, offset)
+    }
+    fn sync(&self) -> lobster_types::Result<()> {
+        self.ops.lock().unwrap().push(None);
+        self.inner.sync()
+    }
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+}
+
+fn copy_device(src: &MemDevice) -> MemDevice {
+    let dst = MemDevice::new(src.capacity() as usize);
+    let mut buf = vec![0u8; 1 << 20];
+    let mut off = 0u64;
+    while off < src.capacity() {
+        let n = buf.len().min((src.capacity() - off) as usize);
+        src.read_at(&mut buf[..n], off).unwrap();
+        dst.write_at(&buf[..n], off).unwrap();
+        off += n as u64;
+    }
+    dst
+}
+
+/// One shard's crash image: its two devices and the data-device byte
+/// ranges of the extents of every BLOB committed since the checkpoint.
+struct Image {
+    data: MemDevice,
+    wal: MemDevice,
+    blobs: Vec<std::ops::Range<u64>>,
+}
+
+/// Build `shards` crash images holding one BLOB of `len` bytes each,
+/// committed after the last checkpoint and never checkpointed.
+fn uncheckpointed_images(shards: usize, len: usize) -> Vec<Image> {
+    let devices: Vec<(Arc<MemDevice>, Arc<MemDevice>)> = (0..shards)
+        .map(|_| {
+            (
+                Arc::new(MemDevice::new(48 << 20)),
+                Arc::new(MemDevice::new(8 << 20)),
+            )
+        })
+        .collect();
+    let parts = devices
+        .iter()
+        .map(|(data, wal)| ShardDevices {
+            data: data.clone(),
+            wal: wal.clone(),
+        })
+        .collect();
+    let sdb = ShardedDatabase::create(parts, cfg(false)).unwrap();
+    let rel = sdb.create_relation("b", RelationKind::Blob).unwrap();
+    sdb.checkpoint().unwrap();
+    let mut blobs = vec![Vec::new(); shards];
+    for i in 0u64.. {
+        if blobs.iter().all(|b: &Vec<_>| !b.is_empty()) {
+            break;
+        }
+        let key = format!("blob-{i}").into_bytes();
+        let shard = sdb.shard_for_key(&key);
+        if !blobs[shard].is_empty() {
+            continue;
+        }
+        let mut t = sdb.begin();
+        t.put_blob(&rel, &key, &pattern(len, i)).unwrap();
+        let state = t.blob_state(&rel, &key).unwrap().unwrap();
+        t.commit().unwrap();
+        let geo = sdb.shards()[shard].geometry();
+        let table = sdb.shards()[shard].tier_table().clone();
+        for spec in state.extent_specs(&table) {
+            let start = geo.offset_of(spec.start);
+            blobs[shard].push(start..start + geo.bytes_for(spec.pages));
+        }
+    }
+    sdb.wait_for_durability().unwrap();
+    drop(rel);
+    drop(sdb);
+    devices
+        .into_iter()
+        .zip(blobs)
+        .map(|((data, wal), blobs)| Image {
+            data: copy_device(&data),
+            wal: copy_device(&wal),
+            blobs,
+        })
+        .collect()
+}
+
+type Opened = lobster_types::Result<(Arc<ShardedDatabase>, Vec<RecoveryReport>)>;
+
+/// Open copies of `images` as a sharded store, shard `target`'s data
+/// device wrapped by `wrap`; returns the wrapped device too.
+fn open_images<D: Device + 'static>(
+    images: &[Image],
+    target: usize,
+    wrap: impl FnOnce(MemDevice) -> Arc<D>,
+) -> (Arc<D>, Opened) {
+    let wrapped = wrap(copy_device(&images[target].data));
+    let parts = images
+        .iter()
+        .enumerate()
+        .map(|(i, image)| ShardDevices {
+            data: if i == target {
+                wrapped.clone()
+            } else {
+                Arc::new(copy_device(&image.data))
+            },
+            wal: Arc::new(copy_device(&image.wal)),
+        })
+        .collect();
+    (wrapped, ShardedDatabase::open(parts, cfg(false)))
+}
+
+/// How many data-device ops shard `target`'s open issues before its first
+/// read of BLOB content, and how many content reads it issues in all.
+fn validation_ops(images: &[Image], target: usize) -> (u64, u64) {
+    let (log, opened) = open_images(images, target, |inner| {
+        Arc::new(OpLog {
+            inner,
+            ops: Default::default(),
+        })
+    });
+    drop(opened.unwrap());
+    let blobs = &images[target].blobs;
+    let is_content = |op: &Option<(u64, usize)>| {
+        op.is_some_and(|(off, len)| {
+            blobs
+                .iter()
+                .any(|b| b.contains(&off) && off + len as u64 <= b.end)
+        })
+    };
+    let ops = log.ops.lock().unwrap();
+    let first = ops.iter().position(is_content);
+    let reads = ops.iter().filter(|op| is_content(op)).count();
+    (
+        first.expect("validation reads content") as u64,
+        reads as u64,
+    )
+}
+
+/// Transient read faults on the data device while recovery validates:
+/// every content read of the validation batch fails once, and so does the
+/// first re-read. The retry policy absorbs all of it — recovery decides
+/// exactly what a fault-free open of the same image decides — and the
+/// re-reads are counted as the pool's fault path counts them.
+#[test]
+fn recovery_validation_retries_transient_read_faults() {
+    let images = uncheckpointed_images(1, 80_000);
+    let (_, clean) = open_images(&images, 0, Arc::new);
+    let clean = clean.unwrap().1;
+    assert_eq!((clean[0].committed, clean[0].sha_failures), (1, 0));
+    let (warmup, reads) = validation_ops(&images, 0);
+    assert!(reads > 1, "an 80 KB blob spans several extents");
+
+    let mut fc = FaultConfig::new(base_seed() ^ 0xC3, 1000, &[FaultKind::TransientRead]);
+    fc.warmup_ops = warmup;
+    fc.max_injections = reads + 1;
+    let (faulty, opened) = open_images(&images, 0, |inner| {
+        let dev = Arc::new(FaultDevice::new(inner, fc));
+        dev.arm();
+        dev
+    });
+    let (sdb, reports) = opened.unwrap();
+    faulty.disarm();
+    assert_eq!(reports, clean);
+    assert_eq!(faulty.injections(), reads + 1, "every injection fired");
+    for injection in faulty.injection_log() {
+        assert!(
+            images[0]
+                .blobs
+                .iter()
+                .any(|b| b.contains(&injection.offset)),
+            "injected outside validation: {injection:?}"
+        );
+    }
+    let m = sdb.metrics();
+    assert!(m.io_retries.load(Ordering::Relaxed) >= 1);
+    assert_eq!(m.io_giveups.load(Ordering::Relaxed), 0);
+    let rel = sdb.relation("b").unwrap();
+    let got = sdb.begin().get_blob(&rel, b"blob-0", |b| b.to_vec());
+    assert_eq!(got.unwrap(), pattern(80_000, 0));
+}
+
+/// A read fault that never clears, on one shard of two: the validation
+/// re-reads give up, the open returns the device's error instead of
+/// hanging, and by then the healthy shard's recovery thread has finished
+/// and its engine — committer stages and I/O workers included — is gone,
+/// so nothing holds its devices any more.
+#[test]
+fn recovery_validation_gives_up_on_persistent_read_fault() {
+    let images = uncheckpointed_images(2, 80_000);
+    let (warmup, _) = validation_ops(&images, 0);
+    let mut fc = FaultConfig::new(base_seed() ^ 0xC5, 1000, &[FaultKind::TransientRead]);
+    fc.warmup_ops = warmup;
+    let faulty = Arc::new(FaultDevice::new(copy_device(&images[0].data), fc));
+    faulty.arm();
+    let healthy = (
+        Arc::new(copy_device(&images[1].data)),
+        Arc::new(copy_device(&images[1].wal)),
+    );
+    let parts = vec![
+        ShardDevices {
+            data: faulty.clone(),
+            wal: Arc::new(copy_device(&images[0].wal)),
+        },
+        ShardDevices {
+            data: healthy.0.clone(),
+            wal: healthy.1.clone(),
+        },
+    ];
+    let (tx, rx) = std::sync::mpsc::channel();
+    let opener = std::thread::spawn(move || {
+        let err = ShardedDatabase::open(parts, cfg(false)).err();
+        tx.send(err).unwrap();
+    });
+    let err = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("open hung on a persistent read fault")
+        .expect("open must fail");
+    opener.join().unwrap();
+    faulty.disarm();
+    assert_injected(&err, "injected transient read");
+    assert!(faulty.injections() > BUDGET);
+    assert_eq!(Arc::strong_count(&faulty), 1, "faulted shard still held");
+    assert_eq!(Arc::strong_count(&healthy.0), 1, "healthy shard still held");
+    assert_eq!(Arc::strong_count(&healthy.1), 1, "healthy WAL still held");
 }

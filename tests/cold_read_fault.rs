@@ -344,3 +344,129 @@ fn cold_range_read_over_three_extents_is_one_batch_of_exactly_their_pages() {
         "neither at the blob's start nor where the last read ended"
     );
 }
+
+// ------------------------------------------------- recovery validation ---
+
+/// `k` 1 MiB BLOBs committed after the last checkpoint, then the process
+/// stops without another one: the reopen validates every one of them.
+/// Returns the data-device byte range of each BLOB's allocated extents.
+fn uncheckpointed_mib_blobs(
+    dev: Arc<dyn Device>,
+    wal: Arc<dyn Device>,
+    k: usize,
+) -> Vec<std::ops::Range<u64>> {
+    let db = Database::create(dev, wal, cfg()).unwrap();
+    let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
+    db.checkpoint().unwrap();
+    let mut allocated = Vec::new();
+    for i in 0..k {
+        let data: Vec<u8> = (0..MIB).map(|b| ((b + i) * 131 % 251) as u8).collect();
+        let mut txn = db.begin();
+        txn.put_blob(&rel, format!("mib-{i}").as_bytes(), &data)
+            .unwrap();
+        let state = txn
+            .blob_state(&rel, format!("mib-{i}").as_bytes())
+            .unwrap()
+            .unwrap();
+        txn.commit().unwrap();
+        for spec in state.extent_specs(db.tier_table()) {
+            let start = spec.start.raw() * PAGE as u64;
+            allocated.push(start..start + spec.pages * PAGE as u64);
+        }
+    }
+    allocated
+}
+
+#[test]
+fn recovery_validates_past_the_pool_reading_only_content() {
+    const K: usize = 4;
+    let dev = CountingDevice::new(256 << 20);
+    let wal: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
+    let allocated = uncheckpointed_mib_blobs(dev.clone(), wal.clone(), K);
+    dev.take_reads();
+
+    let (db, report) = Database::open(dev.clone(), wal, cfg()).unwrap();
+    assert_eq!((report.committed, report.sha_failures), (K as u64, 0));
+    let m = db.metrics().snapshot();
+    let reads = dev.take_reads();
+    let in_blobs = |off: u64| allocated.iter().any(|r| r.contains(&off));
+    let content: usize = reads
+        .iter()
+        .filter(|&&(off, _)| in_blobs(off))
+        .map(|&(_, len)| len)
+        .sum();
+    assert_eq!(
+        content,
+        K * MIB,
+        "validation reads the content, not the {} allocated bytes",
+        allocated.iter().map(|r| r.end - r.start).sum::<u64>()
+    );
+    // Blob and node extents share the pool: every miss during open is a
+    // B-Tree node read (all but the header read at offset 0), none a blob.
+    let node_reads = reads
+        .iter()
+        .filter(|&&(off, _)| off != 0 && !in_blobs(off))
+        .count();
+    assert_eq!(m.cache_misses, node_reads as u64, "no blob extent faulted");
+    assert_eq!(m.fault_batches, 0, "nothing batch-faulted into the pool");
+
+    let rel = db.relation("blobs").unwrap();
+    let mut txn = db.begin();
+    let got = txn.get_blob(&rel, b"mib-3", |b| b.to_vec()).unwrap();
+    txn.commit().unwrap();
+    assert_eq!(
+        got,
+        (0..MIB)
+            .map(|b| ((b + 3) * 131 % 251) as u8)
+            .collect::<Vec<_>>()
+    );
+}
+
+fn copy_device(src: &MemDevice) -> Arc<MemDevice> {
+    let dst = MemDevice::new(src.capacity() as usize);
+    let mut buf = vec![0u8; MIB];
+    for off in (0..src.capacity()).step_by(MIB) {
+        src.read_at(&mut buf, off).unwrap();
+        dst.write_at(&buf, off).unwrap();
+    }
+    Arc::new(dst)
+}
+
+#[test]
+fn recovery_validates_a_blob_larger_than_its_in_flight_window() {
+    // 8 MiB: four times the content validation keeps in flight at once.
+    const LEN: usize = 8 * MIB;
+    let dev = Arc::new(MemDevice::new(256 << 20));
+    let wal = Arc::new(MemDevice::new(64 << 20));
+    let data: Vec<u8> = (0..LEN).map(|i| (i * 7 % 253) as u8).collect();
+    let last = {
+        let db = Database::create(dev.clone(), wal.clone(), cfg()).unwrap();
+        let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
+        db.checkpoint().unwrap();
+        let mut txn = db.begin();
+        txn.put_blob(&rel, b"huge", &data).unwrap();
+        let state = txn.blob_state(&rel, b"huge").unwrap().unwrap();
+        txn.commit().unwrap();
+        let view = state.content_specs(db.tier_table(), db.geometry());
+        view.last().unwrap().start.raw() * PAGE as u64
+    };
+
+    let (db, report) = Database::open(copy_device(&dev), copy_device(&wal), cfg()).unwrap();
+    assert_eq!((report.committed, report.sha_failures), (1, 0));
+    let rel = db.relation("blobs").unwrap();
+    let mut txn = db.begin();
+    assert_eq!(txn.get_blob(&rel, b"huge", |b| b.to_vec()).unwrap(), data);
+    txn.commit().unwrap();
+
+    // One byte torn in the last extent, past the first window: the
+    // transaction fails validation and the blob is gone.
+    let torn = copy_device(&dev);
+    let mut byte = [0u8];
+    torn.read_at(&mut byte, last).unwrap();
+    torn.write_at(&[!byte[0]], last).unwrap();
+    let (db, report) = Database::open(torn, copy_device(&wal), cfg()).unwrap();
+    assert_eq!((report.committed, report.sha_failures), (0, 1));
+    let rel = db.relation("blobs").unwrap();
+    let mut txn = db.begin();
+    assert!(txn.get_blob(&rel, b"huge", |b| b.len()).is_err());
+}
