@@ -6,6 +6,10 @@
 //! about as much as a small malloc+memcpy); at 1 MB and 10 MB `Our` pulls
 //! ahead — up to 2.1× at 16 workers — because the hash-table pool's
 //! per-read malloc+memcpy saturates cache and memory bandwidth.
+//!
+//! `Our` aliases only from `lobster_buffer::ALIAS_MIN_BYTES` (1 MiB) up,
+//! where aliasing pays: its 100 KB column copies out of the frames too, so
+//! there the two pools differ in translation and latching, not in the copy.
 
 use crate::*;
 use lobster_baselines::{LobsterMode, LobsterStore, ObjectStore};

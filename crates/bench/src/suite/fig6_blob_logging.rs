@@ -7,7 +7,8 @@
 //! * Ext4.journal is the slowest file system (content written twice).
 //! * SQLite checkpoints aggressively on 10 MB payloads.
 //! * `Our` beats all file systems (no syscalls, one content write,
-//!   zero-copy reads); `Our.physlog` pays the WAL content penalty;
+//!   reads served from the pool's frames); `Our.physlog` pays the WAL
+//!   content penalty;
 //! * on mixed sizes the file systems additionally pay file-resize
 //!   overhead, widening our lead;
 //! * at 1 GB-class, PostgreSQL/SQLite reject the objects outright.

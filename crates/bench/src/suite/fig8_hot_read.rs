@@ -2,8 +2,10 @@
 //!
 //! Paper shape: Our outperforms every file system by ≥ 40 % because (1)
 //! there are no `open`/`fstat`/`close` syscalls per article and (2) reads
-//! are zero-copy through virtual-memory aliasing, while file systems pay
-//! the `pread` kernel→user copy even on cache hits.
+//! are served from the buffer pool's frames — in place for a one-extent
+//! article, aliased from `ALIAS_MIN_BYTES` up, otherwise one memcpy with no
+//! kernel crossing — while file systems pay a syscall and the `pread`
+//! kernel→user copy even on cache hits.
 
 use crate::*;
 use lobster_baselines::{FsProfile, LobsterMode, ModelFs, ObjectStore};

@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the primitives the engine's hot paths are built
 //! from: resumable SHA-256 (growth ops), B-Tree point ops (metadata
-//! path), tier-table math (allocation path), and CRC-32 (WAL framing).
+//! path), tier-table math (allocation path), CRC-32 (WAL framing), and the
+//! two ways a hot multi-extent BLOB reaches a reader (aliased or copied),
+//! whose crossover sets `lobster_buffer::ALIAS_MIN_BYTES`.
 //!
 //! The suite runs the bodies under a manual timing loop with per-iteration
 //! latencies recorded into a [`LocalRecorder`], so the JSON report gets
@@ -8,13 +10,13 @@
 
 use crate::*;
 use lobster_btree::{BTree, LexCmp};
-use lobster_buffer::{ExtentPool, PoolConfig};
-use lobster_extent::{plan_sequence, ExtentAllocator, TierPolicy, TierTable};
+use lobster_buffer::{AliasConfig, ExtentPool, PoolConfig, OS_PAGE};
+use lobster_extent::{plan_sequence, ExtentAllocator, ExtentSpec, TierPolicy, TierTable};
 use lobster_metrics::LocalRecorder;
 use lobster_sha256::Sha256;
 use lobster_storage::{Device, MemDevice};
 use lobster_types::{crc32, Geometry, Pid};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 /// Time `iters` calls of `f`, recording each call's latency.
@@ -35,6 +37,45 @@ fn time_loop<R>(iters: usize, mut f: impl FnMut() -> R) -> (f64, lobster_metrics
     let hist = lobster_metrics::Histogram::new();
     hist.merge_recorder(&rec);
     (iters as f64 / secs.max(1e-9), hist.snapshot())
+}
+
+/// [`time_loop`] on `readers` threads at once, reader `w` calling `f(w)`
+/// `iters` times after its warmup. Returns the aggregate rate and every
+/// call's latency.
+fn time_readers<R>(
+    readers: usize,
+    iters: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> (f64, lobster_metrics::HistSnapshot) {
+    let hist = lobster_metrics::Histogram::new();
+    let warm = Barrier::new(readers + 1);
+    let secs = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..readers)
+            .map(|w| {
+                let (f, hist, warm) = (&f, &hist, &warm);
+                s.spawn(move || {
+                    for _ in 0..(iters / 10).max(1) {
+                        std::hint::black_box(f(w));
+                    }
+                    warm.wait();
+                    let mut rec = LocalRecorder::new();
+                    for _ in 0..iters {
+                        let t = Instant::now();
+                        std::hint::black_box(f(w));
+                        rec.record(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+                    }
+                    hist.merge_recorder(&rec);
+                })
+            })
+            .collect();
+        warm.wait();
+        let t0 = Instant::now();
+        for h in handles {
+            h.join().expect("reader panicked");
+        }
+        t0.elapsed().as_secs_f64()
+    });
+    ((readers * iters) as f64 / secs.max(1e-9), hist.snapshot())
 }
 
 fn push(
@@ -186,5 +227,77 @@ pub(crate) fn run(report: &mut Report) {
         push(report, &mut table, "crc32", "wal_record_512B", iters, r);
     }
 
+    alias_vs_copy(report, &mut table);
     table.print();
+}
+
+/// A hot multi-extent BLOB read through each of `read_blob`'s two
+/// mechanisms, by BLOB size and number of concurrent readers: latch every
+/// extent, then either map them into the reader's aliasing area or copy
+/// them out of their frames, and read the view's first and last byte (a
+/// reader checking a header and a trailer). The BLOBs have the engine's
+/// shape (default tier sequence, content view) and the aliasing areas its
+/// default sizes.
+fn alias_vs_copy(report: &mut Report, table: &mut Table) {
+    const READERS: usize = 2;
+    let dev: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
+    let pool = ExtentPool::new(
+        dev,
+        Geometry::new(OS_PAGE),
+        PoolConfig {
+            frames: 1024,
+            alias: Some(AliasConfig {
+                workers: READERS,
+                worker_local_bytes: 4 << 20,
+                shared_bytes: 8 << 20,
+            }),
+            io_threads: 1,
+        },
+        lobster_metrics::new_metrics(),
+    );
+    if !pool.aliasing_enabled() {
+        println!("alias_vs_copy: no mmap arena on this platform; skipped");
+        return;
+    }
+    let tiers = TierTable::new(TierPolicy::default());
+    let touch = |view: &[u8]| view[0] ^ view[view.len() - 1];
+    let mut next_pid = 0u64;
+    for kib in [64usize, 128, 256, 512, 768, 1024, 2048] {
+        let len = kib << 10;
+        let mut left = (len / OS_PAGE) as u64;
+        let plan = plan_sequence(&tiers, left, false).unwrap();
+        let specs: Vec<ExtentSpec> = plan
+            .sizes
+            .iter()
+            .map(|&tier| {
+                let spec = ExtentSpec::new(Pid::new(next_pid), tier.min(left));
+                next_pid += tier;
+                left -= spec.pages;
+                spec
+            })
+            .collect();
+        for (i, &spec) in specs.iter().enumerate() {
+            let mut g = pool.create_extent(spec).unwrap();
+            g.fill(i as u8);
+        }
+        let iters = (scaled(40_000) * 64 / kib).max(100);
+        for readers in 1..=READERS {
+            let aliased = time_readers(readers, iters, |w| {
+                let guards = pool.latch_blob(&specs).unwrap();
+                let view = pool.alias_extents(w, &guards).unwrap().unwrap();
+                touch(&view.as_slice()[..len])
+            });
+            let copied = time_readers(readers, iters, |_| {
+                let guards = pool.latch_blob(&specs).unwrap();
+                pool.copy_extents(&guards, len, touch)
+            });
+            for (path, r) in [("alias", aliased), ("copy", copied)] {
+                let name = format!("{path}_{kib}KiB_{readers}r");
+                push(report, table, "alias_vs_copy", &name, iters, r);
+            }
+        }
+        for &spec in &specs {
+            pool.drop_extent(spec);
+        }
+    }
 }

@@ -3,11 +3,13 @@
 //! Every worker owns a *worker-local aliasing area*; BLOBs larger than the
 //! local area reserve a contiguous run of logical blocks from a *shared
 //! aliasing area* guarded by a bitmap range lock using compare-and-swap —
-//! exactly the design the paper evaluates in Table II.
+//! exactly the design the paper evaluates in Table II. A view that finds
+//! its worker's local area held by another live view (a read nested in
+//! another's closure) takes a shared run instead of mapping over it.
 
 use crate::arena::{Arena, OS_PAGE};
 use lobster_metrics::Metrics;
-use lobster_sync::atomic::{AtomicU64, Ordering};
+use lobster_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use lobster_types::{Error, Result};
 use std::ops::Range;
 
@@ -46,6 +48,8 @@ pub struct AliasStats {
 /// aliasing region.
 pub struct AliasingManager {
     cfg: AliasConfig,
+    /// Per worker: a live view maps the worker-local area.
+    local_held: Vec<AtomicBool>,
     bitmap: Vec<AtomicU64>,
     local_uses: AtomicU64,
     shared_uses: AtomicU64,
@@ -60,6 +64,7 @@ impl AliasingManager {
         let words = cfg.blocks().div_ceil(64);
         AliasingManager {
             cfg,
+            local_held: (0..cfg.workers).map(|_| AtomicBool::new(false)).collect(),
             bitmap: (0..words).map(|_| AtomicU64::new(0)).collect(),
             local_uses: AtomicU64::new(0),
             shared_uses: AtomicU64::new(0),
@@ -98,11 +103,16 @@ impl AliasingManager {
             self.cfg.workers
         );
         let total: usize = parts.iter().map(|&(_, len)| len).sum();
-        let (base, blocks) = if total <= self.cfg.worker_local_bytes {
-            // Case 1: the worker-local area suffices; no synchronization.
+        let local_free = || {
+            // ordering: Acquire; pairs with the Release in `release`: the last view's unmap precedes our map
+            !self.local_held[worker].swap(true, Ordering::Acquire)
+        };
+        let (base, area) = if total <= self.cfg.worker_local_bytes && local_free() {
+            // Case 1: the worker-local area suffices and is free; no
+            // synchronization with other workers.
             // ordering: Relaxed usage counter; read only by stats()
             self.local_uses.fetch_add(1, Ordering::Relaxed);
-            (worker * self.cfg.worker_local_bytes, None)
+            (worker * self.cfg.worker_local_bytes, Area::Local(worker))
         } else {
             // Case 2: reserve contiguous logical blocks from the shared
             // area via the bitmap range lock.
@@ -112,7 +122,7 @@ impl AliasingManager {
             self.shared_uses.fetch_add(1, Ordering::Relaxed);
             let base = self.cfg.workers * self.cfg.worker_local_bytes
                 + range.start * self.cfg.worker_local_bytes;
-            (base, Some(range))
+            (base, Area::Shared(range))
         };
 
         // Map every part consecutively.
@@ -121,9 +131,7 @@ impl AliasingManager {
             if let Err(e) = arena.alias_map(off, src, len) {
                 // Unwind partial mappings.
                 arena.alias_unmap(base, off - base);
-                if let Some(r) = blocks {
-                    self.release_blocks(r);
-                }
+                self.release(area);
                 return Err(e);
             }
             off += len;
@@ -137,9 +145,18 @@ impl AliasingManager {
             mgr: self,
             base,
             mapped: total,
-            blocks,
+            area: Some(area),
             metrics: metrics.clone(),
         })
+    }
+
+    /// Hand an unmapped area back.
+    fn release(&self, area: Area) {
+        match area {
+            // ordering: Release; our unmap happens-before the next view's map of this area
+            Area::Local(worker) => self.local_held[worker].store(false, Ordering::Release),
+            Area::Shared(range) => self.release_blocks(range),
+        }
     }
 
     /// Reserve `n` contiguous blocks. Lock-free: set bits one at a time with
@@ -209,14 +226,21 @@ impl AliasingManager {
     }
 }
 
+/// Where a view is mapped: a worker's local area or a run of shared blocks.
+enum Area {
+    Local(usize),
+    Shared(Range<usize>),
+}
+
 /// A live contiguous view of a BLOB through the aliasing region. Unmaps and
-/// releases shared blocks on drop.
+/// releases its area on drop.
 pub struct AliasGuard<'a> {
     arena: &'a Arena,
     mgr: &'a AliasingManager,
     base: usize,
     mapped: usize,
-    blocks: Option<Range<usize>>,
+    /// `None` once released.
+    area: Option<Area>,
     metrics: Metrics,
 }
 
@@ -238,8 +262,8 @@ impl Drop for AliasGuard<'_> {
         // Count the shootdown-equivalent unmap.
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.metrics.alias_ops.fetch_add(1, Ordering::Relaxed);
-        if let Some(r) = self.blocks.take() {
-            self.mgr.release_blocks(r);
+        if let Some(area) = self.area.take() {
+            self.mgr.release(area);
         }
     }
 }
@@ -403,5 +427,124 @@ mod tests {
             assert_eq!(m.stats().shared_uses, 1);
         }
         assert!(metrics.snapshot().alias_ops > 0);
+    }
+
+    #[test]
+    fn nested_views_on_one_worker_do_not_overlap() {
+        let arena = Arena::new(OS_PAGE * 4, OS_PAGE * 8);
+        if !arena.supports_alias() {
+            eprintln!("no mmap arena; skipping");
+            return;
+        }
+        let m = mgr(1, OS_PAGE * 2, OS_PAGE * 4);
+        let metrics = lobster_metrics::new_metrics();
+        // SAFETY: single-threaded test; the frame ranges touched are disjoint
+        // and within the arena, so no aliasing mutable access occurs.
+        unsafe {
+            arena.frame_slice_mut(0, OS_PAGE).fill(1);
+            arena.frame_slice_mut(OS_PAGE, OS_PAGE).fill(2);
+            let outer = m.alias(&arena, 0, &[(0, OS_PAGE)], &metrics).unwrap();
+            // The worker's local area is taken: the inner view goes shared
+            // instead of mapping over the outer one.
+            let inner = m.alias(&arena, 0, &[(OS_PAGE, OS_PAGE)], &metrics).unwrap();
+            assert_eq!((m.stats().local_uses, m.stats().shared_uses), (1, 1));
+            assert!(inner.as_slice().iter().all(|&b| b == 2));
+            drop(inner);
+            assert!(outer.as_slice().iter().all(|&b| b == 1));
+            drop(outer);
+            let again = m.alias(&arena, 0, &[(OS_PAGE, OS_PAGE)], &metrics).unwrap();
+            assert_eq!(m.stats().local_uses, 2, "the local area is free again");
+            drop(again);
+        }
+    }
+}
+
+#[cfg(test)]
+mod model {
+    //! The worker-local area claim, over the real [`AliasingManager`]: two
+    //! views on one worker, each live across a preemption point, never hold
+    //! the local area at once — the one that finds it taken goes to the
+    //! shared area (refused here: the views are empty, so only the area
+    //! protocol runs and no memory is mapped). The `broken_*` test hands the
+    //! area back while its view is still live and requires the checker to
+    //! find the overlap, under loom only.
+
+    use super::*;
+    // Bookkeeping the model asserts on, invisible to the scheduler.
+    use std::sync::atomic::{AtomicUsize as Plain, Ordering::SeqCst};
+
+    struct World {
+        mgr: AliasingManager,
+        arena: Arena,
+        metrics: Metrics,
+        /// Live views holding the worker-local area.
+        local_views: Plain,
+        /// Claims of the local area made while another view held it.
+        overlaps: Plain,
+    }
+
+    fn view(w: &World, release_early: bool) {
+        // SAFETY: an empty view maps no frames, so there is nothing to latch.
+        let Ok(mut g) = (unsafe { w.mgr.alias(&w.arena, 0, &[(0, 0)], &w.metrics) }) else {
+            return; // local area taken, and no shared run for an empty view
+        };
+        if matches!(g.area, Some(Area::Local(_))) {
+            // Counted, not asserted: a panic here would unwind through the
+            // guard's loom-tracked drop.
+            if w.local_views.fetch_add(1, SeqCst) > 0 {
+                w.overlaps.fetch_add(1, SeqCst);
+            }
+            if release_early {
+                if let Some(area) = g.area.take() {
+                    w.mgr.release(area);
+                }
+            }
+            lobster_sync::thread::yield_now();
+            w.local_views.fetch_sub(1, SeqCst);
+        }
+    }
+
+    fn run(release_early: bool) {
+        let world = World {
+            mgr: AliasingManager::new(AliasConfig {
+                workers: 1,
+                worker_local_bytes: OS_PAGE,
+                shared_bytes: OS_PAGE,
+            }),
+            arena: Arena::new(OS_PAGE, 2 * OS_PAGE),
+            metrics: lobster_metrics::new_metrics(),
+            local_views: Plain::new(0),
+            overlaps: Plain::new(0),
+        };
+        let world = lobster_sync::race(
+            world,
+            vec![
+                Box::new(move |w: &World| view(w, release_early)),
+                Box::new(move |w: &World| view(w, release_early)),
+            ],
+        );
+        assert_eq!(
+            world.overlaps.load(SeqCst),
+            0,
+            "two live views share the local area"
+        );
+        assert!(
+            !world.mgr.local_held[0].load(Ordering::SeqCst),
+            "the local area stayed claimed"
+        );
+    }
+
+    #[test]
+    fn one_live_view_per_local_area() {
+        lobster_sync::model(|| run(false));
+    }
+
+    #[test]
+    fn broken_early_release_is_caught() {
+        let broken = || lobster_sync::model(|| run(true));
+        assert!(lobster_sync::model_catches(
+            broken,
+            "two live views share the local area"
+        ));
     }
 }

@@ -16,7 +16,7 @@ use std::time::Instant;
 #[derive(Clone)]
 pub enum BlobPool {
     /// vmcache-style pool: extent-granular translation/latching, zero-copy
-    /// aliasing reads.
+    /// aliasing reads of large BLOBs.
     Vm(Arc<ExtentPool>),
     /// Hash-table pool: per-page translation, malloc+memcpy reads.
     Ht(Arc<HashTablePool>),
@@ -131,8 +131,11 @@ impl BlobPool {
         }
     }
 
-    /// Present the BLOB as one contiguous slice to `f`; zero-copy when the
-    /// vmcache pool has aliasing, gathered otherwise.
+    /// Present the BLOB as one contiguous slice to `f`. The vmcache pool
+    /// passes a single extent straight out of its frames, aliases a
+    /// multi-extent BLOB of at least [`crate::ALIAS_MIN_BYTES`] and copies a
+    /// smaller one ([`ExtentPool::read_blob`]); the hash-table pool always
+    /// gathers.
     pub fn read_blob<R>(
         &self,
         worker: usize,

@@ -6,9 +6,10 @@
 //!   state transitions, **extent-granular (coarse) latching**, contiguous
 //!   frame ranges per extent, size-fair randomized eviction, a
 //!   `prevent_evict` pin used by the single-flush commit protocol, and
-//!   **virtual-memory aliasing** that presents multi-extent BLOBs as one
-//!   contiguous zero-copy view ([`AliasingManager`], memfd+mmap — see
-//!   DESIGN.md substitution 2).
+//!   **virtual-memory aliasing** that presents multi-extent BLOBs of at
+//!   least [`ALIAS_MIN_BYTES`] as one contiguous zero-copy view
+//!   ([`AliasingManager`], memfd+mmap — see DESIGN.md substitution 2);
+//!   smaller ones are copied out of their frames.
 //! * [`HashTablePool`] — the traditional design (`Our.ht` baseline):
 //!   per-page hash-map translation, scattered frames, malloc+memcpy reads.
 //!
@@ -31,7 +32,7 @@ pub use alias::{AliasConfig, AliasGuard, AliasStats, AliasingManager};
 pub use arena::{Arena, OS_PAGE};
 pub use blob_pool::{BlobPool, FlushTicket, PieceReads};
 pub use htpool::HashTablePool;
-pub use pool::{ExtentPool, FlushBatch, FlushItem, PoolConfig, ShGuard, XGuard};
+pub use pool::{ExtentPool, FlushBatch, FlushItem, PoolConfig, ShGuard, XGuard, ALIAS_MIN_BYTES};
 pub use stream::PinGate;
 
 #[cfg(test)]
@@ -43,13 +44,19 @@ mod tests {
     use lobster_types::{Geometry, Pid};
 
     fn vm_pool(frames: u64, alias: bool) -> Arc<ExtentPool> {
+        pool_sharing(frames, alias.then_some(512 * 1024))
+    }
+
+    /// A pool whose aliasing areas (if any) are two 64 KiB worker-local
+    /// ones and a shared one of `shared_bytes`.
+    fn pool_sharing(frames: u64, shared_bytes: Option<usize>) -> Arc<ExtentPool> {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new(16 << 20));
         let cfg = PoolConfig {
             frames,
-            alias: alias.then_some(AliasConfig {
+            alias: shared_bytes.map(|shared_bytes| AliasConfig {
                 workers: 2,
                 worker_local_bytes: 64 * 1024,
-                shared_bytes: 512 * 1024,
+                shared_bytes,
             }),
             io_threads: 2,
         };
@@ -59,6 +66,40 @@ mod tests {
             cfg,
             lobster_metrics::new_metrics(),
         )
+    }
+
+    /// Frame `extents`, extent `i` filled with byte `i + 1`; the first
+    /// `len` bytes are the BLOB they hold.
+    fn resident_blob(pool: &ExtentPool, extents: &[ExtentSpec], len: usize) -> Vec<u8> {
+        let mut want = Vec::new();
+        for (i, &e) in extents.iter().enumerate() {
+            let mut g = pool.create_extent(e).unwrap();
+            g.fill(i as u8 + 1);
+            g.mark_dirty();
+            want.extend_from_slice(&g[..]);
+        }
+        want.truncate(len);
+        want
+    }
+
+    /// `read_blob` of `extents`: the bytes `f` saw, and the `alias_ops` and
+    /// `memcpy_bytes` the read cost.
+    fn read_shape(pool: &ExtentPool, extents: &[ExtentSpec], len: usize) -> (Vec<u8>, u64, u64) {
+        let before = pool.metrics().snapshot();
+        let got = pool
+            .read_blob(0, extents, len as u64, |view| view.to_vec())
+            .unwrap();
+        let delta = pool.metrics().snapshot() - before;
+        (got, delta.alias_ops, delta.memcpy_bytes)
+    }
+
+    /// Two extents of 128 pages: a BLOB of exactly `ALIAS_MIN_BYTES`.
+    fn threshold_blob() -> [ExtentSpec; 2] {
+        assert_eq!(ALIAS_MIN_BYTES, 256 * 4096, "the shape below assumes it");
+        [
+            ExtentSpec::new(Pid::new(0), 128),
+            ExtentSpec::new(Pid::new(200), 128),
+        ]
     }
 
     #[test]
@@ -213,50 +254,68 @@ mod tests {
     }
 
     #[test]
-    fn multi_extent_blob_read_zero_copy() {
+    fn multi_extent_blob_below_alias_min_is_copied() {
         let pool = vm_pool(64, true);
-        let e1 = ExtentSpec::new(Pid::new(0), 1);
-        let e2 = ExtentSpec::new(Pid::new(10), 2);
-        {
-            let mut g = pool.create_extent(e1).unwrap();
-            g.fill(1);
-            g.mark_dirty();
-        }
-        {
-            let mut g = pool.create_extent(e2).unwrap();
-            g.fill(2);
-            g.mark_dirty();
-        }
+        let extents = [
+            ExtentSpec::new(Pid::new(0), 1),
+            ExtentSpec::new(Pid::new(10), 2),
+        ];
         let len = 3 * 4096 - 100; // logical size ends mid-page
-        let before = pool.metrics().snapshot();
-        pool.read_blob(0, &[e1, e2], len as u64, |view| {
-            assert_eq!(view.len(), len);
-            assert!(view[..4096].iter().all(|&b| b == 1));
-            assert!(view[4096..].iter().all(|&b| b == 2));
-        })
-        .unwrap();
-        let delta = pool.metrics().snapshot() - before;
-        if pool.aliasing_enabled() {
-            assert_eq!(delta.memcpy_bytes, 0, "aliased read must be zero-copy");
-            assert!(delta.alias_ops > 0);
+        let want = resident_blob(&pool, &extents, len);
+        let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
+        assert_eq!(got, want);
+        assert_eq!(alias_ops, 0, "a small BLOB is not mapped");
+        assert_eq!(memcpy, len as u64, "it is copied once, exactly");
+    }
+
+    #[test]
+    fn multi_extent_blob_at_alias_min_is_aliased() {
+        let pool = pool_sharing(512, Some(2 << 20));
+        if !pool.aliasing_enabled() {
+            eprintln!("no mmap arena; skipping");
+            return;
         }
+        let extents = threshold_blob();
+        let len = ALIAS_MIN_BYTES as usize;
+        let want = resident_blob(&pool, &extents, len);
+        let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
+        assert_eq!(got, want);
+        // Two maps and the remap that ends the view.
+        assert_eq!(alias_ops, 3);
+        assert_eq!(memcpy, 0, "an aliased read is zero-copy");
+    }
+
+    #[test]
+    fn large_blob_without_a_free_shared_run_is_copied() {
+        // The shared area (512 KiB) cannot hold the view: the read must
+        // still succeed, by copy, not fail with `BufferFull`.
+        let pool = vm_pool(512, true);
+        let extents = threshold_blob();
+        let len = ALIAS_MIN_BYTES as usize;
+        let want = resident_blob(&pool, &extents, len);
+        let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
+        assert_eq!(got, want);
+        assert_eq!(alias_ops, 0);
+        assert_eq!(memcpy, len as u64);
     }
 
     #[test]
     fn single_extent_blob_read_needs_no_alias() {
-        let pool = vm_pool(64, true);
-        let e = ExtentSpec::new(Pid::new(0), 2);
-        {
-            let mut g = pool.create_extent(e).unwrap();
-            g.fill(9);
-            g.mark_dirty();
+        // Neither mapped nor copied, whatever its size.
+        let pool = pool_sharing(512, Some(2 << 20));
+        for (e, len) in [
+            (ExtentSpec::new(Pid::new(0), 2), 5000),
+            (
+                ExtentSpec::new(Pid::new(10), 257),
+                ALIAS_MIN_BYTES as usize + 1,
+            ),
+        ] {
+            let want = resident_blob(&pool, &[e], len);
+            let (got, alias_ops, memcpy) = read_shape(&pool, &[e], len);
+            assert_eq!(got, want);
+            assert_eq!(alias_ops, 0, "single extent is already contiguous");
+            assert_eq!(memcpy, 0);
         }
-        let before = pool.metrics().snapshot();
-        pool.read_blob(0, &[e], 5000, |view| assert_eq!(view.len(), 5000))
-            .unwrap();
-        let delta = pool.metrics().snapshot() - before;
-        assert_eq!(delta.alias_ops, 0, "single extent is already contiguous");
-        assert_eq!(delta.memcpy_bytes, 0);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! Each resident extent occupies a *contiguous* frame range in the arena, so
 //! an extent is always contiguous in memory and a multi-extent BLOB can be
-//! presented contiguously via virtual-memory aliasing (§IV-B).
+//! presented contiguously via virtual-memory aliasing (§IV-B). Aliasing
+//! pays only for large BLOBs: [`ExtentPool::read_blob`] aliases from
+//! [`ALIAS_MIN_BYTES`] up and copies smaller ones out of their frames.
 //!
 //! The pool frames, faults, aliases and evicts exactly the `pages` a caller's
 //! [`ExtentSpec`] names, and records that count in the entry word. The engine
@@ -29,7 +31,7 @@
 //! [`crate::entry`]; this file decides *which* transition to attempt and does
 //! the work between two of them (frames, device I/O, the resident set).
 
-use crate::alias::{AliasConfig, AliasingManager};
+use crate::alias::{AliasConfig, AliasGuard, AliasingManager};
 use crate::arena::Arena;
 use crate::entry::{Entry, Excl, Latch, Seen};
 use crate::flush_ledger::FlushLedger;
@@ -49,6 +51,15 @@ use std::ops::{Deref, DerefMut};
 // Memory-ordering note: every atomic in this file is a metrics counter, the
 // `max_resident_pages` eviction-fairness hint or the `prefetched_live` gate
 // — never the latch protocol, which is `entry.rs`'s alone.
+
+/// Multi-extent BLOBs smaller than this are copied out of their frames by
+/// [`ExtentPool::read_blob`]; this size and larger ones are aliased.
+/// Aliasing costs a `mmap` per extent and a remap of the area afterwards —
+/// a TLB shootdown on every processor running the process — whatever the
+/// size, a copy costs its bytes. Set from `micro_primitives`' `alias_vs_copy`
+/// sweep: the smallest size at which aliasing beats the copy with one and
+/// two concurrent readers taken together (EXPERIMENTS.md, "Alias or copy").
+pub const ALIAS_MIN_BYTES: u64 = 1 << 20;
 
 // ------------------------------------------------------------- resident ---
 
@@ -1278,14 +1289,17 @@ impl ExtentPool {
 
     // ------------------------------------------------------ blob read ---
 
-    /// Read a multi-extent BLOB and present it to `f` as one contiguous
-    /// slice of exactly `len` bytes.
+    /// Read a BLOB and present it to `f` as one contiguous slice of exactly
+    /// `len` bytes, every extent latched shared for the duration of `f`.
     ///
-    /// With aliasing enabled this is zero-copy: the extents' frames are
-    /// mapped contiguously into the caller's aliasing area (worker-local or
-    /// shared, §IV-B). Without aliasing the extents are gathered into a
-    /// temporary buffer — the malloc+memcpy path the paper attributes to
-    /// hash-table pools.
+    /// The mechanism depends on the BLOB alone. A single extent is already
+    /// contiguous in the arena and is passed straight out of its frames. A
+    /// multi-extent BLOB of at least [`ALIAS_MIN_BYTES`] is aliased: its
+    /// frames are mapped contiguously into the caller's aliasing area
+    /// (worker-local or shared, §IV-B). A smaller one — or any one when the
+    /// pool has no aliasing or no shared run is free — is copied out of its
+    /// frames into a buffer, which below the threshold is cheaper than
+    /// mapping and unmapping it.
     pub fn read_blob<R>(
         &self,
         worker: usize,
@@ -1293,54 +1307,78 @@ impl ExtentPool {
         len: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        // Fault every evicted extent with one batched submission before
-        // acquiring the guards (the serial loop below then hits).
-        if extents.len() > 1 {
-            self.fault_many(extents)?;
-        }
-        let guards: Vec<ShGuard<'_>> = extents
-            .iter()
-            .map(|e| self.read_extent(*e))
-            .collect::<Result<_>>()?;
+        let guards = self.latch_blob(extents)?;
         let len = len as usize;
-
         // Empty BLOBs need no frames at all.
         if guards.is_empty() || len == 0 {
             return Ok(f(&[]));
         }
-        // A single extent is already contiguous in the arena: zero-copy
-        // without any page-table manipulation.
         if guards.len() == 1 {
             return Ok(f(&guards[0][..len]));
         }
-
-        // Each extent contributes the pages the caller named — a guard may
-        // span more (a resident framing wider than the content).
-        let p = self.geo.page_size();
-        if let Some(am) = &self.aliasing {
-            if self.arena.supports_alias() {
-                let parts: Vec<(usize, usize)> = guards
-                    .iter()
-                    .map(|g| ((g.frame as usize) * p, (g.spec.pages as usize) * p))
-                    .collect();
-                // SAFETY: `guards` hold shared latches until after `f`.
-                let view = unsafe { am.alias(&self.arena, worker, &parts, &self.metrics) };
-                match view {
-                    Ok(v) => {
-                        let r = f(&v.as_slice()[..len]);
-                        drop(v);
-                        drop(guards);
-                        return Ok(r);
-                    }
-                    Err(Error::BufferFull) => { /* fall through to copy */ }
-                    Err(e) => return Err(e),
-                }
+        if len as u64 >= ALIAS_MIN_BYTES {
+            if let Some(view) = self.alias_extents(worker, &guards)? {
+                return Ok(f(&view.as_slice()[..len]));
             }
         }
+        Ok(self.copy_extents(&guards, len, f))
+    }
 
-        // Gather-copy fallback.
+    /// Latch every extent of one BLOB read shared, after faulting every
+    /// evicted one with a single batched submission (the serial latching
+    /// loop then hits). The first half of [`ExtentPool::read_blob`].
+    pub fn latch_blob(&self, extents: &[ExtentSpec]) -> Result<Vec<ShGuard<'_>>> {
+        if extents.len() > 1 {
+            self.fault_many(extents)?;
+        }
+        extents.iter().map(|e| self.read_extent(*e)).collect()
+    }
+
+    /// [`ExtentPool::read_blob`]'s mapping: the pages each guard's spec
+    /// names (a guard may span more, a resident framing wider than the
+    /// content), mapped back to back into `worker`'s aliasing area. `None`
+    /// when the pool has no aliasing, or the view needs a shared run and
+    /// none is free right now. The view borrows the guards, so their
+    /// latches outlive it.
+    pub fn alias_extents<'a>(
+        &'a self,
+        worker: usize,
+        guards: &'a [ShGuard<'a>],
+    ) -> Result<Option<AliasGuard<'a>>> {
+        let Some(am) = self
+            .aliasing
+            .as_ref()
+            .filter(|_| self.arena.supports_alias())
+        else {
+            return Ok(None);
+        };
+        let p = self.geo.page_size();
+        let parts: Vec<(usize, usize)> = guards
+            .iter()
+            .map(|g| ((g.frame as usize) * p, (g.spec.pages as usize) * p))
+            .collect();
+        // SAFETY: the returned view borrows `guards`, whose shared latches
+        // are therefore held for as long as it maps their frames.
+        match unsafe { am.alias(&self.arena, worker, &parts, &self.metrics) } {
+            Ok(view) => Ok(Some(view)),
+            Err(Error::BufferFull) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// [`ExtentPool::read_blob`]'s copy: the first `len` bytes of the pages
+    /// each guard's spec names, gathered into a buffer of the read's own and
+    /// passed to `f`. (A per-thread buffer reused across reads measured no
+    /// faster; EXPERIMENTS.md, "Alias or copy".)
+    pub fn copy_extents<R>(
+        &self,
+        guards: &[ShGuard<'_>],
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        let p = self.geo.page_size();
         let mut buf = Vec::with_capacity(len);
-        for g in &guards {
+        for g in guards {
             let take = (len - buf.len()).min((g.spec.pages as usize) * p);
             buf.extend_from_slice(&g[..take]);
             if buf.len() == len {
@@ -1348,7 +1386,7 @@ impl ExtentPool {
             }
         }
         self.metrics.bump_memcpy(len as u64);
-        Ok(f(&buf))
+        f(&buf)
     }
 
     // ------------------------------------------------- streaming lease ---

@@ -16,7 +16,10 @@
 //!   update, and its redo and undo.
 //!
 //! `Txn::get_blob` is the only content access that does not come through
-//! here: it maps the whole BLOB as one aliased slice (§IV-B).
+//! here: it presents the whole BLOB as one contiguous slice through
+//! `BlobPool::read_blob`, which aliases it (§IV-B) from
+//! `lobster_buffer::ALIAS_MIN_BYTES` up and copies it out of the frames
+//! below.
 
 use crate::blob_state::{BlobState, PREFIX_LEN};
 use crate::db::Database;

@@ -22,8 +22,10 @@
 //! resumes the SHA-256 from the stored midstate; in-place updates choose
 //! delta-logging or extent cloning by modeled cost (§III-D).
 //!
-//! Reads come in two shapes. [`Txn::get_blob`] maps the whole BLOB as one
-//! aliased slice (§IV-B). Everything else — [`Txn::get_blob_range`],
+//! Reads come in two shapes. [`Txn::get_blob`] presents the whole BLOB as
+//! one contiguous slice (`BlobPool::read_blob`: aliased from
+//! `lobster_buffer::ALIAS_MIN_BYTES` up, §IV-B, copied out of the frames
+//! below). Everything else — [`Txn::get_blob_range`],
 //! [`Txn::stream_blob_range`], the before-images and clone sources of the
 //! write verbs, every rehash — is a caller of the one ranged read in
 //! [`crate::content`], which walks the one addressing function
@@ -430,8 +432,9 @@ impl Txn {
 
     // ----------------------------------------------------- blob read ----
 
-    /// Read the whole BLOB as one contiguous slice (zero-copy via the
-    /// aliasing area when available).
+    /// Read the whole BLOB as one contiguous slice: zero-copy for a single
+    /// extent or a BLOB large enough to alias, copied out of the frames
+    /// otherwise (`BlobPool::read_blob`).
     pub fn get_blob<R>(
         &mut self,
         rel: &Relation,
@@ -483,7 +486,7 @@ impl Txn {
         self.verified_read(rel, key, &state, &specs, f)
     }
 
-    /// `Config::verify_reads` read path: hash the mapped view against the
+    /// `Config::verify_reads` read path: hash the BLOB's view against the
     /// Blob State SHA-256 and invoke `f` only on a match. A mismatch may be
     /// a device lie that a fresh read clears (cached frame served a
     /// transiently garbled load), so the pool's copies are dropped and the

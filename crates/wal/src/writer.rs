@@ -135,6 +135,14 @@ impl Wal {
         res?;
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.metrics.fsyncs.fetch_add(1, Ordering::Relaxed);
+        // The header is log bytes on the device like the records: counted
+        // where they are, so the device and the engine agree.
+        self.metrics
+            .bytes_written
+            .fetch_add(WAL_HEADER, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.metrics
+            .wal_bytes
+            .fetch_add(WAL_HEADER, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         Ok(())
     }
 
@@ -441,6 +449,27 @@ mod tests {
             wal.read_all().unwrap(),
             vec![LogRecord::TxnCommit { txn: 2 }]
         );
+    }
+
+    /// A checkpoint rewrites the header block: across one, the device's
+    /// write-byte count and both of the log's byte counters move together.
+    #[test]
+    fn header_rewrite_is_counted_like_the_records() {
+        let device_side = lobster_metrics::new_metrics();
+        let dev: Arc<dyn Device> =
+            Arc::new(MemDevice::with_metrics(8 << 20, Some(device_side.clone())));
+        let wal = Wal::create(dev, lobster_metrics::new_metrics()).unwrap();
+        let (dev0, wal0) = (device_side.snapshot(), wal.metrics.snapshot());
+        wal.append_and_commit(&[LogRecord::TxnCommit { txn: 1 }])
+            .unwrap();
+        wal.checkpoint_truncate().unwrap();
+        wal.append_and_commit(&[LogRecord::TxnCommit { txn: 2 }])
+            .unwrap();
+        let written = (device_side.snapshot() - dev0).bytes_written;
+        let counted = wal.metrics.snapshot() - wal0;
+        assert!(written > WAL_HEADER, "the header was rewritten");
+        assert_eq!(counted.bytes_written, written);
+        assert_eq!(counted.wal_bytes, written);
     }
 
     #[test]
