@@ -187,8 +187,10 @@ pub struct Database {
     /// `(relation name, key)` of every BLOB whose content failed
     /// verify-on-read twice this run. Their extents are fenced in the
     /// allocator ([`ExtentAllocator::quarantine_extent`]) so nothing
-    /// recycles the evidence; the set itself is runtime-lifetime —
-    /// recovery's SHA fixpoint re-detects persistent rot on reopen.
+    /// recycles the evidence; the set itself is runtime-lifetime. On
+    /// reopen, recovery's SHA fixpoint re-detects rot only in versions
+    /// committed after the log's data-durable mark; for the rest,
+    /// verify-on-read and the scrubber are the defence.
     quarantined: Mutex<HashSet<(String, Vec<u8>)>>,
     /// Per worker: `(first extent pid, end offset)` of its last range read
     /// — the evidence readahead needs that an access is sequential
@@ -250,6 +252,7 @@ impl Database {
         let committer = GroupCommitter::new(
             wal.clone(),
             blob_pool.clone(),
+            device.clone(),
             alloc.clone(),
             ckpt_gate.clone(),
             metrics.clone(),
@@ -590,6 +593,8 @@ impl Database {
                 tree.root(),
                 node_pages,
             ))])?;
+        // On the medium, not in a write cache, before the log names it.
+        self.device.sync()?;
         let entry = encode_entry(id, kind, tree.root(), node_pages);
         self.catalog_tree.insert(name.as_bytes(), &entry, false)?;
         let txn_id = self.next_txn.fetch_add(1, Ordering::SeqCst);

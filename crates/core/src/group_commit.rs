@@ -41,6 +41,18 @@
 //! yield-waits for a device: on a busy host that burns a processor a
 //! hashing client needs.
 //!
+//! **Data-durable mark.** Retired groups count the content bytes they
+//! flushed. Once [`DATA_SYNC_EVERY`] bytes have retired since the last
+//! data-device sync, the flush stage — after the frontier has moved, so
+//! no commit waits for it — takes the longest prefix of groups, in log
+//! order, that have retired, syncs the data device once and publishes the
+//! last commit of that prefix ([`DataMark`]). The WAL stage writes a
+//! published mark as a [`LogRecord::DataDurable`] at the head of its next
+//! group, riding that group's fsync; recovery then re-hashes only the
+//! BLOBs committed after it. A mark is tagged with the log epoch its
+//! commits were appended in and is never written into a later one: the
+//! checkpoint that ended that epoch synced everything before it.
+//!
 //! Completion is tracked per batch through durable **epochs**: `submit`
 //! assigns epoch N to the N-th batch, and a condvar-guarded frontier
 //! advances once a batch's group is fully retired. [`GroupCommitter::drain`]
@@ -53,12 +65,13 @@
 use lobster_buffer::{BlobPool, FlushItem, FlushTicket};
 use lobster_extent::{ExtentAllocator, ExtentSpec};
 use lobster_metrics::Metrics;
+use lobster_storage::Device;
 use lobster_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use lobster_sync::thread::JoinHandle;
 use lobster_sync::{thread, Arc, Condvar, Mutex, RwLock};
 use lobster_types::{Error, Result, RetryPolicy};
 use lobster_wal::{LogRecord, Wal};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 // Memory-ordering note (satellite audit, PR 4): `Relaxed` in this file is
@@ -72,6 +85,12 @@ use std::time::{Duration, Instant};
 /// wait on extent writes before it holds back a group that has writes of
 /// its own to submit, while the WAL stage fsyncs the next group.
 const INFLIGHT_FLUSHES: usize = 2;
+
+/// Content bytes retired between two data-device syncs of the group
+/// committer: roughly the most content a recovery re-hashes per store.
+/// Set by the 2 / 8 / 32 MiB sweep in EXPERIMENTS.md ("Recover from the
+/// log").
+pub const DATA_SYNC_EVERY: u64 = 8 << 20;
 
 pub(crate) struct CommitBatch {
     /// Shared with the submitting transaction, which walks them to roll
@@ -251,9 +270,108 @@ impl Progress {
     }
 }
 
+/// The last commit of a log prefix, and the log epoch it was appended in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Mark {
+    log_epoch: u32,
+    txn: u64,
+}
+
+/// Hand-off of the data-durable mark: both stages retire groups into it,
+/// the flush stage syncs the data device and publishes the retired
+/// prefix, and the WAL stage takes what was published into the log.
+struct DataMark {
+    state: Mutex<MarkState>,
+}
+
+#[derive(Default)]
+struct MarkState {
+    /// Sequence number of the first group not yet retired.
+    next: u64,
+    /// Groups retired ahead of `next`, with the last commit of each.
+    ahead: BTreeMap<u64, Option<Mark>>,
+    /// Last commit of the retired prefix.
+    prefix: Option<Mark>,
+    /// Log epoch `unsynced` counts in.
+    log_epoch: u32,
+    /// Content bytes retired since the last sync.
+    unsynced: u64,
+    /// Made true by a sync; written into the log at most once.
+    published: Option<Mark>,
+    written: Option<Mark>,
+}
+
+impl DataMark {
+    fn new() -> Self {
+        DataMark {
+            state: Mutex::new(MarkState::default()),
+        }
+    }
+
+    /// A group retired with its extent flush landed. A group that failed
+    /// never calls this, so the prefix stops before it for good.
+    fn retired(&self, group: &DurableGroup) {
+        let mut st = self.state.lock();
+        if group.log_epoch > st.log_epoch {
+            // A checkpoint ended the earlier epoch, and its sync covered
+            // everything retired before it.
+            st.log_epoch = group.log_epoch;
+            st.unsynced = 0;
+        }
+        st.unsynced += group.pinned;
+        let last = group.last_commit.map(|txn| Mark {
+            log_epoch: group.log_epoch,
+            txn,
+        });
+        st.ahead.insert(group.seq, last);
+        loop {
+            let next = st.next;
+            let Some(last) = st.ahead.remove(&next) else {
+                break;
+            };
+            st.prefix = last.or(st.prefix);
+            st.next += 1;
+        }
+    }
+
+    /// The prefix a data sync now would cover, once the budget is spent
+    /// and the prefix has moved since the last one published.
+    fn due(&self) -> Option<Mark> {
+        let mut st = self.state.lock();
+        let prefix = st.prefix.filter(|&p| st.published != Some(p))?;
+        if st.unsynced < DATA_SYNC_EVERY {
+            return None;
+        }
+        st.unsynced = 0;
+        Some(prefix)
+    }
+
+    /// The data device was synced after every group up to `mark` retired.
+    fn publish(&self, mark: Mark) {
+        self.state.lock().published = Some(mark);
+    }
+
+    /// The published mark, once, if its commits are in the log of
+    /// `log_epoch` (the one the caller appends in, under the checkpoint
+    /// gate).
+    fn take_unwritten(&self, log_epoch: u32) -> Option<u64> {
+        let mut st = self.state.lock();
+        let fresh = |m: &Mark| m.log_epoch == log_epoch && st.written != Some(*m);
+        let mark = st.published.filter(fresh)?;
+        st.written = Some(mark);
+        Some(mark.txn)
+    }
+}
+
 /// A group of commit batches whose WAL records are durable, queued for (or
 /// undergoing) its single extent flush.
 struct DurableGroup {
+    /// Position among the WAL stage's groups: log order.
+    seq: u64,
+    /// Log epoch the group's records were appended in.
+    log_epoch: u32,
+    /// Transaction of the group's last commit record, if it has one.
+    last_commit: Option<u64>,
     epochs: Vec<u64>,
     /// Still to be submitted.
     items: Vec<FlushItem>,
@@ -267,6 +385,9 @@ struct DurableGroup {
 impl DurableGroup {
     fn collect(batches: Vec<(u64, CommitBatch)>, page_size: u64) -> Self {
         let mut group = DurableGroup {
+            seq: 0,
+            log_epoch: 0,
+            last_commit: None,
             epochs: Vec::with_capacity(batches.len()),
             items: Vec::new(),
             flights: Vec::new(),
@@ -276,6 +397,11 @@ impl DurableGroup {
         };
         for (epoch, batch) in batches {
             group.epochs.push(epoch);
+            let commit = batch.records.iter().rev().find_map(|rec| match rec {
+                LogRecord::TxnCommit { txn } | LogRecord::TxnCrossCommit { txn, .. } => Some(*txn),
+                _ => None,
+            });
+            group.last_commit = commit.or(group.last_commit);
             group.pinned += batch.pinned_bytes(page_size);
             group.items.extend(batch.toflush);
             group.flights.extend(batch.flights);
@@ -290,6 +416,9 @@ impl DurableGroup {
 #[derive(Clone)]
 struct StageCtx {
     blob_pool: BlobPool,
+    /// The data device the mark's syncs go to.
+    device: Arc<dyn Device>,
+    mark: Arc<DataMark>,
     alloc: Arc<ExtentAllocator>,
     metrics: Metrics,
     progress: Arc<Progress>,
@@ -329,6 +458,7 @@ impl StageCtx {
         for ticket in group.flights.drain(..) {
             let _ = ticket.wait();
         }
+        let landed = result.is_ok();
         match result {
             Ok(()) => {
                 self.blob_pool.drop_extents(&group.freed);
@@ -359,6 +489,25 @@ impl StageCtx {
         let prev = self.progress.inflight_groups.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "in-flight group count underflow on retire");
         self.progress.complete_epochs(&group.epochs);
+        if landed {
+            self.mark.retired(&group);
+        }
+    }
+
+    /// Once [`DATA_SYNC_EVERY`] content bytes have retired since the last
+    /// data sync, sync the data device and publish the retired prefix as
+    /// the data-durable mark. A failed sync publishes nothing.
+    fn sync_data(&self) {
+        let Some(mark) = self.mark.due() else {
+            return;
+        };
+        let (res, stats) = RetryPolicy::DEFAULT.run(|| self.device.sync());
+        self.metrics.bump_io_retry(stats.retries, stats.gave_up);
+        if res.is_ok() {
+            self.mark.publish(mark);
+            // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+            self.metrics.data_syncs.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -372,9 +521,11 @@ pub(crate) struct GroupCommitter {
 }
 
 impl GroupCommitter {
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         wal: Arc<Wal>,
         blob_pool: BlobPool,
+        device: Arc<dyn Device>,
         alloc: Arc<ExtentAllocator>,
         ckpt_gate: Arc<RwLock<()>>,
         metrics: Metrics,
@@ -389,6 +540,8 @@ impl GroupCommitter {
         let progress = Arc::new(Progress::new());
         let ctx = StageCtx {
             blob_pool,
+            device,
+            mark: Arc::new(DataMark::new()),
             alloc,
             metrics,
             progress: progress.clone(),
@@ -602,6 +755,7 @@ fn wal_stage(
     }
     let _close = CloseOnExit(forward.clone());
 
+    let mut seq = 0;
     while let Ok(first) = rx.recv() {
         // Absorb everything already queued into one group.
         let mut batches = vec![first];
@@ -610,8 +764,15 @@ fn wal_stage(
         }
 
         let _gate = ckpt_gate.read();
-        // 1. All of the group's Blob States durable with one fsync.
+        let log_epoch = wal.current_epoch();
+        // 1. All of the group's Blob States durable with one fsync, behind
+        // the data-durable mark published since the last group, if any.
         let fsync = (|| -> Result<()> {
+            if batches.iter().any(|(_, batch)| !batch.records.is_empty()) {
+                if let Some(txn) = ctx.mark.take_unwritten(log_epoch) {
+                    wal.append_batch(&[LogRecord::DataDurable { txn }])?;
+                }
+            }
             let mut lsn = None;
             for (_, batch) in &batches {
                 if !batch.records.is_empty() {
@@ -627,7 +788,9 @@ fn wal_stage(
             .commit_wal_groups
             .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
 
-        let group = DurableGroup::collect(batches, ctx.page_size);
+        let mut group = DurableGroup::collect(batches, ctx.page_size);
+        (group.seq, group.log_epoch) = (seq, log_epoch);
+        seq += 1;
         // Counted before the gate drops: checkpoints quiesce on this under
         // the exclusively-held gate, so the count can only fall once they
         // hold it.
@@ -750,6 +913,8 @@ fn flush_stage(inbox: Arc<FlushInbox>, ctx: StageCtx) {
     let mut inflight: Vec<InflightFlush> = Vec::new();
     loop {
         let due = reap(&mut inflight, &ctx);
+        // After the frontier moved: no commit waits for this sync.
+        ctx.sync_data();
         let mut group = match inbox.wait(true, due) {
             Wake::Group(group) => group,
             Wake::Look => continue,
@@ -917,6 +1082,65 @@ mod tests {
         inbox.state.lock().abandoned = true;
         assert!(inbox.push(group(7)).is_some_and(|g| g.epochs == [7]));
     }
+
+    /// Group `seq` of log epoch `epoch`, ending in `commit`, with `bytes`
+    /// of content.
+    pub(super) fn retired(
+        seq: u64,
+        log_epoch: u32,
+        commit: Option<u64>,
+        bytes: u64,
+    ) -> DurableGroup {
+        let mut g = group(seq + 1);
+        (g.seq, g.log_epoch, g.last_commit, g.pinned) = (seq, log_epoch, commit, bytes);
+        g
+    }
+
+    #[test]
+    fn the_mark_covers_the_retired_prefix_in_log_order_once_the_budget_is_spent() {
+        let mark = DataMark::new();
+        let half = DATA_SYNC_EVERY / 2;
+        mark.retired(&retired(0, 1, Some(10), half));
+        mark.retired(&retired(2, 1, Some(30), half)); // ahead of group 1
+        let at = |txn| Some(Mark { log_epoch: 1, txn });
+        assert_eq!(mark.due(), at(10), "group 1 has not retired");
+        mark.publish(Mark {
+            log_epoch: 1,
+            txn: 10,
+        });
+        assert_eq!(mark.take_unwritten(1), Some(10));
+        assert_eq!(mark.take_unwritten(1), None, "written once");
+        // Group 1 holds no commit: the prefix runs through group 2.
+        mark.retired(&retired(1, 1, None, DATA_SYNC_EVERY));
+        assert_eq!(mark.due(), at(30));
+        assert_eq!(mark.due(), None, "the budget restarts at the sync");
+    }
+
+    #[test]
+    fn a_mark_of_an_earlier_log_epoch_is_never_written() {
+        let mark = DataMark::new();
+        mark.retired(&retired(0, 1, Some(5), DATA_SYNC_EVERY));
+        let due = mark.due().expect("budget spent");
+        mark.publish(due);
+        // A checkpoint truncates the log before the next group appends.
+        assert_eq!(mark.take_unwritten(2), None);
+        // The first group of the new epoch restarts the count: the
+        // checkpoint synced everything before it.
+        mark.retired(&retired(1, 2, Some(6), DATA_SYNC_EVERY - 1));
+        assert_eq!(mark.due(), None);
+        mark.retired(&retired(2, 2, Some(7), 1));
+        let due = mark.due().expect("budget spent in epoch 2");
+        mark.publish(due);
+        assert_eq!(mark.take_unwritten(2), Some(7));
+    }
+
+    #[test]
+    fn a_group_that_never_retired_holds_the_prefix_back_for_good() {
+        let mark = DataMark::new();
+        // Group 0 failed: it never reaches `retired`.
+        mark.retired(&retired(1, 1, Some(8), DATA_SYNC_EVERY));
+        assert_eq!(mark.due(), None);
+    }
 }
 
 #[cfg(test)]
@@ -999,6 +1223,55 @@ mod model {
     fn broken_forward_before_fsync_is_caught() {
         let broken = || model(|| run_hand_off(false));
         assert!(model_catches(broken, "before its WAL fsync"));
+    }
+
+    // ---- mark: no data-durable mark in the log before its data sync ----
+
+    struct Marked {
+        mark: DataMark,
+        /// Last commit whose content a data sync covered (0: none yet).
+        synced: AtomicU64,
+    }
+
+    /// The flush stage retires a group that spends the budget, syncs the
+    /// data device and publishes; the WAL stage, appending its next group,
+    /// writes whatever was published. A mark in the log must name only
+    /// content the data device already holds.
+    fn run_mark(sync_first: bool) {
+        let flush: Actor<Marked> = Box::new(move |w| {
+            w.mark
+                .retired(&super::tests::retired(0, 1, Some(7), DATA_SYNC_EVERY));
+            let mark = w.mark.due().expect("the budget is spent");
+            if sync_first {
+                w.synced.store(mark.txn, Ordering::Release);
+            }
+            w.mark.publish(mark);
+            if !sync_first {
+                w.synced.store(mark.txn, Ordering::Release);
+            }
+        });
+        let wal: Actor<Marked> = Box::new(|w| {
+            if let Some(txn) = w.mark.take_unwritten(1) {
+                let synced = w.synced.load(Ordering::Acquire);
+                assert!(synced >= txn, "mark of txn {txn} before its data sync");
+            }
+        });
+        let world = Marked {
+            mark: DataMark::new(),
+            synced: AtomicU64::new(0),
+        };
+        race(world, vec![flush, wal]);
+    }
+
+    #[test]
+    fn mark_written_only_after_its_data_sync() {
+        model(|| run_mark(true));
+    }
+
+    #[test]
+    fn broken_mark_before_data_sync_is_caught() {
+        let broken = || model(|| run_mark(false));
+        assert!(model_catches(broken, "before its data sync"));
     }
 
     // ---- frontier: out-of-order retires, a contiguous durable prefix ----

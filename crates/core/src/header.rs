@@ -10,7 +10,9 @@ use lobster_types::{read_u32, read_u64, Error, Pid, Result};
 
 const LEN: usize = 4096;
 const MAGIC: u32 = 0x4C42_4442; // "LBDB"
-const VERSION: u32 = 1;
+/// Version 2: the log may hold data-durable marks (WAL tag 13). A version
+/// 1 store has the same block layout and a log without them.
+const VERSION: u32 = 2;
 const XCOMMIT_ABOVE_OFF: usize = 50;
 /// Most committed-above-watermark gtxns the header holds.
 pub(crate) const XCOMMIT_ABOVE_CAP: usize = 500;
@@ -32,6 +34,10 @@ impl Header {
     pub fn decode(block: &[u8]) -> Result<Header> {
         if block.len() < LEN || read_u32(block) != MAGIC {
             return Err(Error::Corruption("bad database magic".into()));
+        }
+        match read_u32(&block[4..]) {
+            1 | VERSION => {}
+            v => return Err(Error::Corruption(format!("unknown format version {v}"))),
         }
         let tier_policy = match block[12] {
             0 => TierPolicy::Paper {
@@ -138,6 +144,11 @@ mod tests {
         let good = parent_block();
         assert!(Header::decode(&vec![0u8; LEN]).is_err());
         assert!(Header::decode(&good[..100]).is_err());
+        for version in [0u32, 3] {
+            let mut bad = good.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(Header::decode(&bad).is_err(), "version {version}");
+        }
         let mut bad = good.clone();
         bad[12] = 3;
         assert!(Header::decode(&bad).is_err());
@@ -146,8 +157,8 @@ mod tests {
         assert!(Header::decode(&bad).is_err());
     }
 
-    /// The first 48 bytes (the rest were zero) of shard 0's header as the
-    /// parent commit's byte-poking `Database::write_header` left it: two
+    /// The first 48 bytes (the rest were zero) of a format-version-1 shard
+    /// 0 header, as an earlier byte-poking `Database::write_header` left it: two
     /// shards, `Paper { 5, 7 }`, tail extents, two-page nodes, three
     /// cross-shard commits, then a coordinated checkpoint.
     const PARENT_BLOCK_HEAD: [u8; 48] = [
@@ -165,7 +176,7 @@ mod tests {
 
     #[test]
     fn decodes_a_block_the_parent_commit_wrote_and_encodes_it_back() {
-        let block = parent_block();
+        let mut block = parent_block();
         let header = Header::decode(&block).unwrap();
         let expected = Header {
             page_size: 4096,
@@ -180,6 +191,9 @@ mod tests {
             xcommit_above: vec![],
         };
         assert_eq!(header, expected);
+        // Written back as version 2; no other byte moves.
+        block[4] = 2;
         assert_eq!(header.encode(), block, "bytes on disk changed");
+        assert_eq!(Header::decode(&block).unwrap(), expected);
     }
 }

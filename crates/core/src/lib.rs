@@ -61,6 +61,7 @@ pub use dedup::{DedupStats, DedupStore};
 pub use defrag::{
     defrag_pass, scrub_pass, DefragConfig, DefragPassReport, Defragmenter, ScrubCursor,
 };
+pub use group_commit::DATA_SYNC_EVERY;
 pub use index::{BlobIndex, BlobStateCmp, ExpressionIndex, Udf};
 pub use lock::{LockManager, LockMode};
 pub use recovery::RecoveryReport;

@@ -3,13 +3,18 @@
 //! Recovery is logical, over the post-checkpoint WAL:
 //!
 //! 1. **Analysis** — scan the log (read once, for every phase), collect
-//!    committed transactions, and *validate every committed BLOB's content
-//!    against the SHA-256 stored in its Blob State*. The commit protocol
-//!    guarantees the Blob State is durable before extent content is
-//!    written, so a crash between WAL fsync and the content flush leaves a
-//!    committed Blob State pointing at garbage extents — the SHA check
+//!    committed transactions, and *validate committed BLOBs' content
+//!    against the SHA-256 stored in their Blob State*. A committed Blob
+//!    State may point at content that never arrived: the WAL fsync comes
+//!    first, and in-place content writes only after it. The SHA check
 //!    detects this, and the transaction is moved to the undo list (treated
-//!    as failed), exactly as the paper specifies. Validation never goes
+//!    as failed), exactly as the paper specifies. Only BLOBs committed
+//!    after the log's last **data-durable mark** are hashed: the group
+//!    committer writes that mark once a data-device sync has covered every
+//!    commit up to it (`group_commit`), so a key whose newest version lies
+//!    in that prefix — and that no later record touches — is accepted as
+//!    it stands. A key with any record after the mark is validated down its
+//!    whole version chain, as without a mark. Validation never goes
 //!    through the buffer pool: each round of the fixpoint streams the
 //!    content of all its BLOBs straight from the device in batches of
 //!    pieces ([`content::validate_many`]), the next batch in flight while
@@ -22,8 +27,9 @@
 //! 3. **Undo** — reverse the operations of uncommitted/failed transactions
 //!    in reverse log order (their B-Tree changes may have reached the
 //!    device through eviction).
-//! 4. Rebuild the extent allocator from the surviving reachable state,
-//!    flush, and truncate the log.
+//! 4. Checkpoint, rebuild the extent allocator from the surviving
+//!    reachable state (walked while the node pool is still warm), and
+//!    drop the caches.
 
 use crate::blob_state::BlobState;
 use crate::catalog::RelationKind;
@@ -44,6 +50,9 @@ pub struct RecoveryReport {
     pub uncommitted: u64,
     /// Committed transactions failed by BLOB SHA-256 validation.
     pub sha_failures: u64,
+    /// BLOB versions whose content was hashed: those committed after the
+    /// data-durable mark, plus earlier ones the fixpoint exposed.
+    pub validated: u64,
     /// Log records processed.
     pub records: u64,
 }
@@ -98,6 +107,23 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
             if db.cross_commit_decided(*gtxn) {
                 committed.insert(*txn);
             }
+        }
+    }
+
+    // The data-durable mark: the log index of the last commit record whose
+    // content a data-device sync is known to cover. A mark names a commit
+    // earlier in this log; one that names none is ignored.
+    let mut commit_at: HashMap<u64, usize> = HashMap::new();
+    let mut durable_to: Option<usize> = None;
+    for (i, rec) in records.iter().enumerate() {
+        match rec {
+            LogRecord::TxnCommit { txn } | LogRecord::TxnCrossCommit { txn, .. } => {
+                commit_at.insert(*txn, i);
+            }
+            LogRecord::DataDurable { txn } => {
+                durable_to = durable_to.max(commit_at.get(txn).copied());
+            }
+            _ => {}
         }
     }
 
@@ -191,6 +217,13 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
     let validate = matches!(db.cfg.blob_logging, BlobLogging::Async);
     let mut failed: HashSet<u64> = HashSet::new();
     if validate {
+        // Keys some record touches after the mark, whatever became of its
+        // transaction: a later in-place write may have torn a version the
+        // mark covers, so their chains are validated all the way down.
+        let after_mark: HashSet<(u32, &[u8])> = match durable_to {
+            Some(at) => records[at + 1..].iter().filter_map(key_of).collect(),
+            None => HashSet::new(),
+        };
         // key -> committed versions in log order; None marks a delete.
         type VersionChain = Vec<(u64, Option<BlobState>)>;
         let mut chains: HashMap<(u32, Vec<u8>), VersionChain> = HashMap::new();
@@ -256,6 +289,14 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
         // round validates every tip not yet judged in one streaming pass;
         // the fixpoint does not depend on the order a round fails them in.
         let mut verdicts: HashMap<(&(u32, Vec<u8>), usize), bool> = HashMap::new();
+        // A tip the mark vouches for: the newest version of a key nothing
+        // after the mark touches, committed inside the prefix.
+        let durable = |(chain_key, idx): (&(u32, Vec<u8>), usize), txn: u64| {
+            let Some(to) = durable_to else { return false };
+            idx + 1 == chains[chain_key].len()
+                && commit_at.get(&txn).is_some_and(|&at| at <= to)
+                && !after_mark.contains(&(chain_key.0, chain_key.1.as_slice()))
+        };
         loop {
             let tips: Vec<_> = chains
                 .iter()
@@ -269,11 +310,19 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
                     Some(((chain_key, idx), *txn, state.as_ref()?))
                 })
                 .collect();
-            let unjudged: Vec<_> = tips
-                .iter()
-                .filter(|(at, _, _)| !verdicts.contains_key(at))
-                .collect();
+            let mut unjudged = Vec::new();
+            for tip @ &(at, txn, _) in &tips {
+                if verdicts.contains_key(&at) {
+                    continue;
+                }
+                if durable(at, txn) {
+                    verdicts.insert(at, true);
+                } else {
+                    unjudged.push(tip);
+                }
+            }
             let states: Vec<&BlobState> = unjudged.iter().map(|&&(_, _, state)| state).collect();
+            report.validated += states.len() as u64;
             let judged = content::validate_many(db, &states)?;
             for (&&(at, _, _), ok) in unjudged.iter().zip(judged) {
                 verdicts.insert(at, ok);
@@ -433,6 +482,11 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
     }
 
     // --------------------------------------------------------- undo -----
+    // A delta's before-image goes back into the version the delta changed
+    // only once undo is done, and only if that version is the key's final
+    // one: a version that did not survive may have had its extents
+    // recycled by a later transaction that did.
+    let mut deltas: Vec<(&LogRecord, Option<Vec<u8>>)> = Vec::new();
     for rec in records.iter().rev() {
         let Some(txn) = rec.txn() else { continue };
         if surviving.contains(&txn) {
@@ -466,7 +520,17 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
                     db.attach_relation(&name, old_value)?;
                 }
             }
+            LogRecord::BlobDelta { relation, key, .. } => {
+                deltas.push((rec, stored_value(db, *relation, key)?));
+            }
             _ => unpin(db, undo_record(db, rec)?),
+        }
+    }
+    for (rec, changed) in deltas {
+        if let LogRecord::BlobDelta { relation, key, .. } = rec {
+            if changed.is_some() && stored_value(db, *relation, key)? == changed {
+                unpin(db, undo_record(db, rec)?);
+            }
         }
     }
 
@@ -477,26 +541,40 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
     // Image-journaled checkpoint: a crash during these writes replays the
     // same recovery again from intact state.
     db.checkpoint_locked()?;
+    // The allocator's ground truth, walked while the node pool still holds
+    // the trees the checkpoint just flushed (after the drop below, every
+    // node would be faulted back from the device).
+    let mut used = db.referenced_extents()?;
     // Drop every cached extent: recovery loaded extents of failed and
     // uncommitted transactions whose pages return to the allocator below;
     // leaving them resident would pin stale extent geometry onto pages
     // that later allocations carve up differently.
     db.blob_pool.drop_caches();
     db.node_pool.drop_caches();
-    {
-        let mut used = db.referenced_extents()?;
-        used.sort_by_key(|e| e.start);
-        used.dedup();
-        db.alloc.reset_from_extents(&used);
-    }
+    used.sort_by_key(|e| e.start);
+    used.dedup();
+    db.alloc.reset_from_extents(&used);
     Ok(report)
+}
+
+/// The `(relation, key)` a record writes, if it writes one.
+fn key_of(rec: &LogRecord) -> Option<(u32, &[u8])> {
+    match rec {
+        LogRecord::Insert { relation, key, .. }
+        | LogRecord::Update { relation, key, .. }
+        | LogRecord::Delete { relation, key, .. }
+        | LogRecord::BlobDelta { relation, key, .. }
+        | LogRecord::BlobChunk { relation, key, .. }
+        | LogRecord::BlobRelocate { relation, key, .. } => Some((*relation, key)),
+        _ => None,
+    }
 }
 
 /// Reverse one operation of a transaction that does not commit. This is
 /// the whole of undo for relation rows and BLOB bytes, at runtime
 /// (`Txn::rollback` walks its staged records backwards through it) and at
-/// restart (the undo phase above, which only adds the catalog relation's
-/// own handling). Returns the content extents a delta's before-image was
+/// restart (the undo phase above, which adds the catalog relation's own
+/// handling and applies a delta only to a version that survives). Returns the content extents a delta's before-image was
 /// written into: dirty, pinned, and owing no flush anyone has staged.
 pub(crate) fn undo_record(db: &Database, rec: &LogRecord) -> Result<Vec<ExtentSpec>> {
     match rec {
@@ -557,6 +635,14 @@ fn apply_at_key(
     };
     let written = content::apply_bytes(db, &state, byte_offset, data)?;
     Ok(written.into_iter().map(|piece| piece.spec).collect())
+}
+
+/// The value `key` holds in `relation` now, if both exist.
+fn stored_value(db: &Database, relation: u32, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    match db.relation_by_id(relation) {
+        Some(rel) => rel.tree.lookup(key),
+        None => Ok(None),
+    }
 }
 
 /// Recovery flushes everything at the end: waive the flush each written

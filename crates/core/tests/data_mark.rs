@@ -1,0 +1,372 @@
+//! The data-durable mark: once a data-device sync covers the content of a
+//! prefix of the log's commits, the group committer writes a mark naming
+//! it, and recovery re-hashes only what was committed after it.
+//!
+//! * A seeded crash sweep over write-back devices (both sides lose what no
+//!   sync covered) for `commit_wait` true and false: no key ever resolves
+//!   to content that was not written for it or that fails its SHA-256.
+//! * A delta update after the mark whose in-place write is lost: the
+//!   version the mark covers is hashed after all, and wins.
+//! * A checkpoint between the sync and the next group keeps the stale mark
+//!   out of the new log.
+//! * 200 × 1 MiB `commit_wait` puts on two shards reopen hashing at most
+//!   `DATA_SYNC_EVERY / 1 MiB + 1` BLOBs per shard.
+//! * Restart undo never writes a failed delta's before-image into extents
+//!   its version lost to recycling (found by the sweep).
+
+use lobster_core::{
+    Config, Database, Relation, RelationKind, ShardDevices, ShardedDatabase, DATA_SYNC_EVERY,
+};
+use lobster_storage::{CrashDevice, Device, MemDevice};
+use lobster_types::Error;
+use lobster_wal::LogRecord;
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+const MIB: usize = 1 << 20;
+
+fn cfg(commit_wait: bool) -> Config {
+    Config {
+        pool_frames: 8192,
+        commit_wait,
+        ..Config::default()
+    }
+}
+
+fn pattern(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        })
+        .collect()
+}
+
+/// What reached the medium, on a device of its own; all-zero windows stay
+/// unmaterialized.
+fn survivor(dev: &MemDevice) -> Arc<MemDevice> {
+    let copy = MemDevice::new(dev.capacity() as usize);
+    let mut buf = vec![0u8; MIB];
+    for off in (0..dev.capacity()).step_by(MIB) {
+        let n = buf.len().min((dev.capacity() - off) as usize);
+        dev.read_at(&mut buf[..n], off).unwrap();
+        if buf[..n].iter().any(|&b| b != 0) {
+            copy.write_at(&buf[..n], off).unwrap();
+        }
+    }
+    Arc::new(copy)
+}
+
+fn put(db: &Arc<Database>, rel: &Relation, key: &[u8], data: &[u8]) {
+    let mut t = db.begin();
+    t.put_blob(rel, key, data).unwrap();
+    t.commit().unwrap();
+}
+
+/// Block until the committer has synced the data device `n` times.
+fn await_data_syncs(db: &Database, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while db.metrics().snapshot().data_syncs < n {
+        assert!(Instant::now() < deadline, "no data sync after the budget");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn marks(records: &[LogRecord]) -> usize {
+    let is_mark = |r: &&LogRecord| matches!(r, LogRecord::DataDurable { .. });
+    records.iter().filter(is_mark).count()
+}
+
+// ---------------------------------------------------------- crash sweep ---
+
+/// One seeded run: a mix of puts, overwrites, deletes, delta updates and
+/// appends of up to 1 MiB over 12 keys, then a power cut after a seeded
+/// number of operations — log device first, then data device, so no mark
+/// can reach the log after the data device lost anything. Returns (marks
+/// in the surviving log, BLOBs the reopen hashed, committed BLOB versions
+/// it could have hashed).
+fn crash_run(seed: u64, commit_wait: bool) -> (usize, u64, usize) {
+    const DATA_CAP: usize = 96 << 20;
+    const WAL_CAP: usize = 16 << 20;
+    let data = Arc::new(CrashDevice::write_back(MemDevice::new(DATA_CAP)));
+    let wal = Arc::new(CrashDevice::write_back(MemDevice::new(WAL_CAP)));
+    let db = Database::create(data.clone(), wal.clone(), cfg(commit_wait)).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+
+    // Every content a key was ever given (the oracle) and what it holds now.
+    let mut written: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+    let mut now: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let mut rng = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+    let mut next = move |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % n
+    };
+    let ops = 40 + next(20);
+    let cut_at = ops / 2 + next(ops / 2);
+    for op in 0..ops {
+        if op == cut_at {
+            break;
+        }
+        let key = format!("k{}", next(12)).into_bytes();
+        let mut t = db.begin();
+        let new = match (now.get(&key), next(10)) {
+            (Some(_), 0..=1) => {
+                t.delete_blob(&rel, &key).unwrap();
+                None
+            }
+            (Some(cur), 2..=3) => {
+                let len = (1 + next(3000) as usize).min(cur.len());
+                let at = next((cur.len() - len) as u64 + 1) as usize;
+                let patch = pattern(len, seed * 1000 + op);
+                t.update_blob(&rel, &key, at as u64, &patch).unwrap();
+                let mut v = cur.clone();
+                v[at..at + len].copy_from_slice(&patch);
+                Some(v)
+            }
+            (Some(cur), 4) if cur.len() < 2 * MIB => {
+                let more = pattern(1 + next(200_000) as usize, seed * 1000 + op);
+                t.append_blob(&rel, &key, &more).unwrap();
+                let mut v = cur.clone();
+                v.extend_from_slice(&more);
+                Some(v)
+            }
+            (cur, _) => {
+                let v = pattern(64 * 1024 + next(MIB as u64) as usize, seed * 1000 + op);
+                if cur.is_some() {
+                    t.delete_blob(&rel, &key).unwrap();
+                }
+                t.put_blob(&rel, &key, &v).unwrap();
+                Some(v)
+            }
+        };
+        t.commit().unwrap();
+        match new {
+            Some(v) => {
+                written.entry(key.clone()).or_default().push(v.clone());
+                now.insert(key, v);
+            }
+            None => {
+                now.remove(&key);
+            }
+        }
+    }
+    wal.crash_now();
+    data.crash_now();
+    drop(db);
+
+    let data2 = survivor(data.inner());
+    let wal2 = survivor(wal.inner());
+    let wal_dyn: Arc<dyn Device> = wal2.clone();
+    let log = lobster_wal::Wal::scan_records(&wal_dyn).unwrap();
+    let versions = log
+        .iter()
+        .filter(|r| matches!(r, LogRecord::Insert { .. } | LogRecord::Update { .. }))
+        .count();
+    let (db2, report) = Database::open(data2, wal2, cfg(commit_wait)).unwrap();
+    let rel2 = db2
+        .relation("b")
+        .expect("the relation's creation is durable");
+    let ctx = format!("seed {seed} commit_wait {commit_wait}");
+    for (key, versions) in &written {
+        let mut t = db2.begin();
+        match t.get_blob(&rel2, key, |b| b.to_vec()) {
+            Ok(got) => assert!(
+                versions.contains(&got),
+                "{ctx}: {} resolved to content never written for it ({} bytes)",
+                String::from_utf8_lossy(key),
+                got.len()
+            ),
+            Err(Error::KeyNotFound) => {}
+            Err(e) => panic!("{ctx}: read failed: {e}"),
+        }
+        t.commit().unwrap();
+    }
+    let scrub = db2.scrub().unwrap();
+    assert!(scrub.is_clean(), "{ctx}: SHA mismatch {:?}", scrub.corrupt);
+    // Still writable.
+    put(&db2, &rel2, b"after", &pattern(300_000, seed));
+    (marks(&log), report.validated, versions)
+}
+
+/// Sweep-width multiplier for the nightly torture CI job
+/// (`LOBSTER_TORTURE_MULT=10`); unset or invalid means 1.
+fn torture_mult() -> u64 {
+    std::env::var("LOBSTER_TORTURE_MULT")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&m| m >= 1)
+        .unwrap_or(1)
+}
+
+#[test]
+fn write_back_crash_sweep_never_resolves_to_bad_content() {
+    for commit_wait in [true, false] {
+        let (mut marked, mut hashed, mut versions) = (0, 0, 0);
+        for seed in 1..=6 * torture_mult() {
+            let (m, h, v) = crash_run(seed, commit_wait);
+            (marked, hashed, versions) = (marked + m, hashed + h, versions + v);
+        }
+        // The sweep must exercise the mark, not only the old path.
+        assert!(marked > 0, "commit_wait {commit_wait}: no run wrote a mark");
+        assert!(
+            (hashed as usize) < versions,
+            "commit_wait {commit_wait}: the marks spared no hashing ({hashed} of {versions})"
+        );
+    }
+}
+
+// ---------------------------------------------------- targeted scenarios ---
+
+/// Eight 1 MiB puts spend the budget: the committer syncs the data device
+/// and publishes a mark covering all of them.
+fn store_past_one_sync(
+    data: Arc<dyn Device>,
+    wal: Arc<dyn Device>,
+) -> (Arc<Database>, Arc<Relation>) {
+    let db = Database::create(data, wal, cfg(true)).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let n = (DATA_SYNC_EVERY as usize).div_ceil(MIB) as u64;
+    for i in 0..n {
+        put(&db, &rel, format!("k{i}").as_bytes(), &pattern(MIB, i));
+    }
+    await_data_syncs(&db, 1);
+    (db, rel)
+}
+
+#[test]
+fn a_lost_delta_after_the_mark_exposes_a_hashed_earlier_version() {
+    let data = Arc::new(CrashDevice::write_back(MemDevice::new(64 << 20)));
+    let wal = Arc::new(MemDevice::new(16 << 20));
+    let (db, rel) = store_past_one_sync(data.clone(), wal.clone());
+    // The delta's group carries the mark; its in-place write sits in the
+    // data device's cache, and the cut discards it.
+    let mut t = db.begin();
+    t.update_blob(&rel, b"k0", 4096, &[0xEE; 100]).unwrap();
+    t.commit().unwrap();
+    data.crash_now();
+    drop(db);
+    let wal_dyn: Arc<dyn Device> = wal.clone();
+    let log = lobster_wal::Wal::scan_records(&wal_dyn).unwrap();
+    assert_eq!(marks(&log), 1, "the delta's group carries the mark");
+
+    let (db2, report) = Database::open(survivor(data.inner()), wal, cfg(true)).unwrap();
+    // The delta's version fails; the version before it, inside the prefix,
+    // is hashed too (the delta could have torn it) and survives. Nothing
+    // else is hashed.
+    assert_eq!(report.sha_failures, 1);
+    assert_eq!(report.validated, 2, "{report:?}");
+    let rel2 = db2.relation("b").unwrap();
+    let mut t = db2.begin();
+    let n = (DATA_SYNC_EVERY as usize).div_ceil(MIB) as u64;
+    for i in 0..n {
+        let key = format!("k{i}");
+        let ok = t.get_blob(&rel2, key.as_bytes(), |b| b == pattern(MIB, i));
+        assert!(ok.unwrap(), "{key} is not its committed content");
+    }
+    t.commit().unwrap();
+}
+
+/// Found by the sweep: a failed delta's before-image must not be written
+/// into extents its version lost to recycling. `a`'s first version is
+/// checkpointed; its overwrite frees the extents, `b` is put into them and
+/// patched in place, and the cut loses everything since the checkpoint.
+/// Recovery falls back to `a`'s first version and rolls `b` back — without
+/// writing `b`'s before-image over `a`.
+#[test]
+fn a_failed_delta_never_writes_into_a_recycled_extent() {
+    let data = Arc::new(CrashDevice::write_back(MemDevice::new(64 << 20)));
+    let wal = Arc::new(MemDevice::new(16 << 20));
+    let db = Database::create(data.clone(), wal.clone(), cfg(true)).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let first = pattern(MIB, 1);
+    put(&db, &rel, b"a", &first);
+    db.checkpoint().unwrap();
+    let placed = db.begin().blob_state(&rel, b"a").unwrap().unwrap().extents;
+    let mut t = db.begin();
+    t.delete_blob(&rel, b"a").unwrap();
+    t.put_blob(&rel, b"a", &pattern(MIB, 2)).unwrap();
+    t.commit().unwrap();
+    put(&db, &rel, b"b", &pattern(MIB, 3));
+    let reused = db.begin().blob_state(&rel, b"b").unwrap().unwrap().extents;
+    assert_eq!(reused, placed, "b must take a's recycled extents");
+    let mut t = db.begin();
+    t.update_blob(&rel, b"b", 600_000, &[0xEE; 100]).unwrap();
+    t.commit().unwrap();
+    data.crash_now();
+    drop(db);
+
+    let (db2, report) = Database::open(survivor(data.inner()), wal, cfg(true)).unwrap();
+    assert_eq!(report.sha_failures, 3, "{report:?}");
+    let rel2 = db2.relation("b").unwrap();
+    let mut t = db2.begin();
+    assert!(t.get_blob(&rel2, b"a", |got| got == first).unwrap());
+    assert!(t.blob_state(&rel2, b"b").unwrap().is_none());
+    t.commit().unwrap();
+}
+
+#[test]
+fn a_checkpoint_between_the_sync_and_the_next_group_keeps_the_mark_out() {
+    for checkpoint in [false, true] {
+        let data = Arc::new(MemDevice::new(64 << 20));
+        let wal = Arc::new(MemDevice::new(16 << 20));
+        let (db, rel) = store_past_one_sync(data, wal);
+        if checkpoint {
+            db.checkpoint().unwrap();
+        }
+        put(&db, &rel, b"next", &pattern(5000, 99));
+        let log = db.wal().read_all().unwrap();
+        let want = usize::from(!checkpoint);
+        assert_eq!(marks(&log), want, "checkpoint {checkpoint}: {log:?}");
+    }
+}
+
+#[test]
+fn reopen_after_200_one_mib_puts_hashes_only_the_tail() {
+    let parts: Vec<_> = (0..2)
+        .map(|_| {
+            let data: Arc<dyn Device> = Arc::new(MemDevice::new(320 << 20));
+            let wal: Arc<dyn Device> = Arc::new(MemDevice::new(16 << 20));
+            (data, wal)
+        })
+        .collect();
+    let devices = || {
+        (parts.iter())
+            .map(|(data, wal)| ShardDevices {
+                data: data.clone(),
+                wal: wal.clone(),
+            })
+            .collect::<Vec<_>>()
+    };
+    let sdb = ShardedDatabase::create(devices(), cfg(true)).unwrap();
+    let rel = sdb.create_relation("b", RelationKind::Blob).unwrap();
+    let blob = pattern(MIB, 7);
+    for i in 0..200u32 {
+        let mut t = sdb.begin();
+        t.put_blob(&rel, &i.to_be_bytes(), &blob).unwrap();
+        t.commit().unwrap();
+    }
+    drop(sdb); // no checkpoint: every put is in the logs
+
+    let (sdb, reports) = ShardedDatabase::open(devices(), cfg(true)).unwrap();
+    let most = DATA_SYNC_EVERY / MIB as u64 + 1;
+    for (shard, report) in reports.iter().enumerate() {
+        assert!(report.committed > 50, "shard {shard}: {report:?}");
+        assert!(
+            report.validated <= most,
+            "shard {shard} hashed {} BLOBs, more than {most}",
+            report.validated
+        );
+    }
+    let rel = sdb.relation("b").unwrap();
+    let mut t = sdb.begin();
+    for i in (0..200u32).step_by(17) {
+        assert!(t.get_blob(&rel, &i.to_be_bytes(), |b| b == blob).unwrap());
+    }
+    t.commit().unwrap();
+}

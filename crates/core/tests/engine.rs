@@ -629,7 +629,7 @@ fn recovery_detects_lost_blob_content_via_sha() {
     // The crash window the paper's protocol defends: WAL fsync succeeded
     // (Blob State durable) but the extent flush never reached the device.
     let raw = MemDevice::new(128 << 20);
-    let crash_dev = Arc::new(CrashDevice::new(raw));
+    let crash_dev = Arc::new(CrashDevice::write_back(raw));
     let wal = Arc::new(MemDevice::new(32 << 20));
     let data = pattern(200_000, 101);
     {
@@ -638,12 +638,13 @@ fn recovery_detects_lost_blob_content_via_sha() {
         put(&db, &rel, b"good", &data);
         db.checkpoint().unwrap();
 
-        // Cut power on the *data* device only: the WAL (separate device)
-        // still records the commit, but extent content is dropped.
-        crash_dev.crash_now();
+        // The commit's extent content sits in the data device's write
+        // cache, which no sync has covered; the WAL (separate device)
+        // records the commit. Then power is cut on the data device.
         let mut t = db.begin();
         t.put_blob(&rel, b"lost", &pattern(100_000, 102)).unwrap();
         t.commit().unwrap();
+        crash_dev.crash_now();
         std::mem::forget(db);
     }
     // Reopen against what physically survived.
@@ -712,7 +713,7 @@ fn recovery_physlog_restores_content_from_wal() {
     // In physical-logging mode the WAL itself carries content, so even a
     // total loss of extent writes is recoverable.
     let raw = MemDevice::new(128 << 20);
-    let crash_dev = Arc::new(CrashDevice::new(raw));
+    let crash_dev = Arc::new(CrashDevice::write_back(raw));
     let wal = Arc::new(MemDevice::new(64 << 20));
     let data = pattern(150_000, 121);
     let mut cfg = small_cfg();
@@ -721,10 +722,10 @@ fn recovery_physlog_restores_content_from_wal() {
         let db = Database::create(crash_dev.clone(), wal.clone(), cfg.clone()).unwrap();
         let rel = db.create_relation("b", RelationKind::Blob).unwrap();
         db.checkpoint().unwrap();
-        crash_dev.crash_now(); // all further data-device writes lost
         let mut t = db.begin();
         t.put_blob(&rel, b"k", &data).unwrap();
         t.commit().unwrap();
+        crash_dev.crash_now(); // every data-device write since the checkpoint lost
         std::mem::forget(db);
     }
     let survived = Arc::new({

@@ -100,6 +100,9 @@ counters! {
     syscalls,
     /// fsync/fdatasync calls.
     fsyncs,
+    /// Data-device syncs the group committer issued to move the
+    /// data-durable mark (not counted in `fsyncs`, which are the log's).
+    data_syncs,
     /// Pages read from the device.
     pages_read,
     /// Pages written to the device.

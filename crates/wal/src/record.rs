@@ -100,6 +100,12 @@ pub enum LogRecord {
     /// consistent tree (the classic full-page-image / double-write fix for
     /// torn checkpoint writes).
     PageImage { pid: u64, data: Vec<u8> },
+    /// Data-durable mark: a data-device sync returned after the content
+    /// flushes of every commit up to and including `txn`'s commit record
+    /// (in log order) had landed. Recovery accepts a key whose newest
+    /// version lies in that prefix without re-hashing it. Names a commit
+    /// earlier in the same log; a mark naming none is ignored.
+    DataDurable { txn: u64 },
 }
 
 impl LogRecord {
@@ -115,7 +121,9 @@ impl LogRecord {
             | LogRecord::BlobChunk { txn, .. }
             | LogRecord::BlobRelocate { txn, .. }
             | LogRecord::TxnCrossCommit { txn, .. } => Some(*txn),
-            LogRecord::Checkpoint | LogRecord::PageImage { .. } => None,
+            LogRecord::Checkpoint | LogRecord::PageImage { .. } | LogRecord::DataDurable { .. } => {
+                None
+            }
         }
     }
 
@@ -133,6 +141,7 @@ impl LogRecord {
             LogRecord::PageImage { .. } => 10,
             LogRecord::TxnCrossCommit { .. } => 11,
             LogRecord::BlobRelocate { .. } => 12,
+            LogRecord::DataDurable { .. } => 13,
         }
     }
 
@@ -142,7 +151,8 @@ impl LogRecord {
         match self {
             LogRecord::TxnBegin { txn }
             | LogRecord::TxnCommit { txn }
-            | LogRecord::TxnAbort { txn } => {
+            | LogRecord::TxnAbort { txn }
+            | LogRecord::DataDurable { txn } => {
                 out.extend_from_slice(&txn.to_le_bytes());
             }
             LogRecord::Insert {
@@ -294,6 +304,7 @@ impl LogRecord {
                 old_value: c.bytes()?,
                 new_value: c.bytes()?,
             },
+            13 => LogRecord::DataDurable { txn: c.u64()? },
             t => {
                 return Err(Error::Corruption(format!("unknown log record tag {t}")));
             }
@@ -460,6 +471,7 @@ mod tests {
                 old_value: vec![4; 120],
                 new_value: vec![7; 120],
             },
+            LogRecord::DataDurable { txn: 13 },
         ]
     }
 
@@ -515,5 +527,7 @@ mod tests {
     fn txn_accessor() {
         assert_eq!(LogRecord::TxnCommit { txn: 3 }.txn(), Some(3));
         assert_eq!(LogRecord::Checkpoint.txn(), None);
+        // A mark names a commit; it is not a record of that transaction.
+        assert_eq!(LogRecord::DataDurable { txn: 3 }.txn(), None);
     }
 }

@@ -321,6 +321,7 @@ impl Wal {
                     a.page_images += 1;
                     a.image_bytes += data.len() as u64;
                 }
+                LogRecord::DataDurable { .. } => {}
             }
         }
         Ok(a)

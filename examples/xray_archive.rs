@@ -32,8 +32,9 @@ fn modality_of(img: &[u8]) -> Vec<u8> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Crash-injecting data device: we will literally cut power later.
-    let crash_dev = Arc::new(CrashDevice::new(MemDevice::new(256 << 20)));
+    // Crash-injecting data device with a volatile write cache: we will
+    // literally cut power later.
+    let crash_dev = Arc::new(CrashDevice::write_back(MemDevice::new(256 << 20)));
     let wal_dev = Arc::new(MemDevice::new(64 << 20));
     let db = Database::create(crash_dev.clone(), wal_dev.clone(), Config::default())?;
 
@@ -101,7 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- The crash the intro warns about ----------------------------------
     println!("\ncutting power mid-admission…");
     db.checkpoint()?;
-    crash_dev.crash_now(); // every further data-device write is lost
     let mut txn = db.begin();
     txn.put_kv(&patients, b"P9999", b"Phantom Patient")?;
     txn.put_blob(
@@ -109,7 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b"P9999-scan1.xray",
         &make_xray("CHEST", 256 * 1024, 9),
     )?;
-    txn.commit()?; // commit "succeeds" — but the image bytes never landed
+    txn.commit()?; // durable in the log — the image bytes only in the device's cache
+    crash_dev.crash_now(); // the cache never reaches the medium
 
     // Copy the surviving bytes to a fresh device and recover.
     let survivor = Arc::new(MemDevice::new(256 << 20));
