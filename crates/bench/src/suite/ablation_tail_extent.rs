@@ -9,6 +9,11 @@
 //!
 //! Tail extents eliminate slack entirely but make `append_blob` pay an
 //! extent clone (allocation + memcpy of the old tail).
+//!
+//! The engine picks the layout per operation: a put of known size ends in
+//! an exact tail, growth climbs the tier ladder. So the tail arm builds
+//! each object with one put, and the tier-formula arm builds it by growth
+//! — one page put, the rest appended in the same transaction.
 
 use crate::*;
 use lobster_baselines::LobsterStore;
@@ -16,8 +21,6 @@ use lobster_baselines::{LobsterMode, ObjectStore};
 use std::time::Instant;
 
 fn build(use_tail: bool) -> LobsterStore {
-    let mut cfg = our_config(1);
-    cfg.use_tail_extents = use_tail;
     LobsterStore::new(
         if use_tail {
             "tail extent"
@@ -26,7 +29,7 @@ fn build(use_tail: bool) -> LobsterStore {
         },
         mem_device(2 << 30),
         mem_device(256 << 20),
-        cfg,
+        our_config(1),
         LobsterMode::Blobs,
     )
     .expect("create")
@@ -64,9 +67,17 @@ pub(crate) fn run(report: &mut Report) {
         for i in 0..objects {
             let size = 100_000 + (i * 37_321) % 900_000;
             logical += size as u64;
-            store
-                .put(&key_name(i as u64), &make_payload(size, i as u64))
-                .expect("put");
+            let (key, payload) = (key_name(i as u64), make_payload(size, i as u64));
+            if use_tail {
+                store.put(&key, &payload).expect("put");
+            } else {
+                let (head, rest) = payload.split_at(4096);
+                let mut t = db.begin();
+                t.put_blob(&rel, key.as_bytes(), head).expect("put head");
+                t.append_blob(&rel, key.as_bytes(), rest)
+                    .expect("append rest");
+                t.commit().expect("commit");
+            }
         }
         let put_secs = t0.elapsed().as_secs_f64();
         let allocated = db.allocator().pages_in_use() * 4096;

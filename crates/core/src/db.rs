@@ -59,8 +59,6 @@ pub struct Config {
     pub io_threads: usize,
     // knob: fixed at create; `open` reads it back from the header
     pub tier_policy: TierPolicy,
-    /// Allocate tail extents for new BLOBs (§III-A / §III-H trade-off).
-    pub use_tail_extents: bool,
     pub blob_logging: BlobLogging,
     /// Checkpoint when the active log exceeds this many bytes.
     pub checkpoint_threshold: u64,
@@ -102,7 +100,6 @@ impl Default for Config {
             },
             io_threads: 4,
             tier_policy: TierPolicy::default(),
-            use_tail_extents: false,
             blob_logging: BlobLogging::Async,
             checkpoint_threshold: 64 << 20,
             workers: 4,
@@ -331,7 +328,6 @@ impl Database {
         let header = Header::read(&*device)?;
         cfg.page_size = header.page_size;
         cfg.tier_policy = header.tier_policy;
-        cfg.use_tail_extents = header.use_tail_extents;
         cfg.node_pages = header.node_pages;
         let db = Self::assemble(
             device,
@@ -401,7 +397,6 @@ impl Database {
         let header = Header {
             page_size: self.cfg.page_size,
             tier_policy: self.cfg.tier_policy,
-            use_tail_extents: self.cfg.use_tail_extents,
             catalog_root: self.catalog_tree.root(),
             node_pages: self.cfg.node_pages,
             xcommit_watermark: self.xcommit_watermark.load(Ordering::SeqCst),

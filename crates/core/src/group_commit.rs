@@ -71,7 +71,7 @@ use lobster_sync::thread::JoinHandle;
 use lobster_sync::{thread, Arc, Condvar, Mutex, RwLock};
 use lobster_types::{Error, Result, RetryPolicy};
 use lobster_wal::{LogRecord, Wal};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 // Memory-ordering note (satellite audit, PR 4): `Relaxed` in this file is
@@ -824,8 +824,26 @@ struct InflightFlush {
     /// First failure among the flights already reaped.
     failed: Option<Error>,
     group: DurableGroup,
-    /// Extent starts being written, for the write-after-write check.
-    starts: HashSet<u64>,
+    /// Page ranges being written, `start → pages`, for the
+    /// write-after-write check.
+    writing: BTreeMap<u64, u64>,
+}
+
+impl InflightFlush {
+    fn note_write(&mut self, spec: ExtentSpec) {
+        let pages = self.writing.entry(spec.start.raw()).or_insert(0);
+        *pages = (*pages).max(spec.pages);
+    }
+
+    /// Does a write in flight touch any page of `spec`? By range, not by
+    /// start: a truncate frees the pages past a tail extent's new end
+    /// under a start no flight names.
+    fn writes_into(&self, spec: ExtentSpec) -> bool {
+        // Ranges in flight are disjoint, so only the last one starting
+        // below `spec`'s end can reach into it.
+        let (start, end) = (spec.start.raw(), spec.start.raw() + spec.pages.max(1));
+        (self.writing.range(..end).next_back()).is_some_and(|(&s, &p)| s + p > start)
+    }
 }
 
 /// Where an [`InflightFlush`] stands.
@@ -934,12 +952,11 @@ fn flush_stage(inbox: Arc<FlushInbox>, ctx: StageCtx) {
         // blob) deadlocked the whole pipeline: no retire, no recycling,
         // allocator wedged at full. (The group's own eager flights need no
         // check: their extents are fresh, in no other group.)
-        let touched: Vec<u64> = (group.items.iter().map(|item| item.spec))
+        let touched: Vec<ExtentSpec> = (group.items.iter().map(|item| item.spec))
             .chain(group.freed.iter().copied())
             .chain(group.refenced.iter().copied())
-            .map(|spec| spec.start.raw())
             .collect();
-        let conflicts = |f: &InflightFlush| touched.iter().any(|start| f.starts.contains(start));
+        let conflicts = |f: &InflightFlush| touched.iter().any(|&spec| f.writes_into(spec));
         let mut stalled = false;
         loop {
             let due = reap(&mut inflight, &ctx);
@@ -956,26 +973,28 @@ fn flush_stage(inbox: Arc<FlushInbox>, ctx: StageCtx) {
 
         let tickets = std::mem::take(&mut group.flights);
         let mut flight = InflightFlush {
-            starts: (tickets.iter().flat_map(|t| t.items()))
-                .map(|item| item.spec.start.raw())
-                .collect(),
-            tickets,
+            tickets: Vec::new(),
             failed: None,
             group,
+            writing: BTreeMap::new(),
         };
+        for item in tickets.iter().flat_map(|t| t.items()) {
+            flight.note_write(item.spec);
+        }
+        flight.tickets = tickets;
         // A write that waited for the fsync to an extent one of the group's
         // own eager flights is still writing (two transactions of one
         // group, on a pool whose flights hold no latch): land the flights
         // first, for the same no-reorder rule as above.
         let items = std::mem::take(&mut flight.group.items);
-        if (items.iter()).any(|item| flight.starts.contains(&item.spec.start.raw())) {
+        if (items.iter()).any(|item| flight.writes_into(item.spec)) {
             for ticket in std::mem::take(&mut flight.tickets) {
                 let eager = ticket.items().to_vec();
                 flight.note(ticket.wait().or_else(|e| ctx.flush_retry(&eager, e)));
             }
         }
         if !items.is_empty() {
-            (flight.starts).extend(items.iter().map(|item| item.spec.start.raw()));
+            items.iter().for_each(|item| flight.note_write(item.spec));
             match ctx.blob_pool.flush_extents_async(&items) {
                 Ok(ticket) => flight.tickets.push(ticket),
                 Err(e) => flight.note(ctx.flush_retry(&items, e)),

@@ -21,7 +21,6 @@ pub(crate) const XCOMMIT_ABOVE_CAP: usize = 500;
 pub(crate) struct Header {
     pub page_size: usize,
     pub tier_policy: TierPolicy,
-    pub use_tail_extents: bool,
     pub catalog_root: Pid,
     pub node_pages: u64,
     /// Every gtxn `<=` this is globally durable (see `shard.rs`).
@@ -57,7 +56,6 @@ impl Header {
         Ok(Header {
             page_size: read_u32(&block[8..]) as usize,
             tier_policy,
-            use_tail_extents: block[21] != 0,
             catalog_root: Pid::new(read_u64(&block[22..])),
             node_pages: read_u64(&block[30..]),
             xcommit_watermark: read_u64(&block[38..]),
@@ -84,7 +82,9 @@ impl Header {
         block[12] = tag;
         block[13..17].copy_from_slice(&tiers_per_level.to_le_bytes());
         block[17..21].copy_from_slice(&levels.to_le_bytes());
-        block[21] = self.use_tail_extents as u8;
+        // Reserved: once the store-wide tail-extent switch, now always 1.
+        // Placement is read from each Blob State, so decode ignores it.
+        block[21] = 1;
         block[22..30].copy_from_slice(&self.catalog_root.raw().to_le_bytes());
         block[30..38].copy_from_slice(&self.node_pages.to_le_bytes());
         block[38..46].copy_from_slice(&self.xcommit_watermark.to_le_bytes());
@@ -127,7 +127,6 @@ mod tests {
             let header = Header {
                 page_size: 16384,
                 tier_policy,
-                use_tail_extents: true,
                 catalog_root: Pid::new(0x0102_0304_0506),
                 node_pages: 4,
                 xcommit_watermark: 77,
@@ -184,7 +183,6 @@ mod tests {
                 tiers_per_level: 5,
                 levels: 7,
             },
-            use_tail_extents: true,
             catalog_root: Pid::new(1),
             node_pages: 2,
             xcommit_watermark: 3,
@@ -195,5 +193,18 @@ mod tests {
         block[4] = 2;
         assert_eq!(header.encode(), block, "bytes on disk changed");
         assert_eq!(Header::decode(&block).unwrap(), expected);
+    }
+
+    /// Byte 21 was the store-wide tail-extent switch. A store created with
+    /// it off (0) or on (1) opens to the same header, and either is written
+    /// back as 1.
+    #[test]
+    fn reserved_byte_21_is_ignored_on_read_and_written_as_one() {
+        let on = parent_block();
+        let mut off = on.clone();
+        off[21] = 0;
+        let header = Header::decode(&on).unwrap();
+        assert_eq!(Header::decode(&off).unwrap(), header);
+        assert_eq!(header.encode()[21], 1);
     }
 }

@@ -312,10 +312,11 @@ impl Txn {
             return Ok(());
         }
 
-        // Reserve the smallest extent sequence, write content into buffer
-        // frames (pinned + dirty), and hash in the same pass.
+        // The size is known: reserve the largest tier prefix that fits plus
+        // one exact tail extent (§III-A), write content into buffer frames
+        // (pinned + dirty), and hash in the same pass.
         let pages = self.db.geo.pages_for(data.len() as u64);
-        let plan = plan_sequence(&self.db.table, pages, self.db.cfg.use_tail_extents)?;
+        let plan = plan_sequence(&self.db.table, pages, true)?;
         let mut hasher = Sha256::new();
         let mut extents = Vec::with_capacity(plan.sizes.len());
         let source = Source::Bytes(data);
@@ -745,7 +746,9 @@ impl Txn {
         };
 
         // A tail extent cannot grow: clone it into the tier extent of its
-        // position first (§III-D).
+        // position first (§III-D). The clone joins the fresh extents but is
+        // not submitted here: the append below writes into it, and an
+        // eager flight's latch would make that wait on this thread.
         if let Some((tpid, tpages)) = state.tail {
             let pos = state.extents.len();
             let clone_spec = self.db.alloc.allocate_tier(pos)?;
@@ -757,7 +760,8 @@ impl Txn {
                 (old_size - covered) as usize,
                 Residency::Cached,
             )?;
-            self.fill_fresh_eager(clone_spec, &content, &mut |_| ())?;
+            let item = self.fill_fresh(clone_spec, &content, &mut |_| ())?;
+            self.fresh.push(item);
             self.freed.push(ExtentSpec::new(tpid, tpages));
             state.extents.push(clone_spec.start);
             state.tail = None;
@@ -794,13 +798,15 @@ impl Txn {
             data_off = take;
         }
 
-        // Allocate and fill the new extents.
+        // Allocate and fill the new extents. Growth climbs the tier ladder
+        // and never plans a tail (§III-H), so the next append fills free
+        // capacity instead of cloning again.
         let plan = plan_growth(
             table,
             existing,
             table.cumulative_pages(existing),
             geo.pages_for(new_size),
-            self.db.cfg.use_tail_extents,
+            false,
         )?;
         let source = Source::Bytes(&fill_data[data_off..]);
         state.tail = self.fill_plan(&plan, source, &mut |_| (), &mut state.extents)?;
@@ -824,7 +830,7 @@ impl Txn {
     /// [`Txn::append_blob`]). The surviving content stays in place: the
     /// minimal prefix of the tier-extent sequence that still covers
     /// `new_size` is kept and every extent beyond it joins the free lists at
-    /// commit. Only the metadata is rewritten — except the SHA-256, which
+    /// commit; a cut inside the tail extent frees the tail's pages past it. Only the metadata is rewritten — except the SHA-256, which
     /// cannot be "un-resumed" and is recomputed over the surviving bytes.
     pub fn truncate_blob(&mut self, rel: &Relation, key: &[u8], new_size: u64) -> Result<()> {
         self.check_active()?;
@@ -860,9 +866,17 @@ impl Txn {
                 freed.push(ExtentSpec::new(pid, table.size_of(pos)));
             }
             state.extents.truncate(keep);
+        } else if let Some((tpid, tpages)) = state.tail {
+            // The new size still reaches into the tail extent: every tier
+            // extent survives and the tail shrinks to the pages it still
+            // holds. The cut-off pages free at commit like any freed extent
+            // (a quarantine fence over the tail parks them).
+            let keep = geo.pages_for(new_size) - table.cumulative_pages(state.extents.len());
+            if keep < tpages {
+                freed.push(ExtentSpec::new(tpid.offset(keep), tpages - keep));
+                state.tail = Some((tpid, keep));
+            }
         }
-        // else: the new size still reaches into the tail extent — every
-        // extent survives; the tail keeps its (now oversized) page count.
 
         // The surviving bytes stay where they are, so the shorter state
         // already addresses them: hash it in bounded pieces. The embedded
@@ -997,9 +1011,10 @@ impl Txn {
     /// Protocol (crash-safe at every instant, see DESIGN.md §5g):
     ///  1. exclusive key lock — waits out every in-flight reader, so no
     ///     `get_blob`/`stream_blob_range` can span the swap;
-    ///  2. allocate the new tier sequence and copy the old placement into
-    ///     it through non-evicting reads, re-hashing in the same pass (the
-    ///     piggybacked scrub);
+    ///  2. allocate a new placement — the tier prefix plus an exact tail,
+    ///     as for a put — and copy the old placement into it through
+    ///     non-evicting reads, re-hashing in the same pass (the piggybacked
+    ///     scrub);
     ///  3. quarantine-fence the old extents, swap the Blob State in the
     ///     tree, and stage a [`LogRecord::BlobRelocate`];
     ///  4. commit rides the ordinary group-commit pipeline — the new
@@ -1030,9 +1045,9 @@ impl Txn {
         }
         let old_specs = state.extent_specs(&self.db.table);
 
-        // Same size ⇒ same tier-sequence shape for the new placement.
+        // The size is known: tier prefix plus exact tail, like a put.
         let pages = self.db.geo.pages_for(state.size);
-        let plan = plan_sequence(&self.db.table, pages, state.tail.is_some())?;
+        let plan = plan_sequence(&self.db.table, pages, true)?;
 
         // Copy old → new through the defrag source guard: resident source
         // extents are leased (stable frame reads), cold ones are read

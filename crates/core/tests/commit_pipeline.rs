@@ -63,10 +63,7 @@ fn extents_of(
     key: &[u8],
 ) -> Vec<ExtentSpec> {
     let state = t.blob_state(rel, key).unwrap().expect("blob exists");
-    let table = db.allocator().table().clone();
-    (state.extents.iter().enumerate())
-        .map(|(pos, &pid)| ExtentSpec::new(pid, table.size_of(pos)))
-        .collect()
+    state.extent_specs(db.tier_table())
 }
 
 /// Whether every page of `spec` is free in `db`'s allocator. The allocator
@@ -542,10 +539,12 @@ fn flags_outlive_a_landed_flush_while_a_later_one_is_owed() {
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     let pool = db.node_pool().clone(); // the vm variant's one pool
 
-    // 74 pages of content; the last extent holds 11 of its 64 pages.
+    // 74 pages of content, laid out by growth (a put would end in an
+    // exact tail): the last extent holds 11 of its 64 pages.
     let mut expected = pattern(300_000, 3);
     let mut t = db.begin();
-    t.put_blob(&rel, b"x", &expected).unwrap();
+    t.put_blob(&rel, b"x", &expected[..4096]).unwrap();
+    t.append_blob(&rel, b"x", &expected[4096..]).unwrap();
     let last = *extents_of(&db, &mut t, &rel, b"x").last().unwrap();
     t.commit().unwrap();
     db.wait_for_durability().unwrap();

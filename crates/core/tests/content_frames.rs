@@ -125,12 +125,20 @@ impl Harness {
 /// 64-page tier holds 11 — a last extent with 53 spare pages.
 const BASE: usize = 300_000;
 
+/// Store `data` under [`KEY`] the way growth lays it out: one page put,
+/// the rest appended, so the last extent is a tier with spare pages. A put
+/// alone would end in an exact tail extent, with none.
+fn put_by_growth(t: &mut lobster_core::Txn, rel: &lobster_core::Relation, data: &[u8]) {
+    t.put_blob(rel, KEY, &data[..PAGE]).unwrap();
+    t.append_blob(rel, KEY, &data[PAGE..]).unwrap();
+}
+
 #[test]
 fn append_into_spare_pages_of_a_resident_last_extent() {
     // Clean: the resident copy was flushed by its commit.
     let mut h = Harness::new(cfg());
     let mut want = pattern(BASE, 1);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
     let frames = h.db.node_pool().frames_in_use();
     let more = pattern(50_000, 2);
     h.commit(|t, rel| t.append_blob(rel, KEY, &more).unwrap());
@@ -154,7 +162,7 @@ fn append_into_spare_pages_of_a_resident_last_extent() {
     let mut want = pattern(BASE, 4);
     let (a, b) = (pattern(9_000, 5), pattern(70_000, 6));
     h.commit(|t, rel| {
-        t.put_blob(rel, KEY, &want).unwrap();
+        put_by_growth(t, rel, &want);
         t.append_blob(rel, KEY, &a).unwrap();
         t.append_blob(rel, KEY, &b).unwrap();
     });
@@ -169,7 +177,7 @@ fn append_into_spare_pages_of_a_resident_last_extent() {
         ..cfg()
     });
     let mut want = pattern(BASE, 7);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
     for seed in 8..16 {
         let more = pattern(3_000 * (seed as usize - 6), seed);
         h.commit(|t, rel| t.append_blob(rel, KEY, &more).unwrap());
@@ -182,7 +190,7 @@ fn append_into_spare_pages_of_a_resident_last_extent() {
 fn aborted_append_leaves_the_old_content_readable() {
     let mut h = Harness::new(cfg());
     let want = pattern(BASE, 1);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
     let rel = h.db.relation("b").unwrap();
     let mut t = h.db.begin();
     t.append_blob(&rel, KEY, &pattern(120_000, 2)).unwrap();
@@ -194,7 +202,7 @@ fn aborted_append_leaves_the_old_content_readable() {
 fn truncate_below_a_resident_last_extent_then_regrow() {
     let mut h = Harness::new(cfg());
     let mut want = pattern(BASE, 1);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
 
     // Inside the last extent: 11 content pages become 4.
     let frames = h.db.node_pool().frames_in_use();
@@ -227,7 +235,7 @@ fn truncate_below_a_resident_last_extent_then_regrow() {
         ..cfg()
     });
     let mut want = pattern(BASE, 3);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
     want.truncate(64 * PAGE);
     h.commit(|t, rel| t.truncate_blob(rel, KEY, want.len() as u64).unwrap());
     h.audit(&want, "truncate with a queued flush");
@@ -240,7 +248,7 @@ fn truncate_below_a_resident_last_extent_then_regrow() {
 fn aborted_truncate_regrows_the_trimmed_extent() {
     let mut h = Harness::new(cfg());
     let want = pattern(BASE, 1);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
     let frames = h.db.node_pool().frames_in_use();
     let rel = h.db.relation("b").unwrap();
     let mut t = h.db.begin();
@@ -263,7 +271,7 @@ fn aborted_truncate_regrows_the_trimmed_extent() {
 fn update_by_delta_and_by_clone_on_a_partial_last_extent() {
     let mut h = Harness::new(cfg());
     let mut want = pattern(BASE, 1);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
     let extents = |h: &Harness| {
         let mut placed = Vec::new();
         h.commit(|t, rel| placed = t.blob_state(rel, KEY).unwrap().unwrap().extents);
@@ -304,7 +312,7 @@ fn update_by_delta_and_by_clone_on_a_partial_last_extent() {
 fn aborted_delta_update_restores_the_bytes() {
     let mut h = Harness::new(cfg());
     let want = pattern(BASE, 1);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
     h.refault();
     let rel = h.db.relation("b").unwrap();
     let mut t = h.db.begin();
@@ -319,7 +327,7 @@ fn aborted_delta_update_restores_the_bytes() {
 fn relocate_with_a_resident_and_a_cold_source() {
     let mut h = Harness::new(cfg());
     let want = pattern(BASE, 1);
-    h.commit(|t, rel| t.put_blob(rel, KEY, &want).unwrap());
+    h.commit(|t, rel| put_by_growth(t, rel, &want));
     for (round, cold) in [false, true, false].into_iter().enumerate() {
         if cold {
             h.db.wait_for_durability().unwrap();
@@ -368,7 +376,7 @@ fn crash_round_keeps_recoverys_sha_fixpoint() {
         let v1 = pattern(BASE, 1);
         let more = pattern(90_000, 2);
         let mut t = db.begin();
-        t.put_blob(&rel, KEY, &v1).unwrap();
+        put_by_growth(&mut t, &rel, &v1);
         t.commit().unwrap();
 
         // Both versions stay in the log: no checkpoint in between. The

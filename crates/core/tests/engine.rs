@@ -43,6 +43,16 @@ fn put(db: &Arc<Database>, rel: &lobster_core::Relation, key: &[u8], data: &[u8]
     t.commit().unwrap();
 }
 
+/// Store `data` the way growth lays it out — a one-page put, the rest
+/// appended in the same transaction — so it ends in tier extents, where
+/// [`put`] ends in an exact tail.
+fn put_by_growth(db: &Arc<Database>, rel: &lobster_core::Relation, key: &[u8], data: &[u8]) {
+    let mut t = db.begin();
+    t.put_blob(rel, key, &data[..4096]).unwrap();
+    t.append_blob(rel, key, &data[4096..]).unwrap();
+    t.commit().unwrap();
+}
+
 fn get(db: &Arc<Database>, rel: &lobster_core::Relation, key: &[u8]) -> Vec<u8> {
     let mut t = db.begin();
     let out = t.get_blob(rel, key, |b| b.to_vec()).unwrap();
@@ -70,22 +80,32 @@ fn roundtrip_many_sizes() {
     }
 }
 
+/// The two layouts of one size: a put knows it and ends in an exact tail
+/// extent; growth climbs the tier ladder. Both round-trip.
 #[test]
 fn tail_extents_roundtrip_and_save_space() {
-    let mut cfg = small_cfg();
-    cfg.use_tail_extents = true;
-    let db = mem_db(cfg);
+    let db = mem_db(small_cfg());
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     let data = pattern(6 * 4096, 1); // Figure 1: 6 pages -> 1+2 extents + 3-page tail
     put(&db, &rel, b"six", &data);
+    put_by_growth(&db, &rel, b"grown", &data);
 
     let mut t = db.begin();
-    let state = t.blob_state(&rel, b"six").unwrap().unwrap();
+    let put_state = t.blob_state(&rel, b"six").unwrap().unwrap();
+    let grown_state = t.blob_state(&rel, b"grown").unwrap().unwrap();
     t.commit().unwrap();
-    assert_eq!(state.extents.len(), 2);
-    assert_eq!(state.tail.map(|(_, p)| p), Some(3));
-    assert_eq!(state.capacity_pages(db.tier_table()), 6, "no slack at all");
+    assert_eq!(put_state.extents.len(), 2);
+    assert_eq!(put_state.tail.map(|(_, p)| p), Some(3));
+    assert_eq!(
+        put_state.capacity_pages(db.tier_table()),
+        6,
+        "no slack at all"
+    );
+    assert_eq!(grown_state.extents.len(), 3, "tiers 1, 2, 4");
+    assert_eq!(grown_state.tail, None);
+    assert_eq!(grown_state.capacity_pages(db.tier_table()), 7);
     assert_eq!(get(&db, &rel, b"six"), data);
+    assert_eq!(get(&db, &rel, b"grown"), data);
 }
 
 #[test]
@@ -169,26 +189,74 @@ fn append_resumes_sha_and_preserves_content() {
     );
 }
 
+/// Appending to a put's tail clones it once into the tier extent of its
+/// position; growth then stays on the tier ladder, so a later append
+/// allocates only the tier extents it needs. A BLOB built by growth never
+/// clones.
 #[test]
 fn append_to_tail_extent_blob_clones_tail() {
-    let mut cfg = small_cfg();
-    cfg.use_tail_extents = true;
-    let db = mem_db(cfg);
+    let db = mem_db(small_cfg());
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    let mut full = pattern(6 * 4096, 4);
-    put(&db, &rel, b"k", &full);
+    let allocs = || db.metrics().extent_allocs.load(AtomicOrdering::Relaxed);
+    let state = |key: &[u8]| {
+        let mut t = db.begin();
+        let state = t.blob_state(&rel, key).unwrap().unwrap();
+        t.commit().unwrap();
+        state
+    };
+    for by_growth in [false, true] {
+        let key: &[u8] = if by_growth { b"grown" } else { b"put" };
+        let mut full = pattern(6 * 4096, 4);
+        if by_growth {
+            put_by_growth(&db, &rel, key, &full);
+        } else {
+            put(&db, &rel, key, &full);
+        }
+        assert_eq!(state(key).tail.is_some(), !by_growth);
 
-    let extra = pattern(3 * 4096, 5);
+        // 6 + 3 pages: the tail (if any) becomes the 4-page tier at
+        // position 2, then the 8-page tier at position 3 is added.
+        let before = allocs();
+        let extra = pattern(3 * 4096, 5);
+        let mut t = db.begin();
+        t.append_blob(&rel, key, &extra).unwrap();
+        t.commit().unwrap();
+        full.extend_from_slice(&extra);
+        let grown = state(key);
+        assert_eq!(grown.tail, None, "growth plans no tail");
+        assert_eq!(grown.extents.len(), 4);
+        let clones = u64::from(!by_growth);
+        assert_eq!(allocs() - before, 1 + clones);
+
+        // 9 + 6 pages fit the 15-page capacity: nothing to allocate.
+        let before = allocs();
+        let extra = pattern(6 * 4096, 6);
+        let mut t = db.begin();
+        t.append_blob(&rel, key, &extra).unwrap();
+        t.commit().unwrap();
+        full.extend_from_slice(&extra);
+        assert_eq!(allocs(), before, "a second append clones nothing");
+        assert_eq!(get(&db, &rel, key), full);
+        assert_eq!(state(key).sha256, Sha256::digest(&full));
+    }
+}
+
+/// A tail large enough to be written eagerly (900 KiB = 127 tier pages
+/// and a 98-page tail) is cloned and then appended into by the same
+/// transaction: the clone's write must not hold a latch the append waits
+/// on.
+#[test]
+fn append_to_a_large_tail_clones_it_without_waiting_on_itself() {
+    let db = mem_db(small_cfg());
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let mut full = pattern(900 * 1024, 12);
+    put(&db, &rel, b"k", &full);
+    let extra = pattern(10_000, 13);
     let mut t = db.begin();
     t.append_blob(&rel, b"k", &extra).unwrap();
     t.commit().unwrap();
     full.extend_from_slice(&extra);
     assert_eq!(get(&db, &rel, b"k"), full);
-
-    let mut t = db.begin();
-    let state = t.blob_state(&rel, b"k").unwrap().unwrap();
-    t.commit().unwrap();
-    assert_eq!(state.sha256, Sha256::digest(&full));
 }
 
 #[test]
@@ -252,44 +320,108 @@ fn truncate_rejects_growth_and_roundtrips_noop() {
     assert_eq!(get(&db, &rel, b"k"), data);
 }
 
+/// A cut inside the tail extent keeps the tail, shrunk to the pages it
+/// still holds; a cut below it frees it. A BLOB built by growth has no
+/// tail and keeps its tier prefix.
 #[test]
 fn truncate_into_tail_extent_keeps_tail() {
-    let mut cfg = small_cfg();
-    cfg.use_tail_extents = true;
-    let db = mem_db(cfg);
+    let db = mem_db(small_cfg());
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    // 6 pages: tiers cover the head, a tail extent holds the rest.
+    let in_use = || {
+        db.wait_for_durability().unwrap();
+        db.allocator().pages_in_use()
+    };
+    let state = |key: &[u8]| {
+        let mut t = db.begin();
+        let state = t.blob_state(&rel, key).unwrap().unwrap();
+        t.commit().unwrap();
+        state
+    };
+    let truncate = |key: &[u8], new_size: u64| {
+        let mut t = db.begin();
+        t.truncate_blob(&rel, key, new_size).unwrap();
+        t.commit().unwrap();
+    };
+    // 6 pages: tiers 1 + 2 cover the head, a 3-page tail holds the rest.
     let data = pattern(6 * 4096, 4);
-    put(&db, &rel, b"k", &data);
+    for by_growth in [false, true] {
+        let key: &[u8] = if by_growth { b"grown" } else { b"put" };
+        if by_growth {
+            put_by_growth(&db, &rel, key, &data);
+        } else {
+            put(&db, &rel, key, &data);
+        }
+        let had = state(key);
+        assert_eq!(had.tail.is_some(), !by_growth);
 
-    let mut t = db.begin();
-    let had_tail = t.blob_state(&rel, b"k").unwrap().unwrap().tail.is_some();
-    t.commit().unwrap();
+        // Shrink by half a page: the cut lands in the last extent, which
+        // still holds six pages of content.
+        let new_size = (6 * 4096 - 2048) as u64;
+        let pages = in_use();
+        truncate(key, new_size);
+        let s = state(key);
+        assert_eq!(s.tail, had.tail, "tail still holds six live pages");
+        assert_eq!(s.extents, had.extents);
+        assert_eq!(s.sha256, Sha256::digest(&data[..new_size as usize]));
+        assert_eq!(in_use(), pages);
 
-    // Shrink by half a page: the cut lands inside the tail extent.
-    let new_size = (6 * 4096 - 2048) as u64;
-    let mut t = db.begin();
-    t.truncate_blob(&rel, b"k", new_size).unwrap();
-    t.commit().unwrap();
-    let mut t = db.begin();
-    let state = t.blob_state(&rel, b"k").unwrap().unwrap();
-    assert_eq!(
-        state.tail.is_some(),
-        had_tail,
-        "tail still holds live bytes"
-    );
-    assert_eq!(state.sha256, Sha256::digest(&data[..new_size as usize]));
-    t.commit().unwrap();
+        // Shrink to 4.5 pages: the tail gives back its sixth page.
+        let new_size = (4 * 4096 + 2048) as u64;
+        truncate(key, new_size);
+        let s = state(key);
+        if by_growth {
+            assert_eq!(
+                s.extents, had.extents,
+                "the 4-page tier still holds content"
+            );
+            assert_eq!(in_use(), pages);
+        } else {
+            assert_eq!(s.tail, had.tail.map(|(pid, _)| (pid, 2)));
+            assert_eq!(in_use(), pages - 1, "the cut-off tail page is freed");
+        }
+        assert_eq!(get(&db, &rel, key), &data[..new_size as usize]);
 
-    // Shrink past the tail: it must be freed.
-    let mut t = db.begin();
-    t.truncate_blob(&rel, b"k", 4096).unwrap();
-    t.commit().unwrap();
-    let mut t = db.begin();
-    let state = t.blob_state(&rel, b"k").unwrap().unwrap();
-    assert!(state.tail.is_none());
-    t.commit().unwrap();
-    assert_eq!(get(&db, &rel, b"k"), &data[..4096]);
+        // Shrink past the tail: it must be freed.
+        truncate(key, 4096);
+        let s = state(key);
+        assert!(s.tail.is_none());
+        assert_eq!(s.extents.len(), 1);
+        assert_eq!(in_use(), pages - (had.capacity_pages(db.tier_table()) - 1));
+        assert_eq!(get(&db, &rel, key), &data[..4096]);
+    }
+}
+
+/// Truncating into a tail frees the pages past the cut at commit, so the
+/// allocator holds exactly the content pages — and a reopen, which rebuilds
+/// the allocator from the Blob States, counts the same.
+#[test]
+fn truncate_into_tail_frees_the_cut_pages_across_reopen() {
+    let dev = Arc::new(MemDevice::new(128 << 20));
+    let wal = Arc::new(MemDevice::new(32 << 20));
+    let (size, cut) = ((1 << 20) + 40 * 1024, (1 << 20) + 4096);
+    let data = pattern(size, 31);
+    let (nodes, in_use) = {
+        let db = Database::create(dev.clone(), wal.clone(), small_cfg()).unwrap();
+        let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+        let nodes = db.allocator().pages_in_use();
+        put(&db, &rel, b"k", &data);
+        assert_eq!(
+            db.allocator().pages_in_use(),
+            nodes + 266,
+            "255 tier + 11 tail"
+        );
+        let mut t = db.begin();
+        t.truncate_blob(&rel, b"k", cut as u64).unwrap();
+        t.commit().unwrap();
+        db.wait_for_durability().unwrap();
+        let in_use = db.allocator().pages_in_use();
+        std::mem::forget(db); // crash
+        (nodes, in_use)
+    };
+    assert_eq!(in_use, nodes + 257, "tail shrunk to 2 pages");
+    let (db, _) = Database::open(dev, wal, small_cfg()).unwrap();
+    assert_eq!(db.allocator().pages_in_use(), in_use);
+    assert_eq!(get(&db, &db.relation("b").unwrap(), b"k"), &data[..cut]);
 }
 
 #[test]

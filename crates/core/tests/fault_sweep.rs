@@ -382,7 +382,8 @@ fn pool_fault_gives_up_on_a_persistent_read_fault() {
     for (key, len) in blobs {
         let mut t = db.begin();
         t.put_blob(&rel, key, &pattern(len, seed)).unwrap();
-        extents.push(t.blob_state(&rel, key).unwrap().unwrap().extents.len() as u64);
+        let state = t.blob_state(&rel, key).unwrap().unwrap();
+        extents.push(state.extent_specs(db.tier_table()).len() as u64);
         t.commit().unwrap();
         evict_blob(&db, &rel, key);
     }

@@ -65,10 +65,11 @@ fn stream_collect(
 
 /// `get_blob_range`, the same slice of `get_blob`, and the concatenated
 /// stream chunks are one ranged read and must agree byte for byte — over
-/// both pools, with and without a tail extent.
+/// both pools, with and without a tail extent: a put ends in one, a BLOB
+/// built `by_growth` (one page put, the rest appended) does not.
 #[test]
 fn stream_matches_range_read_across_sizes_and_chunks() {
-    for (pool_variant, use_tail_extents) in [
+    for (pool_variant, by_growth) in [
         (small_cfg().pool_variant, false),
         (small_cfg().pool_variant, true),
         (PoolVariant::Ht, false),
@@ -76,7 +77,6 @@ fn stream_matches_range_read_across_sizes_and_chunks() {
     ] {
         let db = mem_db(Config {
             pool_variant,
-            use_tail_extents,
             ..small_cfg()
         });
         let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
@@ -87,12 +87,16 @@ fn stream_matches_range_read_across_sizes_and_chunks() {
             let key = format!("k{i}").into_bytes();
             let data = pattern(size, i as u64 + 1);
             let mut t = db.begin();
-            t.put_blob(&rel, &key, &data).unwrap();
+            let head = if by_growth { size.min(4096) } else { size };
+            t.put_blob(&rel, &key, &data[..head]).unwrap();
+            if head < size {
+                t.append_blob(&rel, &key, &data[head..]).unwrap();
+            }
             let state = t.blob_state(&rel, &key).unwrap().unwrap();
             t.commit().unwrap();
             assert_eq!(
                 state.tail.is_some(),
-                use_tail_extents && size > 4096,
+                !by_growth && size > 4096,
                 "size={size}: tail extent"
             );
 

@@ -208,10 +208,13 @@ impl RangeAllocator {
         merges
     }
 
-    /// Reset the allocator so exactly `used` ranges are allocated: the bump
-    /// pointer moves past the highest used unit and every hole below it
-    /// becomes a free range. Used by recovery, which rediscovers the live
-    /// ranges by walking all relation trees and Blob States.
+    /// Reset the allocator so exactly the union of the `used` ranges is
+    /// allocated: the bump pointer moves past the highest used unit and
+    /// every hole below it becomes a free range. Used by recovery, which
+    /// rediscovers the live ranges by walking all relation trees and Blob
+    /// States. Ranges may overlap: before its fixpoint, recovery reserves
+    /// every logged version of a BLOB, and a tail extent cut by a truncate
+    /// overlaps its longer self and whatever recycled the cut pages.
     pub fn reset_from_used(&self, used: &mut [(u64, u64)]) {
         used.sort_unstable();
         let mut g = self.inner.lock();
@@ -219,13 +222,12 @@ impl RangeAllocator {
         g.free_units = 0;
         let mut cursor = 0u64;
         for &(start, len) in used.iter() {
-            debug_assert!(start >= cursor, "overlapping used ranges at {start}");
             if start > cursor {
                 let hole = start - cursor;
                 g.free.entry(hole).or_default().push(cursor);
                 g.free_units += hole;
             }
-            cursor = start + len;
+            cursor = cursor.max(start + len);
         }
         g.bump = cursor;
     }
@@ -420,6 +422,16 @@ mod tests {
         assert!((a.utilization() - 0.5).abs() < 1e-9);
         a.free(x, 50);
         assert_eq!(a.utilization(), 0.0);
+    }
+
+    #[test]
+    fn reset_from_overlapping_ranges_allocates_their_union() {
+        let a = RangeAllocator::new(100);
+        // A 10-unit tail, its 2-unit truncated self, a range that recycled
+        // the cut units, and one more range past a hole.
+        a.reset_from_used(&mut [(0, 10), (0, 2), (4, 3), (12, 2)]);
+        assert_eq!(a.in_use(), 12);
+        assert_eq!(a.free_runs(), vec![(10, 2), (14, 86)]);
     }
 
     #[test]

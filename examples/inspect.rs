@@ -149,10 +149,7 @@ fn demo_database() -> Result<Arc<Database>, Box<dyn std::error::Error>> {
     let db = Database::create(
         Arc::new(MemDevice::new(256 << 20)),
         Arc::new(MemDevice::new(64 << 20)),
-        Config {
-            use_tail_extents: true,
-            ..Config::default()
-        },
+        Config::default(),
     )?;
     let photos = db.create_relation("photos", RelationKind::Blob)?;
     let notes = db.create_relation("notes", RelationKind::Blob)?;
@@ -170,9 +167,15 @@ fn demo_database() -> Result<Arc<Database>, Box<dyn std::error::Error>> {
     t.put_kv(&tags, b"sunset.raw", b"vacation,raw")?;
     t.commit()?;
 
-    // One append so a resumed SHA midstate is visible in the dump.
+    // One append so a resumed SHA midstate is visible in the dump. The
+    // puts above end in an exact tail extent; a recording built by growth
+    // climbs the tier ladder instead, so both layouts show.
     let mut t = db.begin();
     t.append_blob(&notes, b"todo.txt", b"\n- dump blob states")?;
+    t.put_blob(&photos, b"timelapse.raw", &make_payload(4096, 1))?;
+    for chunk in 0..4 {
+        t.append_blob(&photos, b"timelapse.raw", &make_payload(150_000, chunk))?;
+    }
     t.commit()?;
     db.wait_for_durability().unwrap();
     println!("built demo database (set LOBSTER_INSPECT=<dir> to inspect your own)\n");

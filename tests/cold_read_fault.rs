@@ -200,10 +200,12 @@ impl Device for CountingDevice {
 const MIB: usize = 1 << 20;
 const PAGE: usize = 4096;
 
-/// One cold 1 MiB BLOB over a counting device, default tier table: nine
-/// tier extents of 1, 2, 4, ..., 256 pages (511 allocated), 256 of content.
-/// The B-Tree path to the key is warm, so the device log that follows
-/// holds content reads only.
+/// One cold 1 MiB BLOB over a counting device, default tier table, built
+/// by growth (a one-page put, the rest appended) so it keeps the tier
+/// ladder's slack: nine tier extents of 1, 2, 4, ..., 256 pages (511
+/// allocated), 256 of content. (A put would end in an exact tail and
+/// leave no slack to skip.) The B-Tree path to the key is warm, so the
+/// device log that follows holds content reads only.
 fn cold_mib_blob() -> (Arc<CountingDevice>, Arc<Database>, Vec<u8>) {
     let dev = CountingDevice::new(256 << 20);
     let wal: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
@@ -211,7 +213,8 @@ fn cold_mib_blob() -> (Arc<CountingDevice>, Arc<Database>, Vec<u8>) {
     let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
     let data: Vec<u8> = (0..MIB).map(|i| (i * 131 % 251) as u8).collect();
     let mut txn = db.begin();
-    txn.put_blob(&rel, b"big", &data).unwrap();
+    txn.put_blob(&rel, b"big", &data[..PAGE]).unwrap();
+    txn.append_blob(&rel, b"big", &data[PAGE..]).unwrap();
     txn.commit().unwrap();
     db.checkpoint().unwrap();
     db.blob_pool().drop_caches();

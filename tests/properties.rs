@@ -162,13 +162,14 @@ proptest! {
 
     /// The engine agrees with an in-memory oracle under arbitrary operation
     /// sequences — overwrites of up to 5 000 bytes land on both sides of the
-    /// delta/clone rule — for either tail-extent setting.
+    /// delta/clone rule — for either layout: built by one put (tier prefix
+    /// plus exact tail) or `by_growth`, a one-page put and an append in the
+    /// same transaction (tier ladder, no tail).
     #[test]
     fn engine_matches_oracle(ops in proptest::collection::vec(blob_op(), 1..40),
-                             use_tail in any::<bool>()) {
+                             by_growth in any::<bool>()) {
         let cfg = Config {
             pool_frames: 2048,
-            use_tail_extents: use_tail,
             ..Config::default()
         };
         let db = Database::create(
@@ -183,7 +184,12 @@ proptest! {
             match op {
                 BlobOp::Put(k, data) => {
                     let mut t = db.begin();
-                    let r = t.put_blob(&rel, &[k], &data);
+                    let r = if by_growth && data.len() > 4096 {
+                        let (head, rest) = data.split_at(4096);
+                        t.put_blob(&rel, &[k], head).and_then(|_| t.append_blob(&rel, &[k], rest))
+                    } else {
+                        t.put_blob(&rel, &[k], &data)
+                    };
                     if let std::collections::hash_map::Entry::Vacant(slot) = oracle.entry(k) {
                         r.unwrap();
                         t.commit().unwrap();
