@@ -1,10 +1,11 @@
 //! The uniform object-store surface all benchmarks drive, plus the adapter
 //! that puts our own engine behind it.
 
-use lobster_core::{Config, Database, Relation, RelationKind};
+use lobster_core::{Config, Database, Relation, RelationKind, Txn};
 use lobster_metrics::{Metrics, Snapshot};
 use lobster_storage::Device;
 use lobster_types::{Error, Result};
+use lobster_wal::LogRecord;
 use std::sync::Arc;
 
 /// Aggregate statistics a store reports after a run.
@@ -69,13 +70,19 @@ pub enum LobsterMode {
 }
 
 /// Our engine behind the [`ObjectStore`] trait. Configure the underlying
-/// [`Config`] for the `Our` / `Our.ht` / `Our.physlog` variants.
+/// [`Config`] for the `Our` / `Our.ht` variants; [`LobsterStore::physlog`]
+/// builds `Our.physlog`.
 pub struct LobsterStore {
     label: String,
     db: Arc<Database>,
     rel: Arc<Relation>,
     mode: LobsterMode,
+    /// `Our.physlog`: BLOB content also goes to the WAL.
+    physlog: bool,
 }
+
+/// `Our.physlog`'s WAL segment: the content of one `BlobChunk` record.
+const PHYSLOG_SEGMENT: usize = 1 << 20;
 
 impl LobsterStore {
     pub fn new(
@@ -96,6 +103,26 @@ impl LobsterStore {
             db,
             rel,
             mode,
+            physlog: false,
+        })
+    }
+
+    /// `Our.physlog` (§V-B): BLOBs with physical logging. A put or replace
+    /// also stages the whole content in the WAL as `BlobChunk` records,
+    /// tagged with its transaction, ahead of its commit; the engine's group
+    /// commit writes and fsyncs them with the Blob State, so every object
+    /// is written twice (once to the log, once to its extents). Recovery
+    /// never applies them: the SHA check decides a BLOB's fate exactly as
+    /// for `Our`.
+    pub fn physlog(
+        device: Arc<dyn Device>,
+        wal_device: Arc<dyn Device>,
+        cfg: Config,
+    ) -> Result<Self> {
+        let store = Self::new("Our.physlog", device, wal_device, cfg, LobsterMode::Blobs)?;
+        Ok(LobsterStore {
+            physlog: true,
+            ..store
         })
     }
 
@@ -105,6 +132,25 @@ impl LobsterStore {
 
     pub fn relation(&self) -> &Arc<Relation> {
         &self.rel
+    }
+
+    /// `Our.physlog`: stage `data`, the content `t` wrote under `key`, in
+    /// the WAL. Nothing for the other variants.
+    fn log_content(&self, t: &Txn, key: &str, data: &[u8]) -> Result<()> {
+        if !self.physlog {
+            return Ok(());
+        }
+        let chunks: Vec<LogRecord> = (data.chunks(PHYSLOG_SEGMENT).enumerate())
+            .map(|(i, chunk)| LogRecord::BlobChunk {
+                txn: t.id(),
+                relation: self.rel.id,
+                key: key.as_bytes().to_vec(),
+                byte_offset: (i * PHYSLOG_SEGMENT) as u64,
+                data: chunk.to_vec(),
+            })
+            .collect();
+        self.db.wal().append_batch(&chunks)?;
+        Ok(())
     }
 }
 
@@ -116,7 +162,10 @@ impl ObjectStore for LobsterStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<()> {
         let mut t = self.db.begin();
         match self.mode {
-            LobsterMode::Blobs => t.put_blob(&self.rel, key.as_bytes(), data)?,
+            LobsterMode::Blobs => {
+                t.put_blob(&self.rel, key.as_bytes(), data)?;
+                self.log_content(&t, key, data)?;
+            }
             LobsterMode::Rows => t.put_kv(&self.rel, key.as_bytes(), data)?,
         }
         t.commit()
@@ -131,6 +180,7 @@ impl ObjectStore for LobsterStore {
                     Err(e) => return Err(e),
                 }
                 t.put_blob(&self.rel, key.as_bytes(), data)?;
+                self.log_content(&t, key, data)?;
             }
             LobsterMode::Rows => t.put_kv(&self.rel, key.as_bytes(), data)?,
         }

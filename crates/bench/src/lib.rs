@@ -14,7 +14,7 @@ use lobster_baselines::{
     SqliteStore, ToastStore,
 };
 use lobster_buffer::AliasConfig;
-use lobster_core::{BlobLogging, Config, PoolVariant};
+use lobster_core::{Config, PoolVariant};
 use lobster_metrics::{LatencySummary, LocalRecorder};
 use lobster_storage::{Device, MemDevice, ThrottleProfile, ThrottledDevice};
 use std::sync::Arc;
@@ -144,13 +144,17 @@ pub fn sys_our_verify(mode: LobsterMode) -> SystemSpec {
     lobster_variant("Our.verify", |cfg| cfg.verify_reads = true, mode)
 }
 
-/// `Our.physlog`: full content in the WAL.
-pub fn sys_our_physlog(mode: LobsterMode) -> SystemSpec {
-    lobster_variant(
-        "Our.physlog",
-        |cfg| cfg.blob_logging = BlobLogging::Physical { segment: 1 << 20 },
-        mode,
-    )
+/// `Our.physlog`: full content in the WAL, in 1 MiB segments.
+pub fn sys_our_physlog() -> SystemSpec {
+    SystemSpec {
+        name: "Our.physlog",
+        build: Box::new(|| {
+            Box::new(
+                LobsterStore::physlog(mem_device(DEV_BYTES), mem_device(512 << 20), our_config(1))
+                    .expect("create lobster store"),
+            )
+        }),
+    }
 }
 
 /// The four filesystem models.

@@ -86,7 +86,7 @@ pub(crate) fn run(report: &mut Report) {
         let mut systems = vec![
             sys_our(LobsterMode::Blobs),
             sys_our_ht(LobsterMode::Blobs),
-            sys_our_physlog(LobsterMode::Blobs),
+            sys_our_physlog(),
             sys_fs(lobster_baselines::FsProfile::ext4_ordered),
             sys_fs(lobster_baselines::FsProfile::ext4_journal),
             sys_fs(lobster_baselines::FsProfile::xfs),

@@ -150,10 +150,9 @@ impl<'a> Run<'a> {
         // A sequential reader touches the extents after the run next. The
         // prefetch goes out before the foreground fault so that the two
         // batches overlap on the device; a random read prefetches nothing.
-        let window = db.cfg.readahead_extents;
-        if window > 0 && note_range_access(db, worker, state, range) {
+        if note_range_access(db, worker, state, range) {
             run.pool
-                .prefetch(&view[last..view.len().min(last + window)]);
+                .prefetch(&view[last..view.len().min(last + READAHEAD_EXTENTS)]);
         }
         if run.extents.len() > 1 {
             run.pool.fault_many(run.extents)?;
@@ -178,6 +177,10 @@ impl Drop for Run<'_> {
         }
     }
 }
+
+/// How many extents past the touched ones an observably sequential range
+/// read prefetches; a random one prefetches nothing.
+const READAHEAD_EXTENTS: usize = 4;
 
 /// Record `worker`'s access to `range` of `state`'s BLOB and report whether
 /// it is observably sequential: it starts the BLOB, or it starts where this

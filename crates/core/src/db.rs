@@ -35,50 +35,23 @@ pub enum PoolVariant {
     Ht,
 }
 
-/// BLOB logging scheme (§III-C vs the `Our.physlog` baseline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlobLogging {
-    /// Asynchronous BLOB logging: WAL carries Blob States only; content is
-    /// flushed once at commit.
-    Async,
-    /// Physical logging: full BLOB content is appended to the WAL in
-    /// segments of the given size; extents are written again at
-    /// eviction/checkpoint (the conventional double write).
-    Physical { segment: usize },
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
-    // knob: fixed at create; `open` reads it back from the header
-    pub page_size: usize,
     /// Buffer frames for the (vm) pool, or page budget for the hash-table
     /// pool; the B-Tree node pool always uses the vm pool.
     pub pool_frames: u64,
     pub pool_variant: PoolVariant,
     pub io_threads: usize,
-    // knob: fixed at create; `open` reads it back from the header
-    pub tier_policy: TierPolicy,
-    pub blob_logging: BlobLogging,
     /// Checkpoint when the active log exceeds this many bytes.
     pub checkpoint_threshold: u64,
     /// Worker sessions (sizes the aliasing areas).
     pub workers: usize,
-    /// Pages per B-Tree node.
-    // knob: fixed at create; `open` reads it back from the header
-    pub node_pages: u64,
     /// `true`: commit returns only after the WAL fsync and the extent flush
     /// (full durability). `false`: commits are handed to a background group
     /// committer and return immediately — the paper's "critical path does
     /// not involve I/O" configuration (asynchronous commit).
     pub commit_wait: bool,
-    /// Sequential-readahead window for range reads: an observably
-    /// sequential range read (it starts the blob, or starts where the
-    /// worker's previous one on the same blob ended) touching extent `i`
-    /// prefetches extents `i+1..i+1+readahead_extents` asynchronously; a
-    /// random one prefetches nothing. `0` disables readahead.
-    // knob: fault-injection tests set 0 for a foreground-only device-op schedule
-    pub readahead_extents: usize,
     /// Verify BLOB content against the Blob State SHA-256 on every
     /// `get_blob`: a mismatch re-reads the extents once from the device
     /// (a transient device lie clears; real rot does not), then
@@ -89,7 +62,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            page_size: 4096,
             pool_frames: 16 * 1024, // 64 MiB
             pool_variant: PoolVariant::Vm {
                 alias: Some(AliasConfig {
@@ -99,13 +71,9 @@ impl Default for Config {
                 }),
             },
             io_threads: 4,
-            tier_policy: TierPolicy::default(),
-            blob_logging: BlobLogging::Async,
             checkpoint_threshold: 64 << 20,
             workers: 4,
-            node_pages: 1,
             commit_wait: true,
-            readahead_extents: 4,
             verify_reads: false,
         }
     }
@@ -115,7 +83,7 @@ impl Default for Config {
 /// markers found in the log (the sharded engine's cross-shard commit
 /// protocol; see `crates/core/src/shard.rs` and DESIGN.md).
 #[derive(Clone)]
-pub enum CrossCommitPolicy {
+pub(crate) enum CrossCommitPolicy {
     /// Standalone database: a surviving marker is treated as a commit. A
     /// single log stream has no other participants to consult, and the
     /// marker is only appended after every local prerequisite of the
@@ -146,6 +114,12 @@ impl ScrubReport {
 }
 
 const CATALOG_REL_ID: u32 = 0;
+
+/// Page size of a new store. `open` takes the page size, the tier policy
+/// ([`TierPolicy::default`] at create) and the node size from the header.
+const PAGE_SIZE: usize = 4096;
+/// Pages per B-Tree node of a new store.
+const NODE_PAGES: u64 = 1;
 
 /// The database engine.
 pub struct Database {
@@ -205,28 +179,37 @@ impl Database {
         cfg: Config,
     ) -> Result<Arc<Self>> {
         let policy = CrossCommitPolicy::TrustLocal;
-        let db = Self::assemble(device, wal_device, cfg, None, 0, HashMap::new(), policy)?;
+        let db = Self::assemble(device, wal_device, cfg, None, HashMap::new(), policy)?;
         db.write_header()?;
         db.node_pool.flush_all_dirty()?;
         db.device.sync()?;
         Ok(db)
     }
 
-    /// The one constructor. `catalog_root` is `None` to create the WAL and
-    /// the catalog tree, or the root an existing header names to open them.
+    /// The one constructor. `header` is `None` to create the WAL and the
+    /// catalog tree in the format of a new store, or the header of an
+    /// existing one to open them in its format.
     fn assemble(
         device: Arc<dyn Device>,
         wal_device: Arc<dyn Device>,
         cfg: Config,
-        catalog_root: Option<Pid>,
-        xcommit_watermark: u64,
+        header: Option<&Header>,
         cmp_factories: HashMap<String, ComparatorFactory>,
         cross_commit: CrossCommitPolicy,
     ) -> Result<Arc<Self>> {
+        let (page_size, policy, node_pages, xcommit_watermark) = match header {
+            Some(h) => (
+                h.page_size,
+                h.tier_policy,
+                h.node_pages,
+                h.xcommit_watermark,
+            ),
+            None => (PAGE_SIZE, TierPolicy::default(), NODE_PAGES, 0),
+        };
         let metrics = new_metrics();
-        let geo = Geometry::new(cfg.page_size);
-        let table = Arc::new(TierTable::new(cfg.tier_policy));
-        let page_capacity = device.capacity() / cfg.page_size as u64;
+        let geo = Geometry::new(page_size);
+        let table = Arc::new(TierTable::new(policy));
+        let page_capacity = device.capacity() / page_size as u64;
         // Page 0 is the header.
         let alloc = Arc::new(ExtentAllocator::new(
             table.clone(),
@@ -235,14 +218,14 @@ impl Database {
         ));
         let (node_pool, blob_pool) = Self::build_pools(&cfg, device.clone(), geo, metrics.clone());
         let (nodes, cmp) = (node_pool.clone(), Arc::new(LexCmp));
-        let (wal, catalog_tree) = match catalog_root {
+        let (wal, catalog_tree) = match header {
             None => (
                 Wal::create(wal_device, metrics.clone())?,
-                BTree::create(nodes, alloc.clone(), cmp, cfg.node_pages)?,
+                BTree::create(nodes, alloc.clone(), cmp, node_pages)?,
             ),
-            Some(root) => (
+            Some(h) => (
                 Wal::open(wal_device, metrics.clone())?,
-                BTree::open(nodes, alloc.clone(), cmp, cfg.node_pages, root),
+                BTree::open(nodes, alloc.clone(), cmp, node_pages, h.catalog_root),
             ),
         };
         let ckpt_gate = Arc::new(RwLock::new(()));
@@ -253,8 +236,8 @@ impl Database {
             alloc.clone(),
             ckpt_gate.clone(),
             metrics.clone(),
-            cfg.page_size as u64,
-            cfg.pool_frames * cfg.page_size as u64 / 4,
+            page_size as u64,
+            cfg.pool_frames * page_size as u64 / 4,
         );
         Ok(Arc::new(Database {
             geo,
@@ -316,25 +299,19 @@ impl Database {
     /// sharded engine pre-scans every shard's log for `TxnCrossCommit`
     /// markers, decides each global transaction, and opens every shard
     /// with the decided set so all shards recover the same outcome.
-    pub fn open_with_policy(
+    pub(crate) fn open_with_policy(
         device: Arc<dyn Device>,
         wal_device: Arc<dyn Device>,
-        mut cfg: Config,
+        cfg: Config,
         comparators: HashMap<String, ComparatorFactory>,
         cross_commit: CrossCommitPolicy,
     ) -> Result<(Arc<Self>, RecoveryReport)> {
-        // The on-disk format parameters override the caller's runtime
-        // preferences.
         let header = Header::read(&*device)?;
-        cfg.page_size = header.page_size;
-        cfg.tier_policy = header.tier_policy;
-        cfg.node_pages = header.node_pages;
         let db = Self::assemble(
             device,
             wal_device,
             cfg,
-            Some(header.catalog_root),
-            header.xcommit_watermark,
+            Some(&header),
             comparators,
             cross_commit,
         )?;
@@ -395,10 +372,10 @@ impl Database {
 
     pub(crate) fn write_header(&self) -> Result<()> {
         let header = Header {
-            page_size: self.cfg.page_size,
-            tier_policy: self.cfg.tier_policy,
+            page_size: self.geo.page_size(),
+            tier_policy: self.table.policy(),
             catalog_root: self.catalog_tree.root(),
-            node_pages: self.cfg.node_pages,
+            node_pages: self.catalog_tree.node_pages(),
             xcommit_watermark: self.xcommit_watermark.load(Ordering::SeqCst),
             xcommit_above: Vec::new(),
         };
@@ -561,7 +538,8 @@ impl Database {
     /// Create a relation. DDL auto-commits (it is logged and durable when
     /// this returns).
     pub fn create_relation(&self, name: &str, kind: RelationKind) -> Result<Arc<Relation>> {
-        self.create_relation_with(name, kind, Arc::new(LexCmp), self.cfg.node_pages)
+        let node_pages = self.catalog_tree.node_pages();
+        self.create_relation_with(name, kind, Arc::new(LexCmp), node_pages)
     }
 
     /// Create a relation with a custom comparator and node size (used for
@@ -867,5 +845,50 @@ impl Database {
             }
         }
         Ok(used)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lobster_storage::MemDevice;
+
+    /// A new store is created in one format, but `open` takes its format
+    /// from the header: a header naming `PowerOfTwo`, written onto an empty
+    /// store, reopens with that tier table, and a BLOB put under it reads
+    /// back.
+    #[test]
+    fn open_follows_the_header() {
+        let dev: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
+        let wal: Arc<dyn Device> = Arc::new(MemDevice::new(16 << 20));
+        let db = Database::create(dev.clone(), wal.clone(), Config::default()).unwrap();
+        assert_eq!(db.tier_table().policy(), TierPolicy::default());
+        drop(db);
+        let mut header = Header::read(&*dev).unwrap();
+        assert_eq!(
+            (header.page_size, header.node_pages),
+            (PAGE_SIZE, NODE_PAGES)
+        );
+        header.tier_policy = TierPolicy::PowerOfTwo;
+        header.write(&*dev).unwrap();
+
+        let (db, _) = Database::open(dev.clone(), wal, Config::default()).unwrap();
+        assert_eq!(db.tier_table().policy(), TierPolicy::PowerOfTwo);
+        let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        let mut t = db.begin();
+        t.put_blob(&rel, b"k", &data).unwrap();
+        t.commit().unwrap();
+        let mut t = db.begin();
+        assert_eq!(t.get_blob(&rel, b"k", |b| b.to_vec()).unwrap(), data);
+        t.commit().unwrap();
+        // A checkpoint writes the format back as it found it.
+        db.checkpoint().unwrap();
+        let written = Header::read(&*dev).unwrap();
+        assert_eq!(written.tier_policy, TierPolicy::PowerOfTwo);
+        assert_eq!(
+            (written.page_size, written.node_pages),
+            (PAGE_SIZE, NODE_PAGES)
+        );
     }
 }

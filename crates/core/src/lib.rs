@@ -54,9 +54,7 @@ mod txn;
 
 pub use blob_state::{BlobState, PREFIX_LEN};
 pub use catalog::{Relation, RelationKind};
-pub use db::{
-    BlobLogging, ComparatorFactory, Config, CrossCommitPolicy, Database, PoolVariant, ScrubReport,
-};
+pub use db::{ComparatorFactory, Config, Database, PoolVariant, ScrubReport};
 pub use dedup::{DedupStats, DedupStore};
 pub use defrag::{
     defrag_pass, scrub_pass, DefragConfig, DefragPassReport, Defragmenter, ScrubCursor,

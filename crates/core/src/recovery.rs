@@ -34,7 +34,7 @@
 use crate::blob_state::BlobState;
 use crate::catalog::RelationKind;
 use crate::content;
-use crate::db::{BlobLogging, Database};
+use crate::db::Database;
 use lobster_extent::ExtentSpec;
 use lobster_sync::atomic::Ordering;
 use lobster_types::{Error, Result};
@@ -182,9 +182,10 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
         db.alloc.reset_from_extents(&used);
     }
 
-    // SHA-256 validation of committed BLOBs (asynchronous logging only; in
-    // physical-logging mode the WAL itself carries the content and redo
-    // restores it).
+    // SHA-256 validation of committed BLOBs. The log carries Blob States,
+    // never content that redo could restore (a `BlobChunk` record is never
+    // applied), so a version whose content is not byte-exact on the device
+    // fails its transaction.
     //
     // The crash window can swallow the content flush of *several* committed
     // transactions at once (the device acknowledges writes it never
@@ -214,131 +215,128 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
         }
     }
 
-    let validate = matches!(db.cfg.blob_logging, BlobLogging::Async);
     let mut failed: HashSet<u64> = HashSet::new();
-    if validate {
-        // Keys some record touches after the mark, whatever became of its
-        // transaction: a later in-place write may have torn a version the
-        // mark covers, so their chains are validated all the way down.
-        let after_mark: HashSet<(u32, &[u8])> = match durable_to {
-            Some(at) => records[at + 1..].iter().filter_map(key_of).collect(),
-            None => HashSet::new(),
+    // Keys some record touches after the mark, whatever became of its
+    // transaction: a later in-place write may have torn a version the
+    // mark covers, so their chains are validated all the way down.
+    let after_mark: HashSet<(u32, &[u8])> = match durable_to {
+        Some(at) => records[at + 1..].iter().filter_map(key_of).collect(),
+        None => HashSet::new(),
+    };
+    // key -> committed versions in log order; None marks a delete.
+    type VersionChain = Vec<(u64, Option<BlobState>)>;
+    let mut chains: HashMap<(u32, Vec<u8>), VersionChain> = HashMap::new();
+    for rec in &records {
+        let (txn, relation, key, value) = match rec {
+            LogRecord::Insert {
+                txn,
+                relation,
+                key,
+                value,
+            } => (*txn, *relation, key, Some(value)),
+            LogRecord::Update {
+                txn,
+                relation,
+                key,
+                new_value,
+                ..
+            }
+            // A relocation is a placement-only update: its new Blob
+            // State joins the version chain like any rewrite, so the
+            // SHA fixpoint fails the swap (falling back to the old
+            // placement) when its content flush was lost.
+            | LogRecord::BlobRelocate {
+                txn,
+                relation,
+                key,
+                new_value,
+                ..
+            } => (*txn, *relation, key, Some(new_value)),
+            LogRecord::Delete {
+                txn, relation, key, ..
+            } => (*txn, *relation, key, None),
+            _ => continue,
         };
-        // key -> committed versions in log order; None marks a delete.
-        type VersionChain = Vec<(u64, Option<BlobState>)>;
-        let mut chains: HashMap<(u32, Vec<u8>), VersionChain> = HashMap::new();
-        for rec in &records {
-            let (txn, relation, key, value) = match rec {
-                LogRecord::Insert {
-                    txn,
-                    relation,
-                    key,
-                    value,
-                } => (*txn, *relation, key, Some(value)),
-                LogRecord::Update {
-                    txn,
-                    relation,
-                    key,
-                    new_value,
-                    ..
-                }
-                // A relocation is a placement-only update: its new Blob
-                // State joins the version chain like any rewrite, so the
-                // SHA fixpoint fails the swap (falling back to the old
-                // placement) when its content flush was lost.
-                | LogRecord::BlobRelocate {
-                    txn,
-                    relation,
-                    key,
-                    new_value,
-                    ..
-                } => (*txn, *relation, key, Some(new_value)),
-                LogRecord::Delete {
-                    txn, relation, key, ..
-                } => (*txn, *relation, key, None),
-                _ => continue,
-            };
-            if relation == CATALOG_REL_ID
-                || dropped_rels.contains(&relation)
-                || !committed.contains(&txn)
-            {
-                continue;
-            }
-            let is_blob = db
-                .relation_by_id(relation)
-                .map(|r| r.kind == RelationKind::Blob)
-                // Relations created inside the log: assume blob if the
-                // value parses as a Blob State.
-                .unwrap_or(true);
-            if !is_blob {
-                continue;
-            }
-            let version = match value {
-                Some(v) => match BlobState::decode(v) {
-                    Ok(state) => Some(state),
-                    Err(_) => continue,
-                },
-                None => None,
-            };
-            chains
-                .entry((relation, key.clone()))
-                .or_default()
-                .push((txn, version));
+        if relation == CATALOG_REL_ID
+            || dropped_rels.contains(&relation)
+            || !committed.contains(&txn)
+        {
+            continue;
         }
-        // Fixpoint: validate tips, fail their txns, expose earlier tips. A
-        // round validates every tip not yet judged in one streaming pass;
-        // the fixpoint does not depend on the order a round fails them in.
-        let mut verdicts: HashMap<(&(u32, Vec<u8>), usize), bool> = HashMap::new();
-        // A tip the mark vouches for: the newest version of a key nothing
-        // after the mark touches, committed inside the prefix.
-        let durable = |(chain_key, idx): (&(u32, Vec<u8>), usize), txn: u64| {
-            let Some(to) = durable_to else { return false };
-            idx + 1 == chains[chain_key].len()
-                && commit_at.get(&txn).is_some_and(|&at| at <= to)
-                && !after_mark.contains(&(chain_key.0, chain_key.1.as_slice()))
+        let is_blob = db
+            .relation_by_id(relation)
+            .map(|r| r.kind == RelationKind::Blob)
+            // Relations created inside the log: assume blob if the
+            // value parses as a Blob State.
+            .unwrap_or(true);
+        if !is_blob {
+            continue;
+        }
+        let version = match value {
+            Some(v) => match BlobState::decode(v) {
+                Ok(state) => Some(state),
+                Err(_) => continue,
+            },
+            None => None,
         };
-        loop {
-            let tips: Vec<_> = chains
-                .iter()
-                .filter_map(|(chain_key, chain)| {
-                    let (idx, (txn, state)) = chain
-                        .iter()
-                        .enumerate()
-                        .rev()
-                        .find(|(_, (txn, _))| !failed.contains(txn))?;
-                    // `None`: the key's tip is a delete.
-                    Some(((chain_key, idx), *txn, state.as_ref()?))
-                })
-                .collect();
-            let mut unjudged = Vec::new();
-            for tip @ &(at, txn, _) in &tips {
-                if verdicts.contains_key(&at) {
-                    continue;
-                }
-                if durable(at, txn) {
-                    verdicts.insert(at, true);
-                } else {
-                    unjudged.push(tip);
-                }
+        chains
+            .entry((relation, key.clone()))
+            .or_default()
+            .push((txn, version));
+    }
+    // Fixpoint: validate tips, fail their txns, expose earlier tips. A
+    // round validates every tip not yet judged in one streaming pass;
+    // the fixpoint does not depend on the order a round fails them in.
+    let mut verdicts: HashMap<(&(u32, Vec<u8>), usize), bool> = HashMap::new();
+    // A tip the mark vouches for: the newest version of a key nothing
+    // after the mark touches, committed inside the prefix.
+    let durable = |(chain_key, idx): (&(u32, Vec<u8>), usize), txn: u64| {
+        let Some(to) = durable_to else { return false };
+        idx + 1 == chains[chain_key].len()
+            && commit_at.get(&txn).is_some_and(|&at| at <= to)
+            && !after_mark.contains(&(chain_key.0, chain_key.1.as_slice()))
+    };
+    loop {
+        let tips: Vec<_> = chains
+            .iter()
+            .filter_map(|(chain_key, chain)| {
+                let (idx, (txn, state)) = chain
+                    .iter()
+                    .enumerate()
+                    .rev()
+                    .find(|(_, (txn, _))| !failed.contains(txn))?;
+                // `None`: the key's tip is a delete.
+                Some(((chain_key, idx), *txn, state.as_ref()?))
+            })
+            .collect();
+        let mut unjudged = Vec::new();
+        for tip @ &(at, txn, _) in &tips {
+            if verdicts.contains_key(&at) {
+                continue;
             }
-            let states: Vec<&BlobState> = unjudged.iter().map(|&&(_, _, state)| state).collect();
-            report.validated += states.len() as u64;
-            let judged = content::validate_many(db, &states)?;
-            for (&&(at, _, _), ok) in unjudged.iter().zip(judged) {
-                verdicts.insert(at, ok);
+            if durable(at, txn) {
+                verdicts.insert(at, true);
+            } else {
+                unjudged.push(tip);
             }
-            let mut changed = false;
-            for (at, txn, _) in &tips {
-                if !verdicts[at] && failed.insert(*txn) {
-                    report.sha_failures += 1;
-                    // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                    db.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);
-                    changed = true;
-                }
+        }
+        let states: Vec<&BlobState> = unjudged.iter().map(|&&(_, _, state)| state).collect();
+        report.validated += states.len() as u64;
+        let judged = content::validate_many(db, &states)?;
+        for (&&(at, _, _), ok) in unjudged.iter().zip(judged) {
+            verdicts.insert(at, ok);
+        }
+        let mut changed = false;
+        for (at, txn, _) in &tips {
+            if !verdicts[at] && failed.insert(*txn) {
+                report.sha_failures += 1;
+                // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+                db.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);
+                changed = true;
             }
-            if !changed {
-                break;
-            }
+        }
+        if !changed {
+            break;
         }
     }
 
@@ -398,86 +396,6 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
                 }
             }
             _ => {}
-        }
-    }
-
-    // ------------------------------------------------- content redo -----
-    // Content records are replayed *after* the whole tree redo, so offsets
-    // resolve against each key's FINAL committed geometry — never against
-    // an intermediate state whose extents a later committed transaction
-    // recycled (replaying into recycled extents corrupts the new owner).
-    //
-    // Asynchronous logging needs no content redo at all: the commit
-    // protocol flushes extent content to the device before acknowledging,
-    // and the SHA-256 fixpoint above already failed every surviving
-    // version whose content is not byte-exact on the device. Physical
-    // logging is the opposite — the WAL carries the content and redo is
-    // what restores it — but only records of each key's final lineage may
-    // be applied: a committed delete or re-put starts a new lineage, and
-    // content of the old one must not be written into its recycled extents.
-    if matches!(db.cfg.blob_logging, BlobLogging::Physical { .. }) {
-        let mut lineage: HashMap<(u32, Vec<u8>), HashSet<u64>> = HashMap::new();
-        for rec in &records {
-            match rec {
-                LogRecord::Insert {
-                    txn, relation, key, ..
-                } if surviving.contains(txn) && *relation != CATALOG_REL_ID => {
-                    let set = lineage.entry((*relation, key.clone())).or_default();
-                    set.clear(); // a fresh put starts a new lineage
-                    set.insert(*txn);
-                }
-                // A relocation carries no content records, but it must not
-                // break the key's lineage either: earlier chunk records
-                // still replay (offsets resolve against the FINAL geometry,
-                // i.e. the relocated placement).
-                LogRecord::Update {
-                    txn, relation, key, ..
-                }
-                | LogRecord::BlobRelocate {
-                    txn, relation, key, ..
-                } if surviving.contains(txn) && *relation != CATALOG_REL_ID => {
-                    lineage
-                        .entry((*relation, key.clone()))
-                        .or_default()
-                        .insert(*txn);
-                }
-                LogRecord::Delete {
-                    txn, relation, key, ..
-                } if surviving.contains(txn) && *relation != CATALOG_REL_ID => {
-                    lineage.entry((*relation, key.clone())).or_default().clear();
-                }
-                _ => {}
-            }
-        }
-        for rec in &records {
-            let (txn, relation, key, byte_offset, data) = match rec {
-                LogRecord::BlobDelta {
-                    txn,
-                    relation,
-                    key,
-                    byte_offset,
-                    after,
-                    ..
-                } => (txn, relation, key, byte_offset, after),
-                LogRecord::BlobChunk {
-                    txn,
-                    relation,
-                    key,
-                    byte_offset,
-                    data,
-                } => (txn, relation, key, byte_offset, data),
-                _ => continue,
-            };
-            if !surviving.contains(txn) {
-                continue;
-            }
-            let in_final_lineage = lineage
-                .get(&(*relation, key.clone()))
-                .map(|set| set.contains(txn))
-                .unwrap_or(false);
-            if in_final_lineage {
-                unpin(db, apply_at_key(db, *relation, key, *byte_offset, data)?);
-            }
         }
     }
 
@@ -618,7 +536,7 @@ pub(crate) fn undo_record(db: &Database, rec: &LogRecord) -> Result<Vec<ExtentSp
 }
 
 /// Write `data` at blob byte `byte_offset` of the blob now stored under
-/// `key` (delta undo, delta / physlog redo); nothing if the key is gone.
+/// `key` (delta undo); nothing if the key is gone.
 /// Returns the content extents written.
 fn apply_at_key(
     db: &Database,

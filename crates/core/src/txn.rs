@@ -40,7 +40,7 @@
 use crate::blob_state::{BlobState, PREFIX_LEN};
 use crate::catalog::{Relation, RelationKind};
 use crate::content::{self, Residency};
-use crate::db::{BlobLogging, Database};
+use crate::db::Database;
 use crate::defrag::{FenceGuard, SourceGuard};
 use crate::group_commit::CommitBatch;
 use crate::lock::LockMode;
@@ -307,9 +307,7 @@ impl Txn {
                 tail: None,
                 extents: Vec::new(),
             };
-            self.publish_state(rel, key, None, &state)?;
-            self.stage_physlog(rel, key, 0, data);
-            return Ok(());
+            return self.publish_state(rel, key, None, &state);
         }
 
         // The size is known: reserve the largest tier prefix that fits plus
@@ -331,9 +329,7 @@ impl Txn {
             tail,
             extents,
         };
-        self.publish_state(rel, key, None, &state)?;
-        self.stage_physlog(rel, key, 0, data);
-        Ok(())
+        self.publish_state(rel, key, None, &state)
     }
 
     /// Publish `new` as `key`'s Blob State: write it into the relation's
@@ -411,24 +407,6 @@ impl Txn {
         }
         debug_assert_eq!(off, total);
         Ok(tail)
-    }
-
-    /// In physical-logging mode (`Our.physlog`), additionally append the
-    /// full content to the WAL in segments — the conventional "write every
-    /// object twice" behaviour (once to the log, once to the database).
-    fn stage_physlog(&mut self, rel: &Relation, key: &[u8], base_off: u64, data: &[u8]) {
-        let BlobLogging::Physical { segment } = self.db.cfg.blob_logging else {
-            return;
-        };
-        for (i, chunk) in data.chunks(segment.max(1)).enumerate() {
-            self.records.push(LogRecord::BlobChunk {
-                txn: self.id,
-                relation: rel.id,
-                key: key.to_vec(),
-                byte_offset: base_off + (i * segment) as u64,
-                data: chunk.to_vec(),
-            });
-        }
     }
 
     // ----------------------------------------------------- blob read ----
@@ -728,9 +706,7 @@ impl Txn {
             state.size = new_size;
             state.sha_midstate = hasher.midstate().state_bytes();
             state.sha256 = hasher.finalize();
-            self.publish_state(rel, key, Some(old_encoded), &state)?;
-            self.stage_physlog(rel, key, old_size, data);
-            return Ok(());
+            return self.publish_state(rel, key, Some(old_encoded), &state);
         }
 
         // Growing past the inline bound: materialize the old prefix bytes
@@ -821,9 +797,7 @@ impl Txn {
         state.sha_midstate = hasher.midstate().state_bytes();
         state.sha256 = hasher.finalize();
 
-        self.publish_state(rel, key, Some(old_encoded), &state)?;
-        self.stage_physlog(rel, key, old_size, data);
-        Ok(())
+        self.publish_state(rel, key, Some(old_encoded), &state)
     }
 
     /// Shrink an existing BLOB to `new_size` bytes (the inverse of
@@ -996,11 +970,7 @@ impl Txn {
         state.sha_midstate = hasher.midstate().state_bytes();
         state.sha256 = hasher.finalize();
 
-        self.publish_state(rel, key, Some(old_encoded), &state)?;
-        if state.extents.is_empty() && state.tail.is_none() {
-            self.stage_physlog(rel, key, offset, data);
-        }
-        Ok(())
+        self.publish_state(rel, key, Some(old_encoded), &state)
     }
 
     // ---------------------------------------------- blob relocation -----

@@ -2,8 +2,7 @@
 //! single-flush commit protocol, transactions, and crash recovery.
 
 use lobster_core::{
-    BlobLogging, BlobStateCmp, Config, Database, ExpressionIndex, PoolVariant, RelationKind,
-    TierPolicy, Txn,
+    BlobStateCmp, Config, Database, ExpressionIndex, PoolVariant, RelationKind, Txn,
 };
 use lobster_sha256::Sha256;
 use lobster_storage::{CrashDevice, Device, MemDevice};
@@ -683,25 +682,6 @@ fn blob_written_exactly_once() {
     assert_eq!(delta.fsyncs, 1, "one group-commit fsync");
 }
 
-#[test]
-fn physlog_mode_writes_content_to_wal() {
-    let mut cfg = small_cfg();
-    cfg.blob_logging = BlobLogging::Physical { segment: 64 * 1024 };
-    let db = mem_db(cfg);
-    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    let size = 500_000usize;
-    let data = pattern(size, 71);
-    let before = db.metrics().snapshot();
-    put(&db, &rel, b"k", &data);
-    let delta = db.metrics().snapshot() - before;
-    assert!(
-        delta.wal_bytes >= size as u64,
-        "physical logging must put content in the WAL ({} bytes)",
-        delta.wal_bytes
-    );
-    assert_eq!(get(&db, &rel, b"k"), data);
-}
-
 // -------------------------------------------------------------- recovery ---
 
 fn reopen(
@@ -836,44 +816,6 @@ fn recovery_applies_deltas_and_appends() {
         std::mem::forget(db); // crash without checkpoint
     }
     let (db, _) = reopen(dev, wal, small_cfg());
-    let rel = db.relation("b").unwrap();
-    assert_eq!(get(&db, &rel, b"k"), data);
-}
-
-#[test]
-fn recovery_physlog_restores_content_from_wal() {
-    // In physical-logging mode the WAL itself carries content, so even a
-    // total loss of extent writes is recoverable.
-    let raw = MemDevice::new(128 << 20);
-    let crash_dev = Arc::new(CrashDevice::write_back(raw));
-    let wal = Arc::new(MemDevice::new(64 << 20));
-    let data = pattern(150_000, 121);
-    let mut cfg = small_cfg();
-    cfg.blob_logging = BlobLogging::Physical { segment: 32 * 1024 };
-    {
-        let db = Database::create(crash_dev.clone(), wal.clone(), cfg.clone()).unwrap();
-        let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-        db.checkpoint().unwrap();
-        let mut t = db.begin();
-        t.put_blob(&rel, b"k", &data).unwrap();
-        t.commit().unwrap();
-        crash_dev.crash_now(); // every data-device write since the checkpoint lost
-        std::mem::forget(db);
-    }
-    let survived = Arc::new({
-        let src = crash_dev.inner();
-        let dst = MemDevice::new(128 << 20);
-        let mut buf = vec![0u8; 1 << 20];
-        let mut off = 0u64;
-        while off < src.capacity() {
-            let n = buf.len().min((src.capacity() - off) as usize);
-            src.read_at(&mut buf[..n], off).unwrap();
-            dst.write_at(&buf[..n], off).unwrap();
-            off += n as u64;
-        }
-        dst
-    });
-    let (db, _) = Database::open(survived, wal, cfg).unwrap();
     let rel = db.relation("b").unwrap();
     assert_eq!(get(&db, &rel, b"k"), data);
 }
@@ -1037,17 +979,6 @@ fn utilization_reflects_stored_bytes() {
     let u0 = db.utilization();
     put(&db, &rel, b"k", &pattern(4 << 20, 141));
     assert!(db.utilization() > u0);
-}
-
-#[test]
-fn power_of_two_tier_policy_end_to_end() {
-    let mut cfg = small_cfg();
-    cfg.tier_policy = TierPolicy::PowerOfTwo;
-    let db = mem_db(cfg);
-    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    let data = pattern(100_000, 151);
-    put(&db, &rel, b"k", &data);
-    assert_eq!(get(&db, &rel, b"k"), data);
 }
 
 #[test]

@@ -59,9 +59,6 @@ fn cfg(verify_reads: bool) -> Config {
     Config {
         pool_frames: 2048,
         verify_reads,
-        // Keep the device-op schedule exactly the foreground workload's:
-        // speculative prefetch reads would consume injection slots.
-        readahead_extents: 0,
         ..Config::default()
     }
 }

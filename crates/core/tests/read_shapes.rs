@@ -32,8 +32,6 @@ fn cfg(verify_reads: bool) -> Config {
     Config {
         pool_frames: 2048,
         verify_reads,
-        // Foreground reads only, so the fault device sees exactly them.
-        readahead_extents: 0,
         ..Config::default()
     }
 }

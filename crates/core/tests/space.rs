@@ -37,10 +37,12 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
 
 /// Pages the B-Trees of `db` hold: what the allocator holds besides content.
 fn node_pages(db: &Database) -> u64 {
-    let nodes: u64 = (db.relation_names().iter())
-        .map(|name| db.relation(name).unwrap().tree.stats().unwrap().nodes)
-        .sum();
-    nodes * db.config().node_pages
+    (db.relation_names().iter())
+        .map(|name| {
+            let tree = &db.relation(name).unwrap().tree;
+            tree.stats().unwrap().nodes * tree.node_pages()
+        })
+        .sum()
 }
 
 /// Uniform put / delete-oldest churn. After every quiesce, each shard's

@@ -60,7 +60,7 @@ pub struct LintConfig {
     /// Path prefixes the lock-order rule skips.
     pub lock_order_exclude: Vec<String>,
     /// Configuration structs whose `pub` fields the dead-knob rule
-    /// requires a production caller (or a `// knob:` note) for.
+    /// requires a production caller for.
     pub knob_structs: Vec<&'static str>,
     /// How many leading lines a `lint-allow-file` pragma may appear in.
     pub head_allow_lines: u32,

@@ -19,8 +19,7 @@
 //!   the full offending chain — the static complement to the runtime
 //!   `LatchLedger`.
 //! * **dead-knob** — every `pub` field of the configuration structs is
-//!   assigned by some production caller outside its defining file, or
-//!   carries a `// knob: <why>` note.
+//!   assigned by some production caller outside its defining file.
 //!
 //! Escape hatch: `// lint-allow(rule): reason` on the offending line or
 //! the line directly above; `// lint-allow-file(rule): reason` in the

@@ -1,10 +1,10 @@
 //! **dead-knob**: every `pub` field of a configuration struct
 //! ([`LintConfig::knob_structs`]) must be assigned somewhere in the
 //! linted tree outside the file that defines it — a struct literal
-//! `Name { field: … }` or a `.field = …` store — or carry a
-//! `// knob: <why>` note on the field. A knob only its own `Default`
-//! (and tests, benches and examples, none of which the lint walks) ever
-//! sets is one value in use: a constant next to the code that reads it.
+//! `Name { field: … }` or a `.field = …` store. A knob only its own
+//! `Default` (and tests, benches and examples, none of which the lint
+//! walks) ever sets is one value in use: a constant next to the code that
+//! reads it.
 //!
 //! Token-level, so deliberately lenient: a `.field =` store counts for
 //! every knob struct with a field of that name, whatever the receiver.
@@ -85,8 +85,7 @@ impl Collector {
             let Some(field) = toks.get(i + 1).filter(|_| is_field) else {
                 continue;
             };
-            let noted = f.lx.adjacent_comment(field.line, has_knob_note);
-            if noted || f.allowed(RULE, field.line, cfg.head_allow_lines) {
+            if f.allowed(RULE, field.line, cfg.head_allow_lines) {
                 continue;
             }
             self.knobs.push(Knob {
@@ -136,9 +135,7 @@ impl Collector {
                         "`{}::{}` is never assigned outside {}",
                         k.strukt, k.field, k.file
                     ),
-                    note: "make it a constant next to the code that reads it, or say who \
-                           varies it in a `// knob: <why>` note on the field"
-                        .into(),
+                    note: "make it a constant next to the code that reads it".into(),
                 });
             }
         }
@@ -167,11 +164,4 @@ fn body_positions(toks: &[Tok], open: usize) -> Vec<usize> {
         }
     }
     out
-}
-
-/// `knob: <why>` with a non-empty reason.
-fn has_knob_note(comment: &str) -> bool {
-    comment
-        .split_once("knob:")
-        .is_some_and(|(_, why)| !why.trim().is_empty())
 }

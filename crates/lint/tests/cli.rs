@@ -112,20 +112,34 @@ fn bad_lock_order_fixture_reports_full_cycle_chain() {
     ));
 }
 
-/// The shape of the lock-wait knob `Config` used to carry: set by its own
-/// `Default` and by a test, read by a production caller, assigned by none.
-#[test]
-fn bad_knob_fixture_fails() {
-    let r = lint(&[
+fn lint_bad_knob() -> Run {
+    lint(&[
         "--rule",
         "dead-knob",
         "tests/fixtures/bad_knob.rs",
         "tests/fixtures/bad_knob_user.rs",
-    ]);
+    ])
+}
+
+/// The shape of the lock-wait knob `Config` used to carry: set by its own
+/// `Default` and by a test, read by a production caller, assigned by none.
+#[test]
+fn bad_knob_fixture_fails() {
+    let r = lint_bad_knob();
     assert_eq!(r.code, 1, "stdout:\n{}", r.stdout);
-    assert!(r.stderr.contains("1 finding(s)"), "stderr: {}", r.stderr);
+    assert!(r.stderr.contains("2 finding(s)"), "stderr: {}", r.stderr);
     assert!(r.stdout.contains(
-        "tests/fixtures/bad_knob.rs:10:9 [dead-knob] `Config::lock_wait` is never assigned \
+        "tests/fixtures/bad_knob.rs:11:9 [dead-knob] `Config::lock_wait` is never assigned \
+         outside tests/fixtures/bad_knob.rs"
+    ));
+}
+
+/// A `// knob: <why>` note on a field nobody sets excuses nothing.
+#[test]
+fn a_knob_note_does_not_excuse_a_dead_knob() {
+    let r = lint_bad_knob();
+    assert!(r.stdout.contains(
+        "tests/fixtures/bad_knob.rs:9:9 [dead-knob] `Config::page_size` is never assigned \
          outside tests/fixtures/bad_knob.rs"
     ));
 }

@@ -1,7 +1,8 @@
 //! Fixture for the dead-knob rule: a configuration struct whose
 //! `lock_wait` nothing outside this file ever sets. `pool_frames` and
-//! `commit_wait` are set by `bad_knob_user.rs`; `page_size` carries the
-//! note. Linted together with that file.
+//! `commit_wait` are set by `bad_knob_user.rs`; `page_size` is set by
+//! nobody either, and its `// knob:` note excuses nothing. Linted
+//! together with that file.
 
 pub struct Config {
     // knob: fixed at create; read back from the header on open

@@ -199,7 +199,6 @@ fn main() {
             // (aggregate) pool may be lease-pinned by streams.
             (args.pool_mb << 20) * args.shards.max(1) as u64 / 4
         },
-        ..ServeConfig::default()
     };
 
     let handle = match Server::start(Arc::clone(&sdb), rel, serve_cfg) {

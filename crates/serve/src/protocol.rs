@@ -96,8 +96,9 @@ impl Status {
     }
 }
 
-/// Default cap on request frame bodies (opcode + payload). PUT values must
-/// fit in a frame; GET responses stream and are not capped by this.
+/// Cap on request frame bodies (opcode + payload); the server answers a
+/// longer one with `TooLarge`. PUT values must fit in a frame; GET
+/// responses stream and are not capped by this.
 pub const DEFAULT_MAX_FRAME: u32 = 64 << 20;
 
 /// What a connection keeps buffered between requests, on either end: room
@@ -254,7 +255,7 @@ pub fn parse_request(body: &[u8]) -> Parsed {
 pub(crate) enum FrameRead<'a> {
     /// The frame's body (opcode + payload), a view into the [`FrameBuf`].
     Body(&'a [u8]),
-    /// Length prefix exceeds `max_frame`; the stream cannot be re-synced.
+    /// Length prefix exceeds the cap; the stream cannot be re-synced.
     TooLarge,
     /// Peer closed between frames.
     CleanEof,
@@ -297,7 +298,6 @@ impl FrameBuf {
     pub(crate) fn next_frame(
         &mut self,
         r: &mut impl Read,
-        max_frame: u32,
         stop: impl Fn() -> bool,
     ) -> FrameRead<'_> {
         let body = loop {
@@ -307,7 +307,7 @@ impl FrameBuf {
             let mut want = 4;
             if let Some(len) = pending.first_chunk::<4>() {
                 let len = u32::from_le_bytes(*len);
-                if len > max_frame {
+                if len > DEFAULT_MAX_FRAME {
                     return FrameRead::TooLarge;
                 }
                 want += len as usize;
@@ -727,7 +727,7 @@ pub(crate) mod tests {
         let mut frames = FrameBuf::default();
         let mut out = Vec::new();
         loop {
-            match frames.next_frame(&mut r, DEFAULT_MAX_FRAME, || false) {
+            match frames.next_frame(&mut r, || false) {
                 FrameRead::Body(b) => out.push(b.to_vec()),
                 FrameRead::CleanEof => return out,
                 _ => panic!("stream of whole frames ended dirty"),
@@ -766,7 +766,7 @@ pub(crate) mod tests {
             reads: 0,
         };
         let mut frames = FrameBuf::default();
-        let FrameRead::Body(b) = frames.next_frame(&mut r, DEFAULT_MAX_FRAME, || false) else {
+        let FrameRead::Body(b) = frames.next_frame(&mut r, || false) else {
             panic!("big frame");
         };
         assert_eq!(b, &big[4..]);
@@ -779,25 +779,25 @@ pub(crate) mod tests {
         // The last read was offered the big frame and no more; waiting for
         // the next, short frame returns the buffer to its small size.
         for _ in 0..2 {
-            let FrameRead::Body(b) = frames.next_frame(&mut r, DEFAULT_MAX_FRAME, || false) else {
+            let FrameRead::Body(b) = frames.next_frame(&mut r, || false) else {
                 panic!("small frame");
             };
             assert_eq!(b, &small[4..]);
         }
         assert_eq!(frames.buf.capacity(), SMALL_FRAME);
         assert!(matches!(
-            frames.next_frame(&mut r, DEFAULT_MAX_FRAME, || false),
+            frames.next_frame(&mut r, || false),
             FrameRead::CleanEof
         ));
 
         // An announced length over the cap is refused before it is read.
         let mut r = ChoppyReader {
-            data: &big,
+            data: &(DEFAULT_MAX_FRAME + 1).to_le_bytes(),
             per_call: usize::MAX,
             reads: 0,
         };
         assert!(matches!(
-            FrameBuf::default().next_frame(&mut r, 1 << 10, || false),
+            FrameBuf::default().next_frame(&mut r, || false),
             FrameRead::TooLarge
         ));
         // A stop request ends the wait for a frame that is not all there.
@@ -810,7 +810,7 @@ pub(crate) mod tests {
         let polls = std::cell::Cell::new(0);
         let stop = || polls.replace(polls.get() + 1) >= 1;
         assert!(matches!(
-            frames.next_frame(&mut r, DEFAULT_MAX_FRAME, stop),
+            frames.next_frame(&mut r, stop),
             FrameRead::Stopped
         ));
     }
@@ -822,7 +822,7 @@ pub(crate) mod tests {
         let prefix = DEFAULT_MAX_FRAME.to_le_bytes();
         let mut frames = FrameBuf::default();
         assert!(matches!(
-            frames.next_frame(&mut &prefix[..], DEFAULT_MAX_FRAME, || false),
+            frames.next_frame(&mut &prefix[..], || false),
             FrameRead::DirtyEof
         ));
         assert_eq!(frames.buf.capacity(), SMALL_FRAME);
@@ -845,7 +845,7 @@ pub(crate) mod tests {
             // The reader runs dry mid-frame, which reads as a dirty EOF;
             // what arrived stays buffered for the next reader.
             assert!(matches!(
-                frames.next_frame(&mut r, DEFAULT_MAX_FRAME, || false),
+                frames.next_frame(&mut r, || false),
                 FrameRead::DirtyEof
             ));
             assert!(
@@ -853,8 +853,7 @@ pub(crate) mod tests {
                 "at {cut}"
             );
         }
-        let FrameRead::Body(b) = frames.next_frame(&mut &big[from..], DEFAULT_MAX_FRAME, || false)
-        else {
+        let FrameRead::Body(b) = frames.next_frame(&mut &big[from..], || false) else {
             panic!("big frame");
         };
         assert_eq!(b, &big[4..]);

@@ -29,7 +29,7 @@
 //!    whole pool — so eviction keeps running no matter how slowly clients
 //!    drain.
 //!
-//! Socket writes carry [`ServeConfig::write_timeout`]; a dead client
+//! Socket writes carry `WRITE_TIMEOUT` (5 s); a dead client
 //! fails its stream, which releases its leases, gate budget, and worker
 //! slot on the error path (RAII in `Txn::stream_blob_range`).
 //!
@@ -47,7 +47,7 @@
 
 use crate::protocol::{
     parse_borrowed, write_response, write_response_header, FrameBuf, FrameRead, Parsed, Request,
-    Status, DEFAULT_MAX_FRAME,
+    Status,
 };
 use lobster_buffer::PinGate;
 use lobster_core::{ShardedDatabase, ShardedRelation};
@@ -63,6 +63,8 @@ use std::time::{Duration, Instant};
 const GATE_TIMEOUT: Duration = Duration::from_millis(200);
 /// How long a request may wait for a worker slot before `BUSY`.
 const SLOT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Socket write timeout; a stalled client fails its stream.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server tuning knobs. `Default` is sized for the smoke/bench scale.
 #[derive(Clone, Debug)]
@@ -71,17 +73,11 @@ pub struct ServeConfig {
     pub addr: String,
     /// Admission cap: connections over this get `BUSY` and are closed.
     pub max_conns: usize,
-    /// Maximum request frame body (opcode + payload).
-    // knob: the oversize-frame and fuzz tests lower it to 1 MiB to hit `TooLarge` cheaply
-    pub max_frame: u32,
     /// Streaming chunk size for get/get_range responses.
     pub chunk_bytes: usize,
     /// Pin-lease budget for concurrent streams (bytes). Defaults to a
     /// quarter of the pool, mirroring the committer's pin-budget rule.
     pub gate_budget: u64,
-    /// Socket write timeout; a stalled client fails its stream.
-    // knob: the stalled-client test shortens it to fail the stream promptly
-    pub write_timeout: Duration,
 }
 
 impl Default for ServeConfig {
@@ -89,10 +85,8 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_conns: 256,
-            max_frame: DEFAULT_MAX_FRAME,
             chunk_bytes: 256 << 10,
             gate_budget: 64 << 20,
-            write_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -335,13 +329,13 @@ fn session(mut stream: TcpStream, shared: &Shared) {
     // Reads tick on a short timeout so an idle session notices the
     // shutdown flag.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut frames = FrameBuf::default();
     loop {
         // Drain policy: fully received requests are in flight and get
         // served; partial frames are not.
         let draining = || shared.shutdown.load(Ordering::SeqCst);
-        match frames.next_frame(&mut stream, shared.cfg.max_frame, draining) {
+        match frames.next_frame(&mut stream, draining) {
             FrameRead::Body(body) => {
                 if !handle_request(&mut stream, body, shared) {
                     return;

@@ -5,7 +5,7 @@
 //! loop (widened by `LOBSTER_TORTURE_MULT` in the nightly torture run).
 
 use lobster_core::{Config, RelationKind, ShardDevices, ShardedDatabase, ShardedRelation};
-use lobster_serve::{Client, ServeConfig, Server, ServerHandle, Status};
+use lobster_serve::{Client, ServeConfig, Server, ServerHandle, Status, DEFAULT_MAX_FRAME};
 use lobster_storage::MemDevice;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -343,17 +343,11 @@ fn unknown_opcode_and_bad_frame_keep_connection_usable() {
 
 #[test]
 fn oversized_length_field_is_rejected() {
-    let (_sdb, handle) = start_server(
-        1,
-        ServeConfig {
-            max_frame: 1 << 20,
-            ..ServeConfig::default()
-        },
-    );
+    let (_sdb, handle) = start_server(1, ServeConfig::default());
     let addr = handle.local_addr().to_string();
     let mut s = TcpStream::connect(&addr).unwrap();
-    // Length prefix far beyond max_frame; body never sent.
-    s.write_all(&(64u32 << 20).to_le_bytes()).unwrap();
+    // Length prefix one past the frame cap; body never sent.
+    s.write_all(&(DEFAULT_MAX_FRAME + 1).to_le_bytes()).unwrap();
     let r = lobster_serve::read_response(&mut s).unwrap();
     assert_eq!(r.status, Status::TooLarge);
     // Server closes the unsyncable stream.
@@ -391,7 +385,6 @@ fn midstream_disconnect_releases_pins_and_gate_budget() {
         1,
         ServeConfig {
             chunk_bytes: 4096,
-            write_timeout: Duration::from_millis(200),
             ..ServeConfig::default()
         },
     );
@@ -637,13 +630,7 @@ fn graceful_shutdown_quiesces_defragmenter() {
 
 #[test]
 fn malformed_bytes_fuzz_never_kills_the_server() {
-    let (_sdb, handle) = start_server(
-        1,
-        ServeConfig {
-            max_frame: 1 << 20,
-            ..ServeConfig::default()
-        },
-    );
+    let (_sdb, handle) = start_server(1, ServeConfig::default());
     let addr = handle.local_addr().to_string();
     let iters = 64 * torture_mult();
     let mut state = 0x0123_4567_89AB_CDEF_u64;

@@ -127,38 +127,6 @@ fn sequential_range_reads_drive_readahead() {
     );
 }
 
-#[test]
-fn readahead_can_be_disabled() {
-    let dev: Arc<dyn Device> = Arc::new(MemDevice::new(256 << 20));
-    let wal: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
-    let db = Database::create(
-        dev,
-        wal,
-        Config {
-            readahead_extents: 0,
-            ..cfg()
-        },
-    )
-    .unwrap();
-    let data = seed_cold(&db);
-
-    let rel = db.relation("blobs").unwrap();
-    let before = db.metrics().snapshot();
-    let mut txn = db.begin();
-    let mut buf = vec![0u8; 16 << 10];
-    let mut off = 0usize;
-    while off < data.len() {
-        let n = txn
-            .get_blob_range(&rel, b"big", off as u64, &mut buf)
-            .unwrap();
-        assert_eq!(&buf[..n], &data[off..off + n]);
-        off += n;
-    }
-    txn.commit().unwrap();
-    let delta = db.metrics().snapshot() - before;
-    assert_eq!(delta.readahead_issued, 0);
-}
-
 // ------------------------------------------------- exact device counts ---
 
 /// A memory device that logs every read as `(byte offset, byte length)`.
