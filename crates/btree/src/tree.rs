@@ -584,7 +584,7 @@ impl BTree {
     /// Full-traversal statistics.
     pub fn stats(&self) -> Result<TreeStats> {
         let mut s = TreeStats::default();
-        self.visit(self.root, 1, &mut |buf, depth| {
+        self.walk(|_, buf, depth| {
             s.nodes += 1;
             s.height = s.height.max(depth);
             s.used_bytes += Node::used_bytes(buf) as u64;
@@ -593,6 +593,7 @@ impl BTree {
                 s.leaves += 1;
                 s.entries += Node::count(buf) as u64;
             }
+            Ok(())
         })?;
         Ok(s)
     }
@@ -600,45 +601,57 @@ impl BTree {
     /// Collect the extent of every node (for allocator rebuild after
     /// recovery).
     pub fn collect_extents(&self) -> Result<Vec<ExtentSpec>> {
-        let mut pids = Vec::new();
-        self.collect_rec(self.root, &mut pids)?;
-        Ok(pids.into_iter().map(|p| self.spec(p)).collect())
+        let mut out = Vec::new();
+        self.walk(|spec, _, _| {
+            out.push(spec);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
-    fn collect_rec(&self, pid: Pid, out: &mut Vec<Pid>) -> Result<()> {
-        out.push(pid);
-        let children = {
-            let g = self.pool.read_extent(self.spec(pid))?;
-            if Node::is_leaf(&g) {
-                Vec::new()
-            } else {
-                let mut c: Vec<Pid> = (0..Node::count(&g)).map(|i| Node::child(&g, i)).collect();
-                c.push(Node::upper(&g));
-                c
-            }
-        };
-        for child in children {
-            self.collect_rec(child, out)?;
-        }
-        Ok(())
+    /// Visit every node, parent before children, with its extent, its bytes
+    /// (under a shared latch) and its depth (the root is 1). Before the walk
+    /// descends from an inner node it faults all of that node's children as
+    /// one device batch, so their read latencies overlap: a cold walk costs
+    /// about one device round trip per inner node, not one per node. Returns
+    /// the number of batches that brought nodes in.
+    ///
+    /// Batching is best effort. A batch is capped at the pool's free
+    /// frames, and one that cannot be brought in (no frames, an I/O error)
+    /// leaves its nodes to the per-node read that follows, which reports
+    /// any error as a lone read would. So a walk visits every node or fails
+    /// with the device's error; it never stops short.
+    pub fn walk(&self, mut visit: impl FnMut(ExtentSpec, &[u8], u32) -> Result<()>) -> Result<u64> {
+        self.walk_from(self.spec(self.root), 1, &mut visit)
     }
 
-    fn visit(&self, pid: Pid, depth: u32, f: &mut impl FnMut(&[u8], u32)) -> Result<()> {
-        let children = {
-            let g = self.pool.read_extent(self.spec(pid))?;
-            f(&g, depth);
-            if Node::is_leaf(&g) {
-                Vec::new()
-            } else {
-                let mut c: Vec<Pid> = (0..Node::count(&g)).map(|i| Node::child(&g, i)).collect();
-                c.push(Node::upper(&g));
-                c
+    fn walk_from(
+        &self,
+        spec: ExtentSpec,
+        depth: u32,
+        visit: &mut impl FnMut(ExtentSpec, &[u8], u32) -> Result<()>,
+    ) -> Result<u64> {
+        let mut children = Vec::new();
+        {
+            let g = self.pool.read_extent(spec)?;
+            visit(spec, &g, depth)?;
+            if !Node::is_leaf(&g) {
+                let pids = (0..Node::count(&g)).map(|i| Node::child(&g, i));
+                children.extend(pids.chain([Node::upper(&g)]).map(|pid| self.spec(pid)));
             }
-        };
-        for child in children {
-            self.visit(child, depth + 1, f)?;
         }
-        Ok(())
+        let free = self
+            .pool
+            .frame_count()
+            .saturating_sub(self.pool.frames_in_use());
+        let fit = children.len().min((free / self.node_pages) as usize);
+        // A batch counts if it read anything; its error is the per-node
+        // reads' to report.
+        let mut batches = u64::from(matches!(self.pool.fault_many(&children[..fit]), Ok(1..)));
+        for child in children {
+            batches += self.walk_from(child, depth + 1, visit)?;
+        }
+        Ok(batches)
     }
 }
 

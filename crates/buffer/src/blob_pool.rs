@@ -219,7 +219,7 @@ impl BlobPool {
     /// extents it is handed).
     pub fn fault_many(&self, extents: &[ExtentSpec]) -> Result<()> {
         match self {
-            BlobPool::Vm(p) => p.fault_many(extents),
+            BlobPool::Vm(p) => p.fault_many(extents).map(drop),
             BlobPool::Ht(p) => p.fault_many(extents),
         }
     }

@@ -795,10 +795,11 @@ impl ExtentPool {
     /// same `EVICTED → LOCKED` CAS as `read_extent`, in extent-list order,
     /// so losing a race just means another thread is already loading that
     /// extent. On any failure every claim is rolled back to `EVICTED`.
-    pub fn fault_many(&self, specs: &[ExtentSpec]) -> Result<()> {
+    /// Returns how many of `specs` this call read (0: none was evicted).
+    pub fn fault_many(&self, specs: &[ExtentSpec]) -> Result<usize> {
         let mut claimed = self.claim_evicted(specs);
         if claimed.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
         self.metrics
             .cache_misses
@@ -821,7 +822,9 @@ impl ExtentPool {
             // frames we own exclusively): each extent runs under the retry
             // policy, successes publish as usual, and only the extents
             // that exhaust their budget roll back.
-            return self.fault_many_serial_fallback(&claimed);
+            return self
+                .fault_many_serial_fallback(&claimed)
+                .map(|()| claimed.len());
         }
         // One record per batch: the whole overlapped round trip is the
         // fault latency a foreground read observes.
@@ -834,7 +837,7 @@ impl ExtentPool {
             .fetch_add(total_pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.note_pages_read(total_pages);
         self.publish_loaded(&claimed);
-        Ok(())
+        Ok(claimed.len())
     }
 
     /// Claim every extent of `specs` that is evicted right now, in list

@@ -7,7 +7,7 @@ use crate::header::Header;
 use crate::lock::LockManager;
 use crate::recovery::{recover, RecoveryReport};
 use crate::txn::Txn;
-use lobster_btree::{BTree, KeyCmp, LexCmp};
+use lobster_btree::{BTree, KeyCmp, LexCmp, Node};
 use lobster_buffer::{AliasConfig, BlobPool, ExtentPool, HashTablePool, PoolConfig};
 use lobster_extent::{ExtentAllocator, ExtentSpec, TierPolicy, TierTable};
 use lobster_metrics::{new_metrics, Metrics};
@@ -17,7 +17,7 @@ use lobster_sync::Arc;
 use lobster_sync::Mutex;
 use lobster_sync::RwLock;
 use lobster_types::{Error, Geometry, Pid, Result};
-use lobster_wal::{LogRecord, Wal};
+use lobster_wal::{LogRecord, LogScan, Wal};
 use std::collections::{HashMap, HashSet};
 
 /// Builds a relation's comparator once the database (whose pools the
@@ -186,19 +186,19 @@ impl Database {
         Ok(db)
     }
 
-    /// The one constructor. `header` is `None` to create the WAL and the
-    /// catalog tree in the format of a new store, or the header of an
-    /// existing one to open them in its format.
+    /// The one constructor. `existing` is `None` to create the WAL and the
+    /// catalog tree in the format of a new store, or the header and the
+    /// log scan of an existing one to open them in its format.
     fn assemble(
         device: Arc<dyn Device>,
         wal_device: Arc<dyn Device>,
         cfg: Config,
-        header: Option<&Header>,
+        existing: Option<(&Header, &LogScan)>,
         cmp_factories: HashMap<String, ComparatorFactory>,
         cross_commit: CrossCommitPolicy,
     ) -> Result<Arc<Self>> {
-        let (page_size, policy, node_pages, xcommit_watermark) = match header {
-            Some(h) => (
+        let (page_size, policy, node_pages, xcommit_watermark) = match existing {
+            Some((h, _)) => (
                 h.page_size,
                 h.tier_policy,
                 h.node_pages,
@@ -218,13 +218,13 @@ impl Database {
         ));
         let (node_pool, blob_pool) = Self::build_pools(&cfg, device.clone(), geo, metrics.clone());
         let (nodes, cmp) = (node_pool.clone(), Arc::new(LexCmp));
-        let (wal, catalog_tree) = match header {
+        let (wal, catalog_tree) = match existing {
             None => (
                 Wal::create(wal_device, metrics.clone())?,
                 BTree::create(nodes, alloc.clone(), cmp, node_pages)?,
             ),
-            Some(h) => (
-                Wal::open(wal_device, metrics.clone())?,
+            Some((h, log)) => (
+                Wal::open_scanned(wal_device, log, metrics.clone()),
                 BTree::open(nodes, alloc.clone(), cmp, node_pages, h.catalog_root),
             ),
         };
@@ -286,22 +286,26 @@ impl Database {
         cfg: Config,
         comparators: HashMap<String, ComparatorFactory>,
     ) -> Result<(Arc<Self>, RecoveryReport)> {
+        let log = Wal::scan(&wal_device)?;
         Self::open_with_policy(
             device,
             wal_device,
+            log,
             cfg,
             comparators,
             CrossCommitPolicy::TrustLocal,
         )
     }
 
-    /// Open with an explicit cross-shard commit decision policy. The
-    /// sharded engine pre-scans every shard's log for `TxnCrossCommit`
-    /// markers, decides each global transaction, and opens every shard
-    /// with the decided set so all shards recover the same outcome.
+    /// Open with an explicit cross-shard commit decision policy, from
+    /// `log`, the one read of `wal_device` ([`Wal::scan`]). The sharded
+    /// engine pre-scans every shard's log for `TxnCrossCommit` markers,
+    /// decides each global transaction, and opens every shard from its
+    /// scan with the decided set so all shards recover the same outcome.
     pub(crate) fn open_with_policy(
         device: Arc<dyn Device>,
         wal_device: Arc<dyn Device>,
+        log: LogScan,
         cfg: Config,
         comparators: HashMap<String, ComparatorFactory>,
         cross_commit: CrossCommitPolicy,
@@ -311,11 +315,11 @@ impl Database {
             device,
             wal_device,
             cfg,
-            Some(&header),
+            Some((&header, &log)),
             comparators,
             cross_commit,
         )?;
-        let report = recover(&db)?;
+        let report = recover(&db, log.records)?;
         Ok((db, report))
     }
 
@@ -607,17 +611,9 @@ impl Database {
         let _gate = self.ckpt_gate.read();
 
         // Gather everything the relation owns before touching the catalog.
-        let mut blob_extents: Vec<ExtentSpec> = Vec::new();
-        if rel.kind == RelationKind::Blob {
-            let table = self.table.clone();
-            rel.tree.for_each(|_, v| {
-                if let Ok(state) = crate::blob_state::BlobState::decode(v) {
-                    blob_extents.extend(state.extent_specs(&table));
-                }
-                true
-            })?;
-        }
-        let tree_extents = rel.tree.collect_extents()?;
+        let (mut tree_extents, mut blob_extents) = (Vec::new(), Vec::new());
+        let blob = rel.kind == RelationKind::Blob;
+        self.tree_extents(&rel.tree, blob, &mut tree_extents, &mut blob_extents)?;
 
         let old = self
             .catalog_tree
@@ -827,24 +823,42 @@ impl Database {
     }
 
     /// Extents referenced by every relation tree and every Blob State —
-    /// the ground truth for allocator rebuilds.
-    pub(crate) fn referenced_extents(&self) -> Result<Vec<ExtentSpec>> {
-        let mut used = self.catalog_tree.collect_extents()?;
-        for rel in self.registry.read().all() {
-            used.extend(rel.tree.collect_extents()?);
-            if rel.kind == RelationKind::Blob {
-                let mut states = Vec::new();
-                rel.tree.for_each(|_, v| {
-                    states.push(v.to_vec());
-                    true
-                })?;
-                for v in states {
-                    let state = crate::BlobState::decode(&v)?;
-                    used.extend(state.extent_specs(&self.table));
+    /// the ground truth for allocator rebuilds — with the number of index
+    /// nodes among them and the read batches the walks issued.
+    pub(crate) fn referenced_extents(&self) -> Result<(Vec<ExtentSpec>, u64, u64)> {
+        let (mut used, mut content, mut batches) = (Vec::new(), Vec::new(), 0);
+        let relations = self.registry.read().all();
+        let trees = relations
+            .iter()
+            .map(|rel| (&rel.tree, rel.kind == RelationKind::Blob));
+        for (tree, blob) in [(&self.catalog_tree, false)].into_iter().chain(trees) {
+            batches += self.tree_extents(tree, blob, &mut used, &mut content)?;
+        }
+        let nodes = used.len() as u64;
+        used.append(&mut content);
+        Ok((used, nodes, batches))
+    }
+
+    /// Walk `tree` once ([`BTree::walk`]): the extent of every node goes to
+    /// `nodes` and, for a BLOB relation, the extents of every Blob State in
+    /// its leaves to `content`. Returns the walk's read batches.
+    fn tree_extents(
+        &self,
+        tree: &BTree,
+        blob: bool,
+        nodes: &mut Vec<ExtentSpec>,
+        content: &mut Vec<ExtentSpec>,
+    ) -> Result<u64> {
+        tree.walk(|spec, node, _| {
+            nodes.push(spec);
+            if blob && Node::is_leaf(node) {
+                for i in 0..Node::count(node) {
+                    let state = crate::BlobState::decode(Node::value(node, i))?;
+                    content.extend(state.extent_specs(&self.table));
                 }
             }
-        }
-        Ok(used)
+            Ok(())
+        })
     }
 }
 

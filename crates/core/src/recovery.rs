@@ -2,9 +2,12 @@
 //!
 //! Recovery is logical, over the post-checkpoint WAL:
 //!
-//! 1. **Analysis** — scan the log (read once, for every phase), collect
-//!    committed transactions, and *validate committed BLOBs' content
-//!    against the SHA-256 stored in their Blob State*. A committed Blob
+//! 1. **Analysis** — scan the log (read once by the open, for every
+//!    phase), collect committed transactions, reserve every extent the
+//!    checkpointed trees reach (one walk per tree that faults each inner
+//!    node's children as one batch, [`lobster_btree::BTree::walk`]), and
+//!    *validate committed BLOBs' content against the SHA-256 stored in
+//!    their Blob State*. A committed Blob
 //!    State may point at content that never arrived: the WAL fsync comes
 //!    first, and in-place content writes only after it. The SHA check
 //!    detects this, and the transaction is moved to the undo list (treated
@@ -55,13 +58,18 @@ pub struct RecoveryReport {
     pub validated: u64,
     /// Log records processed.
     pub records: u64,
+    /// Index nodes the open's walk of the checkpointed trees visited.
+    pub index_nodes: u64,
+    /// Device read batches that walk issued: at most one per inner node
+    /// ([`lobster_btree::BTree::walk`]).
+    pub index_batches: u64,
 }
 
 const CATALOG_REL_ID: u32 = 0;
 
-pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
-    let records = db.wal.read_all()?;
-
+/// Recover `db` from `records`, the durable records of its log as the
+/// open read them.
+pub(crate) fn recover(db: &Database, records: Vec<LogRecord>) -> Result<RecoveryReport> {
     // Phase 0: apply journaled page images. A crash between a checkpoint's
     // image fsync and its truncation leaves in-place node writes possibly
     // torn; the images restore every such page before anything reads the
@@ -131,7 +139,9 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
     // checkpointed trees plus everything any log record references, so redo
     // splits never allocate pages that hold real data.
     {
-        let mut used = db.referenced_extents()?;
+        let (mut used, nodes, batches) = db.referenced_extents()?;
+        report.index_nodes = nodes;
+        report.index_batches = batches;
         for rec in &records {
             if let LogRecord::Insert {
                 value, relation, ..
@@ -462,7 +472,7 @@ pub(crate) fn recover(db: &Database) -> Result<RecoveryReport> {
     // The allocator's ground truth, walked while the node pool still holds
     // the trees the checkpoint just flushed (after the drop below, every
     // node would be faulted back from the device).
-    let mut used = db.referenced_extents()?;
+    let (mut used, ..) = db.referenced_extents()?;
     // Drop every cached extent: recovery loaded extents of failed and
     // uncommitted transactions whose pages return to the allocator below;
     // leaving them resident would pin stale extent geometry onto pages

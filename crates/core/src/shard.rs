@@ -50,7 +50,7 @@ use lobster_storage::Device;
 use lobster_sync::Arc;
 use lobster_sync::Mutex;
 use lobster_types::{Error, Result};
-use lobster_wal::{LogRecord, Wal};
+use lobster_wal::{LogRecord, LogScan, Wal};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The participant bitmask is a `u64`.
@@ -228,6 +228,9 @@ impl ShardedDatabase {
         let mut listed: HashSet<u64> = HashSet::new();
         let mut observed: HashMap<u64, (u64, u64)> = HashMap::new(); // gtxn -> (mask, seen)
         let mut max_gtxn = 0u64;
+        // Each log is read here once; its shard opens and recovers from
+        // this scan.
+        let mut logs = Vec::with_capacity(parts.len());
         for (idx, p) in parts.iter().enumerate() {
             let header = Header::read(&*p.data)?;
             max_watermark = max_watermark.max(header.xcommit_watermark);
@@ -236,14 +239,16 @@ impl ShardedDatabase {
                 max_gtxn = max_gtxn.max(g);
                 listed.insert(g);
             }
-            for rec in Wal::scan_records(&p.wal)? {
-                if let LogRecord::TxnCrossCommit { gtxn, mask, .. } = rec {
+            let log = Wal::scan(&p.wal)?;
+            for rec in &log.records {
+                if let LogRecord::TxnCrossCommit { gtxn, mask, .. } = *rec {
                     max_gtxn = max_gtxn.max(gtxn);
                     let e = observed.entry(gtxn).or_insert((mask, 0));
                     e.0 |= mask;
                     e.1 |= 1u64 << idx;
                 }
             }
+            logs.push(log);
         }
 
         // ---- decide every observed global transaction.
@@ -295,11 +300,12 @@ impl ShardedDatabase {
         // returned, and the shards that did open are dropped with it.
         let decided = Arc::new(decided);
         let shard_cfg = Self::shard_config(&cfg);
-        let open = |p: ShardDevices| {
+        let open = |(p, log): (ShardDevices, LogScan)| {
             let policy = CrossCommitPolicy::Decided(decided.clone());
-            Database::open_with_policy(p.data, p.wal, shard_cfg.clone(), HashMap::new(), policy)
+            let cfg = shard_cfg.clone();
+            Database::open_with_policy(p.data, p.wal, log, cfg, HashMap::new(), policy)
         };
-        let mut parts = parts.into_iter();
+        let mut parts = parts.into_iter().zip(logs);
         let first = parts.next();
         let opened: Vec<_> = std::thread::scope(|s| {
             let threads: Vec<_> = parts.map(|p| s.spawn(move || open(p))).collect();

@@ -163,7 +163,7 @@ fn crash_run(seed: u64, commit_wait: bool) -> (usize, u64, usize) {
     let data2 = survivor(data.inner());
     let wal2 = survivor(wal.inner());
     let wal_dyn: Arc<dyn Device> = wal2.clone();
-    let log = lobster_wal::Wal::scan_records(&wal_dyn).unwrap();
+    let log = lobster_wal::Wal::scan(&wal_dyn).unwrap().records;
     let versions = log
         .iter()
         .filter(|r| matches!(r, LogRecord::Insert { .. } | LogRecord::Update { .. }))
@@ -252,7 +252,7 @@ fn a_lost_delta_after_the_mark_exposes_a_hashed_earlier_version() {
     data.crash_now();
     drop(db);
     let wal_dyn: Arc<dyn Device> = wal.clone();
-    let log = lobster_wal::Wal::scan_records(&wal_dyn).unwrap();
+    let log = lobster_wal::Wal::scan(&wal_dyn).unwrap().records;
     assert_eq!(marks(&log), 1, "the delta's group carries the mark");
 
     let (db2, report) = Database::open(survivor(data.inner()), wal, cfg(true)).unwrap();

@@ -15,4 +15,4 @@ mod record;
 mod writer;
 
 pub use record::{frame_record, parse_frame, LogRecord, RelationId, FRAME_HEADER};
-pub use writer::{Lsn, Wal, WalAnalysis, WAL_HEADER};
+pub use writer::{LogScan, Lsn, Wal, WalAnalysis, WAL_HEADER};

@@ -42,6 +42,17 @@ pub struct WalAnalysis {
     pub image_bytes: u64,
 }
 
+/// What one read of a log device found ([`Wal::scan`]).
+#[derive(Debug)]
+pub struct LogScan {
+    /// The epoch in the log's header.
+    pub epoch: u32,
+    /// Every durable record of that epoch, in log order.
+    pub records: Vec<LogRecord>,
+    /// The offset one past the last record: where the next append goes.
+    pub end: Lsn,
+}
+
 /// Size of the log header block at offset 0.
 pub const WAL_HEADER: u64 = 4096;
 const WAL_MAGIC: u32 = 0x4C4F_4253; // "LOBS"
@@ -86,41 +97,26 @@ impl Wal {
 
     /// Open an existing log, reading its epoch from the header.
     pub fn open(device: Arc<dyn Device>, metrics: Metrics) -> Result<Arc<Self>> {
-        if device.capacity() < WAL_HEADER {
-            // A log file shorter than its header block cannot hold a valid
-            // header; surface corruption rather than reading out of bounds.
-            return Err(Error::Corruption("truncated WAL header".into()));
-        }
-        let mut header = [0u8; 16];
-        device.read_at(&mut header, 0)?;
-        let magic = u32::from_le_bytes(
-            header[0..4]
-                .try_into()
-                .map_err(|_| Error::Corruption("truncated WAL header".into()))?,
-        );
-        if magic != WAL_MAGIC {
-            return Err(Error::Corruption("bad WAL magic".into()));
-        }
-        let epoch = u32::from_le_bytes(
-            header[4..8]
-                .try_into()
-                .map_err(|_| Error::Corruption("truncated WAL header".into()))?,
-        );
-        // Find the end of the valid log so new appends go after it.
-        let end = Self::scan_end(&device, epoch)?;
-        Ok(Arc::new(Wal {
+        let scan = Self::scan(&device)?;
+        Ok(Self::open_scanned(device, &scan, metrics))
+    }
+
+    /// Open the log `scan` read from `device`: new appends go after the
+    /// records it found, so the device is not read again.
+    pub fn open_scanned(device: Arc<dyn Device>, scan: &LogScan, metrics: Metrics) -> Arc<Self> {
+        Arc::new(Wal {
             device,
-            epoch: AtomicU32::new(epoch),
+            epoch: AtomicU32::new(scan.epoch),
             staged: Mutex::new(Staged {
                 buf: Vec::new(),
-                base: end,
+                base: scan.end,
             }),
             flush_mutex: Mutex::new(()),
-            flushed: AtomicU64::new(end),
+            flushed: AtomicU64::new(scan.end),
             flushed_cv: Condvar::new(),
             flushed_cv_mutex: Mutex::new(()),
             metrics,
-        }))
+        })
     }
 
     fn write_header(&self) -> Result<()> {
@@ -144,32 +140,6 @@ impl Wal {
             .wal_bytes
             .fetch_add(WAL_HEADER, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         Ok(())
-    }
-
-    fn scan_end(device: &Arc<dyn Device>, epoch: u32) -> Result<Lsn> {
-        let cap = device.capacity();
-        let mut pos = WAL_HEADER;
-        let mut chunk = vec![0u8; 1 << 20];
-        loop {
-            let take = chunk.len().min((cap - pos) as usize);
-            if take < FRAME_HEADER {
-                return Ok(pos);
-            }
-            device.read_at(&mut chunk[..take], pos)?;
-            let mut local = 0usize;
-            while let Some((_, n)) = parse_frame(&chunk[local..take], epoch) {
-                local += n;
-            }
-            if local == 0 {
-                return Ok(pos);
-            }
-            pos += local as u64;
-            // If we consumed the whole chunk there may be more records; if
-            // we stopped mid-chunk, that is the end.
-            if local < take.saturating_sub(FRAME_HEADER) {
-                return Ok(pos);
-            }
-        }
     }
 
     pub fn current_epoch(&self) -> u32 {
@@ -327,12 +297,15 @@ impl Wal {
         Ok(a)
     }
 
-    /// Scan a WAL device *without* opening it: read the epoch from the
-    /// header and return every valid record. Used by the sharded engine to
-    /// pre-scan all shard logs for cross-shard commit markers before any
-    /// shard runs recovery.
-    pub fn scan_records(device: &Arc<dyn Device>) -> Result<Vec<LogRecord>> {
+    /// Read a log device once without opening it: the epoch from its
+    /// header and every durable record of that epoch. The sharded engine
+    /// pre-scans every shard's log for cross-shard commit markers this way
+    /// and then opens each log from its scan ([`Wal::open_scanned`]), whose
+    /// records recovery replays.
+    pub fn scan(device: &Arc<dyn Device>) -> Result<LogScan> {
         if device.capacity() < WAL_HEADER {
+            // A log file shorter than its header block cannot hold a valid
+            // header; surface corruption rather than reading out of bounds.
             return Err(Error::Corruption("truncated WAL header".into()));
         }
         let mut header = [0u8; 8];
@@ -344,11 +317,21 @@ impl Wal {
         }
         // lint-allow(no-panic-in-request-path): constant split of the fixed 8-byte header; cannot fail
         let epoch = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        Self::read_records(device, epoch)
+        let (records, end) = Self::read_from(device, epoch)?;
+        Ok(LogScan {
+            epoch,
+            records,
+            end,
+        })
     }
 
     /// Scan `device` for all valid records of `epoch`.
     pub fn read_records(device: &Arc<dyn Device>, epoch: u32) -> Result<Vec<LogRecord>> {
+        Ok(Self::read_from(device, epoch)?.0)
+    }
+
+    /// The valid records of `epoch` and the offset one past the last.
+    fn read_from(device: &Arc<dyn Device>, epoch: u32) -> Result<(Vec<LogRecord>, Lsn)> {
         let end = device.capacity();
         let mut records = Vec::new();
         let mut pos = WAL_HEADER;
@@ -373,7 +356,7 @@ impl Wal {
                 break;
             }
         }
-        Ok(records)
+        Ok((records, pos))
     }
 }
 
