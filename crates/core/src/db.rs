@@ -3,10 +3,11 @@
 
 use crate::catalog::{decode_entry, encode_entry, Registry, Relation, RelationKind};
 use crate::group_commit::GroupCommitter;
-use crate::header::Header;
+use crate::header::{encode_map, Header, MapRef};
 use crate::lock::LockManager;
 use crate::recovery::{recover, RecoveryReport};
 use crate::txn::Txn;
+use crate::writers::WriterGate;
 use lobster_btree::{BTree, KeyCmp, LexCmp, Node};
 use lobster_buffer::{AliasConfig, BlobPool, ExtentPool, HashTablePool, PoolConfig};
 use lobster_extent::{ExtentAllocator, ExtentSpec, TierPolicy, TierTable};
@@ -19,6 +20,7 @@ use lobster_sync::RwLock;
 use lobster_types::{Error, Geometry, Pid, Result};
 use lobster_wal::{LogRecord, LogScan, Wal};
 use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 /// Builds a relation's comparator once the database (whose pools the
 /// comparator may need) exists. Registered by name for
@@ -113,6 +115,35 @@ impl ScrubReport {
     }
 }
 
+/// Outcome of [`Database::audit_allocator`]: the allocator's free runs
+/// against the ones a walk of every tree implies.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AllocatorAudit {
+    /// Free runs the walk implies: every page that no tree node, no Blob
+    /// State and none of `retiring` holds.
+    pub walked: Vec<ExtentSpec>,
+    /// Free runs the allocator holds.
+    pub held: Vec<ExtentSpec>,
+    /// Extents freed while quarantined: free for the walk and the map,
+    /// but parked, not allocatable, until a reopen.
+    pub parked: Vec<ExtentSpec>,
+    /// Extents in use until the next checkpoint's header sync: the free
+    /// map the header names (first), and what relations dropped since held.
+    pub retiring: Vec<ExtentSpec>,
+    /// Index nodes the walk visited.
+    pub nodes: u64,
+    /// Device read batches it issued ([`BTree::walk`]).
+    pub batches: u64,
+}
+
+impl AllocatorAudit {
+    /// The allocator holds exactly what the trees reference, but for
+    /// what it parks.
+    pub fn is_exact(&self) -> bool {
+        self.walked == lobster_extent::union([&self.held[..], &self.parked].concat())
+    }
+}
+
 const CATALOG_REL_ID: u32 = 0;
 
 /// Page size of a new store. `open` takes the page size, the tier policy
@@ -142,6 +173,9 @@ pub struct Database {
     /// Commits hold this shared; checkpoints hold it exclusively, so a
     /// checkpoint never truncates records of a commit in flight.
     pub(crate) ckpt_gate: Arc<RwLock<()>>,
+    /// Transactions with staged writes are inside; a checkpoint closes it,
+    /// so it never makes uncommitted work durable.
+    pub(crate) writers: WriterGate,
     pub(crate) committer: GroupCommitter,
     /// Cross-shard commit decision policy consulted by recovery when it
     /// meets a `TxnCrossCommit` marker.
@@ -155,6 +189,11 @@ pub struct Database {
     pub(crate) xcommit_watermark: AtomicU64,
     /// Comparator factories consulted when recovery reattaches relations.
     cmp_factories: HashMap<String, ComparatorFactory>,
+    /// Extents that stay in use until the next checkpoint's header sync
+    /// and are free in the map it writes: the free map the header names
+    /// now, and what every relation dropped since held — a crash before
+    /// that header replays the drop, and recovery walks the dropped tree.
+    pub(crate) retiring: Mutex<Vec<ExtentSpec>>,
     /// `(relation name, key)` of every BLOB whose content failed
     /// verify-on-read twice this run. Their extents are fenced in the
     /// allocator ([`ExtentAllocator::quarantine_extent`]) so nothing
@@ -180,9 +219,7 @@ impl Database {
     ) -> Result<Arc<Self>> {
         let policy = CrossCommitPolicy::TrustLocal;
         let db = Self::assemble(device, wal_device, cfg, None, HashMap::new(), policy)?;
-        db.write_header()?;
-        db.node_pool.flush_all_dirty()?;
-        db.device.sync()?;
+        db.checkpoint_locked()?;
         Ok(db)
     }
 
@@ -209,13 +246,7 @@ impl Database {
         let metrics = new_metrics();
         let geo = Geometry::new(page_size);
         let table = Arc::new(TierTable::new(policy));
-        let page_capacity = device.capacity() / page_size as u64;
-        // Page 0 is the header.
-        let alloc = Arc::new(ExtentAllocator::new(
-            table.clone(),
-            Pid::new(1),
-            page_capacity,
-        ));
+        let alloc = Arc::new(Self::new_allocator(&table, &*device, geo));
         let (node_pool, blob_pool) = Self::build_pools(&cfg, device.clone(), geo, metrics.clone());
         let (nodes, cmp) = (node_pool.clone(), Arc::new(LexCmp));
         let (wal, catalog_tree) = match existing {
@@ -254,10 +285,12 @@ impl Database {
             next_rel: AtomicU32::new(1),
             metrics,
             ckpt_gate,
+            writers: WriterGate::new(),
             committer,
             cross_commit,
             xcommit_watermark: AtomicU64::new(xcommit_watermark),
             cmp_factories,
+            retiring: Mutex::new(Vec::new()),
             quarantined: Mutex::new(HashSet::new()),
             last_range: Self::range_cells(&cfg),
             ddl_lock: Mutex::new(()),
@@ -286,11 +319,12 @@ impl Database {
         cfg: Config,
         comparators: HashMap<String, ComparatorFactory>,
     ) -> Result<(Arc<Self>, RecoveryReport)> {
+        let t = Instant::now();
         let log = Wal::scan(&wal_device)?;
         Self::open_with_policy(
             device,
             wal_device,
-            log,
+            (log, t.elapsed()),
             cfg,
             comparators,
             CrossCommitPolicy::TrustLocal,
@@ -298,14 +332,15 @@ impl Database {
     }
 
     /// Open with an explicit cross-shard commit decision policy, from
-    /// `log`, the one read of `wal_device` ([`Wal::scan`]). The sharded
-    /// engine pre-scans every shard's log for `TxnCrossCommit` markers,
-    /// decides each global transaction, and opens every shard from its
-    /// scan with the decided set so all shards recover the same outcome.
+    /// `log`, the one read of `wal_device` ([`Wal::scan`]), and the time
+    /// it took. The sharded engine pre-scans every shard's log for
+    /// `TxnCrossCommit` markers, decides each global transaction, and opens
+    /// every shard from its scan with the decided set so all shards recover
+    /// the same outcome.
     pub(crate) fn open_with_policy(
         device: Arc<dyn Device>,
         wal_device: Arc<dyn Device>,
-        log: LogScan,
+        (log, scan): (LogScan, Duration),
         cfg: Config,
         comparators: HashMap<String, ComparatorFactory>,
         cross_commit: CrossCommitPolicy,
@@ -319,8 +354,23 @@ impl Database {
             comparators,
             cross_commit,
         )?;
-        let report = recover(&db, log.records)?;
+        // A map describes the state the log's records start from only if
+        // its checkpoint truncated this log.
+        let map = header.map.filter(|m| m.log_epoch == log.epoch);
+        let mut report = recover(&db, map, log.records)?;
+        report.phases.scan = scan;
         Ok((db, report))
+    }
+
+    /// The page allocator of a store on `device`: every page but page 0,
+    /// the header.
+    fn new_allocator(
+        table: &Arc<TierTable>,
+        device: &dyn Device,
+        geo: Geometry,
+    ) -> ExtentAllocator {
+        let page_capacity = device.capacity() / geo.page_size() as u64;
+        ExtentAllocator::new(table.clone(), Pid::new(1), page_capacity)
     }
 
     fn range_cells(cfg: &Config) -> Vec<Mutex<(u64, u64)>> {
@@ -374,7 +424,7 @@ impl Database {
         }
     }
 
-    pub(crate) fn write_header(&self) -> Result<()> {
+    fn write_header(&self, map: MapRef) -> Result<()> {
         let header = Header {
             page_size: self.geo.page_size(),
             tier_policy: self.table.policy(),
@@ -382,6 +432,7 @@ impl Database {
             node_pages: self.catalog_tree.node_pages(),
             xcommit_watermark: self.xcommit_watermark.load(Ordering::SeqCst),
             xcommit_above: Vec::new(),
+            map: Some(map),
         };
         header.write(&*self.device)
     }
@@ -594,11 +645,11 @@ impl Database {
         Ok(rel)
     }
 
-    /// Drop a relation: every BLOB's extents and the relation's own B-Tree
-    /// nodes return to the free lists, the catalog entry is removed, and
-    /// the name becomes reusable. DDL auto-commits (durable when this
-    /// returns). Like `DROP TABLE`, the caller must ensure no transaction
-    /// is concurrently operating on the relation.
+    /// Drop a relation: the catalog entry is removed and the name becomes
+    /// reusable; every BLOB's extents and the relation's own B-Tree nodes
+    /// return to the free lists at the next checkpoint. DDL auto-commits
+    /// (durable when this returns). Like `DROP TABLE`, the caller must
+    /// ensure no transaction is concurrently operating on the relation.
     pub fn drop_relation(&self, name: &str) -> Result<()> {
         let _ddl = self.ddl_lock.lock();
         let rel = self
@@ -631,15 +682,15 @@ impl Database {
         ])?;
         self.registry.write().remove(name);
 
-        // Evict cached pages, then recycle the storage.
+        // Evict cached pages; the storage is recycled once a checkpoint
+        // has made the drop part of its state.
         self.blob_pool.drop_extents(&blob_extents);
-        for spec in blob_extents {
-            self.alloc.free_extent(spec);
-        }
-        for spec in tree_extents {
+        for &spec in &tree_extents {
             self.node_pool.drop_extent(spec);
-            self.alloc.free_extent(spec);
         }
+        self.retiring
+            .lock()
+            .extend(blob_extents.into_iter().chain(tree_extents));
         Ok(())
     }
 
@@ -765,7 +816,13 @@ impl Database {
     /// WAL (so a crash mid-checkpoint replays them into a consistent
     /// tree), then flush all dirty state in place and logically truncate
     /// the WAL.
+    ///
+    /// It describes committed state only: it waits until no transaction has
+    /// staged writes, and new ones wait at their first write until it is
+    /// done. Called on a thread that holds an open write transaction of
+    /// this database, it fails with [`Error::Unsupported`] instead.
     pub fn checkpoint(&self) -> Result<()> {
+        let _writers = self.writers.close()?;
         // Asynchronously committed work must be durable before truncation.
         self.committer.drain()?;
         let _gate = self.ckpt_gate.write();
@@ -778,9 +835,43 @@ impl Database {
     }
 
     /// The gate-held body of [`Database::checkpoint`]; recovery reuses it
-    /// so mid-recovery crashes are covered by the same image journal.
+    /// so mid-recovery crashes are covered by the same image journal, and
+    /// `create` so that every store starts with a free map.
     pub(crate) fn checkpoint_locked(&self) -> Result<()> {
-        // 1. Journal images of the dirty node pages (torn-write armor).
+        let retiring = self.retiring.lock().clone();
+        let (extent, bytes) = self.encode_free_map(&retiring)?;
+        let written = self.write_in_place(extent, &bytes).and_then(|()| {
+            // The header names the map; the sync makes both durable before
+            // the log is truncated.
+            self.write_header(MapRef {
+                extent,
+                len: bytes.len() as u64,
+                log_epoch: self.wal.current_epoch() + 1,
+            })?;
+            self.device.sync()?;
+            // 3. Truncate: the images (old epoch) vanish with the log.
+            self.wal.checkpoint_truncate()
+        });
+        if let Err(e) = written {
+            // The log may hold the map's image and a header may name it: its
+            // pages retire like an old map's, free only after a truncate.
+            self.retiring.lock().push(extent);
+            return Err(e);
+        }
+        // The retired pages are free in the new map, and no header names
+        // them any more: only now may an allocation reuse them.
+        for spec in std::mem::replace(&mut *self.retiring.lock(), vec![extent]) {
+            self.alloc.free_extent(spec);
+        }
+        Ok(())
+    }
+
+    /// Steps 1 and 2 of a checkpoint, up to the header.
+    fn write_in_place(&self, map: ExtentSpec, bytes: &[u8]) -> Result<()> {
+        let mut bytes = bytes.to_vec();
+        bytes.resize(self.geo.bytes_for(map.pages) as usize, 0);
+        // 1. Journal images of the dirty node pages and of the free map
+        // (torn-write armor).
         let mut images: Vec<LogRecord> = Vec::new();
         self.node_pool.collect_dirty(|spec, data| {
             images.push(LogRecord::PageImage {
@@ -789,21 +880,42 @@ impl Database {
             });
             Ok(())
         })?;
-        if !images.is_empty() {
-            self.wal.append_and_commit(&images)?;
-        }
+        images.push(LogRecord::PageImage {
+            pid: map.start.raw(),
+            data: bytes.clone(),
+        });
+        self.wal.append_and_commit(&images)?;
         // 2. In-place writes.
         self.blob_pool.flush_all_dirty()?;
         self.node_pool.flush_all_dirty()?;
-        self.write_header()?;
-        self.device.sync()?;
-        // 3. Truncate: the images (old epoch) vanish with the log.
-        self.wal.checkpoint_truncate()?;
-        Ok(())
+        self.device.write_at(&bytes, self.geo.offset_of(map.start))
     }
 
+    /// Allocate the extent of a new free map and encode the allocator's
+    /// free runs into it: the map counts its own extent as used, and the
+    /// `retiring` and parked ones as free.
+    fn encode_free_map(&self, retiring: &[ExtentSpec]) -> Result<(ExtentSpec, Vec<u8>)> {
+        let mut pages = 1;
+        loop {
+            let extent = self.alloc.allocate_tail(pages)?;
+            let mut runs = self.alloc.free_extents();
+            runs.extend_from_slice(retiring);
+            runs.extend(self.alloc.parked_extents());
+            let bytes = encode_map(&lobster_extent::union(runs));
+            let need = self.geo.pages_for(bytes.len() as u64);
+            if need <= pages {
+                return Ok((extent, bytes));
+            }
+            // Taking a larger extent can split one more run.
+            self.alloc.free_extent(extent);
+            pages = need + 1;
+        }
+    }
+
+    /// Checkpoint once the log has outgrown its threshold — later, if this
+    /// thread still holds a write transaction.
     pub(crate) fn maybe_checkpoint(&self) -> Result<()> {
-        if self.wal.active_bytes() > self.cfg.checkpoint_threshold {
+        if self.wal.active_bytes() > self.cfg.checkpoint_threshold && !self.writers.is_inside() {
             self.checkpoint()?;
         }
         Ok(())
@@ -820,6 +932,29 @@ impl Database {
     /// asynchronous commit may have been lost to an I/O failure.
     pub fn wait_for_durability(&self) -> Result<()> {
         self.committer.drain()
+    }
+
+    /// Check the allocator against a walk of every tree: the free runs it
+    /// holds against those implied by every node, every Blob State and
+    /// the checkpoint's free map. The ground truth tests compare recovery
+    /// with; an open walks only a store whose header names no usable map.
+    /// Call it at rest: an allocation or a free while it runs shows as a
+    /// difference.
+    pub fn audit_allocator(&self) -> Result<AllocatorAudit> {
+        let _gate = self.ckpt_gate.read();
+        let (mut used, nodes, batches) = self.referenced_extents()?;
+        let retiring = self.retiring.lock().clone();
+        used.extend_from_slice(&retiring);
+        let walked = Self::new_allocator(&self.table, &*self.device, self.geo);
+        walked.reset_from_extents(&used);
+        Ok(AllocatorAudit {
+            walked: walked.free_extents(),
+            held: self.alloc.free_extents(),
+            parked: self.alloc.parked_extents(),
+            retiring,
+            nodes,
+            batches,
+        })
     }
 
     /// Extents referenced by every relation tree and every Blob State —
@@ -842,7 +977,7 @@ impl Database {
     /// Walk `tree` once ([`BTree::walk`]): the extent of every node goes to
     /// `nodes` and, for a BLOB relation, the extents of every Blob State in
     /// its leaves to `content`. Returns the walk's read batches.
-    fn tree_extents(
+    pub(crate) fn tree_extents(
         &self,
         tree: &BTree,
         blob: bool,
@@ -904,5 +1039,45 @@ mod tests {
             (written.page_size, written.node_pages),
             (PAGE_SIZE, NODE_PAGES)
         );
+    }
+
+    /// A version-2 store — the same header block without a free map —
+    /// opens once through the audit walk and is written back as version 3,
+    /// so its next open walks nothing. Both leave the allocator exact.
+    #[test]
+    fn a_version_2_store_is_walked_once_then_opens_from_its_map() {
+        let dev: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
+        let wal: Arc<dyn Device> = Arc::new(MemDevice::new(16 << 20));
+        let db = Database::create(dev.clone(), wal.clone(), Config::default()).unwrap();
+        let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+        let blob = |i: u8| vec![i; 20_000 + 3_000 * i as usize];
+        let put = |i: u8| {
+            let mut t = db.begin();
+            t.put_blob(&rel, &[i], &blob(i)).unwrap();
+            t.commit().unwrap();
+        };
+        (0..8).for_each(put);
+        db.checkpoint().unwrap();
+        (8..12).for_each(put);
+        drop(db); // a crash: the last four puts are in the log
+        let mut header = Header::read(&*dev).unwrap();
+        header.map = None;
+        let mut block = header.encode();
+        block[4..8].copy_from_slice(&2u32.to_le_bytes());
+        dev.write_at(&block, 0).unwrap();
+
+        for walked in [true, false] {
+            let (db, report) = Database::open(dev.clone(), wal.clone(), Config::default()).unwrap();
+            assert_eq!(report.index_nodes > 0, walked, "{report:?}");
+            let audit = db.audit_allocator().unwrap();
+            assert!(audit.is_exact(), "{audit:?}");
+            let rel = db.relation("b").unwrap();
+            let mut t = db.begin();
+            for i in 0..12 {
+                assert!(t.get_blob(&rel, &[i], |b| b == blob(i)).unwrap());
+            }
+            t.commit().unwrap();
+            assert!(Header::read(&*dev).unwrap().map.is_some());
+        }
     }
 }

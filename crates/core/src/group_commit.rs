@@ -16,7 +16,7 @@
 //! allocated* extent never is — a freed extent recycles only when its
 //! deleter retires here, recovery validates every committed Blob State
 //! against its SHA-256 and drops the ones whose content did not arrive,
-//! and the allocator rebuild reclaims whatever no surviving Blob State
+//! and the allocator settle reclaims whatever no surviving Blob State
 //! references — so a transaction may start writing the fresh extents of a
 //! large put while it is still hashing ([`CommitBatch::flights`]), and the
 //! flush stage *reaps* those tickets instead of submitting them. Every

@@ -1,21 +1,40 @@
 //! The database header: page 0 of the data device, one 4096-byte block
-//! (FORMAT.md §1.1). The only place that knows its byte layout —
-//! `Database` writes it at creation and on every checkpoint and reads it
-//! on open; the sharded engine's pre-scan reads and rewrites the
-//! cross-commit fields before any shard recovers.
+//! (FORMAT.md §1.1), and the free map it names (FORMAT.md §1.2). The only
+//! place that knows their byte layouts — `Database` writes both at
+//! creation and on every checkpoint and reads them on open; the sharded
+//! engine's pre-scan reads and rewrites the cross-commit fields before any
+//! shard recovers.
 
-use lobster_extent::TierPolicy;
+use lobster_extent::{ExtentSpec, TierPolicy};
+use lobster_sha256::Sha256;
 use lobster_storage::Device;
 use lobster_types::{read_u32, read_u64, Error, Pid, Result};
 
 const LEN: usize = 4096;
 const MAGIC: u32 = 0x4C42_4442; // "LBDB"
-/// Version 2: the log may hold data-durable marks (WAL tag 13). A version
-/// 1 store has the same block layout and a log without them.
-const VERSION: u32 = 2;
+/// Version 3: the header names the free map of its checkpoint. Version 2
+/// (the log may hold data-durable marks, WAL tag 13) and version 1 have the
+/// same block layout without it: they open through the allocator audit
+/// walk and are written back as version 3.
+const VERSION: u32 = 3;
 const XCOMMIT_ABOVE_OFF: usize = 50;
 /// Most committed-above-watermark gtxns the header holds.
 pub(crate) const XCOMMIT_ABOVE_CAP: usize = 500;
+/// The free-map reference, past the cross-commit sidecar.
+const MAP_OFF: usize = 4056;
+const MAP_MAGIC: u32 = 0x4C42_464D; // "LBFM"
+
+/// Where a checkpoint left the allocator's free runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct MapRef {
+    /// The extent holding the encoded map.
+    pub extent: ExtentSpec,
+    /// Its encoded length in bytes.
+    pub len: u64,
+    /// The log epoch that starts at this checkpoint: a log of any other
+    /// epoch was not truncated by it, so its records may predate the map.
+    pub log_epoch: u32,
+}
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Header {
@@ -27,6 +46,8 @@ pub(crate) struct Header {
     pub xcommit_watermark: u64,
     /// Committed gtxns above the watermark, at most [`XCOMMIT_ABOVE_CAP`].
     pub xcommit_above: Vec<u64>,
+    /// The free map of the last checkpoint; `None` before version 3.
+    pub map: Option<MapRef>,
 }
 
 impl Header {
@@ -34,9 +55,11 @@ impl Header {
         if block.len() < LEN || read_u32(block) != MAGIC {
             return Err(Error::Corruption("bad database magic".into()));
         }
-        match read_u32(&block[4..]) {
-            1 | VERSION => {}
-            v => return Err(Error::Corruption(format!("unknown format version {v}"))),
+        let version = read_u32(&block[4..]);
+        if !(1..=VERSION).contains(&version) {
+            return Err(Error::Corruption(format!(
+                "unknown format version {version}"
+            )));
         }
         let tier_policy = match block[12] {
             0 => TierPolicy::Paper {
@@ -62,6 +85,15 @@ impl Header {
             xcommit_above: (0..count)
                 .map(|i| read_u64(&block[XCOMMIT_ABOVE_OFF + 8 * i..]))
                 .collect(),
+            map: match read_u64(&block[MAP_OFF..]) {
+                0 => None,
+                _ if version < 3 => None,
+                pid => Some(MapRef {
+                    extent: ExtentSpec::new(Pid::new(pid), read_u64(&block[MAP_OFF + 8..])),
+                    len: read_u64(&block[MAP_OFF + 16..]),
+                    log_epoch: read_u32(&block[MAP_OFF + 24..]),
+                }),
+            },
         })
     }
 
@@ -95,6 +127,12 @@ impl Header {
         {
             slot.copy_from_slice(&g.to_le_bytes());
         }
+        if let Some(map) = &self.map {
+            block[MAP_OFF..MAP_OFF + 8].copy_from_slice(&map.extent.start.raw().to_le_bytes());
+            block[MAP_OFF + 8..MAP_OFF + 16].copy_from_slice(&map.extent.pages.to_le_bytes());
+            block[MAP_OFF + 16..MAP_OFF + 24].copy_from_slice(&map.len.to_le_bytes());
+            block[MAP_OFF + 24..MAP_OFF + 28].copy_from_slice(&map.log_epoch.to_le_bytes());
+        }
         block
     }
 
@@ -108,6 +146,54 @@ impl Header {
     pub fn write(&self, device: &dyn Device) -> Result<()> {
         device.write_at(&self.encode(), 0)
     }
+}
+
+/// Encode free runs (sorted by start, disjoint) as a free map: magic,
+/// run count, `(start pid, pages)` per run, and the first 8 bytes of the
+/// SHA-256 of everything before them.
+pub(crate) fn encode_map(runs: &[ExtentSpec]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + 16 * runs.len());
+    out.extend_from_slice(&MAP_MAGIC.to_le_bytes());
+    out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+    for run in runs {
+        out.extend_from_slice(&run.start.raw().to_le_bytes());
+        out.extend_from_slice(&run.pages.to_le_bytes());
+    }
+    let sum = Sha256::digest(&out);
+    out.extend_from_slice(&sum[..8]);
+    out
+}
+
+/// Decode a free map, checking it before anything trusts it: the length,
+/// magic and checksum match, and the runs are non-empty, sorted, disjoint
+/// and inside pages `[1, page_capacity)`.
+pub(crate) fn decode_map(bytes: &[u8], page_capacity: u64) -> Result<Vec<ExtentSpec>> {
+    let bad = |what: &str| Error::Corruption(format!("free map: {what}"));
+    if bytes.len() < 16 || read_u32(bytes) != MAP_MAGIC {
+        return Err(bad("bad magic"));
+    }
+    let count = read_u32(&bytes[4..]) as usize;
+    let body = 8 + 16 * count;
+    if bytes.len() != body + 8 {
+        return Err(bad("length does not match the run count"));
+    }
+    if Sha256::digest(&bytes[..body])[..8] != bytes[body..] {
+        return Err(bad("checksum mismatch"));
+    }
+    let mut runs = Vec::with_capacity(count);
+    let mut floor = 1;
+    for i in 0..count {
+        let (start, pages) = (
+            read_u64(&bytes[8 + 16 * i..]),
+            read_u64(&bytes[16 + 16 * i..]),
+        );
+        if pages == 0 || start < floor || start.saturating_add(pages) > page_capacity {
+            return Err(bad("runs out of order or out of range"));
+        }
+        floor = start + pages;
+        runs.push(ExtentSpec::new(Pid::new(start), pages));
+    }
+    Ok(runs)
 }
 
 #[cfg(test)]
@@ -131,6 +217,11 @@ mod tests {
                 node_pages: 4,
                 xcommit_watermark: 77,
                 xcommit_above: vec![79, 81, u64::MAX],
+                map: Some(MapRef {
+                    extent: ExtentSpec::new(Pid::new(0x0A0B_0C0D), 3),
+                    len: 8200,
+                    log_epoch: 41,
+                }),
             };
             let block = header.encode();
             assert_eq!(block.len(), LEN);
@@ -143,7 +234,7 @@ mod tests {
         let good = parent_block();
         assert!(Header::decode(&vec![0u8; LEN]).is_err());
         assert!(Header::decode(&good[..100]).is_err());
-        for version in [0u32, 3] {
+        for version in [0u32, 4] {
             let mut bad = good.clone();
             bad[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(Header::decode(&bad).is_err(), "version {version}");
@@ -187,10 +278,11 @@ mod tests {
             node_pages: 2,
             xcommit_watermark: 3,
             xcommit_above: vec![],
+            map: None,
         };
         assert_eq!(header, expected);
-        // Written back as version 2; no other byte moves.
-        block[4] = 2;
+        // Written back as version 3; no other byte moves.
+        block[4] = 3;
         assert_eq!(header.encode(), block, "bytes on disk changed");
         assert_eq!(Header::decode(&block).unwrap(), expected);
     }
@@ -206,5 +298,47 @@ mod tests {
         let header = Header::decode(&on).unwrap();
         assert_eq!(Header::decode(&off).unwrap(), header);
         assert_eq!(header.encode()[21], 1);
+    }
+
+    /// A version-2 block never names a map, whatever its tail bytes hold;
+    /// a version-3 block with a zero map pid names none either.
+    #[test]
+    fn only_a_version_3_header_names_a_map() {
+        let mut header = Header::decode(&parent_block()).unwrap();
+        header.map = Some(MapRef {
+            extent: ExtentSpec::new(Pid::new(9), 1),
+            len: 24,
+            log_epoch: 2,
+        });
+        let mut block = header.encode();
+        assert_eq!(Header::decode(&block).unwrap(), header);
+        block[4] = 2;
+        assert_eq!(Header::decode(&block).unwrap().map, None);
+        header.map = None;
+        assert_eq!(Header::decode(&header.encode()).unwrap().map, None);
+    }
+
+    #[test]
+    fn a_free_map_round_trips_and_refuses_damage() {
+        let runs = vec![
+            ExtentSpec::new(Pid::new(3), 2),
+            ExtentSpec::new(Pid::new(9), 1),
+            ExtentSpec::new(Pid::new(40), 60),
+        ];
+        let bytes = encode_map(&runs);
+        assert_eq!(bytes.len(), 16 + 16 * runs.len());
+        assert_eq!(decode_map(&bytes, 100).unwrap(), runs);
+        assert_eq!(decode_map(&encode_map(&[]), 100).unwrap(), vec![]);
+        // A run past the device, a flipped bit, a short read.
+        assert!(decode_map(&bytes, 99).is_err());
+        let mut flipped = bytes.clone();
+        flipped[12] ^= 1;
+        assert!(decode_map(&flipped, 100).is_err());
+        assert!(decode_map(&bytes[..bytes.len() - 1], 100).is_err());
+        // Overlapping or unsorted runs, even with a valid checksum.
+        let overlapping = [runs[0], ExtentSpec::new(Pid::new(4), 1)];
+        assert!(decode_map(&encode_map(&overlapping), 100).is_err());
+        // Page 0 is the header, never free.
+        assert!(decode_map(&encode_map(&[ExtentSpec::new(Pid::new(0), 1)]), 100).is_err());
     }
 }

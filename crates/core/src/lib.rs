@@ -51,10 +51,11 @@ mod lock;
 mod recovery;
 mod shard;
 mod txn;
+mod writers;
 
 pub use blob_state::{BlobState, PREFIX_LEN};
 pub use catalog::{Relation, RelationKind};
-pub use db::{ComparatorFactory, Config, Database, PoolVariant, ScrubReport};
+pub use db::{AllocatorAudit, ComparatorFactory, Config, Database, PoolVariant, ScrubReport};
 pub use dedup::{DedupStats, DedupStore};
 pub use defrag::{
     defrag_pass, scrub_pass, DefragConfig, DefragPassReport, Defragmenter, ScrubCursor,
@@ -62,7 +63,7 @@ pub use defrag::{
 pub use group_commit::DATA_SYNC_EVERY;
 pub use index::{BlobIndex, BlobStateCmp, ExpressionIndex, Udf};
 pub use lock::{LockManager, LockMode};
-pub use recovery::RecoveryReport;
+pub use recovery::{OpenPhases, RecoveryReport};
 pub use shard::{ShardDevices, ShardedDatabase, ShardedRelation, ShardedTxn, MAX_SHARDS};
 pub use txn::Txn;
 

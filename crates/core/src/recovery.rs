@@ -3,11 +3,13 @@
 //! Recovery is logical, over the post-checkpoint WAL:
 //!
 //! 1. **Analysis** — scan the log (read once by the open, for every
-//!    phase), collect committed transactions, reserve every extent the
-//!    checkpointed trees reach (one walk per tree that faults each inner
-//!    node's children as one batch, [`lobster_btree::BTree::walk`]), and
-//!    *validate committed BLOBs' content against the SHA-256 stored in
-//!    their Blob State*. A committed Blob
+//!    phase), collect committed transactions, load the allocator from the
+//!    free map the last checkpoint wrote (FORMAT.md §1.2) and reserve every
+//!    extent a log record names on top, and *validate committed BLOBs'
+//!    content against the SHA-256 stored in their Blob State*. A store
+//!    whose header names no usable map is walked instead: every
+//!    checkpointed tree, each inner node's children faulted as one batch
+//!    ([`lobster_btree::BTree::walk`]). A committed Blob
 //!    State may point at content that never arrived: the WAL fsync comes
 //!    first, and in-place content writes only after it. The SHA check
 //!    detects this, and the transaction is moved to the undo list (treated
@@ -30,19 +32,24 @@
 //! 3. **Undo** — reverse the operations of uncommitted/failed transactions
 //!    in reverse log order (their B-Tree changes may have reached the
 //!    device through eviction).
-//! 4. Checkpoint, rebuild the extent allocator from the surviving
-//!    reachable state (walked while the node pool is still warm), and
-//!    drop the caches.
+//! 4. **Settle** the allocator — look up each key the log touches once and
+//!    free every page a record named that no final Blob State (nor, without
+//!    a map, a walked node) holds; what a relation the log drops held is
+//!    walked once and retires with the next checkpoint — then checkpoint,
+//!    which writes the settled map, and drop the caches.
 
 use crate::blob_state::BlobState;
-use crate::catalog::RelationKind;
+use crate::catalog::{Relation, RelationKind};
 use crate::content;
 use crate::db::Database;
+use crate::header::{decode_map, MapRef};
 use lobster_extent::ExtentSpec;
 use lobster_sync::atomic::Ordering;
+use lobster_sync::Arc;
 use lobster_types::{Error, Result};
 use lobster_wal::LogRecord;
 use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 /// Outcome of a recovery pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -58,18 +65,44 @@ pub struct RecoveryReport {
     pub validated: u64,
     /// Log records processed.
     pub records: u64,
-    /// Index nodes the open's walk of the checkpointed trees visited.
+    /// Index nodes the open walked: 0 where the header names a free map
+    /// that describes the log's start, unless the log drops a relation (its
+    /// tree is walked once to free it); every node on a store without one.
     pub index_nodes: u64,
-    /// Device read batches that walk issued: at most one per inner node
+    /// Device read batches those walks issued: at most one per inner node
     /// ([`lobster_btree::BTree::walk`]).
     pub index_batches: u64,
+    /// Where the open's time went.
+    pub phases: OpenPhases,
+}
+
+/// The phases of an open, timed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpenPhases {
+    /// Reading the log ([`lobster_wal::Wal::scan`]).
+    pub scan: Duration,
+    /// The allocator: loading the checkpoint's free map — or, on a store
+    /// without a usable one, the audit walk — and settling it after redo
+    /// and undo.
+    pub allocator: Duration,
+    /// SHA-256 validation of committed BLOBs.
+    pub validate: Duration,
+    /// Redo and undo.
+    pub replay: Duration,
+    /// The closing checkpoint.
+    pub checkpoint: Duration,
 }
 
 const CATALOG_REL_ID: u32 = 0;
 
 /// Recover `db` from `records`, the durable records of its log as the
-/// open read them.
-pub(crate) fn recover(db: &Database, records: Vec<LogRecord>) -> Result<RecoveryReport> {
+/// open read them, starting from `map`, the free map of the checkpoint
+/// that began this log (`None`: there is none to trust).
+pub(crate) fn recover(
+    db: &Database,
+    map: Option<MapRef>,
+    records: Vec<LogRecord>,
+) -> Result<RecoveryReport> {
     // Phase 0: apply journaled page images. A crash between a checkpoint's
     // image fsync and its truncation leaves in-place node writes possibly
     // torn; the images restore every such page before anything reads the
@@ -135,62 +168,34 @@ pub(crate) fn recover(db: &Database, records: Vec<LogRecord>) -> Result<Recovery
         }
     }
 
-    // Conservative allocator state: everything reachable from the
-    // checkpointed trees plus everything any log record references, so redo
-    // splits never allocate pages that hold real data.
-    {
-        let (mut used, nodes, batches) = db.referenced_extents()?;
-        report.index_nodes = nodes;
-        report.index_batches = batches;
-        for rec in &records {
-            if let LogRecord::Insert {
-                value, relation, ..
-            }
-            | LogRecord::Update {
-                new_value: value,
-                relation,
-                ..
-            } = rec
-            {
-                if *relation == CATALOG_REL_ID {
-                    // A relation created after the checkpoint: its root was
-                    // force-flushed at DDL time, so the on-device tree is a
-                    // valid (typically empty) tree whose extents must be
-                    // reserved before redo replays inserts into it.
-                    if let Ok((_, _, root, node_pages)) = crate::catalog::decode_entry(value) {
-                        let tree = lobster_btree::BTree::open(
-                            db.node_pool.clone(),
-                            db.alloc.clone(),
-                            lobster_sync::Arc::new(lobster_btree::LexCmp),
-                            node_pages,
-                            root,
-                        );
-                        used.extend(tree.collect_extents()?);
-                    }
-                } else if let Ok(state) = BlobState::decode(value) {
-                    used.extend(state.extent_specs(&db.table));
-                }
-            }
-            // A relocation references two placements and recovery may
-            // keep either (old if the swap's flush was lost, new if it
-            // survived) — reserve both until the final rebuild settles it.
-            if let LogRecord::BlobRelocate {
-                old_value,
-                new_value,
-                ..
-            } = rec
-            {
-                for value in [old_value, new_value] {
-                    if let Ok(state) = BlobState::decode(value) {
-                        used.extend(state.extent_specs(&db.table));
-                    }
-                }
-            }
+    // Conservative allocator state: the checkpoint's free map — or, on a
+    // store without a usable one, a walk of every checkpointed tree — with
+    // everything a log record names reserved on top, so redo splits never
+    // allocate pages that hold real data.
+    let t = Instant::now();
+    let (new_trees, named) = named_extents(db, &records)?;
+    // Without a map: the nodes the walk found. The log may predate the
+    // header's checkpoint (a crash between its sync and its truncate), so
+    // a page it names may have become a node since; the settle keeps them.
+    let mut walked_nodes = Vec::new();
+    match map {
+        Some(map) => {
+            let free = read_map(db, &map)?;
+            db.alloc
+                .reset_from_free(&free, &[new_trees, named.clone()].concat());
+            db.retiring.lock().push(map.extent);
         }
-        used.sort_by_key(|e| e.start);
-        used.dedup();
-        db.alloc.reset_from_extents(&used);
+        None => {
+            let (mut used, nodes, batches) = db.referenced_extents()?;
+            report.index_nodes = nodes;
+            report.index_batches = batches;
+            walked_nodes.extend_from_slice(&used[..nodes as usize]);
+            used.extend(new_trees);
+            used.extend_from_slice(&named);
+            db.alloc.reset_from_extents(&used);
+        }
     }
+    report.phases.allocator = t.elapsed();
 
     // SHA-256 validation of committed BLOBs. The log carries Blob States,
     // never content that redo could restore (a `BlobChunk` record is never
@@ -225,6 +230,7 @@ pub(crate) fn recover(db: &Database, records: Vec<LogRecord>) -> Result<Recovery
         }
     }
 
+    let t = Instant::now();
     let mut failed: HashSet<u64> = HashSet::new();
     // Keys some record touches after the mark, whatever became of its
     // transaction: a later in-place write may have torn a version the
@@ -351,8 +357,12 @@ pub(crate) fn recover(db: &Database, records: Vec<LogRecord>) -> Result<Recovery
     }
 
     let surviving: HashSet<u64> = committed.difference(&failed).copied().collect();
+    report.phases.validate = t.elapsed();
 
     // --------------------------------------------------------- redo -----
+    let t = Instant::now();
+    // Relations a surviving record drops; the settle frees what they hold.
+    let mut dropped: Vec<Arc<Relation>> = Vec::new();
     for rec in &records {
         match rec {
             LogRecord::Insert {
@@ -397,10 +407,12 @@ pub(crate) fn recover(db: &Database, records: Vec<LogRecord>) -> Result<Recovery
                 txn, relation, key, ..
             } if surviving.contains(txn) => {
                 if *relation == CATALOG_REL_ID {
-                    // A committed relation drop: detach it so the final
-                    // allocator rebuild frees its extents.
+                    // A committed relation drop: detach it; the settle
+                    // frees its extents.
+                    let name = String::from_utf8_lossy(key);
                     db.catalog_tree.remove(key)?;
-                    db.detach_relation(&String::from_utf8_lossy(key));
+                    dropped.extend(db.relation(&name));
+                    db.detach_relation(&name);
                 } else if let Some(rel) = db.relation_by_id(*relation) {
                     rel.tree.remove(key)?;
                 }
@@ -464,25 +476,176 @@ pub(crate) fn recover(db: &Database, records: Vec<LogRecord>) -> Result<Recovery
 
     report.committed = surviving.len() as u64;
     report.uncommitted = (all_txns.len() - surviving.len()) as u64;
+    report.phases.replay = t.elapsed();
 
-    // ----------------------------------------------- rebuild & clean ----
+    // ------------------------------------------------------- settle -----
+    // Release every page a record named that no final Blob State holds —
+    // versions replaced, deleted or rolled back — looked up once per key
+    // the log touches. What the relations the log drops held stays in use
+    // until the closing checkpoint's header names a map without it: a
+    // crash before that replays the drop and walks the dropped trees again.
+    let t = Instant::now();
+    let mut kept = Vec::new();
+    let mut touched = HashSet::new();
+    for (relation, key) in records.iter().filter_map(key_of) {
+        if !touched.insert((relation, key)) {
+            continue;
+        }
+        let Some(rel) = db.relation_by_id(relation) else {
+            continue;
+        };
+        if rel.kind == RelationKind::Blob {
+            let state = rel.tree.lookup_map(key, BlobState::decode)?.transpose()?;
+            kept.extend(state.iter().flat_map(|s| s.extent_specs(&db.table)));
+        }
+    }
+    let (mut gone, mut nodes) = (Vec::new(), Vec::new());
+    for rel in &dropped {
+        let blob = rel.kind == RelationKind::Blob;
+        report.index_batches += db.tree_extents(&rel.tree, blob, &mut nodes, &mut gone)?;
+    }
+    report.index_nodes += nodes.len() as u64;
+    gone.append(&mut nodes);
+    let gone = uncovered(gone, kept.clone());
+    kept.extend(gone.iter().chain(&walked_nodes));
+    for spec in uncovered(named, kept) {
+        db.alloc.free_extent(spec);
+    }
+    db.retiring.lock().extend(gone);
+    report.phases.allocator += t.elapsed();
+
     // Image-journaled checkpoint: a crash during these writes replays the
-    // same recovery again from intact state.
+    // same recovery again from intact state. It writes the settled map.
+    let t = Instant::now();
     db.checkpoint_locked()?;
-    // The allocator's ground truth, walked while the node pool still holds
-    // the trees the checkpoint just flushed (after the drop below, every
-    // node would be faulted back from the device).
-    let (mut used, ..) = db.referenced_extents()?;
+    report.phases.checkpoint = t.elapsed();
     // Drop every cached extent: recovery loaded extents of failed and
-    // uncommitted transactions whose pages return to the allocator below;
+    // uncommitted transactions whose pages went back to the allocator;
     // leaving them resident would pin stale extent geometry onto pages
     // that later allocations carve up differently.
     db.blob_pool.drop_caches();
     db.node_pool.drop_caches();
-    used.sort_by_key(|e| e.start);
-    used.dedup();
-    db.alloc.reset_from_extents(&used);
     Ok(report)
+}
+
+/// Everything the log's records name, reserved before redo: the nodes of
+/// every relation the log creates (its root was flushed at DDL time) and
+/// the extents of every Blob State a record of a BLOB relation holds, old
+/// and new. A relocation names two placements and recovery may keep
+/// either. Only the second list is released again where no final Blob
+/// State holds it.
+fn named_extents(
+    db: &Database,
+    records: &[LogRecord],
+) -> Result<(Vec<ExtentSpec>, Vec<ExtentSpec>)> {
+    let (mut trees, mut named) = (Vec::new(), Vec::new());
+    let mut created: HashMap<u32, RelationKind> = HashMap::new();
+    for rec in records {
+        let (relation, values): (u32, [Option<&Vec<u8>>; 2]) = match rec {
+            LogRecord::Insert {
+                relation, value, ..
+            } => (*relation, [Some(value), None]),
+            LogRecord::Update {
+                relation,
+                old_value,
+                new_value,
+                ..
+            }
+            | LogRecord::BlobRelocate {
+                relation,
+                old_value,
+                new_value,
+                ..
+            } => (*relation, [Some(old_value), Some(new_value)]),
+            LogRecord::Delete {
+                relation,
+                old_value,
+                ..
+            } => (*relation, [Some(old_value), None]),
+            _ => continue,
+        };
+        if relation == CATALOG_REL_ID {
+            // A relation created after the checkpoint: its root was
+            // force-flushed at DDL time, so the on-device tree is a valid
+            // (typically empty) tree whose extents redo must not reuse.
+            if let LogRecord::Insert { value, .. } = rec {
+                if let Ok((id, kind, root, node_pages)) = crate::catalog::decode_entry(value) {
+                    created.insert(id, kind);
+                    let tree = lobster_btree::BTree::open(
+                        db.node_pool.clone(),
+                        db.alloc.clone(),
+                        Arc::new(lobster_btree::LexCmp),
+                        node_pages,
+                        root,
+                    );
+                    trees.extend(tree.collect_extents()?);
+                }
+            }
+            continue;
+        }
+        let kind = db.relation_by_id(relation).map(|r| r.kind);
+        if kind.or(created.get(&relation).copied()) != Some(RelationKind::Blob) {
+            continue;
+        }
+        for value in values.into_iter().flatten() {
+            if let Ok(state) = BlobState::decode(value) {
+                named.extend(state.extent_specs(&db.table));
+            }
+        }
+    }
+    Ok((trees, named))
+}
+
+/// Read and check the free map `map` names.
+fn read_map(db: &Database, map: &MapRef) -> Result<Vec<ExtentSpec>> {
+    let page_capacity = db.device.capacity() / db.geo.page_size() as u64;
+    let end = map.extent.start.raw().checked_add(map.extent.pages);
+    let fits = end.is_some_and(|end| end <= page_capacity)
+        && map.len <= db.geo.bytes_for(map.extent.pages);
+    if !fits {
+        return Err(Error::Corruption(format!("free map {map:?} out of range")));
+    }
+    let mut bytes = vec![0u8; map.len as usize];
+    db.device
+        .read_at(&mut bytes, db.geo.offset_of(map.extent.start))?;
+    decode_map(&bytes, page_capacity)
+}
+
+/// The pages of `gone` that no extent of `kept` covers, as disjoint
+/// extents.
+fn uncovered(gone: Vec<ExtentSpec>, kept: Vec<ExtentSpec>) -> Vec<ExtentSpec> {
+    let ranges = |extents: Vec<ExtentSpec>| {
+        (lobster_extent::union(extents).into_iter())
+            .map(|e| (e.start.raw(), e.start.raw() + e.pages))
+    };
+    let mut kept = ranges(kept).peekable();
+    let mut out = Vec::new();
+    for (start, end) in ranges(gone) {
+        let mut at = start;
+        while let Some(&(ks, ke)) = kept.peek() {
+            if ke <= at {
+                kept.next();
+                continue;
+            }
+            if ks >= end {
+                break;
+            }
+            if ks > at {
+                out.push((at, ks));
+            }
+            at = ke;
+            if at >= end {
+                break; // it may cover the next range too
+            }
+            kept.next();
+        }
+        if at < end {
+            out.push((at, end));
+        }
+    }
+    (out.into_iter())
+        .map(|(s, e)| ExtentSpec::new(lobster_types::Pid::new(s), e - s))
+        .collect()
 }
 
 /// The `(relation, key)` a record writes, if it writes one.

@@ -50,8 +50,9 @@ use lobster_storage::Device;
 use lobster_sync::Arc;
 use lobster_sync::Mutex;
 use lobster_types::{Error, Result};
-use lobster_wal::{LogRecord, LogScan, Wal};
+use lobster_wal::{LogRecord, Wal};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::time::Instant;
 
 /// The participant bitmask is a `u64`.
 pub const MAX_SHARDS: usize = 64;
@@ -212,11 +213,12 @@ impl ShardedDatabase {
     }
 
     /// Open an existing sharded database, running the cross-shard commit
-    /// decision pre-scan and then per-shard crash recovery. The pre-scan and
-    /// the persisted decision are serial; the shards then recover
-    /// concurrently (shard 0 on the calling thread, each other shard on a
-    /// thread of its own), every one validating its committed BLOBs
-    /// straight from its data device (see `recovery`). Reports come
+    /// decision pre-scan and then per-shard crash recovery. The shards'
+    /// logs are read concurrently; the decision and its persisting are
+    /// serial; the shards then recover concurrently, every one validating
+    /// its committed BLOBs straight from its data device (see `recovery`).
+    /// Each concurrent step runs shard 0 on the calling thread and each
+    /// other shard on a thread of its own (`per_shard`). Reports come
     /// back in shard order; on failure the first error in shard order is
     /// returned once every shard's recovery has finished.
     pub fn open(parts: Vec<ShardDevices>, cfg: Config) -> Result<(Arc<Self>, Vec<RecoveryReport>)> {
@@ -230,8 +232,12 @@ impl ShardedDatabase {
         let mut max_gtxn = 0u64;
         // Each log is read here once; its shard opens and recovers from
         // this scan.
-        let mut logs = Vec::with_capacity(parts.len());
-        for (idx, p) in parts.iter().enumerate() {
+        let logs = per_shard(parts.iter().collect(), |p| {
+            let t = Instant::now();
+            Wal::scan(&p.wal).map(|log| (log, t.elapsed()))
+        });
+        let logs = logs.into_iter().collect::<Result<Vec<_>>>()?;
+        for (idx, (p, (log, _))) in parts.iter().zip(&logs).enumerate() {
             let header = Header::read(&*p.data)?;
             max_watermark = max_watermark.max(header.xcommit_watermark);
             max_gtxn = max_gtxn.max(header.xcommit_watermark);
@@ -239,7 +245,6 @@ impl ShardedDatabase {
                 max_gtxn = max_gtxn.max(g);
                 listed.insert(g);
             }
-            let log = Wal::scan(&p.wal)?;
             for rec in &log.records {
                 if let LogRecord::TxnCrossCommit { gtxn, mask, .. } = *rec {
                     max_gtxn = max_gtxn.max(gtxn);
@@ -248,7 +253,6 @@ impl ShardedDatabase {
                     e.1 |= 1u64 << idx;
                 }
             }
-            logs.push(log);
         }
 
         // ---- decide every observed global transaction.
@@ -294,27 +298,15 @@ impl ShardedDatabase {
         }
 
         // ---- per-shard recovery under the decided set, concurrently: the
-        // shards share nothing but the decision. The calling thread recovers
-        // shard 0 instead of only waiting; every other shard gets a scoped
-        // thread. All are joined before the first error (in shard order) is
-        // returned, and the shards that did open are dropped with it.
+        // shards share nothing but the decision. All are joined before the
+        // first error (in shard order) is returned, and the shards that did
+        // open are dropped with it.
         let decided = Arc::new(decided);
         let shard_cfg = Self::shard_config(&cfg);
-        let open = |(p, log): (ShardDevices, LogScan)| {
+        let opened = per_shard(parts.into_iter().zip(logs).collect(), |(p, log)| {
             let policy = CrossCommitPolicy::Decided(decided.clone());
             let cfg = shard_cfg.clone();
             Database::open_with_policy(p.data, p.wal, log, cfg, HashMap::new(), policy)
-        };
-        let mut parts = parts.into_iter().zip(logs);
-        let first = parts.next();
-        let opened: Vec<_> = std::thread::scope(|s| {
-            let threads: Vec<_> = parts.map(|p| s.spawn(move || open(p))).collect();
-            let mut opened: Vec<_> = first.map(open).into_iter().collect();
-            opened.extend(threads.into_iter().map(|t| {
-                t.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            }));
-            opened
         });
         let (shards, reports) = opened
             .into_iter()
@@ -476,13 +468,14 @@ impl ShardedDatabase {
 
     /// Checkpoint when any shard's active log exceeds the configured
     /// threshold (per-shard auto-checkpoints are disabled; see
-    /// `shard_config`).
+    /// `shard_config`) — later, if this thread still holds a write
+    /// transaction on a shard.
     pub fn maybe_checkpoint(&self) -> Result<()> {
         let over = self
             .shards
             .iter()
             .any(|s| s.wal().active_bytes() > self.cfg.checkpoint_threshold);
-        if over {
+        if over && !self.shards.iter().any(|s| s.writers.is_inside()) {
             self.checkpoint()?;
         }
         Ok(())
@@ -666,6 +659,24 @@ impl ShardedTxn {
             }
         }
     }
+}
+
+/// `f` over every shard's item concurrently, results in shard order: the
+/// calling thread takes shard 0 instead of only waiting, every other shard
+/// gets a scoped thread, and a panic in any of them resumes here.
+fn per_shard<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut items = items.into_iter();
+    let first = items.next();
+    let f = &f;
+    std::thread::scope(|s| {
+        let threads: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let mut out: Vec<R> = first.map(f).into_iter().collect();
+        out.extend(threads.into_iter().map(|t| {
+            t.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        out
+    })
 }
 
 /// Persist the pre-scan decision into a shard's header, synced.

@@ -51,6 +51,7 @@ use lobster_sync::atomic::Ordering;
 use lobster_sync::Arc;
 use lobster_types::{Error, Pid, Result};
 use lobster_wal::LogRecord;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,6 +113,10 @@ pub struct Txn {
     /// Lock-table shards holding this transaction's locks (one bit each),
     /// so the release visits those and not the whole table.
     lock_shards: u64,
+    /// The thread this transaction entered the writer gate on, from its
+    /// first write until its records are in the commit pipeline or rolled
+    /// back (`crate::writers`): no checkpoint runs in between.
+    writing: Option<ThreadId>,
     state: TxnState,
 }
 
@@ -130,6 +135,7 @@ impl Txn {
             freed: Vec::new(),
             refenced: Vec::new(),
             lock_shards: 0,
+            writing: None,
             state: TxnState::Active,
         }
     }
@@ -150,9 +156,22 @@ impl Txn {
         }
     }
 
+    /// Lock `key`. Every write verb takes its exclusive lock before it
+    /// changes anything, so that is where the transaction enters the
+    /// writer gate.
     fn lock(&mut self, rel: &Relation, key: &[u8], mode: LockMode) -> Result<()> {
+        if mode == LockMode::Exclusive && self.writing.is_none() {
+            self.writing = Some(self.db.writers.enter(self.lock_shards != 0));
+        }
         self.lock_shards |= self.db.locks.lock(self.id, rel.id, key, mode)?;
         Ok(())
+    }
+
+    /// Leave the writer gate, if this transaction entered it.
+    fn stop_writing(&mut self) {
+        if let Some(thread) = self.writing.take() {
+            self.db.writers.leave(thread);
+        }
     }
 
     /// The content view of `state`'s extents — the only view the buffer
@@ -1180,15 +1199,19 @@ impl Txn {
         if !self.records.is_empty() {
             self.records.push(LogRecord::TxnCommit { txn: self.id });
         }
-        if self.has_writes() {
-            // Both commit modes ride the same two-stage pipeline (sharing
-            // its group fsync and in-flight extent flushes); they differ
-            // only in whether this thread blocks on the batch's durability
-            // epoch before acknowledging.
-            let epoch = db.committer.submit(self.take_batch())?;
-            if db.cfg.commit_wait {
-                db.committer.frontier().wait_for(epoch)?;
-            }
+        // Both commit modes ride the same two-stage pipeline (sharing its
+        // group fsync and in-flight extent flushes); they differ only in
+        // whether this thread blocks on the batch's durability epoch before
+        // acknowledging. The transaction leaves the writer gate once its
+        // batch is submitted: a checkpoint drains the pipeline anyway.
+        let epoch = if self.has_writes() {
+            Some(db.committer.submit(self.take_batch())?)
+        } else {
+            None
+        };
+        self.stop_writing();
+        if let (Some(epoch), true) = (epoch, db.cfg.commit_wait) {
+            db.committer.frontier().wait_for(epoch)?;
         }
         db.locks.release_all(self.id, self.lock_shards);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
@@ -1260,6 +1283,7 @@ impl Txn {
             mask,
         });
         let epoch = db.committer.submit(self.take_batch())?;
+        self.stop_writing();
         db.locks.release_all(self.id, self.lock_shards);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
@@ -1309,6 +1333,7 @@ impl Txn {
             // useful for log analytics.
             let _ = db.wal.append_batch(&[LogRecord::TxnAbort { txn: self.id }]);
         }
+        self.stop_writing();
         db.locks.release_all(self.id, self.lock_shards);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);

@@ -202,12 +202,31 @@ fn wal_failure_fresh_extents_may_precede_and_are_reclaimed() {
     );
     t.commit().unwrap();
     assert_eq!(db.allocator().pages_in_use(), healthy_pages);
+    // The reopen's checkpoint may have put its free map on pages the put
+    // held; nothing else of the put is held, and the next put takes the
+    // same pages.
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{audit:?}");
+    let map = audit.retiring[0];
+    let overlaps_map = |e: &ExtentSpec| {
+        e.start < map.start.offset(map.pages) && map.start < e.start.offset(e.pages)
+    };
     for e in &lost {
-        assert!(is_free(&db, *e), "{e:?} leaked by the failed put");
+        assert!(
+            is_free(&db, *e) || overlaps_map(e),
+            "{e:?} leaked by the failed put (map {map:?})"
+        );
     }
     let mut t = db.begin();
     t.put_blob(&rel, b"next", &pattern(1 << 20, 11)).unwrap();
-    assert_eq!(extents_of(&db, &mut t, &rel, b"next"), lost);
+    let next = extents_of(&db, &mut t, &rel, b"next");
+    assert_eq!(next.len(), lost.len());
+    for (new, old) in next.iter().zip(&lost) {
+        assert!(
+            new == old || overlaps_map(old),
+            "the next put reuses the pages: {next:?} vs {lost:?}, map {map:?}"
+        );
+    }
     t.commit().unwrap();
     assert!(db.scrub().unwrap().is_clean());
 }

@@ -17,6 +17,7 @@
 //! nothing leaked.
 
 use lobster_core::{Config, Database, RelationKind};
+use lobster_extent::ExtentSpec;
 use lobster_storage::{CrashDevice, Device, MemDevice};
 use std::sync::Arc;
 
@@ -47,6 +48,17 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
         *b = state as u8;
     }
     out
+}
+
+/// Do two extents share a page?
+fn overlaps(a: ExtentSpec, b: ExtentSpec) -> bool {
+    a.start.raw() < b.start.raw() + b.pages && b.start.raw() < a.start.raw() + a.pages
+}
+
+/// The allocator a recovery left holds exactly what the trees reference.
+fn assert_exact(db: &Database, crash_after: u64) {
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "crash_after={crash_after}: {audit:?}");
 }
 
 fn copy_device(src: &MemDevice, capacity: usize) -> Arc<MemDevice> {
@@ -105,6 +117,7 @@ fn run_scenario(crash_after: u64) -> bool {
     // Phase 3: recover from what physically survived.
     let survivor = copy_device(data_dev.inner(), CAP);
     let (db2, _report) = Database::open(survivor, wal_dev, cfg()).unwrap();
+    assert_exact(&db2, crash_after);
     let rel2 = db2.relation("b").expect("relation survives the checkpoint");
 
     // Invariant 2: checkpointed data always intact.
@@ -215,6 +228,7 @@ fn run_dead_controller_scenario(crash_after: u64) {
     // Recover from what physically reached the medium before the crash.
     let survivor = copy_device(data_dev.inner(), CAP);
     let (db2, _report) = Database::open(survivor, wal_dev, cfg()).unwrap();
+    assert_exact(&db2, crash_after);
     let rel2 = db2.relation("b").expect("relation survives the checkpoint");
 
     let mut t = db2.begin();
@@ -316,12 +330,26 @@ fn run_torn_eager_scenario(crash_after: u64) {
         "crash_after={crash_after}: pages of the torn put leaked"
     );
 
-    // The same pages take the next put, whatever garbage they hold.
+    assert_exact(&db2, crash_after);
+
+    // The same pages take the next put, whatever garbage they hold — but
+    // for an extent the reopen's checkpoint gave its free map.
+    let map = db2.audit_allocator().unwrap().retiring[0];
     let again = pattern(1 << 20, 23);
     let mut t = db2.begin();
     t.put_blob(&rel2, b"big", &again).unwrap();
     let state2 = t.blob_state(&rel2, b"big").unwrap().unwrap();
-    assert_eq!(state2.extents, state.extents);
+    assert_eq!(state2.extents.len(), state.extents.len());
+    let specs = state.extent_specs(db2.tier_table());
+    for (i, (new, old)) in state2.extents.iter().zip(&state.extents).enumerate() {
+        assert!(
+            new == old || overlaps(specs[i], map),
+            "crash_after={crash_after}: extent {i} moved off the torn put's \
+             pages: {:?} vs {:?}, map {map:?}",
+            state2.extents,
+            state.extents
+        );
+    }
     t.commit().unwrap();
     let mut t = db2.begin();
     assert!(t.get_blob(&rel2, b"big", |b| b == again).unwrap());
@@ -366,6 +394,7 @@ fn torn_wal_write_rolls_back_cleanly() {
 
     let surviving_wal = copy_device(wal_dev.inner(), 16 << 20);
     let (db2, _) = Database::open(data_dev, surviving_wal, cfg()).unwrap();
+    assert_exact(&db2, 0);
     let rel2 = db2.relation("b").unwrap();
     let mut t = db2.begin();
     assert_eq!(t.get_blob(&rel2, b"good", |b| b.to_vec()).unwrap(), good);
@@ -374,4 +403,222 @@ fn torn_wal_write_rolls_back_cleanly() {
         "a torn commit record must roll the transaction back"
     );
     t.commit().unwrap();
+}
+
+/// Live keys and their contents.
+type Live = std::collections::BTreeMap<u64, Vec<u8>>;
+
+/// A store whose checkpoint has a free map of a dozen runs, with a log tail
+/// after it: twenty-four BLOBs, every even one deleted, checkpointed, then
+/// six more puts and two deletes.
+fn mapped_store(
+    data: &Arc<CrashDevice<MemDevice>>,
+    wal: &Arc<CrashDevice<MemDevice>>,
+) -> (Arc<Database>, Live) {
+    let db = Database::create(data.clone(), wal.clone(), cfg()).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let mut live = Live::new();
+    let mut write = |i: u64, put: bool| {
+        let mut t = db.begin();
+        if put {
+            let blob = pattern(9000 + 700 * i as usize, 40 + i);
+            t.put_blob(&rel, &i.to_be_bytes(), &blob).unwrap();
+            live.insert(i, blob);
+        } else {
+            t.delete_blob(&rel, &i.to_be_bytes()).unwrap();
+            live.remove(&i);
+        }
+        t.commit().unwrap();
+    };
+    (0..24).for_each(|i| write(i, true));
+    (0..24).step_by(2).for_each(|i| write(i, false));
+    db.checkpoint().unwrap();
+    (24..30).for_each(|i| write(i, true));
+    [1, 3].into_iter().for_each(|i| write(i, false));
+    (db, live)
+}
+
+/// Power is cut inside a checkpoint: on the data device after `data_cut`
+/// of its writes (the trigger write torn to its first 64 bytes of 4 KiB:
+/// inside the free map's run list when it is the map), or on the log device
+/// after `wal_cut` of its writes (the trigger write lost whole: cut at the
+/// truncate, the log keeps its epoch under a header that has moved on —
+/// the open walks). Both controllers die with the power, so
+/// nothing runs past the cut. Every committed BLOB survives, the allocator
+/// holds exactly what the trees reference, and so it does again after the
+/// next checkpoint and reopen. Returns whether the checkpoint completed.
+fn run_checkpoint_cut(data_cut: Option<u64>, wal_cut: Option<u64>) -> bool {
+    const CAP: usize = 64 << 20;
+    let data = Arc::new(CrashDevice::new(MemDevice::new(CAP)));
+    let wal = Arc::new(CrashDevice::new(MemDevice::new(16 << 20)));
+    let (db, live) = mapped_store(&data, &wal);
+    for dev in [&data, &wal] {
+        dev.set_fail_after_crash(true);
+    }
+    data_cut.inspect(|&n| data.arm_after_writes(n, 4));
+    wal_cut.inspect(|&n| wal.arm_after_writes(n, 0));
+    let completed = db.checkpoint().is_ok();
+    std::mem::forget(db);
+
+    let at = format!("data_cut={data_cut:?} wal_cut={wal_cut:?}");
+    let mut devices = (
+        copy_device(data.inner(), CAP),
+        copy_device(wal.inner(), 16 << 20),
+    );
+    for round in 0..2 {
+        let (db, _) = Database::open(devices.0.clone(), devices.1.clone(), cfg()).unwrap();
+        let audit = db.audit_allocator().unwrap();
+        assert!(audit.is_exact(), "{at} round {round}: {audit:?}");
+        let rel = db.relation("b").unwrap();
+        let mut t = db.begin();
+        for (key, want) in &live {
+            let got = t.get_blob(&rel, &key.to_be_bytes(), |b| b == &want[..]);
+            assert!(got.unwrap(), "{at} round {round}: {key} changed");
+        }
+        t.commit().unwrap();
+        let mut t = db.begin();
+        t.put_blob(
+            &rel,
+            format!("post{round}").as_bytes(),
+            &pattern(20_000, 77),
+        )
+        .unwrap();
+        t.commit().unwrap();
+        db.checkpoint().unwrap();
+        devices = (copy_device(&as_mem(&db.device()), CAP), devices.1.clone());
+    }
+    completed
+}
+
+/// The bytes of `dev` on a `MemDevice` of its own.
+fn as_mem(dev: &Arc<dyn Device>) -> MemDevice {
+    let mem = MemDevice::new(dev.capacity() as usize);
+    let mut buf = vec![0u8; 1 << 20];
+    for off in (0..dev.capacity()).step_by(buf.len()) {
+        dev.read_at(&mut buf, off).unwrap();
+        mem.write_at(&buf, off).unwrap();
+    }
+    mem
+}
+
+/// Device writes a checkpoint of [`mapped_store`] issues: `(data, log)`.
+fn checkpoint_writes() -> (u64, u64) {
+    let data = Arc::new(CrashDevice::new(MemDevice::new(64 << 20)));
+    let wal = Arc::new(CrashDevice::new(MemDevice::new(16 << 20)));
+    let (db, _) = mapped_store(&data, &wal);
+    let before = (data.write_log().len(), wal.write_log().len());
+    db.checkpoint().unwrap();
+    (
+        (data.write_log().len() - before.0) as u64,
+        (wal.write_log().len() - before.1) as u64,
+    )
+}
+
+#[test]
+fn checkpoint_cut_at_every_map_and_header_write() {
+    // The data writes are the node flushes, the free map and the header;
+    // the log writes are the page images (nodes and map) and the truncate.
+    // A cut after the last write of each is the uncut checkpoint.
+    let (data_writes, wal_writes) = checkpoint_writes();
+    assert!(
+        data_writes >= 3 && wal_writes >= 2,
+        "{data_writes} / {wal_writes}"
+    );
+    for _ in 0..torture_mult() {
+        for n in 0..data_writes {
+            assert!(
+                !run_checkpoint_cut(Some(n), None),
+                "data_cut={n} cut nothing"
+            );
+        }
+        // Between the header's sync and the truncate, and before.
+        for n in 0..wal_writes {
+            assert!(
+                !run_checkpoint_cut(None, Some(n)),
+                "wal_cut={n} cut nothing"
+            );
+        }
+        assert!(run_checkpoint_cut(Some(data_writes), Some(wal_writes)));
+    }
+}
+
+/// A log older than its header — power cut between a checkpoint's header
+/// sync and its truncate — names pages that became B-Tree nodes before
+/// that checkpoint: a BLOB put and deleted in the log freed its one-page
+/// extents, and the leaf splits of the inline puts after it took them.
+/// The open walks (the map describes a later state than the log's start),
+/// and its settle must keep those nodes although no final Blob State
+/// names their pages.
+#[test]
+fn a_log_older_than_its_header_keeps_the_nodes_it_names() {
+    const CAP: usize = 64 << 20;
+    let data = Arc::new(CrashDevice::new(MemDevice::new(CAP)));
+    let wal = Arc::new(CrashDevice::new(MemDevice::new(16 << 20)));
+    let db = Database::create(data.clone(), wal.clone(), cfg()).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    db.checkpoint().unwrap();
+    let mut t = db.begin();
+    t.put_blob(&rel, b"two pages", &pattern(5000, 61)).unwrap();
+    t.commit().unwrap();
+    let mut t = db.begin();
+    t.delete_blob(&rel, b"two pages").unwrap();
+    t.commit().unwrap();
+    db.wait_for_durability().unwrap();
+    let nodes = |db: &Database| db.relation("b").unwrap().tree.stats().unwrap().nodes;
+    for i in 0..200u32 {
+        let mut t = db.begin();
+        t.put_blob(&rel, &i.to_be_bytes(), &[i as u8; 20]).unwrap();
+        t.commit().unwrap();
+    }
+    assert!(nodes(&db) >= 3, "the inline puts split the root");
+    wal.set_fail_after_crash(true);
+    wal.arm_after_writes(1, 0); // the images land, the truncate does not
+    assert!(db.checkpoint().is_err());
+    std::mem::forget(db);
+
+    let (db, report) = Database::open(
+        copy_device(data.inner(), CAP),
+        copy_device(wal.inner(), 16 << 20),
+        cfg(),
+    )
+    .unwrap();
+    assert!(report.index_nodes > 0, "the open walked: {report:?}");
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{audit:?}");
+    let rel = db.relation("b").unwrap();
+    let mut t = db.begin();
+    for i in 0..200u32 {
+        assert!(t
+            .get_blob(&rel, &i.to_be_bytes(), |b| b == [i as u8; 20])
+            .unwrap());
+    }
+    t.commit().unwrap();
+}
+
+/// The broken control: a checkpoint that wrote its free map after the
+/// header's sync, cut between the two, leaves a header naming a map that
+/// never reached the medium. The open must refuse it, not trust it.
+#[test]
+fn a_header_naming_an_unwritten_map_is_caught() {
+    const CAP: usize = 64 << 20;
+    let data = Arc::new(CrashDevice::new(MemDevice::new(CAP)));
+    let wal = Arc::new(CrashDevice::new(MemDevice::new(16 << 20)));
+    let (db, _) = mapped_store(&data, &wal);
+    let before = copy_device(data.inner(), CAP);
+    db.checkpoint().unwrap();
+    let map = db.audit_allocator().unwrap().retiring[0];
+    std::mem::forget(db);
+
+    // The map's pages as they were before the checkpoint wrote them.
+    let after = copy_device(data.inner(), CAP);
+    let mut pages = vec![0u8; map.pages as usize * 4096];
+    let offset = map.start.raw() * 4096;
+    before.read_at(&mut pages, offset).unwrap();
+    after.write_at(&pages, offset).unwrap();
+    let wal = copy_device(wal.inner(), 16 << 20);
+    match Database::open(after, wal, cfg()) {
+        Err(lobster_types::Error::Corruption(msg)) => assert!(msg.contains("free map"), "{msg}"),
+        Err(e) => panic!("refused for the wrong reason: {e}"),
+        Ok(_) => panic!("a header naming an unwritten map was trusted"),
+    }
 }

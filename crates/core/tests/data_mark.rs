@@ -67,6 +67,12 @@ fn put(db: &Arc<Database>, rel: &Relation, key: &[u8], data: &[u8]) {
     t.commit().unwrap();
 }
 
+/// The allocator a recovery left holds exactly what the trees reference.
+fn assert_exact(db: &Database) {
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{audit:?}");
+}
+
 /// Block until the committer has synced the data device `n` times.
 fn await_data_syncs(db: &Database, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -169,6 +175,7 @@ fn crash_run(seed: u64, commit_wait: bool) -> (usize, u64, usize) {
         .filter(|r| matches!(r, LogRecord::Insert { .. } | LogRecord::Update { .. }))
         .count();
     let (db2, report) = Database::open(data2, wal2, cfg(commit_wait)).unwrap();
+    assert_exact(&db2);
     let rel2 = db2
         .relation("b")
         .expect("the relation's creation is durable");
@@ -256,6 +263,7 @@ fn a_lost_delta_after_the_mark_exposes_a_hashed_earlier_version() {
     assert_eq!(marks(&log), 1, "the delta's group carries the mark");
 
     let (db2, report) = Database::open(survivor(data.inner()), wal, cfg(true)).unwrap();
+    assert_exact(&db2);
     // The delta's version fails; the version before it, inside the prefix,
     // is hashed too (the delta could have torn it) and survives. Nothing
     // else is hashed.
@@ -309,6 +317,7 @@ fn a_failed_delta_never_writes_into_a_recycled_extent() {
     drop(db);
 
     let (db2, report) = Database::open(survivor(data.inner()), wal, cfg(true)).unwrap();
+    assert_exact(&db2);
     assert_eq!(report.sha_failures, 3, "{report:?}");
     let rel2 = db2.relation("b").unwrap();
     let mut t = db2.begin();
@@ -361,6 +370,7 @@ fn reopen_after_200_one_mib_puts_hashes_only_the_tail() {
     drop(sdb); // no checkpoint: every put is in the logs
 
     let (sdb, reports) = ShardedDatabase::open(devices(), cfg(true)).unwrap();
+    sdb.shards().iter().for_each(|db| assert_exact(db));
     let most = DATA_SYNC_EVERY / MIB as u64 + 1;
     for (shard, report) in reports.iter().enumerate() {
         assert!(report.committed > 50, "shard {shard}: {report:?}");

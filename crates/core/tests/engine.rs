@@ -1063,6 +1063,8 @@ fn drop_relation_recycles_all_storage() {
     assert!(db.relation("victim").is_none());
     assert!(db.relation_names().iter().all(|n| n != "victim"));
     assert!(db.drop_relation("victim").is_err(), "double drop");
+    // The space returns with the next checkpoint.
+    db.checkpoint().unwrap();
     assert!(
         db.utilization() < used_before,
         "dropping must return space: {} -> {}",
@@ -1115,6 +1117,7 @@ fn drop_relation_survives_recovery() {
         db.relation("gone").is_none(),
         "dropped relation must stay dropped"
     );
+    assert!(db.audit_allocator().unwrap().is_exact());
     let keep = db.relation("keep").unwrap();
     let mut t = db.begin();
     assert_eq!(t.get_kv(&keep, b"row").unwrap().unwrap(), b"value");
@@ -1124,6 +1127,42 @@ fn drop_relation_survives_recovery() {
     let again = db.create_relation("gone", RelationKind::Blob).unwrap();
     put(&db, &again, b"fresh", &pattern(200_000, 9));
     assert_eq!(get(&db, &again, b"fresh"), pattern(200_000, 9));
+}
+
+/// A relation the last checkpoint holds, dropped in the log tail after its
+/// pages were partly recycled: the open walks the dropped tree once and
+/// frees what the recycling did not take; everything else stays put.
+#[test]
+fn drop_of_a_checkpointed_relation_is_freed_by_recovery() {
+    let dev = Arc::new(MemDevice::new(256 << 20));
+    let wal = Arc::new(MemDevice::new(64 << 20));
+    {
+        let db = Database::create(dev.clone(), wal.clone(), small_cfg()).unwrap();
+        let gone = db.create_relation("gone", RelationKind::Blob).unwrap();
+        let keep = db.create_relation("keep", RelationKind::Blob).unwrap();
+        for i in 0..6u8 {
+            put(&db, &gone, &[i], &pattern(30_000, i.into()));
+            put(&db, &keep, &[i], &pattern(20_000, 50 + u64::from(i)));
+        }
+        db.checkpoint().unwrap();
+        db.drop_relation("gone").unwrap();
+        put(&db, &keep, b"after", &pattern(90_000, 99));
+        db.wait_for_durability().unwrap();
+        std::mem::forget(db); // crash after the drop committed
+    }
+    let (db, report) = Database::open(dev.clone(), wal.clone(), small_cfg()).unwrap();
+    assert!(db.relation("gone").is_none());
+    assert!(
+        report.index_nodes >= 1,
+        "the dropped tree is walked: {report:?}"
+    );
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{audit:?}");
+    let keep = db.relation("keep").unwrap();
+    for i in 0..6u8 {
+        assert_eq!(get(&db, &keep, &[i]), pattern(20_000, 50 + u64::from(i)));
+    }
+    assert_eq!(get(&db, &keep, b"after"), pattern(90_000, 99));
 }
 
 #[test]

@@ -233,6 +233,23 @@ impl RangeAllocator {
     }
 }
 
+/// `extents` as sorted, disjoint, maximal runs: overlapping and adjacent
+/// extents merge.
+pub fn union(mut extents: Vec<ExtentSpec>) -> Vec<ExtentSpec> {
+    extents.sort_by_key(|e| e.start);
+    let mut out: Vec<ExtentSpec> = Vec::with_capacity(extents.len());
+    for e in extents {
+        let end = e.start.raw() + e.pages;
+        match out.last_mut() {
+            Some(last) if e.start.raw() <= last.start.raw() + last.pages => {
+                last.pages = last.pages.max(end - last.start.raw());
+            }
+            _ => out.push(e),
+        }
+    }
+    out
+}
+
 /// Page-space allocator for tiered extents and tail extents.
 ///
 /// Addresses are `Pid`s offset by `base` (the first page available for
@@ -248,6 +265,9 @@ pub struct ExtentAllocator {
     /// just the start pid) closes the hole where a later free whose range
     /// overlapped only a fenced extent's tail slipped past the fence.
     quarantined: Mutex<BTreeMap<u64, u64>>,
+    /// Extents freed while fenced: in use for allocation, free for a
+    /// checkpoint's map. Locked after `quarantined`.
+    parked: Mutex<Vec<ExtentSpec>>,
 }
 
 /// Does `[start, start + pages)` overlap any fenced range in `q`?
@@ -268,6 +288,7 @@ impl ExtentAllocator {
             ranges: RangeAllocator::new(page_capacity - base.raw()),
             base: base.raw(),
             quarantined: Mutex::new(BTreeMap::new()),
+            parked: Mutex::new(Vec::new()),
         }
     }
 
@@ -297,9 +318,12 @@ impl ExtentAllocator {
     /// in-use and are never handed out again until
     /// [`ExtentAllocator::release_quarantine`] lifts the fence.
     pub fn free_extent(&self, extent: ExtentSpec) {
-        if overlaps_fence(&self.quarantined.lock(), extent.start.raw(), extent.pages) {
+        let q = self.quarantined.lock();
+        if overlaps_fence(&q, extent.start.raw(), extent.pages) {
+            self.parked.lock().push(extent);
             return;
         }
+        drop(q);
         self.ranges
             .free(extent.start.raw() - self.base, extent.pages);
     }
@@ -316,9 +340,18 @@ impl ExtentAllocator {
     }
 
     /// Lift the fence on a quarantined extent *without* freeing it; the
-    /// owner (or an operator tool) frees it explicitly afterwards.
+    /// owner (or an operator tool) frees it explicitly afterwards, so what
+    /// was parked under this fence alone is forgotten.
     pub fn release_quarantine(&self, extent: ExtentSpec) {
-        self.quarantined.lock().remove(&extent.start.raw());
+        let mut q = self.quarantined.lock();
+        q.remove(&extent.start.raw());
+        (self.parked.lock()).retain(|p| overlaps_fence(&q, p.start.raw(), p.pages));
+    }
+
+    /// Extents freed while fenced, which stay parked until a reopen: a
+    /// checkpoint's map counts them free.
+    pub fn parked_extents(&self) -> Vec<ExtentSpec> {
+        self.parked.lock().clone()
     }
 
     /// Is this extent currently fenced from re-allocation (does its pid
@@ -338,6 +371,39 @@ impl ExtentAllocator {
             .iter()
             .map(|e| (e.start.raw() - self.base, e.pages))
             .collect();
+        self.ranges.reset_from_used(&mut used);
+    }
+
+    /// The free runs as extents, sorted and coalesced: what a checkpoint
+    /// persists ([`RangeAllocator::free_runs`] in pids).
+    pub fn free_extents(&self) -> Vec<ExtentSpec> {
+        let base = self.base;
+        (self.ranges.free_runs().into_iter())
+            .map(|(start, pages)| ExtentSpec::new(Pid::new(base + start), pages))
+            .collect()
+    }
+
+    /// Rebuild allocation state from persisted free runs (sorted, disjoint,
+    /// inside the managed space): every page outside `free` is in use, and
+    /// so is every `reserved` extent, free in the runs or not.
+    pub fn reset_from_free(&self, free: &[ExtentSpec], reserved: &[ExtentSpec]) {
+        let mut used = Vec::with_capacity(free.len() + reserved.len() + 1);
+        let mut cursor = 0;
+        for run in free {
+            let start = run.start.raw() - self.base;
+            if start > cursor {
+                used.push((cursor, start - cursor));
+            }
+            cursor = start + run.pages;
+        }
+        if cursor < self.ranges.capacity() {
+            used.push((cursor, self.ranges.capacity() - cursor));
+        }
+        used.extend(
+            reserved
+                .iter()
+                .map(|e| (e.start.raw() - self.base, e.pages)),
+        );
         self.ranges.reset_from_used(&mut used);
     }
 
@@ -432,6 +498,29 @@ mod tests {
         a.reset_from_used(&mut [(0, 10), (0, 2), (4, 3), (12, 2)]);
         assert_eq!(a.in_use(), 12);
         assert_eq!(a.free_runs(), vec![(10, 2), (14, 86)]);
+    }
+
+    #[test]
+    fn free_extents_reload_to_the_same_geometry_plus_reservations() {
+        let table = Arc::new(TierTable::new(TierPolicy::default()));
+        let alloc = ExtentAllocator::new(table.clone(), Pid::new(1), 200);
+        let kept: Vec<_> = (0..6)
+            .map(|i| alloc.allocate_tail(3 + i).unwrap())
+            .collect();
+        alloc.free_extent(kept[1]);
+        alloc.free_extent(kept[2]);
+        alloc.free_extent(kept[4]);
+        let free = alloc.free_extents();
+        assert_eq!(free.len(), 3, "{free:?}");
+
+        let loaded = ExtentAllocator::new(table, Pid::new(1), 200);
+        loaded.reset_from_free(&free, &[]);
+        assert_eq!(loaded.free_extents(), free);
+        assert_eq!(loaded.pages_in_use(), alloc.pages_in_use());
+        // A reservation inside a free run splits it; one over used pages
+        // changes nothing.
+        loaded.reset_from_free(&free, &[kept[4], kept[0]]);
+        assert_eq!(loaded.pages_in_use(), alloc.pages_in_use() + kept[4].pages);
     }
 
     #[test]

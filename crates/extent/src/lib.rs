@@ -26,7 +26,7 @@ mod pieces;
 mod plan;
 mod tier;
 
-pub use alloc::{ExtentAllocator, RangeAllocator};
+pub use alloc::{union, ExtentAllocator, RangeAllocator};
 pub use pieces::{pieces, Piece, Pieces};
 pub use plan::{plan_growth, plan_sequence, ExtentSpec, SequencePlan};
 pub use tier::{TierPolicy, TierTable};

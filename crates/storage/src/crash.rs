@@ -153,24 +153,26 @@ impl<D: Device> Device for CrashDevice<D> {
         if self.crashed.load(Ordering::SeqCst) {
             return self.after_crash();
         }
-        let remaining = self.writes_until_crash.load(Ordering::SeqCst);
-        if remaining != u64::MAX {
-            if remaining == 0 {
-                // This is the torn write.
-                if self.unsynced.is_some() {
-                    self.cut();
-                    return self.after_crash();
-                }
-                self.crashed.store(true, Ordering::SeqCst);
-                let keep = buf.len() * self.tear_numerator.load(Ordering::SeqCst) as usize / 256;
-                if keep > 0 {
-                    self.inner.write_at(&buf[..keep], offset)?;
-                    self.log.lock().push((offset, keep));
-                }
-                return Ok(());
+        // One atomic step per write, so that concurrent writers take
+        // distinct places in the count (a load and a store let two of them
+        // take the same one, and one more write survive the cut).
+        let place = self
+            .writes_until_crash
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| {
+                (r != u64::MAX && r != 0).then(|| r - 1)
+            });
+        if place == Err(0) {
+            // This is the torn write, unless a concurrent writer took it.
+            if self.unsynced.is_some() || self.crashed.swap(true, Ordering::SeqCst) {
+                self.cut();
+                return self.after_crash();
             }
-            self.writes_until_crash
-                .store(remaining - 1, Ordering::SeqCst);
+            let keep = buf.len() * self.tear_numerator.load(Ordering::SeqCst) as usize / 256;
+            if keep > 0 {
+                self.inner.write_at(&buf[..keep], offset)?;
+                self.log.lock().push((offset, keep));
+            }
+            return Ok(());
         }
         match &self.unsynced {
             // In range: the inner device's own check, before it is cached.

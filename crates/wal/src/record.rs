@@ -385,6 +385,15 @@ pub fn frame_record(out: &mut Vec<u8>, epoch: u32, rec: &LogRecord) {
     out[start + 8..start + 12].copy_from_slice(&epoch.to_le_bytes());
 }
 
+/// The length of the frame of `epoch` at the start of `buf`, header
+/// included, as its header states it; `None` without a header, with a zero
+/// length, or with another epoch (bytes left over from an older log).
+pub(crate) fn frame_len(buf: &[u8], epoch: u32) -> Option<usize> {
+    let header = buf.get(..FRAME_HEADER)?;
+    let len = read_u32(header) as usize;
+    (len != 0 && read_u32(&header[8..]) == epoch).then_some(FRAME_HEADER + len)
+}
+
 /// Parse one frame from `buf`; returns `(record, frame_len)` or `None` at
 /// end-of-log (zero length, wrong epoch, bad CRC, or truncation — all are
 /// treated as the end of the valid log, as in ARIES-style scans).

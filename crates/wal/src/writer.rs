@@ -7,7 +7,7 @@
 //! session — or waits for the current flusher to cover its LSN. This
 //! batches fsyncs exactly like the group-commit designs the paper builds on.
 
-use crate::record::{frame_record, parse_frame, LogRecord, FRAME_HEADER};
+use crate::record::{frame_len, frame_record, parse_frame, LogRecord, FRAME_HEADER};
 use lobster_metrics::Metrics;
 use lobster_storage::Device;
 use lobster_sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -331,12 +331,17 @@ impl Wal {
     }
 
     /// The valid records of `epoch` and the offset one past the last.
+    ///
+    /// Reads in windows that start at 64 KiB, so a short log costs one
+    /// short read, and double up to 1 MiB — or to the frame that needs
+    /// more. A frame of `epoch` that runs past a window is read again at
+    /// the start of the next; the log ends at the first frame that does not
+    /// parse although the window holds it whole.
     fn read_from(device: &Arc<dyn Device>, epoch: u32) -> Result<(Vec<LogRecord>, Lsn)> {
         let end = device.capacity();
         let mut records = Vec::new();
         let mut pos = WAL_HEADER;
-        // Read in 1 MiB windows, re-reading across boundaries.
-        let mut window = vec![0u8; 1 << 20];
+        let mut window = vec![0u8; 64 << 10];
         loop {
             let take = window.len().min((end - pos) as usize);
             if take < FRAME_HEADER {
@@ -348,12 +353,17 @@ impl Wal {
                 records.push(rec);
                 local += n;
             }
-            if local == 0 {
-                break;
-            }
             pos += local as u64;
-            if local < take.saturating_sub(FRAME_HEADER) {
-                break;
+            let rest = &window[local..take];
+            match frame_len(rest, epoch) {
+                // A header that runs past the window.
+                None if rest.len() < FRAME_HEADER && take == window.len() => {}
+                // A frame that does.
+                Some(need) if need > rest.len() && need as u64 <= end - pos => {
+                    let grown = (window.len() * 2).min(1 << 20).max(need);
+                    window.resize(grown, 0);
+                }
+                _ => break,
             }
         }
         Ok((records, pos))
@@ -507,6 +517,26 @@ mod tests {
         assert_eq!(a.chunks, 1);
         assert_eq!(a.content_bytes, 5000);
         assert!(a.bytes > 5100);
+    }
+
+    /// Frames that run past a read window — many 4 KiB images, then one
+    /// frame larger than the largest window — all read back, and the scan
+    /// ends where the log does.
+    #[test]
+    fn frames_across_and_beyond_the_read_window_read_back() {
+        let (wal, dev) = mk();
+        let image = |i: u64, len: usize| LogRecord::PageImage {
+            pid: i,
+            data: vec![i as u8; len],
+        };
+        let mut recs: Vec<LogRecord> = (0..600).map(|i| image(i, 4000 + i as usize % 7)).collect();
+        recs.push(image(600, 1 << 20));
+        recs.push(image(601, 10));
+        wal.append_and_commit(&recs).unwrap();
+        let scan = Wal::scan(&dev).unwrap();
+        assert_eq!(scan.records.len(), recs.len());
+        assert!(scan.records == recs, "a record read back changed");
+        assert_eq!(scan.end, wal.flushed_lsn());
     }
 
     #[test]

@@ -373,16 +373,27 @@ fn recovery_validates_past_the_pool_reading_only_content() {
         allocated.iter().map(|r| r.end - r.start).sum::<u64>()
     );
     // Blob and node extents share the pool: every miss during open is a
-    // B-Tree node read (all but the header read at offset 0), none a blob.
+    // B-Tree node read — all but the header at offset 0 and the free map,
+    // both read past the pool — and none a blob.
     let node_reads = reads
         .iter()
         .filter(|&&(off, _)| off != 0 && !in_blobs(off))
         .count();
-    assert_eq!(m.cache_misses, node_reads as u64, "no blob extent faulted");
     assert_eq!(
-        m.fault_batches, report.index_batches,
-        "the only batches faulted into the pool are the index walk's"
+        m.cache_misses + 1,
+        node_reads as u64,
+        "no blob extent faulted"
     );
+    assert_eq!(
+        (m.fault_batches, report.index_batches),
+        (0, 0),
+        "the open walks no tree, so it batch-faults nothing"
+    );
+    // The audit walks the trees, and its batches are the only ones.
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{audit:?}");
+    let batches = db.metrics().snapshot().fault_batches - m.fault_batches;
+    assert_eq!(batches, audit.batches);
 
     let rel = db.relation("blobs").unwrap();
     let mut txn = db.begin();
