@@ -425,8 +425,9 @@ impl FlushTicket {
 
     /// Block until the underlying writes have completed, without reaping:
     /// the next [`FlushTicket::poll`] returns `Some` immediately. Helps
-    /// execute queued requests and yield-waits out the modeled device, so
-    /// it belongs on a thread with nothing better to do.
+    /// execute queued requests, then sleeps out the modeled device
+    /// ([`lobster_storage::wait_until`]), so the wait leaves the processor
+    /// to other threads.
     fn block_until_io_done(&self) {
         if let Some((_, batch)) = &self.flight {
             batch.wait_done();

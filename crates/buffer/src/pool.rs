@@ -37,7 +37,7 @@ use crate::entry::{Entry, Excl, Latch, Seen};
 use crate::flush_ledger::FlushLedger;
 use lobster_extent::{ExtentSpec, Piece, RangeAllocator};
 use lobster_metrics::Metrics;
-use lobster_storage::{AsyncIo, BatchHandle, Device, IoKind, IoReq};
+use lobster_storage::{wait_until, AsyncIo, BatchHandle, Device, IoKind, IoReq};
 use lobster_sync::atomic::{AtomicU64, Ordering};
 use lobster_sync::audit::LatchLedger;
 use lobster_sync::hint::spin_loop;
@@ -499,8 +499,7 @@ impl ExtentPool {
         if self.copy_if_resident(spec, byte_off, out)? {
             return Ok(());
         }
-        self.device
-            .read_at(out, self.geo.offset_of(spec.start) + byte_off as u64)?;
+        self.read_device(out, self.geo.offset_of(spec.start) + byte_off as u64)?;
         self.note_uncached_read(byte_off, out.len());
         Ok(())
     }
@@ -592,7 +591,7 @@ impl ExtentPool {
             if landed.is_err() {
                 let out = &mut buf[at..at + piece.len];
                 let offset = self.geo.offset_of(piece.spec.start) + piece.offset as u64;
-                let (res, stats) = RetryPolicy::DEFAULT.run(|| self.device.read_at(out, offset));
+                let (res, stats) = RetryPolicy::DEFAULT.run(|| self.read_device(out, offset));
                 self.metrics.bump_io_retry(stats.retries, stats.gave_up);
                 if let Err(err) = res {
                     first_err.get_or_insert(err);
@@ -644,12 +643,17 @@ impl ExtentPool {
     fn read_with_retries(&self, pid: Pid, frame: u64, from: u64, pages: u64) -> Result<()> {
         // SAFETY: the caller's claim makes the range ours until it publishes.
         let buf = unsafe { self.frames(frame, from, pages) };
-        let (res, stats) = RetryPolicy::DEFAULT.run(|| {
-            self.device
-                .read_at(buf, self.geo.offset_of(pid.offset(from)))
-        });
+        let (res, stats) = RetryPolicy::DEFAULT
+            .run(|| self.read_device(buf, self.geo.offset_of(pid.offset(from))));
         self.metrics.bump_io_retry(stats.retries, stats.gave_up);
         res
+    }
+
+    /// One blocking device read. Queued like a batch's request, then waited
+    /// for here ([`wait_until`]), so the calling thread sleeps through a
+    /// modeled device's latency instead of spinning inside the device.
+    fn read_device(&self, buf: &mut [u8], offset: u64) -> Result<()> {
+        self.device.submit_read(buf, offset).map(wait_until)
     }
 
     /// The bytes of pages `[from, from + pages)` of an extent whose page 0

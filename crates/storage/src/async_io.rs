@@ -1,4 +1,4 @@
-use crate::Device;
+use crate::{wait_until, Device};
 use lobster_sync::atomic::{AtomicUsize, Ordering};
 use lobster_sync::{Arc, Condvar, Mutex};
 use lobster_types::{Error, Result};
@@ -147,7 +147,8 @@ impl BatchHandle {
     /// committer's flush tickets) block on completion while keeping the
     /// reap — and the cleanup hanging off it — in one place.
     pub fn wait_done(&self) {
-        // Drain cooperatively instead of just sleeping.
+        // Help execute the requests no worker has taken yet, so the batch
+        // never waits for a worker to wake up.
         while self.state.run_one(&self.device) {}
         {
             let mut executed = self.state.executed.lock();
@@ -155,13 +156,10 @@ impl BatchHandle {
                 self.state.cond.wait(&mut executed);
             }
         }
-        // All requests are queued on the (modeled) device; wait for the
-        // last completion.
-        if let Some(deadline) = *self.state.deadline.lock() {
-            while Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-        }
+        // Every request is on the (modeled) device; sleep until the last
+        // one completes. Copied out first: the lock is not held across it.
+        let deadline = *self.state.deadline.lock();
+        wait_until(deadline);
     }
 
     /// Whether every request has executed (the modeled device may still
@@ -218,26 +216,6 @@ impl BatchHandle {
             Some(e) => Err(e),
             None => Ok(()),
         })
-    }
-}
-
-/// Ask the kernel to fire the calling thread's timed waits on time. Linux
-/// pads every timer of an ordinary thread by up to 50 µs so that wake-ups
-/// batch; a thread that sleeps until [`BatchHandle::completes_at`] with a
-/// committer waiting behind it wants the instant, not the batch. Without
-/// effect on other systems, and harmless to call twice.
-pub fn precise_timed_waits() {
-    #[cfg(target_os = "linux")]
-    {
-        extern "C" {
-            fn prctl(option: std::ffi::c_int, ...) -> std::ffi::c_int;
-        }
-        const PR_SET_TIMERSLACK: std::ffi::c_int = 29;
-        let slack_ns: std::ffi::c_ulong = 1;
-        // SAFETY: `PR_SET_TIMERSLACK` reads one unsigned long by value and
-        // changes only the calling thread's timer slack; no memory is
-        // handed to the kernel. A failure leaves the default in place.
-        unsafe { prctl(PR_SET_TIMERSLACK, slack_ns) };
     }
 }
 
@@ -336,7 +314,8 @@ fn worker_loop(rx: crossbeam::channel::Receiver<Job>, device: Arc<dyn Device>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemDevice;
+    use crate::{MemDevice, ThrottleProfile, ThrottledDevice};
+    use std::time::Duration;
 
     /// One write request per buffer, laid out back to back from offset 0.
     pub(super) fn write_back_to_back(bufs: &mut [Vec<u8>]) -> Vec<IoReq> {
@@ -552,6 +531,52 @@ mod tests {
             }
             handle.wait().unwrap();
         }
+    }
+
+    /// Processor time the calling thread has used: the first field of
+    /// `/proc/thread-self/schedstat`, in nanoseconds. `None` where the file
+    /// does not exist (not Linux, or scheduler statistics compiled out).
+    fn thread_cpu() -> Option<Duration> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        let ns = stat.split_whitespace().next()?.parse().ok()?;
+        Some(Duration::from_nanos(ns))
+    }
+
+    #[test]
+    fn batch_wait_sleeps_until_the_deadline() {
+        // Every request completes 3 ms after it is queued.
+        let late = Duration::from_millis(3);
+        let profile = ThrottleProfile {
+            read_latency: late,
+            write_latency: late,
+            read_bw: 1 << 40,
+            write_bw: 1 << 40,
+            sync_latency: late,
+        };
+        let dev: Arc<dyn Device> = Arc::new(ThrottledDevice::new(MemDevice::new(1 << 20), profile));
+        let io = AsyncIo::new(dev, 2);
+        // Best of three: a neighbouring test can hold the processor the
+        // moment this thread wakes, which only ever inflates a sample.
+        let share = (0..3)
+            .map(|_| {
+                let mut bufs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4096]).collect();
+                let reqs = write_back_to_back(&mut bufs);
+                let cpu0 = thread_cpu();
+                let t0 = Instant::now();
+                // SAFETY: the buffers backing the requests outlive the wait
+                // and are not touched until the batch completes.
+                let handle = unsafe { io.submit(reqs) };
+                handle.wait_done();
+                let waited = t0.elapsed();
+                let due = handle.completes_at().expect("executed");
+                assert!(due >= t0 + late, "modeled deadline under 3 ms");
+                assert!(Instant::now() >= due, "returned before the deadline");
+                handle.wait().unwrap();
+                let cpu = thread_cpu().zip(cpu0).map(|(b, a)| b - a);
+                cpu.map_or(0.0, |c| c.as_secs_f64() / waited.as_secs_f64())
+            })
+            .fold(f64::MAX, f64::min);
+        assert!(share < 0.25, "waiting thread used {share:.2} of the wall");
     }
 
     #[test]

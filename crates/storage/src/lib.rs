@@ -18,6 +18,8 @@
 //!   with an injection log for test assertions.
 //! * [`AsyncIo`] — a submission/completion engine (thread-pool stand-in for
 //!   io_uring) used to flush WAL and extents concurrently at commit.
+//! * [`wait_until`] — the one wait for a modeled completion instant: it
+//!   sleeps until [`WAKE_MARGIN`] before the deadline and polls the rest.
 
 // Every `unsafe` block must carry a `// SAFETY:` justification; enforced
 // in CI via clippy (`undocumented_unsafe_blocks`).
@@ -30,11 +32,13 @@ mod fault;
 mod file;
 mod mem;
 mod throttle;
+mod wait;
 
-pub use async_io::{precise_timed_waits, AsyncIo, BatchHandle, IoKind, IoReq, Waker};
+pub use async_io::{AsyncIo, BatchHandle, IoKind, IoReq, Waker};
 pub use crash::CrashDevice;
 pub use device::{Device, DeviceExt};
 pub use fault::{permanent_eio, transient_eio, FaultConfig, FaultDevice, FaultKind, Injection};
 pub use file::FileDevice;
 pub use mem::MemDevice;
 pub use throttle::{ThrottleProfile, ThrottledDevice};
+pub use wait::{precise_timed_waits, wait_until, WAKE_MARGIN};

@@ -1,4 +1,4 @@
-use crate::Device;
+use crate::{wait_until, Device};
 use lobster_types::Result;
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
@@ -64,9 +64,10 @@ impl ThrottleProfile {
 /// The model works like a real multi-queue SSD regardless of how many host
 /// CPUs execute the requests: *transfers* serialize on a shared bandwidth
 /// bus, *latencies* overlap freely. Synchronous calls block until their
-/// own completion deadline; [`Device::submit_read`]/[`Device::submit_write`]
-/// return the deadline so a batch submitter can overlap many requests and
-/// wait once — exactly the io_uring pattern the engine's commit path uses.
+/// own completion deadline ([`crate::wait_until`]);
+/// [`Device::submit_read`]/[`Device::submit_write`] return the deadline so
+/// a batch submitter can overlap many requests and wait once — exactly the
+/// io_uring pattern the engine's commit path uses.
 pub struct ThrottledDevice<D> {
     inner: D,
     profile: ThrottleProfile,
@@ -87,16 +88,6 @@ impl<D: Device> ThrottledDevice<D> {
         &self.inner
     }
 
-    fn spin_until(deadline: Instant) {
-        // Yield-wait: checking the clock each round keeps microsecond
-        // accuracy (sleep would oversleep by 50 µs+), while yielding lets
-        // other runnable threads — e.g. the engine continuing past an
-        // asynchronous commit — use the CPU during modeled device time.
-        while Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-    }
-
     /// Reserve bus time for a transfer and return the completion deadline.
     fn completion_deadline(&self, transfer: Duration, latency: Duration) -> Instant {
         let now = Instant::now();
@@ -109,19 +100,11 @@ impl<D: Device> ThrottledDevice<D> {
 
 impl<D: Device> Device for ThrottledDevice<D> {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<()> {
-        let deadline = self.submit_read(buf, offset)?;
-        if let Some(d) = deadline {
-            Self::spin_until(d);
-        }
-        Ok(())
+        self.submit_read(buf, offset).map(wait_until)
     }
 
     fn write_at(&self, buf: &[u8], offset: u64) -> Result<()> {
-        let deadline = self.submit_write(buf, offset)?;
-        if let Some(d) = deadline {
-            Self::spin_until(d);
-        }
-        Ok(())
+        self.submit_write(buf, offset).map(wait_until)
     }
 
     fn submit_read(&self, buf: &mut [u8], offset: u64) -> Result<Option<Instant>> {
@@ -142,7 +125,7 @@ impl<D: Device> Device for ThrottledDevice<D> {
 
     fn sync(&self) -> Result<()> {
         self.inner.sync()?;
-        Self::spin_until(Instant::now() + self.profile.sync_latency);
+        wait_until(Some(Instant::now() + self.profile.sync_latency));
         Ok(())
     }
 
@@ -168,7 +151,7 @@ mod tests {
         let dev = ThrottledDevice::new(MemDevice::new(1 << 20), profile);
         let mut buf = vec![0u8; 256 * 1024];
 
-        // Best of three: the yield-wait overshoots its deadline by a whole
+        // Best of three: the wait overshoots its deadline by a whole
         // timeslice when a neighbouring test holds the CPU, which can only
         // inflate a sample.
         let one_big = (0..3)
