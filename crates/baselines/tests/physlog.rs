@@ -11,9 +11,12 @@ use std::sync::Arc;
 
 const SIZE: usize = 500_000;
 
+/// Asynchronous commits: a waiting one would sync the data device before
+/// it is acknowledged, so no cut could take its content.
 fn cfg() -> Config {
     Config {
         pool_frames: 2048,
+        commit_wait: false,
         ..Config::default()
     }
 }
@@ -38,6 +41,7 @@ fn put_and_abandon(dev: Arc<dyn Device>, wal: Arc<MemDevice>, data: &[u8]) {
     store.flush().unwrap();
     let before = store.stats().metrics;
     store.put("k", data).unwrap();
+    store.database().wait_for_durability().unwrap();
     let delta = store.stats().metrics - before;
     assert!(
         delta.wal_bytes >= SIZE as u64,

@@ -41,6 +41,7 @@ use lobster_storage::{wait_until, AsyncIo, BatchHandle, Device, IoKind, IoReq};
 use lobster_sync::atomic::{AtomicU64, Ordering};
 use lobster_sync::audit::LatchLedger;
 use lobster_sync::hint::spin_loop;
+use lobster_sync::thread::yield_now;
 use lobster_sync::{Arc, Mutex};
 use lobster_types::{Error, Geometry, Pid, Result, RetryPolicy};
 use rand::Rng;
@@ -60,6 +61,28 @@ use std::ops::{Deref, DerefMut};
 /// sweep: the smallest size at which aliasing beats the copy with one and
 /// two concurrent readers taken together (EXPERIMENTS.md, "Alias or copy").
 pub const ALIAS_MIN_BYTES: u64 = 1 << 20;
+
+/// Rounds a latch arm spins on an extent another thread holds before it
+/// starts yielding. A holder copying frames or losing a race lets go
+/// within them; one whose fault is on the device holds the latch for a
+/// whole read (~400 µs on a modeled NVMe device), and a waiter that kept
+/// spinning would burn a processor the holder's I/O worker may need.
+const LATCH_SPINS: u32 = 64;
+
+/// The wait of one latch arm: [`LATCH_SPINS`] spins, then a yield a round.
+#[derive(Default)]
+struct LatchWait(u32);
+
+impl LatchWait {
+    fn snooze(&mut self) {
+        if self.0 < LATCH_SPINS {
+            self.0 += 1;
+            spin_loop();
+        } else {
+            yield_now();
+        }
+    }
+}
 
 // ------------------------------------------------------------- resident ---
 
@@ -344,6 +367,7 @@ impl ExtentPool {
             entry.downgrade();
             (frame, spec.pages)
         };
+        let mut wait = LatchWait::default();
         loop {
             let seen = entry.peek();
             match seen.latch() {
@@ -372,11 +396,11 @@ impl ExtentPool {
                 // completed ones so the wait is bounded.
                 Latch::Locked => {
                     self.poll_prefetches();
-                    spin_loop();
+                    wait.snooze();
                 }
                 // A lost race, a saturated shared count, or readers still
                 // on a smaller framing that must drain before it can grow.
-                _ => spin_loop(),
+                _ => wait.snooze(),
             }
         }
     }
@@ -455,6 +479,7 @@ impl ExtentPool {
             pages,
             _not_send: PhantomData,
         };
+        let mut wait = LatchWait::default();
         loop {
             let seen = entry.peek();
             let frame = match seen.latch() {
@@ -473,7 +498,7 @@ impl ExtentPool {
                 }
                 _ => {
                     self.poll_prefetches();
-                    spin_loop();
+                    wait.snooze();
                     continue;
                 }
             };
@@ -1277,6 +1302,7 @@ impl ExtentPool {
     /// that is still dirty and pinned).
     pub fn drop_extent(&self, spec: ExtentSpec) {
         let entry = self.entry(spec.start);
+        let mut wait = LatchWait::default();
         loop {
             let seen = entry.peek();
             match seen.latch() {
@@ -1288,7 +1314,7 @@ impl ExtentPool {
                 }
                 _ => {
                     self.poll_prefetches();
-                    spin_loop();
+                    wait.snooze();
                 }
             }
         }

@@ -49,8 +49,9 @@ pub struct Config {
     pub checkpoint_threshold: u64,
     /// Worker sessions (sizes the aliasing areas).
     pub workers: usize,
-    /// `true`: commit returns only after the WAL fsync and the extent flush
-    /// (full durability). `false`: commits are handed to a background group
+    /// `true`: commit returns only after the WAL fsync, the extent flush
+    /// and a data-device sync that covers it (full durability: acknowledged
+    /// means durable). `false`: commits are handed to a background group
     /// committer and return immediately — the paper's "critical path does
     /// not involve I/O" configuration (asynchronous commit).
     pub commit_wait: bool,
@@ -269,6 +270,7 @@ impl Database {
             metrics.clone(),
             page_size as u64,
             cfg.pool_frames * page_size as u64 / 4,
+            cfg.commit_wait,
         );
         Ok(Arc::new(Database {
             geo,

@@ -17,14 +17,13 @@
 //! deleter retires here, recovery validates every committed Blob State
 //! against its SHA-256 and drops the ones whose content did not arrive,
 //! and the allocator settle reclaims whatever no surviving Blob State
-//! references — so a transaction may start writing the fresh extents of a
-//! large put while it is still hashing ([`CommitBatch::flights`]), and the
-//! flush stage *reaps* those tickets instead of submitting them. Every
-//! in-place write (delta update, append into a partly filled extent,
-//! relocation) arrives as a [`FlushItem`] and is submitted only after its
-//! group's fsync returned. Either way a group retires — freed extents
-//! recycled, pin budget released, epochs completed — only when its fsync
-//! *and* every one of its flights have landed.
+//! references — so under a waiting commit a put writes its fresh extents
+//! before it commits ([`CommitBatch::flights`]). Every in-place write
+//! (delta update, append into a partly filled extent, relocation) arrives
+//! as a [`FlushItem`] and is submitted only after its group's fsync
+//! returned. Either way a group retires — freed extents recycled, pin
+//! budget released, epochs completed — only when its fsync *and* every
+//! one of its flights have landed.
 //!
 //! Two flights never touch the same extent — the flush stage waits out
 //! the earlier one — so writes to one extent cannot reorder; the same
@@ -41,17 +40,35 @@
 //! yield-waits for a device: on a busy host that burns a processor a
 //! hashing client needs.
 //!
-//! **Data-durable mark.** Retired groups count the content bytes they
-//! flushed. Once [`DATA_SYNC_EVERY`] bytes have retired since the last
-//! data-device sync, the flush stage — after the frontier has moved, so
-//! no commit waits for it — takes the longest prefix of groups, in log
-//! order, that have retired, syncs the data device once and publishes the
-//! last commit of that prefix ([`DataMark`]). The WAL stage writes a
-//! published mark as a [`LogRecord::DataDurable`] at the head of its next
-//! group, riding that group's fsync; recovery then re-hashes only the
-//! BLOBs committed after it. A mark is tagged with the log epoch its
-//! commits were appended in and is never written into a later one: the
-//! checkpoint that ended that epoch synced everything before it.
+//! **Acknowledged means durable.** Under [`crate::Config::commit_wait`] a
+//! group's content is on the data device, synced, before the frontier
+//! passes it. A group with nothing to write after its fsync — its content,
+//! if any, went out early — *settles* on the WAL stage: the stage sleeps
+//! until its flights land, syncs the data device once and only then
+//! appends its records. A group with in-place writes is synced by the
+//! flush stage once they landed, before its epochs complete.
+//!
+//! **Data-durable mark.** Groups count as landed, in log order, once
+//! their content is on the device ([`DataMark`]): a settled group on the
+//! WAL stage, every other one at retire. A data sync issued after every
+//! group up to some commit landed makes that commit the mark, written as a
+//! [`LogRecord::DataDurable`]; recovery then re-hashes only the BLOBs
+//! committed after it. One mark, two triggers:
+//!
+//! * a waiting group's own sync: a settled group's mark names its own
+//!   last commit and rides its own fsync; an in-place group's rides the
+//!   next group's;
+//! * otherwise, once [`DATA_SYNC_EVERY`] bytes have landed since the last
+//!   sync, the flush stage — after the frontier has moved, so no commit
+//!   waits for it — syncs and publishes the landed prefix for the next
+//!   group's fsync.
+//!
+//! The WAL stage appends a published mark after the group's records.
+//! Either way a mark covers a group only if every earlier group landed
+//! too: the prefix stops at the first one that has not. A mark is tagged
+//! with the log epoch its commits were appended in and is never written
+//! into a later one: the checkpoint that ended that epoch synced
+//! everything before it.
 //!
 //! Completion is tracked per batch through durable **epochs**: `submit`
 //! assigns epoch N to the N-th batch, and a condvar-guarded frontier
@@ -277,24 +294,24 @@ struct Mark {
     txn: u64,
 }
 
-/// Hand-off of the data-durable mark: both stages retire groups into it,
-/// the flush stage syncs the data device and publishes the retired
-/// prefix, and the WAL stage takes what was published into the log.
+/// Hand-off of the data-durable mark: both stages count groups as landed
+/// into it, whichever syncs the data device publishes the landed prefix,
+/// and the WAL stage takes what was published into the log.
 struct DataMark {
     state: Mutex<MarkState>,
 }
 
 #[derive(Default)]
 struct MarkState {
-    /// Sequence number of the first group not yet retired.
+    /// Sequence number of the first group not yet landed.
     next: u64,
-    /// Groups retired ahead of `next`, with the last commit of each.
+    /// Groups landed ahead of `next`, with the last commit of each.
     ahead: BTreeMap<u64, Option<Mark>>,
-    /// Last commit of the retired prefix.
+    /// Last commit of the landed prefix.
     prefix: Option<Mark>,
     /// Log epoch `unsynced` counts in.
     log_epoch: u32,
-    /// Content bytes retired since the last sync.
+    /// Content bytes landed since the last sync.
     unsynced: u64,
     /// Made true by a sync; written into the log at most once.
     published: Option<Mark>,
@@ -308,8 +325,9 @@ impl DataMark {
         }
     }
 
-    /// A group retired with its extent flush landed. A group that failed
-    /// never calls this, so the prefix stops before it for good.
+    /// A group's content landed: at retire, or on the WAL stage for a
+    /// settled group. Called once per group; one that failed never calls
+    /// it, so the prefix stops before it for good.
     fn retired(&self, group: &DurableGroup) {
         let mut st = self.state.lock();
         if group.log_epoch > st.log_epoch {
@@ -346,7 +364,16 @@ impl DataMark {
         Some(prefix)
     }
 
-    /// The data device was synced after every group up to `mark` retired.
+    /// The prefix a data sync about to be issued covers, if it runs
+    /// through group `seq`. The budget restarts either way: the sync
+    /// covers every byte landed so far.
+    fn covering(&self, seq: u64) -> Option<Mark> {
+        let mut st = self.state.lock();
+        st.unsynced = 0;
+        st.prefix.filter(|_| st.next > seq)
+    }
+
+    /// The data device was synced after every group up to `mark` landed.
     fn publish(&self, mark: Mark) {
         self.state.lock().published = Some(mark);
     }
@@ -372,6 +399,9 @@ struct DurableGroup {
     log_epoch: u32,
     /// Transaction of the group's last commit record, if it has one.
     last_commit: Option<u64>,
+    /// Some batch has content to write in place after the fsync; a group
+    /// without settles on the WAL stage ([`StageCtx::settle`]).
+    in_place: bool,
     epochs: Vec<u64>,
     /// Still to be submitted.
     items: Vec<FlushItem>,
@@ -388,6 +418,7 @@ impl DurableGroup {
             seq: 0,
             log_epoch: 0,
             last_commit: None,
+            in_place: false,
             epochs: Vec::with_capacity(batches.len()),
             items: Vec::new(),
             flights: Vec::new(),
@@ -403,6 +434,7 @@ impl DurableGroup {
             });
             group.last_commit = commit.or(group.last_commit);
             group.pinned += batch.pinned_bytes(page_size);
+            group.in_place |= !batch.toflush.is_empty();
             group.items.extend(batch.toflush);
             group.flights.extend(batch.flights);
             group.freed.extend(batch.freed);
@@ -419,6 +451,9 @@ struct StageCtx {
     /// The data device the mark's syncs go to.
     device: Arc<dyn Device>,
     mark: Arc<DataMark>,
+    /// [`crate::Config::commit_wait`]: a group's content is synced before
+    /// the frontier passes it.
+    commit_wait: bool,
     alloc: Arc<ExtentAllocator>,
     metrics: Metrics,
     progress: Arc<Progress>,
@@ -451,14 +486,26 @@ impl StageCtx {
     /// — budget and recycling intentionally wait for the flush, not the
     /// fsync, because until the flush lands the frames stay pinned and the
     /// freed extents' old content may still be the durable truth.
-    fn retire(&self, mut group: DurableGroup, result: Result<()>) {
+    fn retire(&self, mut group: DurableGroup, mut result: Result<()>) {
         // Only a group that failed before the flush stage took it still
         // holds flights: their requests point into frames the tickets
         // latch, so they land before anything else happens to the group.
         for ticket in group.flights.drain(..) {
             let _ = ticket.wait();
         }
-        let landed = result.is_ok();
+        // A group without in-place writes landed when it settled.
+        if result.is_ok() && group.in_place {
+            self.mark.retired(&group);
+            // Acknowledged means durable: a waiting commit's in-place
+            // content is synced before the frontier passes its group.
+            if self.commit_wait {
+                let mark = self.mark.covering(group.seq);
+                result = self.sync_device();
+                if let (Ok(()), Some(mark)) = (&result, mark) {
+                    self.mark.publish(mark);
+                }
+            }
+        }
         match result {
             Ok(()) => {
                 self.blob_pool.drop_extents(&group.freed);
@@ -489,25 +536,64 @@ impl StageCtx {
         let prev = self.progress.inflight_groups.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "in-flight group count underflow on retire");
         self.progress.complete_epochs(&group.epochs);
-        if landed {
-            self.mark.retired(&group);
-        }
     }
 
-    /// Once [`DATA_SYNC_EVERY`] content bytes have retired since the last
-    /// data sync, sync the data device and publish the retired prefix as
+    /// Once [`DATA_SYNC_EVERY`] content bytes have landed since the last
+    /// data sync, sync the data device and publish the landed prefix as
     /// the data-durable mark. A failed sync publishes nothing.
     fn sync_data(&self) {
         let Some(mark) = self.mark.due() else {
             return;
         };
+        if self.sync_device().is_ok() {
+            self.mark.publish(mark);
+        }
+    }
+
+    /// Sync the data device, retrying transient failures.
+    fn sync_device(&self) -> Result<()> {
         let (res, stats) = RetryPolicy::DEFAULT.run(|| self.device.sync());
         self.metrics.bump_io_retry(stats.retries, stats.gave_up);
         if res.is_ok() {
-            self.mark.publish(mark);
             // ordering: relaxed metrics counter; snapshot readers tolerate staleness
             self.metrics.data_syncs.fetch_add(1, Ordering::Relaxed);
         }
+        res
+    }
+
+    /// Settle a group with nothing left to write once its records are
+    /// durable: its content, if any, went out early with its transactions.
+    /// Sleeps until those flights land and counts the group as landed.
+    /// Under a waiting commit, a group that wrote content then syncs the
+    /// data device — before its records are appended, so the commit is
+    /// durable the moment its fsync returns — and, if every earlier group
+    /// has landed too, publishes the group's own last commit as the mark,
+    /// for its own fsync. A flight or sync that fails fails the group
+    /// before its records reach the log.
+    fn settle(&self, group: &mut DurableGroup) -> Result<()> {
+        if group.in_place {
+            return Ok(());
+        }
+        let wrote = !group.flights.is_empty();
+        for ticket in std::mem::take(&mut group.flights) {
+            let items = ticket.items().to_vec();
+            ticket.wait().or_else(|e| self.flush_retry(&items, e))?;
+        }
+        if wrote {
+            self.metrics
+                .commit_flush_batches
+                .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        }
+        self.mark.retired(group);
+        if !(wrote && self.commit_wait) {
+            return Ok(());
+        }
+        let mark = self.mark.covering(group.seq);
+        self.sync_device()?;
+        if let Some(mark) = mark {
+            self.mark.publish(mark);
+        }
+        Ok(())
     }
 }
 
@@ -531,6 +617,7 @@ impl GroupCommitter {
         metrics: Metrics,
         page_size: u64,
         pinned_limit_bytes: u64,
+        commit_wait: bool,
     ) -> Self {
         let (tx, rx) = crossbeam::channel::unbounded::<(u64, CommitBatch)>();
         // Backpressure by *bytes*: submitters block while the pipeline pins
@@ -542,6 +629,7 @@ impl GroupCommitter {
             blob_pool,
             device,
             mark: Arc::new(DataMark::new()),
+            commit_wait,
             alloc,
             metrics,
             progress: progress.clone(),
@@ -763,46 +851,47 @@ fn wal_stage(
             batches.push(next);
         }
 
+        let records: Vec<_> = (batches.iter())
+            .map(|(_, batch)| batch.records.clone())
+            .filter(|records| !records.is_empty())
+            .collect();
         let _gate = ckpt_gate.read();
-        let log_epoch = wal.current_epoch();
-        // 1. All of the group's Blob States durable with one fsync, behind
-        // the data-durable mark published since the last group, if any.
-        let fsync = (|| -> Result<()> {
-            if batches.iter().any(|(_, batch)| !batch.records.is_empty()) {
-                if let Some(txn) = ctx.mark.take_unwritten(log_epoch) {
-                    wal.append_batch(&[LogRecord::DataDurable { txn }])?;
-                }
-            }
-            let mut lsn = None;
-            for (_, batch) in &batches {
-                if !batch.records.is_empty() {
-                    lsn = Some(wal.append_batch(&batch.records)?);
-                }
-            }
-            if let Some(lsn) = lsn {
-                wal.commit_to(lsn)?;
-            }
-            Ok(())
-        })();
-        ctx.metrics
-            .commit_wal_groups
-            .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-
         let mut group = DurableGroup::collect(batches, ctx.page_size);
-        (group.seq, group.log_epoch) = (seq, log_epoch);
+        (group.seq, group.log_epoch) = (seq, wal.current_epoch());
         seq += 1;
         // Counted before the gate drops: checkpoints quiesce on this under
         // the exclusively-held gate, so the count can only fall once they
         // hold it.
         // ordering: AcqRel; pairs with retire's fetch_sub and flush_quiesce's Acquire load
         ctx.progress.inflight_groups.fetch_add(1, Ordering::AcqRel);
+        // 1. Content that went out early lands (and, for a waiting commit,
+        // is synced). 2. All of the group's Blob States durable with one
+        // fsync, followed by the mark published since the last group, if
+        // any — the group's own, if its settling published it.
+        let fsync = ctx.settle(&mut group).and_then(|()| {
+            if records.is_empty() {
+                return Ok(());
+            }
+            let mut lsn = 0;
+            for records in &records {
+                lsn = wal.append_batch(records)?;
+            }
+            if let Some(txn) = ctx.mark.take_unwritten(group.log_epoch) {
+                lsn = wal.append_batch(&[LogRecord::DataDurable { txn }])?;
+            }
+            wal.commit_to(lsn)
+        });
+        ctx.metrics
+            .commit_wal_groups
+            .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+
         match fsync {
             // Records that never became durable forbid every write the
             // group still has to submit (§III-C ordering); what its
             // transactions already wrote went to fresh extents nothing
             // durable references.
             Err(e) => ctx.retire(group, Err(e)),
-            // 2. Hand off; the next group's fsync overlaps this group's
+            // 3. Hand off; the next group's fsync overlaps this group's
             // extent writes. If the flush stage exited early, retire the
             // group as failed so waiters terminate with the sticky error
             // instead of hanging or panicking.
@@ -1291,6 +1380,103 @@ mod model {
     fn broken_mark_before_data_sync_is_caught() {
         let broken = || model(|| run_mark(false));
         assert!(model_catches(broken, "before its data sync"));
+    }
+
+    // ---- inline mark: a group's own mark only over synced, landed groups --
+
+    /// How the WAL stage takes the mark of the group it settles.
+    #[derive(Clone, Copy)]
+    enum Inline {
+        /// The prefix through the group, then the sync, then the publish.
+        Covering,
+        /// The mark is published before the data sync is issued.
+        BeforeSync,
+        /// The group's own last commit, whatever the earlier groups did.
+        OwnCommit,
+    }
+
+    struct Settling {
+        mark: DataMark,
+        /// Per group: its content landed.
+        landed: [AtomicBool; 2],
+        /// Per group: its content had landed when the data sync was issued.
+        synced: [Plain; 2],
+        sync_issued: Plain,
+    }
+
+    /// Group 0 wrote in place (an asynchronous or in-place group) and
+    /// lands on the flush stage; group 1's content went out early, and the
+    /// WAL stage settles it: lands it, syncs, and writes the mark the sync
+    /// covers, naming commit 7 of group 1 or commit 5 of group 0. A mark
+    /// in the log must name only content a data sync issued after its
+    /// landing covers — every group's up to its own.
+    fn run_inline(take: Inline) {
+        let flush: Actor<Settling> = Box::new(|w| {
+            w.landed[0].store(true, Ordering::Release);
+            w.mark.retired(&super::tests::retired(0, 1, Some(5), 1));
+        });
+        let wal: Actor<Settling> = Box::new(move |w| {
+            w.landed[1].store(true, Ordering::Release);
+            w.mark.retired(&super::tests::retired(1, 1, Some(7), 1));
+            let mark = match take {
+                Inline::OwnCommit => Some(Mark {
+                    log_epoch: 1,
+                    txn: 7,
+                }),
+                _ => w.mark.covering(1),
+            };
+            let sync = |w: &Settling| {
+                for (landed, synced) in w.landed.iter().zip(&w.synced) {
+                    synced.store(landed.load(Ordering::Acquire), SeqCst);
+                }
+                w.sync_issued.store(true, SeqCst);
+            };
+            if !matches!(take, Inline::BeforeSync) {
+                sync(w);
+            }
+            if let Some(mark) = mark {
+                w.mark.publish(mark);
+            }
+            // The group's fsync: records, then the mark.
+            if let Some(txn) = w.mark.take_unwritten(1) {
+                assert!(
+                    w.sync_issued.load(SeqCst),
+                    "inline mark of txn {txn} before its data sync"
+                );
+                let covered = if txn == 7 { 2 } else { 1 };
+                for (g, synced) in w.synced.iter().enumerate().take(covered) {
+                    let synced = synced.load(SeqCst);
+                    assert!(synced, "inline mark of txn {txn} over unlanded group {g}");
+                }
+            }
+            if matches!(take, Inline::BeforeSync) {
+                sync(w);
+            }
+        });
+        let world = Settling {
+            mark: DataMark::new(),
+            landed: Default::default(),
+            synced: Default::default(),
+            sync_issued: Plain::new(false),
+        };
+        race(world, vec![flush, wal]);
+    }
+
+    #[test]
+    fn inline_mark_covers_only_groups_landed_before_its_sync() {
+        model(|| run_inline(Inline::Covering));
+    }
+
+    #[test]
+    fn broken_inline_mark_before_data_sync_is_caught() {
+        let broken = || model(|| run_inline(Inline::BeforeSync));
+        assert!(model_catches(broken, "before its data sync"));
+    }
+
+    #[test]
+    fn broken_inline_mark_over_an_unlanded_earlier_group_is_caught() {
+        let broken = || model(|| run_inline(Inline::OwnCommit));
+        assert!(model_catches(broken, "over unlanded group 0"));
     }
 
     // ---- frontier: out-of-order retires, a contiguous durable prefix ----

@@ -3,18 +3,23 @@
 //! The write path implements the paper's single-flush commit protocol:
 //!
 //! 1. During the transaction, BLOB content is written into buffer frames
-//!    (dirty + `prevent_evict`); log records are staged locally. Content
-//!    in a **freshly allocated** extent may start its one device write
-//!    right away, while the next extent is still being hashed
-//!    ([`EAGER_FLUSH_PAGES`]): no durable Blob State can reference a fresh
-//!    extent, so nothing a crash could resolve to is overwritten.
+//!    (dirty + `prevent_evict`); log records are staged locally. Under a
+//!    waiting commit ([`crate::Config::commit_wait`]) a put **copies** its
+//!    content into its freshly allocated extents, **submits** them all as
+//!    one device write, and only then **hashes** the caller's bytes, so
+//!    the write overlaps the hash: no durable Blob State can reference a
+//!    fresh extent, so nothing a crash could resolve to is overwritten.
+//!    An asynchronous commit starts no write early; its put copies and
+//!    hashes in one pass and leaves the write to the pipeline.
 //! 2. At commit, the staged records — Blob States, not content — are
-//!    appended to the WAL and fsynced (group commit). **Only after** the
-//!    Blob State is durable is anything written *in place* — a delta
+//!    appended to the WAL and fsynced (group commit). A waiting commit
+//!    whose content all went out early has it landed and the data device
+//!    synced first, so the fsync makes it durable outright. **Only after**
+//!    the Blob State is durable is anything written *in place* — a delta
 //!    update, an append into a partly filled extent, a relocation — with
 //!    one batched asynchronous write per extent covering only its dirty
-//!    pages. The commit is durable when the fsync and every extent write,
-//!    early or late, have landed.
+//!    pages; a waiting commit's group then syncs the data device before it
+//!    is acknowledged (`group_commit`, "Acknowledged means durable").
 //! 3. The flush clears `prevent_evict` and leaves the extents *clean*, so
 //!    eviction never writes BLOB content a second time.
 //!
@@ -64,22 +69,14 @@ enum TxnState {
 /// Where [`Txn::fill_plan`] takes the bytes of a new placement from.
 enum Source<'a> {
     /// The caller's buffer (put, append): content nothing durable
-    /// references until the commit, so its write may start before it.
+    /// references until the commit, so its write may start before it
+    /// ([`Txn::write_early`]).
     Bytes(&'a [u8]),
     /// The whole content of a BLOB being relocated, read from its current
     /// placement without forcing residency. Background maintenance starts
     /// no device write early: the copy is flushed after the WAL fsync.
     Placement(&'a BlobState),
 }
-
-/// How many pages of freshly allocated, filled and hashed extents a
-/// transaction lets pile up before it submits their device write instead of
-/// leaving it to the commit pipeline. The smallest power of two above the
-/// 25 pages of a 100 KiB put, which has nothing left to hash by the time a
-/// write of its own could overlap it; under the default tier table a 1 MiB
-/// put submits after 63, 127 and 255 of its 256 pages. 64 measured the same
-/// on `lib_ingest_1m` (EXPERIMENTS.md "Budget of a 1 MiB ingest").
-const EAGER_FLUSH_PAGES: u64 = 32;
 
 /// An active transaction. Dropped without [`Txn::commit`] ⇒ rollback.
 pub struct Txn {
@@ -95,8 +92,10 @@ pub struct Txn {
     submitted: Option<Arc<Vec<LogRecord>>>,
     /// Extent ranges to write after the WAL fsync.
     toflush: Vec<FlushItem>,
-    /// Fresh extents, filled and not yet submitted: they join `flights`
-    /// once [`EAGER_FLUSH_PAGES`] have piled up, `toflush` otherwise.
+    /// Fresh extents, filled and not yet submitted: a waiting commit's
+    /// verb puts them in `flights` before it returns
+    /// ([`Txn::write_early`]); an asynchronous one leaves them to the
+    /// pipeline.
     fresh: Vec<FlushItem>,
     /// Writes of fresh extents already on the device's queue. Each holds a
     /// shared latch on its extents until reaped — by the commit pipeline,
@@ -198,30 +197,16 @@ impl Txn {
         Ok(FlushItem::whole(content))
     }
 
-    /// [`Txn::fill_fresh`] for content nothing durable references until
-    /// this transaction commits (a new blob, growth, a cloned extent): its
-    /// write may start before the commit, once enough pages have piled up
-    /// to be worth a submission of their own — and only where the commit
-    /// will wait for that write. An asynchronous commit returns before the
-    /// flush either way, so an early write would buy its caller nothing
-    /// and cost it the processor time of the submission.
-    fn fill_fresh_eager(
-        &mut self,
-        alloc: ExtentSpec,
-        chunk: &[u8],
-        digest: &mut dyn FnMut(&[u8]),
-    ) -> Result<()> {
-        let item = self.fill_fresh(alloc, chunk, digest)?;
-        self.fresh.push(item);
-        let piled: u64 = self.fresh.iter().map(|i| i.dirty_pages).sum();
-        if self.db.cfg.commit_wait && piled >= EAGER_FLUSH_PAGES {
-            self.submit_fresh()?;
+    /// Put the fresh extents filled so far (a new blob, growth, a cloned
+    /// extent) on the device's queue as one batch — where the commit will
+    /// wait for their write: nothing durable references them until this
+    /// transaction commits. An asynchronous commit returns before the flush
+    /// either way, so an early write would buy its caller nothing and cost
+    /// it the processor time of the submission.
+    fn write_early(&mut self) -> Result<()> {
+        if !self.db.cfg.commit_wait || self.fresh.is_empty() {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Put the pending fresh extents on the device's queue as one batch.
-    fn submit_fresh(&mut self) -> Result<()> {
         let ticket = self.db.blob_pool.flush_extents_async(&self.fresh)?;
         let pages: u64 = self.fresh.iter().map(|i| i.dirty_pages).sum();
         let m = &self.db.metrics;
@@ -233,7 +218,7 @@ impl Txn {
         Ok(())
     }
 
-    /// Wait for this transaction's eager writes and reap them, releasing
+    /// Wait for this transaction's early writes and reap them, releasing
     /// their shared latches. Whatever is about to latch one of those
     /// extents exclusively or drop it from the pool — a later verb on the
     /// same blob, the rollback — would otherwise wait on this thread for a
@@ -330,14 +315,23 @@ impl Txn {
         }
 
         // The size is known: reserve the largest tier prefix that fits plus
-        // one exact tail extent (§III-A), write content into buffer frames
-        // (pinned + dirty), and hash in the same pass.
+        // one exact tail extent (§III-A) and copy the content into buffer
+        // frames (pinned + dirty). Under a waiting commit the copy goes to
+        // the device before the hash, which overlaps its write; otherwise
+        // the copy hashes in the same pass.
         let pages = self.db.geo.pages_for(data.len() as u64);
         let plan = plan_sequence(&self.db.table, pages, true)?;
         let mut hasher = Sha256::new();
         let mut extents = Vec::with_capacity(plan.sizes.len());
         let source = Source::Bytes(data);
-        let tail = self.fill_plan(&plan, source, &mut |b| hasher.update(b), &mut extents)?;
+        let tail = if self.db.cfg.commit_wait {
+            let tail = self.fill_plan(&plan, source, &mut |_| (), &mut extents)?;
+            self.write_early()?;
+            hasher.update(data);
+            tail
+        } else {
+            self.fill_plan(&plan, source, &mut |b| hasher.update(b), &mut extents)?
+        };
 
         let sha_midstate = hasher.midstate().state_bytes();
         let state = BlobState {
@@ -409,7 +403,8 @@ impl Txn {
             let len = (total - off).min(self.db.geo.bytes_for(spec.pages) as usize);
             match source {
                 Source::Bytes(data) => {
-                    self.fill_fresh_eager(spec, &data[off..off + len], digest)?
+                    let item = self.fill_fresh(spec, &data[off..off + len], digest)?;
+                    self.fresh.push(item);
                 }
                 Source::Placement(state) => {
                     let buf = self.read_slice(state, off as u64, len, Residency::Uncached)?;
@@ -741,9 +736,10 @@ impl Txn {
         };
 
         // A tail extent cannot grow: clone it into the tier extent of its
-        // position first (§III-D). The clone joins the fresh extents but is
-        // not submitted here: the append below writes into it, and an
-        // eager flight's latch would make that wait on this thread.
+        // position first (§III-D). The append below writes into the clone,
+        // so the clone's write waits for the fsync with that one instead of
+        // going out early: an early flight's latch would make the append
+        // wait on this thread, and the two writes could reorder.
         if let Some((tpid, tpages)) = state.tail {
             let pos = state.extents.len();
             let clone_spec = self.db.alloc.allocate_tier(pos)?;
@@ -756,7 +752,7 @@ impl Txn {
                 Residency::Cached,
             )?;
             let item = self.fill_fresh(clone_spec, &content, &mut |_| ())?;
-            self.fresh.push(item);
+            self.toflush.push(item);
             self.freed.push(ExtentSpec::new(tpid, tpages));
             state.extents.push(clone_spec.start);
             state.tail = None;
@@ -805,6 +801,7 @@ impl Txn {
         )?;
         let source = Source::Bytes(&fill_data[data_off..]);
         state.tail = self.fill_plan(&plan, source, &mut |_| (), &mut state.extents)?;
+        self.write_early()?;
 
         // Refresh the metadata.
         if old_size < PREFIX_LEN as u64 {
@@ -969,7 +966,8 @@ impl Txn {
                 let live = (state.size - extent_start).min(ext_bytes) as usize;
                 let mut content = self.read_slice(&state, extent_start, live, Residency::Cached)?;
                 content[piece.offset..piece.offset + piece.len].copy_from_slice(slice);
-                self.fill_fresh_eager(clone_spec, &content, &mut |_| ())?;
+                let item = self.fill_fresh(clone_spec, &content, &mut |_| ())?;
+                self.fresh.push(item);
                 self.freed.push(old_spec);
                 if is_tail {
                     state.tail = Some((clone_spec.start, clone_spec.pages));
@@ -980,7 +978,9 @@ impl Txn {
         }
 
         // Content changed: recompute the hash over the full object (growth
-        // is the only op with a cheap incremental path, §III-D).
+        // is the only op with a cheap incremental path, §III-D), while the
+        // clones are written.
+        self.write_early()?;
         if offset < PREFIX_LEN as u64 {
             let n = ((PREFIX_LEN as u64 - offset) as usize).min(data.len());
             state.prefix[offset as usize..offset as usize + n].copy_from_slice(&data[..n]);
@@ -1222,15 +1222,11 @@ impl Txn {
     }
 
     /// Move everything this transaction staged for the commit pipeline
-    /// into one batch. A transaction that started writing early submits
-    /// its remaining fresh extents the same way, so that no small write is
-    /// left waiting for the fsync; one that never did hands them over with
-    /// the rest (as does one whose submission fails: the pipeline owns the
-    /// retry).
+    /// into one batch. Fresh extents still unsubmitted — an asynchronous
+    /// commit's, or a waiting one's whose early submission failed — are
+    /// handed over with the in-place writes: the pipeline owns the retry.
     fn take_batch(&mut self) -> CommitBatch {
-        if self.flights.is_empty() || self.fresh.is_empty() || self.submit_fresh().is_err() {
-            self.toflush.append(&mut self.fresh);
-        }
+        self.toflush.append(&mut self.fresh);
         let records = Arc::new(std::mem::take(&mut self.records));
         self.submitted = Some(records.clone());
         CommitBatch {
@@ -1302,7 +1298,7 @@ impl Txn {
         }
         self.state = TxnState::Aborted;
         let db = self.db.clone();
-        // Eager writes land first: their tickets latch frames the undo may
+        // Early writes land first: their tickets latch frames the undo may
         // write and the discard below drops.
         let _ = self.land_flights();
         // Reverse logical undo, through the function restart recovery uses

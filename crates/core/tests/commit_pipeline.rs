@@ -33,8 +33,8 @@ fn pipelined_cfg() -> Config {
     }
 }
 
-/// The configuration in which a large put starts writing before it commits:
-/// the commit waits for the flush.
+/// The configuration in which a put starts writing before it commits: the
+/// commit waits for the flush.
 fn waiting_cfg() -> Config {
     Config {
         commit_wait: true,
@@ -91,7 +91,7 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 /// In place never: while the WAL cannot become durable, no write that
 /// changes an extent a durable Blob State references reaches the data
 /// device — not a delta update, not an append into a partly filled extent —
-/// even in the configuration where large puts write early. The failure
+/// even in the configuration where puts write early. The failure
 /// sticks: later commits and drains keep erroring.
 #[test]
 fn wal_failure_in_place_writes_never_reach_the_data_device() {
@@ -133,13 +133,21 @@ fn wal_failure_in_place_writes_never_reach_the_data_device() {
     assert_eq!(db.metrics().snapshot().eager_flush_batches, healthy_eager);
 
     // The failure is sticky: later commits fail fast instead of being
-    // acknowledged on top of a lost one.
+    // acknowledged on top of a lost one. The later put wrote its fresh
+    // extents before its commit failed; nothing else reached the device.
     let mut t = db.begin();
     t.put_blob(&rel, b"after", &pattern(10_000, 7)).unwrap();
+    let fresh = extents_of(&db, &mut t, &rel, b"after");
     assert!(t.commit().is_err(), "commit after committer failure");
     assert!(db.wait_for_durability().is_err());
     assert!(db.metrics().snapshot().commit_errors >= 1);
-    assert_eq!(data.write_log().len(), healthy_writes);
+    for (off, len) in &data.write_log()[healthy_writes..] {
+        let (first, last) = (off / 4096, (off + *len as u64 - 1) / 4096);
+        assert!(
+            (fresh.iter()).any(|e| e.start.raw() <= first && last < e.start.raw() + e.pages),
+            "write at pages {first}..={last} outside the later put's fresh extents"
+        );
+    }
     drop(db);
 }
 
@@ -231,10 +239,11 @@ fn wal_failure_fresh_extents_may_precede_and_are_reclaimed() {
     assert!(db.scrub().unwrap().is_clean());
 }
 
-/// Eligibility is observable, not configured: only a put large enough for
-/// the overlap to pay writes early, and only where the commit waits.
+/// Eligibility is observable, not configured: under a waiting commit every
+/// put with extents copies, submits all of them as one batch and then
+/// hashes; where the commit does not wait, none writes early.
 #[test]
-fn only_large_puts_under_a_waiting_commit_write_early() {
+fn every_put_under_a_waiting_commit_writes_early_in_one_batch() {
     let eager = |cfg: Config, len: usize| {
         let db = Database::create(
             Arc::new(MemDevice::new(64 << 20)),
@@ -257,13 +266,12 @@ fn only_large_puts_under_a_waiting_commit_write_early() {
         assert_eq!(m.pages_written, (len as u64).div_ceil(4096));
         (m.eager_flush_batches, m.eager_flush_pages)
     };
-    assert_eq!(eager(waiting_cfg(), 4 << 10), (0, 0));
-    assert_eq!(eager(waiting_cfg(), 100 << 10), (0, 0));
-    let (batches, pages) = eager(waiting_cfg(), 1 << 20);
-    assert!(batches >= 1);
+    assert_eq!(eager(waiting_cfg(), 4 << 10), (1, 1));
+    assert_eq!(eager(waiting_cfg(), 100 << 10), (1, 25));
     assert_eq!(
-        pages, 256,
-        "an eager put leaves no page for after the fsync"
+        eager(waiting_cfg(), 1 << 20),
+        (1, 256),
+        "a put leaves no page for after the fsync"
     );
     assert_eq!(eager(pipelined_cfg(), 1 << 20), (0, 0));
 }

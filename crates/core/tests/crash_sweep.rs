@@ -74,20 +74,59 @@ fn copy_device(src: &MemDevice, capacity: usize) -> Arc<MemDevice> {
     Arc::new(dst)
 }
 
-/// One scenario execution with a crash armed after `crash_after` data-device
-/// writes (the trigger write is torn in half). Returns whether the scenario
-/// completed before the crash fired.
+/// The log device of the machine whose power the data device's cut takes
+/// down: once the data device has crashed, every write and sync here is
+/// dropped while reporting success, like the data device's own. A log that
+/// outlived the cut could take a data-durable mark over content the cut
+/// dropped behind a lying sync.
+struct SamePower {
+    log: Arc<MemDevice>,
+    data: Arc<CrashDevice<MemDevice>>,
+}
+
+impl Device for SamePower {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> lobster_types::Result<()> {
+        self.log.read_at(buf, offset)
+    }
+
+    fn write_at(&self, buf: &[u8], offset: u64) -> lobster_types::Result<()> {
+        match self.data.has_crashed() {
+            true => Ok(()),
+            false => self.log.write_at(buf, offset),
+        }
+    }
+
+    fn sync(&self) -> lobster_types::Result<()> {
+        match self.data.has_crashed() {
+            true => Ok(()),
+            false => self.log.sync(),
+        }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.log.capacity()
+    }
+}
+
+/// One scenario execution with a power cut armed after `crash_after`
+/// data-device writes (the trigger write is torn in half); the log loses
+/// power with the data device. Returns whether the scenario completed
+/// before the crash fired.
 fn run_scenario(crash_after: u64) -> bool {
     const CAP: usize = 96 << 20;
     let data_dev = Arc::new(CrashDevice::new(MemDevice::new(CAP)));
     let wal_dev = Arc::new(MemDevice::new(32 << 20));
+    let same_power = Arc::new(SamePower {
+        log: wal_dev.clone(),
+        data: data_dev.clone(),
+    });
 
     let stable = pattern(150_000, 1);
     let late_a = pattern(60_000, 2);
     let late_b = pattern(90_000, 3);
 
     // Phase 1: stable data, checkpointed.
-    let db = Database::create(data_dev.clone(), wal_dev.clone(), cfg()).unwrap();
+    let db = Database::create(data_dev.clone(), same_power, cfg()).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     {
         let mut t = db.begin();

@@ -14,8 +14,8 @@ use lobster_storage::{Device, MemDevice, ThrottleProfile, ThrottledDevice};
 use std::sync::Arc;
 
 const MIB: usize = 1 << 20;
-/// 331 pages: the ninth extent holds 76 of them — enough to be written
-/// early on its own — and has room for the append that follows.
+/// 331 pages: the ninth extent holds 76 of them and has room for the
+/// append that follows.
 const APPENDED: usize = MIB + (300 << 10);
 
 fn pattern(len: usize, seed: u64) -> Vec<u8> {

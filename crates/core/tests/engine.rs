@@ -740,12 +740,18 @@ fn recovery_replays_committed_transactions() {
 fn recovery_detects_lost_blob_content_via_sha() {
     // The crash window the paper's protocol defends: WAL fsync succeeded
     // (Blob State durable) but the extent flush never reached the device.
+    // Only an asynchronous commit leaves it open: a waiting one syncs the
+    // data device before it is acknowledged.
     let raw = MemDevice::new(128 << 20);
     let crash_dev = Arc::new(CrashDevice::write_back(raw));
     let wal = Arc::new(MemDevice::new(32 << 20));
     let data = pattern(200_000, 101);
+    let cfg = Config {
+        commit_wait: false,
+        ..small_cfg()
+    };
     {
-        let db = Database::create(crash_dev.clone(), wal.clone(), small_cfg()).unwrap();
+        let db = Database::create(crash_dev.clone(), wal.clone(), cfg.clone()).unwrap();
         let rel = db.create_relation("b", RelationKind::Blob).unwrap();
         put(&db, &rel, b"good", &data);
         db.checkpoint().unwrap();
@@ -756,6 +762,7 @@ fn recovery_detects_lost_blob_content_via_sha() {
         let mut t = db.begin();
         t.put_blob(&rel, b"lost", &pattern(100_000, 102)).unwrap();
         t.commit().unwrap();
+        db.wait_for_durability().unwrap();
         crash_dev.crash_now();
         std::mem::forget(db);
     }
@@ -774,7 +781,7 @@ fn recovery_detects_lost_blob_content_via_sha() {
         }
         dst
     });
-    let (db, report) = Database::open(survived, wal, small_cfg()).unwrap();
+    let (db, report) = Database::open(survived, wal, cfg).unwrap();
     assert_eq!(report.sha_failures, 1, "lost blob must fail validation");
     let rel = db.relation("b").unwrap();
     let mut t = db.begin();

@@ -575,7 +575,8 @@ struct Image {
 }
 
 /// Build `shards` crash images holding one BLOB of `len` bytes each,
-/// committed after the last checkpoint and never checkpointed.
+/// committed after the last checkpoint and never checkpointed —
+/// asynchronously, so that no data-durable mark spares it validation.
 fn uncheckpointed_images(shards: usize, len: usize) -> Vec<Image> {
     let devices: Vec<(Arc<MemDevice>, Arc<MemDevice>)> = (0..shards)
         .map(|_| {
@@ -592,7 +593,11 @@ fn uncheckpointed_images(shards: usize, len: usize) -> Vec<Image> {
             wal: wal.clone(),
         })
         .collect();
-    let sdb = ShardedDatabase::create(parts, cfg(false)).unwrap();
+    let unmarked = Config {
+        commit_wait: false,
+        ..cfg(false)
+    };
+    let sdb = ShardedDatabase::create(parts, unmarked).unwrap();
     let rel = sdb.create_relation("b", RelationKind::Blob).unwrap();
     sdb.checkpoint().unwrap();
     let mut blobs = vec![Vec::new(); shards];

@@ -255,7 +255,8 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Two blobs per shard committed after the checkpoint, then the content of
+/// Two blobs per shard committed after the checkpoint — asynchronously, so
+/// no data-durable mark vouches for them — then the content of
 /// one blob on shard 1 and of both on shard 3 torn on the device. The
 /// shards recover concurrently; each report still lands at its shard's
 /// index, counts exactly that shard's torn blobs, and a second recovery of
@@ -277,7 +278,11 @@ fn torn_content_on_two_shards_recovers_concurrently_in_shard_order() {
             wal: wal.clone(),
         })
         .collect();
-    let sdb = ShardedDatabase::create(parts, cfg()).unwrap();
+    let unmarked = Config {
+        commit_wait: false,
+        ..cfg()
+    };
+    let sdb = ShardedDatabase::create(parts, unmarked).unwrap();
     let rel = sdb.create_relation("blobs", RelationKind::Blob).unwrap();
     sdb.checkpoint().unwrap();
     let mut blobs = vec![Vec::new(); SHARDS];

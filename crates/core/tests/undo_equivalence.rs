@@ -8,6 +8,7 @@
 use lobster_core::{Config, Database, Relation, RelationKind, Txn};
 use lobster_sha256::Sha256;
 use lobster_storage::{CrashDevice, Device, MemDevice};
+use lobster_wal::LogRecord;
 use std::sync::Arc;
 
 const DATA_CAP: usize = 64 << 20;
@@ -177,9 +178,11 @@ fn aborted(verb: Verb) -> Observed {
     observe(&db)
 }
 
-/// Bytes the verb's commit appends to the WAL: its records, then the
-/// 21-byte commit marker.
-fn commit_bytes(verb: Verb) -> u64 {
+/// Bytes the verb's commit appends to the WAL, in one write: its records,
+/// then the 21-byte commit marker — and, where its content all went out
+/// before the commit, the group's own data-durable mark. Returns where the
+/// marker ends and the length of the write.
+fn commit_bytes(verb: Verb) -> (u64, u64) {
     let db = Database::create(
         Arc::new(MemDevice::new(DATA_CAP)),
         Arc::new(MemDevice::new(WAL_CAP)),
@@ -192,23 +195,28 @@ fn commit_bytes(verb: Verb) -> u64 {
     apply(verb, &mut t, &kv, &blobs);
     let before = db.wal().active_bytes();
     t.commit().unwrap();
-    db.wal().active_bytes() - before
+    let appended = db.wal().active_bytes() - before;
+    let mut mark = Vec::new();
+    if let Some(rec @ LogRecord::DataDurable { .. }) = db.wal().read_all().unwrap().last() {
+        lobster_wal::frame_record(&mut mark, 0, rec);
+    }
+    (appended - mark.len() as u64, appended)
 }
 
-/// The verb, committed into a WAL that loses the end of that one write —
-/// the commit marker — while every content write reaches the data device;
+/// The verb, committed into a WAL that loses the end of that one write from
+/// inside the commit marker on — while every content write reaches the data device;
 /// then a restart. Recovery finds the transaction's records, no commit,
 /// and whatever it had already written in place.
 fn crashed(verb: Verb) -> Observed {
     // Tear the commit's one WAL write inside the marker's last 21 bytes, at
-    // least 8 from the end: the bytes after that are the high bytes of a
+    // least 8 from its end: the bytes after that are the high bytes of a
     // small transaction id, zero like the unwritten device.
-    let len = commit_bytes(verb);
+    let (end, len) = commit_bytes(verb);
     assert!(
         len < 3000,
         "{verb:?}: the tear is only this precise below 3000 bytes"
     );
-    let keep_of_256 = ((len - 8) * 256 / len) as u32;
+    let keep_of_256 = ((end - 8) * 256 / len) as u32;
     let data = Arc::new(MemDevice::new(DATA_CAP));
     let wal = Arc::new(CrashDevice::new(MemDevice::new(WAL_CAP)));
     let db = Database::create(data.clone(), wal.clone(), cfg()).unwrap();

@@ -153,9 +153,10 @@ counters! {
     metadata_ops,
     /// Commit groups fsynced by the group committer's WAL stage.
     commit_wal_groups,
-    /// Durable groups whose extent writes the group committer's flush
-    /// stage put or took in flight: its own post-fsync submission, the
-    /// group's eager flights, or both — one per group either way.
+    /// Groups whose extent writes the group committer put or took in
+    /// flight: the flush stage's own post-fsync submission, the group's
+    /// early flights (landed by the WAL stage when nothing is left for
+    /// after the fsync), or both — one per group either way.
     commit_flush_batches,
     /// High-water mark of concurrently in-flight commit flush batches
     /// (gauge, maintained with `fetch_max`).
@@ -164,8 +165,9 @@ counters! {
     /// submitting (at the in-flight limit, or a write-after-write overlap
     /// on the same extent).
     commit_stalls,
-    /// Flush batches a transaction submitted *before* its commit — fresh
-    /// extents of a large put, written while the next extent is hashed.
+    /// Flush batches a transaction submitted *before* its commit — under
+    /// a waiting commit, the fresh extents of a put, written while it
+    /// hashes (one per put), the clones of an update or an append's growth.
     eager_flush_batches,
     /// Pages in those batches. `pages_written` counts them too, once, when
     /// their ticket is reaped.

@@ -318,6 +318,16 @@ fn cold_range_read_over_three_extents_is_one_batch_of_exactly_their_pages() {
 
 // ------------------------------------------------- recovery validation ---
 
+/// Commits that return before the data device is synced: the log holds no
+/// data-durable mark over them, so a reopen validates their content. (A
+/// waiting commit's group marks its own content durable.)
+fn unmarked_cfg() -> Config {
+    Config {
+        commit_wait: false,
+        ..cfg()
+    }
+}
+
 /// `k` 1 MiB BLOBs committed after the last checkpoint, then the process
 /// stops without another one: the reopen validates every one of them.
 /// Returns the data-device byte range of each BLOB's allocated extents.
@@ -326,7 +336,7 @@ fn uncheckpointed_mib_blobs(
     wal: Arc<dyn Device>,
     k: usize,
 ) -> Vec<std::ops::Range<u64>> {
-    let db = Database::create(dev, wal, cfg()).unwrap();
+    let db = Database::create(dev, wal, unmarked_cfg()).unwrap();
     let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
     db.checkpoint().unwrap();
     let mut allocated = Vec::new();
@@ -425,7 +435,7 @@ fn recovery_validates_a_blob_larger_than_its_in_flight_window() {
     let wal = Arc::new(MemDevice::new(64 << 20));
     let data: Vec<u8> = (0..LEN).map(|i| (i * 7 % 253) as u8).collect();
     let last = {
-        let db = Database::create(dev.clone(), wal.clone(), cfg()).unwrap();
+        let db = Database::create(dev.clone(), wal.clone(), unmarked_cfg()).unwrap();
         let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
         db.checkpoint().unwrap();
         let mut txn = db.begin();
