@@ -6,12 +6,14 @@
 //! let many slow clients pin the whole pool and wedge eviction — the
 //! same failure mode the commit pipeline's pin budget guards against.
 //!
-//! [`PinGate`] is a byte-granular counting semaphore over that lease
-//! budget: every stream acquires its pinned footprint before leasing and
-//! releases it when the stream ends (including on client disconnect). A
-//! stream that cannot acquire within its timeout is *rejected* with
+//! [`PinGate`] is a byte-granular counting semaphore over such a budget:
+//! every stream acquires its pinned footprint before leasing and releases
+//! it when the stream ends (including on client disconnect). A stream that
+//! cannot acquire within its timeout is *rejected* with
 //! `Error::BufferFull`, which the server surfaces as a retryable BUSY
-//! response — backpressure, not queue collapse.
+//! response — backpressure, not queue collapse. The commit pipeline's
+//! budget is a gate too, whose submitters wait as long as it takes
+//! ([`PinGate::acquire_blocking`]).
 
 use lobster_sync::{Condvar, Mutex};
 use lobster_types::{Error, Result};
@@ -81,8 +83,20 @@ impl PinGate {
         }
     }
 
-    /// Return `bytes` of budget acquired by [`PinGate::acquire`] (same
-    /// clamping rule).
+    /// Acquire `bytes` of budget, waiting as long as it takes (same
+    /// clamping rule: a request larger than the budget waits for an empty
+    /// gate).
+    pub fn acquire_blocking(&self, bytes: u64) {
+        let need = bytes.min(self.budget);
+        let mut used = self.inner.lock();
+        while self.budget - *used < need {
+            self.cv.wait(&mut used);
+        }
+        *used += need;
+    }
+
+    /// Return `bytes` of budget acquired by [`PinGate::acquire`] or
+    /// [`PinGate::acquire_blocking`] (same clamping rule).
     pub fn release(&self, bytes: u64) {
         let give = bytes.min(self.budget);
         let mut used = self.inner.lock();
@@ -147,5 +161,51 @@ mod tests {
         g.release(8);
         h.join().unwrap().unwrap();
         assert_eq!(g.in_use(), 4);
+    }
+}
+
+#[cfg(test)]
+mod model {
+    //! The gate's admission, over the real [`PinGate`]: three acquirers
+    //! with a budget of two — one at the budget, one past it (admitted
+    //! alone, or the checker reports the deadlock), one small. The
+    //! `broken_*` test admits whatever is already held and requires the
+    //! checker to find two acquisitions past the budget, under loom only.
+
+    use super::*;
+    use lobster_sync::{model, model_catches, race, Actor};
+
+    const LIMIT: u64 = 2;
+
+    fn run_pins(acquire: fn(&PinGate, u64)) {
+        let batch = |n: u64| -> Actor<PinGate> {
+            Box::new(move |gate| {
+                acquire(gate, n);
+                let held = n.min(LIMIT);
+                let used = gate.in_use();
+                assert!(used >= held, "pin budget lost {n} bytes it admitted");
+                let beside = used - held;
+                assert!(
+                    used <= LIMIT || beside == 0,
+                    "{n} admitted beside {beside} past the limit"
+                );
+                gate.release(n);
+            })
+        };
+        let gate = race(PinGate::new(LIMIT), vec![batch(2), batch(3), batch(1)]);
+        assert_eq!(gate.in_use(), 0, "budget not fully returned");
+    }
+
+    #[test]
+    fn pin_budget_conserved() {
+        model(|| run_pins(PinGate::acquire_blocking));
+    }
+
+    #[test]
+    fn broken_admission_past_the_limit_is_caught() {
+        // Admits whatever is already held.
+        let blind: fn(&PinGate, u64) = |gate, n| *gate.inner.lock() += n.min(gate.budget);
+        let broken = move || model(move || run_pins(blind));
+        assert!(model_catches(broken, "past the limit"));
     }
 }

@@ -2,7 +2,7 @@
 //! with recovery / checkpoint), and DDL.
 
 use crate::catalog::{decode_entry, encode_entry, Registry, Relation, RelationKind};
-use crate::group_commit::GroupCommitter;
+use crate::group_commit::{GroupCommitter, StageCtx};
 use crate::header::{encode_map, Header, MapRef};
 use crate::lock::LockManager;
 use crate::recovery::{recover, RecoveryReport};
@@ -261,17 +261,16 @@ impl Database {
             ),
         };
         let ckpt_gate = Arc::new(RwLock::new(()));
-        let committer = GroupCommitter::new(
-            wal.clone(),
+        let stages = StageCtx::new(
             blob_pool.clone(),
             device.clone(),
             alloc.clone(),
-            ckpt_gate.clone(),
             metrics.clone(),
             page_size as u64,
             cfg.pool_frames * page_size as u64 / 4,
             cfg.commit_wait,
         );
+        let committer = GroupCommitter::new(wal.clone(), ckpt_gate.clone(), stages);
         Ok(Arc::new(Database {
             geo,
             device,

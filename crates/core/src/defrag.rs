@@ -108,7 +108,7 @@ impl<'a> FenceGuard<'a> {
     }
 
     /// Keep the fences up and return the fenced extents; the caller now
-    /// owns the release (normally `CommitBatch::refenced` → retire).
+    /// owns the release (normally `WriteSet::refenced` → retire).
     pub(crate) fn disarm(mut self) -> Vec<ExtentSpec> {
         self.armed = false;
         std::mem::take(&mut self.specs)

@@ -1,15 +1,27 @@
 //! Background group committer (§V-A: "group commit so the critical path
-//! usually does not involve I/O"), organized as a **two-stage pipeline**.
+//! usually does not involve I/O"), organized as a **two-stage pipeline**
+//! over the one [`WriteSet`] each transaction seals.
 //!
-//! Stage 1 — the **WAL stage** — absorbs queued [`CommitBatch`]es into
-//! groups, appends their records and makes them durable with one group
-//! fsync. Stage 2 — the **flush stage** — receives each durable group,
-//! submits the extent writes that had to wait for the fsync, adopts the
-//! ones its transactions already started, and keeps up to
-//! [`INFLIGHT_FLUSHES`] submissions of its own in flight, so group N+1's
-//! WAL fsync overlaps group N's extent writes instead of the log device
-//! idling during every flush and the extent engine idling during every
-//! fsync.
+//! A commit is four named steps. **Stage** is the transaction's own:
+//! its verbs fill the write set, a waiting commit starts its fresh
+//! extents' write early, and `Txn::stage` seals the set, which
+//! [`GroupCommitter::submit`] queues. The other three are [`StageCtx`]
+//! methods, and each stage thread is a loop over them:
+//!
+//! * the **WAL stage** absorbs queued write sets into a group and runs
+//!   **log** ([`StageCtx::log`]) on it: its records appended and made
+//!   durable with one group fsync;
+//! * the **flush stage** receives each durable group and runs **flush**
+//!   ([`StageCtx::flush`]) on it: it submits the extent writes that had to
+//!   wait for the fsync, adopts the ones its transactions already started,
+//!   and keeps up to [`INFLIGHT_FLUSHES`] submissions of its own in flight,
+//!   so group N+1's WAL fsync overlaps group N's extent writes instead of
+//!   the log device idling during every flush and the extent engine idling
+//!   during every fsync. It runs **retire** ([`StageCtx::retire`]) on each
+//!   group whose flights have landed.
+//!
+//! The steps own no thread: `crate::sim` calls the same four, one at a
+//! time, on one thread, and cuts power between them.
 //!
 //! **Ordering (§III-C, per group).** The WAL must be durable before any
 //! write to an extent that may still be the durable truth. A *freshly
@@ -18,7 +30,7 @@
 //! against its SHA-256 and drops the ones whose content did not arrive,
 //! and the allocator settle reclaims whatever no surviving Blob State
 //! references — so under a waiting commit a put writes its fresh extents
-//! before it commits ([`CommitBatch::flights`]). Every in-place write
+//! before it commits ([`WriteSet::flights`]). Every in-place write
 //! (delta update, append into a partly filled extent, relocation) arrives
 //! as a [`FlushItem`] and is submitted only after its group's fsync
 //! returned. Either way a group retires — freed extents recycled, pin
@@ -70,16 +82,18 @@
 //! into a later one: the checkpoint that ended that epoch synced
 //! everything before it.
 //!
-//! Completion is tracked per batch through durable **epochs**: `submit`
-//! assigns epoch N to the N-th batch, and a condvar-guarded frontier
-//! advances once a batch's group is fully retired. [`GroupCommitter::drain`]
+//! Completion is tracked per write set through durable **epochs**: `submit`
+//! assigns epoch N to the N-th set, and a condvar-guarded frontier
+//! advances once a set's group is fully retired. [`GroupCommitter::drain`]
 //! and synchronous `commit_wait` commits block on that condvar — no
 //! busy-waiting on the commit path. Committer I/O errors are sticky: the
 //! first failure is recorded, counted in `commit_errors`, and surfaced as
 //! `Err` by every later `drain`/`submit` (an asynchronously acknowledged
 //! commit may have been lost; the database stops pretending otherwise).
 
-use lobster_buffer::{BlobPool, FlushItem, FlushTicket};
+use crate::txn::WriteSet;
+use crossbeam::channel::SendError;
+use lobster_buffer::{BlobPool, FlushItem, FlushTicket, PinGate};
 use lobster_extent::{ExtentAllocator, ExtentSpec};
 use lobster_metrics::Metrics;
 use lobster_storage::Device;
@@ -109,81 +123,9 @@ const INFLIGHT_FLUSHES: usize = 2;
 /// log").
 pub const DATA_SYNC_EVERY: u64 = 8 << 20;
 
-pub(crate) struct CommitBatch {
-    /// Shared with the submitting transaction, which walks them to roll
-    /// back if the commit fails.
-    pub records: Arc<Vec<LogRecord>>,
-    /// Extent ranges to write once the records are durable.
-    pub toflush: Vec<FlushItem>,
-    /// Writes of fresh extents the transaction already submitted; the
-    /// flush stage reaps them.
-    pub flights: Vec<FlushTicket>,
-    pub freed: Vec<ExtentSpec>,
-    /// Old placements of relocated blobs: fenced in the allocator
-    /// (`quarantine_extent`) when the swap was staged, so nothing can
-    /// recycle them while readers of the pre-swap Blob State may still
-    /// be walking them. At the durability frontier (this batch's flush
-    /// completion) the fence is lifted and the pages recycled — the
-    /// defragmenter's fence→free dance, ending in a free instead of the
-    /// verify-on-read ladder's permanent park.
-    pub refenced: Vec<ExtentSpec>,
-}
-
-impl CommitBatch {
-    /// Bytes of buffer-pool frames this batch keeps pinned until flushed:
-    /// what is still to be submitted and what is already on its way.
-    fn pinned_bytes(&self, page_size: u64) -> u64 {
-        let flying = self.flights.iter().flat_map(|t| t.items());
-        let pages: u64 = self
-            .toflush
-            .iter()
-            .chain(flying)
-            .map(|i| i.dirty_pages)
-            .sum();
-        pages * page_size
-    }
-}
-
-struct PinBudget {
-    used: Mutex<u64>,
-    freed_cv: Condvar,
-    limit: u64,
-}
-
-impl PinBudget {
-    fn new(limit: u64) -> Self {
-        PinBudget {
-            used: Mutex::new(0),
-            freed_cv: Condvar::new(),
-            limit,
-        }
-    }
-
-    /// Block until `bytes` fits under the limit, then take it. Always
-    /// admits at least one batch, however large.
-    fn acquire(&self, bytes: u64) {
-        let mut used = self.used.lock();
-        while *used > 0 && *used + bytes > self.limit {
-            self.freed_cv.wait(&mut used);
-        }
-        *used += bytes;
-    }
-
-    fn release(&self, bytes: u64) {
-        let mut used = self.used.lock();
-        debug_assert!(
-            *used >= bytes,
-            "pin budget underflow: releasing {bytes} bytes with only {} accounted",
-            *used
-        );
-        *used = used.saturating_sub(bytes);
-        self.freed_cv.notify_all();
-    }
-}
-
 /// Pipeline progress shared by submitters, waiters, and both stages.
 pub(crate) struct Progress {
-    /// Commit epochs handed out by `submit` (epoch N = N-th batch).
+    /// Commit epochs handed out by `submit` (epoch N = N-th write set).
     enqueued: AtomicU64,
     /// Durability frontier: every epoch `<= processed` has its WAL records
     /// fsynced *and* its extent flush completed (or failed — see `error`).
@@ -390,63 +332,45 @@ impl DataMark {
     }
 }
 
-/// A group of commit batches whose WAL records are durable, queued for (or
-/// undergoing) its single extent flush.
-struct DurableGroup {
+/// A group of submitted write sets whose WAL records are durable (or are
+/// being made so), queued for (or undergoing) its single extent flush.
+#[derive(Default)]
+pub(crate) struct DurableGroup {
     /// Position among the WAL stage's groups: log order.
     seq: u64,
     /// Log epoch the group's records were appended in.
     log_epoch: u32,
     /// Transaction of the group's last commit record, if it has one.
     last_commit: Option<u64>,
-    /// Some batch has content to write in place after the fsync; a group
+    /// Some set has content to write in place after the fsync; a group
     /// without settles on the WAL stage ([`StageCtx::settle`]).
     in_place: bool,
     epochs: Vec<u64>,
-    /// Still to be submitted.
-    items: Vec<FlushItem>,
-    /// Submitted by the group's transactions before they committed.
-    flights: Vec<FlushTicket>,
-    freed: Vec<ExtentSpec>,
-    refenced: Vec<ExtentSpec>,
+    /// The write sets, as their transactions sealed them.
+    sets: Vec<WriteSet>,
     pinned: u64,
 }
 
 impl DurableGroup {
-    fn collect(batches: Vec<(u64, CommitBatch)>, page_size: u64) -> Self {
-        let mut group = DurableGroup {
-            seq: 0,
-            log_epoch: 0,
-            last_commit: None,
-            in_place: false,
-            epochs: Vec::with_capacity(batches.len()),
-            items: Vec::new(),
-            flights: Vec::new(),
-            freed: Vec::new(),
-            refenced: Vec::new(),
-            pinned: 0,
-        };
-        for (epoch, batch) in batches {
-            group.epochs.push(epoch);
-            let commit = batch.records.iter().rev().find_map(|rec| match rec {
-                LogRecord::TxnCommit { txn } | LogRecord::TxnCrossCommit { txn, .. } => Some(*txn),
-                _ => None,
-            });
-            group.last_commit = commit.or(group.last_commit);
-            group.pinned += batch.pinned_bytes(page_size);
-            group.in_place |= !batch.toflush.is_empty();
-            group.items.extend(batch.toflush);
-            group.flights.extend(batch.flights);
-            group.freed.extend(batch.freed);
-            group.refenced.extend(batch.refenced);
-        }
-        group
+    /// Take in a submitted write set and its durability epoch.
+    fn absorb(&mut self, epoch: u64, ws: WriteSet, page_size: u64) {
+        self.epochs.push(epoch);
+        self.last_commit = ws.committed_txn().or(self.last_commit);
+        self.pinned += ws.pinned_bytes(page_size);
+        self.in_place |= !ws.toflush.is_empty();
+        self.sets.push(ws);
+    }
+
+    /// The writes the group's transactions started before they committed.
+    fn take_flights(&mut self) -> Vec<FlushTicket> {
+        let sets = self.sets.iter_mut();
+        sets.flat_map(|ws| ws.flights.drain(..)).collect()
     }
 }
 
-/// Everything a stage needs to retire groups; shared by both stage threads.
+/// Everything the commit steps need; shared by both stage threads.
 #[derive(Clone)]
-struct StageCtx {
+pub(crate) struct StageCtx {
     blob_pool: BlobPool,
     /// The data device the mark's syncs go to.
     device: Arc<dyn Device>,
@@ -457,11 +381,198 @@ struct StageCtx {
     alloc: Arc<ExtentAllocator>,
     metrics: Metrics,
     progress: Arc<Progress>,
-    budget: Arc<PinBudget>,
+    /// Backpressure by *bytes*: submitters block while the pipeline pins
+    /// more than this many bytes of unflushed frames, so committer lag can
+    /// never exhaust the buffer pool. A set larger than the whole budget
+    /// waits for an empty gate.
+    budget: Arc<PinGate>,
     page_size: u64,
 }
 
 impl StageCtx {
+    pub(crate) fn new(
+        blob_pool: BlobPool,
+        device: Arc<dyn Device>,
+        alloc: Arc<ExtentAllocator>,
+        metrics: Metrics,
+        page_size: u64,
+        pinned_limit_bytes: u64,
+        commit_wait: bool,
+    ) -> Self {
+        StageCtx {
+            blob_pool,
+            device,
+            mark: Arc::new(DataMark::new()),
+            commit_wait,
+            alloc,
+            metrics,
+            progress: Arc::new(Progress::new()),
+            budget: Arc::new(PinGate::new(pinned_limit_bytes.max(page_size))),
+            page_size,
+        }
+    }
+
+    /// Admit a sealed write set: block until the frames it pins fit the
+    /// budget, then hand out its durability epoch (epoch N = N-th set).
+    pub(crate) fn admit(&self, ws: &WriteSet) -> u64 {
+        self.budget
+            .acquire_blocking(ws.pinned_bytes(self.page_size));
+        // ordering: AcqRel; the epoch order is what drain()'s Acquire read targets
+        self.progress.enqueued.fetch_add(1, Ordering::AcqRel) + 1
+    }
+
+    /// Group `seq` of admitted write sets. It counts as in flight from here
+    /// to its retire; the WAL stage groups under the checkpoint gate, so
+    /// the count can only fall once a checkpoint holds the gate
+    /// ([`GroupCommitter::flush_quiesce`]).
+    pub(crate) fn group(&self, seq: u64, sets: Vec<(u64, WriteSet)>) -> DurableGroup {
+        // ordering: AcqRel; pairs with retire's fetch_sub and flush_quiesce's Acquire load
+        self.progress.inflight_groups.fetch_add(1, Ordering::AcqRel);
+        let mut group = DurableGroup {
+            seq,
+            ..DurableGroup::default()
+        };
+        for (epoch, ws) in sets {
+            group.absorb(epoch, ws, self.page_size);
+        }
+        group
+    }
+
+    /// Step 2, **log**: content that went out early lands (and, for a
+    /// waiting commit, is synced: [`StageCtx::settle`]); then all of the
+    /// group's Blob States become durable with one fsync, followed by the
+    /// mark published since the last group, if any — the group's own, if
+    /// its settling published it.
+    pub(crate) fn log(&self, wal: &Wal, group: &mut DurableGroup) -> Result<()> {
+        group.log_epoch = wal.current_epoch();
+        let fsync = self.settle(group).and_then(|()| {
+            let mut lsn = None;
+            for ws in group.sets.iter().filter(|ws| !ws.records.is_empty()) {
+                lsn = Some(wal.append_batch(&ws.records)?);
+            }
+            let Some(mut lsn) = lsn else {
+                return Ok(());
+            };
+            if let Some(txn) = self.mark.take_unwritten(group.log_epoch) {
+                lsn = wal.append_batch(&[LogRecord::DataDurable { txn }])?;
+            }
+            wal.commit_to(lsn)
+        });
+        self.metrics
+            .commit_wal_groups
+            .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        fsync
+    }
+
+    /// Step 3, **flush**: put a durable group's extent writes in flight —
+    /// submitting what waited for the fsync, adopting what its
+    /// transactions already started — and add it to `inflight`, or retire
+    /// it at once if nothing of it is on the device.
+    ///
+    /// Admission comes first: hold the group back while it has writes to
+    /// submit and the pipeline is at depth, and never let it join a flight
+    /// touching the same extent — the two device writes could reorder and
+    /// land stale content. The check covers not just the group's own writes
+    /// but every extent its retire will *recycle* (`freed` from deletes,
+    /// `refenced` from relocations): retiring drops those extents from the
+    /// pool, and `drop_extent` spin-waits on the earlier flight's shared
+    /// latches — on the flushing thread, which is the only one that can
+    /// reap that flight. Skipping the check for metadata-only groups (a
+    /// delete racing an in-flight append flush of the same blob)
+    /// deadlocked the whole pipeline: no retire, no recycling, allocator
+    /// wedged at full. (The group's own eager flights need no check: their
+    /// extents are fresh, in no other group.)
+    pub(crate) fn flush(
+        &self,
+        inbox: &Arc<FlushInbox>,
+        inflight: &mut Vec<InflightFlush>,
+        mut group: DurableGroup,
+    ) {
+        let touched: Vec<ExtentSpec> = (group.sets.iter())
+            .flat_map(|ws| {
+                let items = ws.toflush.iter().map(|item| item.spec);
+                items.chain(ws.freed.iter().chain(&ws.refenced).copied())
+            })
+            .collect();
+        let conflicts = |f: &InflightFlush| touched.iter().any(|&spec| f.writes_into(spec));
+        let mut stalled = false;
+        loop {
+            let due = reap(inflight, self);
+            let at_depth = group.in_place && inflight.len() >= INFLIGHT_FLUSHES;
+            if !at_depth && !inflight.iter().any(conflicts) {
+                break;
+            }
+            if !std::mem::replace(&mut stalled, true) {
+                // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+                self.metrics.commit_stalls.fetch_add(1, Ordering::Relaxed);
+            }
+            inbox.wait(false, due);
+        }
+
+        let tickets = group.take_flights();
+        let items: Vec<FlushItem> = (group.sets.iter_mut())
+            .flat_map(|ws| ws.toflush.drain(..))
+            .collect();
+        let mut flight = InflightFlush {
+            tickets: Vec::new(),
+            failed: None,
+            group,
+            writing: BTreeMap::new(),
+        };
+        for item in tickets.iter().flat_map(|t| t.items()) {
+            flight.note_write(item.spec);
+        }
+        flight.tickets = tickets;
+        // A write that waited for the fsync to an extent one of the group's
+        // own eager flights is still writing (two transactions of one
+        // group, on a pool whose flights hold no latch): land the flights
+        // first, for the same no-reorder rule as above.
+        if (items.iter()).any(|item| flight.writes_into(item.spec)) {
+            for ticket in std::mem::take(&mut flight.tickets) {
+                let eager = ticket.items().to_vec();
+                flight.note(ticket.wait().or_else(|e| self.flush_retry(&eager, e)));
+            }
+        }
+        if !items.is_empty() {
+            items.iter().for_each(|item| flight.note_write(item.spec));
+            match self.blob_pool.flush_extents_async(&items) {
+                Ok(ticket) => flight.tickets.push(ticket),
+                Err(e) => flight.note(self.flush_retry(&items, e)),
+            }
+        }
+        if flight.tickets.is_empty() {
+            // Metadata-only group (durable at fsync, retired only now that
+            // no conflicting flight remains), or everything settled above.
+            let result = flight.failed.take().map_or(Ok(()), Err);
+            self.retire(flight.group, result);
+            return;
+        }
+        for ticket in &flight.tickets {
+            let inbox = inbox.clone();
+            // `false`: already executed — the next reap sees it.
+            ticket.notify_when_executed(Box::new(move || inbox.signal_landed()));
+        }
+        self.metrics
+            .commit_flush_batches
+            .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        inflight.push(flight);
+        self.metrics
+            .commit_inflight_peak
+            .fetch_max(inflight.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+    }
+
+    /// Step 4, **retire**, for every group in `inflight`: sleep on `inbox`
+    /// until all their flights landed.
+    pub(crate) fn land_all(&self, inbox: &FlushInbox, inflight: &mut Vec<InflightFlush>) {
+        loop {
+            let due = reap(inflight, self);
+            if inflight.is_empty() {
+                break;
+            }
+            inbox.wait(false, due);
+        }
+    }
+
     /// A flush attempt failed with `err`: if the error is transient,
     /// re-run the batch synchronously under backoff — extent flushes are
     /// idempotent (same frames, same offsets) — before letting the error
@@ -480,17 +591,18 @@ impl StageCtx {
         res
     }
 
-    /// Retire a durable group once its extent flush completed (or failed):
-    /// recycle its freed extents, release its pin budget, and advance the
-    /// durability frontier. This is the pipeline's *only* completion point
-    /// — budget and recycling intentionally wait for the flush, not the
-    /// fsync, because until the flush lands the frames stay pinned and the
-    /// freed extents' old content may still be the durable truth.
-    fn retire(&self, mut group: DurableGroup, mut result: Result<()>) {
+    /// Step 4, **retire**: once a durable group's extent flush completed
+    /// (or failed), recycle its freed extents, release its pin budget, and
+    /// advance the durability frontier. This is the pipeline's *only*
+    /// completion point — budget and recycling intentionally wait for the
+    /// flush, not the fsync, because until the flush lands the frames stay
+    /// pinned and the freed extents' old content may still be the durable
+    /// truth.
+    pub(crate) fn retire(&self, mut group: DurableGroup, mut result: Result<()>) {
         // Only a group that failed before the flush stage took it still
         // holds flights: their requests point into frames the tickets
         // latch, so they land before anything else happens to the group.
-        for ticket in group.flights.drain(..) {
+        for ticket in group.take_flights() {
             let _ = ticket.wait();
         }
         // A group without in-place writes landed when it settled.
@@ -507,25 +619,7 @@ impl StageCtx {
             }
         }
         match result {
-            Ok(()) => {
-                self.blob_pool.drop_extents(&group.freed);
-                for spec in &group.freed {
-                    self.alloc.free_extent(*spec);
-                    // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                    self.metrics.extent_frees.fetch_add(1, Ordering::Relaxed);
-                }
-                // Relocated-away placements: the new placement is durable
-                // (this group's flush landed), so the fence taken at swap
-                // staging is lifted and the old pages recycle. Order
-                // matters — release first, or the free would be parked.
-                self.blob_pool.drop_extents(&group.refenced);
-                for spec in &group.refenced {
-                    self.alloc.release_quarantine(*spec);
-                    self.alloc.free_extent(*spec);
-                    // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                    self.metrics.extent_frees.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            Ok(()) => group.sets.iter().for_each(|ws| self.recycle(ws)),
             // Leave failed groups' extents pinned and their frees
             // unrecycled: with durability unknown, recycling could overwrite
             // content a recovery still resolves to.
@@ -536,6 +630,24 @@ impl StageCtx {
         let prev = self.progress.inflight_groups.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "in-flight group count underflow on retire");
         self.progress.complete_epochs(&group.epochs);
+    }
+
+    /// Return what a retired write set freed to the allocator. Relocated-
+    /// away placements (`refenced`) have their new placement durable (the
+    /// group's flush landed), so the fence taken at swap staging is lifted
+    /// and the old pages recycle. Order matters — release first, or the
+    /// free would be parked.
+    fn recycle(&self, ws: &WriteSet) {
+        self.blob_pool.drop_extents(&ws.freed);
+        self.blob_pool.drop_extents(&ws.refenced);
+        for &spec in &ws.refenced {
+            self.alloc.release_quarantine(spec);
+        }
+        for &spec in ws.freed.iter().chain(&ws.refenced) {
+            self.alloc.free_extent(spec);
+            // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+            self.metrics.extent_frees.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Once [`DATA_SYNC_EVERY`] content bytes have landed since the last
@@ -574,8 +686,9 @@ impl StageCtx {
         if group.in_place {
             return Ok(());
         }
-        let wrote = !group.flights.is_empty();
-        for ticket in std::mem::take(&mut group.flights) {
+        let flights = group.take_flights();
+        let wrote = !flights.is_empty();
+        for ticket in flights {
             let items = ticket.items().to_vec();
             ticket.wait().or_else(|e| self.flush_retry(&items, e))?;
         }
@@ -598,45 +711,17 @@ impl StageCtx {
 }
 
 pub(crate) struct GroupCommitter {
-    tx: Option<crossbeam::channel::Sender<(u64, CommitBatch)>>,
-    progress: Arc<Progress>,
-    budget: Arc<PinBudget>,
-    page_size: u64,
+    tx: Option<crossbeam::channel::Sender<(u64, WriteSet)>>,
+    ctx: StageCtx,
     wal_handle: Option<JoinHandle<()>>,
     flush_handle: Option<JoinHandle<()>>,
 }
 
 impl GroupCommitter {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        wal: Arc<Wal>,
-        blob_pool: BlobPool,
-        device: Arc<dyn Device>,
-        alloc: Arc<ExtentAllocator>,
-        ckpt_gate: Arc<RwLock<()>>,
-        metrics: Metrics,
-        page_size: u64,
-        pinned_limit_bytes: u64,
-        commit_wait: bool,
-    ) -> Self {
-        let (tx, rx) = crossbeam::channel::unbounded::<(u64, CommitBatch)>();
-        // Backpressure by *bytes*: submitters block while the pipeline pins
-        // more than a quarter-pool of unflushed frames, so committer lag can
-        // never exhaust the buffer pool.
-        let budget = Arc::new(PinBudget::new(pinned_limit_bytes.max(page_size)));
-        let progress = Arc::new(Progress::new());
-        let ctx = StageCtx {
-            blob_pool,
-            device,
-            mark: Arc::new(DataMark::new()),
-            commit_wait,
-            alloc,
-            metrics,
-            progress: progress.clone(),
-            budget: budget.clone(),
-            page_size,
-        };
-
+    /// Start the two stage threads over `ctx`, appending to `wal` under
+    /// `ckpt_gate`.
+    pub fn new(wal: Arc<Wal>, ckpt_gate: Arc<RwLock<()>>, ctx: StageCtx) -> Self {
+        let (tx, rx) = crossbeam::channel::unbounded::<(u64, WriteSet)>();
         let forward = Arc::new(FlushInbox::new());
         let inbox = forward.clone();
         let fctx = ctx.clone();
@@ -646,28 +731,28 @@ impl GroupCommitter {
             // lint-allow(no-panic-in-request-path): engine startup, before any request path; a failed spawn is fatal by design
             .expect("spawn commit flush stage");
 
+        let wctx = ctx.clone();
         let wal_handle = thread::Builder::new()
             .name("lobster-group-commit".into())
-            .spawn(move || wal_stage(rx, forward, wal, ckpt_gate, ctx))
+            .spawn(move || wal_stage(rx, forward, wal, ckpt_gate, wctx))
             // lint-allow(no-panic-in-request-path): engine startup, before any request path; a failed spawn is fatal by design
             .expect("spawn group committer");
 
         GroupCommitter {
             tx: Some(tx),
-            progress,
-            budget,
-            page_size,
+            ctx,
             wal_handle: Some(wal_handle),
             flush_handle: Some(flush_handle),
         }
     }
 
-    /// Queue a batch; returns its durability epoch (block on it with
-    /// [`Progress::wait_for`]). Fails fast once a sticky committer
+    /// Queue a sealed write set; returns its durability epoch (block on it
+    /// with [`Progress::wait_for`]). Fails fast once a sticky committer
     /// error exists — later commits must not be acknowledged on top of a
     /// lost one.
-    pub fn submit(&self, batch: CommitBatch) -> Result<u64> {
-        if let Some(e) = self.progress.sticky_error() {
+    pub fn submit(&self, ws: WriteSet) -> Result<u64> {
+        let progress = &self.ctx.progress;
+        if let Some(e) = progress.sticky_error() {
             return Err(e);
         }
         // Submitting after close() is a caller bug, but the commit path must
@@ -675,16 +760,13 @@ impl GroupCommitter {
         let Some(tx) = self.tx.as_ref() else {
             return Err(Error::Unsupported("commit submitted after close"));
         };
-        let pinned = batch.pinned_bytes(self.page_size);
-        self.budget.acquire(pinned);
-        // ordering: AcqRel; the epoch order is what drain()'s Acquire read targets
-        let epoch = self.progress.enqueued.fetch_add(1, Ordering::AcqRel) + 1;
-        if tx.send((epoch, batch)).is_err() {
+        let epoch = self.ctx.admit(&ws);
+        if let Err(SendError((_, ws))) = tx.send((epoch, ws)) {
             // The WAL stage died. Undo the budget so other committers cannot
             // wedge on a group that will never retire, and surface the loss.
-            self.budget.release(pinned);
-            return Err(self
-                .progress
+            let pinned = ws.pinned_bytes(self.ctx.page_size);
+            self.ctx.budget.release(pinned);
+            return Err(progress
                 .sticky_error()
                 .unwrap_or_else(|| Error::Io(std::io::Error::other("group commit stage exited"))));
         }
@@ -695,15 +777,16 @@ impl GroupCommitter {
     /// until an epoch is fully durable — WAL records fsynced *and* extent
     /// flush completed.
     pub fn frontier(&self) -> &Progress {
-        &self.progress
+        &self.ctx.progress
     }
 
     /// Wait until everything submitted so far is durable; surfaces the
     /// sticky committer error.
     pub fn drain(&self) -> Result<()> {
-        // ordering: Acquire; pairs with submit's AcqRel bump, so the target covers every prior enqueue
-        let target = self.progress.enqueued.load(Ordering::Acquire);
-        self.progress.wait_for(target)
+        let progress = &self.ctx.progress;
+        // ordering: Acquire; pairs with admit's AcqRel bump, so the target covers every prior enqueue
+        let target = progress.enqueued.load(Ordering::Acquire);
+        progress.wait_for(target)
     }
 
     /// Wait until no extent flush is in flight. Only meaningful while the
@@ -712,10 +795,11 @@ impl GroupCommitter {
     /// the pre-gate drain may still be flushing, and a checkpoint's
     /// `flush_all_dirty` must not run concurrently with it.
     pub fn flush_quiesce(&self) {
-        let mut st = self.progress.state.lock();
+        let progress = &self.ctx.progress;
+        let mut st = progress.state.lock();
         // ordering: Acquire; zero pairs with retire's AcqRel decrement, all groups' effects visible
-        while self.progress.inflight_groups.load(Ordering::Acquire) > 0 {
-            self.progress.cv.wait(&mut st);
+        while progress.inflight_groups.load(Ordering::Acquire) > 0 {
+            progress.cv.wait(&mut st);
         }
     }
 }
@@ -740,7 +824,7 @@ impl Drop for GroupCommitter {
 /// I/O workers raise `landed` when a tracked flight's last request has
 /// executed, and the WAL stage closes it on the way out; every change
 /// happens under the one mutex the stage waits on, so no wake-up is lost.
-struct FlushInbox {
+pub(crate) struct FlushInbox {
     state: Mutex<InboxState>,
     cv: Condvar,
 }
@@ -766,7 +850,7 @@ enum Wake {
 }
 
 impl FlushInbox {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FlushInbox {
             state: Mutex::new(InboxState::default()),
             cv: Condvar::new(),
@@ -823,10 +907,10 @@ impl FlushInbox {
     }
 }
 
-/// Stage 1: absorb queued batches into groups, make their records durable
-/// with one group fsync, then hand each durable group downstream.
+/// Stage 1: absorb queued write sets into groups and run the **log** step
+/// on each, then hand each durable group downstream.
 fn wal_stage(
-    rx: crossbeam::channel::Receiver<(u64, CommitBatch)>,
+    rx: crossbeam::channel::Receiver<(u64, WriteSet)>,
     forward: Arc<FlushInbox>,
     wal: Arc<Wal>,
     ckpt_gate: Arc<RwLock<()>>,
@@ -846,52 +930,20 @@ fn wal_stage(
     let mut seq = 0;
     while let Ok(first) = rx.recv() {
         // Absorb everything already queued into one group.
-        let mut batches = vec![first];
+        let mut sets = vec![first];
         while let Ok(next) = rx.try_recv() {
-            batches.push(next);
+            sets.push(next);
         }
-
-        let records: Vec<_> = (batches.iter())
-            .map(|(_, batch)| batch.records.clone())
-            .filter(|records| !records.is_empty())
-            .collect();
         let _gate = ckpt_gate.read();
-        let mut group = DurableGroup::collect(batches, ctx.page_size);
-        (group.seq, group.log_epoch) = (seq, wal.current_epoch());
+        let mut group = ctx.group(seq, sets);
         seq += 1;
-        // Counted before the gate drops: checkpoints quiesce on this under
-        // the exclusively-held gate, so the count can only fall once they
-        // hold it.
-        // ordering: AcqRel; pairs with retire's fetch_sub and flush_quiesce's Acquire load
-        ctx.progress.inflight_groups.fetch_add(1, Ordering::AcqRel);
-        // 1. Content that went out early lands (and, for a waiting commit,
-        // is synced). 2. All of the group's Blob States durable with one
-        // fsync, followed by the mark published since the last group, if
-        // any — the group's own, if its settling published it.
-        let fsync = ctx.settle(&mut group).and_then(|()| {
-            if records.is_empty() {
-                return Ok(());
-            }
-            let mut lsn = 0;
-            for records in &records {
-                lsn = wal.append_batch(records)?;
-            }
-            if let Some(txn) = ctx.mark.take_unwritten(group.log_epoch) {
-                lsn = wal.append_batch(&[LogRecord::DataDurable { txn }])?;
-            }
-            wal.commit_to(lsn)
-        });
-        ctx.metrics
-            .commit_wal_groups
-            .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-
-        match fsync {
+        match ctx.log(&wal, &mut group) {
             // Records that never became durable forbid every write the
             // group still has to submit (§III-C ordering); what its
             // transactions already wrote went to fresh extents nothing
             // durable references.
             Err(e) => ctx.retire(group, Err(e)),
-            // 3. Hand off; the next group's fsync overlaps this group's
+            // Hand off; the next group's fsync overlaps this group's
             // extent writes. If the flush stage exited early, retire the
             // group as failed so waiters terminate with the sticky error
             // instead of hanging or panicking.
@@ -906,7 +958,7 @@ fn wal_stage(
 }
 
 /// One durable group whose extent writes are on the device.
-struct InflightFlush {
+pub(crate) struct InflightFlush {
     /// Flights not yet reaped: the group's eager ones and the flush
     /// stage's own submission.
     tickets: Vec<FlushTicket>,
@@ -1001,9 +1053,8 @@ fn reap(inflight: &mut Vec<InflightFlush>, ctx: &StageCtx) -> Option<Instant> {
     due
 }
 
-/// Stage 2: put each durable group's extent writes in flight — submitting
-/// what waited for the fsync, adopting what its transactions already
-/// started — and retire groups as their flights land.
+/// Stage 2: run the **flush** step on each durable group, and **retire**
+/// groups as their flights land.
 fn flush_stage(inbox: Arc<FlushInbox>, ctx: StageCtx) {
     /// Gives later groups back to the WAL stage once this stage is gone.
     struct AbandonOnExit(Arc<FlushInbox>);
@@ -1022,102 +1073,14 @@ fn flush_stage(inbox: Arc<FlushInbox>, ctx: StageCtx) {
         let due = reap(&mut inflight, &ctx);
         // After the frontier moved: no commit waits for this sync.
         ctx.sync_data();
-        let mut group = match inbox.wait(true, due) {
-            Wake::Group(group) => group,
-            Wake::Look => continue,
+        match inbox.wait(true, due) {
+            Wake::Group(group) => ctx.flush(&inbox, &mut inflight, group),
+            Wake::Look => {}
             Wake::Closed => break,
-        };
-
-        // Admission: hold the group back while it has writes to submit and
-        // the pipeline is at depth, and never let it join a flight touching
-        // the same extent — the two device writes could reorder and land
-        // stale content. The check covers not just the group's own writes
-        // but every extent its retire will *recycle* (`freed` from deletes,
-        // `refenced` from relocations): retiring drops those extents from
-        // the pool, and `drop_extent` spin-waits on the earlier flight's
-        // shared latches — on this very thread, which is the only one that
-        // can reap that flight. Skipping the check for metadata-only
-        // groups (a delete racing an in-flight append flush of the same
-        // blob) deadlocked the whole pipeline: no retire, no recycling,
-        // allocator wedged at full. (The group's own eager flights need no
-        // check: their extents are fresh, in no other group.)
-        let touched: Vec<ExtentSpec> = (group.items.iter().map(|item| item.spec))
-            .chain(group.freed.iter().copied())
-            .chain(group.refenced.iter().copied())
-            .collect();
-        let conflicts = |f: &InflightFlush| touched.iter().any(|&spec| f.writes_into(spec));
-        let mut stalled = false;
-        loop {
-            let due = reap(&mut inflight, &ctx);
-            let at_depth = !group.items.is_empty() && inflight.len() >= INFLIGHT_FLUSHES;
-            if !at_depth && !inflight.iter().any(conflicts) {
-                break;
-            }
-            if !std::mem::replace(&mut stalled, true) {
-                // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-                ctx.metrics.commit_stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            inbox.wait(false, due);
         }
-
-        let tickets = std::mem::take(&mut group.flights);
-        let mut flight = InflightFlush {
-            tickets: Vec::new(),
-            failed: None,
-            group,
-            writing: BTreeMap::new(),
-        };
-        for item in tickets.iter().flat_map(|t| t.items()) {
-            flight.note_write(item.spec);
-        }
-        flight.tickets = tickets;
-        // A write that waited for the fsync to an extent one of the group's
-        // own eager flights is still writing (two transactions of one
-        // group, on a pool whose flights hold no latch): land the flights
-        // first, for the same no-reorder rule as above.
-        let items = std::mem::take(&mut flight.group.items);
-        if (items.iter()).any(|item| flight.writes_into(item.spec)) {
-            for ticket in std::mem::take(&mut flight.tickets) {
-                let eager = ticket.items().to_vec();
-                flight.note(ticket.wait().or_else(|e| ctx.flush_retry(&eager, e)));
-            }
-        }
-        if !items.is_empty() {
-            items.iter().for_each(|item| flight.note_write(item.spec));
-            match ctx.blob_pool.flush_extents_async(&items) {
-                Ok(ticket) => flight.tickets.push(ticket),
-                Err(e) => flight.note(ctx.flush_retry(&items, e)),
-            }
-        }
-        if flight.tickets.is_empty() {
-            // Metadata-only group (durable at fsync, retired only now that
-            // no conflicting flight remains), or everything settled above.
-            let result = flight.failed.take().map_or(Ok(()), Err);
-            ctx.retire(flight.group, result);
-            continue;
-        }
-        for ticket in &flight.tickets {
-            let inbox = inbox.clone();
-            // `false`: already executed — the reap at the top of the loop
-            // sees it.
-            ticket.notify_when_executed(Box::new(move || inbox.signal_landed()));
-        }
-        ctx.metrics
-            .commit_flush_batches
-            .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        inflight.push(flight);
-        ctx.metrics
-            .commit_inflight_peak
-            .fetch_max(inflight.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
     }
     // Closed: land every remaining flight.
-    loop {
-        let due = reap(&mut inflight, &ctx);
-        if inflight.is_empty() {
-            break;
-        }
-        inbox.wait(false, due);
-    }
+    ctx.land_all(&inbox, &mut inflight);
 }
 
 #[cfg(test)]
@@ -1125,19 +1088,9 @@ mod tests {
     use super::*;
 
     pub(super) fn group(epoch: u64) -> DurableGroup {
-        DurableGroup::collect(
-            vec![(
-                epoch,
-                CommitBatch {
-                    records: Arc::default(),
-                    toflush: Vec::new(),
-                    flights: Vec::new(),
-                    freed: Vec::new(),
-                    refenced: Vec::new(),
-                },
-            )],
-            4096,
-        )
+        let mut g = DurableGroup::default();
+        g.absorb(epoch, WriteSet::default(), 4096);
+        g
     }
 
     #[test]
@@ -1253,8 +1206,8 @@ mod tests {
 
 #[cfg(test)]
 mod model {
-    //! Protocol models over the real [`Progress`], [`FlushInbox`] and
-    //! [`PinBudget`]; the threads around them are the two stages and their
+    //! Protocol models over the real [`Progress`], [`DataMark`] and
+    //! [`FlushInbox`]; the threads around them are the two stages and their
     //! clients in miniature. Each `broken_*` test swaps in one deliberately
     //! wrong participant and requires the checker to find the violation —
     //! under loom only, where detection is deterministic.
@@ -1510,43 +1463,6 @@ mod model {
     #[test]
     fn frontier_advances_over_a_contiguous_prefix_only() {
         model(run_frontier);
-    }
-
-    // ---- pins: never past the limit with more than one batch admitted ---
-
-    const LIMIT: u64 = 2;
-
-    /// One batch at the limit, one past it (admitted when idle, or the
-    /// checker reports the deadlock), one small.
-    fn run_pins(acquire: fn(&PinBudget, u64)) {
-        let batch = |n: u64| -> Actor<PinBudget> {
-            Box::new(move |budget| {
-                acquire(budget, n);
-                let used = *budget.used.lock();
-                assert!(used >= n, "pin budget lost {n} bytes it admitted");
-                let beside = used - n;
-                assert!(
-                    used <= LIMIT || beside == 0,
-                    "{n} admitted beside {beside} past the limit"
-                );
-                budget.release(n);
-            })
-        };
-        let budget = race(PinBudget::new(LIMIT), vec![batch(2), batch(3), batch(1)]);
-        assert_eq!(*budget.used.lock(), 0, "budget not fully returned");
-    }
-
-    #[test]
-    fn pin_budget_conserved() {
-        model(|| run_pins(PinBudget::acquire));
-    }
-
-    #[test]
-    fn broken_admission_past_the_limit_is_caught() {
-        // Admits whatever is already pinned.
-        let blind: fn(&PinBudget, u64) = |budget, n| *budget.used.lock() += n;
-        let broken = move || model(move || run_pins(blind));
-        assert!(model_catches(broken, "past the limit"));
     }
 
     // ---- landed: a completion signal always ends the stage's sleep ------

@@ -70,3 +70,6 @@ pub use txn::Txn;
 // Re-exports that appear in the public API surface.
 pub use lobster_buffer::AliasConfig;
 pub use lobster_extent::TierPolicy;
+
+#[cfg(test)]
+mod sim;

@@ -1,0 +1,509 @@
+//! A seeded, single-threaded simulation of the commit path, with power cuts
+//! between its steps.
+//!
+//! One store on write-back data and log devices ([`CrashDevice::write_back`]:
+//! a write reaches the medium only at the next sync). The driver runs a few
+//! transactions — puts, in-place and cloning updates, appends, deletes —
+//! through the four commit steps the stage threads run, called here one at
+//! a time on the test thread, in an order the seed picks:
+//!
+//! * **stage**: the verbs, then [`Txn::stage`], which seals the write set
+//!   (`StageCtx::admit` hands out its epoch);
+//! * **log**: a prefix of the sealed sets becomes a group
+//!   (`StageCtx::group`) and runs `StageCtx::log`;
+//! * **flush**: the oldest logged group runs `StageCtx::flush`;
+//! * **retire**: `StageCtx::land_all` retires every flushed group.
+//!
+//! Only the device's I/O workers run beside the driver. At a seeded step
+//! boundary both devices lose power; the medium is reopened, and:
+//!
+//! * under `commit_wait`, every key a retired (acknowledged) transaction
+//!   wrote reads back with that version's SHA-256, or with a version logged
+//!   after it;
+//! * every key resolves to a logged version, or to none, and its content
+//!   matches the SHA-256 of its Blob State;
+//! * a second open finds the same state;
+//! * the allocator equals the audit walk, and the latch ledger is clean.
+//!
+//! Every seed runs once with `commit_wait` true and once false. A failing
+//! seed names itself in the panic; add it to [`FIXED`].
+
+use crate::group_commit::{DurableGroup, FlushInbox, InflightFlush, StageCtx};
+use crate::txn::{Txn, WriteSet};
+use crate::{Config, Database, Relation, RelationKind};
+use lobster_sha256::Sha256;
+use lobster_storage::{CrashDevice, Device, MemDevice};
+use lobster_sync::Arc;
+use lobster_wal::LogRecord;
+use std::collections::{HashMap, VecDeque};
+
+/// Seeds that once failed, replayed on every run on top of the sweep.
+const FIXED: &[u64] = &[];
+/// Seeds of the tier-1 sweep; the nightly torture job multiplies them.
+const SEEDS: u64 = 8;
+const KEYS: u64 = 5;
+const DATA_CAP: usize = 32 << 20;
+const WAL_CAP: usize = 8 << 20;
+
+fn cfg(commit_wait: bool) -> Config {
+    Config {
+        pool_frames: 2048,
+        io_threads: 2,
+        commit_wait,
+        ..Config::default()
+    }
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        Rng(seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n.max(1)
+    }
+
+    fn bytes(&mut self, len: usize) -> Vec<u8> {
+        (0..len).map(|_| self.below(256) as u8).collect()
+    }
+
+    /// `base` to `base + spread` seeded bytes.
+    fn blob(&mut self, base: usize, spread: u64) -> Vec<u8> {
+        let len = base + self.below(spread) as usize;
+        self.bytes(len)
+    }
+}
+
+fn sha(bytes: &[u8]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(bytes);
+    h.finalize()
+}
+
+/// One version of a key: what a transaction left it at (`None`: deleted).
+struct Version {
+    content: Option<Vec<u8>>,
+    logged: bool,
+    acked: bool,
+}
+
+/// Per key, every version staged, in stage (and so log) order.
+type History = HashMap<Vec<u8>, Vec<Version>>;
+/// A key and the index of one of its versions.
+type At = (Vec<u8>, usize);
+
+/// The store before the cut, and what the driver knows about it.
+struct Sim {
+    data: Arc<CrashDevice<MemDevice>>,
+    wal: Arc<CrashDevice<MemDevice>>,
+    db: Arc<Database>,
+    rel: Arc<Relation>,
+    ctx: StageCtx,
+    inbox: Arc<FlushInbox>,
+    inflight: Vec<InflightFlush>,
+    /// Sealed write sets with their epochs, and the versions they stage.
+    sealed: Vec<((u64, WriteSet), At)>,
+    /// Logged groups in log order, and the versions they carry.
+    logged: VecDeque<(DurableGroup, Vec<At>)>,
+    /// Versions of flushed groups not yet seen retired.
+    flushed: Vec<At>,
+    seq: u64,
+    history: History,
+}
+
+impl Sim {
+    fn new(commit_wait: bool) -> Sim {
+        let data = Arc::new(CrashDevice::write_back(MemDevice::new(DATA_CAP)));
+        let wal = Arc::new(CrashDevice::write_back(MemDevice::new(WAL_CAP)));
+        let db = Database::create(data.clone(), wal.clone(), cfg(commit_wait)).unwrap();
+        let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+        // The database's own committer stays idle: every commit below
+        // runs through this context's steps instead. Its budget admits
+        // everything, as no thread would free it for a blocked driver.
+        let ctx = StageCtx::new(
+            db.blob_pool.clone(),
+            db.device.clone(),
+            db.alloc.clone(),
+            db.metrics.clone(),
+            db.geo.page_size() as u64,
+            u64::MAX,
+            commit_wait,
+        );
+        Sim {
+            data,
+            wal,
+            db,
+            rel,
+            ctx,
+            inbox: Arc::new(FlushInbox::new()),
+            inflight: Vec::new(),
+            sealed: Vec::new(),
+            logged: VecDeque::new(),
+            flushed: Vec::new(),
+            seq: 0,
+            history: HashMap::new(),
+        }
+    }
+
+    fn current(&self, key: &[u8]) -> Option<&Vec<u8>> {
+        let last = self.history.get(key)?.last()?;
+        last.content.as_ref()
+    }
+
+    /// A key no other transaction holds. Under `commit_wait` a committer
+    /// keeps its locks until its group retires. Either way, a write in
+    /// flight holds its extents latched until the flush stage reaps it,
+    /// which here is this thread: a verb would wait on it for good.
+    fn free_key(&self, rng: &mut Rng) -> Option<Vec<u8>> {
+        let start = rng.below(KEYS);
+        let keys = (0..KEYS).map(|i| format!("k{}", (start + i) % KEYS).into_bytes());
+        let held = |key: &Vec<u8>| {
+            let versions = self.history.get(key).into_iter().flatten();
+            let unacked = self.db.cfg.commit_wait && versions.into_iter().any(|v| !v.acked);
+            unacked || self.flushed.iter().any(|(k, _)| k == key)
+        };
+        keys.into_iter().find(|key| !held(key))
+    }
+
+    /// **stage**: `ops` as one transaction, which returns what it leaves
+    /// at `key`; its write set sealed and admitted.
+    fn stage(&mut self, key: Vec<u8>, ops: impl FnOnce(&mut Txn, &Relation) -> Option<Vec<u8>>) {
+        let mut t = self.db.begin();
+        let content = ops(&mut t, &self.rel);
+        let ws = t.stage(LogRecord::TxnCommit { txn: t.id() });
+        let epoch = self.ctx.admit(&ws);
+        t.finish();
+        let versions = self.history.entry(key.clone()).or_default();
+        versions.push(Version {
+            content,
+            logged: false,
+            acked: false,
+        });
+        self.sealed.push(((epoch, ws), (key, versions.len() - 1)));
+    }
+
+    /// The next group: the oldest `n` sealed sets, as the WAL stage takes
+    /// what is queued.
+    fn group(&mut self, n: usize) -> (DurableGroup, Vec<At>) {
+        let (sets, versions) = self.sealed.drain(..n).unzip();
+        let group = self.ctx.group(self.seq, sets);
+        self.seq += 1;
+        (group, versions)
+    }
+
+    /// **log**: the next group's records become durable.
+    fn log(&mut self, n: usize) {
+        let (mut group, versions) = self.group(n);
+        self.ctx.log(&self.db.wal, &mut group).unwrap();
+        for (key, i) in &versions {
+            self.history.get_mut(key).unwrap()[*i].logged = true;
+        }
+        self.logged.push_back((group, versions));
+    }
+
+    /// **flush**: the oldest logged group's writes go in flight.
+    fn flush(&mut self) {
+        let (group, versions) = self.logged.pop_front().unwrap();
+        self.ctx.flush(&self.inbox, &mut self.inflight, group);
+        self.flushed.extend(versions);
+    }
+
+    /// **retire**: every flushed group lands and retires.
+    fn retire(&mut self) {
+        self.ctx.land_all(&self.inbox, &mut self.inflight);
+        for (key, i) in self.flushed.drain(..) {
+            self.history.get_mut(&key).unwrap()[i].acked = true;
+        }
+    }
+
+    /// Every sealed set through log, flush and retire.
+    fn commit_in_order(&mut self) {
+        self.log(self.sealed.len());
+        self.flush();
+        self.retire();
+    }
+
+    /// The seeded schedule of `txns` transactions, up to step `cut_at` or
+    /// to its end.
+    fn run(&mut self, rng: &mut Rng, txns: u64, cut_at: u64) {
+        let mut staged = 0;
+        for _ in 0..cut_at {
+            let enabled = [
+                staged < txns,
+                !self.sealed.is_empty(),
+                !self.logged.is_empty(),
+                !self.flushed.is_empty(),
+            ];
+            let steps: Vec<usize> = (0..4).filter(|&i| enabled[i]).collect();
+            let Some(&step) = steps.get(rng.below(steps.len() as u64) as usize) else {
+                return;
+            };
+            match step {
+                0 => match self.free_key(rng) {
+                    Some(key) => {
+                        let cur = self.current(&key).cloned();
+                        self.stage(key.clone(), |t, rel| verbs(t, rel, &key, cur, rng));
+                        staged += 1;
+                    }
+                    // Every key is held by an unretired commit.
+                    None => self.retire(),
+                },
+                1 => self.log(1 + rng.below(self.sealed.len() as u64) as usize),
+                2 => self.flush(),
+                _ => self.retire(),
+            }
+        }
+    }
+
+    /// The power cut: both devices lose what no sync covered. Returns a
+    /// copy of what reached each medium, and the oracle.
+    fn cut(self) -> (Media, History) {
+        self.wal.crash_now();
+        self.data.crash_now();
+        let Sim {
+            data, wal, history, ..
+        } = self;
+        ((medium(data.inner()), medium(wal.inner())), history)
+    }
+}
+
+/// A seeded verb on `key`, whose content is `cur`; returns what it leaves
+/// there.
+fn verbs(
+    t: &mut Txn,
+    rel: &Relation,
+    key: &[u8],
+    cur: Option<Vec<u8>>,
+    rng: &mut Rng,
+) -> Option<Vec<u8>> {
+    let Some(mut v) = cur else {
+        let v = rng.blob(4096, 160 << 10);
+        t.put_blob(rel, key, &v).unwrap();
+        return Some(v);
+    };
+    match rng.below(6) {
+        0 => {
+            t.delete_blob(rel, key).unwrap();
+            return None;
+        }
+        // In place: a delta small enough to log.
+        1 | 2 => {
+            let len = 1 + rng.below(64) as usize;
+            let at = rng.below((v.len() - len) as u64 + 1) as usize;
+            let patch = rng.bytes(len);
+            t.update_blob(rel, key, at as u64, &patch).unwrap();
+            v[at..at + len].copy_from_slice(&patch);
+        }
+        // Most of an extent: cloned.
+        3 => {
+            let patch = rng.bytes(v.len() / 2 + 1);
+            t.update_blob(rel, key, 0, &patch).unwrap();
+            v[..patch.len()].copy_from_slice(&patch);
+        }
+        4 if v.len() < 512 << 10 => {
+            let more = rng.blob(1, 64 << 10);
+            t.append_blob(rel, key, &more).unwrap();
+            v.extend_from_slice(&more);
+        }
+        _ => {
+            v = rng.blob(4096, 160 << 10);
+            t.delete_blob(rel, key).unwrap();
+            t.put_blob(rel, key, &v).unwrap();
+        }
+    }
+    Some(v)
+}
+
+/// What reached the data and the log device.
+type Media = (Arc<MemDevice>, Arc<MemDevice>);
+
+/// A copy of what reached `dev`.
+fn medium(dev: &MemDevice) -> Arc<MemDevice> {
+    let copy = MemDevice::new(dev.capacity() as usize);
+    let mut buf = vec![0u8; 1 << 20];
+    for off in (0..dev.capacity()).step_by(buf.len()) {
+        let n = buf.len().min((dev.capacity() - off) as usize);
+        dev.read_at(&mut buf[..n], off).unwrap();
+        copy.write_at(&buf[..n], off).unwrap();
+    }
+    Arc::new(copy)
+}
+
+/// Every key of the relation: its content and its Blob State's SHA-256.
+type Contents = HashMap<Vec<u8>, (Vec<u8>, [u8; 32])>;
+
+fn contents(db: &Arc<Database>) -> Result<Contents, String> {
+    let rel = db.relation("b").ok_or("the relation's creation was lost")?;
+    let mut t = db.begin();
+    let mut states = Vec::new();
+    t.scan_states(&rel, b"", |key, state| {
+        states.push((key.to_vec(), state.sha256));
+        true
+    })
+    .map_err(|e| e.to_string())?;
+    let mut out = HashMap::new();
+    for (key, sha256) in states {
+        let got = t.get_blob(&rel, &key, |b| b.to_vec());
+        let got = got.map_err(|e| format!("{}: read failed: {e}", name(&key)))?;
+        out.insert(key, (got, sha256));
+    }
+    t.commit().map_err(|e| e.to_string())?;
+    Ok(out)
+}
+
+fn name(key: &[u8]) -> String {
+    String::from_utf8_lossy(key).into_owned()
+}
+
+/// The four properties over the reopened medium.
+fn check(commit_wait: bool, media: Media, history: &History) -> Result<(), String> {
+    let open = || {
+        let (data, wal) = (media.0.clone(), media.1.clone());
+        let (db, _) = Database::open(data, wal, cfg(commit_wait)).map_err(|e| e.to_string())?;
+        let audit = db.audit_allocator().map_err(|e| e.to_string())?;
+        if !audit.is_exact() {
+            return Err(format!("the allocator is not the audit walk: {audit:?}"));
+        }
+        Ok::<_, String>(db)
+    };
+    let db = open()?;
+    let got = contents(&db)?;
+    // Acknowledged means durable: the last retired version, or a later
+    // logged one, reads back with its SHA-256.
+    for (key, versions) in history.iter().filter(|_| commit_wait) {
+        let Some(acked) = versions.iter().rposition(|v| v.acked) else {
+            continue;
+        };
+        let read = got.get(key).map(|(content, _)| sha(content));
+        let after = versions[acked..].iter().filter(|v| v.logged);
+        if !after
+            .map(|v| v.content.as_deref().map(sha))
+            .any(|v| v == read)
+        {
+            return Err(format!(
+                "{}: the acknowledged version does not read back with its SHA-256",
+                name(key)
+            ));
+        }
+    }
+    // Every key resolves to a logged version, whose SHA-256 its Blob
+    // State holds.
+    for (key, (content, sha256)) in &got {
+        if sha(content) != *sha256 {
+            let key = name(key);
+            return Err(format!(
+                "{key}: content does not match its Blob State's SHA-256"
+            ));
+        }
+        let logged = history.get(key).into_iter().flatten().filter(|v| v.logged);
+        if !logged
+            .filter_map(|v| v.content.as_ref())
+            .any(|v| v == content)
+        {
+            return Err(format!(
+                "{}: holds content no logged version has",
+                name(key)
+            ));
+        }
+    }
+    for pool in [db.blob_pool.audit(), db.node_pool.audit()] {
+        if pool.held_latches() != 0 || !pool.leaked_pins().is_empty() {
+            return Err("the latch ledger is not clean".into());
+        }
+    }
+    drop(db);
+    // The first open ended in a checkpoint: a second finds the same.
+    let again = contents(&open()?)?;
+    if again != got {
+        return Err("a second open changed the store".into());
+    }
+    Ok(())
+}
+
+/// One seeded schedule, cut at a seeded step.
+fn run(seed: u64, commit_wait: bool) -> Result<(), String> {
+    let mut rng = Rng::new(seed);
+    let mut sim = Sim::new(commit_wait);
+    let txns = 4 + rng.below(6);
+    let cut_at = rng.below(5 * txns);
+    sim.run(&mut rng, txns, cut_at);
+    let (media, history) = sim.cut();
+    check(commit_wait, media, &history)
+}
+
+/// Sweep-width multiplier for the nightly torture CI job
+/// (`LOBSTER_TORTURE_MULT=10`); unset or invalid means 1.
+fn torture_mult() -> u64 {
+    std::env::var("LOBSTER_TORTURE_MULT")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&m| m >= 1)
+        .unwrap_or(1)
+}
+
+fn sweep(commit_wait: bool) {
+    let seeds = (1..=SEEDS * torture_mult()).chain(FIXED.iter().copied());
+    for seed in seeds {
+        if let Err(e) = run(seed, commit_wait) {
+            panic!("sim seed {seed} (commit_wait {commit_wait}): {e}; add it to FIXED");
+        }
+    }
+}
+
+#[test]
+fn seeded_cuts_between_commit_steps_waiting() {
+    sweep(true);
+}
+
+#[test]
+fn seeded_cuts_between_commit_steps_asynchronous() {
+    sweep(false);
+}
+
+/// A put that retires, then a 16-byte delta into its first extent — an
+/// in-place write — run in order, or by the broken driver: the delta's
+/// group is submitted, landed and synced — the flush and retire steps —
+/// before its log step, and power fails before that step runs.
+fn flush_before_log(broken: bool) -> Result<(), String> {
+    let mut sim = Sim::new(true);
+    let v0 = vec![5u8; 64 << 10];
+    let mut v1 = v0.clone();
+    v1[..16].fill(9);
+    let key = b"k0".to_vec();
+    sim.stage(key.clone(), |t, rel| {
+        t.put_blob(rel, b"k0", &v0).unwrap();
+        Some(v0.clone())
+    });
+    sim.commit_in_order();
+    sim.stage(key, |t, rel| {
+        t.update_blob(rel, b"k0", 0, &v1[..16]).unwrap();
+        Some(v1.clone())
+    });
+    if broken {
+        let (group, _) = sim.group(1);
+        sim.ctx.flush(&sim.inbox, &mut sim.inflight, group);
+        sim.ctx.land_all(&sim.inbox, &mut sim.inflight);
+    } else {
+        sim.commit_in_order();
+    }
+    let (media, history) = sim.cut();
+    check(true, media, &history)
+}
+
+/// In order, the schedule passes. Broken, the delta overwrote the
+/// acknowledged put in place with no durable record of it, so the put no
+/// longer reads back with its SHA-256.
+#[test]
+fn broken_flush_before_log_is_caught() {
+    flush_before_log(false).expect("the steps in order");
+    let err = flush_before_log(true).expect_err("the broken driver was not caught");
+    assert!(
+        err.contains("acknowledged version"),
+        "caught for another reason: {err}"
+    );
+}

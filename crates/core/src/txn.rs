@@ -1,27 +1,35 @@
 //! Transactions and the BLOB operation set (§III-C/D).
 //!
-//! The write path implements the paper's single-flush commit protocol:
+//! The write path implements the paper's single-flush commit protocol. A
+//! transaction stages everything in one [`WriteSet`] — log records, in-place
+//! and fresh extent writes, early-write tickets, allocations, frees and
+//! relocation fences — and a commit is four named steps over it:
 //!
-//! 1. During the transaction, BLOB content is written into buffer frames
-//!    (dirty + `prevent_evict`); log records are staged locally. Under a
-//!    waiting commit ([`crate::Config::commit_wait`]) a put **copies** its
-//!    content into its freshly allocated extents, **submits** them all as
-//!    one device write, and only then **hashes** the caller's bytes, so
-//!    the write overlaps the hash: no durable Blob State can reference a
-//!    fresh extent, so nothing a crash could resolve to is overwritten.
-//!    An asynchronous commit starts no write early; its put copies and
-//!    hashes in one pass and leaves the write to the pipeline.
-//! 2. At commit, the staged records — Blob States, not content — are
-//!    appended to the WAL and fsynced (group commit). A waiting commit
-//!    whose content all went out early has it landed and the data device
-//!    synced first, so the fsync makes it durable outright. **Only after**
-//!    the Blob State is durable is anything written *in place* — a delta
-//!    update, an append into a partly filled extent, a relocation — with
-//!    one batched asynchronous write per extent covering only its dirty
-//!    pages; a waiting commit's group then syncs the data device before it
-//!    is acknowledged (`group_commit`, "Acknowledged means durable").
-//! 3. The flush clears `prevent_evict` and leaves the extents *clean*, so
+//! 1. **stage** — the verbs write BLOB content into buffer frames (dirty +
+//!    `prevent_evict`) and fill the write set. Under a waiting commit
+//!    ([`crate::Config::commit_wait`]) a put **copies** its content into its
+//!    freshly allocated extents, **submits** them all as one device write
+//!    ([`Txn::write_early`]), and only then **hashes** the caller's bytes,
+//!    so the write overlaps the hash: no durable Blob State can reference a
+//!    fresh extent, so nothing a crash could resolve to is overwritten. An
+//!    asynchronous commit starts no write early; its put copies and hashes
+//!    in one pass and leaves the write to the pipeline. [`Txn::stage`]
+//!    seals the set with its commit record, for both a local and a
+//!    cross-shard commit.
+//! 2. **log** (`StageCtx::log`) — the group's records, Blob States and not
+//!    content, are appended to the WAL and fsynced once (group commit). A
+//!    waiting commit whose content all went out early has it landed and
+//!    the data device synced first, so the fsync makes it durable outright.
+//! 3. **flush** (`StageCtx::flush`) — **only after** the Blob State is
+//!    durable is anything written *in place* — a delta update, an append
+//!    into a partly filled extent, a relocation — with one batched
+//!    asynchronous write per extent covering only its dirty pages. The
+//!    flush clears `prevent_evict` and leaves the extents *clean*, so
 //!    eviction never writes BLOB content a second time.
+//! 4. **retire** (`StageCtx::retire`) — once every write landed (and a
+//!    waiting commit's group synced the data device: `group_commit`,
+//!    "Acknowledged means durable"), freed extents recycle and the commit
+//!    is acknowledged.
 //!
 //! Deletes publish extents to the per-tier free lists at commit; growth
 //! resumes the SHA-256 from the stored midstate; in-place updates choose
@@ -40,14 +48,14 @@
 //! There is no separate undo log: the staged [`LogRecord`]s carry the
 //! before-images, and a rollback walks them backwards through
 //! `recovery::undo_record`, the function restart recovery applies to the
-//! records of a transaction that did not commit.
+//! records of a transaction that did not commit, then discards the rest of
+//! the write set ([`WriteSet::undo`]).
 
 use crate::blob_state::{BlobState, PREFIX_LEN};
 use crate::catalog::{Relation, RelationKind};
 use crate::content::{self, Residency};
 use crate::db::Database;
 use crate::defrag::{FenceGuard, SourceGuard};
-use crate::group_commit::CommitBatch;
 use crate::lock::LockMode;
 use lobster_buffer::{FlushItem, FlushTicket, PinGate};
 use lobster_extent::{pieces, plan_growth, plan_sequence, ExtentSpec, SequencePlan};
@@ -78,37 +86,90 @@ enum Source<'a> {
     Placement(&'a BlobState),
 }
 
+/// What a transaction stages for its commit, declared once. The verbs fill
+/// it, [`Txn::stage`] seals it, `GroupCommitter::submit` takes it whole, a
+/// durable group holds it until its retire (`StageCtx::retire`), and a
+/// rollback undoes it ([`WriteSet::undo`]).
+#[derive(Default)]
+pub(crate) struct WriteSet {
+    /// Log records. They are also the undo log, walked backwards by a
+    /// rollback (`recovery::undo_record`); the pipeline shares them with
+    /// the transaction, which rolls back a commit that fails after its
+    /// submission like any other.
+    pub records: Arc<Vec<LogRecord>>,
+    /// Extent ranges to write after the WAL fsync.
+    pub toflush: Vec<FlushItem>,
+    /// Fresh extents, filled and not yet submitted: a waiting commit's
+    /// verb puts them in `flights` before it returns
+    /// ([`Txn::write_early`]); an asynchronous one leaves them to the
+    /// pipeline.
+    pub fresh: Vec<FlushItem>,
+    /// Writes of fresh extents already on the device's queue. Each holds a
+    /// shared latch on its extents until reaped — by the commit pipeline,
+    /// or by [`Txn::land_flights`] before this transaction latches one of
+    /// them exclusively or drops it.
+    pub flights: Vec<FlushTicket>,
+    /// Every extent allocated, returned to the allocator by a rollback.
+    pub allocated: Vec<ExtentSpec>,
+    /// Extents recycled at the retire of the commit's group.
+    pub freed: Vec<ExtentSpec>,
+    /// Old placements of relocated blobs: quarantine-fenced at swap
+    /// staging, so nothing recycles them while readers of the pre-swap
+    /// Blob State may still walk them, and released and freed only at the
+    /// retire. Distinct from `freed`, whose extents carry no fence and may
+    /// be recycled by any later allocation.
+    pub refenced: Vec<ExtentSpec>,
+}
+
+impl WriteSet {
+    /// Bytes of buffer-pool frames the set keeps pinned until its group
+    /// retires: what is still to be submitted and what is on its way.
+    pub(crate) fn pinned_bytes(&self, page_size: u64) -> u64 {
+        let flying = self.flights.iter().flat_map(|t| t.items());
+        let items = self.toflush.iter().chain(flying);
+        items.map(|i| i.dirty_pages).sum::<u64>() * page_size
+    }
+
+    /// The transaction its commit record names, once sealed.
+    pub(crate) fn committed_txn(&self) -> Option<u64> {
+        self.records.iter().rev().find_map(|rec| match rec {
+            LogRecord::TxnCommit { txn } | LogRecord::TxnCrossCommit { txn, .. } => Some(*txn),
+            _ => None,
+        })
+    }
+
+    /// Roll the set back. Early writes land first: their tickets latch
+    /// frames the undo may write and the discard drops. The records are
+    /// undone in reverse through the function restart recovery applies to
+    /// a transaction that did not commit. Allocations go back to the
+    /// allocator: what reached the device early is unreferenced garbage.
+    /// Relocation fences are lifted *without* a free: after the undo the
+    /// old placement is the live one again. Frees were only staged.
+    fn undo(&mut self, db: &Database) {
+        for ticket in self.flights.drain(..) {
+            let _ = ticket.wait();
+        }
+        for rec in self.records.iter().rev() {
+            let result = crate::recovery::undo_record(db, rec);
+            debug_assert!(result.is_ok(), "undo must not fail");
+        }
+        db.blob_pool.drop_extents(&self.allocated);
+        for spec in self.allocated.drain(..) {
+            db.alloc.free_extent(spec);
+        }
+        for spec in self.refenced.drain(..) {
+            db.alloc.release_quarantine(spec);
+        }
+    }
+}
+
 /// An active transaction. Dropped without [`Txn::commit`] ⇒ rollback.
 pub struct Txn {
     db: Arc<Database>,
     id: u64,
     worker: usize,
-    /// Staged log records. They are also the undo log: a rollback walks
-    /// them backwards (`recovery::undo_record`).
-    records: Vec<LogRecord>,
-    /// The records once handed to the commit pipeline, which appends them
-    /// while this transaction may still have to walk them: a commit that
-    /// fails after submission rolls back like any other.
-    submitted: Option<Arc<Vec<LogRecord>>>,
-    /// Extent ranges to write after the WAL fsync.
-    toflush: Vec<FlushItem>,
-    /// Fresh extents, filled and not yet submitted: a waiting commit's
-    /// verb puts them in `flights` before it returns
-    /// ([`Txn::write_early`]); an asynchronous one leaves them to the
-    /// pipeline.
-    fresh: Vec<FlushItem>,
-    /// Writes of fresh extents already on the device's queue. Each holds a
-    /// shared latch on its extents until reaped — by the commit pipeline,
-    /// or by [`Txn::land_flights`] before this transaction latches one of
-    /// them exclusively or drops it.
-    flights: Vec<FlushTicket>,
-    allocated: Vec<ExtentSpec>,
-    freed: Vec<ExtentSpec>,
-    /// Old placements of relocated blobs: quarantine-fenced at swap
-    /// staging, released and freed only at the durability frontier
-    /// (`StageCtx::retire`). Distinct from `freed`, whose extents carry
-    /// no fence and may be recycled by any later allocation.
-    refenced: Vec<ExtentSpec>,
+    /// Everything staged for the commit.
+    ws: WriteSet,
     /// Lock-table shards holding this transaction's locks (one bit each),
     /// so the release visits those and not the whole table.
     lock_shards: u64,
@@ -125,14 +186,7 @@ impl Txn {
             db,
             id,
             worker,
-            records: Vec::new(),
-            submitted: None,
-            toflush: Vec::new(),
-            fresh: Vec::new(),
-            flights: Vec::new(),
-            allocated: Vec::new(),
-            freed: Vec::new(),
-            refenced: Vec::new(),
+            ws: WriteSet::default(),
             lock_shards: 0,
             writing: None,
             state: TxnState::Active,
@@ -204,17 +258,18 @@ impl Txn {
     /// either way, so an early write would buy its caller nothing and cost
     /// it the processor time of the submission.
     fn write_early(&mut self) -> Result<()> {
-        if !self.db.cfg.commit_wait || self.fresh.is_empty() {
+        let fresh = &mut self.ws.fresh;
+        if !self.db.cfg.commit_wait || fresh.is_empty() {
             return Ok(());
         }
-        let ticket = self.db.blob_pool.flush_extents_async(&self.fresh)?;
-        let pages: u64 = self.fresh.iter().map(|i| i.dirty_pages).sum();
+        let ticket = self.db.blob_pool.flush_extents_async(fresh)?;
+        let pages: u64 = fresh.iter().map(|i| i.dirty_pages).sum();
+        fresh.clear();
         let m = &self.db.metrics;
         // ordering: relaxed metrics counters; snapshot readers tolerate staleness
         m.eager_flush_batches.fetch_add(1, Ordering::Relaxed);
         m.eager_flush_pages.fetch_add(pages, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.flights.push(ticket);
-        self.fresh.clear();
+        self.ws.flights.push(ticket);
         Ok(())
     }
 
@@ -225,10 +280,15 @@ impl Txn {
     /// ticket only this thread can reap.
     fn land_flights(&mut self) -> Result<()> {
         let mut result = Ok(());
-        for ticket in self.flights.drain(..) {
+        for ticket in self.ws.flights.drain(..) {
             result = result.and(ticket.wait());
         }
         result
+    }
+
+    /// Stage `record` in the write set.
+    fn log(&mut self, record: LogRecord) {
+        Arc::make_mut(&mut self.ws.records).push(record);
     }
 
     // ------------------------------------------------------ kv rows -----
@@ -253,7 +313,7 @@ impl Txn {
                 value: value.to_vec(),
             },
         };
-        self.records.push(record);
+        self.log(record);
         Ok(())
     }
 
@@ -272,7 +332,7 @@ impl Txn {
         let Some(old_value) = rel.tree.remove(key)? else {
             return Ok(false);
         };
-        self.records.push(LogRecord::Delete {
+        self.log(LogRecord::Delete {
             txn: self.id,
             relation: rel.id,
             key: key.to_vec(),
@@ -357,7 +417,7 @@ impl Txn {
     ) -> Result<()> {
         let encoded = new.encode();
         rel.tree.insert(key, &encoded, old.is_some())?;
-        self.records.push(match old {
+        self.log(match old {
             None => LogRecord::Insert {
                 txn: self.id,
                 relation: rel.id,
@@ -399,17 +459,17 @@ impl Txn {
                 Some(pages) if i == plan.sizes.len() => self.db.alloc.allocate_tail(pages)?,
                 _ => self.db.alloc.allocate_tier(plan.first_position + i)?,
             };
-            self.allocated.push(spec);
+            self.ws.allocated.push(spec);
             let len = (total - off).min(self.db.geo.bytes_for(spec.pages) as usize);
             match source {
                 Source::Bytes(data) => {
                     let item = self.fill_fresh(spec, &data[off..off + len], digest)?;
-                    self.fresh.push(item);
+                    self.ws.fresh.push(item);
                 }
                 Source::Placement(state) => {
                     let buf = self.read_slice(state, off as u64, len, Residency::Uncached)?;
                     let item = self.fill_fresh(spec, &buf, digest)?;
-                    self.toflush.push(item);
+                    self.ws.toflush.push(item);
                 }
             }
             off += len;
@@ -670,8 +730,8 @@ impl Txn {
         self.lock(rel, key, LockMode::Exclusive)?;
         let old = rel.tree.remove(key)?.ok_or(Error::KeyNotFound)?;
         let state = BlobState::decode(&old)?;
-        self.freed.extend(state.extent_specs(&self.db.table));
-        self.records.push(LogRecord::Delete {
+        self.ws.freed.extend(state.extent_specs(&self.db.table));
+        self.log(LogRecord::Delete {
             txn: self.id,
             relation: rel.id,
             key: key.to_vec(),
@@ -743,7 +803,7 @@ impl Txn {
         if let Some((tpid, tpages)) = state.tail {
             let pos = state.extents.len();
             let clone_spec = self.db.alloc.allocate_tier(pos)?;
-            self.allocated.push(clone_spec);
+            self.ws.allocated.push(clone_spec);
             let covered = geo.bytes_for(table.cumulative_pages(pos));
             let content = self.read_slice(
                 &state,
@@ -752,8 +812,8 @@ impl Txn {
                 Residency::Cached,
             )?;
             let item = self.fill_fresh(clone_spec, &content, &mut |_| ())?;
-            self.toflush.push(item);
-            self.freed.push(ExtentSpec::new(tpid, tpages));
+            self.ws.toflush.push(item);
+            self.ws.freed.push(ExtentSpec::new(tpid, tpages));
             state.extents.push(clone_spec.start);
             state.tail = None;
         }
@@ -781,7 +841,7 @@ impl Txn {
                 &fill_data[..take],
                 valid_pages,
             )?;
-            self.toflush.push(FlushItem {
+            self.ws.toflush.push(FlushItem {
                 spec,
                 dirty_from: first_dirty as u64,
                 dirty_pages: (last_dirty - first_dirty) as u64,
@@ -876,7 +936,7 @@ impl Txn {
         let hasher = content::hash_content(&self.db, &state)?;
         state.sha_midstate = hasher.midstate().state_bytes();
         state.sha256 = hasher.finalize();
-        self.freed.extend(freed);
+        self.ws.freed.extend(freed);
         // The surviving last extent now holds fewer content pages than a
         // resident copy may frame.
         if let Some(last) = self.content_specs(&state).last() {
@@ -929,7 +989,7 @@ impl Txn {
             // Modeled costs: delta writes the new bytes twice (WAL +
             // extent); cloning writes the old extent content once more.
             if 2 * piece.len as u64 <= ext_bytes {
-                self.records.push(LogRecord::BlobDelta {
+                self.log(LogRecord::BlobDelta {
                     txn: self.id,
                     relation: rel.id,
                     key: key.to_vec(),
@@ -940,7 +1000,7 @@ impl Txn {
                 for written in content::apply_bytes(&self.db, &state, lo, slice)? {
                     let first = written.offset / page;
                     let last = (written.offset + written.len).div_ceil(page);
-                    self.toflush.push(FlushItem {
+                    self.ws.toflush.push(FlushItem {
                         spec: written.spec,
                         dirty_from: first as u64,
                         dirty_pages: (last - first) as u64,
@@ -961,14 +1021,14 @@ impl Txn {
                         ExtentSpec::new(piece.spec.start, self.db.table.size_of(i)),
                     ),
                 };
-                self.allocated.push(clone_spec);
+                self.ws.allocated.push(clone_spec);
                 let extent_start = lo - piece.offset as u64;
                 let live = (state.size - extent_start).min(ext_bytes) as usize;
                 let mut content = self.read_slice(&state, extent_start, live, Residency::Cached)?;
                 content[piece.offset..piece.offset + piece.len].copy_from_slice(slice);
                 let item = self.fill_fresh(clone_spec, &content, &mut |_| ())?;
-                self.fresh.push(item);
-                self.freed.push(old_spec);
+                self.ws.fresh.push(item);
+                self.ws.freed.push(old_spec);
                 if is_tail {
                     state.tail = Some((clone_spec.start, clone_spec.pages));
                 } else {
@@ -1092,16 +1152,16 @@ impl Txn {
         // extents, and the fence keeps the allocator from re-issuing them
         // while the swap's durability is still unknown. The guard lifts
         // the fences again if staging fails below.
-        let fence = FenceGuard::new(&self.db.alloc, old_specs);
+        let fence = FenceGuard::new(&db.alloc, old_specs);
         rel.tree.insert(key, &encoded, true)?;
-        self.records.push(LogRecord::BlobRelocate {
+        self.log(LogRecord::BlobRelocate {
             txn: self.id,
             relation: rel.id,
             key: key.to_vec(),
             old_value: old_encoded,
             new_value: encoded,
         });
-        self.refenced.extend(fence.disarm());
+        self.ws.refenced.extend(fence.disarm());
         // ordering: relaxed metrics counters; snapshot readers tolerate staleness
         self.db
             .metrics
@@ -1193,67 +1253,72 @@ impl Txn {
     fn commit_inner(mut self) -> Result<()> {
         self.check_active()?;
         let db = self.db.clone();
-        db.metrics
-            .extent_allocs
-            .fetch_add(self.allocated.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        if !self.records.is_empty() {
-            self.records.push(LogRecord::TxnCommit { txn: self.id });
-        }
         // Both commit modes ride the same two-stage pipeline (sharing its
         // group fsync and in-flight extent flushes); they differ only in
-        // whether this thread blocks on the batch's durability epoch before
+        // whether this thread blocks on the set's durability epoch before
         // acknowledging. The transaction leaves the writer gate once its
-        // batch is submitted: a checkpoint drains the pipeline anyway.
-        let epoch = if self.has_writes() {
-            Some(db.committer.submit(self.take_batch())?)
+        // set has its epoch: a checkpoint drains the pipeline anyway. A
+        // transaction that logged nothing has nothing for the pipeline:
+        // what a failed verb left staged is discarded.
+        if self.has_writes() {
+            let ws = self.stage(LogRecord::TxnCommit { txn: self.id });
+            let epoch = db.committer.submit(ws)?;
+            self.stop_writing();
+            if db.cfg.commit_wait {
+                db.committer.frontier().wait_for(epoch)?;
+            }
         } else {
-            None
-        };
-        self.stop_writing();
-        if let (Some(epoch), true) = (epoch, db.cfg.commit_wait) {
-            db.committer.frontier().wait_for(epoch)?;
+            self.ws.undo(&db);
         }
-        db.locks.release_all(self.id, self.lock_shards);
-        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
-        self.state = TxnState::Committed;
+        self.finish();
         db.maybe_checkpoint()?;
         Ok(())
     }
 
-    /// Move everything this transaction staged for the commit pipeline
-    /// into one batch. Fresh extents still unsubmitted — an asynchronous
-    /// commit's, or a waiting one's whose early submission failed — are
-    /// handed over with the in-place writes: the pipeline owns the retry.
-    fn take_batch(&mut self) -> CommitBatch {
-        self.toflush.append(&mut self.fresh);
-        let records = Arc::new(std::mem::take(&mut self.records));
-        self.submitted = Some(records.clone());
-        CommitBatch {
-            records,
-            toflush: std::mem::take(&mut self.toflush),
-            flights: std::mem::take(&mut self.flights),
-            freed: std::mem::take(&mut self.freed),
-            refenced: std::mem::take(&mut self.refenced),
-        }
+    /// Step 1 of a commit, **stage**, closed: the verbs filled the write
+    /// set and a waiting commit's puts already started their fresh
+    /// extents' write ([`Txn::write_early`]); this seals the set with its
+    /// commit record `end` and hands it out for the pipeline. Fresh
+    /// extents still unsubmitted — an asynchronous commit's, or a waiting
+    /// one's whose early submission failed — go with the in-place writes:
+    /// the pipeline owns the retry. The transaction keeps what a rollback
+    /// of a commit that fails later still walks: the records and the
+    /// allocations.
+    pub(crate) fn stage(&mut self, end: LogRecord) -> WriteSet {
+        self.db
+            .metrics
+            .extent_allocs
+            .fetch_add(self.ws.allocated.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        Arc::make_mut(&mut self.ws.records).push(end);
+        let mut ws = std::mem::take(&mut self.ws);
+        ws.toflush.append(&mut ws.fresh);
+        self.ws.records = ws.records.clone();
+        self.ws.allocated = std::mem::take(&mut ws.allocated);
+        ws
     }
 
-    /// Whether this transaction staged anything that needs the commit
-    /// pipeline (log records, extent flushes, or recycling). Read-only
-    /// participants of a cross-shard transaction commit locally and are
-    /// excluded from the participant mask.
+    /// The end of a commit, once its set has its epoch: the writer gate
+    /// left, locks released, the commit counted.
+    pub(crate) fn finish(&mut self) {
+        self.stop_writing();
+        self.db.locks.release_all(self.id, self.lock_shards);
+        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
+        self.state = TxnState::Committed;
+    }
+
+    /// Whether this transaction logged anything, and so needs the commit
+    /// pipeline: every verb that stages a write, a free or a flush logs the
+    /// record that makes it happen. Read-only participants of a cross-shard
+    /// transaction commit locally and are excluded from the participant
+    /// mask.
     pub(crate) fn has_writes(&self) -> bool {
-        !self.records.is_empty()
-            || !self.toflush.is_empty()
-            || !self.fresh.is_empty()
-            || !self.flights.is_empty()
-            || !self.freed.is_empty()
-            || !self.refenced.is_empty()
+        !self.ws.records.is_empty()
     }
 
     /// Commit this transaction as one shard's slice of a cross-shard
     /// global transaction `gtxn`: a [`LogRecord::TxnCrossCommit`] marker
-    /// (never a local `TxnCommit`) is appended and the batch is handed to
+    /// (never a local `TxnCommit`) seals the write set, which is handed to
     /// this shard's group committer. Returns the shard's durability epoch
     /// *without waiting on it* — the sharded layer collects every
     /// participant's epoch and the global transaction is durable iff every
@@ -1264,26 +1329,15 @@ impl Txn {
     /// marker set, not on runtime lock state.
     pub(crate) fn commit_cross(mut self, gtxn: u64, shard: u32, mask: u64) -> Result<u64> {
         self.check_active()?;
-        let db = self.db.clone();
-        db.metrics
-            .extent_allocs
-            .fetch_add(self.allocated.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-
-        // The marker rides even when only flushes/frees are staged: every
-        // participant named in `mask` must be able to produce it on
-        // recovery, or the global transaction is decided aborted.
-        self.records.push(LogRecord::TxnCrossCommit {
+        let end = LogRecord::TxnCrossCommit {
             txn: self.id,
             gtxn,
             shard,
             mask,
-        });
-        let epoch = db.committer.submit(self.take_batch())?;
-        self.stop_writing();
-        db.locks.release_all(self.id, self.lock_shards);
-        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
-        self.state = TxnState::Committed;
+        };
+        let ws = self.stage(end);
+        let epoch = self.db.committer.submit(ws)?;
+        self.finish();
         Ok(epoch)
     }
 
@@ -1292,47 +1346,19 @@ impl Txn {
         self.rollback();
     }
 
+    /// Undo, discard the write set, release. No abort record is logged: no
+    /// record of this transaction reached the log, or its commit failed
+    /// and the pipeline stopped.
     fn rollback(&mut self) {
         if self.state != TxnState::Active {
             return;
         }
         self.state = TxnState::Aborted;
-        let db = self.db.clone();
-        // Early writes land first: their tickets latch frames the undo may
-        // write and the discard below drops.
-        let _ = self.land_flights();
-        // Reverse logical undo, through the function restart recovery uses
-        // for the records of a transaction that did not commit.
-        let submitted = self.submitted.take();
-        let staged = std::mem::take(&mut self.records);
-        for rec in submitted.as_deref().unwrap_or(&staged).iter().rev() {
-            let result = crate::recovery::undo_record(&db, rec);
-            debug_assert!(result.is_ok(), "undo must not fail");
-        }
-        // Fresh allocations are discarded; what reached the device early is
-        // unreferenced garbage on pages that go back to the allocator.
-        self.fresh.clear();
-        db.blob_pool.drop_extents(&self.allocated);
-        for spec in self.allocated.drain(..) {
-            db.alloc.free_extent(spec);
-        }
-        // Freed extents were only staged; nothing to do.
-        self.freed.clear();
-        // Relocation fences are lifted *without* freeing: after undo the
-        // old placement is the live one again.
-        for spec in self.refenced.drain(..) {
-            db.alloc.release_quarantine(spec);
-        }
-        if submitted.is_none() && !staged.is_empty() {
-            // A durable abort record is unnecessary for correctness (no
-            // earlier record of this txn was flushed), but harmless and
-            // useful for log analytics.
-            let _ = db.wal.append_batch(&[LogRecord::TxnAbort { txn: self.id }]);
-        }
+        self.ws.undo(&self.db);
         self.stop_writing();
-        db.locks.release_all(self.id, self.lock_shards);
+        self.db.locks.release_all(self.id, self.lock_shards);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        db.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);
+        self.db.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -37,11 +37,6 @@ impl SequencePlan {
     pub fn allocated_pages(&self) -> u64 {
         self.sizes.iter().sum::<u64>() + self.tail_pages.unwrap_or(0)
     }
-
-    /// Number of new full (tiered) extents.
-    pub fn extent_count(&self) -> usize {
-        self.sizes.len()
-    }
 }
 
 /// Plan the minimal extent sequence for a fresh BLOB of `pages` pages.

@@ -194,11 +194,6 @@ impl<D: Device> FaultDevice<D> {
         self.log.lock().clone()
     }
 
-    pub fn clear_log(&self) {
-        self.log.lock().clear();
-        self.injected.store(0, Ordering::SeqCst);
-    }
-
     pub fn inner(&self) -> &D {
         &self.inner
     }
