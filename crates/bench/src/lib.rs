@@ -6,6 +6,12 @@
 //! for paper-vs-measured results. Scale factors are chosen so the full
 //! suite runs in minutes on a laptop; set `LOBSTER_BENCH_SCALE` (default
 //! `1.0`) to grow or shrink workloads.
+//!
+//! The suites share three pieces: a bench records each measured row once,
+//! into its [`Report`], which also renders the console table; every store
+//! is built on a [`Rig`] (its devices and model page caches), either
+//! directly or through a [`SystemSpec`] of the competitor line-up; and
+//! per-op timing goes through the one loop [`timed`].
 
 #![forbid(unsafe_code)]
 
@@ -15,55 +21,116 @@ use lobster_baselines::{
 };
 use lobster_buffer::AliasConfig;
 use lobster_core::{Config, PoolVariant};
-use lobster_metrics::{LatencySummary, LocalRecorder};
+use lobster_metrics::{HistSnapshot, LatencySummary, LocalRecorder, Snapshot};
 use lobster_storage::{Device, MemDevice, ThrottleProfile, ThrottledDevice};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-pub mod env;
 pub mod json;
 pub mod report;
 pub mod suite;
 
-pub use env::{env, BenchEnv};
 pub use report::{Entry, Report};
 
 pub use lobster_workloads::{make_payload, PayloadDist, WikiCorpus, YcsbConfig, YcsbGenerator};
 
-/// Workload scale multiplier from `LOBSTER_BENCH_SCALE` (via [`BenchEnv`]).
+/// Workload scale multiplier: `LOBSTER_BENCH_SCALE` (default 1.0), read
+/// once per process and recorded in every report.
 pub fn scale() -> f64 {
-    env().scale
+    static SCALE: OnceLock<f64> = OnceLock::new();
+    *SCALE.get_or_init(|| {
+        std::env::var("LOBSTER_BENCH_SCALE")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1.0)
+    })
 }
 
 /// `n` scaled, with a floor of 1.
 pub fn scaled(n: usize) -> usize {
-    env().scaled(n)
+    ((n as f64 * scale()) as usize).max(1)
 }
 
-/// Route all subsequently built devices through the NVMe throttle model
-/// (used by the I/O-bound experiments so every system pays realistic
-/// device costs; in-memory experiments leave this off).
-pub fn use_throttled_devices(on: bool) {
-    env().set_throttled(on);
+// ---------------------------------------------------------------- line-up ---
+
+/// One device of a store: `bytes` of sparse memory (actual memory = data
+/// written), behind a device-latency model when `throttle` is set.
+#[derive(Clone, Copy, Debug)]
+pub struct Dev {
+    pub bytes: usize,
+    pub throttle: Option<ThrottleProfile>,
 }
 
-/// Default device: sparse in-memory, optionally behind the NVMe model.
-/// `sync` is free, matching the paper's fsync-disabled competitor setup.
-pub fn mem_device(bytes: usize) -> Arc<dyn Device> {
-    let raw = MemDevice::new(bytes);
-    if env().throttled() {
-        // Calibrated to the paper's testbed *ratio*, not absolute speed:
-        // on the i7-13700K + 980 Pro, SHA-NI throughput (~2 GB/s) and
-        // sustained SSD write bandwidth are roughly 1:1. Our SHA-NI path
-        // measures ~1.2 GB/s, so the device model keeps the same ratio
-        // (see EXPERIMENTS.md "Calibration").
-        let mut profile = ThrottleProfile::nvme();
-        profile.write_bw = 1_200_000_000;
-        profile.read_bw = 2_000_000_000;
-        profile.sync_latency = Duration::ZERO; // "fsync disabled"
-        Arc::new(ThrottledDevice::new(raw, profile))
-    } else {
-        Arc::new(raw)
+impl Dev {
+    /// Memory speed, `sync` free.
+    pub const fn mem(bytes: usize) -> Dev {
+        Dev {
+            bytes,
+            throttle: None,
+        }
+    }
+
+    /// The NVMe model as [`ThrottleProfile::nvme`] defines it.
+    pub fn nvme(bytes: usize) -> Dev {
+        Dev {
+            bytes,
+            throttle: Some(ThrottleProfile::nvme()),
+        }
+    }
+
+    /// The NVMe model calibrated to the paper's testbed *ratio*, not
+    /// absolute speed: on the i7-13700K + 980 Pro, SHA-NI throughput
+    /// (~2 GB/s) and sustained SSD write bandwidth are roughly 1:1. Our
+    /// SHA-NI path measures ~1.2 GB/s, so the model keeps the same ratio
+    /// (see EXPERIMENTS.md "Calibration"). `sync_latency` zero is the
+    /// paper's fsync-disabled competitor setup.
+    pub fn paper_nvme(bytes: usize, sync_latency: Duration) -> Dev {
+        Dev {
+            bytes,
+            throttle: Some(ThrottleProfile {
+                write_bw: 1_200_000_000,
+                read_bw: 2_000_000_000,
+                sync_latency,
+                ..ThrottleProfile::nvme()
+            }),
+        }
+    }
+
+    pub fn build(&self) -> Arc<dyn Device> {
+        let raw = MemDevice::new(self.bytes);
+        match self.throttle {
+            Some(profile) => Arc::new(ThrottledDevice::new(raw, profile)),
+            None => Arc::new(raw),
+        }
+    }
+}
+
+/// What a bench's stores run on: every system's data device, our engine's
+/// log device, and the page-cache pages of the file-system and DBMS models.
+#[derive(Clone, Copy, Debug)]
+pub struct Rig {
+    pub data: Dev,
+    pub wal: Dev,
+    pub cache_pages: usize,
+}
+
+impl Rig {
+    /// The YCSB line-up's rig: all in memory, 384 MiB model page caches.
+    pub const YCSB: Rig = Rig {
+        data: Dev::mem(3 << 30),
+        wal: Dev::mem(512 << 20),
+        cache_pages: 96 * 1024,
+    };
+
+    /// Our engine under `cfg`, storing BLOBs or rows.
+    pub fn our(&self, name: &str, cfg: Config, mode: LobsterMode) -> LobsterStore {
+        LobsterStore::new(name, self.data.build(), self.wal.build(), cfg, mode)
+            .expect("create lobster store")
+    }
+
+    /// A file-system model.
+    pub fn fs(&self, profile: FsProfile) -> ModelFs {
+        ModelFs::new(profile, self.data.build(), self.cache_pages)
     }
 }
 
@@ -92,39 +159,42 @@ pub fn our_config(workers: usize) -> Config {
     }
 }
 
-/// The competitor line-up for the YCSB experiments. Each builder is
-/// invoked lazily so only one store's data is alive at a time.
+/// One system of the competitor line-up. It is built on a rig only when
+/// measured, so one store's data is alive at a time.
 pub struct SystemSpec {
     pub name: &'static str,
-    pub build: Box<dyn Fn() -> Box<dyn ObjectStore>>,
+    build: Box<Builder>,
 }
 
-/// Device size used by the standard line-up.
-const DEV_BYTES: usize = 3 << 30; // sparse: actual memory = data written
-const CACHE_PAGES: usize = 96 * 1024; // 384 MiB model page caches
+type Builder = dyn Fn(&Rig) -> Box<dyn ObjectStore>;
 
-fn lobster_variant(
-    name: &'static str,
-    mutate: impl Fn(&mut Config) + 'static,
-    mode: LobsterMode,
-) -> SystemSpec {
-    SystemSpec {
-        name,
-        build: Box::new(move |/* lazily built */| {
-            let mut cfg = our_config(1);
-            mutate(&mut cfg);
-            Box::new(
-                LobsterStore::new(
-                    name,
-                    mem_device(DEV_BYTES),
-                    mem_device(512 << 20),
-                    cfg,
-                    mode,
-                )
-                .expect("create lobster store"),
-            )
-        }),
+impl SystemSpec {
+    fn new(
+        name: &'static str,
+        build: impl Fn(&Rig) -> Box<dyn ObjectStore> + 'static,
+    ) -> SystemSpec {
+        SystemSpec {
+            name,
+            build: Box::new(build),
+        }
     }
+
+    pub fn build(&self, rig: &Rig) -> Box<dyn ObjectStore> {
+        (self.build)(rig)
+    }
+
+    /// The same system under the name a figure gives it.
+    pub fn named(self, name: &'static str) -> SystemSpec {
+        SystemSpec { name, ..self }
+    }
+}
+
+fn lobster_variant(name: &'static str, mutate: fn(&mut Config), mode: LobsterMode) -> SystemSpec {
+    SystemSpec::new(name, move |rig| {
+        let mut cfg = our_config(1);
+        mutate(&mut cfg);
+        Box::new(rig.our(name, cfg, mode))
+    })
 }
 
 /// `Our` with the default (vmcache + aliasing + async BLOB logging) setup.
@@ -146,75 +216,58 @@ pub fn sys_our_verify(mode: LobsterMode) -> SystemSpec {
 
 /// `Our.physlog`: full content in the WAL, in 1 MiB segments.
 pub fn sys_our_physlog() -> SystemSpec {
-    SystemSpec {
-        name: "Our.physlog",
-        build: Box::new(|| {
-            Box::new(
-                LobsterStore::physlog(mem_device(DEV_BYTES), mem_device(512 << 20), our_config(1))
-                    .expect("create lobster store"),
-            )
-        }),
-    }
+    SystemSpec::new("Our.physlog", |rig| {
+        Box::new(
+            LobsterStore::physlog(rig.data.build(), rig.wal.build(), our_config(1))
+                .expect("create lobster store"),
+        )
+    })
 }
 
-/// The four filesystem models.
+/// A file-system model.
 pub fn sys_fs(profile: fn() -> FsProfile) -> SystemSpec {
-    let name = profile().name;
-    SystemSpec {
-        name,
-        build: Box::new(move || {
-            Box::new(ModelFs::new(profile(), mem_device(DEV_BYTES), CACHE_PAGES))
-        }),
-    }
+    SystemSpec::new(profile().name, move |rig| Box::new(rig.fs(profile())))
 }
 
-/// PostgreSQL (TOAST + unix socket).
-pub fn sys_postgres() -> SystemSpec {
-    SystemSpec {
-        name: "PostgreSQL",
-        build: Box::new(|| {
-            Box::new(ToastStore::new(
-                mem_device(DEV_BYTES),
-                CACHE_PAGES / 2, // 16 GB shared buffers vs 32 GB pools in the paper
-                ClientServerCost::unix_socket(),
-            ))
-        }),
-    }
+/// PostgreSQL (TOAST), behind `link`. Its shared buffers are half the
+/// rig's page cache (16 GB vs 32 GB pools in the paper).
+pub fn sys_postgres(link: ClientServerCost) -> SystemSpec {
+    SystemSpec::new("PostgreSQL", move |rig| {
+        Box::new(ToastStore::new(rig.data.build(), rig.cache_pages / 2, link))
+    })
 }
 
-/// MySQL/InnoDB (overflow chains + unix socket).
-pub fn sys_mysql() -> SystemSpec {
-    SystemSpec {
-        name: "MySQL",
-        build: Box::new(|| {
-            Box::new(OverflowStore::new(
-                mem_device(DEV_BYTES),
-                CACHE_PAGES,
-                ClientServerCost::unix_socket(),
-            ))
-        }),
-    }
+/// MySQL/InnoDB (overflow chains), behind `link`.
+pub fn sys_mysql(link: ClientServerCost) -> SystemSpec {
+    SystemSpec::new("MySQL", move |rig| {
+        Box::new(OverflowStore::new(rig.data.build(), rig.cache_pages, link))
+    })
 }
 
-/// SQLite (in-process, WAL mode).
-pub fn sys_sqlite() -> SystemSpec {
-    SystemSpec {
-        name: "SQLite",
-        build: Box::new(|| Box::new(SqliteStore::new(mem_device(DEV_BYTES), CACHE_PAGES, false))),
-    }
+/// SQLite (in-process, WAL mode), optionally with a `WITHOUT ROWID` index.
+pub fn sys_sqlite(without_rowid_index: bool) -> SystemSpec {
+    SystemSpec::new("SQLite", move |rig| {
+        Box::new(SqliteStore::new(
+            rig.data.build(),
+            rig.cache_pages,
+            without_rowid_index,
+        ))
+    })
 }
 
-// ---------------------------------------------------------------- runner ---
+// ----------------------------------------------------------------- timing ---
 
-/// Outcome of one YCSB phase: op count, wall time, per-op latency histogram.
-pub struct YcsbRun {
+/// A timed run: operations, wall time of the whole window, and every
+/// operation's latency.
+pub struct Timed {
     pub ops: u64,
     pub elapsed: Duration,
-    pub latency: lobster_metrics::HistSnapshot,
+    pub latency: HistSnapshot,
 }
 
-impl YcsbRun {
-    pub fn throughput(&self) -> f64 {
+impl Timed {
+    /// Operations per second over the window.
+    pub fn rate(&self) -> f64 {
         self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
@@ -223,53 +276,51 @@ impl YcsbRun {
     }
 }
 
-/// Run a YCSB phase against one store: `ops` operations drawn from `gen`,
-/// each individually timed into a per-thread recorder.
-pub fn run_ycsb(
-    store: &dyn ObjectStore,
-    gen: &mut YcsbGenerator,
-    ops: usize,
-) -> Result<YcsbRun, lobster_types::Error> {
-    use lobster_workloads::Op;
-    // One pre-generated scratch payload, sliced per update: payload
-    // *generation* must not pollute the measured system costs.
-    let mut scratch: Vec<u8> = Vec::new();
+/// The one timed loop: `n` times, `draw` an operation's input (inside the
+/// window, outside the operation's own timer), then run `op` on it, timed.
+/// Stops at the first error.
+pub fn timed<T, R, E>(
+    n: usize,
+    mut draw: impl FnMut() -> T,
+    mut op: impl FnMut(T) -> Result<R, E>,
+) -> Result<Timed, E> {
     let mut rec = LocalRecorder::new();
     let t0 = Instant::now();
-    let mut done = 0u64;
-    for _ in 0..ops {
-        let op = gen.next_op();
+    for _ in 0..n {
+        let input = draw();
         let t = Instant::now();
-        match op {
-            Op::Read { key } => {
-                let mut sink = 0usize;
-                store.get(&key_name(key), &mut |b| sink = b.len())?;
-                std::hint::black_box(sink);
-            }
-            Op::Update { key, size } => {
-                if scratch.len() < size {
-                    scratch = make_payload(size, 0xF00D);
-                }
-                store.replace(&key_name(key), &scratch[..size])?;
-            }
-        }
+        std::hint::black_box(op(input)?);
         rec.record(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        done += 1;
     }
-    // Background group commits belong to the measured window.
-    store.quiesce();
-    Ok(YcsbRun {
-        ops: done,
+    Ok(Timed {
+        ops: n as u64,
         elapsed: t0.elapsed(),
         latency: rec.snapshot(),
     })
 }
 
-/// Load the initial YCSB dataset.
-pub fn load_ycsb(
+/// The YCSB experiments' workload: zipf 0.99 over `records` keys, seed 42.
+pub fn ycsb_config(records: u64, read_ratio: f64, payload: PayloadDist) -> YcsbConfig {
+    YcsbConfig {
+        records,
+        read_ratio,
+        payload,
+        zipf_theta: 0.99,
+        seed: 42,
+    }
+}
+
+/// Load `cfg`'s dataset into `store`, then time `ops` operations drawn
+/// from it. Returns the run and the store's counter delta over it.
+pub fn run_ycsb(
     store: &dyn ObjectStore,
-    gen: &mut YcsbGenerator,
-) -> Result<(), lobster_types::Error> {
+    cfg: YcsbConfig,
+    ops: usize,
+) -> Result<(Timed, Snapshot), lobster_types::Error> {
+    use lobster_workloads::Op;
+    let mut gen = YcsbGenerator::new(cfg);
+    // One pre-generated scratch payload per phase, sliced per op: payload
+    // *generation* must not pollute the measured system costs.
     let mut scratch: Vec<u8> = Vec::new();
     for (key, size) in gen.load_phase() {
         if scratch.len() < size {
@@ -277,63 +328,68 @@ pub fn load_ycsb(
         }
         store.put(&key_name(key), &scratch[..size])?;
     }
-    Ok(())
+    scratch = Vec::new();
+    let before = store.stats().metrics;
+    let t0 = Instant::now();
+    let mut run = timed(
+        ops,
+        || gen.next_op(),
+        |op| match op {
+            Op::Read { key } => store.get(&key_name(key), &mut |b| {
+                std::hint::black_box(b.len());
+            }),
+            Op::Update { key, size } => {
+                if scratch.len() < size {
+                    scratch = make_payload(size, 0xF00D);
+                }
+                store.replace(&key_name(key), &scratch[..size])
+            }
+        },
+    )?;
+    // Background group commits belong to the measured window.
+    store.quiesce();
+    run.elapsed = t0.elapsed();
+    Ok((run, store.stats().metrics - before))
 }
 
 pub fn key_name(key: u64) -> String {
     format!("user{key:012}")
 }
 
+/// `workers` threads each read `reads_per_worker` BLOBs `key_name(0 ..
+/// records)` of `store` in one transaction apiece; worker `w` draws keys
+/// from an xorshift seeded `seed * (w + 1) | 1`. Returns the wall time.
+pub fn parallel_reads(
+    store: &LobsterStore,
+    workers: usize,
+    reads_per_worker: usize,
+    records: usize,
+    seed: u64,
+) -> Duration {
+    let (db, rel) = (store.database(), store.relation());
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for w in 0..workers {
+            s.spawn(move || {
+                let mut state = seed.wrapping_mul(w as u64 + 1) | 1;
+                for _ in 0..reads_per_worker {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let mut t = db.begin_with_worker(w);
+                    t.get_blob(rel, key_name(state % records as u64).as_bytes(), |b| {
+                        std::hint::black_box(b.len());
+                    })
+                    .expect("read");
+                    t.commit().expect("commit");
+                }
+            });
+        }
+    });
+    t0.elapsed()
+}
+
 // ----------------------------------------------------------------- output ---
-
-/// Fixed-width table printer for paper-style result tables.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.headers.len());
-        self.rows.push(cells.to_vec());
-    }
-
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let cols: Vec<String> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>width$}", c, width = widths[i]))
-                .collect();
-            println!("  {}", cols.join("  "));
-        };
-        line(&self.headers);
-        println!(
-            "  {}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
 
 /// Human formatting helpers.
 pub fn fmt_rate(per_sec: f64) -> String {
@@ -358,13 +414,6 @@ pub fn fmt_bytes(bytes: f64) -> String {
     }
 }
 
-pub fn banner(title: &str, paper_ref: &str) {
-    println!("\n================================================================");
-    println!("{title}");
-    println!("reproduces: {paper_ref}");
-    println!("================================================================");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,9 +425,34 @@ mod tests {
 
     #[test]
     fn table_prints() {
-        let mut t = Table::new(&["sys", "txn/s"]);
-        t.row(&["Our".into(), "123k".into()]);
-        t.print();
+        let mut report = Report::new("figX", "t", "p");
+        report.push(
+            Entry::throughput("Our", 1500.0)
+                .param("payload", "120B")
+                .counters(
+                    Snapshot {
+                        pages_read: 42,
+                        ..Snapshot::default()
+                    },
+                    2,
+                ),
+        );
+        let table = report.table();
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 2, "{table}");
+        let cells: Vec<&str> = lines[1]
+            .split("  ")
+            .map(str::trim)
+            .filter(|c| !c.is_empty())
+            .collect();
+        let expect = [
+            "Our",
+            "throughput",
+            "1.5k/s",
+            "payload=120B",
+            "pages read 21.0",
+        ];
+        assert_eq!(cells, expect, "{table}");
     }
 
     #[test]
@@ -390,17 +464,15 @@ mod tests {
 
     #[test]
     fn ycsb_runner_smoke() {
-        let spec = sys_our(LobsterMode::Blobs);
-        let store = (spec.build)();
-        let mut gen = YcsbGenerator::new(YcsbConfig {
+        let store = sys_our(LobsterMode::Blobs).build(&Rig::YCSB);
+        let cfg = YcsbConfig {
             records: 10,
             read_ratio: 0.5,
             payload: PayloadDist::Fixed(10_000),
             zipf_theta: 0.9,
             seed: 1,
-        });
-        load_ycsb(store.as_ref(), &mut gen).unwrap();
-        let run = run_ycsb(store.as_ref(), &mut gen, 50).unwrap();
+        };
+        let (run, _) = run_ycsb(store.as_ref(), cfg, 50).unwrap();
         assert_eq!(run.ops, 50);
         // Every op was individually timed.
         assert_eq!(run.latency.count(), 50);

@@ -1,8 +1,8 @@
 //! Machine-readable bench reports: `BENCH_<name>.json` emission.
 //!
-//! Every suite bench fills a [`Report`] with [`Entry`] rows alongside its
-//! human-readable table. A report serializes to a versioned JSON file.
-//! Schema v1:
+//! Every suite bench records each measured row once, as an [`Entry`] of
+//! its [`Report`]. The report renders the console table
+//! ([`Report::table`]) and serializes to a versioned JSON file. Schema v1:
 //!
 //! ```json
 //! {
@@ -10,7 +10,7 @@
 //!   "bench": "fig9",
 //!   "title": "...", "paper_ref": "...",
 //!   "git_rev": "abc123...",
-//!   "env": { "scale": "0.02", "throttled_devices": "true" },
+//!   "env": { "scale": "0.02" },
 //!   "entries": [{
 //!     "system": "Our", "metric": "throughput", "unit": "ops/s",
 //!     "value": 1234.5, "higher_is_better": true,
@@ -23,7 +23,8 @@
 //! ```
 
 use crate::json::Json;
-use lobster_metrics::{LatencySummary, Snapshot};
+use crate::{fmt_bytes, fmt_rate};
+use lobster_metrics::{fmt_ns, CostModel, LatencySummary, Snapshot};
 use std::path::Path;
 
 pub const SCHEMA_VERSION: u64 = 1;
@@ -41,8 +42,8 @@ pub struct Entry {
     /// Named latency digests: `"op"` is harness-measured per-operation
     /// latency; `"engine.*"` are the engine's internal histograms.
     pub latency: Vec<(String, LatencySummary)>,
-    /// Counter delta over the measured window.
-    pub counters: Option<Snapshot>,
+    /// Counter delta over the measured window, and the operations in it.
+    pub counters: Option<(Snapshot, u64)>,
 }
 
 impl Entry {
@@ -90,8 +91,9 @@ impl Entry {
         self
     }
 
-    pub fn counters(mut self, delta: Snapshot) -> Entry {
-        self.counters = Some(delta);
+    /// Attach the counter delta of a window of `ops` operations.
+    pub fn counters(mut self, delta: Snapshot, ops: u64) -> Entry {
+        self.counters = Some((delta, ops));
         self
     }
 }
@@ -112,13 +114,52 @@ impl Report {
             name: name.into(),
             title: title.into(),
             paper_ref: paper_ref.into(),
-            env: crate::env().params(),
+            env: vec![("scale".into(), crate::scale().to_string())],
             entries: Vec::new(),
         }
     }
 
     pub fn push(&mut self, entry: Entry) {
         self.entries.push(entry);
+    }
+
+    /// The console table: one line per entry with its system, metric,
+    /// value, params, and the headline counters per operation.
+    pub fn table(&self) -> String {
+        let rows: Vec<[String; 5]> =
+            std::iter::once(["system", "metric", "value", "params", "per op"].map(String::from))
+                .chain(self.entries.iter().map(|e| {
+                    let params: Vec<String> =
+                        e.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                    [
+                        e.system.clone(),
+                        e.metric.clone(),
+                        fmt_value(e.value, &e.unit),
+                        params.join(" "),
+                        per_op(e),
+                    ]
+                }))
+                .collect();
+        let mut widths = [0usize; 5];
+        for row in &rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        let mut out = String::new();
+        for row in &rows {
+            let [system, metric, value, params, per_op] = row;
+            let line = format!(
+                "  {system:<w0$}  {metric:<w1$}  {value:>w2$}  {params:<w3$}  {per_op}",
+                w0 = widths[0],
+                w1 = widths[1],
+                w2 = widths[2],
+                w3 = widths[3],
+            );
+            out.push_str(line.trim_end());
+            out.push('\n');
+        }
+        out
     }
 
     pub fn file_name(&self) -> String {
@@ -186,7 +227,7 @@ fn entry_to_json(e: &Entry) -> Json {
             ),
         ));
     }
-    if let Some(c) = &e.counters {
+    if let Some((c, _)) = &e.counters {
         pairs.push((
             "counters".into(),
             Json::Obj(
@@ -199,6 +240,65 @@ fn entry_to_json(e: &Entry) -> Json {
         ));
     }
     Json::Obj(pairs)
+}
+
+fn fmt_value(v: f64, unit: &str) -> String {
+    match unit {
+        "ops/s" => format!("{}/s", fmt_rate(v)),
+        "x" => format!("{v:.2}x"),
+        "frac" => format!("{:.1}%", v * 100.0),
+        "bytes" => fmt_bytes(v),
+        _ if v.fract() == 0.0 => format!("{v} {unit}"),
+        _ => format!("{v:.3} {unit}"),
+    }
+}
+
+/// The counters a console line shows per operation, when non-zero:
+/// label, value, and whether it counts bytes.
+const SHOWN: [(&str, Count, bool); 9] = [
+    ("syscalls", |s| s.syscalls, false),
+    ("memcpy", |s| s.memcpy_bytes, true),
+    ("written", |s| s.bytes_written, true),
+    ("wal", |s| s.wal_bytes, true),
+    ("pages read", |s| s.pages_read, false),
+    (
+        "indirections",
+        |s| s.btree_node_accesses + s.translations,
+        false,
+    ),
+    ("latches", |s| s.latch_acquisitions, false),
+    ("instr", |s| CostModel::default().instructions(s), false),
+    (
+        "kernel cyc",
+        |s| CostModel::default().kernel_cycles(s),
+        false,
+    ),
+];
+
+type Count = fn(&Snapshot) -> u64;
+
+/// The per-op cell: the op latency's p50 and p99, then each non-zero
+/// [`SHOWN`] counter per operation of the entry's window.
+fn per_op(e: &Entry) -> String {
+    let mut shown = Vec::new();
+    if let Some((_, s)) = e.latency.iter().find(|(name, _)| name == "op") {
+        shown.push(format!(
+            "p50 {}, p99 {}",
+            fmt_ns(s.p50_ns),
+            fmt_ns(s.p99_ns)
+        ));
+    }
+    if let Some((delta, ops)) = &e.counters {
+        for &(label, count, bytes) in &SHOWN {
+            let n = count(delta);
+            let per = n as f64 / (*ops).max(1) as f64;
+            let per = if bytes { fmt_bytes(per) } else { fmt_rate(per) };
+            if n != 0 {
+                shown.push(format!("{label} {per}"));
+            }
+        }
+    }
+    shown.join(", ")
 }
 
 fn summary_to_json(s: &LatencySummary) -> Json {
@@ -254,10 +354,13 @@ mod tests {
                 .param("payload", "120B")
                 .param("bucket", 1)
                 .latency("op", summary)
-                .counters(Snapshot {
-                    pages_read: 42,
-                    ..Snapshot::default()
-                })],
+                .counters(
+                    Snapshot {
+                        pages_read: 42,
+                        ..Snapshot::default()
+                    },
+                    2,
+                )],
         };
         let golden = r#"{
   "schema_version": 1,

@@ -10,18 +10,12 @@
 use crate::*;
 use lobster_buffer::{BlobPool, ExtentPool, FlushItem, HashTablePool, PoolConfig};
 use lobster_extent::ExtentSpec;
-use lobster_storage::{Device, MemDevice, ThrottleProfile, ThrottledDevice};
 use lobster_types::{Geometry, Pid};
-use std::sync::Arc;
 use std::time::Instant;
 
 const EXTENT_PAGES: u64 = 64; // 256 KiB extents
 
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Ablation — coarse (extent) vs fine (per-page) latching",
-        "§III-G \"Synchronization\"",
-    );
     let threads = std::thread::available_parallelism()
         .map(|p| p.get().min(8))
         .unwrap_or(4);
@@ -29,19 +23,8 @@ pub(crate) fn run(report: &mut Report) {
     let rounds = scaled(30);
 
     let geo = Geometry::new(4096);
-    let mut table = Table::new(&[
-        "pool",
-        "reads/s",
-        "device pages read",
-        "latch acquisitions",
-        "redundancy",
-    ]);
-
     for coarse in [true, false] {
-        let dev: Arc<dyn Device> = Arc::new(ThrottledDevice::new(
-            MemDevice::new(2 << 30),
-            ThrottleProfile::nvme(),
-        ));
+        let dev = Dev::nvme(2 << 30).build();
         let metrics = lobster_metrics::new_metrics();
         let pool = if coarse {
             BlobPool::Vm(ExtentPool::new(
@@ -117,7 +100,7 @@ pub(crate) fn run(report: &mut Report) {
             Entry::throughput(variant, total_reads as f64 / elapsed.as_secs_f64())
                 .param("latching", variant)
                 .latency("engine.pool_fault", lat.pool_fault.summary())
-                .counters(m),
+                .counters(m, total_reads),
         );
         report.push(
             Entry::new(
@@ -129,20 +112,5 @@ pub(crate) fn run(report: &mut Report) {
             )
             .param("latching", variant),
         );
-        table.row(&[
-            if coarse {
-                "extent (coarse)"
-            } else {
-                "per-page (fine)"
-            }
-            .to_string(),
-            fmt_rate(total_reads as f64 / elapsed.as_secs_f64()),
-            m.pages_read.to_string(),
-            m.latch_acquisitions.to_string(),
-            format!("{:.2}x ideal", m.pages_read as f64 / ideal_pages as f64),
-        ]);
     }
-    table.print();
-    println!("\npaper: with coarse latching only one worker loads a contended extent;");
-    println!("fine-grained latching multiplies latch traffic and translation work.");
 }

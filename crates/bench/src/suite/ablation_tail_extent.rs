@@ -16,50 +16,21 @@
 //! — one page put, the rest appended in the same transaction.
 
 use crate::*;
-use lobster_baselines::LobsterStore;
 use lobster_baselines::{LobsterMode, ObjectStore};
 use std::time::Instant;
 
-fn build(use_tail: bool) -> LobsterStore {
-    LobsterStore::new(
-        if use_tail {
-            "tail extent"
-        } else {
-            "tier formula"
-        },
-        mem_device(2 << 30),
-        mem_device(256 << 20),
-        our_config(1),
-        LobsterMode::Blobs,
-    )
-    .expect("create")
-}
-
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Ablation — tail extent vs extent tier formula",
-        "§III-H discussion table",
-    );
     let objects = scaled(300);
     let grows = scaled(600);
+    let rig = Rig {
+        data: Dev::mem(2 << 30),
+        wal: Dev::mem(256 << 20),
+        ..Rig::YCSB
+    };
 
-    let mut table = Table::new(&[
-        "variant",
-        "alloc'd/logical",
-        "puts/s",
-        "appends/s",
-        "pages in use",
-    ]);
-
-    for use_tail in [true, false] {
-        let store = build(use_tail);
-        let db = store.database().clone();
-        let rel = store.relation().clone();
-        let variant = if use_tail {
-            "tail_extent"
-        } else {
-            "tier_formula"
-        };
+    for (use_tail, variant) in [(true, "tail_extent"), (false, "tier_formula")] {
+        let store = rig.our(variant, our_config(1), LobsterMode::Blobs);
+        let (db, rel) = (store.database(), store.relation());
 
         // Static objects of awkward sizes (maximize potential slack).
         let mut logical = 0u64;
@@ -73,8 +44,8 @@ pub(crate) fn run(report: &mut Report) {
             } else {
                 let (head, rest) = payload.split_at(4096);
                 let mut t = db.begin();
-                t.put_blob(&rel, key.as_bytes(), head).expect("put head");
-                t.append_blob(&rel, key.as_bytes(), rest)
+                t.put_blob(rel, key.as_bytes(), head).expect("put head");
+                t.append_blob(rel, key.as_bytes(), rest)
                     .expect("append rest");
                 t.commit().expect("commit");
             }
@@ -91,7 +62,7 @@ pub(crate) fn run(report: &mut Report) {
             let key = key_name((state >> 33) % objects as u64);
             let extra = make_payload(10_000 + g % 50_000, g as u64);
             let mut t = db.begin();
-            t.append_blob(&rel, key.as_bytes(), &extra).expect("append");
+            t.append_blob(rel, key.as_bytes(), &extra).expect("append");
             t.commit().expect("commit");
         }
         let grow_secs = t0.elapsed().as_secs_f64();
@@ -103,20 +74,5 @@ pub(crate) fn run(report: &mut Report) {
             Entry::throughput(variant, grows as f64 / grow_secs.max(1e-9)).param("op", "append"),
         );
         report.push(Entry::new(variant, "alloc_over_logical", "x", frag, false));
-        table.row(&[
-            if use_tail {
-                "tail extent"
-            } else {
-                "tier formula"
-            }
-            .to_string(),
-            format!("{frag:.3}x"),
-            fmt_rate(objects as f64 / put_secs),
-            fmt_rate(grows as f64 / grow_secs),
-            db.allocator().pages_in_use().to_string(),
-        ]);
     }
-    table.print();
-    println!("\npaper: tail extents -> minimal fragmentation but slow growth;");
-    println!("tier formula -> low fragmentation and fast growth.");
 }

@@ -10,26 +10,15 @@
 use crate::*;
 use lobster_extent::{plan_sequence, TierPolicy, TierTable};
 
-fn waste_stats(table: &TierTable, pages: u64, samples: u64) -> (f64, f64) {
-    // Mean and max waste over `samples` sizes in [pages, 1.5*pages).
-    let mut total = 0.0;
-    let mut worst = 0.0f64;
-    for i in 0..samples {
-        let p = pages + i * pages / (2 * samples.max(1));
-        if let Some(w) = table.wasted_fraction(p) {
-            total += w;
-            worst = worst.max(w);
-        }
-    }
-    (total / samples as f64, worst)
+/// Mean waste over `samples` sizes in [pages, 1.5*pages).
+fn mean_waste(table: &TierTable, pages: u64, samples: u64) -> f64 {
+    let total: f64 = (0..samples)
+        .filter_map(|i| table.wasted_fraction(pages + i * pages / (2 * samples.max(1))))
+        .sum();
+    total / samples as f64
 }
 
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Ablation — tier formulas: paper vs Power-of-Two vs Fibonacci",
-        "§III-A \"Extent tier\" discussion",
-    );
-
     let policies = [
         (
             "Paper(5/level)",
@@ -56,46 +45,15 @@ pub(crate) fn run(report: &mut Report) {
         ("Fibonacci", TierPolicy::Fibonacci),
     ];
 
-    let mut table = Table::new(&[
-        "formula",
-        "waste @20MB",
-        "waste @1GB",
-        "waste @51GB",
-        "worst case",
-        "extents @1GB",
-        "max blob (127 ext)",
-    ]);
-
     for (name, policy) in policies {
         let t = TierTable::new(policy);
-        let pages_20mb = (20u64 << 20) / 4096;
-        let pages_1gb = (1u64 << 30) / 4096;
-        let pages_51gb = (51u64 << 30) / 4096;
-
-        let (mean20, _) = waste_stats(&t, pages_20mb, 32);
-        let (mean1g, _) = waste_stats(&t, pages_1gb, 32);
-        let (mean51g, worst51) = waste_stats(&t, pages_51gb, 32);
-        let extents_1gb = t
-            .extents_for_pages(pages_1gb)
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "overflow".into());
-        let max_bytes = t.max_pages() as f64 * 4096.0;
-
+        let mean20 = mean_waste(&t, (20u64 << 20) / 4096, 32);
+        let mean51g = mean_waste(&t, (51u64 << 30) / 4096, 32);
         report
             .push(Entry::new(name, "waste_at_20MB", "frac", mean20, false).param("formula", name));
         report
             .push(Entry::new(name, "waste_at_51GB", "frac", mean51g, false).param("formula", name));
-        table.row(&[
-            name.to_string(),
-            format!("{:.1}%", mean20 * 100.0),
-            format!("{:.1}%", mean1g * 100.0),
-            format!("{:.1}%", mean51g * 100.0),
-            format!("{:.1}%", worst51 * 100.0),
-            extents_1gb,
-            fmt_bytes(max_bytes),
-        ]);
     }
-    table.print();
 
     // Functional check: every formula plans correct sequences.
     for policy in [
@@ -110,6 +68,4 @@ pub(crate) fn run(report: &mut Report) {
         let plan = plan_sequence(&t, 5120, false).expect("plan");
         assert!(plan.allocated_pages() >= 5120);
     }
-    println!("\npaper: P2 wastes up to 50%, Fibonacci 38.2%; the proposed formula's waste");
-    println!("shrinks with BLOB size and 127 extents reach petabyte-scale objects.");
 }

@@ -16,7 +16,7 @@
 //! acceptance criteria: on/off ratio ≥ 1.2× and a bounded score.
 
 use crate::*;
-use lobster_core::{Database, DefragConfig, Defragmenter, Relation, RelationKind};
+use lobster_core::{Database, DefragConfig, Defragmenter, Relation, RelationKind, Txn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -51,7 +51,9 @@ struct RunOutcome {
     window_rate: Vec<f64>,
     window_score: Vec<f64>,
     failed_ops: u64,
+    /// Counter delta over the measured windows, and their attempts.
     delta: lobster_metrics::Snapshot,
+    attempts: u64,
 }
 
 fn small_len(rng: &mut StdRng) -> usize {
@@ -62,110 +64,112 @@ fn large_len(rng: &mut StdRng) -> usize {
     rng.gen_range(900_000..=1_600_000)
 }
 
-/// One workload op with the client retry loop; returns true if counted.
-fn churn_op(
+/// Run `op` in a transaction of its own, retrying a failed attempt (a
+/// conflict or a full store) after a backoff, up to [`PUT_RETRIES`]
+/// attempts. Returns whether it committed.
+fn with_retries(
     db: &Arc<Database>,
-    rel: &Relation,
-    rng: &mut StdRng,
-    live: &mut Vec<(u64, usize)>,
-    live_bytes: &mut usize,
-    next_key: &mut u64,
+    mut op: impl FnMut(&mut Txn) -> lobster_types::Result<()>,
 ) -> bool {
-    if *live_bytes as f64 > LIVE_TARGET * DEV_BYTES as f64 && !live.is_empty() {
-        let idx = rng.gen_range(0..live.len());
-        let (key, bytes) = live.swap_remove(idx);
-        // Wait-die locking can abort the delete when it races a relocation
-        // of the same blob; the client retries like any conflicted txn.
-        for attempt in 0..PUT_RETRIES {
-            let mut t = db.begin();
-            match t
-                .delete_blob(rel, key_name(key).as_bytes())
-                .and_then(|_| t.commit())
-            {
-                Ok(()) => {
-                    *live_bytes -= bytes;
-                    return true;
-                }
-                Err(_) if attempt + 1 < PUT_RETRIES => std::thread::sleep(backoff(attempt)),
-                Err(_) => break,
-            }
-        }
-        live.push((key, bytes));
-        return false;
-    }
-    let r: f64 = rng.gen();
-    let (key, payload, append_idx) = if r < 0.60 || live.is_empty() {
-        let key = *next_key;
-        *next_key += 1;
-        (key, make_payload(small_len(rng), key), None)
-    } else if r < 0.85 {
-        let key = *next_key;
-        *next_key += 1;
-        (key, make_payload(large_len(rng), key), None)
-    } else {
-        let idx = rng.gen_range(0..live.len());
-        let key = live[idx].0;
-        (
-            key,
-            make_payload(rng.gen_range(96_000..=160_000), key ^ 0xA5),
-            Some(idx),
-        )
-    };
     for attempt in 0..PUT_RETRIES {
         let mut t = db.begin();
-        let res = if append_idx.is_some() {
-            t.append_blob(rel, key_name(key).as_bytes(), &payload)
-        } else {
-            t.put_blob(rel, key_name(key).as_bytes(), &payload)
-        };
-        match res.and_then(|_| t.commit()) {
-            Ok(()) => {
-                match append_idx {
-                    Some(idx) => live[idx].1 += payload.len(),
-                    None => live.push((key, payload.len())),
-                }
-                *live_bytes += payload.len();
-                return true;
-            }
-            Err(_) if attempt + 1 < PUT_RETRIES => std::thread::sleep(backoff(attempt)),
-            Err(_) => break,
+        if op(&mut t).and_then(|()| t.commit()).is_ok() {
+            return true;
+        }
+        if attempt + 1 < PUT_RETRIES {
+            std::thread::sleep(backoff(attempt));
         }
     }
     false
 }
 
-/// Shatter the free-space geometry the way months of mixed churn would:
-/// sequential small fill near capacity, then random 70% deletion.
-fn age(
-    db: &Arc<Database>,
-    rel: &Relation,
-    rng: &mut StdRng,
-    next_key: &mut u64,
-) -> (Vec<(u64, usize)>, usize) {
-    let mut live = Vec::new();
-    while db.utilization() < 0.90 && live.len() < 2_000 {
-        let key = *next_key;
-        *next_key += 1;
-        let payload = make_payload(small_len(rng), key);
-        let mut t = db.begin();
-        t.put_blob(rel, key_name(key).as_bytes(), &payload)
-            .expect("aging fill put");
-        t.commit().expect("aging fill commit");
-        live.push((key, payload.len()));
+/// One run's client: the store, its seeded RNG, and the live BLOBs as
+/// (key, bytes).
+struct Churn {
+    db: Arc<Database>,
+    rel: Arc<Relation>,
+    rng: StdRng,
+    live: Vec<(u64, usize)>,
+    live_bytes: usize,
+    next_key: u64,
+}
+
+impl Churn {
+    fn new_key(&mut self) -> u64 {
+        self.next_key += 1;
+        self.next_key - 1
     }
-    live.retain(|&(key, _)| {
-        if rng.gen_bool(0.7) {
-            let mut t = db.begin();
-            t.delete_blob(rel, key_name(key).as_bytes())
-                .expect("aging delete");
-            t.commit().expect("aging delete commit");
-            false
-        } else {
-            true
+
+    /// Shatter the free-space geometry the way months of mixed churn would:
+    /// sequential small fill near capacity, then random 70% deletion.
+    fn age(&mut self) {
+        while self.db.utilization() < 0.90 && self.live.len() < 2_000 {
+            let key = self.new_key();
+            let payload = make_payload(small_len(&mut self.rng), key);
+            let mut t = self.db.begin();
+            t.put_blob(&self.rel, key_name(key).as_bytes(), &payload)
+                .expect("aging fill put");
+            t.commit().expect("aging fill commit");
+            self.live.push((key, payload.len()));
         }
-    });
-    let bytes = live.iter().map(|&(_, b)| b).sum();
-    (live, bytes)
+        let (db, rel, rng) = (&self.db, &self.rel, &mut self.rng);
+        self.live.retain(|&(key, _)| {
+            if rng.gen_bool(0.7) {
+                let mut t = db.begin();
+                t.delete_blob(rel, key_name(key).as_bytes())
+                    .expect("aging delete");
+                t.commit().expect("aging delete commit");
+                false
+            } else {
+                true
+            }
+        });
+        self.live_bytes = self.live.iter().map(|&(_, b)| b).sum();
+    }
+
+    /// One workload op with the client retry loop; returns true if counted.
+    fn op(&mut self) -> bool {
+        if self.live_bytes as f64 > LIVE_TARGET * DEV_BYTES as f64 && !self.live.is_empty() {
+            let idx = self.rng.gen_range(0..self.live.len());
+            let (key, bytes) = self.live.swap_remove(idx);
+            // Wait-die locking can abort the delete when it races a
+            // relocation of the same blob; the client retries like any
+            // conflicted txn.
+            let delete = |t: &mut Txn| t.delete_blob(&self.rel, key_name(key).as_bytes());
+            if with_retries(&self.db, delete) {
+                self.live_bytes -= bytes;
+                return true;
+            }
+            self.live.push((key, bytes));
+            return false;
+        }
+        let r: f64 = self.rng.gen();
+        let (key, payload, append_idx) = if r < 0.60 || self.live.is_empty() {
+            let key = self.new_key();
+            (key, make_payload(small_len(&mut self.rng), key), None)
+        } else if r < 0.85 {
+            let key = self.new_key();
+            (key, make_payload(large_len(&mut self.rng), key), None)
+        } else {
+            let idx = self.rng.gen_range(0..self.live.len());
+            let key = self.live[idx].0;
+            let len = self.rng.gen_range(96_000..=160_000);
+            (key, make_payload(len, key ^ 0xA5), Some(idx))
+        };
+        let (db, rel) = (&self.db, &self.rel);
+        let committed = with_retries(db, |t| match append_idx {
+            Some(_) => t.append_blob(rel, key_name(key).as_bytes(), &payload),
+            None => t.put_blob(rel, key_name(key).as_bytes(), &payload),
+        });
+        if committed {
+            match append_idx {
+                Some(idx) => self.live[idx].1 += payload.len(),
+                None => self.live.push((key, payload.len())),
+            }
+            self.live_bytes += payload.len();
+        }
+        committed
+    }
 }
 
 fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
@@ -173,15 +177,23 @@ fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
         checkpoint_threshold: 24 << 20,
         ..our_config(1)
     };
-    let db =
-        Database::create(mem_device(DEV_BYTES), mem_device(WAL_BYTES), cfg).expect("create db");
-    let rel = db
-        .create_relation("aging", RelationKind::Blob)
-        .expect("relation");
-
-    let mut rng = StdRng::seed_from_u64(47 + defrag as u64);
-    let mut next_key = 0u64;
-    let (mut live, mut live_bytes) = age(&db, &rel, &mut rng, &mut next_key);
+    let db = Database::create(
+        Dev::mem(DEV_BYTES).build(),
+        Dev::mem(WAL_BYTES).build(),
+        cfg,
+    )
+    .expect("create db");
+    let mut churn = Churn {
+        db: db.clone(),
+        rel: db
+            .create_relation("aging", RelationKind::Blob)
+            .expect("relation"),
+        rng: StdRng::seed_from_u64(47 + defrag as u64),
+        live: Vec::new(),
+        live_bytes: 0,
+        next_key: 0,
+    };
+    churn.age();
 
     let maintenance = defrag.then(|| {
         let d = Defragmenter::start(
@@ -207,26 +219,12 @@ fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
     // on-run additionally warms until the client stops observing failures
     // — we measure the maintained steady state, not the catch-up ramp.
     for _ in 0..attempts / 5 {
-        churn_op(
-            &db,
-            &rel,
-            &mut rng,
-            &mut live,
-            &mut live_bytes,
-            &mut next_key,
-        );
+        churn.op();
     }
     if defrag {
         let mut streak = 0usize;
         for _ in 0..attempts {
-            if churn_op(
-                &db,
-                &rel,
-                &mut rng,
-                &mut live,
-                &mut live_bytes,
-                &mut next_key,
-            ) {
+            if churn.op() {
                 streak += 1;
                 if streak >= 150 {
                     break;
@@ -246,14 +244,7 @@ fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
         let mut counted = 0u64;
         let start = Instant::now();
         for _ in 0..per_window {
-            if churn_op(
-                &db,
-                &rel,
-                &mut rng,
-                &mut live,
-                &mut live_bytes,
-                &mut next_key,
-            ) {
+            if churn.op() {
                 counted += 1;
             } else {
                 failed += 1;
@@ -261,16 +252,6 @@ fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
         }
         window_rate.push(counted as f64 / start.elapsed().as_secs_f64().max(1e-9));
         window_score.push(db.fragmentation_score());
-        println!(
-            "    [{}] window {:>2}: {:>8} ops/s  util {:.2}  frag {:.3}  live {}  failed {}",
-            if defrag { "on " } else { "off" },
-            window_rate.len() - 1,
-            fmt_rate(*window_rate.last().unwrap()),
-            db.utilization(),
-            window_score.last().unwrap(),
-            live.len(),
-            failed,
-        );
     }
     db.wait_for_durability().expect("durability frontier");
     if let Some(d) = maintenance {
@@ -282,9 +263,9 @@ fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
     // (relocation and scrubbing ran concurrently with the churn).
     {
         let mut t = db.begin();
-        for &(key, _) in live.iter().take(32) {
+        for &(key, _) in churn.live.iter().take(32) {
             let ok = t
-                .scrub_blob(&rel, key_name(key).as_bytes())
+                .scrub_blob(&churn.rel, key_name(key).as_bytes())
                 .expect("scrub readback");
             assert_eq!(ok, Some(true), "blob {key} failed integrity after aging");
         }
@@ -299,42 +280,22 @@ fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
         window_score,
         failed_ops: failed,
         delta,
+        attempts: (per_window * WINDOWS) as u64,
     }
 }
 
 pub fn run(report: &mut Report) {
-    banner(
-        "Aging — churn torture with/without online defragmentation",
-        "§III-D free lists + maintenance (ISSUE 10)",
-    );
     let attempts = scaled(6_000).max(2_500);
-
-    let mut table = Table::new(&[
-        "config",
-        "steady ops/s",
-        "failed ops",
-        "frag end",
-        "frag max",
-        "relocations",
-    ]);
     let mut outcomes = Vec::new();
     for &defrag in &[false, true] {
         let name = if defrag { "defrag-on" } else { "defrag-off" };
         let out = run_once(defrag, attempts);
         let score_end = *out.window_score.last().unwrap();
         let score_max = out.window_score.iter().cloned().fold(0.0, f64::max);
-        table.row(&[
-            name.to_string(),
-            fmt_rate(out.steady_ops_per_sec),
-            out.failed_ops.to_string(),
-            format!("{score_end:.3}"),
-            format!("{score_max:.3}"),
-            out.delta.defrag_relocations.to_string(),
-        ]);
         report.push(
             Entry::throughput(name, out.steady_ops_per_sec)
                 .param("phase", "steady")
-                .counters(out.delta),
+                .counters(out.delta, out.attempts),
         );
         report.push(Entry::new(
             name,
@@ -369,10 +330,8 @@ pub fn run(report: &mut Report) {
         }
         outcomes.push(out);
     }
-    table.print();
 
     let ratio = outcomes[1].steady_ops_per_sec / outcomes[0].steady_ops_per_sec.max(1e-9);
-    println!("\ndefrag-on vs defrag-off steady state: {ratio:.2}x (gate: >= 1.2x)");
     report.push(Entry::new(
         "defrag-on/off",
         "steady_ratio",

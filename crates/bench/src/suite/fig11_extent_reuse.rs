@@ -7,13 +7,13 @@
 //! performance flat; all systems eventually stop at capacity.
 
 use crate::*;
-use lobster_baselines::{FsProfile, LobsterMode, ModelFs, ObjectStore};
+use lobster_baselines::{FsProfile, LobsterMode, ObjectStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Run the churn on one store; returns (utilization, ops/s) curve points.
-fn churn(store: &dyn ObjectStore, device_bytes: usize) -> Vec<(f64, f64)> {
+fn churn(store: &dyn ObjectStore) -> Vec<(f64, f64)> {
     let mut rng = StdRng::seed_from_u64(11);
     let mut live: Vec<u64> = Vec::new();
     let mut next_key = 0u64;
@@ -21,7 +21,6 @@ fn churn(store: &dyn ObjectStore, device_bytes: usize) -> Vec<(f64, f64)> {
     let mut ops_in_bucket = 0u64;
     let mut bucket_start = Instant::now();
     let mut last_util_bucket = 0u64;
-    let _ = device_bytes;
 
     loop {
         let op_is_alloc = live.is_empty() || rng.gen_bool(0.8);
@@ -66,40 +65,30 @@ fn churn(store: &dyn ObjectStore, device_bytes: usize) -> Vec<(f64, f64)> {
 }
 
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Figure 11 — throughput vs storage utilization (80% alloc / 20% delete)",
-        "§V-G Figure 11",
-    );
     // Small volume so the churn fills it quickly.
-    let device_bytes = (scaled(768) << 20).max(256 << 20);
-    println!("volume size: {}", fmt_bytes(device_bytes as f64));
+    let rig = Rig {
+        data: Dev::mem((scaled(768) << 20).max(256 << 20)),
+        wal: Dev::mem(256 << 20),
+        cache_pages: 16 * 1024,
+    };
+    println!("volume size: {}", fmt_bytes(rig.data.bytes as f64));
 
-    let mut table = Table::new(&["system", "util", "ops/s", "", "stable?"]);
-    let mut results: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-
-    // Our engine (on a device of exactly the volume size).
-    {
-        let store = lobster_baselines::LobsterStore::new(
-            "Our",
-            mem_device(device_bytes),
-            mem_device(256 << 20),
-            our_config(1),
-            LobsterMode::Blobs,
-        )
-        .expect("create");
-        results.push(("Our".into(), churn(&store, device_bytes)));
-    }
+    // Our engine (on a device of exactly the volume size), then the
+    // file-system models.
+    let mut results = vec![(
+        "Our",
+        churn(&rig.our("Our", our_config(1), LobsterMode::Blobs)),
+    )];
     for profile in [
         FsProfile::ext4_ordered(),
         FsProfile::xfs(),
         FsProfile::btrfs(),
         FsProfile::f2fs(),
     ] {
-        let fs = ModelFs::new(profile, mem_device(device_bytes), 16 * 1024);
-        results.push((profile.name.to_string(), churn(&fs, device_bytes)));
+        results.push((profile.name, churn(&rig.fs(profile))));
     }
 
-    for (name, points) in &results {
+    for (name, points) in results {
         if points.is_empty() {
             continue;
         }
@@ -127,14 +116,5 @@ pub(crate) fn run(report: &mut Report) {
             retained,
             true,
         ));
-        table.row(&[
-            name.clone(),
-            "<50%".into(),
-            fmt_rate(e),
-            format!("  >=80%: {}", fmt_rate(l)),
-            format!("{:.0}% retained", retained * 100.0),
-        ]);
     }
-    table.print();
-    println!("\npaper: all file systems except F2FS degrade near-full; Our stays stable");
 }

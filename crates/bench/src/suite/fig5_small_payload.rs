@@ -13,71 +13,48 @@
 //! speedup-over-one-thread rows (`threads=t` in the params).
 
 use crate::*;
-use lobster_baselines::LobsterMode;
+use lobster_baselines::{ClientServerCost, FsProfile, LobsterMode};
 use lobster_core::{RelationKind, ShardDevices, ShardedDatabase};
 use lobster_types::Error;
 use lobster_workloads::driver::{run_closed_loop, run_virtual_parallel, OpOutcome};
 use lobster_workloads::Op;
 
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Figure 5 — YCSB, 120 B payloads, 50% reads",
-        "§V-B Figure 5",
-    );
     let records = scaled(20_000) as u64;
     // Floored so smoke-scale runs still time a stable window (see fig9).
     let ops = scaled(60_000).max(5000);
 
-    let systems = vec![
+    let systems = [
         sys_our(LobsterMode::Rows),
-        sys_fs(lobster_baselines::FsProfile::ext4_ordered),
-        sys_fs(lobster_baselines::FsProfile::ext4_journal),
-        sys_fs(lobster_baselines::FsProfile::xfs),
-        sys_fs(lobster_baselines::FsProfile::f2fs),
-        sys_sqlite(),
-        sys_postgres(),
-        sys_mysql(),
+        sys_fs(FsProfile::ext4_ordered),
+        sys_fs(FsProfile::ext4_journal),
+        sys_fs(FsProfile::xfs),
+        sys_fs(FsProfile::f2fs),
+        sys_sqlite(false),
+        sys_postgres(ClientServerCost::unix_socket()),
+        sys_mysql(ClientServerCost::unix_socket()),
     ];
 
-    let mut table = Table::new(&["system", "txn/s", "syscalls/txn", "memcpy/txn"]);
     let mut our_rate = 0.0;
     let mut best_other = 0.0f64;
     for spec in systems {
-        let store = (spec.build)();
-        let mut gen = YcsbGenerator::new(YcsbConfig {
-            records,
-            read_ratio: 0.5,
-            payload: PayloadDist::Fixed(120),
-            zipf_theta: 0.99,
-            seed: 42,
-        });
-        load_ycsb(store.as_ref(), &mut gen).expect("load");
-        let before = store.stats().metrics;
-        let run = run_ycsb(store.as_ref(), &mut gen, ops).expect("run");
-        let delta = store.stats().metrics - before;
-        let rate = run.throughput();
+        let store = spec.build(&Rig::YCSB);
+        let cfg = ycsb_config(records, 0.5, PayloadDist::Fixed(120));
+        let (run, delta) = run_ycsb(store.as_ref(), cfg, ops).expect("run");
         if spec.name == "Our" {
-            our_rate = rate;
+            our_rate = run.rate();
         } else {
-            best_other = best_other.max(rate);
+            best_other = best_other.max(run.rate());
         }
         report.push(
-            Entry::throughput(spec.name, rate)
+            Entry::throughput(spec.name, run.rate())
                 .param("payload", "120B")
                 .param("read_ratio", "0.5")
                 .latency("op", run.summary())
-                .counters(delta),
+                .counters(delta, run.ops),
         );
-        table.row(&[
-            spec.name.to_string(),
-            fmt_rate(rate),
-            format!("{:.1}", delta.syscalls as f64 / run.ops as f64),
-            fmt_bytes(delta.memcpy_bytes as f64 / run.ops as f64),
-        ]);
     }
-    table.print();
     let ratio = our_rate / best_other.max(1e-9);
-    println!("\nOur vs best competitor: {ratio:.1}x (paper: ≥3.5x)");
     report.push(Entry::new("Our", "speedup_vs_best", "x", ratio, true));
 
     threads_axis(report, records, ops);
@@ -95,18 +72,12 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, MAX_THREADS];
 /// pipeline; the batched load phase commits through the cross-shard group
 /// path. Wait-die conflict aborts are retried by the driver and reported.
 fn threads_axis(report: &mut Report, records: u64, ops: usize) {
-    println!("\nSharded engine, threads = 1..{MAX_THREADS} (closed-loop clients):");
-
-    let mut table = Table::new(&[
-        "threads", "driver", "txn/s", "p50", "p95", "p99", "retries", "speedup",
-    ]);
     let mut base_rate = 0.0f64;
-    let mut last_speedup = 0.0f64;
     for t in THREAD_COUNTS {
         let parts = (0..t)
             .map(|_| ShardDevices {
-                data: mem_device(512 << 20),
-                wal: mem_device(128 << 20),
+                data: Dev::mem(512 << 20).build(),
+                wal: Dev::mem(128 << 20).build(),
             })
             .collect();
         let mut cfg = our_config(t);
@@ -137,13 +108,7 @@ fn threads_axis(report: &mut Report, records: u64, ops: usize) {
         // homed on shard `w` (the worker → shard affinity contract): the
         // shared-nothing configuration scalability experiments measure.
         // Cross-shard commits are exercised by the batched load phase.
-        let ycfg = YcsbConfig {
-            records,
-            read_ratio: 0.5,
-            payload: PayloadDist::Fixed(120),
-            zipf_theta: 0.99,
-            seed: 42,
-        };
+        let ycfg = ycsb_config(records, 0.5, PayloadDist::Fixed(120));
         // Weak scaling: constant work per client, so warm-up is the same
         // fraction of every row and speedup isolates engine scaling.
         let per_thread = ops.max(500) as u64;
@@ -197,25 +162,12 @@ fn threads_axis(report: &mut Report, records: u64, ops: usize) {
             base_rate = rate;
         }
         let speedup = rate / base_rate.max(1e-9);
-        last_speedup = speedup;
-        let s = run.latency.summary();
-        table.row(&[
-            format!("{t}"),
-            mode.to_string(),
-            fmt_rate(rate),
-            lobster_metrics::fmt_ns(s.p50_ns),
-            lobster_metrics::fmt_ns(s.p95_ns),
-            lobster_metrics::fmt_ns(s.p99_ns),
-            format!("{}", run.retries),
-            format!("{speedup:.2}x"),
-        ]);
-
         report.push(
             Entry::throughput("Our.sharded", rate)
                 .param("payload", "120B")
                 .param("read_ratio", "0.5")
                 .param("threads", t)
-                .latency("op", s),
+                .latency("op", run.latency.summary()),
         );
         report.push(
             Entry::new(
@@ -232,6 +184,4 @@ fn threads_axis(report: &mut Report, records: u64, ops: usize) {
             Entry::new("Our.sharded", "speedup_vs_1thread", "x", speedup, true).param("threads", t),
         );
     }
-    table.print();
-    println!("Sharded speedup at {MAX_THREADS} threads: {last_speedup:.2}x (target ≥2.5x)");
 }

@@ -4,9 +4,10 @@
 //! two ways a hot multi-extent BLOB reaches a reader (aliased or copied),
 //! whose crossover sets `lobster_buffer::ALIAS_MIN_BYTES`.
 //!
-//! The suite runs the bodies under a manual timing loop with per-iteration
-//! latencies recorded into a [`LocalRecorder`], so the JSON report gets
-//! p50/p95/p99 for each primitive.
+//! The suite runs the bodies under the harness's [`timed`] loop (or, for
+//! concurrent readers, one such loop per thread) with every iteration's
+//! latency recorded, so the JSON report gets p50/p95/p99 for each
+//! primitive.
 
 use crate::*;
 use lobster_btree::{BTree, LexCmp};
@@ -14,39 +15,27 @@ use lobster_buffer::{AliasConfig, ExtentPool, PoolConfig, OS_PAGE};
 use lobster_extent::{plan_sequence, ExtentAllocator, ExtentSpec, TierPolicy, TierTable};
 use lobster_metrics::LocalRecorder;
 use lobster_sha256::Sha256;
-use lobster_storage::{Device, MemDevice};
 use lobster_types::{crc32, Geometry, Pid};
+use std::convert::Infallible;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// Time `iters` calls of `f`, recording each call's latency.
-/// Returns (ops/s, latency histogram snapshot).
-fn time_loop<R>(iters: usize, mut f: impl FnMut() -> R) -> (f64, lobster_metrics::HistSnapshot) {
-    let mut rec = LocalRecorder::new();
-    // A short warmup keeps first-touch effects out of the histogram.
+/// Time `iters` calls of `f` after a short warmup that keeps first-touch
+/// effects out of the histogram.
+fn time_loop<R>(iters: usize, mut f: impl FnMut() -> R) -> Timed {
     for _ in 0..(iters / 10).max(1) {
         std::hint::black_box(f());
     }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        rec.record(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+    match timed(iters, || (), |()| Ok::<R, Infallible>(f())) {
+        Ok(run) => run,
+        Err(never) => match never {},
     }
-    let secs = t0.elapsed().as_secs_f64();
-    let hist = lobster_metrics::Histogram::new();
-    hist.merge_recorder(&rec);
-    (iters as f64 / secs.max(1e-9), hist.snapshot())
 }
 
 /// [`time_loop`] on `readers` threads at once, reader `w` calling `f(w)`
 /// `iters` times after its warmup. Returns the aggregate rate and every
 /// call's latency.
-fn time_readers<R>(
-    readers: usize,
-    iters: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> (f64, lobster_metrics::HistSnapshot) {
+fn time_readers<R>(readers: usize, iters: usize, f: impl Fn(usize) -> R + Sync) -> Timed {
     let hist = lobster_metrics::Histogram::new();
     let warm = Barrier::new(readers + 1);
     let secs = std::thread::scope(|s| {
@@ -73,48 +62,31 @@ fn time_readers<R>(
         for h in handles {
             h.join().expect("reader panicked");
         }
-        t0.elapsed().as_secs_f64()
+        t0.elapsed()
     });
-    ((readers * iters) as f64 / secs.max(1e-9), hist.snapshot())
+    Timed {
+        ops: (readers * iters) as u64,
+        elapsed: secs,
+        latency: hist.snapshot(),
+    }
 }
 
-fn push(
-    report: &mut Report,
-    table: &mut Table,
-    group: &str,
-    name: &str,
-    iters: usize,
-    r: (f64, lobster_metrics::HistSnapshot),
-) {
-    let (rate, hist) = r;
+fn push(report: &mut Report, group: &str, name: &str, run: Timed) {
     report.push(
-        Entry::throughput("Our", rate)
+        Entry::throughput("Our", run.rate())
             .param("group", group)
             .param("micro", name)
-            .latency("op", hist.summary()),
+            .latency("op", run.summary()),
     );
-    table.row(&[
-        format!("{group}/{name}"),
-        fmt_rate(rate),
-        lobster_metrics::fmt_ns(hist.percentile(50.0)),
-        lobster_metrics::fmt_ns(hist.percentile(99.0)),
-        iters.to_string(),
-    ]);
 }
 
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Micro — SHA-256, B-Tree point ops, tier math, CRC-32",
-        "hot-path primitives",
-    );
-    let mut table = Table::new(&["micro", "ops/s", "p50", "p99", "iters"]);
-
     // ---- SHA-256 ------------------------------------------------------------
     {
         let blob = vec![0xABu8; 4 << 20];
         let iters = scaled(60).max(10);
         let r = time_loop(iters, || Sha256::digest(&blob));
-        push(report, &mut table, "sha256", "full_rehash_4MiB", iters, r);
+        push(report, "sha256", "full_rehash_4MiB", r);
 
         // The paper's growth path: resume from the midstate instead of
         // re-hashing the existing content.
@@ -130,14 +102,7 @@ pub(crate) fn run(report: &mut Report) {
             h.update(&appended);
             h.finalize()
         });
-        push(
-            report,
-            &mut table,
-            "sha256",
-            "resume_append_64KiB",
-            iters,
-            r,
-        );
+        push(report, "sha256", "resume_append_64KiB", r);
 
         // Per-call dispatch cost: many tiny one-shot digests, so the SHA-NI
         // feature probe in compress_many runs once per digest. With the cached
@@ -152,12 +117,12 @@ pub(crate) fn run(report: &mut Report) {
             }
             acc
         });
-        push(report, &mut table, "sha256", "dispatch_1024x64B", iters, r);
+        push(report, "sha256", "dispatch_1024x64B", r);
     }
 
     // ---- B-Tree -------------------------------------------------------------
     {
-        let dev: Arc<dyn Device> = Arc::new(MemDevice::new(256 << 20));
+        let dev = Dev::mem(256 << 20).build();
         let pool = ExtentPool::new(
             dev,
             Geometry::new(4096),
@@ -184,7 +149,7 @@ pub(crate) fn run(report: &mut Report) {
             tree.lookup_map(format!("key{k:09}").as_bytes(), |v| v.len())
                 .unwrap()
         });
-        push(report, &mut table, "btree", "lookup", iters, r);
+        push(report, "btree", "lookup", r);
 
         let iters = scaled(60_000).max(500);
         let scan_max = keys.saturating_sub(keys / 100).max(1);
@@ -199,7 +164,7 @@ pub(crate) fn run(report: &mut Report) {
             .unwrap();
             n
         });
-        push(report, &mut table, "btree", "scan_10", iters, r);
+        push(report, "btree", "scan_10", r);
     }
 
     // ---- Tier-table math ----------------------------------------------------
@@ -208,14 +173,7 @@ pub(crate) fn run(report: &mut Report) {
         for pages in [25u64, 2_560, 262_144] {
             let iters = scaled(200_000).max(1000);
             let r = time_loop(iters, || plan_sequence(&tiers, pages, false).unwrap());
-            push(
-                report,
-                &mut table,
-                "extent_tier",
-                &format!("plan_sequence_{pages}p"),
-                iters,
-                r,
-            );
+            push(report, "extent_tier", &format!("plan_sequence_{pages}p"), r);
         }
     }
 
@@ -224,11 +182,10 @@ pub(crate) fn run(report: &mut Report) {
         let record = vec![0x5Au8; 512];
         let iters = scaled(1_000_000).max(10_000);
         let r = time_loop(iters, || crc32(&record));
-        push(report, &mut table, "crc32", "wal_record_512B", iters, r);
+        push(report, "crc32", "wal_record_512B", r);
     }
 
-    alias_vs_copy(report, &mut table);
-    table.print();
+    alias_vs_copy(report);
 }
 
 /// A hot multi-extent BLOB read through each of `read_blob`'s two
@@ -238,9 +195,9 @@ pub(crate) fn run(report: &mut Report) {
 /// reader checking a header and a trailer). The BLOBs have the engine's
 /// shape (default tier sequence, content view) and the aliasing areas its
 /// default sizes.
-fn alias_vs_copy(report: &mut Report, table: &mut Table) {
+fn alias_vs_copy(report: &mut Report) {
     const READERS: usize = 2;
-    let dev: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
+    let dev = Dev::mem(64 << 20).build();
     let pool = ExtentPool::new(
         dev,
         Geometry::new(OS_PAGE),
@@ -293,7 +250,7 @@ fn alias_vs_copy(report: &mut Report, table: &mut Table) {
             });
             for (path, r) in [("alias", aliased), ("copy", copied)] {
                 let name = format!("{path}_{kib}KiB_{readers}r");
-                push(report, table, "alias_vs_copy", &name, iters, r);
+                push(report, "alias_vs_copy", &name, r);
             }
         }
         for &spec in &specs {

@@ -4,73 +4,30 @@
 //! indirections, and read copies that the paper's table catalogues.
 
 use crate::*;
-use lobster_baselines::{
-    ClientServerCost, FsProfile, LobsterMode, ModelFs, ObjectStore, OverflowStore, SqliteStore,
-    ToastStore,
-};
+use lobster_baselines::{ClientServerCost, FsProfile, LobsterMode};
 
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Table I — measured storage-format properties (one 10 MB BLOB)",
-        "§II Table I",
-    );
     let blob = 10 << 20;
     let data = make_payload(blob, 1);
-
-    let mut table = Table::new(&[
-        "system",
-        "write amp",
-        "log bytes",
-        "read indirections",
-        "read memcpy",
-        "pages read (warm)",
-    ]);
-
-    let systems: Vec<(String, Box<dyn ObjectStore>)> = vec![
-        ("Our".into(), (sys_our(LobsterMode::Blobs).build)()),
-        (
-            "Ext4.ordered".into(),
-            Box::new(ModelFs::new(
-                FsProfile::ext4_ordered(),
-                mem_device(1 << 30),
-                16 * 1024,
-            )),
-        ),
-        (
-            "Ext4.journal".into(),
-            Box::new(ModelFs::new(
-                FsProfile::ext4_journal(),
-                mem_device(1 << 30),
-                16 * 1024,
-            )),
-        ),
-        (
-            "PostgreSQL".into(),
-            Box::new(ToastStore::new(
-                mem_device(1 << 30),
-                16 * 1024,
-                ClientServerCost::none(),
-            )),
-        ),
-        (
-            "MySQL".into(),
-            Box::new(OverflowStore::new(
-                mem_device(1 << 30),
-                16 * 1024,
-                ClientServerCost::none(),
-            )),
-        ),
-        (
-            "SQLite".into(),
-            Box::new(SqliteStore::new(mem_device(1 << 30), 16 * 1024, false)),
-        ),
-        (
-            "SQLite+index".into(),
-            Box::new(SqliteStore::new(mem_device(1 << 30), 16 * 1024, true)),
-        ),
+    // The survey prices storage formats, so the DBMSs run without their
+    // client/server layer.
+    let rig = Rig {
+        data: Dev::mem(1 << 30),
+        cache_pages: 16 * 1024,
+        ..Rig::YCSB
+    };
+    let systems = [
+        sys_our(LobsterMode::Blobs),
+        sys_fs(FsProfile::ext4_ordered),
+        sys_fs(FsProfile::ext4_journal),
+        sys_postgres(ClientServerCost::none()),
+        sys_mysql(ClientServerCost::none()),
+        sys_sqlite(false),
+        sys_sqlite(true).named("SQLite+index"),
     ];
 
-    for (name, store) in systems {
+    for spec in systems {
+        let store = spec.build(&rig);
         let before = store.stats().metrics;
         store.put("blob", &data).expect("put");
         store.flush().ok();
@@ -81,39 +38,24 @@ pub(crate) fn run(report: &mut Report) {
         let mut sink = 0usize;
         store.get("blob", &mut |b| sink = b.len()).expect("read");
         assert_eq!(sink, blob);
-        let after_read = store.stats().metrics;
-        let read_delta = after_read - after_write;
+        let read_delta = store.stats().metrics - after_write;
 
         let write_amp = write_delta.bytes_written as f64 / blob as f64;
         report.push(
-            Entry::new(&name, "write_amplification", "x", write_amp, false)
+            Entry::new(spec.name, "write_amplification", "x", write_amp, false)
                 .param("blob", "10MB")
-                .counters(write_delta),
+                .counters(write_delta, 1),
         );
         report.push(
             Entry::new(
-                &name,
+                spec.name,
                 "read_memcpy",
                 "bytes",
                 read_delta.memcpy_bytes as f64,
                 false,
             )
             .param("blob", "10MB")
-            .counters(read_delta),
+            .counters(read_delta, 1),
         );
-        table.row(&[
-            name,
-            format!("{write_amp:.2}x"),
-            fmt_bytes(write_delta.wal_bytes as f64),
-            format!(
-                "{}",
-                read_delta.btree_node_accesses + read_delta.translations
-            ),
-            fmt_bytes(read_delta.memcpy_bytes as f64),
-            format!("{}", read_delta.pages_read),
-        ]);
     }
-    table.print();
-    println!("\npaper (Table I): all surveyed systems keep >=2 copies per BLOB and use");
-    println!("multi-layer structures; Our keeps one copy behind one indirection layer.");
 }

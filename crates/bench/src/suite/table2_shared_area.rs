@@ -11,18 +11,11 @@
 //! variants are interleaved so machine-level noise hits both equally.
 
 use crate::*;
-use lobster_baselines::{LobsterMode, LobsterStore, ObjectStore};
+use lobster_baselines::{LobsterMode, ObjectStore};
 use lobster_buffer::AliasConfig;
 use lobster_core::{Config, PoolVariant};
-use lobster_metrics::CostModel;
-use std::sync::Arc;
-use std::time::Instant;
 
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Table II — shared-area synchronization overhead (10 MB BLOBs)",
-        "§V-F Table II",
-    );
     let workers = std::thread::available_parallelism()
         .map(|p| p.get().min(16))
         .unwrap_or(8);
@@ -30,11 +23,18 @@ pub(crate) fn run(report: &mut Report) {
     let reads_per_worker = scaled(150);
     let repetitions = 6;
     let blob = 10 << 20;
+    let rig = Rig {
+        data: Dev::mem(2 << 30),
+        wal: Dev::mem(256 << 20),
+        ..Rig::YCSB
+    };
 
-    let variants = [("4MB (shared)", 4usize << 20), ("16MB (local)", 16 << 20)];
-    let stores: Vec<Arc<LobsterStore>> = variants
+    // Worker-local area sizes: 4 MB (every read reserves from the shared
+    // area) and 16 MB (the local area suffices).
+    let local_areas = [4usize << 20, 16 << 20];
+    let stores: Vec<_> = local_areas
         .iter()
-        .map(|&(_, local_bytes)| {
+        .map(|&local_bytes| {
             let cfg = Config {
                 pool_frames: 128 * 1024,
                 pool_variant: PoolVariant::Vm {
@@ -47,16 +47,7 @@ pub(crate) fn run(report: &mut Report) {
                 workers,
                 ..Config::default()
             };
-            let store = Arc::new(
-                LobsterStore::new(
-                    "Our",
-                    mem_device(2 << 30),
-                    mem_device(256 << 20),
-                    cfg,
-                    LobsterMode::Blobs,
-                )
-                .expect("create"),
-            );
+            let store = rig.our("Our", cfg, LobsterMode::Blobs);
             for k in 0..records {
                 store
                     .put(&key_name(k as u64), &make_payload(blob, k as u64))
@@ -78,87 +69,32 @@ pub(crate) fn run(report: &mut Report) {
     let mut secs = [0.0f64; 2];
     for _rep in 0..repetitions {
         for (vi, store) in stores.iter().enumerate() {
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let store = store.clone();
-                    s.spawn(move || {
-                        let db = store.database().clone();
-                        let rel = store.relation().clone();
-                        let mut state = (w as u64 + 1) | 1;
-                        for _ in 0..reads_per_worker {
-                            state ^= state << 13;
-                            state ^= state >> 7;
-                            state ^= state << 17;
-                            let k = state % records as u64;
-                            let mut t = db.begin_with_worker(w);
-                            t.get_blob(&rel, key_name(k).as_bytes(), |b| {
-                                std::hint::black_box(b.len());
-                            })
-                            .expect("read");
-                            t.commit().expect("commit");
-                        }
-                    });
-                }
-            });
-            secs[vi] += t0.elapsed().as_secs_f64();
+            secs[vi] += parallel_reads(store, workers, reads_per_worker, records, 1).as_secs_f64();
         }
     }
 
-    let mut table = Table::new(&[
-        "wrk-local",
-        "shared used",
-        "txn/s",
-        "instr/txn",
-        "cycles/txn",
-        "kernel cyc/txn",
-        "retries",
-    ]);
-    let cm = CostModel::default();
-    for (vi, &(label, local_bytes)) in variants.iter().enumerate() {
+    for (vi, &local_bytes) in local_areas.iter().enumerate() {
         let store = &stores[vi];
         let delta = store.stats().metrics - before[vi];
         let txns = (workers * reads_per_worker * repetitions) as u64;
-        let alias_stats = store
+        let lat = store.database().metrics().latencies.snapshot();
+        let alias = store
             .database()
             .node_pool()
             .alias_stats()
             .expect("aliasing enabled");
-        let rate = txns as f64 / secs[vi];
-        let lat = store.database().metrics().latencies.snapshot();
+        println!(
+            "local area {} MB: shared area used {} times, {} reservation retries",
+            local_bytes >> 20,
+            alias.shared_uses,
+            alias.reservation_retries
+        );
         report.push(
-            Entry::throughput("Our", rate)
+            Entry::throughput("Our", txns as f64 / secs[vi])
                 .param("local_area", format!("{}MB", local_bytes >> 20))
                 .param("workers", workers)
                 .latency("engine.get_blob", lat.get_blob.summary())
-                .counters(delta),
+                .counters(delta, txns),
         );
-        table.row(&[
-            label.to_string(),
-            if alias_stats.shared_uses > 0 {
-                "Yes"
-            } else {
-                "No"
-            }
-            .to_string(),
-            fmt_rate(rate),
-            format!(
-                "{:.1}k",
-                cm.instructions(&delta) as f64 / txns as f64 / 1000.0
-            ),
-            format!(
-                "{:.1}k",
-                cm.total_cycles(&delta) as f64 / txns as f64 / 1000.0
-            ),
-            format!(
-                "{:.1}k",
-                cm.kernel_cycles(&delta) as f64 / txns as f64 / 1000.0
-            ),
-            alias_stats.reservation_retries.to_string(),
-        ]);
     }
-    table.print();
-    println!(
-        "\npaper: both variants perform alike (3,453 vs 3,477 txn/s); shared-area sync is trivial"
-    );
 }

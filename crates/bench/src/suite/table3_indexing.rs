@@ -15,10 +15,6 @@ use std::time::Instant;
 const PREFIX_LIMIT: usize = 1024; // the "1K prefix" variant
 
 pub(crate) fn run(report: &mut Report) {
-    banner(
-        "Table III — Blob State index vs 1K-prefix index",
-        "§V-H Table III",
-    );
     let n = scaled(12_000);
     // Boilerplate on ~30 % of articles: calibrated so the fraction of
     // queries the prefix index cannot serve lands near the paper's 17 %.
@@ -40,8 +36,12 @@ pub(crate) fn run(report: &mut Report) {
         (corpus.fraction_larger_than(767) * 100.0) as u32
     );
 
-    let db = Database::create(mem_device(4 << 30), mem_device(512 << 20), our_config(1))
-        .expect("create");
+    let db = Database::create(
+        Dev::mem(4 << 30).build(),
+        Dev::mem(512 << 20).build(),
+        our_config(1),
+    )
+    .expect("create");
     let articles = db
         .create_relation("article", RelationKind::Blob)
         .expect("ddl");
@@ -55,15 +55,6 @@ pub(crate) fn run(report: &mut Report) {
         .expect("load");
         t.commit().expect("commit");
     }
-
-    let mut table = Table::new(&[
-        "variant",
-        "miss(%)",
-        "build(ms)",
-        "size(MB)",
-        "#leaf",
-        "lookups/s",
-    ]);
 
     // ---- Blob State index ---------------------------------------------------
     let t0 = Instant::now();
@@ -125,14 +116,6 @@ pub(crate) fn run(report: &mut Report) {
         )
         .param("index", "blob_state"),
     );
-    table.row(&[
-        "Blob State".into(),
-        "0.0".into(),
-        format!("{:.0}", build_state.as_secs_f64() * 1000.0),
-        format!("{:.1}", s.capacity_bytes as f64 / (1 << 20) as f64),
-        s.leaves.to_string(),
-        fmt_rate(state_rate),
-    ]);
 
     // ---- 1K prefix index ----------------------------------------------------
     let t0 = Instant::now();
@@ -185,20 +168,9 @@ pub(crate) fn run(report: &mut Report) {
         misses as f64 / corpus.len() as f64,
         false,
     ));
-    table.row(&[
-        "1K Prefix".into(),
-        format!("{:.1}", misses as f64 * 100.0 / corpus.len() as f64),
-        format!("{:.0}", build_prefix.as_secs_f64() * 1000.0),
-        format!("{:.1}", p.capacity_bytes as f64 / (1 << 20) as f64),
-        p.leaves.to_string(),
-        fmt_rate(prefix_rate),
-    ]);
-
-    table.print();
     println!(
-        "\nleaf ratio {:.1}x, size ratio {:.1}x, build ratio {:.1}x (paper: 8.5x, 8.4x, 3.8x); heights {} vs {}",
+        "prefix vs Blob State index: leaf ratio {:.1}x, build ratio {:.1}x; heights {} vs {}",
         p.leaves as f64 / s.leaves as f64,
-        p.capacity_bytes as f64 / s.capacity_bytes as f64,
         build_prefix.as_secs_f64() / build_state.as_secs_f64(),
         s.height,
         p.height,

@@ -8,9 +8,8 @@
 //! best file system; Ext4.journal is the worst.
 
 use crate::*;
-use lobster_baselines::{FsProfile, ModelFs};
+use lobster_baselines::FsProfile;
 use lobster_core::{Database, RelationKind};
-use lobster_metrics::CostModel;
 use lobster_vfs::{FileSystem, WritableDbFs};
 use lobster_workloads::{GitCloneTrace, TraceOp};
 use std::time::Instant;
@@ -54,7 +53,6 @@ fn replay(fs: &dyn FileSystem, trace: &GitCloneTrace) -> f64 {
 }
 
 pub(crate) fn run(report: &mut Report) {
-    banner("Table IV — simulated git-clone trace", "§V-I Table IV");
     let files = scaled(8000);
     let trace = GitCloneTrace::synthesize(files, 7);
     let (creates, stats, reads) = trace.op_counts();
@@ -62,58 +60,47 @@ pub(crate) fn run(report: &mut Report) {
         "trace: {creates} creates ({}), {stats} stats, {reads} reads",
         fmt_bytes(trace.total_bytes as f64)
     );
-    let total_ops = (creates + stats + reads) as f64;
-
-    let cm = CostModel::default();
-    let mut table = Table::new(&["system", "time(ms)", "instructions", "kernel cycles"]);
-    let our_secs;
-    let mut fs_best = f64::INFINITY;
+    let total_ops = creates + stats + reads;
+    let rig = Rig {
+        data: Dev::mem(4 << 30),
+        wal: Dev::mem(1 << 30),
+        cache_pages: 256 * 1024,
+    };
 
     // ---- Our engine ---------------------------------------------------------
-    {
-        let db = Database::create(mem_device(4 << 30), mem_device(1 << 30), our_config(1))
-            .expect("create");
-        // Relation per top-level directory (§III-E "relation as a
-        // directory"); git's object/packfile writes batch ~32 files per
-        // commit group.
-        let mut tops: Vec<&str> = trace
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                TraceOp::Create { path, .. } => path.trim_start_matches('/').split('/').next(),
-                _ => None,
-            })
-            .collect();
-        tops.sort_unstable();
-        tops.dedup();
-        for top in tops {
-            db.create_relation(top, RelationKind::Blob).expect("ddl");
-        }
-        let fs = WritableDbFs::with_batch(db.clone(), 32);
-        let before = db.metrics().snapshot();
-        let t0 = std::time::Instant::now();
-        let _ = replay(&fs, &trace);
-        fs.finish().expect("final batch");
-        db.wait_for_durability().expect("async commits durable");
-        let secs = t0.elapsed().as_secs_f64();
-        our_secs = secs;
-        let delta = db.metrics().snapshot() - before;
-        let lat = db.metrics().latencies.snapshot();
-        report.push(
-            Entry::throughput("Our", total_ops / secs)
-                .param("trace", "git_clone")
-                .latency("engine.put_blob", lat.put_blob.summary())
-                .counters(delta),
-        );
-        table.row(&[
-            "Our".into(),
-            format!("{:.0}", secs * 1000.0),
-            format!("{}k", cm.instructions(&delta) / 1000),
-            format!("{}k", cm.kernel_cycles(&delta) / 1000),
-        ]);
+    let db = Database::create(rig.data.build(), rig.wal.build(), our_config(1)).expect("create");
+    // Relation per top-level directory (§III-E "relation as a directory");
+    // git's object/packfile writes batch ~32 files per commit group.
+    let mut tops: Vec<&str> = trace
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            TraceOp::Create { path, .. } => path.trim_start_matches('/').split('/').next(),
+            _ => None,
+        })
+        .collect();
+    tops.sort_unstable();
+    tops.dedup();
+    for top in tops {
+        db.create_relation(top, RelationKind::Blob).expect("ddl");
     }
+    let fs = WritableDbFs::with_batch(db.clone(), 32);
+    let before = db.metrics().snapshot();
+    let t0 = Instant::now();
+    replay(&fs, &trace);
+    fs.finish().expect("final batch");
+    db.wait_for_durability().expect("async commits durable");
+    let our_secs = t0.elapsed().as_secs_f64();
+    let lat = db.metrics().latencies.snapshot();
+    report.push(
+        Entry::throughput("Our", total_ops as f64 / our_secs)
+            .param("trace", "git_clone")
+            .latency("engine.put_blob", lat.put_blob.summary())
+            .counters(db.metrics().snapshot() - before, total_ops as u64),
+    );
 
     // ---- File systems -------------------------------------------------------
+    let mut fs_best = f64::INFINITY;
     for profile in [
         FsProfile::ext4_ordered(),
         FsProfile::ext4_journal(),
@@ -121,25 +108,16 @@ pub(crate) fn run(report: &mut Report) {
         FsProfile::f2fs(),
         FsProfile::xfs(),
     ] {
-        let fs = ModelFs::new(profile, mem_device(4 << 30), 256 * 1024);
+        let fs = rig.fs(profile);
         let before = fs.metrics().snapshot();
         let secs = replay(&fs, &trace);
         fs_best = fs_best.min(secs);
-        let delta = fs.metrics().snapshot() - before;
         report.push(
-            Entry::throughput(profile.name, total_ops / secs)
+            Entry::throughput(profile.name, total_ops as f64 / secs)
                 .param("trace", "git_clone")
-                .counters(delta),
+                .counters(fs.metrics().snapshot() - before, total_ops as u64),
         );
-        table.row(&[
-            profile.name.to_string(),
-            format!("{:.0}", secs * 1000.0),
-            format!("{}k", cm.instructions(&delta) / 1000),
-            format!("{}k", cm.kernel_cycles(&delta) / 1000),
-        ]);
     }
-
-    table.print();
     report.push(Entry::new(
         "Our",
         "speedup_vs_best_fs",
@@ -147,5 +125,4 @@ pub(crate) fn run(report: &mut Report) {
         fs_best / our_secs.max(1e-9),
         true,
     ));
-    println!("\npaper: Our 906ms beats XFS 1464ms (best FS) and Ext4.journal 2330ms (worst)");
 }

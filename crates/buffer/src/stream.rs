@@ -57,10 +57,15 @@ impl PinGate {
     /// larger than the whole budget are clamped to the budget (the caller
     /// still passes the original `bytes` to [`PinGate::release`] —
     /// release clamps identically, so accounting stays balanced). Returns
-    /// `Error::BufferFull` on timeout; callers surface that as BUSY.
+    /// `Error::BufferFull` on timeout; callers surface that as BUSY. A
+    /// timeout too long for an `Instant` to represent waits as
+    /// [`PinGate::acquire_blocking`] does.
     pub fn acquire(&self, bytes: u64, timeout: Duration) -> Result<()> {
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            self.acquire_blocking(bytes);
+            return Ok(());
+        };
         let need = bytes.min(self.budget);
-        let deadline = Instant::now() + timeout;
         let mut used = self.inner.lock();
         loop {
             if self.budget - *used >= need {
@@ -127,6 +132,13 @@ mod tests {
         g.release(40);
         g.release(1);
         assert_eq!(g.in_use(), 0);
+    }
+
+    #[test]
+    fn unrepresentable_timeout_waits_without_a_deadline() {
+        let g = PinGate::new(100);
+        g.acquire(1, Duration::MAX).unwrap();
+        assert_eq!(g.in_use(), 1);
     }
 
     #[test]

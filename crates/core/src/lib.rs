@@ -42,7 +42,6 @@ mod blob_state;
 mod catalog;
 mod content;
 mod db;
-mod dedup;
 mod defrag;
 mod group_commit;
 mod header;
@@ -56,7 +55,6 @@ mod writers;
 pub use blob_state::{BlobState, PREFIX_LEN};
 pub use catalog::{Relation, RelationKind};
 pub use db::{AllocatorAudit, ComparatorFactory, Config, Database, PoolVariant, ScrubReport};
-pub use dedup::{DedupStats, DedupStore};
 pub use defrag::{
     defrag_pass, scrub_pass, DefragConfig, DefragPassReport, Defragmenter, ScrubCursor,
 };

@@ -316,97 +316,6 @@ proptest! {
     }
 }
 
-// -------------------------------------------------------- dedup vs oracle ---
-
-use lobster::core::DedupStore;
-
-#[derive(Debug, Clone)]
-enum DedupOp {
-    /// Store content variant `v` (small alphabet → heavy duplication).
-    Put(u8, u8),
-    Get(u8),
-    Delete(u8),
-}
-
-fn dedup_op() -> impl Strategy<Value = DedupOp> {
-    prop_oneof![
-        3 => (any::<u8>(), any::<u8>()).prop_map(|(k, v)| DedupOp::Put(k % 16, v % 5)),
-        2 => any::<u8>().prop_map(|k| DedupOp::Get(k % 16)),
-        2 => any::<u8>().prop_map(|k| DedupOp::Delete(k % 16)),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The dedup store behaves like a plain map, while its physical object
-    /// count always equals the number of *distinct* live contents.
-    #[test]
-    fn dedup_store_matches_oracle(ops in proptest::collection::vec(dedup_op(), 1..60)) {
-        let db = Database::create(
-            Arc::new(MemDevice::new(128 << 20)),
-            Arc::new(MemDevice::new(32 << 20)),
-            Config { pool_frames: 2048, ..Config::default() },
-        ).unwrap();
-        let store = DedupStore::create(&db, "d").unwrap();
-        let content = |v: u8| -> Vec<u8> { vec![v; 10_000 + v as usize * 1111] };
-        let mut oracle: HashMap<u8, u8> = HashMap::new(); // key -> variant
-
-        for op in ops {
-            match op {
-                DedupOp::Put(k, v) => {
-                    let mut t = db.begin();
-                    let r = store.put(&mut t, &[k], &content(v));
-                    if oracle.contains_key(&k) {
-                        prop_assert!(r.is_err());
-                        drop(t);
-                    } else {
-                        let was_dup = r.unwrap();
-                        t.commit().unwrap();
-                        let already = oracle.values().any(|&x| x == v);
-                        prop_assert_eq!(was_dup, already, "dup flag for variant {}", v);
-                        oracle.insert(k, v);
-                    }
-                }
-                DedupOp::Get(k) => {
-                    let mut t = db.begin();
-                    match oracle.get(&k) {
-                        Some(&v) => {
-                            let got = store.get(&mut t, &[k], |b| b.to_vec()).unwrap();
-                            prop_assert_eq!(got, content(v));
-                        }
-                        None => prop_assert!(store.get(&mut t, &[k], |_| ()).is_err()),
-                    }
-                    t.commit().unwrap();
-                }
-                DedupOp::Delete(k) => {
-                    let mut t = db.begin();
-                    let r = store.delete(&mut t, &[k]);
-                    match oracle.remove(&k) {
-                        Some(v) => {
-                            let freed = r.unwrap();
-                            t.commit().unwrap();
-                            let still_referenced = oracle.values().any(|&x| x == v);
-                            prop_assert_eq!(freed, !still_referenced, "free on last ref of {}", v);
-                        }
-                        None => { prop_assert!(r.is_err()); drop(t); }
-                    }
-                }
-            }
-        }
-
-        // Physical objects == distinct live variants; references == keys.
-        let mut t = db.begin();
-        let stats = store.stats(&mut t).unwrap();
-        let distinct: std::collections::HashSet<u8> = oracle.values().copied().collect();
-        prop_assert_eq!(stats.objects, distinct.len() as u64);
-        prop_assert_eq!(stats.references, oracle.len() as u64);
-        let physical: u64 = distinct.iter().map(|&v| content(v).len() as u64).sum();
-        prop_assert_eq!(stats.physical_bytes, physical);
-        t.commit().unwrap();
-    }
-}
-
 // ------------------------------------------------- blob state encoding ----
 
 use lobster::core::BlobState;
