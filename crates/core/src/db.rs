@@ -17,7 +17,7 @@ use lobster_sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use lobster_sync::Arc;
 use lobster_sync::Mutex;
 use lobster_sync::RwLock;
-use lobster_types::{Error, Geometry, Pid, Result};
+use lobster_types::{Error, Geometry, Pid, Result, RetryPolicy};
 use lobster_wal::{LogRecord, LogScan, Wal};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -347,6 +347,17 @@ impl Database {
         cross_commit: CrossCommitPolicy,
     ) -> Result<(Arc<Self>, RecoveryReport)> {
         let header = Header::read(&*device)?;
+        // The log is the one the header's checkpoint started, or the one
+        // it superseded: the checkpoint stopped between its header and its
+        // truncate. That log holds nothing the checkpoint lacks — writers
+        // were held out, and such a failure stops the committer — so the
+        // open finishes the truncate and replays nothing.
+        let superseded = header.map.log_epoch.wrapping_sub(log.epoch);
+        if superseded > 1 {
+            let map_epoch = header.map.log_epoch;
+            let what = format!("log epoch {} under a map of epoch {map_epoch}", log.epoch);
+            return Err(Error::Corruption(what));
+        }
         let db = Self::assemble(
             device,
             wal_device,
@@ -355,10 +366,12 @@ impl Database {
             comparators,
             cross_commit,
         )?;
-        // A map describes the state the log's records start from only if
-        // its checkpoint truncated this log.
-        let map = header.map.filter(|m| m.log_epoch == log.epoch);
-        let mut report = recover(&db, map, log.records)?;
+        let mut records = log.records;
+        if superseded == 1 {
+            db.wal.checkpoint_truncate()?;
+            records.clear();
+        }
+        let mut report = recover(&db, header.map, records)?;
         report.phases.scan = scan;
         Ok((db, report))
     }
@@ -425,7 +438,15 @@ impl Database {
         }
     }
 
-    fn write_header(&self, map: MapRef) -> Result<()> {
+    /// Steps 4 and 5 of a checkpoint: write and sync the header naming the
+    /// free map in `extent` (`len` bytes) — the checkpoint's commit point —
+    /// then truncate the log to the epoch it names. Transient faults are
+    /// retried: the write is idempotent, and after a failed sync the device
+    /// may not have it (the truncate retries its own header write). From
+    /// the header on, the checkpoint finishes or stops the store: the
+    /// header may name the next log epoch, so nothing may be logged into
+    /// this one any more.
+    fn commit_header(&self, extent: ExtentSpec, len: u64) -> Result<()> {
         let header = Header {
             page_size: self.geo.page_size(),
             tier_policy: self.table.policy(),
@@ -433,9 +454,19 @@ impl Database {
             node_pages: self.catalog_tree.node_pages(),
             xcommit_watermark: self.xcommit_watermark.load(Ordering::SeqCst),
             xcommit_above: Vec::new(),
-            map: Some(map),
+            map: MapRef {
+                extent,
+                len,
+                log_epoch: self.wal.current_epoch() + 1,
+            },
         };
-        header.write(&*self.device)
+        let (res, stats) = RetryPolicy::DEFAULT.run(|| {
+            header.write(&*self.device)?;
+            self.device.sync()
+        });
+        self.metrics.bump_io_retry(stats.retries, stats.gave_up);
+        let res = res.and_then(|()| self.wal.checkpoint_truncate());
+        res.inspect_err(|e| self.committer.frontier().record_error(e, &self.metrics))
     }
 
     /// Whether recovery should treat a `TxnCrossCommit` marker for `gtxn`
@@ -612,6 +643,8 @@ impl Database {
             return Err(Error::KeyExists);
         }
         let _gate = self.ckpt_gate.read();
+        // A stopped database logs nothing, DDL included.
+        self.committer.frontier().sticky_error()?;
         let id = self.next_rel.fetch_add(1, Ordering::SeqCst);
         let tree = BTree::create(self.node_pool.clone(), self.alloc.clone(), cmp, node_pages)?;
         // Make the empty root durable immediately: recovery walks the
@@ -822,6 +855,11 @@ impl Database {
     /// staged writes, and new ones wait at their first write until it is
     /// done. Called on a thread that holds an open write transaction of
     /// this database, it fails with [`Error::Unsupported`] instead.
+    ///
+    /// A failure before the header write leaves the database running on
+    /// its log. One from the header write on stops it: every later commit
+    /// and checkpoint returns the error, and the next open finishes the
+    /// checkpoint.
     pub fn checkpoint(&self) -> Result<()> {
         let _writers = self.writers.close()?;
         // Asynchronously committed work must be durable before truncation.
@@ -841,18 +879,11 @@ impl Database {
     pub(crate) fn checkpoint_locked(&self) -> Result<()> {
         let retiring = self.retiring.lock().clone();
         let (extent, bytes) = self.encode_free_map(&retiring)?;
-        let written = self.write_in_place(extent, &bytes).and_then(|()| {
-            // The header names the map; the sync makes both durable before
-            // the log is truncated.
-            self.write_header(MapRef {
-                extent,
-                len: bytes.len() as u64,
-                log_epoch: self.wal.current_epoch() + 1,
-            })?;
-            self.device.sync()?;
-            // 3. Truncate: the images (old epoch) vanish with the log.
-            self.wal.checkpoint_truncate()
-        });
+        // Steps 1 and 2, then the barrier: the in-place writes and the map
+        // are on the medium before the header names them.
+        let written = (self.write_in_place(extent, &bytes))
+            .and_then(|()| self.device.sync())
+            .and_then(|()| self.commit_header(extent, bytes.len() as u64));
         if let Err(e) = written {
             // The log may hold the map's image and a header may name it: its
             // pages retire like an old map's, free only after a truncate.
@@ -1042,43 +1073,29 @@ mod tests {
         );
     }
 
-    /// A version-2 store — the same header block without a free map —
-    /// opens once through the audit walk and is written back as version 3,
-    /// so its next open walks nothing. Both leave the allocator exact.
+    /// A version-2 store — the same header block without a free map — is
+    /// refused as unsupported, and the open writes nothing to it.
     #[test]
-    fn a_version_2_store_is_walked_once_then_opens_from_its_map() {
+    fn a_version_2_store_is_refused() {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new(64 << 20));
         let wal: Arc<dyn Device> = Arc::new(MemDevice::new(16 << 20));
         let db = Database::create(dev.clone(), wal.clone(), Config::default()).unwrap();
         let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-        let blob = |i: u8| vec![i; 20_000 + 3_000 * i as usize];
-        let put = |i: u8| {
-            let mut t = db.begin();
-            t.put_blob(&rel, &[i], &blob(i)).unwrap();
-            t.commit().unwrap();
-        };
-        (0..8).for_each(put);
-        db.checkpoint().unwrap();
-        (8..12).for_each(put);
-        drop(db); // a crash: the last four puts are in the log
-        let mut header = Header::read(&*dev).unwrap();
-        header.map = None;
-        let mut block = header.encode();
+        let mut t = db.begin();
+        t.put_blob(&rel, b"k", &[7; 20_000]).unwrap();
+        t.commit().unwrap();
+        drop(db); // a crash: the put is in the log
+        let mut block = Header::read(&*dev).unwrap().encode();
         block[4..8].copy_from_slice(&2u32.to_le_bytes());
         dev.write_at(&block, 0).unwrap();
+        let log = Wal::scan(&wal).unwrap();
 
-        for walked in [true, false] {
-            let (db, report) = Database::open(dev.clone(), wal.clone(), Config::default()).unwrap();
-            assert_eq!(report.index_nodes > 0, walked, "{report:?}");
-            let audit = db.audit_allocator().unwrap();
-            assert!(audit.is_exact(), "{audit:?}");
-            let rel = db.relation("b").unwrap();
-            let mut t = db.begin();
-            for i in 0..12 {
-                assert!(t.get_blob(&rel, &[i], |b| b == blob(i)).unwrap());
-            }
-            t.commit().unwrap();
-            assert!(Header::read(&*dev).unwrap().map.is_some());
-        }
+        let opened = Database::open(dev.clone(), wal.clone(), Config::default());
+        assert!(matches!(opened, Err(Error::Unsupported(_))));
+        let mut after = vec![0u8; block.len()];
+        dev.read_at(&mut after, 0).unwrap();
+        assert!(after == block, "the header changed");
+        let after = Wal::scan(&wal).unwrap();
+        assert_eq!((after.epoch, after.records), (log.epoch, log.records));
     }
 }

@@ -188,7 +188,11 @@ impl Progress {
         self.cv.notify_all();
     }
 
-    fn record_error(&self, e: &Error, metrics: &Metrics) {
+    /// Record `e` as the sticky error: every later `submit` and `drain`
+    /// fails. A checkpoint that fails once its header may name the next log
+    /// epoch stops the committer so; it holds every writer out, so no write
+    /// set is queued behind it.
+    pub(crate) fn record_error(&self, e: &Error, metrics: &Metrics) {
         let mut st = self.state.lock();
         if st.error.is_none() {
             st.error = Some(e.to_string());
@@ -198,16 +202,17 @@ impl Progress {
         self.cv.notify_all();
     }
 
-    fn sticky_error(&self) -> Option<Error> {
+    /// `Err` once a sticky error is recorded.
+    pub(crate) fn sticky_error(&self) -> Result<()> {
         // ordering: Acquire; pairs with record_error's Release, so true implies the error text is visible
         if !self.failed.load(Ordering::Acquire) {
-            return None;
+            return Ok(());
         }
-        self.state
-            .lock()
-            .error
-            .as_ref()
-            .map(|msg| Error::Io(std::io::Error::other(format!("group commit failed: {msg}"))))
+        self.state.lock().error.as_ref().map_or(Ok(()), |msg| {
+            Err(Error::Io(std::io::Error::other(format!(
+                "group commit failed: {msg}"
+            ))))
+        })
     }
 
     /// Block (condvar, no spinning) until `epoch` is durable; surfaces the
@@ -222,10 +227,7 @@ impl Progress {
                 self.cv.wait(&mut st);
             }
         }
-        match self.sticky_error() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.sticky_error()
     }
 }
 
@@ -752,9 +754,7 @@ impl GroupCommitter {
     /// lost one.
     pub fn submit(&self, ws: WriteSet) -> Result<u64> {
         let progress = &self.ctx.progress;
-        if let Some(e) = progress.sticky_error() {
-            return Err(e);
-        }
+        progress.sticky_error()?;
         // Submitting after close() is a caller bug, but the commit path must
         // degrade to an error, never a panic.
         let Some(tx) = self.tx.as_ref() else {
@@ -768,6 +768,7 @@ impl GroupCommitter {
             self.ctx.budget.release(pinned);
             return Err(progress
                 .sticky_error()
+                .err()
                 .unwrap_or_else(|| Error::Io(std::io::Error::other("group commit stage exited"))));
         }
         Ok(epoch)

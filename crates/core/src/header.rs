@@ -3,7 +3,8 @@
 //! place that knows their byte layouts — `Database` writes both at
 //! creation and on every checkpoint and reads them on open; the sharded
 //! engine's pre-scan reads and rewrites the cross-commit fields before any
-//! shard recovers.
+//! shard recovers. Every header this code accepts names a map: versions 1
+//! and 2, which did not, are refused.
 
 use lobster_extent::{ExtentSpec, TierPolicy};
 use lobster_sha256::Sha256;
@@ -12,10 +13,8 @@ use lobster_types::{read_u32, read_u64, Error, Pid, Result};
 
 const LEN: usize = 4096;
 const MAGIC: u32 = 0x4C42_4442; // "LBDB"
-/// Version 3: the header names the free map of its checkpoint. Version 2
-/// (the log may hold data-durable marks, WAL tag 13) and version 1 have the
-/// same block layout without it: they open through the allocator audit
-/// walk and are written back as version 3.
+/// Version 3: the header names the free map of its checkpoint. Versions 1
+/// and 2 had the same block layout without it and are refused.
 const VERSION: u32 = 3;
 const XCOMMIT_ABOVE_OFF: usize = 50;
 /// Most committed-above-watermark gtxns the header holds.
@@ -46,8 +45,8 @@ pub(crate) struct Header {
     pub xcommit_watermark: u64,
     /// Committed gtxns above the watermark, at most [`XCOMMIT_ABOVE_CAP`].
     pub xcommit_above: Vec<u64>,
-    /// The free map of the last checkpoint; `None` before version 3.
-    pub map: Option<MapRef>,
+    /// The free map of the last checkpoint.
+    pub map: MapRef,
 }
 
 impl Header {
@@ -55,11 +54,10 @@ impl Header {
         if block.len() < LEN || read_u32(block) != MAGIC {
             return Err(Error::Corruption("bad database magic".into()));
         }
-        let version = read_u32(&block[4..]);
-        if !(1..=VERSION).contains(&version) {
-            return Err(Error::Corruption(format!(
-                "unknown format version {version}"
-            )));
+        match read_u32(&block[4..]) {
+            VERSION => {}
+            1 | 2 => return Err(Error::Unsupported("format version 1 or 2: no free map")),
+            v => return Err(Error::Corruption(format!("unknown format version {v}"))),
         }
         let tier_policy = match block[12] {
             0 => TierPolicy::Paper {
@@ -76,6 +74,10 @@ impl Header {
                 "cross-commit sidecar count {count} exceeds capacity"
             )));
         }
+        let map_pid = read_u64(&block[MAP_OFF..]);
+        if map_pid == 0 {
+            return Err(Error::Corruption("header names no free map".into()));
+        }
         Ok(Header {
             page_size: read_u32(&block[8..]) as usize,
             tier_policy,
@@ -85,14 +87,10 @@ impl Header {
             xcommit_above: (0..count)
                 .map(|i| read_u64(&block[XCOMMIT_ABOVE_OFF + 8 * i..]))
                 .collect(),
-            map: match read_u64(&block[MAP_OFF..]) {
-                0 => None,
-                _ if version < 3 => None,
-                pid => Some(MapRef {
-                    extent: ExtentSpec::new(Pid::new(pid), read_u64(&block[MAP_OFF + 8..])),
-                    len: read_u64(&block[MAP_OFF + 16..]),
-                    log_epoch: read_u32(&block[MAP_OFF + 24..]),
-                }),
+            map: MapRef {
+                extent: ExtentSpec::new(Pid::new(map_pid), read_u64(&block[MAP_OFF + 8..])),
+                len: read_u64(&block[MAP_OFF + 16..]),
+                log_epoch: read_u32(&block[MAP_OFF + 24..]),
             },
         })
     }
@@ -127,12 +125,11 @@ impl Header {
         {
             slot.copy_from_slice(&g.to_le_bytes());
         }
-        if let Some(map) = &self.map {
-            block[MAP_OFF..MAP_OFF + 8].copy_from_slice(&map.extent.start.raw().to_le_bytes());
-            block[MAP_OFF + 8..MAP_OFF + 16].copy_from_slice(&map.extent.pages.to_le_bytes());
-            block[MAP_OFF + 16..MAP_OFF + 24].copy_from_slice(&map.len.to_le_bytes());
-            block[MAP_OFF + 24..MAP_OFF + 28].copy_from_slice(&map.log_epoch.to_le_bytes());
-        }
+        let map = &self.map;
+        block[MAP_OFF..MAP_OFF + 8].copy_from_slice(&map.extent.start.raw().to_le_bytes());
+        block[MAP_OFF + 8..MAP_OFF + 16].copy_from_slice(&map.extent.pages.to_le_bytes());
+        block[MAP_OFF + 16..MAP_OFF + 24].copy_from_slice(&map.len.to_le_bytes());
+        block[MAP_OFF + 24..MAP_OFF + 28].copy_from_slice(&map.log_epoch.to_le_bytes());
         block
     }
 
@@ -200,6 +197,15 @@ pub(crate) fn decode_map(bytes: &[u8], page_capacity: u64) -> Result<Vec<ExtentS
 mod tests {
     use super::*;
 
+    const MAP: MapRef = MapRef {
+        extent: ExtentSpec {
+            start: Pid::new(9),
+            pages: 1,
+        },
+        len: 24,
+        log_epoch: 2,
+    };
+
     #[test]
     fn round_trips_every_field() {
         for tier_policy in [
@@ -217,11 +223,11 @@ mod tests {
                 node_pages: 4,
                 xcommit_watermark: 77,
                 xcommit_above: vec![79, 81, u64::MAX],
-                map: Some(MapRef {
+                map: MapRef {
                     extent: ExtentSpec::new(Pid::new(0x0A0B_0C0D), 3),
                     len: 8200,
                     log_epoch: 41,
-                }),
+                },
             };
             let block = header.encode();
             assert_eq!(block.len(), LEN);
@@ -231,7 +237,8 @@ mod tests {
 
     #[test]
     fn rejects_a_foreign_block_a_bad_tier_tag_and_an_overfull_sidecar() {
-        let good = parent_block();
+        let good = current_block();
+        assert!(Header::decode(&good).is_ok());
         assert!(Header::decode(&vec![0u8; LEN]).is_err());
         assert!(Header::decode(&good[..100]).is_err());
         for version in [0u32, 4] {
@@ -264,9 +271,26 @@ mod tests {
         block
     }
 
-    #[test]
-    fn decodes_a_block_the_parent_commit_wrote_and_encodes_it_back() {
+    /// The parent block as version 3, naming [`MAP`].
+    fn current_block() -> Vec<u8> {
         let mut block = parent_block();
+        block[4] = 3;
+        block[MAP_OFF..MAP_OFF + 8].copy_from_slice(&9u64.to_le_bytes());
+        block[MAP_OFF + 8..MAP_OFF + 16].copy_from_slice(&1u64.to_le_bytes());
+        block[MAP_OFF + 16..MAP_OFF + 24].copy_from_slice(&24u64.to_le_bytes());
+        block[MAP_OFF + 24..MAP_OFF + 28].copy_from_slice(&2u32.to_le_bytes());
+        block
+    }
+
+    /// A version-1 block is refused as unsupported, not misread; the
+    /// version-3 layout keeps every field of it where it was.
+    #[test]
+    fn refuses_a_block_the_parent_commit_wrote_but_keeps_its_layout() {
+        assert!(matches!(
+            Header::decode(&parent_block()),
+            Err(Error::Unsupported(_))
+        ));
+        let block = current_block();
         let header = Header::decode(&block).unwrap();
         let expected = Header {
             page_size: 4096,
@@ -278,13 +302,10 @@ mod tests {
             node_pages: 2,
             xcommit_watermark: 3,
             xcommit_above: vec![],
-            map: None,
+            map: MAP,
         };
         assert_eq!(header, expected);
-        // Written back as version 3; no other byte moves.
-        block[4] = 3;
         assert_eq!(header.encode(), block, "bytes on disk changed");
-        assert_eq!(Header::decode(&block).unwrap(), expected);
     }
 
     /// Byte 21 was the store-wide tail-extent switch. A store created with
@@ -292,7 +313,7 @@ mod tests {
     /// back as 1.
     #[test]
     fn reserved_byte_21_is_ignored_on_read_and_written_as_one() {
-        let on = parent_block();
+        let on = current_block();
         let mut off = on.clone();
         off[21] = 0;
         let header = Header::decode(&on).unwrap();
@@ -300,22 +321,19 @@ mod tests {
         assert_eq!(header.encode()[21], 1);
     }
 
-    /// A version-2 block never names a map, whatever its tail bytes hold;
-    /// a version-3 block with a zero map pid names none either.
+    /// A version-2 block is refused whatever its tail bytes hold; a
+    /// version-3 block whose map pid is zero names no map and is corrupt.
     #[test]
     fn only_a_version_3_header_names_a_map() {
-        let mut header = Header::decode(&parent_block()).unwrap();
-        header.map = Some(MapRef {
-            extent: ExtentSpec::new(Pid::new(9), 1),
-            len: 24,
-            log_epoch: 2,
-        });
-        let mut block = header.encode();
-        assert_eq!(Header::decode(&block).unwrap(), header);
+        let mut block = current_block();
         block[4] = 2;
-        assert_eq!(Header::decode(&block).unwrap().map, None);
-        header.map = None;
-        assert_eq!(Header::decode(&header.encode()).unwrap().map, None);
+        assert!(matches!(Header::decode(&block), Err(Error::Unsupported(_))));
+        let mut block = current_block();
+        block[MAP_OFF..MAP_OFF + 8].fill(0);
+        match Header::decode(&block) {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("no free map"), "{msg}"),
+            other => panic!("a header without a map decoded: {other:?}"),
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!    phase), collect committed transactions, load the allocator from the
 //!    free map the last checkpoint wrote (FORMAT.md §1.2) and reserve every
 //!    extent a log record names on top, and *validate committed BLOBs'
-//!    content against the SHA-256 stored in their Blob State*. A store
-//!    whose header names no usable map is walked instead: every
-//!    checkpointed tree, each inner node's children faulted as one batch
-//!    ([`lobster_btree::BTree::walk`]). A committed Blob
+//!    content against the SHA-256 stored in their Blob State*. Every open
+//!    starts from that map: no tree is walked except a relation the log
+//!    drops (step 4). A log its header's checkpoint superseded reaches
+//!    here empty (`Database::open_with_policy`). A committed Blob
 //!    State may point at content that never arrived: the WAL fsync comes
 //!    first, and in-place content writes only after it. The SHA check
 //!    detects this, and the transaction is moved to the undo list (treated
@@ -33,10 +33,11 @@
 //!    in reverse log order (their B-Tree changes may have reached the
 //!    device through eviction).
 //! 4. **Settle** the allocator — look up each key the log touches once and
-//!    free every page a record named that no final Blob State (nor, without
-//!    a map, a walked node) holds; what a relation the log drops held is
-//!    walked once and retires with the next checkpoint — then checkpoint,
-//!    which writes the settled map, and drop the caches.
+//!    free every page a record named that no final Blob State holds; what
+//!    a relation the log drops held is walked once ([`lobster_btree::BTree::walk`],
+//!    each inner node's children faulted as one batch) and retires with the
+//!    next checkpoint — then checkpoint, which writes the settled map, and
+//!    drop the caches.
 
 use crate::blob_state::BlobState;
 use crate::catalog::{Relation, RelationKind};
@@ -65,11 +66,10 @@ pub struct RecoveryReport {
     pub validated: u64,
     /// Log records processed.
     pub records: u64,
-    /// Index nodes the open walked: 0 where the header names a free map
-    /// that describes the log's start, unless the log drops a relation (its
-    /// tree is walked once to free it); every node on a store without one.
+    /// Index nodes of the relations the log drops, walked once to free
+    /// them; 0 for a log that drops none.
     pub index_nodes: u64,
-    /// Device read batches those walks issued: at most one per inner node
+    /// Device read batches that walk issued: at most one per inner node
     /// ([`lobster_btree::BTree::walk`]).
     pub index_batches: u64,
     /// Where the open's time went.
@@ -81,9 +81,8 @@ pub struct RecoveryReport {
 pub struct OpenPhases {
     /// Reading the log ([`lobster_wal::Wal::scan`]).
     pub scan: Duration,
-    /// The allocator: loading the checkpoint's free map — or, on a store
-    /// without a usable one, the audit walk — and settling it after redo
-    /// and undo.
+    /// The allocator: loading the checkpoint's free map and settling it
+    /// after redo and undo.
     pub allocator: Duration,
     /// SHA-256 validation of committed BLOBs.
     pub validate: Duration,
@@ -97,10 +96,10 @@ const CATALOG_REL_ID: u32 = 0;
 
 /// Recover `db` from `records`, the durable records of its log as the
 /// open read them, starting from `map`, the free map of the checkpoint
-/// that began this log (`None`: there is none to trust).
+/// that began this log.
 pub(crate) fn recover(
     db: &Database,
-    map: Option<MapRef>,
+    map: MapRef,
     records: Vec<LogRecord>,
 ) -> Result<RecoveryReport> {
     // Phase 0: apply journaled page images. A crash between a checkpoint's
@@ -168,33 +167,15 @@ pub(crate) fn recover(
         }
     }
 
-    // Conservative allocator state: the checkpoint's free map — or, on a
-    // store without a usable one, a walk of every checkpointed tree — with
+    // Conservative allocator state: the checkpoint's free map with
     // everything a log record names reserved on top, so redo splits never
     // allocate pages that hold real data.
     let t = Instant::now();
     let (new_trees, named) = named_extents(db, &records)?;
-    // Without a map: the nodes the walk found. The log may predate the
-    // header's checkpoint (a crash between its sync and its truncate), so
-    // a page it names may have become a node since; the settle keeps them.
-    let mut walked_nodes = Vec::new();
-    match map {
-        Some(map) => {
-            let free = read_map(db, &map)?;
-            db.alloc
-                .reset_from_free(&free, &[new_trees, named.clone()].concat());
-            db.retiring.lock().push(map.extent);
-        }
-        None => {
-            let (mut used, nodes, batches) = db.referenced_extents()?;
-            report.index_nodes = nodes;
-            report.index_batches = batches;
-            walked_nodes.extend_from_slice(&used[..nodes as usize]);
-            used.extend(new_trees);
-            used.extend_from_slice(&named);
-            db.alloc.reset_from_extents(&used);
-        }
-    }
+    let free = read_map(db, &map)?;
+    db.alloc
+        .reset_from_free(&free, &[new_trees, named.clone()].concat());
+    db.retiring.lock().push(map.extent);
     report.phases.allocator = t.elapsed();
 
     // SHA-256 validation of committed BLOBs. The log carries Blob States,
@@ -504,10 +485,10 @@ pub(crate) fn recover(
         let blob = rel.kind == RelationKind::Blob;
         report.index_batches += db.tree_extents(&rel.tree, blob, &mut nodes, &mut gone)?;
     }
-    report.index_nodes += nodes.len() as u64;
+    report.index_nodes = nodes.len() as u64;
     gone.append(&mut nodes);
     let gone = uncovered(gone, kept.clone());
-    kept.extend(gone.iter().chain(&walked_nodes));
+    kept.extend_from_slice(&gone);
     for spec in uncovered(named, kept) {
         db.alloc.free_extent(spec);
     }

@@ -245,6 +245,9 @@ impl ShardedDatabase {
                 max_gtxn = max_gtxn.max(g);
                 listed.insert(g);
             }
+            // A log its header's checkpoint superseded counts too: its
+            // shard applied these markers at that checkpoint, and its open
+            // replays none of them.
             for rec in &log.records {
                 if let LogRecord::TxnCrossCommit { gtxn, mask, .. } = *rec {
                     max_gtxn = max_gtxn.max(gtxn);

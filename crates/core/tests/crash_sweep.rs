@@ -482,7 +482,7 @@ fn mapped_store(
 /// inside the free map's run list when it is the map), or on the log device
 /// after `wal_cut` of its writes (the trigger write lost whole: cut at the
 /// truncate, the log keeps its epoch under a header that has moved on —
-/// the open walks). Both controllers die with the power, so
+/// the open finishes the truncate). Both controllers die with the power, so
 /// nothing runs past the cut. Every committed BLOB survives, the allocator
 /// holds exactly what the trees reference, and so it does again after the
 /// next checkpoint and reopen. Returns whether the checkpoint completed.
@@ -585,9 +585,9 @@ fn checkpoint_cut_at_every_map_and_header_write() {
 /// sync and its truncate — names pages that became B-Tree nodes before
 /// that checkpoint: a BLOB put and deleted in the log freed its one-page
 /// extents, and the leaf splits of the inline puts after it took them.
-/// The open walks (the map describes a later state than the log's start),
-/// and its settle must keep those nodes although no final Blob State
-/// names their pages.
+/// The header's checkpoint already holds everything that log does, so the
+/// open finishes the truncate and replays none of it: it walks no tree,
+/// and no page the log names is freed from under those nodes.
 #[test]
 fn a_log_older_than_its_header_keeps_the_nodes_it_names() {
     const CAP: usize = 64 << 20;
@@ -621,7 +621,11 @@ fn a_log_older_than_its_header_keeps_the_nodes_it_names() {
         cfg(),
     )
     .unwrap();
-    assert!(report.index_nodes > 0, "the open walked: {report:?}");
+    assert_eq!(
+        (report.index_nodes, report.records),
+        (0, 0),
+        "the open replayed the superseded log: {report:?}"
+    );
     let audit = db.audit_allocator().unwrap();
     assert!(audit.is_exact(), "{audit:?}");
     let rel = db.relation("b").unwrap();
@@ -632,6 +636,67 @@ fn a_log_older_than_its_header_keeps_the_nodes_it_names() {
             .unwrap());
     }
     t.commit().unwrap();
+}
+
+/// A data device that records, for every header write (page 0), whether
+/// a sync has covered every write before it.
+struct HeaderOrder {
+    inner: MemDevice,
+    /// `(a write since the last sync, covered flag of each header write)`.
+    seen: std::sync::Mutex<(bool, Vec<bool>)>,
+}
+
+impl Device for HeaderOrder {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> lobster_types::Result<()> {
+        self.inner.read_at(buf, offset)
+    }
+    fn write_at(&self, buf: &[u8], offset: u64) -> lobster_types::Result<()> {
+        let mut seen = self.seen.lock().unwrap();
+        if offset == 0 {
+            let covered = !seen.0;
+            seen.1.push(covered);
+        }
+        seen.0 = true;
+        self.inner.write_at(buf, offset)
+    }
+    fn sync(&self) -> lobster_types::Result<()> {
+        self.seen.lock().unwrap().0 = false;
+        self.inner.sync()
+    }
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+}
+
+/// The checkpoint's barrier: every header write — at creation, at each
+/// checkpoint and at recovery's closing checkpoint — follows a sync that
+/// covers every earlier data write, the node flushes and the free map it
+/// names among them. A device that reorders unsynced writes cannot land
+/// the header before them.
+#[test]
+fn every_header_write_follows_a_sync_of_the_writes_before_it() {
+    let data = Arc::new(HeaderOrder {
+        inner: MemDevice::new(64 << 20),
+        seen: Default::default(),
+    });
+    let wal: Arc<dyn Device> = Arc::new(MemDevice::new(16 << 20));
+    let db = Database::create(data.clone(), wal.clone(), cfg()).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    for i in 0..40u64 {
+        let mut t = db.begin();
+        t.put_blob(&rel, &i.to_be_bytes(), &pattern(3000 + 900 * i as usize, i))
+            .unwrap();
+        t.commit().unwrap();
+        if i % 10 == 9 {
+            db.checkpoint().unwrap();
+        }
+    }
+    drop(db); // a crash: the last puts are in the log
+    let (db, _) = Database::open(data.clone(), wal, cfg()).unwrap();
+    db.checkpoint().unwrap();
+    let headers = data.seen.lock().unwrap().1.clone();
+    assert!(headers.len() >= 7, "{headers:?}");
+    assert!(headers.iter().all(|&covered| covered), "{headers:?}");
 }
 
 /// The broken control: a checkpoint that wrote its free map after the

@@ -18,10 +18,12 @@
 use lobster_core::{
     Config, Database, RecoveryReport, Relation, RelationKind, ShardDevices, ShardedDatabase,
 };
-use lobster_storage::{Device, FaultConfig, FaultDevice, FaultKind, MemDevice};
+use lobster_storage::{
+    permanent_eio, transient_eio, Device, FaultConfig, FaultDevice, FaultKind, MemDevice,
+};
 use lobster_types::{Error, RetryPolicy};
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Sweep-width multiplier for the nightly torture CI job
@@ -474,6 +476,121 @@ fn a_failed_checkpoint_keeps_its_map_page_until_a_truncate() {
     t.commit().unwrap();
     let audit = db.audit_allocator().unwrap();
     assert!(audit.is_exact(), "{audit:?}");
+}
+
+/// A memory device whose next write to offset 0 — a header — fails once
+/// when armed: transiently, or for good.
+struct HeaderFault {
+    inner: MemDevice,
+    armed: AtomicBool,
+    transient: bool,
+}
+
+impl HeaderFault {
+    fn new(cap: usize, transient: bool) -> Arc<Self> {
+        Arc::new(HeaderFault {
+            inner: MemDevice::new(cap),
+            armed: AtomicBool::new(false),
+            transient,
+        })
+    }
+}
+
+impl Device for HeaderFault {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> lobster_types::Result<()> {
+        self.inner.read_at(buf, offset)
+    }
+    fn write_at(&self, buf: &[u8], offset: u64) -> lobster_types::Result<()> {
+        if offset == 0 && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(match self.transient {
+                true => transient_eio("injected transient header write"),
+                false => permanent_eio("injected permanent header write"),
+            });
+        }
+        self.inner.write_at(buf, offset)
+    }
+    fn sync(&self) -> lobster_types::Result<()> {
+        self.inner.sync()
+    }
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+}
+
+/// A checkpoint whose header write fails, on the data device (its commit
+/// point) or on the log device (its truncate). A transient fault is
+/// retried and the checkpoint completes. A permanent one fails it and
+/// stops the store: every later commit and DDL gets the error. Either way every commit that returned `Ok` survives a crash and
+/// reopen, one that returned `Err` is gone, and the allocator is exact.
+fn header_fault_case(on_log: bool, transient: bool) {
+    let at = format!("on_log={on_log} transient={transient}");
+    let data = HeaderFault::new(48 << 20, transient);
+    let wal = HeaderFault::new(8 << 20, transient);
+    let db = Database::create(data.clone(), wal.clone(), cfg(false)).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let blob = |i: u64| pattern(6000 + 1000 * i as usize, i);
+    let put = |i: u64| {
+        let mut t = db.begin();
+        t.put_blob(&rel, &i.to_be_bytes(), &blob(i)).is_ok() && t.commit().is_ok()
+    };
+    assert!((0..4).all(put), "{at}");
+    let target = if on_log { &wal } else { &data };
+    target.armed.store(true, Ordering::SeqCst);
+    let checkpointed = db.checkpoint();
+    assert!(
+        !target.armed.load(Ordering::SeqCst),
+        "{at}: no header write"
+    );
+    assert_eq!(checkpointed.is_ok(), transient, "{at}: {checkpointed:?}");
+    let acked: Vec<bool> = (4..8).map(put).collect();
+    let stopped = [
+        db.wait_for_durability().is_err(),
+        db.create_relation("c", RelationKind::Blob).is_err(),
+    ];
+    std::mem::forget(db); // a crash
+
+    let (db, report) = Database::open(
+        Arc::new(copy_device(&data.inner)),
+        Arc::new(copy_device(&wal.inner)),
+        cfg(false),
+    )
+    .unwrap();
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{at}: {audit:?}");
+    let rel = db.relation("b").unwrap();
+    let mut t = db.begin();
+    for i in 0..8u64 {
+        let got = t.get_blob(&rel, &i.to_be_bytes(), |b| b == blob(i));
+        match (i < 4 || acked[i as usize - 4], got) {
+            (true, Ok(same)) => assert!(same, "{at}: {i} changed"),
+            (false, Err(Error::KeyNotFound)) => {}
+            (ok, got) => panic!("{at}: {i} acknowledged={ok} read {got:?}"),
+        }
+    }
+    t.commit().unwrap();
+    // Checked after the reopen, so a store that acknowledged a commit and
+    // lost it fails on the loss.
+    assert!(acked.iter().all(|&ok| ok == transient), "{at}: {acked:?}");
+    assert_eq!(stopped, [!transient; 2], "{at}");
+    if on_log && !transient {
+        assert_eq!(report.records, 0, "{at}: the superseded log was replayed");
+    }
+    db.checkpoint().unwrap();
+}
+
+/// The failing truncate loses nothing acknowledged: the store stops
+/// instead of logging into an epoch its header has moved past.
+#[test]
+fn a_failed_truncate_stops_the_store_and_loses_no_acknowledged_commit() {
+    header_fault_case(true, false);
+    header_fault_case(true, true);
+}
+
+/// The failing header write loses nothing acknowledged either.
+#[test]
+fn a_failed_header_write_stops_the_store_and_loses_no_acknowledged_commit() {
+    header_fault_case(false, false);
+    header_fault_case(false, true);
 }
 
 /// A quarantined BLOB's pages stay parked after its delete, but only until

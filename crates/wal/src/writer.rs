@@ -91,7 +91,7 @@ impl Wal {
             flushed_cv_mutex: Mutex::new(()),
             metrics,
         });
-        wal.write_header()?;
+        wal.write_header(1)?;
         Ok(wal)
     }
 
@@ -119,10 +119,11 @@ impl Wal {
         })
     }
 
-    fn write_header(&self) -> Result<()> {
+    /// Write and sync a header naming `epoch`, retrying transient faults.
+    fn write_header(&self, epoch: u32) -> Result<()> {
         let mut header = vec![0u8; WAL_HEADER as usize];
         header[0..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
-        header[4..8].copy_from_slice(&self.epoch.load(Ordering::SeqCst).to_le_bytes());
+        header[4..8].copy_from_slice(&epoch.to_le_bytes());
         let (res, stats) = RetryPolicy::DEFAULT.run(|| {
             self.device.write_at(&header, 0)?;
             self.device.sync()
@@ -161,8 +162,9 @@ impl Wal {
     /// Stage a batch of records (one transaction's worth); returns the LSN
     /// one past the batch, to be passed to [`Wal::commit_to`].
     pub fn append_batch(&self, records: &[LogRecord]) -> Result<Lsn> {
-        let epoch = self.epoch.load(Ordering::SeqCst);
         let mut staged = self.staged.lock();
+        // Read under the lock a truncate changes it under.
+        let epoch = self.epoch.load(Ordering::SeqCst);
         let before = staged.buf.len();
         for rec in records {
             frame_record(&mut staged.buf, epoch, rec);
@@ -236,19 +238,22 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Logically truncate the log after a checkpoint: bump the epoch (old
-    /// records become unparseable) and restart right after the header. The
-    /// caller must have flushed all dirty state *before* calling this.
+    /// Logically truncate the log after a checkpoint: write a header of the
+    /// next epoch (old records become unparseable), then restart right
+    /// after it. The caller must have flushed all dirty state *before*
+    /// calling this. A failed header write changes nothing: appends go on
+    /// in the old epoch, after its records.
     pub fn checkpoint_truncate(&self) -> Result<()> {
         let _flush = self.flush_mutex.lock();
+        let epoch = self.epoch.load(Ordering::SeqCst) + 1;
+        self.write_header(epoch)?;
         let mut staged = self.staged.lock();
         // Anything staged but unflushed is from uncommitted transactions;
         // committing later will re-stage. Truncation discards it.
         staged.buf.clear();
         staged.base = WAL_HEADER;
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.epoch.store(epoch, Ordering::SeqCst);
         drop(staged);
-        self.write_header()?;
         self.flushed.store(WAL_HEADER, Ordering::Release); // ordering: Release; the rewritten header is durable before the frontier resets
         self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -443,6 +448,29 @@ mod tests {
             wal.read_all().unwrap(),
             vec![LogRecord::TxnCommit { txn: 2 }]
         );
+    }
+
+    /// A truncate whose header write fails leaves the log as it was: the
+    /// next append lands after the old records, in the old epoch, and a
+    /// scan returns both.
+    #[test]
+    fn a_failed_truncate_keeps_the_log_appendable() {
+        use lobster_storage::{FaultConfig, FaultDevice, FaultKind};
+        let mut cfg = FaultConfig::new(7, 1000, &[FaultKind::PermanentWrite]);
+        cfg.max_injections = 1;
+        let fdev = Arc::new(FaultDevice::new(MemDevice::new(8 << 20), cfg));
+        let dev: Arc<dyn Device> = fdev.clone();
+        let wal = Wal::create(dev.clone(), lobster_metrics::new_metrics()).unwrap();
+        let first = LogRecord::TxnCommit { txn: 1 };
+        wal.append_and_commit(std::slice::from_ref(&first)).unwrap();
+        fdev.arm();
+        assert!(wal.checkpoint_truncate().is_err());
+        assert_eq!(fdev.injection_log()[0].offset, 0, "the header write failed");
+        let second = LogRecord::TxnCommit { txn: 2 };
+        wal.append_and_commit(std::slice::from_ref(&second))
+            .unwrap();
+        let scan = Wal::scan(&dev).unwrap();
+        assert_eq!((scan.epoch, scan.records), (1, vec![first, second]));
     }
 
     /// A checkpoint rewrites the header block: across one, the device's

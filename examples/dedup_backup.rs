@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 rng = rng
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                if (rng >> 33) as f64 / (1u64 << 31) as f64 / 2.0 < CHURN {
+                if (rng >> 33) as f64 / ((1u64 << 31) as f64) < CHURN {
                     *v += 1;
                     let _ = i;
                 }
