@@ -313,6 +313,15 @@ impl BlobPool {
         }
     }
 
+    /// Whether a write of the extent still owes it a flush: content a
+    /// commit has not yet written may be in its frames.
+    pub fn owes_flush(&self, spec: ExtentSpec) -> bool {
+        match self {
+            BlobPool::Vm(p) => p.owes_flush(spec.start),
+            BlobPool::Ht(p) => p.owes_flush(spec.start),
+        }
+    }
+
     /// Clear the `prevent_evict` pin without flushing (physical-logging
     /// mode: the WAL protects the content, eviction may write it back).
     pub fn unpin_extent(&self, spec: ExtentSpec) {

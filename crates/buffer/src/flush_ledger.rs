@@ -70,6 +70,11 @@ impl FlushLedger {
         clean
     }
 
+    /// Whether a write staged a flush of the extent that has not landed.
+    pub(crate) fn owed(&self, pid: Pid) -> bool {
+        self.map.lock().get(&pid.raw()).is_some_and(|e| e.owed > 0)
+    }
+
     /// Whether a flush of the extent is on the device right now.
     pub(crate) fn in_flight(&self, pid: Pid) -> bool {
         self.map

@@ -558,6 +558,11 @@ impl HashTablePool {
         }
     }
 
+    /// Whether a write of the extent still owes it a flush.
+    pub fn owes_flush(&self, start: Pid) -> bool {
+        self.flushes.owed(start)
+    }
+
     /// Clear `prevent_evict` on an extent's pages without flushing.
     pub fn unpin_extent(&self, spec: ExtentSpec) {
         self.flushes.forget(spec.start);

@@ -1134,6 +1134,11 @@ impl ExtentPool {
         self.set_prevent_evict(pid, false);
     }
 
+    /// Whether a write of the extent still owes it a flush.
+    pub fn owes_flush(&self, pid: Pid) -> bool {
+        self.flushes.owed(pid)
+    }
+
     /// Whether the extent is resident and dirty (test/diagnostic hook).
     pub fn is_dirty(&self, pid: Pid) -> bool {
         self.entry(pid).peek().dirty()

@@ -49,11 +49,13 @@ pub struct Config {
     pub checkpoint_threshold: u64,
     /// Worker sessions (sizes the aliasing areas).
     pub workers: usize,
-    /// `true`: commit returns only after the WAL fsync, the extent flush
-    /// and a data-device sync that covers it (full durability: acknowledged
-    /// means durable). `false`: commits are handed to a background group
-    /// committer and return immediately — the paper's "critical path does
-    /// not involve I/O" configuration (asynchronous commit).
+    /// `true`: commit returns only once its group is durable — content
+    /// synced, WAL fsynced (acknowledged means durable) — and a put starts
+    /// its content's write on the client thread, overlapping its hash.
+    /// `false`: commits are handed to a background group committer and
+    /// return immediately — the paper's "critical path does not involve
+    /// I/O" configuration (asynchronous commit); the group becomes durable
+    /// the same way, later ([`Database::wait_for_durability`]).
     pub commit_wait: bool,
     /// Verify BLOB content against the Blob State SHA-256 on every
     /// `get_blob`: a mismatch re-reads the extents once from the device
@@ -268,7 +270,6 @@ impl Database {
             metrics.clone(),
             page_size as u64,
             cfg.pool_frames * page_size as u64 / 4,
-            cfg.commit_wait,
         );
         let committer = GroupCommitter::new(wal.clone(), ckpt_gate.clone(), stages);
         Ok(Arc::new(Database {
@@ -959,7 +960,7 @@ impl Database {
     }
 
     /// Block until every asynchronously committed transaction is durable
-    /// (WAL records fsynced *and* extent flushes completed). Surfaces the
+    /// (WAL records fsynced *and* content synced). Surfaces the
     /// committer's sticky error: `Err` means at least one acknowledged
     /// asynchronous commit may have been lost to an I/O failure.
     pub fn wait_for_durability(&self) -> Result<()> {

@@ -9,33 +9,33 @@
 //! methods, and each stage thread is a loop over them:
 //!
 //! * the **WAL stage** absorbs queued write sets into a group and runs
-//!   **log** ([`StageCtx::log`]) on it: its records appended and made
-//!   durable with one group fsync;
+//!   **log** ([`StageCtx::log`]) on it: its fresh content landed and
+//!   synced, then its records appended and made durable with one group
+//!   fsync;
 //! * the **flush stage** receives each durable group and runs **flush**
-//!   ([`StageCtx::flush`]) on it: it submits the extent writes that had to
-//!   wait for the fsync, adopts the ones its transactions already started,
-//!   and keeps up to [`INFLIGHT_FLUSHES`] submissions of its own in flight,
-//!   so group N+1's WAL fsync overlaps group N's extent writes instead of
-//!   the log device idling during every flush and the extent engine idling
-//!   during every fsync. It runs **retire** ([`StageCtx::retire`]) on each
+//!   ([`StageCtx::flush`]) on it: it submits the in-place writes that had
+//!   to wait for the fsync and keeps up to [`INFLIGHT_FLUSHES`] such
+//!   submissions in flight, so group N+1's WAL fsync overlaps group N's
+//!   in-place writes. It runs **retire** ([`StageCtx::retire`]) on each
 //!   group whose flights have landed.
 //!
 //! The steps own no thread: `crate::sim` calls the same four, one at a
 //! time, on one thread, and cuts power between them.
 //!
-//! **Ordering (§III-C, per group).** The WAL must be durable before any
-//! write to an extent that may still be the durable truth. A *freshly
-//! allocated* extent never is — a freed extent recycles only when its
-//! deleter retires here, recovery validates every committed Blob State
-//! against its SHA-256 and drops the ones whose content did not arrive,
-//! and the allocator settle reclaims whatever no surviving Blob State
-//! references — so under a waiting commit a put writes its fresh extents
-//! before it commits ([`WriteSet::flights`]). Every in-place write
-//! (delta update, append into a partly filled extent, relocation) arrives
-//! as a [`FlushItem`] and is submitted only after its group's fsync
-//! returned. Either way a group retires — freed extents recycled, pin
-//! budget released, epochs completed — only when its fsync *and* every
-//! one of its flights have landed.
+//! **Ordering (§III-C, per group): content before its record.** The WAL
+//! must be durable before any write to an extent that may still be the
+//! durable truth. A *freshly allocated* extent never is — a freed extent
+//! recycles only when its deleter retires here — so a group's fresh
+//! content is written *before* its records, in both commit modes: a
+//! waiting commit's puts start that write early ([`WriteSet::flights`]),
+//! and the WAL stage submits whatever fresh content is left as one batch,
+//! lands it all and syncs the data device once before it appends the
+//! group ([`StageCtx::settle`]). Every in-place write (delta update,
+//! append into a partly filled extent, relocation) arrives as a
+//! [`FlushItem`] and is submitted only after its group's fsync returned.
+//! Either way a group retires — freed extents recycled, pin budget
+//! released, epochs completed — only when its fsync *and* every one of
+//! its writes have landed.
 //!
 //! Two flights never touch the same extent — the flush stage waits out
 //! the earlier one — so writes to one extent cannot reorder; the same
@@ -52,35 +52,29 @@
 //! yield-waits for a device: on a busy host that burns a processor a
 //! hashing client needs.
 //!
-//! **Acknowledged means durable.** Under [`crate::Config::commit_wait`] a
-//! group's content is on the data device, synced, before the frontier
-//! passes it. A group with nothing to write after its fsync — its content,
-//! if any, went out early — *settles* on the WAL stage: the stage sleeps
-//! until its flights land, syncs the data device once and only then
-//! appends its records. A group with in-place writes is synced by the
-//! flush stage once they landed, before its epochs complete.
+//! **Acknowledged means durable.** A group's content is on the data
+//! device, synced, before the frontier passes it, whatever
+//! [`crate::Config::commit_wait`] says (that decides only whether a put
+//! writes early and whether `commit` blocks). Fresh content is synced on
+//! the WAL stage before the group's records; a group with in-place writes
+//! is synced again by the flush stage once they landed, before its epochs
+//! complete.
 //!
 //! **Data-durable mark.** Groups count as landed, in log order, once
-//! their content is on the device ([`DataMark`]): a settled group on the
-//! WAL stage, every other one at retire. A data sync issued after every
-//! group up to some commit landed makes that commit the mark, written as a
-//! [`LogRecord::DataDurable`]; recovery then re-hashes only the BLOBs
-//! committed after it. One mark, two triggers:
+//! their content is on the device ([`DataMark`]): a group without in-place
+//! writes when it settles on the WAL stage, every other one at retire. A
+//! data sync issued after every group up to some commit landed makes that
+//! commit the mark, written as a [`LogRecord::DataDurable`]; recovery then
+//! re-hashes only the BLOBs committed after it. A settled group's mark
+//! names its own last commit and rides its own fsync, so a log of puts
+//! needs no hashing at all; an in-place group's mark rides the next
+//! group's fsync.
 //!
-//! * a waiting group's own sync: a settled group's mark names its own
-//!   last commit and rides its own fsync; an in-place group's rides the
-//!   next group's;
-//! * otherwise, once [`DATA_SYNC_EVERY`] bytes have landed since the last
-//!   sync, the flush stage — after the frontier has moved, so no commit
-//!   waits for it — syncs and publishes the landed prefix for the next
-//!   group's fsync.
-//!
-//! The WAL stage appends a published mark after the group's records.
-//! Either way a mark covers a group only if every earlier group landed
-//! too: the prefix stops at the first one that has not. A mark is tagged
-//! with the log epoch its commits were appended in and is never written
-//! into a later one: the checkpoint that ended that epoch synced
-//! everything before it.
+//! A mark covers a group only if every earlier group landed too: the
+//! prefix stops at the first one that has not. A mark is tagged with the
+//! log epoch its commits were appended in and is never written into a
+//! later one: the checkpoint that ended that epoch synced everything
+//! before it.
 //!
 //! Completion is tracked per write set through durable **epochs**: `submit`
 //! assigns epoch N to the N-th set, and a condvar-guarded frontier
@@ -117,18 +111,12 @@ use std::time::{Duration, Instant};
 /// its own to submit, while the WAL stage fsyncs the next group.
 const INFLIGHT_FLUSHES: usize = 2;
 
-/// Content bytes retired between two data-device syncs of the group
-/// committer: roughly the most content a recovery re-hashes per store.
-/// Set by the 2 / 8 / 32 MiB sweep in EXPERIMENTS.md ("Recover from the
-/// log").
-pub const DATA_SYNC_EVERY: u64 = 8 << 20;
-
 /// Pipeline progress shared by submitters, waiters, and both stages.
 pub(crate) struct Progress {
     /// Commit epochs handed out by `submit` (epoch N = N-th write set).
     enqueued: AtomicU64,
     /// Durability frontier: every epoch `<= processed` has its WAL records
-    /// fsynced *and* its extent flush completed (or failed — see `error`).
+    /// fsynced *and* its content synced (or failed — see `error`).
     processed: AtomicU64,
     /// Durable groups forwarded by the WAL stage and not yet retired.
     /// Checkpoints quiesce on this: once it reads zero under the held
@@ -231,11 +219,13 @@ impl Progress {
     }
 }
 
-/// The last commit of a log prefix, and the log epoch it was appended in.
+/// The last commit of a log prefix, the log epoch it was appended in, and
+/// the group it ends in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Mark {
     log_epoch: u32,
     txn: u64,
+    seq: u64,
 }
 
 /// Hand-off of the data-durable mark: both stages count groups as landed
@@ -253,10 +243,6 @@ struct MarkState {
     ahead: BTreeMap<u64, Option<Mark>>,
     /// Last commit of the landed prefix.
     prefix: Option<Mark>,
-    /// Log epoch `unsynced` counts in.
-    log_epoch: u32,
-    /// Content bytes landed since the last sync.
-    unsynced: u64,
     /// Made true by a sync; written into the log at most once.
     published: Option<Mark>,
     written: Option<Mark>,
@@ -274,16 +260,10 @@ impl DataMark {
     /// it, so the prefix stops before it for good.
     fn retired(&self, group: &DurableGroup) {
         let mut st = self.state.lock();
-        if group.log_epoch > st.log_epoch {
-            // A checkpoint ended the earlier epoch, and its sync covered
-            // everything retired before it.
-            st.log_epoch = group.log_epoch;
-            st.unsynced = 0;
-        }
-        st.unsynced += group.pinned;
         let last = group.last_commit.map(|txn| Mark {
             log_epoch: group.log_epoch,
             txn,
+            seq: group.seq,
         });
         st.ahead.insert(group.seq, last);
         loop {
@@ -296,30 +276,21 @@ impl DataMark {
         }
     }
 
-    /// The prefix a data sync now would cover, once the budget is spent
-    /// and the prefix has moved since the last one published.
-    fn due(&self) -> Option<Mark> {
-        let mut st = self.state.lock();
-        let prefix = st.prefix.filter(|&p| st.published != Some(p))?;
-        if st.unsynced < DATA_SYNC_EVERY {
-            return None;
-        }
-        st.unsynced = 0;
-        Some(prefix)
-    }
-
     /// The prefix a data sync about to be issued covers, if it runs
-    /// through group `seq`. The budget restarts either way: the sync
-    /// covers every byte landed so far.
+    /// through group `seq`.
     fn covering(&self, seq: u64) -> Option<Mark> {
-        let mut st = self.state.lock();
-        st.unsynced = 0;
+        let st = self.state.lock();
         st.prefix.filter(|_| st.next > seq)
     }
 
     /// The data device was synced after every group up to `mark` landed.
+    /// The two stages sync concurrently, so a longer prefix published
+    /// first stays.
     fn publish(&self, mark: Mark) {
-        self.state.lock().published = Some(mark);
+        let mut st = self.state.lock();
+        if !matches!(st.published, Some(p) if p.seq >= mark.seq) {
+            st.published = Some(mark);
+        }
     }
 
     /// The published mark, once, if its commits are in the log of
@@ -345,7 +316,7 @@ pub(crate) struct DurableGroup {
     /// Transaction of the group's last commit record, if it has one.
     last_commit: Option<u64>,
     /// Some set has content to write in place after the fsync; a group
-    /// without settles on the WAL stage ([`StageCtx::settle`]).
+    /// without lands outright when it settles ([`StageCtx::settle`]).
     in_place: bool,
     epochs: Vec<u64>,
     /// The write sets, as their transactions sealed them.
@@ -362,24 +333,15 @@ impl DurableGroup {
         self.in_place |= !ws.toflush.is_empty();
         self.sets.push(ws);
     }
-
-    /// The writes the group's transactions started before they committed.
-    fn take_flights(&mut self) -> Vec<FlushTicket> {
-        let sets = self.sets.iter_mut();
-        sets.flat_map(|ws| ws.flights.drain(..)).collect()
-    }
 }
 
 /// Everything the commit steps need; shared by both stage threads.
 #[derive(Clone)]
 pub(crate) struct StageCtx {
     blob_pool: BlobPool,
-    /// The data device the mark's syncs go to.
+    /// The data device every group's content is synced on.
     device: Arc<dyn Device>,
     mark: Arc<DataMark>,
-    /// [`crate::Config::commit_wait`]: a group's content is synced before
-    /// the frontier passes it.
-    commit_wait: bool,
     alloc: Arc<ExtentAllocator>,
     metrics: Metrics,
     progress: Arc<Progress>,
@@ -399,13 +361,11 @@ impl StageCtx {
         metrics: Metrics,
         page_size: u64,
         pinned_limit_bytes: u64,
-        commit_wait: bool,
     ) -> Self {
         StageCtx {
             blob_pool,
             device,
             mark: Arc::new(DataMark::new()),
-            commit_wait,
             alloc,
             metrics,
             progress: Arc::new(Progress::new()),
@@ -440,11 +400,10 @@ impl StageCtx {
         group
     }
 
-    /// Step 2, **log**: content that went out early lands (and, for a
-    /// waiting commit, is synced: [`StageCtx::settle`]); then all of the
-    /// group's Blob States become durable with one fsync, followed by the
-    /// mark published since the last group, if any — the group's own, if
-    /// its settling published it.
+    /// Step 2, **log**: the group's fresh content lands and is synced
+    /// ([`StageCtx::settle`]); then all of its Blob States become durable
+    /// with one fsync, followed by the mark published since the last
+    /// group, if any — the group's own, if its settling published it.
     pub(crate) fn log(&self, wal: &Wal, group: &mut DurableGroup) -> Result<()> {
         group.log_epoch = wal.current_epoch();
         let fsync = self.settle(group).and_then(|()| {
@@ -466,10 +425,8 @@ impl StageCtx {
         fsync
     }
 
-    /// Step 3, **flush**: put a durable group's extent writes in flight —
-    /// submitting what waited for the fsync, adopting what its
-    /// transactions already started — and add it to `inflight`, or retire
-    /// it at once if nothing of it is on the device.
+    /// Step 3, **flush**: put a durable group's in-place writes in flight
+    /// and add it to `inflight`, or retire it at once if it has none.
     ///
     /// Admission comes first: hold the group back while it has writes to
     /// submit and the pipeline is at depth, and never let it join a flight
@@ -482,8 +439,7 @@ impl StageCtx {
     /// reap that flight. Skipping the check for metadata-only groups (a
     /// delete racing an in-flight append flush of the same blob)
     /// deadlocked the whole pipeline: no retire, no recycling, allocator
-    /// wedged at full. (The group's own eager flights need no check: their
-    /// extents are fresh, in no other group.)
+    /// wedged at full.
     pub(crate) fn flush(
         &self,
         inbox: &Arc<FlushInbox>,
@@ -511,49 +467,28 @@ impl StageCtx {
             inbox.wait(false, due);
         }
 
-        let tickets = group.take_flights();
         let items: Vec<FlushItem> = (group.sets.iter_mut())
             .flat_map(|ws| ws.toflush.drain(..))
             .collect();
+        if items.is_empty() {
+            // Its content, if any, settled before the fsync: retired only
+            // now that no conflicting flight remains.
+            return self.retire(group, Ok(()));
+        }
+        let ticket = match self.blob_pool.flush_extents_async(&items) {
+            Ok(ticket) => ticket,
+            // The retry writes synchronously.
+            Err(e) => return self.retire(group, self.flush_retry(&items, e)),
+        };
+        let signal = inbox.clone();
+        // `false`: already executed — the next reap sees it.
+        ticket.notify_when_executed(Box::new(move || signal.signal_landed()));
         let mut flight = InflightFlush {
-            tickets: Vec::new(),
-            failed: None,
+            ticket,
             group,
             writing: BTreeMap::new(),
         };
-        for item in tickets.iter().flat_map(|t| t.items()) {
-            flight.note_write(item.spec);
-        }
-        flight.tickets = tickets;
-        // A write that waited for the fsync to an extent one of the group's
-        // own eager flights is still writing (two transactions of one
-        // group, on a pool whose flights hold no latch): land the flights
-        // first, for the same no-reorder rule as above.
-        if (items.iter()).any(|item| flight.writes_into(item.spec)) {
-            for ticket in std::mem::take(&mut flight.tickets) {
-                let eager = ticket.items().to_vec();
-                flight.note(ticket.wait().or_else(|e| self.flush_retry(&eager, e)));
-            }
-        }
-        if !items.is_empty() {
-            items.iter().for_each(|item| flight.note_write(item.spec));
-            match self.blob_pool.flush_extents_async(&items) {
-                Ok(ticket) => flight.tickets.push(ticket),
-                Err(e) => flight.note(self.flush_retry(&items, e)),
-            }
-        }
-        if flight.tickets.is_empty() {
-            // Metadata-only group (durable at fsync, retired only now that
-            // no conflicting flight remains), or everything settled above.
-            let result = flight.failed.take().map_or(Ok(()), Err);
-            self.retire(flight.group, result);
-            return;
-        }
-        for ticket in &flight.tickets {
-            let inbox = inbox.clone();
-            // `false`: already executed — the next reap sees it.
-            ticket.notify_when_executed(Box::new(move || inbox.signal_landed()));
-        }
+        items.iter().for_each(|item| flight.note_write(item.spec));
         self.metrics
             .commit_flush_batches
             .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
@@ -600,24 +535,15 @@ impl StageCtx {
     /// flush, not the fsync, because until the flush lands the frames stay
     /// pinned and the freed extents' old content may still be the durable
     /// truth.
-    pub(crate) fn retire(&self, mut group: DurableGroup, mut result: Result<()>) {
-        // Only a group that failed before the flush stage took it still
-        // holds flights: their requests point into frames the tickets
-        // latch, so they land before anything else happens to the group.
-        for ticket in group.take_flights() {
-            let _ = ticket.wait();
-        }
-        // A group without in-place writes landed when it settled.
+    pub(crate) fn retire(&self, group: DurableGroup, mut result: Result<()>) {
+        // A group without in-place writes landed when it settled; one
+        // with them is synced before the frontier passes it.
         if result.is_ok() && group.in_place {
             self.mark.retired(&group);
-            // Acknowledged means durable: a waiting commit's in-place
-            // content is synced before the frontier passes its group.
-            if self.commit_wait {
-                let mark = self.mark.covering(group.seq);
-                result = self.sync_device();
-                if let (Ok(()), Some(mark)) = (&result, mark) {
-                    self.mark.publish(mark);
-                }
+            let mark = self.mark.covering(group.seq);
+            result = self.sync_device();
+            if let (Ok(()), Some(mark)) = (&result, mark) {
+                self.mark.publish(mark);
             }
         }
         match result {
@@ -652,18 +578,6 @@ impl StageCtx {
         }
     }
 
-    /// Once [`DATA_SYNC_EVERY`] content bytes have landed since the last
-    /// data sync, sync the data device and publish the landed prefix as
-    /// the data-durable mark. A failed sync publishes nothing.
-    fn sync_data(&self) {
-        let Some(mark) = self.mark.due() else {
-            return;
-        };
-        if self.sync_device().is_ok() {
-            self.mark.publish(mark);
-        }
-    }
-
     /// Sync the data device, retrying transient failures.
     fn sync_device(&self) -> Result<()> {
         let (res, stats) = RetryPolicy::DEFAULT.run(|| self.device.sync());
@@ -675,37 +589,44 @@ impl StageCtx {
         res
     }
 
-    /// Settle a group with nothing left to write once its records are
-    /// durable: its content, if any, went out early with its transactions.
-    /// Sleeps until those flights land and counts the group as landed.
-    /// Under a waiting commit, a group that wrote content then syncs the
-    /// data device — before its records are appended, so the commit is
-    /// durable the moment its fsync returns — and, if every earlier group
-    /// has landed too, publishes the group's own last commit as the mark,
-    /// for its own fsync. A flight or sync that fails fails the group
-    /// before its records reach the log.
+    /// Land a group's fresh content before its records are appended: the
+    /// fresh extents its transactions left to the pipeline go out as one
+    /// batch, beside the writes a waiting commit already started, and once
+    /// all have landed the data device is synced once, so the commit is
+    /// durable the moment its fsync returns. A group without in-place
+    /// writes has then landed outright: if every earlier group has too,
+    /// the sync publishes the group's own last commit as the mark, for its
+    /// own fsync. A write or sync that fails fails the group before its
+    /// records reach the log.
     fn settle(&self, group: &mut DurableGroup) -> Result<()> {
-        if group.in_place {
-            return Ok(());
+        let mut flights: Vec<FlushTicket> = (group.sets.iter_mut())
+            .flat_map(|ws| ws.flights.drain(..))
+            .collect();
+        let fresh: Vec<FlushItem> = (group.sets.iter_mut())
+            .flat_map(|ws| ws.fresh.drain(..))
+            .collect();
+        if !fresh.is_empty() {
+            match self.blob_pool.flush_extents_async(&fresh) {
+                Ok(ticket) => flights.push(ticket),
+                Err(e) => self.flush_retry(&fresh, e)?,
+            }
         }
-        let flights = group.take_flights();
-        let wrote = !flights.is_empty();
+        let wrote = !(flights.is_empty() && fresh.is_empty());
         for ticket in flights {
             let items = ticket.items().to_vec();
             ticket.wait().or_else(|e| self.flush_retry(&items, e))?;
         }
-        if wrote {
-            self.metrics
-                .commit_flush_batches
-                .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        }
-        self.mark.retired(group);
-        if !(wrote && self.commit_wait) {
+        let mark = (!group.in_place).then(|| {
+            self.mark.retired(group);
+            self.mark.covering(group.seq)
+        });
+        if !wrote {
             return Ok(());
         }
-        let mark = self.mark.covering(group.seq);
+        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        (self.metrics.commit_flush_batches).fetch_add(1, Ordering::Relaxed);
         self.sync_device()?;
-        if let Some(mark) = mark {
+        if let Some(mark) = mark.flatten() {
             self.mark.publish(mark);
         }
         Ok(())
@@ -775,8 +696,8 @@ impl GroupCommitter {
     }
 
     /// The durable-epoch frontier: [`Progress::wait_for`] on it blocks
-    /// until an epoch is fully durable — WAL records fsynced *and* extent
-    /// flush completed.
+    /// until an epoch is fully durable — WAL records fsynced *and* content
+    /// synced.
     pub fn frontier(&self) -> &Progress {
         &self.ctx.progress
     }
@@ -960,11 +881,8 @@ fn wal_stage(
 
 /// One durable group whose extent writes are on the device.
 pub(crate) struct InflightFlush {
-    /// Flights not yet reaped: the group's eager ones and the flush
-    /// stage's own submission.
-    tickets: Vec<FlushTicket>,
-    /// First failure among the flights already reaped.
-    failed: Option<Error>,
+    /// The group's in-place writes, one batch.
+    ticket: FlushTicket,
     group: DurableGroup,
     /// Page ranges being written, `start → pages`, for the
     /// write-after-write check.
@@ -990,11 +908,11 @@ impl InflightFlush {
 
 /// Where an [`InflightFlush`] stands.
 enum Flight {
-    /// Every ticket reaped; the group can retire with this result.
+    /// Reaped; the group can retire with this result.
     Landed(Result<()>),
-    /// Still on the device. The instant is when to look again: the earliest
-    /// modeled completion among flights whose requests have all executed,
-    /// `None` if all are still executing (their completion signal fires).
+    /// Still on the device. The instant is when to look again: the modeled
+    /// completion once every request has executed, `None` while one still
+    /// executes (the completion signal fires).
     Flying(Option<Instant>),
 }
 
@@ -1007,32 +925,13 @@ fn earlier(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
 }
 
 impl InflightFlush {
-    fn note(&mut self, result: Result<()>) {
-        if let Err(e) = result {
-            self.failed.get_or_insert(e);
-        }
-    }
-
-    /// Reap the tickets that have landed (a failed one gets its retry).
+    /// Reap the flight if it has landed (a failed one gets its retry).
     fn poll(&mut self, ctx: &StageCtx) -> Flight {
-        let mut due = None;
-        let mut i = 0;
-        while i < self.tickets.len() {
-            match self.tickets[i].poll() {
-                Some(result) => {
-                    let ticket = self.tickets.swap_remove(i);
-                    self.note(result.or_else(|e| ctx.flush_retry(ticket.items(), e)));
-                }
-                None => {
-                    due = earlier(due, self.tickets[i].completes_at());
-                    i += 1;
-                }
+        match self.ticket.poll() {
+            Some(result) => {
+                Flight::Landed(result.or_else(|e| ctx.flush_retry(self.ticket.items(), e)))
             }
-        }
-        if self.tickets.is_empty() {
-            Flight::Landed(self.failed.take().map_or(Ok(()), Err))
-        } else {
-            Flight::Flying(due)
+            None => Flight::Flying(self.ticket.completes_at()),
         }
     }
 }
@@ -1072,8 +971,6 @@ fn flush_stage(inbox: Arc<FlushInbox>, ctx: StageCtx) {
     let mut inflight: Vec<InflightFlush> = Vec::new();
     loop {
         let due = reap(&mut inflight, &ctx);
-        // After the frontier moved: no commit waits for this sync.
-        ctx.sync_data();
         match inbox.wait(true, due) {
             Wake::Group(group) => ctx.flush(&inbox, &mut inflight, group),
             Wake::Look => {}
@@ -1145,54 +1042,58 @@ mod tests {
         assert!(inbox.push(group(7)).is_some_and(|g| g.epochs == [7]));
     }
 
-    /// Group `seq` of log epoch `epoch`, ending in `commit`, with `bytes`
-    /// of content.
-    pub(super) fn retired(
-        seq: u64,
-        log_epoch: u32,
-        commit: Option<u64>,
-        bytes: u64,
-    ) -> DurableGroup {
+    /// Group `seq` of log epoch `epoch`, ending in `commit`.
+    pub(super) fn retired(seq: u64, log_epoch: u32, commit: Option<u64>) -> DurableGroup {
         let mut g = group(seq + 1);
-        (g.seq, g.log_epoch, g.last_commit, g.pinned) = (seq, log_epoch, commit, bytes);
+        (g.seq, g.log_epoch, g.last_commit) = (seq, log_epoch, commit);
         g
     }
 
+    fn at(log_epoch: u32, txn: u64, seq: u64) -> Option<Mark> {
+        Some(Mark {
+            log_epoch,
+            txn,
+            seq,
+        })
+    }
+
     #[test]
-    fn the_mark_covers_the_retired_prefix_in_log_order_once_the_budget_is_spent() {
+    fn the_mark_covers_the_retired_prefix_in_log_order() {
         let mark = DataMark::new();
-        let half = DATA_SYNC_EVERY / 2;
-        mark.retired(&retired(0, 1, Some(10), half));
-        mark.retired(&retired(2, 1, Some(30), half)); // ahead of group 1
-        let at = |txn| Some(Mark { log_epoch: 1, txn });
-        assert_eq!(mark.due(), at(10), "group 1 has not retired");
-        mark.publish(Mark {
-            log_epoch: 1,
-            txn: 10,
-        });
+        mark.retired(&retired(0, 1, Some(10)));
+        mark.retired(&retired(2, 1, Some(30))); // ahead of group 1
+        assert_eq!(mark.covering(0), at(1, 10, 0));
+        assert_eq!(mark.covering(2), None, "group 1 has not retired");
+        mark.publish(at(1, 10, 0).unwrap());
         assert_eq!(mark.take_unwritten(1), Some(10));
         assert_eq!(mark.take_unwritten(1), None, "written once");
         // Group 1 holds no commit: the prefix runs through group 2.
-        mark.retired(&retired(1, 1, None, DATA_SYNC_EVERY));
-        assert_eq!(mark.due(), at(30));
-        assert_eq!(mark.due(), None, "the budget restarts at the sync");
+        mark.retired(&retired(1, 1, None));
+        assert_eq!(mark.covering(2), at(1, 30, 2));
+    }
+
+    #[test]
+    fn a_published_mark_never_moves_back() {
+        // The flush stage's sync covers group 0; the WAL stage's, issued
+        // once group 1 landed too, publishes first.
+        let mark = DataMark::new();
+        mark.retired(&retired(0, 1, Some(4)));
+        let older = mark.covering(0).unwrap();
+        mark.retired(&retired(1, 1, Some(9)));
+        mark.publish(mark.covering(1).unwrap());
+        mark.publish(older);
+        assert_eq!(mark.take_unwritten(1), Some(9));
     }
 
     #[test]
     fn a_mark_of_an_earlier_log_epoch_is_never_written() {
         let mark = DataMark::new();
-        mark.retired(&retired(0, 1, Some(5), DATA_SYNC_EVERY));
-        let due = mark.due().expect("budget spent");
-        mark.publish(due);
+        mark.retired(&retired(0, 1, Some(5)));
+        mark.publish(mark.covering(0).expect("group 0 landed"));
         // A checkpoint truncates the log before the next group appends.
         assert_eq!(mark.take_unwritten(2), None);
-        // The first group of the new epoch restarts the count: the
-        // checkpoint synced everything before it.
-        mark.retired(&retired(1, 2, Some(6), DATA_SYNC_EVERY - 1));
-        assert_eq!(mark.due(), None);
-        mark.retired(&retired(2, 2, Some(7), 1));
-        let due = mark.due().expect("budget spent in epoch 2");
-        mark.publish(due);
+        mark.retired(&retired(1, 2, Some(7)));
+        mark.publish(mark.covering(1).expect("group 1 landed"));
         assert_eq!(mark.take_unwritten(2), Some(7));
     }
 
@@ -1200,8 +1101,8 @@ mod tests {
     fn a_group_that_never_retired_holds_the_prefix_back_for_good() {
         let mark = DataMark::new();
         // Group 0 failed: it never reaches `retired`.
-        mark.retired(&retired(1, 1, Some(8), DATA_SYNC_EVERY));
-        assert_eq!(mark.due(), None);
+        mark.retired(&retired(1, 1, Some(8)));
+        assert_eq!(mark.covering(1), None);
     }
 }
 
@@ -1295,15 +1196,14 @@ mod model {
         synced: AtomicU64,
     }
 
-    /// The flush stage retires a group that spends the budget, syncs the
+    /// The flush stage retires a group with in-place writes, syncs the
     /// data device and publishes; the WAL stage, appending its next group,
     /// writes whatever was published. A mark in the log must name only
     /// content the data device already holds.
     fn run_mark(sync_first: bool) {
         let flush: Actor<Marked> = Box::new(move |w| {
-            w.mark
-                .retired(&super::tests::retired(0, 1, Some(7), DATA_SYNC_EVERY));
-            let mark = w.mark.due().expect("the budget is spent");
+            w.mark.retired(&super::tests::retired(0, 1, Some(7)));
+            let mark = w.mark.covering(0).expect("group 0 landed");
             if sync_first {
                 w.synced.store(mark.txn, Ordering::Release);
             }
@@ -1358,24 +1258,24 @@ mod model {
         sync_issued: Plain,
     }
 
-    /// Group 0 wrote in place (an asynchronous or in-place group) and
-    /// lands on the flush stage; group 1's content went out early, and the
-    /// WAL stage settles it: lands it, syncs, and writes the mark the sync
+    /// Group 0 wrote in place and lands on the flush stage; group 1 has
+    /// only fresh content, and the WAL stage settles it: lands it, syncs, and writes the mark the sync
     /// covers, naming commit 7 of group 1 or commit 5 of group 0. A mark
     /// in the log must name only content a data sync issued after its
     /// landing covers — every group's up to its own.
     fn run_inline(take: Inline) {
         let flush: Actor<Settling> = Box::new(|w| {
             w.landed[0].store(true, Ordering::Release);
-            w.mark.retired(&super::tests::retired(0, 1, Some(5), 1));
+            w.mark.retired(&super::tests::retired(0, 1, Some(5)));
         });
         let wal: Actor<Settling> = Box::new(move |w| {
             w.landed[1].store(true, Ordering::Release);
-            w.mark.retired(&super::tests::retired(1, 1, Some(7), 1));
+            w.mark.retired(&super::tests::retired(1, 1, Some(7)));
             let mark = match take {
                 Inline::OwnCommit => Some(Mark {
                     log_epoch: 1,
                     txn: 7,
+                    seq: 1,
                 }),
                 _ => w.mark.covering(1),
             };

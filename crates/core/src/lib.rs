@@ -58,7 +58,6 @@ pub use db::{AllocatorAudit, ComparatorFactory, Config, Database, PoolVariant, S
 pub use defrag::{
     defrag_pass, scrub_pass, DefragConfig, DefragPassReport, Defragmenter, ScrubCursor,
 };
-pub use group_commit::DATA_SYNC_EVERY;
 pub use index::{BlobIndex, BlobStateCmp, ExpressionIndex, Udf};
 pub use lock::{LockManager, LockMode};
 pub use recovery::{OpenPhases, RecoveryReport};

@@ -18,8 +18,13 @@
 //!    committer writes that mark once a data-device sync has covered every
 //!    commit up to it (`group_commit`), so a key whose newest version lies
 //!    in that prefix — and that no later record touches — is accepted as
-//!    it stands. A key with any record after the mark is validated down its
-//!    whole version chain, as without a mark. Validation never goes
+//!    it stands. A group's fresh content is synced before its records and
+//!    the group marks itself, so what is hashed is the in-place groups
+//!    logged after the last mark (deltas, appends into partly filled
+//!    extents, relocations): a key with any record after the mark is
+//!    validated down its whole version chain, as without a mark. A log
+//!    whose commits logged before their content, with no mark after them,
+//!    is hashed in full the same way. Validation never goes
 //!    through the buffer pool: each round of the fixpoint streams the
 //!    content of all its BLOBs straight from the device in batches of
 //!    pieces ([`content::validate_many`]), the next batch in flight while

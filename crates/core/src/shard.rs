@@ -434,8 +434,9 @@ impl ShardedDatabase {
 
     // ------------------------------------------- durability/checkpoint ---
 
-    /// Block until every shard's asynchronously committed work is durable,
-    /// then advance the global durability frontier over it.
+    /// Block until every shard's asynchronously committed work is durable
+    /// (WAL records fsynced *and* content synced), then advance the global
+    /// durability frontier over it.
     pub fn wait_for_durability(&self) -> Result<()> {
         for s in &self.shards {
             s.wait_for_durability()?;

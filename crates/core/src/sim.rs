@@ -17,11 +17,14 @@
 //! Only the device's I/O workers run beside the driver. At a seeded step
 //! boundary both devices lose power; the medium is reopened, and:
 //!
-//! * under `commit_wait`, every key a retired (acknowledged) transaction
-//!   wrote reads back with that version's SHA-256, or with a version logged
-//!   after it;
+//! * every key a retired (durable) transaction wrote reads back with that
+//!   version's SHA-256, or with a version logged after it — in both commit
+//!   modes: a group's content is synced before its epochs complete;
 //! * every key resolves to a logged version, or to none, and its content
 //!   matches the SHA-256 of its Blob State;
+//! * an open whose log holds no in-place group after its last mark hashes
+//!   nothing: every other group's content was synced before its records,
+//!   under its own mark;
 //! * a second open finds the same state;
 //! * the allocator equals the audit walk, and the latch ledger is clean.
 //!
@@ -35,7 +38,7 @@ use lobster_sha256::Sha256;
 use lobster_storage::{CrashDevice, Device, MemDevice};
 use lobster_sync::Arc;
 use lobster_wal::LogRecord;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Seeds that once failed, replayed on every run on top of the sweep.
 const FIXED: &[u64] = &[];
@@ -114,6 +117,8 @@ struct Sim {
     flushed: Vec<At>,
     seq: u64,
     history: History,
+    /// Transactions with content to write in place after their fsync.
+    in_place: HashSet<u64>,
 }
 
 impl Sim {
@@ -132,7 +137,6 @@ impl Sim {
             db.metrics.clone(),
             db.geo.page_size() as u64,
             u64::MAX,
-            commit_wait,
         );
         Sim {
             data,
@@ -147,6 +151,7 @@ impl Sim {
             flushed: Vec::new(),
             seq: 0,
             history: HashMap::new(),
+            in_place: HashSet::new(),
         }
     }
 
@@ -176,6 +181,9 @@ impl Sim {
         let mut t = self.db.begin();
         let content = ops(&mut t, &self.rel);
         let ws = t.stage(LogRecord::TxnCommit { txn: t.id() });
+        if !ws.toflush.is_empty() {
+            self.in_place.insert(t.id());
+        }
         let epoch = self.ctx.admit(&ws);
         t.finish();
         let versions = self.history.entry(key.clone()).or_default();
@@ -262,13 +270,18 @@ impl Sim {
 
     /// The power cut: both devices lose what no sync covered. Returns a
     /// copy of what reached each medium, and the oracle.
-    fn cut(self) -> (Media, History) {
+    fn cut(self) -> (Media, Oracle) {
         self.wal.crash_now();
         self.data.crash_now();
         let Sim {
-            data, wal, history, ..
+            data,
+            wal,
+            history,
+            in_place,
+            ..
         } = self;
-        ((medium(data.inner()), medium(wal.inner())), history)
+        let media = (medium(data.inner()), medium(wal.inner()));
+        (media, Oracle { history, in_place })
     }
 }
 
@@ -322,6 +335,29 @@ fn verbs(
 /// What reached the data and the log device.
 type Media = (Arc<MemDevice>, Arc<MemDevice>);
 
+/// What the driver knows of the store it cut.
+struct Oracle {
+    history: History,
+    in_place: HashSet<u64>,
+}
+
+/// Whether a commit of an in-place transaction follows the last mark of
+/// `records`: its content was written after its records, so recovery may
+/// hash it (and what the group's mark would have covered).
+fn in_place_after_mark(records: &[LogRecord], in_place: &HashSet<u64>) -> bool {
+    let mut commit_at = HashMap::new();
+    let mut mark = None;
+    for (i, rec) in records.iter().enumerate() {
+        match rec {
+            LogRecord::TxnCommit { txn } => drop(commit_at.insert(*txn, i)),
+            LogRecord::DataDurable { txn } => mark = mark.max(commit_at.get(txn).copied()),
+            _ => {}
+        }
+    }
+    let mut after = records.iter().skip(mark.map_or(0, |at| at + 1));
+    after.any(|rec| matches!(rec, LogRecord::TxnCommit { txn } if in_place.contains(txn)))
+}
+
 /// A copy of what reached `dev`.
 fn medium(dev: &MemDevice) -> Arc<MemDevice> {
     let copy = MemDevice::new(dev.capacity() as usize);
@@ -360,22 +396,34 @@ fn name(key: &[u8]) -> String {
     String::from_utf8_lossy(key).into_owned()
 }
 
-/// The four properties over the reopened medium.
-fn check(commit_wait: bool, media: Media, history: &History) -> Result<(), String> {
+/// The five properties over the reopened medium.
+fn check(commit_wait: bool, media: Media, oracle: &Oracle) -> Result<(), String> {
+    let history = &oracle.history;
+    let wal: Arc<dyn Device> = media.1.clone();
+    let records = lobster_wal::Wal::scan(&wal)
+        .map_err(|e| e.to_string())?
+        .records;
     let open = || {
         let (data, wal) = (media.0.clone(), media.1.clone());
-        let (db, _) = Database::open(data, wal, cfg(commit_wait)).map_err(|e| e.to_string())?;
+        let (db, report) =
+            Database::open(data, wal, cfg(commit_wait)).map_err(|e| e.to_string())?;
         let audit = db.audit_allocator().map_err(|e| e.to_string())?;
         if !audit.is_exact() {
             return Err(format!("the allocator is not the audit walk: {audit:?}"));
         }
-        Ok::<_, String>(db)
+        Ok::<_, String>((db, report))
     };
-    let db = open()?;
+    let (db, report) = open()?;
+    if report.validated != 0 && !in_place_after_mark(&records, &oracle.in_place) {
+        return Err(format!(
+            "the open hashed {} versions, but no in-place group follows the last mark",
+            report.validated
+        ));
+    }
     let got = contents(&db)?;
     // Acknowledged means durable: the last retired version, or a later
     // logged one, reads back with its SHA-256.
-    for (key, versions) in history.iter().filter(|_| commit_wait) {
+    for (key, versions) in history {
         let Some(acked) = versions.iter().rposition(|v| v.acked) else {
             continue;
         };
@@ -418,7 +466,7 @@ fn check(commit_wait: bool, media: Media, history: &History) -> Result<(), Strin
     }
     drop(db);
     // The first open ended in a checkpoint: a second finds the same.
-    let again = contents(&open()?)?;
+    let again = contents(&open()?.0)?;
     if again != got {
         return Err("a second open changed the store".into());
     }
@@ -432,8 +480,8 @@ fn run(seed: u64, commit_wait: bool) -> Result<(), String> {
     let txns = 4 + rng.below(6);
     let cut_at = rng.below(5 * txns);
     sim.run(&mut rng, txns, cut_at);
-    let (media, history) = sim.cut();
-    check(commit_wait, media, &history)
+    let (media, oracle) = sim.cut();
+    check(commit_wait, media, &oracle)
 }
 
 /// Sweep-width multiplier for the nightly torture CI job
@@ -491,8 +539,8 @@ fn flush_before_log(broken: bool) -> Result<(), String> {
     } else {
         sim.commit_in_order();
     }
-    let (media, history) = sim.cut();
-    check(true, media, &history)
+    let (media, oracle) = sim.cut();
+    check(true, media, &oracle)
 }
 
 /// In order, the schedule passes. Broken, the delta overwrote the
@@ -506,4 +554,31 @@ fn broken_flush_before_log_is_caught() {
         err.contains("acknowledged version"),
         "caught for another reason: {err}"
     );
+}
+
+/// An asynchronous put, then a delta into its first extent staged before
+/// the put's group settles; the put's group alone is logged — its content
+/// written and synced under its own mark — and retired, and power fails
+/// before the delta's group is logged. The put must read back as it was
+/// committed: the delta's bytes, never logged, must not ride its write.
+#[test]
+fn a_delta_staged_before_its_puts_group_settles_stays_out_of_the_put() {
+    let mut sim = Sim::new(false);
+    let v0 = vec![5u8; 64 << 10];
+    let mut v1 = v0.clone();
+    v1[..16].fill(9);
+    let key = b"k0".to_vec();
+    sim.stage(key.clone(), |t, rel| {
+        t.put_blob(rel, b"k0", &v0).unwrap();
+        Some(v0.clone())
+    });
+    sim.stage(key, |t, rel| {
+        t.update_blob(rel, b"k0", 0, &v1[..16]).unwrap();
+        Some(v1.clone())
+    });
+    sim.log(1);
+    sim.flush();
+    sim.retire();
+    let (media, oracle) = sim.cut();
+    check(false, media, &oracle).unwrap();
 }

@@ -16,18 +16,20 @@
 //!    in one pass and leaves the write to the pipeline. [`Txn::stage`]
 //!    seals the set with its commit record, for both a local and a
 //!    cross-shard commit.
-//! 2. **log** (`StageCtx::log`) — the group's records, Blob States and not
-//!    content, are appended to the WAL and fsynced once (group commit). A
-//!    waiting commit whose content all went out early has it landed and
-//!    the data device synced first, so the fsync makes it durable outright.
+//! 2. **log** (`StageCtx::log`) — content before its record, in both
+//!    modes: the group's fresh content not yet on its way goes out as one
+//!    batch, everything fresh lands and the data device is synced once;
+//!    then the group's records, Blob States and not content, are appended
+//!    to the WAL and fsynced once (group commit). That fsync makes a put
+//!    durable outright.
 //! 3. **flush** (`StageCtx::flush`) — **only after** the Blob State is
 //!    durable is anything written *in place* — a delta update, an append
 //!    into a partly filled extent, a relocation — with one batched
 //!    asynchronous write per extent covering only its dirty pages. The
 //!    flush clears `prevent_evict` and leaves the extents *clean*, so
 //!    eviction never writes BLOB content a second time.
-//! 4. **retire** (`StageCtx::retire`) — once every write landed (and a
-//!    waiting commit's group synced the data device: `group_commit`,
+//! 4. **retire** (`StageCtx::retire`) — once every write landed and a
+//!    group with in-place writes synced the data device (`group_commit`,
 //!    "Acknowledged means durable"), freed extents recycle and the commit
 //!    is acknowledged.
 //!
@@ -97,12 +99,12 @@ pub(crate) struct WriteSet {
     /// the transaction, which rolls back a commit that fails after its
     /// submission like any other.
     pub records: Arc<Vec<LogRecord>>,
-    /// Extent ranges to write after the WAL fsync.
+    /// Extent ranges to write in place, after the WAL fsync.
     pub toflush: Vec<FlushItem>,
     /// Fresh extents, filled and not yet submitted: a waiting commit's
     /// verb puts them in `flights` before it returns
     /// ([`Txn::write_early`]); an asynchronous one leaves them to the
-    /// pipeline.
+    /// pipeline, which writes them before the commit's records.
     pub fresh: Vec<FlushItem>,
     /// Writes of fresh extents already on the device's queue. Each holds a
     /// shared latch on its extents until reaped — by the commit pipeline,
@@ -126,7 +128,7 @@ impl WriteSet {
     /// retires: what is still to be submitted and what is on its way.
     pub(crate) fn pinned_bytes(&self, page_size: u64) -> u64 {
         let flying = self.flights.iter().flat_map(|t| t.items());
-        let items = self.toflush.iter().chain(flying);
+        let items = self.toflush.iter().chain(&self.fresh).chain(flying);
         items.map(|i| i.dirty_pages).sum::<u64>() * page_size
     }
 
@@ -988,7 +990,12 @@ impl Txn {
 
             // Modeled costs: delta writes the new bytes twice (WAL +
             // extent); cloning writes the old extent content once more.
-            if 2 * piece.len as u64 <= ext_bytes {
+            // An extent that still owes a flush is cloned whatever the
+            // cost: a write of it an earlier commit has yet to issue — an
+            // asynchronous put's goes out before that put's record — must
+            // not carry this transaction's bytes before its own record.
+            let owed = self.db.blob_pool.owes_flush(piece.spec);
+            if 2 * piece.len as u64 <= ext_bytes && !owed {
                 self.log(LogRecord::BlobDelta {
                     txn: self.id,
                     relation: rel.id,
@@ -1234,10 +1241,10 @@ impl Txn {
 
     // -------------------------------------------------- commit/abort ----
 
-    /// Commit: WAL fsync first (Blob State durable), then every content
-    /// write that had to wait for it; durable once those and the writes of
-    /// fresh extents started during the transaction have landed, then
-    /// extent recycling.
+    /// Commit: fresh content landed and synced, then the WAL fsync (Blob
+    /// State durable), then every in-place write that had to wait for it;
+    /// durable once those have landed and are synced too, then extent
+    /// recycling.
     ///
     /// With [`crate::Config::commit_wait`] `false`, the durability work is
     /// handed to the background group committer and this returns
@@ -1280,10 +1287,10 @@ impl Txn {
     /// extents' write ([`Txn::write_early`]); this seals the set with its
     /// commit record `end` and hands it out for the pipeline. Fresh
     /// extents still unsubmitted — an asynchronous commit's, or a waiting
-    /// one's whose early submission failed — go with the in-place writes:
-    /// the pipeline owns the retry. The transaction keeps what a rollback
-    /// of a commit that fails later still walks: the records and the
-    /// allocations.
+    /// one's whose early submission failed — stay fresh: the pipeline
+    /// writes them before the records, and owns the retry. The
+    /// transaction keeps what a rollback of a commit that fails later
+    /// still walks: the records and the allocations.
     pub(crate) fn stage(&mut self, end: LogRecord) -> WriteSet {
         self.db
             .metrics
@@ -1291,7 +1298,6 @@ impl Txn {
             .fetch_add(self.ws.allocated.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         Arc::make_mut(&mut self.ws.records).push(end);
         let mut ws = std::mem::take(&mut self.ws);
-        ws.toflush.append(&mut ws.fresh);
         self.ws.records = ws.records.clone();
         self.ws.allocated = std::mem::take(&mut ws.allocated);
         ws

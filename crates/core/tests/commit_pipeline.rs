@@ -1,6 +1,6 @@
 //! Tests for the two-stage (pipelined) group committer: the per-group
 //! ordering rule (WAL fsync before any in-place extent write; fresh extents
-//! may precede it), sticky error surfacing, pin budget release on flush
+//! precede it), sticky error surfacing, pin budget release on flush
 //! completion, and the flags of an extent with more than one flush owed.
 
 use lobster_core::{Config, Database, PoolVariant, RelationKind};
@@ -365,9 +365,11 @@ impl Device for GateDevice {
     }
 }
 
-/// The pin budget must be released when a batch's *flush* completes, not
-/// when its fsync returns: with two groups fsynced but their extent writes
-/// stuck on the device, a third oversized commit has to block in `submit`.
+/// The pin budget must be released when a group's *flush* completes, not
+/// when its fsync returns: with two groups fsynced but their in-place
+/// writes stuck on the device, a third oversized commit has to block in
+/// `submit`. (A put's fresh content lands before its fsync, so the stuck
+/// writes are deltas.)
 #[test]
 fn pin_budget_releases_on_flush_completion_not_fsync() {
     let data = Arc::new(GateDevice::new(256 << 20));
@@ -376,34 +378,49 @@ fn pin_budget_releases_on_flush_completion_not_fsync() {
     cfg.pool_frames = 1024; // 4 MiB pool -> 1 MiB pin budget
     let db = Database::create(data.clone(), wal, cfg).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let _open = OpenOnDrop(vec![data.clone()]);
+
+    let blob = pattern(2 << 20, 1);
+    let mut t = db.begin();
+    t.put_blob(&rel, b"a", &blob).unwrap();
+    t.commit().unwrap();
+    db.wait_for_durability().unwrap();
+    // Two patches, each logged as a delta over half of one of the blob's
+    // two largest extents (1 MiB and 512 KiB): 768 KiB pinned in all.
+    let patches: Vec<(u64, Vec<u8>)> = {
+        let state = db.begin().blob_state(&rel, b"a").unwrap().unwrap();
+        let specs = state.content_specs(db.tier_table(), db.geometry());
+        let mut by_size: Vec<usize> = (0..specs.len()).collect();
+        by_size.sort_by_key(|&i| std::cmp::Reverse(specs[i].pages));
+        (by_size[..2].iter())
+            .map(|&i| {
+                let at = specs[..i].iter().map(|s| s.pages * 4096).sum::<u64>();
+                (at, pattern(specs[i].pages as usize * 4096 / 2, i as u64))
+            })
+            .collect()
+    };
     data.close();
-
-    let payload = pattern(400 * 1024, 1);
     let flushes = |db: &Database| db.metrics().snapshot().commit_flush_batches;
+    let before = flushes(&db);
 
-    // First commit: wait for its group's flush to be submitted so the
-    // second commit lands in a group of its own.
-    let mut t = db.begin();
-    t.put_blob(&rel, b"a", &payload).unwrap();
-    t.commit().unwrap();
-    assert!(
-        wait_until(Duration::from_secs(10), || flushes(&db) == 1),
-        "first group's flush never submitted"
-    );
+    // One update per group: wait for each group's flush to be submitted
+    // so the next update lands in a group of its own. Both groups then
+    // have their WAL records fsynced and their in-place writes stuck
+    // behind the gate.
+    for (n, (at, patch)) in (1..).zip(&patches) {
+        let mut t = db.begin();
+        t.update_blob(&rel, b"a", *at, patch).unwrap();
+        t.commit().unwrap();
+        assert!(
+            wait_until(Duration::from_secs(10), || flushes(&db) == before + n),
+            "group {n}'s flush never submitted"
+        );
+    }
 
-    // Second commit: both groups now have their WAL records fsynced and
-    // their extent flushes stuck behind the gate.
-    let mut t = db.begin();
-    t.put_blob(&rel, b"b", &payload).unwrap();
-    t.commit().unwrap();
-    assert!(
-        wait_until(Duration::from_secs(10), || flushes(&db) == 2),
-        "second group's flush never submitted"
-    );
-
-    // Third commit: 3 x 400 KiB > 1 MiB budget, so `submit` must block
+    // Third commit: 768 KiB + 400 KiB > 1 MiB budget, so `submit` must block
     // until an in-flight flush lands — fsync completion alone is not
     // enough to admit it.
+    let payload = pattern(400 * 1024, 3);
     let done = Arc::new(AtomicBool::new(false));
     let committer = {
         let db = db.clone();
@@ -430,11 +447,19 @@ fn pin_budget_releases_on_flush_completion_not_fsync() {
     committer.join().unwrap();
     assert!(done.load(Ordering::Acquire));
     db.wait_for_durability().unwrap();
-    for (key, seed) in [(b"a", 1u64), (b"b", 1), (b"c", 1)] {
+    let mut patched = blob.clone();
+    for (at, patch) in &patches {
+        patched[*at as usize..*at as usize + patch.len()].copy_from_slice(patch);
+    }
+    for (key, want) in [(&b"a"[..], &patched), (b"c", &payload)] {
         let mut t = db.begin();
         let out = t.get_blob(&rel, key, |b| b.to_vec()).unwrap();
         t.commit().unwrap();
-        assert_eq!(out, pattern(400 * 1024, seed));
+        assert!(
+            out == *want,
+            "{} reads back wrong",
+            String::from_utf8_lossy(key)
+        );
     }
 }
 

@@ -8,27 +8,30 @@
 //!   and under `commit_wait` every acknowledged operation survives.
 //! * A delta update after the mark whose in-place write is lost: the
 //!   version the mark covers is hashed after all, and wins.
-//! * A checkpoint between the sync and the next group keeps the stale mark
-//!   out of the new log.
-//! * 200 × 1 MiB `commit_wait` puts on two shards reopen hashing nothing:
-//!   every group's own mark covers it.
+//! * A checkpoint between an in-place group's sync and the next group
+//!   keeps the stale mark out of the new log.
+//! * 200 × 1 MiB puts on two shards reopen hashing nothing, waiting or
+//!   asynchronous: every group's content is synced before its records,
+//!   and its own mark covers it. Drained asynchronous puts survive a cut
+//!   of write-back data devices.
 //! * Restart undo never writes a failed delta's before-image into extents
 //!   its version lost to recycling (found by the sweep).
+//! * A log whose asynchronous commits follow its last mark, as an ordering
+//!   that logged before it wrote left it, still opens and validates them.
 //!
-//! A waiting commit's content is synced before it is acknowledged, so only
-//! asynchronous commits can lose an acknowledged write to a cut: the
-//! targeted scenarios that need one commit with `commit_wait = false` and
-//! wait for durability — extent writes landed, data device not synced.
+//! Every commit's content is synced before it is durable, so a targeted
+//! scenario that needs a committed write to be lost cuts a write-through
+//! data device with [`CrashDevice::arm_after_writes`]: the writes after
+//! the cut are dropped while the syncs are still acknowledged.
 
-use lobster_core::{
-    Config, Database, Relation, RelationKind, ShardDevices, ShardedDatabase, DATA_SYNC_EVERY,
-};
+mod support;
+
+use lobster_core::{Config, Database, Relation, RelationKind, ShardDevices, ShardedDatabase};
 use lobster_storage::{CrashDevice, Device, MemDevice};
 use lobster_types::Error;
 use lobster_wal::LogRecord;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 const MIB: usize = 1 << 20;
 
@@ -79,18 +82,12 @@ fn assert_exact(db: &Database) {
     assert!(audit.is_exact(), "{audit:?}");
 }
 
-/// Block until the committer has synced the data device `n` times.
-fn await_data_syncs(db: &Database, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while db.metrics().snapshot().data_syncs < n {
-        assert!(Instant::now() < deadline, "no data sync after the budget");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+fn is_mark(r: &LogRecord) -> bool {
+    matches!(r, LogRecord::DataDurable { .. })
 }
 
 fn marks(records: &[LogRecord]) -> usize {
-    let is_mark = |r: &&LogRecord| matches!(r, LogRecord::DataDurable { .. });
-    records.iter().filter(is_mark).count()
+    records.iter().filter(|r| is_mark(r)).count()
 }
 
 // ---------------------------------------------------------- crash sweep ---
@@ -256,38 +253,47 @@ fn write_back_crash_sweep_never_resolves_to_bad_content() {
 
 // ---------------------------------------------------- targeted scenarios ---
 
-/// Eight asynchronous 1 MiB puts spend the budget: the committer syncs the
-/// data device and publishes a mark covering all of them.
-fn store_past_one_sync(
+const PUTS: u64 = 8;
+
+/// Eight asynchronous 1 MiB puts, drained: each group synced its content
+/// before its records, and its own mark covers it.
+fn store_of_synced_puts(
     data: Arc<dyn Device>,
     wal: Arc<dyn Device>,
 ) -> (Arc<Database>, Arc<Relation>) {
     let db = Database::create(data, wal, cfg(false)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    let n = (DATA_SYNC_EVERY as usize).div_ceil(MIB) as u64;
-    for i in 0..n {
+    for i in 0..PUTS {
         put(&db, &rel, format!("k{i}").as_bytes(), &pattern(MIB, i));
     }
-    await_data_syncs(&db, 1);
+    db.wait_for_durability().unwrap();
     (db, rel)
 }
 
 #[test]
 fn a_lost_delta_after_the_mark_exposes_a_hashed_earlier_version() {
-    let data = Arc::new(CrashDevice::write_back(MemDevice::new(64 << 20)));
+    let data = Arc::new(CrashDevice::new(MemDevice::new(64 << 20)));
     let wal = Arc::new(MemDevice::new(16 << 20));
-    let (db, rel) = store_past_one_sync(data.clone(), wal.clone());
-    // The delta's group carries the mark; its in-place write sits in the
-    // data device's cache, and the cut discards it.
+    let (db, rel) = store_of_synced_puts(data.clone(), wal.clone());
+    // The cut drops the delta's in-place write and acknowledges the sync
+    // after it.
+    data.arm_after_writes(0, 0);
     let mut t = db.begin();
     t.update_blob(&rel, b"k0", 4096, &[0xEE; 100]).unwrap();
     t.commit().unwrap();
     db.wait_for_durability().unwrap();
-    data.crash_now();
+    assert!(data.has_crashed(), "the delta wrote nothing in place");
     drop(db);
     let wal_dyn: Arc<dyn Device> = wal.clone();
     let log = lobster_wal::Wal::scan(&wal_dyn).unwrap().records;
-    assert_eq!(marks(&log), 1, "the delta's group carries the mark");
+    let last_mark = log.iter().rposition(is_mark).expect("the puts are marked");
+    let delta = log
+        .iter()
+        .position(|r| matches!(r, LogRecord::BlobDelta { .. }));
+    assert!(
+        delta > Some(last_mark),
+        "the delta's group follows the mark"
+    );
 
     let (db2, report) = Database::open(survivor(data.inner()), wal, cfg(false)).unwrap();
     assert_exact(&db2);
@@ -298,8 +304,7 @@ fn a_lost_delta_after_the_mark_exposes_a_hashed_earlier_version() {
     assert_eq!(report.validated, 2, "{report:?}");
     let rel2 = db2.relation("b").unwrap();
     let mut t = db2.begin();
-    let n = (DATA_SYNC_EVERY as usize).div_ceil(MIB) as u64;
-    for i in 0..n {
+    for i in 0..PUTS {
         let key = format!("k{i}");
         let ok = t.get_blob(&rel2, key.as_bytes(), |b| b == pattern(MIB, i));
         assert!(ok.unwrap(), "{key} is not its committed content");
@@ -309,17 +314,20 @@ fn a_lost_delta_after_the_mark_exposes_a_hashed_earlier_version() {
 
 /// Found by the sweep: a failed delta's before-image must not be written
 /// into extents its version lost to recycling. `a`'s first version is
-/// checkpointed; its overwrite frees the extents, `b` is put into them and
-/// patched in place, and the cut loses everything since the checkpoint.
-/// Recovery falls back to `a`'s first version and rolls `b` back — without
-/// writing `b`'s before-image over `a`.
+/// checkpointed, and the cut drops every data write after it: `a`'s
+/// overwrite frees its extents, `b` is put into them, and a last
+/// transaction patches both in place. The marks vouch for the overwrite
+/// and for `b`, but the last transaction touches both keys after them, so
+/// both chains are hashed all the way down. Recovery falls back to `a`'s
+/// first version and rolls `b` back — without writing `b`'s before-image
+/// over `a`.
 #[test]
 fn a_failed_delta_never_writes_into_a_recycled_extent() {
-    let data = Arc::new(CrashDevice::write_back(MemDevice::new(64 << 20)));
+    let data = Arc::new(CrashDevice::new(MemDevice::new(64 << 20)));
     let wal = Arc::new(MemDevice::new(16 << 20));
     let db = Database::create(data.clone(), wal.clone(), cfg(false)).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    // Each commit lands before the next begins, unsynced.
+    // Each commit lands before the next begins.
     let landed = |t: lobster_core::Txn| {
         t.commit().unwrap();
         db.wait_for_durability().unwrap();
@@ -329,6 +337,7 @@ fn a_failed_delta_never_writes_into_a_recycled_extent() {
     t.put_blob(&rel, b"a", &first).unwrap();
     landed(t);
     db.checkpoint().unwrap();
+    data.arm_after_writes(0, 0);
     // The pages a BLOB occupies, in address order: a's one-page tier and
     // one-page tail may trade places when b recycles them.
     let placement = |key: &[u8]| {
@@ -348,8 +357,9 @@ fn a_failed_delta_never_writes_into_a_recycled_extent() {
     assert_eq!(placement(b"b"), placed, "b must take a's recycled extents");
     let mut t = db.begin();
     t.update_blob(&rel, b"b", 600_000, &[0xEE; 100]).unwrap();
+    t.update_blob(&rel, b"a", 4096, &[0xDD; 100]).unwrap();
     landed(t);
-    data.crash_now();
+    assert!(data.has_crashed());
     drop(db);
 
     let (db2, report) = Database::open(survivor(data.inner()), wal, cfg(false)).unwrap();
@@ -367,38 +377,54 @@ fn a_checkpoint_between_the_sync_and_the_next_group_keeps_the_mark_out() {
     for checkpoint in [false, true] {
         let data = Arc::new(MemDevice::new(64 << 20));
         let wal = Arc::new(MemDevice::new(16 << 20));
-        let (db, rel) = store_past_one_sync(data, wal);
+        let (db, rel) = store_of_synced_puts(data, wal);
+        // An in-place group: its retire syncs and publishes a mark that
+        // only the next group can write.
+        let mut t = db.begin();
+        t.update_blob(&rel, b"k0", 4096, &[0xEE; 100]).unwrap();
+        t.commit().unwrap();
+        db.wait_for_durability().unwrap();
         if checkpoint {
             db.checkpoint().unwrap();
         }
-        put(&db, &rel, b"next", &pattern(5000, 99));
+        // The next group has no content to mark of its own.
+        let mut t = db.begin();
+        t.delete_blob(&rel, b"k1").unwrap();
+        t.commit().unwrap();
         db.wait_for_durability().unwrap();
         let log = db.wal().read_all().unwrap();
+        let delete = (log.iter())
+            .position(|r| matches!(r, LogRecord::Delete { .. }))
+            .unwrap();
         let want = usize::from(!checkpoint);
-        assert_eq!(marks(&log), want, "checkpoint {checkpoint}: {log:?}");
+        let tail = &log[delete..];
+        assert_eq!(marks(tail), want, "checkpoint {checkpoint}: {tail:?}");
     }
+}
+
+/// Two shards' data and log devices.
+fn two_shards<D: Device + 'static>(data: &[Arc<D>], wal: &[Arc<MemDevice>]) -> Vec<ShardDevices> {
+    (data.iter().zip(wal))
+        .map(|(data, wal)| ShardDevices {
+            data: data.clone(),
+            wal: wal.clone(),
+        })
+        .collect()
+}
+
+fn log_devices() -> Vec<Arc<MemDevice>> {
+    (0..2).map(|_| Arc::new(MemDevice::new(16 << 20))).collect()
 }
 
 #[test]
 fn reopen_after_200_one_mib_puts_hashes_only_the_tail() {
     // The tail is empty: every waiting group syncs and marks its own
     // content.
-    let parts: Vec<_> = (0..2)
-        .map(|_| {
-            let data: Arc<dyn Device> = Arc::new(MemDevice::new(320 << 20));
-            let wal: Arc<dyn Device> = Arc::new(MemDevice::new(16 << 20));
-            (data, wal)
-        })
+    let data: Vec<_> = (0..2)
+        .map(|_| Arc::new(MemDevice::new(320 << 20)))
         .collect();
-    let devices = || {
-        (parts.iter())
-            .map(|(data, wal)| ShardDevices {
-                data: data.clone(),
-                wal: wal.clone(),
-            })
-            .collect::<Vec<_>>()
-    };
-    let sdb = ShardedDatabase::create(devices(), cfg(true)).unwrap();
+    let wal = log_devices();
+    let sdb = ShardedDatabase::create(two_shards(&data, &wal), cfg(true)).unwrap();
     let rel = sdb.create_relation("b", RelationKind::Blob).unwrap();
     let blob = pattern(MIB, 7);
     for i in 0..200u32 {
@@ -408,7 +434,7 @@ fn reopen_after_200_one_mib_puts_hashes_only_the_tail() {
     }
     drop(sdb); // no checkpoint: every put is in the logs
 
-    let (sdb, reports) = ShardedDatabase::open(devices(), cfg(true)).unwrap();
+    let (sdb, reports) = ShardedDatabase::open(two_shards(&data, &wal), cfg(true)).unwrap();
     sdb.shards().iter().for_each(|db| assert_exact(db));
     for (shard, report) in reports.iter().enumerate() {
         assert!(report.committed > 50, "shard {shard}: {report:?}");
@@ -419,5 +445,96 @@ fn reopen_after_200_one_mib_puts_hashes_only_the_tail() {
     for i in (0..200u32).step_by(17) {
         assert!(t.get_blob(&rel, &i.to_be_bytes(), |b| b == blob).unwrap());
     }
+    t.commit().unwrap();
+}
+
+/// The asynchronous twin: 200 × 1 MiB puts drained, then more not
+/// drained, and a cut of both write-back data devices. A drained put's
+/// content was synced before its records, and its group's own mark covers
+/// it: every one survives, and the reopen hashes nothing.
+#[test]
+fn reopen_after_200_drained_async_puts_hashes_nothing_and_loses_none() {
+    for round in 0..torture_mult() {
+        let data: Vec<_> = (0..2)
+            .map(|_| Arc::new(CrashDevice::write_back(MemDevice::new(320 << 20))))
+            .collect();
+        let wal = log_devices();
+        let sdb = ShardedDatabase::create(two_shards(&data, &wal), cfg(false)).unwrap();
+        let rel = sdb.create_relation("b", RelationKind::Blob).unwrap();
+        let blob = pattern(MIB, 7 + round);
+        let put = |i: u32| {
+            let mut t = sdb.begin();
+            t.put_blob(&rel, &i.to_be_bytes(), &blob).unwrap();
+            t.commit().unwrap();
+        };
+        (0..200).for_each(put);
+        sdb.wait_for_durability().unwrap();
+        let undrained = 200 + 20 + round as u32;
+        (200..undrained).for_each(put);
+        data.iter().for_each(|d| d.crash_now());
+        drop(sdb);
+
+        let survivors: Vec<_> = data.iter().map(|d| survivor(d.inner())).collect();
+        let (sdb, reports) =
+            ShardedDatabase::open(two_shards(&survivors, &wal), cfg(false)).unwrap();
+        sdb.shards().iter().for_each(|db| assert_exact(db));
+        for (shard, report) in reports.iter().enumerate() {
+            assert!(report.committed > 50, "shard {shard}: {report:?}");
+            assert_eq!(
+                report.validated, 0,
+                "round {round} shard {shard}: {report:?}"
+            );
+        }
+        let rel = sdb.relation("b").unwrap();
+        let mut t = sdb.begin();
+        for i in 0..undrained {
+            match t.get_blob(&rel, &i.to_be_bytes(), |b| b == blob) {
+                Ok(whole) => assert!(whole, "round {round}: {i} reads bytes never put"),
+                Err(Error::KeyNotFound) if i >= 200 => {}
+                Err(e) => panic!("round {round}: drained put {i} is lost: {e}"),
+            }
+        }
+        t.commit().unwrap();
+    }
+}
+
+/// A log whose asynchronous commits logged before their content
+/// ([`support::without_marks`]) opens: every commit after the last mark is
+/// hashed, and one whose content never arrived is rolled back.
+#[test]
+fn a_log_of_async_commits_after_its_last_mark_still_opens_and_validates_them() {
+    let data = Arc::new(CrashDevice::new(MemDevice::new(64 << 20)));
+    let wal = Arc::new(MemDevice::new(16 << 20));
+    let db = Database::create(data.clone(), wal.clone(), cfg(false)).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    for i in 0..3 {
+        put(&db, &rel, format!("k{i}").as_bytes(), &pattern(MIB, i));
+    }
+    db.wait_for_durability().unwrap();
+    // The last put's content never arrives.
+    data.arm_after_writes(0, 0);
+    put(&db, &rel, b"k3", &pattern(MIB, 3));
+    db.wait_for_durability().unwrap();
+    drop(db);
+    let log = support::without_marks(wal);
+
+    let (db2, report) = Database::open(survivor(data.inner()), log, cfg(false)).unwrap();
+    assert_exact(&db2);
+    assert_eq!(
+        (report.validated, report.sha_failures),
+        (4, 1),
+        "{report:?}"
+    );
+    let rel2 = db2.relation("b").unwrap();
+    let mut t = db2.begin();
+    for i in 0..3 {
+        let key = format!("k{i}");
+        let ok = t.get_blob(&rel2, key.as_bytes(), |b| b == pattern(MIB, i));
+        assert!(ok.unwrap(), "{key} is not its committed content");
+    }
+    assert!(matches!(
+        t.get_blob(&rel2, b"k3", |_| ()),
+        Err(Error::KeyNotFound)
+    ));
     t.commit().unwrap();
 }

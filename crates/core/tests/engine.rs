@@ -1,6 +1,8 @@
 //! End-to-end tests of the LOBSTER engine: BLOB life-cycle, the
 //! single-flush commit protocol, transactions, and crash recovery.
 
+mod support;
+
 use lobster_core::{
     BlobStateCmp, Config, Database, ExpressionIndex, PoolVariant, RelationKind, Txn,
 };
@@ -739,11 +741,13 @@ fn recovery_replays_committed_transactions() {
 #[test]
 fn recovery_detects_lost_blob_content_via_sha() {
     // The crash window the paper's protocol defends: WAL fsync succeeded
-    // (Blob State durable) but the extent flush never reached the device.
-    // Only an asynchronous commit leaves it open: a waiting one syncs the
-    // data device before it is acknowledged.
+    // (Blob State durable) but the content never reached the device. A
+    // group syncs its content before its records, so the window is
+    // staged: the cut drops the content's write and acknowledges the sync
+    // after it, and the log is read as an ordering that logged first left
+    // it (`support::without_marks`).
     let raw = MemDevice::new(128 << 20);
-    let crash_dev = Arc::new(CrashDevice::write_back(raw));
+    let crash_dev = Arc::new(CrashDevice::new(raw));
     let wal = Arc::new(MemDevice::new(32 << 20));
     let data = pattern(200_000, 101);
     let cfg = Config {
@@ -756,14 +760,14 @@ fn recovery_detects_lost_blob_content_via_sha() {
         put(&db, &rel, b"good", &data);
         db.checkpoint().unwrap();
 
-        // The commit's extent content sits in the data device's write
-        // cache, which no sync has covered; the WAL (separate device)
-        // records the commit. Then power is cut on the data device.
+        // The commit's content write is the first the cut drops; the WAL
+        // (separate device) records the commit.
+        crash_dev.arm_after_writes(0, 0);
         let mut t = db.begin();
         t.put_blob(&rel, b"lost", &pattern(100_000, 102)).unwrap();
         t.commit().unwrap();
         db.wait_for_durability().unwrap();
-        crash_dev.crash_now();
+        assert!(crash_dev.has_crashed());
         std::mem::forget(db);
     }
     // Reopen against what physically survived.
@@ -781,7 +785,7 @@ fn recovery_detects_lost_blob_content_via_sha() {
         }
         dst
     });
-    let (db, report) = Database::open(survived, wal, cfg).unwrap();
+    let (db, report) = Database::open(survived, support::without_marks(wal), cfg).unwrap();
     assert_eq!(report.sha_failures, 1, "lost blob must fail validation");
     let rel = db.relation("b").unwrap();
     let mut t = db.begin();

@@ -15,6 +15,8 @@
 //! seed schedule; `LOBSTER_TORTURE_MULT` widens the sweep for the nightly
 //! torture job.
 
+mod support;
+
 use lobster_core::{
     Config, Database, RecoveryReport, Relation, RelationKind, ShardDevices, ShardedDatabase,
 };
@@ -692,8 +694,10 @@ struct Image {
 }
 
 /// Build `shards` crash images holding one BLOB of `len` bytes each,
-/// committed after the last checkpoint and never checkpointed —
-/// asynchronously, so that no data-durable mark spares it validation.
+/// committed after the last checkpoint and never checkpointed, each log
+/// read as an ordering that logged first left it
+/// ([`support::without_marks`]), so no data-durable mark spares the BLOB
+/// validation.
 fn uncheckpointed_images(shards: usize, len: usize) -> Vec<Image> {
     let devices: Vec<(Arc<MemDevice>, Arc<MemDevice>)> = (0..shards)
         .map(|_| {
@@ -710,11 +714,7 @@ fn uncheckpointed_images(shards: usize, len: usize) -> Vec<Image> {
             wal: wal.clone(),
         })
         .collect();
-    let unmarked = Config {
-        commit_wait: false,
-        ..cfg(false)
-    };
-    let sdb = ShardedDatabase::create(parts, unmarked).unwrap();
+    let sdb = ShardedDatabase::create(parts, cfg(false)).unwrap();
     let rel = sdb.create_relation("b", RelationKind::Blob).unwrap();
     sdb.checkpoint().unwrap();
     let mut blobs = vec![Vec::new(); shards];
@@ -746,7 +746,7 @@ fn uncheckpointed_images(shards: usize, len: usize) -> Vec<Image> {
         .zip(blobs)
         .map(|((data, wal), blobs)| Image {
             data: copy_device(&data),
-            wal: copy_device(&wal),
+            wal: copy_device(&support::without_marks(wal)),
             blobs,
         })
         .collect()

@@ -16,6 +16,8 @@
 //!    — the pre-recovery watermark/list persistence closes that window.
 //! 5. The reopened database accepts and persists new cross-shard commits.
 
+mod support;
+
 use lobster_core::{Config, RecoveryReport, RelationKind, ShardDevices, ShardedDatabase};
 use lobster_storage::{CrashDevice, Device, MemDevice};
 use std::sync::Arc;
@@ -255,8 +257,9 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Two blobs per shard committed after the checkpoint — asynchronously, so
-/// no data-durable mark vouches for them — then the content of
+/// Two blobs per shard committed after the checkpoint, each log read as an
+/// ordering that logged first left it (`support::without_marks`), so no
+/// data-durable mark vouches for them — then the content of
 /// one blob on shard 1 and of both on shard 3 torn on the device. The
 /// shards recover concurrently; each report still lands at its shard's
 /// index, counts exactly that shard's torn blobs, and a second recovery of
@@ -278,11 +281,7 @@ fn torn_content_on_two_shards_recovers_concurrently_in_shard_order() {
             wal: wal.clone(),
         })
         .collect();
-    let unmarked = Config {
-        commit_wait: false,
-        ..cfg()
-    };
-    let sdb = ShardedDatabase::create(parts, unmarked).unwrap();
+    let sdb = ShardedDatabase::create(parts, cfg()).unwrap();
     let rel = sdb.create_relation("blobs", RelationKind::Blob).unwrap();
     sdb.checkpoint().unwrap();
     let mut blobs = vec![Vec::new(); SHARDS];
@@ -318,7 +317,7 @@ fn torn_content_on_two_shards_recovers_concurrently_in_shard_order() {
             .iter()
             .map(|(data, wal)| ShardDevices {
                 data: copy_device(data, DATA_CAP),
-                wal: copy_device(wal, WAL_CAP),
+                wal: support::without_marks(wal.clone()),
             })
             .collect();
         ShardedDatabase::open(parts, cfg()).unwrap()

@@ -33,6 +33,16 @@
 //! complete frames and — except for [`Status::TooLarge`] on an oversized
 //! *request* frame, where the stream can no longer be re-synchronized —
 //! leave the connection open for the next request.
+//!
+//! # What a PUT's `OK` means
+//!
+//! The server commits each PUT asynchronously: `OK` means the value is
+//! committed — every later request, on any connection, reads it — but not
+//! yet durable. Its commit group writes and syncs the value's content
+//! before it logs the put, so once the group committers have drained (a
+//! graceful shutdown drains them before it returns) every acknowledged
+//! PUT survives a power cut whole. A cut before that may lose the most
+//! recent PUTs; it never leaves a key holding bytes no PUT sent.
 
 use lobster_types::{Error, Result};
 use std::io::{BufReader, ErrorKind, IoSlice, Read, Write};

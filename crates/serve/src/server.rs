@@ -117,9 +117,10 @@ impl WorkerSlots {
     }
 
     /// Lease a worker id, preferring `shard`'s home bucket, falling back
-    /// to any free slot (work-stealing), waiting up to `timeout`.
+    /// to any free slot (work-stealing), waiting up to `timeout`. A timeout
+    /// too long for an `Instant` to represent waits without a deadline.
     pub fn acquire(&self, shard: usize, timeout: Duration) -> Option<usize> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut slots = self.by_shard.lock();
         loop {
             let n = slots.len();
@@ -129,6 +130,10 @@ impl WorkerSlots {
             if let Some(w) = slots.iter_mut().find_map(Vec::pop) {
                 return Some(w);
             }
+            let Some(deadline) = deadline else {
+                self.cv.wait(&mut slots);
+                continue;
+            };
             let now = Instant::now();
             if now >= deadline {
                 return None;
@@ -618,5 +623,18 @@ mod tests {
         };
         assert_eq!(serve(&shared, &range, usize::MAX).bytes, [0; 9]);
         assert_eq!(shared.gate.in_use(), 0);
+    }
+
+    #[test]
+    fn a_lease_with_no_representable_deadline_waits_for_a_release() {
+        let slots = Arc::new(WorkerSlots::new(1, 1));
+        assert_eq!(slots.acquire(0, Duration::MAX), Some(0));
+        let releaser = slots.clone();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            releaser.release(0);
+        });
+        assert_eq!(slots.acquire(0, Duration::MAX), Some(0));
+        t.join().unwrap();
     }
 }

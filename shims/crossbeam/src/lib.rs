@@ -158,8 +158,10 @@ pub mod channel {
             }
         }
 
+        /// Like `recv`, giving up after `timeout`; a timeout too long for an
+        /// `Instant` to represent waits without a deadline.
         pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = std::time::Instant::now() + timeout;
+            let deadline = std::time::Instant::now().checked_add(timeout);
             let mut q = self.0.queue.lock().unwrap_or_else(|p| p.into_inner());
             loop {
                 if let Some(v) = q.pop_front() {
@@ -168,6 +170,10 @@ pub mod channel {
                 if self.0.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
+                let Some(deadline) = deadline else {
+                    q = self.0.cv.wait(q).unwrap_or_else(|p| p.into_inner());
+                    continue;
+                };
                 let now = std::time::Instant::now();
                 let Some(left) = deadline
                     .checked_duration_since(now)
@@ -262,6 +268,24 @@ pub mod channel {
             drop(tx);
             assert_eq!(
                 rx.recv_timeout(Duration::from_millis(5)),
+                Err(RecvTimeoutError::Disconnected)
+            );
+        }
+
+        #[test]
+        fn recv_timeout_with_no_representable_deadline_waits_for_a_send() {
+            use std::time::Duration;
+            let (tx, rx) = unbounded::<i32>();
+            tx.send(1).unwrap();
+            assert_eq!(rx.recv_timeout(Duration::MAX), Ok(1));
+            let sender = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                tx.send(2).unwrap();
+            });
+            assert_eq!(rx.recv_timeout(Duration::MAX), Ok(2));
+            sender.join().unwrap();
+            assert_eq!(
+                rx.recv_timeout(Duration::MAX),
                 Err(RecvTimeoutError::Disconnected)
             );
         }

@@ -318,25 +318,34 @@ fn cold_range_read_over_three_extents_is_one_batch_of_exactly_their_pages() {
 
 // ------------------------------------------------- recovery validation ---
 
-/// Commits that return before the data device is synced: the log holds no
-/// data-durable mark over them, so a reopen validates their content. (A
-/// waiting commit's group marks its own content durable.)
-fn unmarked_cfg() -> Config {
-    Config {
-        commit_wait: false,
-        ..cfg()
-    }
+/// `wal`'s log as an ordering that logged each commit before writing its
+/// content left it: the same header and records, without data-durable
+/// marks, so a reopen validates every BLOB committed since the checkpoint
+/// (a group syncs its content before its records and marks it).
+fn without_marks(wal: Arc<dyn Device>) -> Arc<MemDevice> {
+    use lobster::wal::{LogRecord, Wal, WAL_HEADER};
+    let records = Wal::scan(&wal).unwrap().records;
+    let copy = Arc::new(MemDevice::new(wal.capacity() as usize));
+    let mut header = vec![0u8; WAL_HEADER as usize];
+    wal.read_at(&mut header, 0).unwrap();
+    copy.write_at(&header, 0).unwrap();
+    let log = Wal::open(copy.clone(), lobster::metrics::new_metrics()).unwrap();
+    let mark = |r: &LogRecord| matches!(r, LogRecord::DataDurable { .. });
+    let kept: Vec<LogRecord> = records.into_iter().filter(|r| !mark(r)).collect();
+    log.commit_to(log.append_batch(&kept).unwrap()).unwrap();
+    copy
 }
 
 /// `k` 1 MiB BLOBs committed after the last checkpoint, then the process
-/// stops without another one: the reopen validates every one of them.
+/// stops without another one: reopened from [`without_marks`], the open
+/// validates every one of them.
 /// Returns the data-device byte range of each BLOB's allocated extents.
 fn uncheckpointed_mib_blobs(
     dev: Arc<dyn Device>,
     wal: Arc<dyn Device>,
     k: usize,
 ) -> Vec<std::ops::Range<u64>> {
-    let db = Database::create(dev, wal, unmarked_cfg()).unwrap();
+    let db = Database::create(dev, wal, cfg()).unwrap();
     let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
     db.checkpoint().unwrap();
     let mut allocated = Vec::new();
@@ -366,8 +375,9 @@ fn recovery_validates_past_the_pool_reading_only_content() {
     let allocated = uncheckpointed_mib_blobs(dev.clone(), wal.clone(), K);
     dev.take_reads();
 
-    let (db, report) = Database::open(dev.clone(), wal, cfg()).unwrap();
+    let (db, report) = Database::open(dev.clone(), without_marks(wal), cfg()).unwrap();
     assert_eq!((report.committed, report.sha_failures), (K as u64, 0));
+    assert_eq!(report.validated, K as u64);
     let m = db.metrics().snapshot();
     let reads = dev.take_reads();
     let in_blobs = |off: u64| allocated.iter().any(|r| r.contains(&off));
@@ -435,7 +445,7 @@ fn recovery_validates_a_blob_larger_than_its_in_flight_window() {
     let wal = Arc::new(MemDevice::new(64 << 20));
     let data: Vec<u8> = (0..LEN).map(|i| (i * 7 % 253) as u8).collect();
     let last = {
-        let db = Database::create(dev.clone(), wal.clone(), unmarked_cfg()).unwrap();
+        let db = Database::create(dev.clone(), wal.clone(), cfg()).unwrap();
         let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
         db.checkpoint().unwrap();
         let mut txn = db.begin();
@@ -446,8 +456,12 @@ fn recovery_validates_a_blob_larger_than_its_in_flight_window() {
         view.last().unwrap().start.raw() * PAGE as u64
     };
 
-    let (db, report) = Database::open(copy_device(&dev), copy_device(&wal), cfg()).unwrap();
-    assert_eq!((report.committed, report.sha_failures), (1, 0));
+    let (db, report) =
+        Database::open(copy_device(&dev), without_marks(wal.clone()), cfg()).unwrap();
+    assert_eq!(
+        (report.committed, report.sha_failures, report.validated),
+        (1, 0, 1)
+    );
     let rel = db.relation("blobs").unwrap();
     let mut txn = db.begin();
     assert_eq!(txn.get_blob(&rel, b"huge", |b| b.to_vec()).unwrap(), data);
@@ -459,7 +473,7 @@ fn recovery_validates_a_blob_larger_than_its_in_flight_window() {
     let mut byte = [0u8];
     torn.read_at(&mut byte, last).unwrap();
     torn.write_at(&[!byte[0]], last).unwrap();
-    let (db, report) = Database::open(torn, copy_device(&wal), cfg()).unwrap();
+    let (db, report) = Database::open(torn, without_marks(wal), cfg()).unwrap();
     assert_eq!((report.committed, report.sha_failures), (0, 1));
     let rel = db.relation("blobs").unwrap();
     let mut txn = db.begin();
