@@ -110,10 +110,10 @@ pub(crate) fn run(report: &mut Report) {
 /// hide. This panel instead enables a real durability barrier (1 ms, a
 /// SATA/consumer-class fsync) on *both* devices, and a small buffer pool
 /// whose pin budget bounds how far the foreground can run ahead. Without
-/// that bound the WAL stage absorbs ever-larger groups and amortizes the
-/// fsync away; with it, each group's fsync and its extent flush are
-/// comparable — exactly the regime the two-stage pipeline targets: group
-/// N+1's fsync overlaps group N's extent writes.
+/// that bound the commit thread absorbs ever-larger groups and amortizes the
+/// fsync away; with it, each group's content write, data sync and fsync
+/// are comparable, and the commit thread runs them back to back while the
+/// foreground fills the next group up to the budget.
 fn commit_pipeline_panel(report: &mut Report) {
     let fsync = Duration::from_millis(1);
     let rig = Rig {

@@ -7,10 +7,8 @@ use crate::htpool::HashTablePool;
 use crate::pool::{ExtentPool, FlushBatch, FlushItem, PieceFlight};
 use lobster_extent::{ExtentSpec, Piece};
 use lobster_metrics::Metrics;
-use lobster_storage::{BatchHandle, Waker};
 use lobster_sync::Arc;
 use lobster_types::{Error, Result};
-use std::time::Instant;
 
 /// The active BLOB buffer pool.
 #[derive(Clone)]
@@ -440,30 +438,6 @@ impl FlushTicket {
     fn block_until_io_done(&self) {
         if let Some((_, batch)) = &self.flight {
             batch.wait_done();
-        }
-    }
-
-    /// The device submission of an unreaped ticket.
-    fn handle(&self) -> Option<&BatchHandle> {
-        self.flight.as_ref().map(|(_, batch)| &batch.handle)
-    }
-
-    /// Sleep-friendly completion, first half: have `wake` called once when
-    /// the flight's last device request has executed. `false` (and no call)
-    /// if that already happened — look at [`FlushTicket::completes_at`]
-    /// instead.
-    pub fn notify_when_executed(&self, wake: Waker) -> bool {
-        self.handle().is_some_and(|h| h.notify_when_executed(wake))
-    }
-
-    /// Second half: once every request has executed, the instant from
-    /// which [`FlushTicket::poll`] reaps the flight (the modeled device's
-    /// deadline, or the present). `None` while requests are still
-    /// executing — the waker fires when they have.
-    pub fn completes_at(&self) -> Option<Instant> {
-        match self.handle() {
-            Some(h) => h.completes_at(),
-            None => Some(Instant::now()),
         }
     }
 

@@ -1192,8 +1192,8 @@ impl ExtentPool {
                 }
             };
             // The latch is the batch's from here on, not this thread's: a
-            // transaction submits on its own thread what the committer's
-            // flush stage reaps.
+            // transaction submits on its own thread what the commit thread
+            // reaps.
             self.audit.hand_off_shared(item.spec.start.raw());
             // SAFETY: the shared latch (held until finish) keeps the frames
             // alive and unchanged until the batch completes.

@@ -90,14 +90,16 @@ impl PinGate {
 
     /// Acquire `bytes` of budget, waiting as long as it takes (same
     /// clamping rule: a request larger than the budget waits for an empty
-    /// gate).
-    pub fn acquire_blocking(&self, bytes: u64) {
+    /// gate). Returns whether it had to wait.
+    pub fn acquire_blocking(&self, bytes: u64) -> bool {
         let need = bytes.min(self.budget);
         let mut used = self.inner.lock();
+        let waited = self.budget - *used < need;
         while self.budget - *used < need {
             self.cv.wait(&mut used);
         }
         *used += need;
+        waited
     }
 
     /// Return `bytes` of budget acquired by [`PinGate::acquire`] or
@@ -164,6 +166,19 @@ mod tests {
     }
 
     #[test]
+    fn acquire_blocking_reports_whether_it_waited() {
+        let g = Arc::new(PinGate::new(8));
+        assert!(!g.acquire_blocking(8), "an empty gate admits at once");
+        let g2 = Arc::clone(&g);
+        let h = std::thread::spawn(move || g2.acquire_blocking(4));
+        // Long enough for the acquirer to reach the full gate on a busy host.
+        std::thread::sleep(Duration::from_millis(200));
+        g.release(8);
+        assert!(h.join().unwrap(), "a full gate made it wait");
+        assert_eq!(g.in_use(), 4);
+    }
+
+    #[test]
     fn blocked_acquirer_wakes_on_release() {
         let g = Arc::new(PinGate::new(8));
         g.acquire(8, Duration::from_millis(50)).unwrap();
@@ -210,7 +225,11 @@ mod model {
 
     #[test]
     fn pin_budget_conserved() {
-        model(|| run_pins(PinGate::acquire_blocking));
+        model(|| {
+            run_pins(|gate, n| {
+                gate.acquire_blocking(n);
+            })
+        });
     }
 
     #[test]

@@ -301,9 +301,9 @@ impl Database {
     }
 
     /// Open an existing database, running crash recovery. Relations created
-    /// with custom comparators reattach byte-wise; use
-    /// [`Database::open_with_comparators`] to supply them, or
-    /// [`Database::rebind_comparator`] afterwards.
+    /// with custom comparators reattach byte-wise, and recovery replays
+    /// their operations in that order: open a store that has one (such as
+    /// a Blob State index) with [`Database::open_with_comparators`].
     pub fn open(
         device: Arc<dyn Device>,
         wal_device: Arc<dyn Device>,
@@ -749,40 +749,6 @@ impl Database {
         self.registry.read().names()
     }
 
-    /// Re-register a custom comparator after [`Database::open`]: relations
-    /// created with [`Database::create_relation_with`] reattach with the
-    /// default byte-wise comparator during recovery (comparators are code,
-    /// not data), so indexes such as the Blob State index must be rebound
-    /// before use.
-    pub fn rebind_comparator(&self, name: &str, cmp: Arc<dyn KeyCmp>) -> Result<Arc<Relation>> {
-        let old = self
-            .registry
-            .read()
-            .by_name(name)
-            .ok_or(Error::KeyNotFound)?;
-        let entry = self
-            .catalog_tree
-            .lookup(name.as_bytes())?
-            .ok_or(Error::KeyNotFound)?;
-        let (id, kind, root, node_pages) = decode_entry(&entry)?;
-        debug_assert_eq!(id, old.id);
-        let tree = BTree::open(
-            self.node_pool.clone(),
-            self.alloc.clone(),
-            cmp,
-            node_pages,
-            root,
-        );
-        let rel = Arc::new(Relation {
-            id,
-            name: name.to_string(),
-            kind,
-            tree,
-        });
-        self.registry.write().insert(rel.clone());
-        Ok(rel)
-    }
-
     /// Reattach a relation from a catalog entry (recovery path).
     pub(crate) fn attach_relation(&self, name: &str, entry: &[u8]) -> Result<Arc<Relation>> {
         let (id, kind, root, node_pages) = decode_entry(entry)?;
@@ -865,12 +831,9 @@ impl Database {
         let _writers = self.writers.close()?;
         // Asynchronously committed work must be durable before truncation.
         self.committer.drain()?;
+        // The commit thread holds the gate from a group's log to its
+        // retire: once the checkpoint holds it, no group is in flight.
         let _gate = self.ckpt_gate.write();
-        // A group forwarded between the drain and the gate acquisition may
-        // still have its extent flush in flight; with the gate held no new
-        // group can be forwarded, so this converges — and flush_all_dirty
-        // below must not run concurrently with an in-flight flush.
-        self.committer.flush_quiesce();
         self.checkpoint_locked()
     }
 

@@ -177,14 +177,6 @@ impl BlobIndex {
         Ok(BlobIndex { relation })
     }
 
-    /// Reattach after [`Database::open`] (custom comparators must be
-    /// rebound; see [`Database::rebind_comparator`]).
-    pub fn reopen(db: &Database, blob_rel_name: &str) -> Result<Self> {
-        let relation =
-            db.rebind_comparator(&format!("{blob_rel_name}__content"), BlobStateCmp::new(db))?;
-        Ok(BlobIndex { relation })
-    }
-
     /// Store a BLOB and index it, in one transaction.
     pub fn put_blob(
         &self,

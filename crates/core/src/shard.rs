@@ -2,7 +2,7 @@
 //! cross-shard group-commit protocol.
 //!
 //! Each shard is a full [`Database`] — its own WAL stream, extent
-//! allocator, buffer pool, and two-stage group committer — so shards share
+//! allocator, buffer pool, and group-commit thread — so shards share
 //! *nothing* on the hot path and aggregate throughput scales with cores
 //! (the in-process reproduction of the paper's §V-A distributed-WAL
 //! discussion / LogBase-style partitioned logging). Keys are partitioned

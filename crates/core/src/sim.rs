@@ -4,15 +4,16 @@
 //! One store on write-back data and log devices ([`CrashDevice::write_back`]:
 //! a write reaches the medium only at the next sync). The driver runs a few
 //! transactions — puts, in-place and cloning updates, appends, deletes —
-//! through the four commit steps the stage threads run, called here one at
-//! a time on the test thread, in an order the seed picks:
+//! through the four commit steps, called here one at a time on the test
+//! thread. Clients stage in an order the seed picks, interleaved with the
+//! commit thread's steps, which take one group at a time in log order:
 //!
 //! * **stage**: the verbs, then [`Txn::stage`], which seals the write set
 //!   (`StageCtx::admit` hands out its epoch);
-//! * **log**: a prefix of the sealed sets becomes a group
-//!   (`StageCtx::group`) and runs `StageCtx::log`;
-//! * **flush**: the oldest logged group runs `StageCtx::flush`;
-//! * **retire**: `StageCtx::land_all` retires every flushed group.
+//! * **log**: with no group in progress, a prefix of the sealed sets
+//!   becomes a group (`StageCtx::group`) and runs `StageCtx::log`;
+//! * **write in place**: the logged group runs `StageCtx::write_in_place`;
+//! * **retire**: the written group runs `StageCtx::retire`.
 //!
 //! Only the device's I/O workers run beside the driver. At a seeded step
 //! boundary both devices lose power; the medium is reopened, and:
@@ -31,14 +32,14 @@
 //! Every seed runs once with `commit_wait` true and once false. A failing
 //! seed names itself in the panic; add it to [`FIXED`].
 
-use crate::group_commit::{DurableGroup, FlushInbox, InflightFlush, StageCtx};
+use crate::group_commit::{DurableGroup, StageCtx};
 use crate::txn::{Txn, WriteSet};
 use crate::{Config, Database, Relation, RelationKind};
 use lobster_sha256::Sha256;
 use lobster_storage::{CrashDevice, Device, MemDevice};
 use lobster_sync::Arc;
 use lobster_wal::LogRecord;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Seeds that once failed, replayed on every run on top of the sweep.
 const FIXED: &[u64] = &[];
@@ -107,15 +108,11 @@ struct Sim {
     db: Arc<Database>,
     rel: Arc<Relation>,
     ctx: StageCtx,
-    inbox: Arc<FlushInbox>,
-    inflight: Vec<InflightFlush>,
     /// Sealed write sets with their epochs, and the versions they stage.
     sealed: Vec<((u64, WriteSet), At)>,
-    /// Logged groups in log order, and the versions they carry.
-    logged: VecDeque<(DurableGroup, Vec<At>)>,
-    /// Versions of flushed groups not yet seen retired.
-    flushed: Vec<At>,
-    seq: u64,
+    /// The group in progress, the versions it carries, and whether its
+    /// in-place writes are done.
+    group: Option<(DurableGroup, Vec<At>, bool)>,
     history: History,
     /// Transactions with content to write in place after their fsync.
     in_place: HashSet<u64>,
@@ -144,12 +141,8 @@ impl Sim {
             db,
             rel,
             ctx,
-            inbox: Arc::new(FlushInbox::new()),
-            inflight: Vec::new(),
             sealed: Vec::new(),
-            logged: VecDeque::new(),
-            flushed: Vec::new(),
-            seq: 0,
+            group: None,
             history: HashMap::new(),
             in_place: HashSet::new(),
         }
@@ -160,17 +153,16 @@ impl Sim {
         last.content.as_ref()
     }
 
-    /// A key no other transaction holds. Under `commit_wait` a committer
-    /// keeps its locks until its group retires. Either way, a write in
-    /// flight holds its extents latched until the flush stage reaps it,
-    /// which here is this thread: a verb would wait on it for good.
+    /// A key no other transaction holds: under `commit_wait` a committer
+    /// keeps its locks until its group retires. (Its early writes hold
+    /// their extents latched until its group is logged, which here is
+    /// this thread: a verb would wait on them for good.)
     fn free_key(&self, rng: &mut Rng) -> Option<Vec<u8>> {
         let start = rng.below(KEYS);
         let keys = (0..KEYS).map(|i| format!("k{}", (start + i) % KEYS).into_bytes());
         let held = |key: &Vec<u8>| {
-            let versions = self.history.get(key).into_iter().flatten();
-            let unacked = self.db.cfg.commit_wait && versions.into_iter().any(|v| !v.acked);
-            unacked || self.flushed.iter().any(|(k, _)| k == key)
+            let mut versions = self.history.get(key).into_iter().flatten();
+            self.db.cfg.commit_wait && versions.any(|v| !v.acked)
         };
         keys.into_iter().find(|key| !held(key))
     }
@@ -195,44 +187,55 @@ impl Sim {
         self.sealed.push(((epoch, ws), (key, versions.len() - 1)));
     }
 
-    /// The next group: the oldest `n` sealed sets, as the WAL stage takes
-    /// what is queued.
+    /// The next group: the oldest `n` sealed sets, as the commit thread
+    /// takes what is queued.
     fn group(&mut self, n: usize) -> (DurableGroup, Vec<At>) {
         let (sets, versions) = self.sealed.drain(..n).unzip();
-        let group = self.ctx.group(self.seq, sets);
-        self.seq += 1;
-        (group, versions)
+        (self.ctx.group(sets), versions)
     }
 
     /// **log**: the next group's records become durable.
     fn log(&mut self, n: usize) {
+        assert!(self.group.is_none(), "one group at a time");
         let (mut group, versions) = self.group(n);
         self.ctx.log(&self.db.wal, &mut group).unwrap();
         for (key, i) in &versions {
             self.history.get_mut(key).unwrap()[*i].logged = true;
         }
-        self.logged.push_back((group, versions));
+        self.group = Some((group, versions, false));
     }
 
-    /// **flush**: the oldest logged group's writes go in flight.
-    fn flush(&mut self) {
-        let (group, versions) = self.logged.pop_front().unwrap();
-        self.ctx.flush(&self.inbox, &mut self.inflight, group);
-        self.flushed.extend(versions);
+    /// **write in place**: the logged group's in-place writes land.
+    fn write(&mut self) {
+        let (group, _, written) = self.group.as_mut().unwrap();
+        assert!(!*written, "written twice");
+        self.ctx.write_in_place(group).unwrap();
+        *written = true;
     }
 
-    /// **retire**: every flushed group lands and retires.
+    /// **retire**: the written group retires.
     fn retire(&mut self) {
-        self.ctx.land_all(&self.inbox, &mut self.inflight);
-        for (key, i) in self.flushed.drain(..) {
+        let (group, versions, written) = self.group.take().unwrap();
+        assert!(written, "retired before its in-place writes");
+        self.ctx.retire(group, Ok(()));
+        for (key, i) in versions {
             self.history.get_mut(&key).unwrap()[i].acked = true;
         }
     }
 
-    /// Every sealed set through log, flush and retire.
+    /// The commit thread's next step: log, write in place or retire.
+    fn commit_step(&mut self, rng: &mut Rng) {
+        match &self.group {
+            None => self.log(1 + rng.below(self.sealed.len() as u64) as usize),
+            Some((_, _, false)) => self.write(),
+            Some((_, _, true)) => self.retire(),
+        }
+    }
+
+    /// Every sealed set through log, write in place and retire.
     fn commit_in_order(&mut self) {
         self.log(self.sealed.len());
-        self.flush();
+        self.write();
         self.retire();
     }
 
@@ -241,29 +244,25 @@ impl Sim {
     fn run(&mut self, rng: &mut Rng, txns: u64, cut_at: u64) {
         let mut staged = 0;
         for _ in 0..cut_at {
-            let enabled = [
-                staged < txns,
-                !self.sealed.is_empty(),
-                !self.logged.is_empty(),
-                !self.flushed.is_empty(),
-            ];
-            let steps: Vec<usize> = (0..4).filter(|&i| enabled[i]).collect();
-            let Some(&step) = steps.get(rng.below(steps.len() as u64) as usize) else {
-                return;
+            let can_stage = staged < txns;
+            let can_commit = self.group.is_some() || !self.sealed.is_empty();
+            let stage = match (can_stage, can_commit) {
+                (false, false) => return,
+                (true, true) => rng.below(2) == 0,
+                (stage, _) => stage,
             };
-            match step {
-                0 => match self.free_key(rng) {
-                    Some(key) => {
-                        let cur = self.current(&key).cloned();
-                        self.stage(key.clone(), |t, rel| verbs(t, rel, &key, cur, rng));
-                        staged += 1;
-                    }
-                    // Every key is held by an unretired commit.
-                    None => self.retire(),
-                },
-                1 => self.log(1 + rng.below(self.sealed.len() as u64) as usize),
-                2 => self.flush(),
-                _ => self.retire(),
+            if !stage {
+                self.commit_step(rng);
+                continue;
+            }
+            match self.free_key(rng) {
+                Some(key) => {
+                    let cur = self.current(&key).cloned();
+                    self.stage(key.clone(), |t, rel| verbs(t, rel, &key, cur, rng));
+                    staged += 1;
+                }
+                // Every key is held by an unretired commit.
+                None => self.commit_step(rng),
             }
         }
     }
@@ -515,8 +514,8 @@ fn seeded_cuts_between_commit_steps_asynchronous() {
 
 /// A put that retires, then a 16-byte delta into its first extent — an
 /// in-place write — run in order, or by the broken driver: the delta's
-/// group is submitted, landed and synced — the flush and retire steps —
-/// before its log step, and power fails before that step runs.
+/// group is written in place, synced and retired before its log step, and
+/// power fails before that step runs.
 fn flush_before_log(broken: bool) -> Result<(), String> {
     let mut sim = Sim::new(true);
     let v0 = vec![5u8; 64 << 10];
@@ -533,9 +532,9 @@ fn flush_before_log(broken: bool) -> Result<(), String> {
         Some(v1.clone())
     });
     if broken {
-        let (group, _) = sim.group(1);
-        sim.ctx.flush(&sim.inbox, &mut sim.inflight, group);
-        sim.ctx.land_all(&sim.inbox, &mut sim.inflight);
+        let (mut group, _) = sim.group(1);
+        sim.ctx.write_in_place(&mut group).unwrap();
+        sim.ctx.retire(group, Ok(()));
     } else {
         sim.commit_in_order();
     }
@@ -577,7 +576,7 @@ fn a_delta_staged_before_its_puts_group_settles_stays_out_of_the_put() {
         Some(v1.clone())
     });
     sim.log(1);
-    sim.flush();
+    sim.write();
     sim.retire();
     let (media, oracle) = sim.cut();
     check(false, media, &oracle).unwrap();

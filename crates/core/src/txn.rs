@@ -21,17 +21,16 @@
 //!    batch, everything fresh lands and the data device is synced once;
 //!    then the group's records, Blob States and not content, are appended
 //!    to the WAL and fsynced once (group commit). That fsync makes a put
-//!    durable outright.
-//! 3. **flush** (`StageCtx::flush`) — **only after** the Blob State is
-//!    durable is anything written *in place* — a delta update, an append
-//!    into a partly filled extent, a relocation — with one batched
-//!    asynchronous write per extent covering only its dirty pages. The
-//!    flush clears `prevent_evict` and leaves the extents *clean*, so
-//!    eviction never writes BLOB content a second time.
-//! 4. **retire** (`StageCtx::retire`) — once every write landed and a
-//!    group with in-place writes synced the data device (`group_commit`,
-//!    "Acknowledged means durable"), freed extents recycle and the commit
-//!    is acknowledged.
+//!    or a relocation durable outright.
+//! 3. **write in place** (`StageCtx::write_in_place`) — **only after** the
+//!    Blob State is durable is anything written *in place* — a delta
+//!    update, an append into a partly filled extent — with one batched
+//!    write per extent covering only its dirty pages, waited out, then one
+//!    data sync. The write clears `prevent_evict` and leaves the extents
+//!    *clean*, so eviction never writes BLOB content a second time.
+//! 4. **retire** (`StageCtx::retire`) — once every write landed and was
+//!    synced (`group_commit`, "Acknowledged means durable"), freed extents
+//!    recycle and the commit is acknowledged.
 //!
 //! Deletes publish extents to the per-tier free lists at commit; growth
 //! resumes the SHA-256 from the stored midstate; in-place updates choose
@@ -83,8 +82,8 @@ enum Source<'a> {
     /// ([`Txn::write_early`]).
     Bytes(&'a [u8]),
     /// The whole content of a BLOB being relocated, read from its current
-    /// placement without forcing residency. Background maintenance starts
-    /// no device write early: the copy is flushed after the WAL fsync.
+    /// placement without forcing residency. The copy is fresh content too:
+    /// the pipeline writes it before the commit's records.
     Placement(&'a BlobState),
 }
 
@@ -102,9 +101,10 @@ pub(crate) struct WriteSet {
     /// Extent ranges to write in place, after the WAL fsync.
     pub toflush: Vec<FlushItem>,
     /// Fresh extents, filled and not yet submitted: a waiting commit's
-    /// verb puts them in `flights` before it returns
-    /// ([`Txn::write_early`]); an asynchronous one leaves them to the
-    /// pipeline, which writes them before the commit's records.
+    /// put, append or update puts them in `flights` before it returns
+    /// ([`Txn::write_early`]); a relocation and an asynchronous commit
+    /// leave them to the pipeline, which writes them before the commit's
+    /// records.
     pub fresh: Vec<FlushItem>,
     /// Writes of fresh extents already on the device's queue. Each holds a
     /// shared latch on its extents until reaped — by the commit pipeline,
@@ -463,17 +463,14 @@ impl Txn {
             };
             self.ws.allocated.push(spec);
             let len = (total - off).min(self.db.geo.bytes_for(spec.pages) as usize);
-            match source {
-                Source::Bytes(data) => {
-                    let item = self.fill_fresh(spec, &data[off..off + len], digest)?;
-                    self.ws.fresh.push(item);
-                }
+            let item = match source {
+                Source::Bytes(data) => self.fill_fresh(spec, &data[off..off + len], digest)?,
                 Source::Placement(state) => {
                     let buf = self.read_slice(state, off as u64, len, Residency::Uncached)?;
-                    let item = self.fill_fresh(spec, &buf, digest)?;
-                    self.ws.toflush.push(item);
+                    self.fill_fresh(spec, &buf, digest)?
                 }
-            }
+            };
+            self.ws.fresh.push(item);
             off += len;
             if i < plan.sizes.len() {
                 extents.push(spec.start);
@@ -1074,10 +1071,10 @@ impl Txn {
     ///  3. quarantine-fence the old extents, swap the Blob State in the
     ///     tree, and stage a [`LogRecord::BlobRelocate`];
     ///  4. commit rides the ordinary group-commit pipeline — the new
-    ///     placement is written after the WAL fsync like any in-place
-    ///     change; background maintenance starts no device write early —
-    ///     and the fences are released and the old extents freed only at
-    ///     the durability frontier (`StageCtx::retire`).
+    ///     placement is freshly allocated, so it is written and synced
+    ///     before the swap's record, like a put's content — and the fences
+    ///     are released and the old extents freed only at the durability
+    ///     frontier (`StageCtx::retire`).
     ///
     /// Returns `false` when there is nothing to move (missing key, inline
     /// blob, or quarantined blob). A hash mismatch during the copy
@@ -1260,9 +1257,9 @@ impl Txn {
     fn commit_inner(mut self) -> Result<()> {
         self.check_active()?;
         let db = self.db.clone();
-        // Both commit modes ride the same two-stage pipeline (sharing its
-        // group fsync and in-flight extent flushes); they differ only in
-        // whether this thread blocks on the set's durability epoch before
+        // Both commit modes ride the same commit thread (sharing its
+        // group fsync and content writes); they differ only in whether
+        // this thread blocks on the set's durability epoch before
         // acknowledging. The transaction leaves the writer gate once its
         // set has its epoch: a checkpoint drains the pipeline anyway. A
         // transaction that logged nothing has nothing for the pipeline:

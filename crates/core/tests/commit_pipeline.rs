@@ -1,7 +1,9 @@
-//! Tests for the two-stage (pipelined) group committer: the per-group
+//! Tests for the group committer's one commit thread: the per-group
 //! ordering rule (WAL fsync before any in-place extent write; fresh extents
-//! precede it), sticky error surfacing, pin budget release on flush
-//! completion, and the flags of an extent with more than one flush owed.
+//! and relocation copies precede it), sticky error surfacing, pin budget
+//! release on in-place write completion and the stalls it causes, a
+//! checkpoint behind a held in-place write, and the flags of an extent
+//! with more than one flush owed.
 
 use lobster_core::{Config, Database, PoolVariant, RelationKind};
 use lobster_extent::ExtentSpec;
@@ -239,6 +241,77 @@ fn wal_failure_fresh_extents_may_precede_and_are_reclaimed() {
     assert!(db.scrub().unwrap().is_clean());
 }
 
+/// Fresh may precede, for a relocation: its copy goes to a freshly
+/// allocated placement and is written before its record, so under a dead
+/// WAL the data device sees writes into the new placement only. The
+/// commit errors; after a reopen the blob reads from its old placement and
+/// the new pages are free.
+#[test]
+fn wal_failure_relocation_copies_may_precede_and_are_reclaimed() {
+    let data = Arc::new(CrashDevice::new(MemDevice::new(256 << 20)));
+    let wal = Arc::new(CrashDevice::new(MemDevice::new(64 << 20)));
+    let db = Database::create(data.clone(), wal.clone(), waiting_cfg()).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let content = pattern(700_000, 4);
+    let mut t = db.begin();
+    t.put_blob(&rel, b"moved", &content).unwrap();
+    let old = extents_of(&db, &mut t, &rel, b"moved");
+    t.commit().unwrap();
+    db.checkpoint().unwrap();
+    let healthy_writes = data.write_log().len();
+    let healthy_pages = db.allocator().pages_in_use();
+
+    wal.crash_now();
+    wal.set_fail_after_crash(true);
+
+    let mut t = db.begin();
+    assert!(t.relocate_blob(&rel, b"moved").unwrap(), "nothing to move");
+    let new = extents_of(&db, &mut t, &rel, b"moved");
+    assert!(new.iter().all(|e| !old.contains(e)), "{new:?} vs {old:?}");
+    assert!(
+        t.commit().is_err(),
+        "a commit whose fsync failed must error"
+    );
+    let early: Vec<(u64, usize)> = data.write_log()[healthy_writes..].to_vec();
+    assert!(!early.is_empty(), "the copy is written before the record");
+    for (off, len) in &early {
+        let (first, last) = (off / 4096, (off + *len as u64 - 1) / 4096);
+        assert!(
+            (new.iter()).any(|e| e.start.raw() <= first && last < e.start.raw() + e.pages),
+            "write at pages {first}..={last} is outside the new placement"
+        );
+    }
+    std::mem::forget(db); // the process dies with its WAL device
+
+    let (db, _) = Database::open(
+        copy_device(data.inner()),
+        copy_device(wal.inner()),
+        waiting_cfg(),
+    )
+    .unwrap();
+    let rel = db.relation("b").unwrap();
+    let mut t = db.begin();
+    assert_eq!(extents_of(&db, &mut t, &rel, b"moved"), old);
+    assert!(t.get_blob(&rel, b"moved", |b| b == content).unwrap());
+    t.commit().unwrap();
+    assert_eq!(db.allocator().pages_in_use(), healthy_pages);
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{audit:?}");
+    // The reopen's checkpoint may have put its free map on pages the copy
+    // held; nothing else of the copy is held.
+    let map = audit.retiring[0];
+    let overlaps_map = |e: &ExtentSpec| {
+        e.start < map.start.offset(map.pages) && map.start < e.start.offset(e.pages)
+    };
+    for e in &new {
+        assert!(
+            is_free(&db, *e) || overlaps_map(e),
+            "{e:?} leaked by the failed relocation (map {map:?})"
+        );
+    }
+    assert!(db.scrub().unwrap().is_clean());
+}
+
 /// Eligibility is observable, not configured: under a waiting commit every
 /// put with extents copies, submits all of them as one batch and then
 /// hashes; where the commit does not wait, none writes early.
@@ -365,30 +438,18 @@ impl Device for GateDevice {
     }
 }
 
-/// The pin budget must be released when a group's *flush* completes, not
-/// when its fsync returns: with two groups fsynced but their in-place
-/// writes stuck on the device, a third oversized commit has to block in
-/// `submit`. (A put's fresh content lands before its fsync, so the stuck
-/// writes are deltas.)
-#[test]
-fn pin_budget_releases_on_flush_completion_not_fsync() {
-    let data = Arc::new(GateDevice::new(256 << 20));
-    let wal = Arc::new(MemDevice::new(64 << 20));
-    let mut cfg = pipelined_cfg();
-    cfg.pool_frames = 1024; // 4 MiB pool -> 1 MiB pin budget
-    let db = Database::create(data.clone(), wal, cfg).unwrap();
-    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    let _open = OpenOnDrop(vec![data.clone()]);
-
+/// A 2 MiB blob, durable, whose two largest extents then get a delta each
+/// over half of their pages: 768 KiB of in-place writes in one
+/// transaction, committed asynchronously once `gate` is shut. Returns the
+/// patched content.
+fn patch_in_place(db: &Arc<Database>, rel: &lobster_core::Relation, gate: &GateDevice) -> Vec<u8> {
     let blob = pattern(2 << 20, 1);
     let mut t = db.begin();
-    t.put_blob(&rel, b"a", &blob).unwrap();
+    t.put_blob(rel, b"a", &blob).unwrap();
     t.commit().unwrap();
     db.wait_for_durability().unwrap();
-    // Two patches, each logged as a delta over half of one of the blob's
-    // two largest extents (1 MiB and 512 KiB): 768 KiB pinned in all.
     let patches: Vec<(u64, Vec<u8>)> = {
-        let state = db.begin().blob_state(&rel, b"a").unwrap().unwrap();
+        let state = db.begin().blob_state(rel, b"a").unwrap().unwrap();
         let specs = state.content_specs(db.tier_table(), db.geometry());
         let mut by_size: Vec<usize> = (0..specs.len()).collect();
         by_size.sort_by_key(|&i| std::cmp::Reverse(specs[i].pages));
@@ -399,58 +460,98 @@ fn pin_budget_releases_on_flush_completion_not_fsync() {
             })
             .collect()
     };
-    data.close();
-    let flushes = |db: &Database| db.metrics().snapshot().commit_flush_batches;
-    let before = flushes(&db);
-
-    // One update per group: wait for each group's flush to be submitted
-    // so the next update lands in a group of its own. Both groups then
-    // have their WAL records fsynced and their in-place writes stuck
-    // behind the gate.
-    for (n, (at, patch)) in (1..).zip(&patches) {
-        let mut t = db.begin();
-        t.update_blob(&rel, b"a", *at, patch).unwrap();
-        t.commit().unwrap();
-        assert!(
-            wait_until(Duration::from_secs(10), || flushes(&db) == before + n),
-            "group {n}'s flush never submitted"
-        );
+    gate.close();
+    let mut patched = blob;
+    let mut t = db.begin();
+    for (at, patch) in &patches {
+        t.update_blob(rel, b"a", *at, patch).unwrap();
+        patched[*at as usize..*at as usize + patch.len()].copy_from_slice(patch);
     }
+    t.commit().unwrap();
+    patched
+}
 
-    // Third commit: 768 KiB + 400 KiB > 1 MiB budget, so `submit` must block
-    // until an in-flight flush lands — fsync completion alone is not
-    // enough to admit it.
-    let payload = pattern(400 * 1024, 3);
+/// A store whose one unretired group's in-place writes are held at the
+/// gate of its data device.
+struct Gated {
+    db: Arc<Database>,
+    rel: Arc<lobster_core::Relation>,
+    data: Arc<GateDevice>,
+    wal: Arc<MemDevice>,
+    /// The blob's content once the group's writes land.
+    patched: Vec<u8>,
+}
+
+/// A 4 MiB pool (1 MiB pin budget) on a gated data device, with one group
+/// of 768 KiB of deltas whose in-place writes are held at the gate: its
+/// WAL fsync returned, its writes did not land.
+fn gated_group() -> Gated {
+    let data = Arc::new(GateDevice::new(256 << 20));
+    let wal = Arc::new(MemDevice::new(64 << 20));
+    let mut cfg = pipelined_cfg();
+    cfg.pool_frames = 1024; // 4 MiB pool -> 1 MiB pin budget
+    let db = Database::create(data.clone(), wal.clone(), cfg).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let patched = patch_in_place(&db, &rel, &data);
+    assert!(
+        wait_until(Duration::from_secs(10), || data.waiting() >= 1),
+        "the group's in-place writes never reached the gate"
+    );
+    Gated {
+        db,
+        rel,
+        data,
+        wal,
+        patched,
+    }
+}
+
+/// Commit a 400 KiB put on another thread; the flag is raised once its
+/// `commit` returned.
+fn put_on_a_thread(
+    db: &Arc<Database>,
+    rel: &Arc<lobster_core::Relation>,
+    payload: &[u8],
+) -> (std::thread::JoinHandle<()>, Arc<AtomicBool>) {
     let done = Arc::new(AtomicBool::new(false));
-    let committer = {
-        let db = db.clone();
-        let rel = rel.clone();
-        let payload = payload.clone();
-        let done = done.clone();
-        std::thread::spawn(move || {
-            let mut t = db.begin();
-            t.put_blob(&rel, b"c", &payload).unwrap();
-            t.commit().unwrap();
-            done.store(true, Ordering::Release);
-        })
-    };
+    let (db, rel, payload, flag) = (db.clone(), rel.clone(), payload.to_vec(), done.clone());
+    let h = std::thread::spawn(move || {
+        let mut t = db.begin();
+        t.put_blob(&rel, b"c", &payload).unwrap();
+        t.commit().unwrap();
+        flag.store(true, Ordering::Release);
+    });
+    (h, done)
+}
+
+/// The pin budget is released when a group's in-place writes land, not
+/// when its fsync returns: with one group fsynced but its in-place writes
+/// held at the gate, a 400 KiB commit (768 KiB + 400 KiB > 1 MiB) has to
+/// block in `submit`.
+#[test]
+fn pin_budget_releases_on_flush_completion_not_fsync() {
+    let Gated {
+        db,
+        rel,
+        data,
+        patched,
+        ..
+    } = gated_group();
+    let _open = OpenOnDrop(vec![data.clone()]);
+    let payload = pattern(400 * 1024, 3);
+    let (committer, done) = put_on_a_thread(&db, &rel, &payload);
     std::thread::sleep(Duration::from_millis(100));
     assert!(
         !done.load(Ordering::Acquire),
-        "third commit admitted while both flushes were still in flight"
+        "a commit admitted while the group's writes were still held"
     );
-    assert!(db.metrics().snapshot().commit_inflight_peak >= 2);
 
-    // Open the gate: flushes land, the budget frees, the commit goes
+    // Open the gate: the writes land, the budget frees, the commit goes
     // through, and everything becomes durable.
     data.open();
     committer.join().unwrap();
     assert!(done.load(Ordering::Acquire));
     db.wait_for_durability().unwrap();
-    let mut patched = blob.clone();
-    for (at, patch) in &patches {
-        patched[*at as usize..*at as usize + patch.len()].copy_from_slice(patch);
-    }
     for (key, want) in [(&b"a"[..], &patched), (b"c", &payload)] {
         let mut t = db.begin();
         let out = t.get_blob(&rel, key, |b| b.to_vec()).unwrap();
@@ -461,6 +562,73 @@ fn pin_budget_releases_on_flush_completion_not_fsync() {
             String::from_utf8_lossy(key)
         );
     }
+}
+
+/// The one place the pipeline makes a committer wait is the pin budget,
+/// and `commit_stalls` counts exactly those waits: a submit that finds the
+/// budget full counts one, and one that fits counts none.
+#[test]
+fn a_submit_that_waits_on_a_full_budget_is_one_stall() {
+    let Gated { db, rel, data, .. } = gated_group();
+    let _open = OpenOnDrop(vec![data.clone()]);
+    let stalls = |db: &Database| db.metrics().snapshot().commit_stalls;
+    assert_eq!(stalls(&db), 0, "every earlier submit fit");
+    let (committer, done) = put_on_a_thread(&db, &rel, &pattern(400 * 1024, 3));
+    // Long enough for the submit to reach the full budget on a busy host.
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!done.load(Ordering::Acquire), "the submit did not wait");
+    data.open();
+    committer.join().unwrap();
+    assert_eq!(stalls(&db), 1);
+    db.wait_for_durability().unwrap();
+    let mut t = db.begin();
+    t.put_blob(&rel, b"d", &pattern(4096, 5)).unwrap();
+    t.commit().unwrap();
+    db.wait_for_durability().unwrap();
+    assert_eq!(stalls(&db), 1, "a submit that fits is no stall");
+}
+
+/// A checkpoint started while a group's in-place writes are held at the
+/// gate returns only after they landed (it drains the pipeline, and the
+/// commit thread holds the checkpoint gate from a group's log to its
+/// retire), and the reopen reads the update.
+#[test]
+fn a_checkpoint_waits_for_a_held_in_place_write() {
+    let Gated {
+        db,
+        rel,
+        data,
+        wal,
+        patched,
+    } = gated_group();
+    let _open = OpenOnDrop(vec![data.clone()]);
+    let done = Arc::new(AtomicBool::new(false));
+    let checkpoint = {
+        let (db, done) = (db.clone(), done.clone());
+        std::thread::spawn(move || {
+            db.checkpoint().unwrap();
+            done.store(true, Ordering::Release);
+        })
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        !done.load(Ordering::Acquire),
+        "the checkpoint returned while an in-place write was held"
+    );
+    data.open();
+    checkpoint.join().unwrap();
+    // The process dies right after the checkpoint: what it wrote is all
+    // the reopen has.
+    let (data, wal) = (copy_device(&data.inner), copy_device(&wal));
+    drop(rel);
+    drop(db);
+
+    let (db, report) = Database::open(data, wal, pipelined_cfg()).unwrap();
+    assert_eq!(report.committed, 0, "the checkpoint left a log: {report:?}");
+    let rel = db.relation("b").unwrap();
+    let got = db.begin().get_blob(&rel, b"a", |b| b == patched).unwrap();
+    assert!(got, "the update is lost");
+    assert!(db.audit_allocator().unwrap().is_exact());
 }
 
 // ---------------------------------------------------- fused fill+hash ---
@@ -505,12 +673,12 @@ fn fused_fill_hash_matches_scrub_both_variants() {
 
 // ------------------------------- delete racing an in-flight flush ---
 
-/// A delete whose blob has an extent flush still in flight must not
-/// deadlock the pipeline: the delete's group is metadata-only (nothing to
-/// flush), but retiring it drops + frees the blob's extents, and
-/// `drop_extent` spin-waits on the in-flight batch's shared latches — on
-/// the flush-stage thread itself, the only thread that can ever reap that
-/// batch. The flush stage must wait the conflicting flight out first.
+/// A delete whose blob has an append's in-place write still held at the
+/// gate must not deadlock the pipeline: the delete's group is
+/// metadata-only (nothing to flush), but retiring it drops + frees the
+/// blob's extents, and `drop_extent` spin-waits on shared latches of a
+/// batch in flight. The commit thread retires the delete only after the
+/// append's write landed and was reaped, on the same thread.
 #[test]
 fn delete_racing_inflight_append_flush_does_not_deadlock() {
     let data = Arc::new(GateDevice::new(256 << 20));
@@ -542,13 +710,10 @@ fn delete_racing_inflight_append_flush_does_not_deadlock() {
     let mut t = db.begin();
     t.delete_blob(&rel, b"x").unwrap();
     t.commit().unwrap();
-    // Give the flush stage time to pick the delete group up (pre-fix this
-    // is where it wedged spinning in drop_extent).
     std::thread::sleep(Duration::from_millis(200));
 
     // Open the gate: the append flush lands, the delete retires, the
-    // frontier advances. Pre-fix, the spinning flush stage never reaped
-    // the landed flight and this wait hung forever.
+    // frontier advances.
     data.open();
     let done = Arc::new(AtomicBool::new(false));
     let waiter = {
@@ -561,7 +726,7 @@ fn delete_racing_inflight_append_flush_does_not_deadlock() {
     };
     assert!(
         wait_until(Duration::from_secs(20), || done.load(Ordering::Acquire)),
-        "durability frontier stuck: delete group deadlocked the flush stage"
+        "durability frontier stuck: delete group deadlocked the commit thread"
     );
     waiter.join().unwrap();
 
@@ -578,10 +743,11 @@ fn delete_racing_inflight_append_flush_does_not_deadlock() {
 // ------------------------------- two flushes owed to one extent ---
 
 /// Two transactions wrote the same extent before either was flushed. When
-/// the first one's flush lands, the second one's is still queued behind its
-/// WAL fsync — not submitted, holding no latch — and the extent still
-/// holds bytes the device has not seen: it must stay dirty and pinned,
-/// neither evictable nor trimmable, until that second flush lands too.
+/// the first one's flush lands, the second one's group is still held at
+/// its WAL write — its flush not submitted, holding no latch — and the
+/// extent still holds bytes the device has not seen: it must stay dirty
+/// and pinned, neither evictable nor trimmable, until that second flush
+/// lands too.
 #[test]
 fn flags_outlive_a_landed_flush_while_a_later_one_is_owed() {
     let data = Arc::new(GateDevice::new(256 << 20));
@@ -617,17 +783,16 @@ fn flags_outlive_a_landed_flush_while_a_later_one_is_owed() {
     expected.extend(pattern(10_000, 5));
     t.commit().unwrap();
 
-    // T1's group becomes durable and its flush N reaches the data gate;
-    // T2's group is held at the WAL gate, its flush N+1 not yet begun.
+    // T1's group becomes durable and its flush N reaches the data gate.
     wal.permit(1);
-    assert!(wait_until(Duration::from_secs(10), || {
-        data.waiting() == 1 && wal.waiting() == 1
-    }));
+    assert!(wait_until(Duration::from_secs(10), || data.waiting() == 1));
+    // N lands; the commit thread retires T1's group and takes T2's, which
+    // is held at the WAL gate, its flush N+1 not yet begun.
     let written = db.metrics().snapshot().pages_written;
     data.permit(1);
     assert!(
         wait_until(Duration::from_secs(10), || {
-            db.metrics().snapshot().pages_written > written
+            db.metrics().snapshot().pages_written > written && wal.waiting() == 1
         }),
         "flush N never landed"
     );

@@ -1,7 +1,7 @@
 //! Regression tests for group-committer teardown: dropping the database
-//! must terminate both committer stages promptly — the WAL stage closes the
-//! flush stage's inbox on its way out, which lands what is in flight and
-//! exits — including when the committer is sitting on a sticky I/O error.
+//! must terminate the commit thread promptly — it finishes the groups
+//! still queued and exits once the queue disconnects — including when the
+//! committer is sitting on a sticky I/O error.
 
 use lobster_core::{Config, Database, RelationKind};
 use lobster_storage::{FaultConfig, FaultDevice, FaultKind, MemDevice};
@@ -39,7 +39,7 @@ fn assert_drop_terminates(db: Arc<Database>, deadline: Duration, what: &str) {
 fn pipelined_committer_drop_terminates_under_load() {
     let cfg = Config {
         pool_frames: 2048,
-        commit_wait: false, // async commits keep the flush stage busy
+        commit_wait: false, // async commits keep the commit thread busy
         ..Config::default()
     };
     let data = Arc::new(MemDevice::new(64 << 20));
@@ -52,8 +52,8 @@ fn pipelined_committer_drop_terminates_under_load() {
             .unwrap();
         t.commit().unwrap();
     }
-    // Drop with flush batches still in flight: the flush stage must notice
-    // the close and land its remaining flights.
+    // Drop with groups still queued: the commit thread must finish them
+    // and notice the disconnect.
     drop(rel);
     assert_drop_terminates(db, Duration::from_secs(60), "under load");
 }

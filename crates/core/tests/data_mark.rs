@@ -10,6 +10,9 @@
 //!   version the mark covers is hashed after all, and wins.
 //! * A checkpoint between an in-place group's sync and the next group
 //!   keeps the stale mark out of the new log.
+//! * A drained relocation survives a cut of write-back devices hashing
+//!   nothing: its copy is fresh content, synced before its record and
+//!   marked in its own fsync.
 //! * 200 × 1 MiB puts on two shards reopen hashing nothing, waiting or
 //!   asynchronous: every group's content is synced before its records,
 //!   and its own mark covers it. Drained asynchronous puts survive a cut
@@ -400,6 +403,42 @@ fn a_checkpoint_between_the_sync_and_the_next_group_keeps_the_mark_out() {
         let tail = &log[delete..];
         assert_eq!(marks(tail), want, "checkpoint {checkpoint}: {tail:?}");
     }
+}
+
+#[test]
+fn a_drained_relocation_survives_a_cut_hashing_nothing() {
+    let data = Arc::new(CrashDevice::write_back(MemDevice::new(64 << 20)));
+    let wal = Arc::new(CrashDevice::write_back(MemDevice::new(16 << 20)));
+    let (db, rel) = store_of_synced_puts(data.clone(), wal.clone());
+    let placement = |db: &Arc<Database>| {
+        let state = db.begin().blob_state(&rel, b"k3").unwrap().unwrap();
+        state.extent_specs(db.tier_table())
+    };
+    let old = placement(&db);
+    let mut t = db.begin();
+    assert!(t.relocate_blob(&rel, b"k3").unwrap(), "nothing to move");
+    t.commit().unwrap();
+    db.wait_for_durability().unwrap();
+    let new = placement(&db);
+    assert!(new.iter().all(|e| !old.contains(e)), "{new:?} vs {old:?}");
+    wal.crash_now();
+    data.crash_now();
+    drop(db);
+
+    let (db2, report) =
+        Database::open(survivor(data.inner()), survivor(wal.inner()), cfg(false)).unwrap();
+    assert_exact(&db2);
+    assert_eq!(report.validated, 0, "{report:?}");
+    let rel2 = db2.relation("b").unwrap();
+    let state = db2.begin().blob_state(&rel2, b"k3").unwrap().unwrap();
+    assert_eq!(state.extent_specs(db2.tier_table()), new);
+    let mut t = db2.begin();
+    for i in 0..PUTS {
+        let key = format!("k{i}");
+        let ok = t.get_blob(&rel2, key.as_bytes(), |b| b == pattern(MIB, i));
+        assert!(ok.unwrap(), "{key} is not its committed content");
+    }
+    t.commit().unwrap();
 }
 
 /// Two shards' data and log devices.

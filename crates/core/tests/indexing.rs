@@ -109,11 +109,12 @@ fn rollback_restores_index_and_blob_together() {
     assert_eq!(got, keep);
 }
 
-#[test]
-fn index_recovery_replays_under_the_registered_comparator() {
-    // Recovery *redoes* index inserts, so the tree must be attached with
-    // the content comparator during replay — otherwise the rebuilt index
-    // would be ordered byte-wise and multi-node lookups would miss.
+/// Recovery *redoes* index inserts, so the tree must be attached with the
+/// content comparator during replay — otherwise the rebuilt index would be
+/// ordered byte-wise and multi-node lookups would miss. Registering the
+/// comparator for the open is the one way to attach it, after a crash (the
+/// inserts live only in the WAL) and after a clean shutdown alike.
+fn replays_under_the_registered_comparator(shutdown: bool) {
     let dev = Arc::new(MemDevice::new(256 << 20));
     let wal = Arc::new(MemDevice::new(64 << 20));
     let n = 40usize;
@@ -133,7 +134,9 @@ fn index_recovery_replays_under_the_registered_comparator() {
                 .unwrap();
             t.commit().unwrap();
         }
-        // Crash (no shutdown): all index inserts live only in the WAL.
+        if shutdown {
+            db.shutdown().unwrap();
+        }
     }
     let mut factories: HashMap<String, ComparatorFactory> = HashMap::new();
     factories.insert(
@@ -141,7 +144,9 @@ fn index_recovery_replays_under_the_registered_comparator() {
         Arc::new(|db: &Database| BlobStateCmp::new(db) as _),
     );
     let (db, report) = Database::open_with_comparators(dev, wal, cfg(), factories).unwrap();
-    assert!(report.committed as usize >= n);
+    if !shutdown {
+        assert!(report.committed as usize >= n);
+    }
     let images = db.relation("image").unwrap();
     let index = BlobIndex {
         relation: db.relation("image__content").unwrap(),
@@ -154,7 +159,7 @@ fn index_recovery_replays_under_the_registered_comparator() {
         assert_eq!(
             index.lookup(&state).unwrap(),
             Some(key.clone().into_bytes()),
-            "{key} lost after recovery"
+            "{key} lost after recovery (shutdown: {shutdown})"
         );
     }
     t.commit().unwrap();
@@ -168,26 +173,9 @@ fn index_recovery_replays_under_the_registered_comparator() {
 }
 
 #[test]
-fn reopen_helper_rebinds_after_plain_open() {
-    let dev = Arc::new(MemDevice::new(128 << 20));
-    let wal = Arc::new(MemDevice::new(32 << 20));
-    let content = body(7, 123_456);
-    {
-        let db = Database::create(dev.clone(), wal.clone(), cfg()).unwrap();
-        let images = db.create_relation("image", RelationKind::Blob).unwrap();
-        let index = BlobIndex::create(&db, &images).unwrap();
-        let mut t = db.begin();
-        index.put_blob(&mut t, &images, b"pic", &content).unwrap();
-        t.commit().unwrap();
-        db.shutdown().unwrap(); // clean: nothing to replay
-    }
-    let (db, _) = Database::open(dev, wal, cfg()).unwrap();
-    let index = BlobIndex::reopen(&db, "image").unwrap();
-    let images = db.relation("image").unwrap();
-    let mut t = db.begin();
-    let state = t.blob_state(&images, b"pic").unwrap().unwrap();
-    t.commit().unwrap();
-    assert_eq!(index.lookup(&state).unwrap(), Some(b"pic".to_vec()));
+fn index_recovery_replays_under_the_registered_comparator() {
+    replays_under_the_registered_comparator(false);
+    replays_under_the_registered_comparator(true);
 }
 
 /// A pool or device error inside the content comparator is an error of the

@@ -87,12 +87,13 @@ impl LintConfig {
                 "btree",
                 "extent",
             ],
-            // ...except the batch engine: its completion signal is a
-            // protocol the commit path rests on, model-checked in place.
+            // ...except the batch engine: its batch state and worker
+            // queue are locks the commit path rests on.
             facade_files: vec!["crates/storage/src/async_io.rs"],
             facade_allowed_segments: vec![
-                // mpsc channels are shimmed via crossbeam where they
-                // matter; OnceLock/LazyLock are init-once cells with no
+                // mpsc channels carry whole values between threads and
+                // have no shared state a model would check;
+                // OnceLock/LazyLock are init-once cells with no
                 // interesting interleavings under the SC-only shim.
                 "mpsc",
                 "OnceLock",

@@ -151,19 +151,14 @@ counters! {
     btree_node_accesses,
     /// Metadata operations (stat/open/close equivalents).
     metadata_ops,
-    /// Commit groups fsynced by the group committer's WAL stage.
+    /// Commit groups fsynced by the group committer's commit thread.
     commit_wal_groups,
-    /// Groups whose extent writes the group committer put or took in
-    /// flight: the flush stage's own post-fsync submission, the group's
-    /// early flights (landed by the WAL stage when nothing is left for
-    /// after the fsync), or both — one per group either way.
+    /// Content batches the group committer waited out: a group's fresh
+    /// content (with its early flights) before its records, and its
+    /// in-place writes after its fsync — at most two per group.
     commit_flush_batches,
-    /// High-water mark of concurrently in-flight commit flush batches
-    /// (gauge, maintained with `fetch_max`).
-    commit_inflight_peak,
-    /// Times the commit flush stage waited out an in-flight batch before
-    /// submitting (at the in-flight limit, or a write-after-write overlap
-    /// on the same extent).
+    /// Commit submits that waited for pin budget: the pipeline pinned too
+    /// many bytes of unwritten frames to admit the write set at once.
     commit_stalls,
     /// Flush batches a transaction submitted *before* its commit — under
     /// a waiting commit, the fresh extents of a put, written while it

@@ -2,6 +2,7 @@ use crate::{wait_until, Device};
 use lobster_sync::atomic::{AtomicUsize, Ordering};
 use lobster_sync::{Arc, Condvar, Mutex};
 use lobster_types::{Error, Result};
+use std::collections::VecDeque;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -31,18 +32,6 @@ unsafe impl Send for IoReq {}
 // mutably across threads within a batch.
 unsafe impl Sync for IoReq {}
 
-/// Called once, by whichever thread executes a batch's last request; see
-/// [`BatchHandle::notify_when_executed`].
-pub type Waker = Box<dyn FnOnce() + Send>;
-
-/// Whether every request of a batch has executed, and who wants to know.
-struct Executed {
-    done: bool,
-    /// Taken (and called) by the thread that sets `done`; never stored
-    /// once `done` is set.
-    waker: Option<Waker>,
-}
-
 struct BatchState {
     /// Jobs waiting to run. Workers *and* the submitter pop from here, so a
     /// batch completes at full speed even if every worker is still waking
@@ -51,10 +40,11 @@ struct BatchState {
     pending: AtomicUsize,
     /// Latest modeled-device completion deadline across the batch:
     /// individual request latencies overlap, io_uring-style. Final once
-    /// `executed.done` is set.
+    /// `executed` is set.
     deadline: Mutex<Option<Instant>>,
     error: Mutex<Option<Error>>,
-    executed: Mutex<Executed>,
+    /// Every request has executed.
+    executed: Mutex<bool>,
     cond: Condvar,
 }
 
@@ -66,10 +56,7 @@ impl BatchState {
             queue: Mutex::new(reqs),
             deadline: Mutex::new(None),
             error: Mutex::new(None),
-            executed: Mutex::new(Executed {
-                done: n == 0,
-                waker: None,
-            }),
+            executed: Mutex::new(n == 0),
             cond: Condvar::new(),
         }
     }
@@ -109,16 +96,8 @@ impl BatchState {
         }
         // ordering: AcqRel; the last completion acquires every worker's writes before signalling done
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let waker = {
-                let mut executed = self.executed.lock();
-                executed.done = true;
-                self.cond.notify_all();
-                executed.waker.take()
-            };
-            // Outside the lock: the waker takes locks of its own.
-            if let Some(wake) = waker {
-                wake();
-            }
+            *self.executed.lock() = true;
+            self.cond.notify_all();
         }
         true
     }
@@ -143,16 +122,16 @@ impl BatchHandle {
 
     /// Like [`BatchHandle::wait`], but without consuming the handle or its
     /// result: the next [`BatchHandle::try_complete`] returns `Some`
-    /// immediately. This lets an owner of an in-flight batch (the group
-    /// committer's flush tickets) block on completion while keeping the
-    /// reap — and the cleanup hanging off it — in one place.
+    /// immediately. This lets an owner of an in-flight batch (a flush
+    /// ticket) block on completion while keeping the reap — and the
+    /// cleanup hanging off it — in one place.
     pub fn wait_done(&self) {
         // Help execute the requests no worker has taken yet, so the batch
         // never waits for a worker to wake up.
         while self.state.run_one(&self.device) {}
         {
             let mut executed = self.state.executed.lock();
-            while !executed.done {
+            while !*executed {
                 self.state.cond.wait(&mut executed);
             }
         }
@@ -163,37 +142,9 @@ impl BatchHandle {
     }
 
     /// Whether every request has executed (the modeled device may still
-    /// owe time; see [`BatchHandle::completes_at`]).
+    /// owe time).
     pub fn is_complete(&self) -> bool {
-        self.state.executed.lock().done
-    }
-
-    /// The completion signal: have `wake` called once, from the thread that
-    /// executes the batch's last request, so an owner can sleep until then
-    /// instead of polling. Returns `false` — dropping `wake` uncalled — if
-    /// every request has executed already; the caller then looks at the
-    /// batch right away. Deciding under the same lock the executing thread
-    /// sets the flag under means the wake-up is never lost and never
-    /// doubled. At most one waker per batch: a second replaces the first.
-    pub fn notify_when_executed(&self, wake: Waker) -> bool {
-        let mut executed = self.state.executed.lock();
-        if executed.done {
-            return false;
-        }
-        executed.waker = Some(wake);
-        true
-    }
-
-    /// When the batch completes on the device: `None` while requests are
-    /// still executing (the completion signal fires when the last one
-    /// has), then the latest modeled deadline — or the present for a
-    /// device that models none, so a caller sleeping until the returned
-    /// instant simply looks again at once.
-    pub fn completes_at(&self) -> Option<Instant> {
-        if !self.is_complete() {
-            return None;
-        }
-        Some(self.state.deadline.lock().unwrap_or_else(Instant::now))
+        *self.state.executed.lock()
     }
 
     /// Poll the batch: returns `Some(result)` once every request has
@@ -224,32 +175,59 @@ enum Job {
     Shutdown,
 }
 
+/// The workers' job queue: each job pushed wakes one sleeping worker.
+struct Jobs {
+    queue: Mutex<VecDeque<Job>>,
+    cv: Condvar,
+}
+
+impl Jobs {
+    fn push(&self, job: Job) {
+        self.queue.lock().push_back(job);
+        self.cv.notify_one();
+    }
+
+    /// Sleep until there is a job, and take it.
+    fn pop(&self) -> Job {
+        let mut queue = self.queue.lock();
+        loop {
+            if let Some(job) = queue.pop_front() {
+                return job;
+            }
+            self.cv.wait(&mut queue);
+        }
+    }
+}
+
 /// A batched submission/completion I/O engine: the userspace stand-in for
 /// io_uring used by the commit path (flush WAL buffer and extent sequence
 /// with "multiple asynchronous I/O requests", §III-C).
 pub struct AsyncIo {
     device: Arc<dyn Device>,
-    tx: crossbeam::channel::Sender<Job>,
+    jobs: Arc<Jobs>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl AsyncIo {
     pub fn new(device: Arc<dyn Device>, worker_threads: usize) -> Self {
         assert!(worker_threads > 0);
-        let (tx, rx) = crossbeam::channel::unbounded::<Job>();
+        let jobs = Arc::new(Jobs {
+            queue: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+        });
         let workers = (0..worker_threads)
             .map(|i| {
-                let rx = rx.clone();
+                let jobs = jobs.clone();
                 let device = device.clone();
                 std::thread::Builder::new()
                     .name(format!("lobster-io-{i}"))
-                    .spawn(move || worker_loop(rx, device))
+                    .spawn(move || worker_loop(&jobs, device))
                     .expect("spawn io worker")
             })
             .collect();
         AsyncIo {
             device,
-            tx,
+            jobs,
             workers,
         }
     }
@@ -271,9 +249,7 @@ impl AsyncIo {
         // One wake-up per request (capped at the worker count): each worker
         // drains the batch queue until it is empty.
         for _ in 0..n.min(self.workers.len()) {
-            self.tx
-                .send(Job::Batch(state.clone()))
-                .expect("io workers alive");
+            self.jobs.push(Job::Batch(state.clone()));
         }
         BatchHandle {
             state,
@@ -294,7 +270,7 @@ impl AsyncIo {
 impl Drop for AsyncIo {
     fn drop(&mut self) {
         for _ in &self.workers {
-            let _ = self.tx.send(Job::Shutdown);
+            self.jobs.push(Job::Shutdown);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -302,12 +278,9 @@ impl Drop for AsyncIo {
     }
 }
 
-fn worker_loop(rx: crossbeam::channel::Receiver<Job>, device: Arc<dyn Device>) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Shutdown => break,
-            Job::Batch(state) => while state.run_one(&device) {},
-        }
+fn worker_loop(jobs: &Jobs, device: Arc<dyn Device>) {
+    while let Job::Batch(state) = jobs.pop() {
+        while state.run_one(&device) {}
     }
 }
 
@@ -318,7 +291,7 @@ mod tests {
     use std::time::Duration;
 
     /// One write request per buffer, laid out back to back from offset 0.
-    pub(super) fn write_back_to_back(bufs: &mut [Vec<u8>]) -> Vec<IoReq> {
+    fn write_back_to_back(bufs: &mut [Vec<u8>]) -> Vec<IoReq> {
         let mut offset = 0;
         let req = |buf: &mut Vec<u8>| {
             let at = offset;
@@ -430,109 +403,6 @@ mod tests {
         assert!(out.iter().all(|&b| b == 3));
     }
 
-    /// A device whose writes wait for a token on a channel: the test decides
-    /// when a request executes.
-    struct TokenDevice {
-        inner: MemDevice,
-        tokens: Mutex<std::sync::mpsc::Receiver<()>>,
-    }
-
-    impl Device for TokenDevice {
-        fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<()> {
-            self.inner.read_at(buf, offset)
-        }
-        fn write_at(&self, buf: &[u8], offset: u64) -> Result<()> {
-            self.tokens.lock().recv().expect("token sender alive");
-            self.inner.write_at(buf, offset)
-        }
-        fn sync(&self) -> Result<()> {
-            self.inner.sync()
-        }
-        fn capacity(&self) -> u64 {
-            self.inner.capacity()
-        }
-    }
-
-    #[test]
-    fn completion_signal_fires_once_when_the_last_request_executes() {
-        let (token, tokens) = std::sync::mpsc::channel();
-        let dev: Arc<dyn Device> = Arc::new(TokenDevice {
-            inner: MemDevice::new(1 << 20),
-            tokens: Mutex::new(tokens),
-        });
-        let io = AsyncIo::new(dev, 2);
-        let mut bufs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4096]).collect();
-        let reqs = write_back_to_back(&mut bufs);
-        // SAFETY: the buffers backing the requests outlive the wait and are
-        // not touched until the batch completes.
-        let handle = unsafe { io.submit(reqs) };
-
-        // No request can execute yet, so the waker is stored.
-        let fired = Arc::new(AtomicUsize::new(0));
-        let (woke_tx, woke_rx) = std::sync::mpsc::channel();
-        let counter = fired.clone();
-        assert!(handle.notify_when_executed(Box::new(move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-            woke_tx.send(()).expect("test alive");
-        })));
-        assert!(handle.completes_at().is_none());
-
-        // Two of three requests execute: still silent.
-        token.send(()).unwrap();
-        token.send(()).unwrap();
-        assert!(woke_rx
-            .recv_timeout(std::time::Duration::from_millis(50))
-            .is_err());
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-
-        // The last one executes: exactly one call, after which the batch
-        // reports complete without anyone having polled it.
-        token.send(()).unwrap();
-        woke_rx.recv().unwrap();
-        assert!(handle.is_complete());
-        assert!(handle.completes_at().is_some());
-
-        // Too late to register: the caller is told to look instead.
-        let counter = fired.clone();
-        assert!(!handle.notify_when_executed(Box::new(move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-        })));
-        handle.wait().unwrap();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn completion_signal_is_never_lost_against_a_racing_last_request() {
-        // Registration races the workers on an ungated device: whichever
-        // side takes the lock first, the owner learns of completion —
-        // through the call or through the `false` return — exactly once.
-        let dev: Arc<dyn Device> = Arc::new(MemDevice::new(1 << 20));
-        let io = AsyncIo::new(dev, 2);
-        for round in 0..200 {
-            let mut bufs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 512]).collect();
-            let reqs = write_back_to_back(&mut bufs);
-            // SAFETY: the buffers backing the requests outlive the wait and
-            // are not touched until the batch completes.
-            let handle = unsafe { io.submit(reqs) };
-            let (woke_tx, woke_rx) = std::sync::mpsc::channel();
-            let stored = handle.notify_when_executed(Box::new(move || {
-                woke_tx.send(()).expect("test alive");
-            }));
-            if stored {
-                woke_rx
-                    .recv_timeout(std::time::Duration::from_secs(10))
-                    .unwrap_or_else(|_| panic!("round {round}: stored waker never called"));
-            } else {
-                assert!(handle.is_complete(), "round {round}");
-                assert!(
-                    woke_rx.try_recv().is_err(),
-                    "round {round}: dropped waker ran"
-                );
-            }
-            handle.wait().unwrap();
-        }
-    }
-
     /// Processor time the calling thread has used: the first field of
     /// `/proc/thread-self/schedstat`, in nanoseconds. `None` where the file
     /// does not exist (not Linux, or scheduler statistics compiled out).
@@ -568,9 +438,7 @@ mod tests {
                 let handle = unsafe { io.submit(reqs) };
                 handle.wait_done();
                 let waited = t0.elapsed();
-                let due = handle.completes_at().expect("executed");
-                assert!(due >= t0 + late, "modeled deadline under 3 ms");
-                assert!(Instant::now() >= due, "returned before the deadline");
+                assert!(waited >= late, "returned before the deadline");
                 handle.wait().unwrap();
                 let cpu = thread_cpu().zip(cpu0).map(|(b, a)| b - a);
                 cpu.map_or(0.0, |c| c.as_secs_f64() / waited.as_secs_f64())
@@ -584,76 +452,5 @@ mod tests {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new(4096));
         let io = AsyncIo::new(dev, 3);
         drop(io); // must not hang
-    }
-}
-
-#[cfg(test)]
-mod model {
-    //! The completion signal, storage half, over the real [`BatchState`]:
-    //! [`BatchHandle::notify_when_executed`] against whichever thread runs
-    //! the batch's last request. The owner learns of the completion exactly
-    //! once — a refused registration means every request has executed, a
-    //! stored waker is called, once. (The other half, that a called waker
-    //! always gets the flush stage out of its sleep, is `FlushInbox`'s model
-    //! in `core/src/group_commit.rs`.) The `broken_*` test swaps in a wrong
-    //! caller and requires the checker to find it, under loom only.
-
-    use super::tests::write_back_to_back;
-    use super::*;
-    use crate::MemDevice;
-    use lobster_sync::thread;
-    // Bookkeeping the model asserts on, invisible to the scheduler.
-    use std::sync::atomic::{AtomicUsize as Plain, Ordering::SeqCst};
-
-    /// Two workers drain a two-request batch while its owner registers.
-    fn run(register: fn(&BatchHandle, Waker) -> bool) {
-        let mut bufs = [vec![1u8; 8], vec![2u8; 8]];
-        let reqs = write_back_to_back(&mut bufs);
-        let handle = BatchHandle {
-            state: Arc::new(BatchState::new(reqs)),
-            device: Arc::new(MemDevice::new(4096)),
-        };
-        // `bufs` outlives the workers: both are joined below.
-        let workers = [(); 2].map(|()| {
-            let (state, device) = (handle.state.clone(), handle.device.clone());
-            thread::spawn(move || while state.run_one(&device) {})
-        });
-        let wakes = Arc::new(Plain::new(0));
-        let counter = wakes.clone();
-        let wake = move || {
-            counter.fetch_add(1, SeqCst);
-        };
-        let stored = register(&handle, Box::new(wake));
-        assert!(stored || handle.is_complete(), "refused before the end");
-        for worker in workers {
-            worker.join().unwrap();
-        }
-        let expected = usize::from(stored);
-        assert_eq!(
-            wakes.load(SeqCst),
-            expected,
-            "completion signal lost or doubled"
-        );
-        handle.wait().unwrap();
-    }
-
-    #[test]
-    fn completion_signal_fires_exactly_once_or_is_refused() {
-        lobster_sync::model(|| run(BatchHandle::notify_when_executed));
-    }
-
-    #[test]
-    fn broken_blind_waker_registration_is_caught() {
-        // Stores the waker without looking at `done`: a worker that finished
-        // first has nothing to call.
-        let blind = |handle: &BatchHandle, wake: Waker| {
-            handle.state.executed.lock().waker = Some(wake);
-            true
-        };
-        let broken = || lobster_sync::model(move || run(blind));
-        assert!(lobster_sync::model_catches(
-            broken,
-            "completion signal lost"
-        ));
     }
 }

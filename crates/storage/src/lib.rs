@@ -34,11 +34,11 @@ mod mem;
 mod throttle;
 mod wait;
 
-pub use async_io::{AsyncIo, BatchHandle, IoKind, IoReq, Waker};
+pub use async_io::{AsyncIo, BatchHandle, IoKind, IoReq};
 pub use crash::CrashDevice;
 pub use device::{Device, DeviceExt};
 pub use fault::{permanent_eio, transient_eio, FaultConfig, FaultDevice, FaultKind, Injection};
 pub use file::FileDevice;
 pub use mem::MemDevice;
 pub use throttle::{ThrottleProfile, ThrottledDevice};
-pub use wait::{precise_timed_waits, wait_until, WAKE_MARGIN};
+pub use wait::{wait_until, WAKE_MARGIN};

@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 
 /// How long before a modeled completion [`wait_until`] stops sleeping and
 /// starts yield-polling the clock. A timed sleep wakes late — on an idle
-/// 2-vCPU reference box with [`precise_timed_waits`], ≈ 15 µs at the
-/// median and ≈ 43 µs at p90 for a 300 µs sleep — so the sleep aims this
-/// far ahead of the deadline and the poll takes up the rest.
+/// 2-vCPU reference box with precise timers, ≈ 15 µs at the median and
+/// ≈ 43 µs at p90 for a 300 µs sleep — so the sleep aims this far ahead
+/// of the deadline and the poll takes up the rest.
 ///
 /// Swept on `lib_cold_1m` (same box, 10 s runs, seeds 5 and 901, five
 /// runs a point and two at 120 µs; EXPERIMENTS.md "Wait for the device
@@ -42,7 +42,7 @@ pub const WAKE_MARGIN: Duration = Duration::from_micros(40);
 /// returns at once, without a system call.
 ///
 /// The first sleep on a thread asks for precise timers for that thread
-/// ([`precise_timed_waits`]); later ones find it done.
+/// (`precise_timed_waits`); later ones find it done.
 pub fn wait_until(deadline: Option<Instant>) {
     let Some(deadline) = deadline else {
         return;
@@ -70,9 +70,8 @@ thread_local! {
 
 /// Ask the kernel to fire the calling thread's timed waits on time. Linux
 /// pads every timer of an ordinary thread by up to 50 µs so that wake-ups
-/// batch; a thread that sleeps until a modeled completion instant —
-/// the flush stage with committers behind it, or any thread in
-/// [`wait_until`] — wants the instant, not the batch. Without effect on
+/// batch; a thread that sleeps in [`wait_until`] until a modeled
+/// completion instant wants the instant, not the batch. Without effect on
 /// other systems, and harmless to call twice.
 ///
 /// [`wait_until`] sets this on every thread that waits for a modeled
@@ -82,7 +81,7 @@ thread_local! {
 /// thread sleeps, and the thread's other work and every other thread are
 /// untouched. A real device models no deadline, so a deployment on one
 /// never reaches the call.
-pub fn precise_timed_waits() {
+fn precise_timed_waits() {
     #[cfg(target_os = "linux")]
     {
         extern "C" {

@@ -3,7 +3,7 @@
 //! The storage layer classifies device errors into transient (EINTR-style
 //! hiccups, see [`crate::Error::is_transient_io`]) and permanent faults. The
 //! choke points that talk to the device — buffer-pool faulting, WAL
-//! append/fsync, and the group-commit flush stage — wrap their device
+//! append/fsync, and the group committer's content writes — wrap their device
 //! calls in a [`RetryPolicy`] so a momentary failure is absorbed instead
 //! of poisoning the engine. Permanent errors are never retried. Every
 //! choke point runs the one engine-wide policy, [`RetryPolicy::DEFAULT`].
