@@ -7,9 +7,10 @@
 //! ahead — up to 2.1× at 16 workers — because the hash-table pool's
 //! per-read malloc+memcpy saturates cache and memory bandwidth.
 //!
-//! `Our` aliases only from `lobster_buffer::ALIAS_MIN_BYTES` (1 MiB) up,
-//! where aliasing pays: its 100 KB column copies out of the frames too, so
-//! there the two pools differ in translation and latching, not in the copy.
+//! `Our` reads a BLOB whose frames sit back to back (one run, as a put on a
+//! pool with room frames it) in place, and aliases scattered frames only
+//! from `lobster_buffer::ALIAS_MIN_BYTES` (1 MiB) up, where aliasing pays,
+//! copying smaller scattered ones out of the frames.
 
 use crate::*;
 use lobster_baselines::{LobsterMode, ObjectStore};

@@ -2,9 +2,10 @@
 //!
 //! Paper shape: Our outperforms every file system by ≥ 40 % because (1)
 //! there are no `open`/`fstat`/`close` syscalls per article and (2) reads
-//! are served from the buffer pool's frames — in place for a one-extent
-//! article, aliased from `ALIAS_MIN_BYTES` up, otherwise one memcpy with no
-//! kernel crossing — while file systems pay a syscall and the `pread`
+//! are served from the buffer pool's frames — in place when the article's
+//! frames sit back to back (one extent, or one run), aliased from
+//! `ALIAS_MIN_BYTES` up, otherwise one memcpy with no kernel crossing —
+//! while file systems pay a syscall and the `pread`
 //! kernel→user copy even on cache hits.
 
 use crate::*;

@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the primitives the engine's hot paths are built
 //! from: resumable SHA-256 (growth ops), B-Tree point ops (metadata
 //! path), tier-table math (allocation path), CRC-32 (WAL framing), and the
-//! two ways a hot multi-extent BLOB reaches a reader (aliased or copied),
-//! whose crossover sets `lobster_buffer::ALIAS_MIN_BYTES`.
+//! three ways a hot multi-extent BLOB reaches a reader (in place, aliased
+//! or copied); the alias/copy crossover sets
+//! `lobster_buffer::ALIAS_MIN_BYTES`.
 //!
 //! The suite runs the bodies under the harness's [`timed`] loop (or, for
 //! concurrent readers, one such loop per thread) with every iteration's
@@ -188,13 +189,13 @@ pub(crate) fn run(report: &mut Report) {
     alias_vs_copy(report);
 }
 
-/// A hot multi-extent BLOB read through each of `read_blob`'s two
+/// A hot multi-extent BLOB read through each of `read_blob`'s three
 /// mechanisms, by BLOB size and number of concurrent readers: latch every
-/// extent, then either map them into the reader's aliasing area or copy
-/// them out of their frames, and read the view's first and last byte (a
-/// reader checking a header and a trailer). The BLOBs have the engine's
-/// shape (default tier sequence, content view) and the aliasing areas its
-/// default sizes.
+/// extent, then take the frames in place (they were framed back to back),
+/// map them into the reader's aliasing area or copy them out of their
+/// frames, and read the view's first and last byte (a reader checking a
+/// header and a trailer). The BLOBs have the engine's shape (default tier
+/// sequence, content view) and the aliasing areas its default sizes.
 fn alias_vs_copy(report: &mut Report) {
     const READERS: usize = 2;
     let dev = Dev::mem(64 << 20).build();
@@ -248,7 +249,11 @@ fn alias_vs_copy(report: &mut Report) {
                 let guards = pool.latch_blob(&specs).unwrap();
                 pool.copy_extents(&guards, len, touch)
             });
-            for (path, r) in [("alias", aliased), ("copy", copied)] {
+            let in_place = time_readers(readers, iters, |_| {
+                let guards = pool.latch_blob(&specs).unwrap();
+                touch(&pool.in_place_extents(&guards).unwrap()[..len])
+            });
+            for (path, r) in [("alias", aliased), ("copy", copied), ("inplace", in_place)] {
                 let name = format!("{path}_{kib}KiB_{readers}r");
                 push(report, "alias_vs_copy", &name, r);
             }

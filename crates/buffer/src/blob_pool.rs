@@ -4,7 +4,7 @@
 //! the two variants can be swapped by configuration.
 
 use crate::htpool::HashTablePool;
-use crate::pool::{ExtentPool, FlushBatch, FlushItem, PieceFlight};
+use crate::pool::{ExtentPool, FlushBatch, FlushItem, FrameRun, PieceFlight};
 use lobster_extent::{ExtentSpec, Piece};
 use lobster_metrics::Metrics;
 use lobster_sync::Arc;
@@ -55,24 +55,26 @@ impl BlobPool {
         src: &[u8],
         digest: &mut dyn FnMut(&[u8]),
     ) -> Result<()> {
-        match self {
-            BlobPool::Vm(p) => {
-                let mut g = p.create_extent(spec)?;
-                // Cache-height blocks: large enough to amortize the digest
-                // call, small enough that the copied bytes are still in L1/L2
-                // when hashed.
-                const BLOCK: usize = 64 * 1024;
-                let dst = &mut g[..src.len()];
-                for (d, s) in dst.chunks_mut(BLOCK).zip(src.chunks(BLOCK)) {
-                    d.copy_from_slice(s);
-                    digest(d);
-                }
-                p.metrics().bump_memcpy(src.len() as u64);
-                g.stage_flush();
-                Ok(())
-            }
-            BlobPool::Ht(p) => p.fill_extent_hashed(spec, src, digest),
+        Placement {
+            pool: self,
+            run: None,
         }
+        .fill_hashed(spec, src, digest)
+    }
+
+    /// Frames for the fresh extents of one new placement, `extents` of
+    /// them holding `pages` of content in all: on the vmcache pool one run
+    /// of frames, when a free run that long exists
+    /// (`ExtentPool::take_run`; nothing is evicted to make one), so a read
+    /// of the BLOB finds its extents back to back. A single extent is one
+    /// run already and takes none; without a run each extent is framed on
+    /// its own, as [`BlobPool::fill_extent_hashed`] frames it.
+    pub fn place(&self, extents: usize, pages: u64) -> Placement<'_> {
+        let run = match self {
+            BlobPool::Vm(p) if extents > 1 => p.take_run(pages),
+            _ => None,
+        };
+        Placement { pool: self, run }
     }
 
     /// Overwrite `src` at byte offset `byte_off` within an existing extent,
@@ -130,9 +132,9 @@ impl BlobPool {
     }
 
     /// Present the BLOB as one contiguous slice to `f`. The vmcache pool
-    /// passes a single extent straight out of its frames, aliases a
-    /// multi-extent BLOB of at least [`crate::ALIAS_MIN_BYTES`] and copies a
-    /// smaller one ([`ExtentPool::read_blob`]); the hash-table pool always
+    /// passes extents whose frames sit back to back straight out of them,
+    /// aliases scattered ones from [`crate::ALIAS_MIN_BYTES`] up and copies
+    /// smaller ones ([`ExtentPool::read_blob`]); the hash-table pool always
     /// gathers.
     pub fn read_blob<R>(
         &self,
@@ -355,6 +357,45 @@ impl BlobPool {
             BlobPool::Vm(p) => p.flush_all_dirty(),
             BlobPool::Ht(p) => p.flush_all_dirty(),
         }
+    }
+}
+
+/// The fresh extents of one new placement being filled
+/// ([`BlobPool::place`]), in sequence order. Frames of its run that no
+/// extent took go back to the pool when it drops.
+pub struct Placement<'p> {
+    pool: &'p BlobPool,
+    run: Option<FrameRun<'p>>,
+}
+
+impl Placement<'_> {
+    /// [`BlobPool::fill_extent_hashed`] for the placement's next extent,
+    /// framed at the next `spec.pages` frames of its run if it has one.
+    pub fn fill_hashed(
+        &mut self,
+        spec: ExtentSpec,
+        src: &[u8],
+        digest: &mut dyn FnMut(&[u8]),
+    ) -> Result<()> {
+        let p = match self.pool {
+            BlobPool::Vm(p) => p,
+            BlobPool::Ht(p) => return p.fill_extent_hashed(spec, src, digest),
+        };
+        let mut g = match &mut self.run {
+            Some(run) => p.create_extent_in(spec, run)?,
+            None => p.create_extent(spec)?,
+        };
+        // Cache-height blocks: large enough to amortize the digest call,
+        // small enough that the copied bytes are still in L1/L2 when hashed.
+        const BLOCK: usize = 64 * 1024;
+        let dst = &mut g[..src.len()];
+        for (d, s) in dst.chunks_mut(BLOCK).zip(src.chunks(BLOCK)) {
+            d.copy_from_slice(s);
+            digest(d);
+        }
+        p.metrics().bump_memcpy(src.len() as u64);
+        g.stage_flush();
+        Ok(())
     }
 }
 

@@ -9,6 +9,10 @@
 //!
 //! `tag`: `0xFF` = evicted, `0xFE` = locked exclusive, `0..=0xFC` = shared
 //! count (0 = resident, unlatched). An evicted word carries nothing else.
+//! The atomic stores the word XOR the evicted word, so an all-zero atomic
+//! reads as evicted and a page table is a zeroed allocation, which fresh
+//! memory provides without a write ([`Entry::table`]); only this file sees
+//! the stored form.
 //!
 //! | from            | to              | method                          |
 //! |-----------------|-----------------|---------------------------------|
@@ -52,6 +56,12 @@ const PAGES_MASK: u64 = (1 << 22) - 1;
 const FRAME_MASK: u64 = (1 << 32) - 1;
 
 const EVICTED: u64 = TAG_EVICTED << TAG_SHIFT;
+
+/// The stored form of the word `w`, and the word of the stored form `w`.
+#[inline]
+const fn flip(w: u64) -> u64 {
+    w ^ EVICTED
+}
 
 /// The latch state a word's tag decodes to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -139,9 +149,34 @@ impl<'a> Entry<'a> {
     /// Largest frame index the word can name.
     pub(crate) const MAX_FRAME: u64 = FRAME_MASK;
 
-    /// A page table of `pages` evicted entries.
+    /// A page table of `pages` evicted entries: all-zero atomics, from a
+    /// zeroed allocation, so fresh memory is not written until an entry is.
+    #[cfg(not(lobster_loom))]
     pub(crate) fn table(pages: u64) -> Vec<AtomicU64> {
-        (0..pages).map(|_| AtomicU64::new(EVICTED)).collect()
+        let n = pages as usize;
+        if n == 0 {
+            return Vec::new();
+        }
+        // lint-allow(no-panic-in-request-path): a table the address space cannot hold is a misconfigured device, refused at open
+        let layout = std::alloc::Layout::array::<AtomicU64>(n).expect("page table size");
+        // SAFETY: the layout is non-empty; all-zero bytes are a valid
+        // `AtomicU64`; the vector takes the allocation with the element
+        // type, length and capacity it was made for, from the global
+        // allocator it frees into.
+        unsafe {
+            let ptr = std::alloc::alloc_zeroed(layout).cast::<AtomicU64>();
+            if ptr.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            Vec::from_raw_parts(ptr, n, n)
+        }
+    }
+
+    /// A page table of `pages` evicted entries. The model checker's atomics
+    /// are not plain integers, so each is made on its own.
+    #[cfg(lobster_loom)]
+    pub(crate) fn table(pages: u64) -> Vec<AtomicU64> {
+        (0..pages).map(|_| AtomicU64::new(flip(EVICTED))).collect()
     }
 
     #[inline]
@@ -156,7 +191,7 @@ impl<'a> Entry<'a> {
     #[inline]
     pub(crate) fn peek(self) -> Seen {
         // ordering: Acquire; pairs with the AcqRel/Release rewrites of this word, so tag+frame imply visible bytes
-        Seen(self.word.load(Ordering::Acquire))
+        Seen(flip(self.word.load(Ordering::Acquire)))
     }
 
     /// One attempt at `seen -> new`.
@@ -164,7 +199,7 @@ impl<'a> Entry<'a> {
     fn cas(self, seen: Seen, new: u64) -> bool {
         self.word
             // ordering: AcqRel on success (latch handoff: the holder's frame writes are visible to the next), Acquire on failure
-            .compare_exchange(seen.0, new, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(flip(seen.0), flip(new), Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
 
@@ -179,10 +214,10 @@ impl<'a> Entry<'a> {
             let (success, failure) = (Ordering::AcqRel, Ordering::Acquire);
             match self
                 .word
-                .compare_exchange_weak(cur.0, new, success, failure)
+                .compare_exchange_weak(flip(cur.0), flip(new), success, failure)
             {
                 Ok(_) => return Some(cur),
-                Err(now) => cur = Seen(now),
+                Err(now) => cur = Seen(flip(now)),
             }
         }
     }
@@ -238,8 +273,10 @@ impl<'a> Entry<'a> {
     #[inline]
     pub(crate) fn unshare(self) {
         self.audit.release_shared(self.key);
+        // The stored tag is the count's complement, so it rises as the
+        // count drops.
         // ordering: AcqRel; the reads under the latch complete before the count drops, and a later locker sees that
-        let was = Seen(self.word.fetch_sub(ONE_SHARED, Ordering::AcqRel));
+        let was = Seen(flip(self.word.fetch_add(ONE_SHARED, Ordering::AcqRel)));
         debug_assert!(matches!(was.latch(), Latch::Shared(n) if n >= 1));
     }
 
@@ -283,7 +320,7 @@ impl<'a> Entry<'a> {
         self.audit.unpin(self.key);
         self.note_unlocking(by);
         // ordering: Release; the frames were given back before the word says so
-        self.word.store(EVICTED, Ordering::Release);
+        self.word.store(flip(EVICTED), Ordering::Release);
     }
 
     /// Set or clear flag bits of a resident word; an evicted one has none.

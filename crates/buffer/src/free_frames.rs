@@ -1,0 +1,214 @@
+//! The pool's free frames as a map of free runs.
+//!
+//! Each run is kept twice: by start, so a freed range finds both of its
+//! neighbours and merges with them, and by length, so an allocation takes
+//! the smallest run that fits (best fit, the lowest start among equals)
+//! and leaves what it does not need as a shorter run. Freed frames
+//! therefore never stay split along the boundaries of the extents that held
+//! them, and a placement that asks for one run of frames for several
+//! extents gets one whenever that many free frames sit together.
+//!
+//! Device space keeps `lobster_extent::RangeAllocator`, whose exact-size
+//! free lists recycle a tier extent in O(1) (§V-G); frames are handed out in
+//! every size a content view can have, so merging is what keeps them usable.
+
+use lobster_sync::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Free frames of an arena of `capacity` frames.
+pub(crate) struct FreeFrames {
+    runs: Mutex<Runs>,
+    capacity: u64,
+}
+
+#[derive(Default)]
+struct Runs {
+    /// start → length.
+    by_start: BTreeMap<u64, u64>,
+    /// (length, start).
+    by_len: BTreeSet<(u64, u64)>,
+    /// Frames in all runs.
+    free: u64,
+}
+
+impl Runs {
+    fn insert(&mut self, start: u64, len: u64) {
+        self.by_start.insert(start, len);
+        self.by_len.insert((len, start));
+        self.free += len;
+    }
+
+    fn remove(&mut self, start: u64, len: u64) {
+        self.by_start.remove(&start);
+        self.by_len.remove(&(len, start));
+        self.free -= len;
+    }
+}
+
+impl FreeFrames {
+    /// Every frame of `[0, capacity)` free, as one run.
+    pub(crate) fn new(capacity: u64) -> Self {
+        let mut runs = Runs::default();
+        if capacity > 0 {
+            runs.insert(0, capacity);
+        }
+        FreeFrames {
+            runs: Mutex::new(runs),
+            capacity,
+        }
+    }
+
+    /// Frames handed out and not yet freed.
+    pub(crate) fn in_use(&self) -> u64 {
+        self.capacity - self.runs.lock().free
+    }
+
+    /// `pages` frames back to back from the smallest free run that holds
+    /// them, or `None` when no run does.
+    pub(crate) fn allocate(&self, pages: u64) -> Option<u64> {
+        debug_assert!(pages > 0);
+        let mut runs = self.runs.lock();
+        let &(len, start) = runs.by_len.range((pages, 0)..).next()?;
+        runs.remove(start, len);
+        if len > pages {
+            runs.insert(start + pages, len - pages);
+        }
+        Some(start)
+    }
+
+    /// Give back `[start, start + pages)`, merged with the free runs that
+    /// end where it starts and start where it ends.
+    pub(crate) fn free(&self, start: u64, pages: u64) {
+        debug_assert!(pages > 0 && start + pages <= self.capacity);
+        let mut runs = self.runs.lock();
+        let (mut from, mut to) = (start, start + pages);
+        if let Some((&s, &l)) = runs.by_start.range(..start).next_back() {
+            debug_assert!(s + l <= start, "frames {start}+{pages} freed twice");
+            if s + l == start {
+                runs.remove(s, l);
+                from = s;
+            }
+        }
+        if let Some((&s, &l)) = runs.by_start.range(start..).next() {
+            debug_assert!(s >= to, "frames {start}+{pages} freed twice");
+            if s == to {
+                runs.remove(s, l);
+                to = s + l;
+            }
+        }
+        runs.insert(from, to - from);
+    }
+
+    /// Every free run as `(start, len)`, by start.
+    #[cfg(test)]
+    fn runs(&self) -> Vec<(u64, u64)> {
+        let runs = self.runs.lock();
+        runs.by_start.iter().map(|(&s, &l)| (s, l)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Check `map` against `used`, the model: one flag per frame.
+    fn agrees(map: &FreeFrames, used: &[bool]) -> Result<(), TestCaseError> {
+        let runs = map.runs();
+        let mut free = vec![false; used.len()];
+        for (i, &(s, l)) in runs.iter().enumerate() {
+            prop_assert!(l > 0, "empty run at {s}");
+            if let Some(&(next, _)) = runs.get(i + 1) {
+                // Sorted, disjoint, and never two runs that touch.
+                prop_assert!(s + l < next, "runs {s}+{l} and {next} not merged");
+            }
+            for f in s..s + l {
+                prop_assert!(!used[f as usize], "frame {f} free and in use");
+                free[f as usize] = true;
+            }
+        }
+        for (f, (&u, &fr)) in used.iter().zip(&free).enumerate() {
+            prop_assert!(u || fr, "frame {f} neither free nor in use");
+        }
+        let in_use = used.iter().filter(|&&u| u).count() as u64;
+        prop_assert_eq!(map.in_use(), in_use);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// Random allocations and frees of what is held: the map and a
+        /// frame bitmap agree after every step, no two allocations overlap,
+        /// and an allocation fails only when no free run is long enough.
+        #[test]
+        fn runs_match_a_frame_bitmap(
+            ops in proptest::collection::vec((any::<bool>(), 1u64..12, any::<u64>()), 1..80)
+        ) {
+            const FRAMES: u64 = 64;
+            let map = FreeFrames::new(FRAMES);
+            let mut used = vec![false; FRAMES as usize];
+            let mut held: Vec<(u64, u64)> = Vec::new();
+            for (alloc, pages, pick) in ops {
+                if alloc || held.is_empty() {
+                    let longest = map.runs().iter().map(|&(_, l)| l).max().unwrap_or(0);
+                    match map.allocate(pages) {
+                        Some(start) => {
+                            for f in start..start + pages {
+                                prop_assert!(!used[f as usize], "frame {f} handed out twice");
+                                used[f as usize] = true;
+                            }
+                            held.push((start, pages));
+                        }
+                        None => prop_assert!(longest < pages, "{pages} refused, run of {longest} free"),
+                    }
+                } else {
+                    let (start, pages) = held.swap_remove((pick % held.len() as u64) as usize);
+                    map.free(start, pages);
+                    for f in start..start + pages {
+                        used[f as usize] = false;
+                    }
+                }
+                agrees(&map, &used)?;
+            }
+        }
+
+        /// Freeing the two neighbours of a hole, in either order, leaves one
+        /// run of the three sizes summed.
+        #[test]
+        fn freeing_both_neighbours_of_a_hole_makes_one_run(
+            a in 1u64..8, hole in 1u64..8, b in 1u64..8, left_first in any::<bool>()
+        ) {
+            let map = FreeFrames::new(a + hole + b + 1);
+            let left = map.allocate(a).unwrap();
+            let mid = map.allocate(hole).unwrap();
+            let right = map.allocate(b).unwrap();
+            let wall = map.allocate(1).unwrap();
+            prop_assert_eq!((left, mid, right, wall), (0, a, a + hole, a + hole + b));
+            map.free(mid, hole);
+            let (first, second) = if left_first { ((left, a), (right, b)) } else { ((right, b), (left, a)) };
+            map.free(first.0, first.1);
+            map.free(second.0, second.1);
+            prop_assert_eq!(map.runs(), vec![(0, a + hole + b)]);
+            prop_assert_eq!(map.in_use(), 1);
+        }
+    }
+
+    #[test]
+    fn best_fit_takes_the_smallest_run_that_holds_the_request() {
+        let map = FreeFrames::new(20);
+        let held: Vec<u64> = [3, 1, 5, 1, 2, 1]
+            .iter()
+            .map(|&n| map.allocate(n).unwrap())
+            .collect();
+        // Runs of 3 at 0, 5 at 4, 2 at 10, and the untouched 7 at 13.
+        map.free(held[0], 3);
+        map.free(held[2], 5);
+        map.free(held[4], 2);
+        assert_eq!(map.allocate(2), Some(10));
+        assert_eq!(map.allocate(4), Some(4));
+        assert_eq!(map.allocate(6), Some(13));
+        assert_eq!(map.allocate(4), None);
+        assert_eq!(map.runs(), vec![(0, 3), (8, 1), (19, 1)]);
+    }
+}

@@ -4,12 +4,17 @@
 //!
 //! * [`ExtentPool`] — the vmcache-style pool: a flat page table with CAS
 //!   state transitions, **extent-granular (coarse) latching**, contiguous
-//!   frame ranges per extent, size-fair randomized eviction, a
-//!   `prevent_evict` pin used by the single-flush commit protocol, and
-//!   **virtual-memory aliasing** that presents multi-extent BLOBs of at
-//!   least [`ALIAS_MIN_BYTES`] as one contiguous zero-copy view
-//!   ([`AliasingManager`], memfd+mmap — see DESIGN.md substitution 2);
-//!   smaller ones are copied out of their frames.
+//!   frame ranges per extent out of free runs that merge when freed,
+//!   size-fair randomized eviction, and a `prevent_evict` pin used by the
+//!   single-flush commit protocol. A whole-BLOB read
+//!   ([`ExtentPool::read_blob`]) takes one of three shapes: extents framed
+//!   back to back — a placement or fault batch framed as one run
+//!   ([`BlobPool::place`], [`ExtentPool::fault_many`]) — are read **in
+//!   place**, one slice of the arena; scattered ones of at least
+//!   [`ALIAS_MIN_BYTES`] are presented as one contiguous zero-copy view by
+//!   **virtual-memory aliasing** ([`AliasingManager`], memfd+mmap — see
+//!   DESIGN.md substitution 2); smaller scattered ones are copied out of
+//!   their frames.
 //! * [`HashTablePool`] — the traditional design (`Our.ht` baseline):
 //!   per-page hash-map translation, scattered frames, malloc+memcpy reads.
 //!
@@ -24,13 +29,14 @@ mod arena;
 mod blob_pool;
 mod entry;
 mod flush_ledger;
+mod free_frames;
 mod htpool;
 mod pool;
 mod stream;
 
 pub use alias::{AliasConfig, AliasGuard, AliasStats, AliasingManager};
 pub use arena::{Arena, OS_PAGE};
-pub use blob_pool::{BlobPool, FlushTicket, PieceReads};
+pub use blob_pool::{BlobPool, FlushTicket, PieceReads, Placement};
 pub use htpool::HashTablePool;
 pub use pool::{ExtentPool, FlushBatch, FlushItem, PoolConfig, ShGuard, XGuard, ALIAS_MIN_BYTES};
 pub use stream::PinGate;
@@ -41,7 +47,7 @@ mod tests {
     use lobster_extent::ExtentSpec;
     use lobster_storage::{Device, MemDevice};
     use lobster_sync::Arc;
-    use lobster_types::{Geometry, Pid};
+    use lobster_types::{Error, Geometry, Pid};
 
     fn vm_pool(frames: u64, alias: bool) -> Arc<ExtentPool> {
         pool_sharing(frames, alias.then_some(512 * 1024))
@@ -71,12 +77,32 @@ mod tests {
     /// Frame `extents`, extent `i` filled with byte `i + 1`; the first
     /// `len` bytes are the BLOB they hold.
     fn resident_blob(pool: &ExtentPool, extents: &[ExtentSpec], len: usize) -> Vec<u8> {
+        framed_blob(pool, extents, len, false)
+    }
+
+    /// [`resident_blob`] with a pinned one-frame spacer framed after each
+    /// extent, so no two of the BLOB's extents sit back to back in the
+    /// arena and `read_blob` must alias or copy them.
+    fn scattered_blob(pool: &ExtentPool, extents: &[ExtentSpec], len: usize) -> Vec<u8> {
+        framed_blob(pool, extents, len, true)
+    }
+
+    /// First pid of the spacers [`scattered_blob`] frames, above every
+    /// extent the tests read.
+    const SPACERS: u64 = 4000;
+
+    fn framed_blob(pool: &ExtentPool, extents: &[ExtentSpec], len: usize, spaced: bool) -> Vec<u8> {
         let mut want = Vec::new();
         for (i, &e) in extents.iter().enumerate() {
             let mut g = pool.create_extent(e).unwrap();
             g.fill(i as u8 + 1);
             g.mark_dirty();
             want.extend_from_slice(&g[..]);
+            drop(g);
+            if spaced {
+                let spacer = ExtentSpec::new(Pid::new(SPACERS + i as u64), 1);
+                pool.create_extent(spacer).unwrap().set_prevent_evict();
+            }
         }
         want.truncate(len);
         want
@@ -261,7 +287,7 @@ mod tests {
             ExtentSpec::new(Pid::new(10), 2),
         ];
         let len = 3 * 4096 - 100; // logical size ends mid-page
-        let want = resident_blob(&pool, &extents, len);
+        let want = scattered_blob(&pool, &extents, len);
         let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
         assert_eq!(got, want);
         assert_eq!(alias_ops, 0, "a small BLOB is not mapped");
@@ -277,7 +303,7 @@ mod tests {
         }
         let extents = threshold_blob();
         let len = ALIAS_MIN_BYTES as usize;
-        let want = resident_blob(&pool, &extents, len);
+        let want = scattered_blob(&pool, &extents, len);
         let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
         assert_eq!(got, want);
         // Two maps and the remap that ends the view.
@@ -292,11 +318,113 @@ mod tests {
         let pool = vm_pool(512, true);
         let extents = threshold_blob();
         let len = ALIAS_MIN_BYTES as usize;
-        let want = resident_blob(&pool, &extents, len);
+        let want = scattered_blob(&pool, &extents, len);
         let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
         assert_eq!(got, want);
         assert_eq!(alias_ops, 0);
         assert_eq!(memcpy, len as u64);
+    }
+
+    /// The content view of a BLOB of `pages` under the default tier
+    /// sequence (1, 2, 4, … pages, then what is left), from `first` on.
+    fn tier_blob(first: u64, pages: u64) -> Vec<ExtentSpec> {
+        let (mut at, mut left, mut tier) = (first, pages, 1);
+        let mut out = Vec::new();
+        while left > 0 {
+            let spec = ExtentSpec::new(Pid::new(at), tier.min(left));
+            out.push(spec);
+            (at, left, tier) = (at + spec.pages, left - spec.pages, tier * 2);
+        }
+        out
+    }
+
+    #[test]
+    fn adjacent_frames_are_read_in_place() {
+        // A 100 KiB BLOB of five extents and a 1 MiB one of nine, framed
+        // back to back when created and again when faulted back in as one
+        // batch: neither mapped nor copied.
+        let pool = pool_sharing(512, Some(2 << 20));
+        for (extents, len) in [
+            (tier_blob(0, 25), 100 << 10),
+            (tier_blob(100, 256), ALIAS_MIN_BYTES as usize),
+        ] {
+            assert_eq!(extents.len(), if len == 100 << 10 { 5 } else { 9 });
+            let want = resident_blob(&pool, &extents, len);
+            let items: Vec<FlushItem> = extents.iter().map(|&e| FlushItem::whole(e)).collect();
+            pool.flush_extents(&items).unwrap();
+            for cold in [false, true] {
+                if cold {
+                    extents.iter().for_each(|&e| pool.drop_extent(e));
+                }
+                let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
+                assert!(got == want, "{} extents, cold {cold}", extents.len());
+                assert_eq!((alias_ops, memcpy), (0, 0), "{} extents", extents.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_fault_wider_than_every_free_run_is_refused_until_an_unpin() {
+        // 32 extents of two frames fill the arena; every other one is
+        // pinned, so evicting the rest frees runs of two frames and never
+        // three.
+        let pool = vm_pool(64, false);
+        let pair = |i: u64| ExtentSpec::new(Pid::new(2 * i), 2);
+        for i in 0..32 {
+            let g = pool.create_extent(pair(i)).unwrap();
+            if i % 2 == 0 {
+                g.set_prevent_evict();
+            }
+        }
+        let wide = ExtentSpec::new(Pid::new(1000), 3);
+        let t = std::time::Instant::now();
+        assert!(matches!(pool.fault_many(&[wide]), Err(Error::BufferFull)));
+        assert!(matches!(pool.read_extent(wide), Err(Error::BufferFull)));
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(10),
+            "refusal took {:?}",
+            t.elapsed()
+        );
+        assert!(
+            !pool.is_resident(wide.start),
+            "a refused fault leaves no claim"
+        );
+        // Unpinned, pair 2 and its evictable neighbours free six frames.
+        pool.set_prevent_evict(pair(2).start, false);
+        assert_eq!(pool.fault_many(&[wide]).unwrap(), 1);
+        assert!(pool.read_extent(wide).is_ok());
+    }
+
+    #[test]
+    fn a_failed_fault_batch_returns_its_frames() {
+        use lobster_storage::{FaultConfig, FaultDevice, FaultKind};
+        let dev = Arc::new(FaultDevice::new(
+            MemDevice::new(16 << 20),
+            FaultConfig::new(7, 1000, &[FaultKind::PermanentRead]),
+        ));
+        let pool = ExtentPool::new(
+            dev.clone() as Arc<dyn Device>,
+            Geometry::new(4096),
+            PoolConfig {
+                frames: 64,
+                alias: None,
+                io_threads: 1,
+            },
+            lobster_metrics::new_metrics(),
+        );
+        let resident = ExtentSpec::new(Pid::new(0), 3);
+        drop(pool.create_extent(resident).unwrap());
+        let before = pool.frames_in_use();
+        dev.arm();
+        let batch = tier_blob(100, 25);
+        assert!(pool.fault_many(&batch).is_err());
+        dev.disarm();
+        assert_eq!(pool.frames_in_use(), before);
+        assert!(batch.iter().all(|e| !pool.is_resident(e.start)));
+        // The frames are usable: the same batch, on a healthy device,
+        // takes one run.
+        assert_eq!(pool.fault_many(&batch).unwrap(), 5);
+        assert_eq!(pool.frames_in_use(), before + 25);
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //! read and one latch acquisition, not N.
 //!
 //! Each resident extent occupies a *contiguous* frame range in the arena, so
-//! an extent is always contiguous in memory and a multi-extent BLOB can be
-//! presented contiguously via virtual-memory aliasing (§IV-B). Aliasing
-//! pays only for large BLOBs: [`ExtentPool::read_blob`] aliases from
-//! [`ALIAS_MIN_BYTES`] up and copies smaller ones out of their frames.
+//! an extent is always contiguous in memory. Free frames merge with their
+//! neighbours (`free_frames.rs`), and the fresh extents of a placement
+//! (`ExtentPool::take_run`) and the extents of a fault batch
+//! ([`ExtentPool::fault_many`]) are framed as one run whenever a free run
+//! holds them all. [`ExtentPool::read_blob`] has three shapes: a BLOB whose
+//! extents sit back to back in the arena is read **in place**, one slice
+//! under its latches; scattered frames are **aliased** contiguously through
+//! virtual memory (§IV-B) from [`ALIAS_MIN_BYTES`] up and **copied** out
+//! below it.
 //!
 //! The pool frames, faults, aliases and evicts exactly the `pages` a caller's
 //! [`ExtentSpec`] names, and records that count in the entry word. The engine
@@ -35,7 +40,8 @@ use crate::alias::{AliasConfig, AliasGuard, AliasingManager};
 use crate::arena::Arena;
 use crate::entry::{Entry, Excl, Latch, Seen};
 use crate::flush_ledger::FlushLedger;
-use lobster_extent::{ExtentSpec, Piece, RangeAllocator};
+use crate::free_frames::FreeFrames;
+use lobster_extent::{ExtentSpec, Piece};
 use lobster_metrics::Metrics;
 use lobster_storage::{wait_until, AsyncIo, BatchHandle, Device, IoKind, IoReq};
 use lobster_sync::atomic::{AtomicU64, Ordering};
@@ -231,12 +237,30 @@ struct PrefetchBatch {
     claimed: Vec<(ExtentSpec, u64)>,
 }
 
+/// Frames taken back to back for the fresh extents of one placement
+/// ([`ExtentPool::take_run`]), handed to them in order by
+/// [`ExtentPool::create_extent_in`]. Frames no extent took go back to the
+/// pool when the run drops.
+pub(crate) struct FrameRun<'p> {
+    pool: &'p ExtentPool,
+    next: u64,
+    end: u64,
+}
+
+impl Drop for FrameRun<'_> {
+    fn drop(&mut self) {
+        if self.next < self.end {
+            self.pool.frames.free(self.next, self.end - self.next);
+        }
+    }
+}
+
 /// The vmcache-style buffer pool with extent-granular latching.
 pub struct ExtentPool {
     geo: Geometry,
     arena: Arena,
     table: Vec<AtomicU64>,
-    frames: RangeAllocator,
+    frames: FreeFrames,
     resident: Mutex<ResidentSet>,
     max_resident_pages: AtomicU64,
     aliasing: Option<AliasingManager>,
@@ -276,7 +300,7 @@ impl ExtentPool {
             geo,
             arena,
             table,
-            frames: RangeAllocator::new(cfg.frames),
+            frames: FreeFrames::new(cfg.frames),
             resident: Mutex::new(ResidentSet::default()),
             max_resident_pages: AtomicU64::new(1),
             aliasing,
@@ -373,7 +397,7 @@ impl ExtentPool {
             match seen.latch() {
                 Latch::Evicted if entry.try_claim(seen, Excl::Claim) => {
                     return self
-                        .load_extent(spec, spec.pages)
+                        .load_extent(spec, spec.pages, None)
                         .map(enter)
                         .inspect_err(|_| entry.evict(Excl::Claim));
                 }
@@ -430,7 +454,7 @@ impl ExtentPool {
 
     /// Fix an extent exclusive, loading it from the device on a miss.
     pub fn write_extent(&self, spec: ExtentSpec) -> Result<XGuard<'_>> {
-        self.fix_exclusive(spec, spec.pages)
+        self.fix_exclusive(spec, spec.pages, None)
     }
 
     /// Fix exclusive for growth into a partially filled extent (append):
@@ -455,16 +479,58 @@ impl ExtentPool {
         } else {
             spec.pages
         };
-        self.fix_exclusive(ExtentSpec::new(spec.start, pages), valid_pages.min(pages))
+        self.fix_exclusive(
+            ExtentSpec::new(spec.start, pages),
+            valid_pages.min(pages),
+            None,
+        )
     }
 
     /// Fix a *fresh* extent exclusive without reading the device (the pages
     /// were just allocated; their content is about to be written).
     pub fn create_extent(&self, spec: ExtentSpec) -> Result<XGuard<'_>> {
-        self.fix_exclusive(spec, 0)
+        self.fix_exclusive(spec, 0, None)
     }
 
-    fn fix_exclusive(&self, spec: ExtentSpec, load_pages: u64) -> Result<XGuard<'_>> {
+    /// `pages` frames back to back for the fresh extents of one placement,
+    /// if a free run that long exists; nothing is evicted to make one.
+    /// [`ExtentPool::create_extent_in`] frames the extents from it in
+    /// order, so a BLOB read later finds them adjacent and is read in place.
+    pub(crate) fn take_run(&self, pages: u64) -> Option<FrameRun<'_>> {
+        let start = self.frames.allocate(pages)?;
+        Some(FrameRun {
+            pool: self,
+            next: start,
+            end: start + pages,
+        })
+    }
+
+    /// [`ExtentPool::create_extent`] on the next `spec.pages` frames of
+    /// `run`, or on frames of its own when the run has fewer left.
+    pub(crate) fn create_extent_in(
+        &self,
+        spec: ExtentSpec,
+        run: &mut FrameRun<'_>,
+    ) -> Result<XGuard<'_>> {
+        debug_assert!(std::ptr::eq(run.pool, self), "a run of another pool");
+        let (at, fits) = (run.next, run.end - run.next >= spec.pages);
+        if fits {
+            run.next += spec.pages;
+        }
+        self.fix_exclusive(spec, 0, fits.then_some(at))
+    }
+
+    /// Latch `spec` exclusive and frame it with its first `load_pages`
+    /// pages read from the device. `at` is a fresh extent's framing the
+    /// caller took from a [`FrameRun`]; it is the extent's from the call on,
+    /// whatever the call returns.
+    fn fix_exclusive(
+        &self,
+        spec: ExtentSpec,
+        load_pages: u64,
+        at: Option<u64>,
+    ) -> Result<XGuard<'_>> {
+        debug_assert!(at.is_none() || load_pages == 0);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         self.metrics.translations.fetch_add(1, Ordering::Relaxed);
         self.metrics
@@ -484,17 +550,25 @@ impl ExtentPool {
             let seen = entry.peek();
             let frame = match seen.latch() {
                 Latch::Evicted if entry.try_claim(seen, Excl::Guard) => self
-                    .load_extent(spec, load_pages)
+                    .load_extent(spec, load_pages, at)
                     .inspect_err(|_| entry.evict(Excl::Guard))?,
                 Latch::Shared(0) if entry.try_lock(seen, Excl::Guard) => {
                     self.note_hit(spec.start);
-                    if seen.pages() >= spec.pages {
+                    // A fresh extent still framed from an earlier life: the
+                    // old frames hold nothing it needs.
+                    if let Some(frame) = at {
+                        self.frames.free(seen.frame(), seen.pages());
+                        self.max_resident_pages
+                            .fetch_max(spec.pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
+                        frame
+                    } else if seen.pages() >= spec.pages {
                         return Ok(guard(seen.frame(), seen.pages()));
+                    } else {
+                        // The content grew past the resident framing; a
+                        // failure hands the untouched old one back unlatched.
+                        self.grow_locked(spec.start, seen, spec.pages, load_pages)
+                            .inspect_err(|_| entry.unlock(Excl::Guard))?
                     }
-                    // The content grew past the resident framing; a failure
-                    // hands the untouched old one back unlatched.
-                    self.grow_locked(spec.start, seen, spec.pages, load_pages)
-                        .inspect_err(|_| entry.unlock(Excl::Guard))?
                 }
                 _ => {
                     self.poll_prefetches();
@@ -628,10 +702,15 @@ impl ExtentPool {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// Allocate frames for a claimed extent and read its first `load_pages`
-    /// pages from the device. Returns the frame; the caller publishes it.
-    fn load_extent(&self, spec: ExtentSpec, load_pages: u64) -> Result<u64> {
-        let frame = self.allocate_frames(spec.pages)?;
+    /// Frame a claimed extent — at `at` if the caller holds its frames
+    /// already, else at frames allocated here — and read its first
+    /// `load_pages` pages from the device. Returns the frame; the caller
+    /// publishes it.
+    fn load_extent(&self, spec: ExtentSpec, load_pages: u64, at: Option<u64>) -> Result<u64> {
+        let frame = match at {
+            Some(frame) => frame,
+            None => self.allocate_frames(spec.pages)?,
+        };
         if let Err(err) = self.read_into_frames(spec.start, frame, 0, load_pages) {
             // The caller rolls the page-table entry back; the frames
             // are ours to return.
@@ -760,7 +839,7 @@ impl ExtentPool {
         let mut attempts = 0u64;
         let max_attempts = 128 + self.frame_count * 4;
         loop {
-            if let Ok(f) = self.frames.allocate(pages) {
+            if let Some(f) = self.frames.allocate(pages) {
                 return Ok(f);
             }
             attempts += 1;
@@ -833,15 +912,7 @@ impl ExtentPool {
         self.metrics
             .cache_misses
             .fetch_add(claimed.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        for i in 0..claimed.len() {
-            match self.allocate_frames(claimed[i].0.pages) {
-                Ok(f) => claimed[i].1 = f,
-                Err(err) => {
-                    self.abandon_claims(&claimed, i);
-                    return Err(err);
-                }
-            }
-        }
+        self.frame_claims(&mut claimed)?;
         let t = self.metrics.latencies.timer();
         // SAFETY: the frames stay claimed until the wait returns.
         if unsafe { self.io.submit_and_wait(self.read_reqs(&claimed)) }.is_err() {
@@ -881,6 +952,34 @@ impl ExtentPool {
             })
             .map(|&spec| (spec, 0))
             .collect()
+    }
+
+    /// Frame every claim of a fault batch: back to back in list order when
+    /// a free run holds them all — nothing is evicted for it — else one at
+    /// a time, evicting as needed. On failure every claim is rolled back.
+    fn frame_claims(&self, claimed: &mut [(ExtentSpec, u64)]) -> Result<()> {
+        let total = claimed.iter().map(|(spec, _)| spec.pages).sum();
+        let run = match claimed.len() {
+            0 | 1 => None,
+            _ => self.frames.allocate(total),
+        };
+        if let Some(mut at) = run {
+            for (spec, frame) in claimed.iter_mut() {
+                *frame = at;
+                at += spec.pages;
+            }
+            return Ok(());
+        }
+        for i in 0..claimed.len() {
+            match self.allocate_frames(claimed[i].0.pages) {
+                Ok(f) => claimed[i].1 = f,
+                Err(err) => {
+                    self.abandon_claims(claimed, i);
+                    return Err(err);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Roll claims back to evicted; the first `framed` of them hold frames.
@@ -989,11 +1088,11 @@ impl ExtentPool {
         self.poll_prefetches();
         let mut claimed = self.claim_evicted(specs);
         claimed.retain_mut(|(spec, frame)| match self.frames.allocate(spec.pages) {
-            Ok(f) => {
+            Some(f) => {
                 *frame = f;
                 true
             }
-            Err(_) => {
+            None => {
                 self.entry(spec.start).evict(Excl::Claim);
                 false
             }
@@ -1330,14 +1429,19 @@ impl ExtentPool {
     /// Read a BLOB and present it to `f` as one contiguous slice of exactly
     /// `len` bytes, every extent latched shared for the duration of `f`.
     ///
-    /// The mechanism depends on the BLOB alone. A single extent is already
-    /// contiguous in the arena and is passed straight out of its frames. A
-    /// multi-extent BLOB of at least [`ALIAS_MIN_BYTES`] is aliased: its
-    /// frames are mapped contiguously into the caller's aliasing area
-    /// (worker-local or shared, §IV-B). A smaller one — or any one when the
-    /// pool has no aliasing or no shared run is free — is copied out of its
-    /// frames into a buffer, which below the threshold is cheaper than
-    /// mapping and unmapping it.
+    /// Three shapes, tried in this order:
+    /// 1. **In place**: every extent's frames begin where the previous
+    ///    one's content ends — a single extent always, and a placement or
+    ///    fault batch framed as one run ([`crate::BlobPool::place`],
+    ///    [`ExtentPool::fault_many`]). The BLOB is one slice of the arena,
+    ///    passed straight out under the latches: no map, no copy.
+    /// 2. **Aliased**: scattered frames of a BLOB of at least
+    ///    [`ALIAS_MIN_BYTES`] are mapped contiguously into the caller's
+    ///    aliasing area (worker-local or shared, §IV-B).
+    /// 3. **Copied**: a smaller scattered BLOB — or any one when the pool
+    ///    has no aliasing or no shared run is free — is copied out of its
+    ///    frames into a buffer, which below the threshold is cheaper than
+    ///    mapping and unmapping it.
     pub fn read_blob<R>(
         &self,
         worker: usize,
@@ -1351,8 +1455,8 @@ impl ExtentPool {
         if guards.is_empty() || len == 0 {
             return Ok(f(&[]));
         }
-        if guards.len() == 1 {
-            return Ok(f(&guards[0][..len]));
+        if let Some(view) = self.in_place_extents(&guards) {
+            return Ok(f(&view[..len]));
         }
         if len as u64 >= ALIAS_MIN_BYTES {
             if let Some(view) = self.alias_extents(worker, &guards)? {
@@ -1370,6 +1474,24 @@ impl ExtentPool {
             self.fault_many(extents)?;
         }
         extents.iter().map(|e| self.read_extent(*e)).collect()
+    }
+
+    /// [`ExtentPool::read_blob`]'s first shape: the pages the guards' specs
+    /// name, as one slice of the arena, when each guard's frames begin
+    /// where the previous spec's pages end; `None` otherwise. The slice
+    /// borrows the guards, whose shared latches cover every frame in it.
+    pub fn in_place_extents<'a>(&'a self, guards: &'a [ShGuard<'a>]) -> Option<&'a [u8]> {
+        let first = guards.first()?;
+        let adjacent = guards
+            .windows(2)
+            .all(|w| w[0].frame + w[0].spec.pages == w[1].frame);
+        if !adjacent {
+            return None;
+        }
+        let pages = guards.iter().map(|g| g.spec.pages).sum();
+        // SAFETY: the frames are the guards' own, back to back, and their
+        // shared latches exclude writers for as long as the slice lives.
+        Some(unsafe { self.frames(first.frame, 0, pages) })
     }
 
     /// [`ExtentPool::read_blob`]'s mapping: the pages each guard's spec

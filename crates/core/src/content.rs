@@ -17,9 +17,9 @@
 //!
 //! `Txn::get_blob` is the only content access that does not come through
 //! here: it presents the whole BLOB as one contiguous slice through
-//! `BlobPool::read_blob`, which aliases it (§IV-B) from
-//! `lobster_buffer::ALIAS_MIN_BYTES` up and copies it out of the frames
-//! below.
+//! `BlobPool::read_blob`, which passes frames that sit back to back out in
+//! place, and otherwise aliases them (§IV-B) from
+//! `lobster_buffer::ALIAS_MIN_BYTES` up and copies them out below.
 
 use crate::blob_state::{BlobState, PREFIX_LEN};
 use crate::db::Database;

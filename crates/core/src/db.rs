@@ -221,14 +221,15 @@ impl Database {
         cfg: Config,
     ) -> Result<Arc<Self>> {
         let policy = CrossCommitPolicy::TrustLocal;
-        let db = Self::assemble(device, wal_device, cfg, None, HashMap::new(), policy)?;
+        let (db, _) = Self::assemble(device, wal_device, cfg, None, HashMap::new(), policy)?;
         db.checkpoint_locked()?;
         Ok(db)
     }
 
     /// The one constructor. `existing` is `None` to create the WAL and the
     /// catalog tree in the format of a new store, or the header and the
-    /// log scan of an existing one to open them in its format.
+    /// log scan of an existing one to open them in its format. Returns the
+    /// store and the time its buffer pools took to build.
     fn assemble(
         device: Arc<dyn Device>,
         wal_device: Arc<dyn Device>,
@@ -236,7 +237,7 @@ impl Database {
         existing: Option<(&Header, &LogScan)>,
         cmp_factories: HashMap<String, ComparatorFactory>,
         cross_commit: CrossCommitPolicy,
-    ) -> Result<Arc<Self>> {
+    ) -> Result<(Arc<Self>, Duration)> {
         let (page_size, policy, node_pages, xcommit_watermark) = match existing {
             Some((h, _)) => (
                 h.page_size,
@@ -250,7 +251,9 @@ impl Database {
         let geo = Geometry::new(page_size);
         let table = Arc::new(TierTable::new(policy));
         let alloc = Arc::new(Self::new_allocator(&table, &*device, geo));
+        let t = Instant::now();
         let (node_pool, blob_pool) = Self::build_pools(&cfg, device.clone(), geo, metrics.clone());
+        let pools = t.elapsed();
         let (nodes, cmp) = (node_pool.clone(), Arc::new(LexCmp));
         let (wal, catalog_tree) = match existing {
             None => (
@@ -272,7 +275,7 @@ impl Database {
             cfg.pool_frames * page_size as u64 / 4,
         );
         let committer = GroupCommitter::new(wal.clone(), ckpt_gate.clone(), stages);
-        Ok(Arc::new(Database {
+        let db = Arc::new(Database {
             geo,
             device,
             node_pool,
@@ -297,7 +300,8 @@ impl Database {
             last_range: Self::range_cells(&cfg),
             ddl_lock: Mutex::new(()),
             cfg,
-        }))
+        });
+        Ok((db, pools))
     }
 
     /// Open an existing database, running crash recovery. Relations created
@@ -359,7 +363,7 @@ impl Database {
             let what = format!("log epoch {} under a map of epoch {map_epoch}", log.epoch);
             return Err(Error::Corruption(what));
         }
-        let db = Self::assemble(
+        let (db, pools) = Self::assemble(
             device,
             wal_device,
             cfg,
@@ -374,6 +378,7 @@ impl Database {
         }
         let mut report = recover(&db, header.map, records)?;
         report.phases.scan = scan;
+        report.phases.pools = pools;
         Ok((db, report))
     }
 

@@ -86,6 +86,9 @@ pub struct RecoveryReport {
 pub struct OpenPhases {
     /// Reading the log ([`lobster_wal::Wal::scan`]).
     pub scan: Duration,
+    /// Building the node and BLOB buffer pools: their arenas, page tables
+    /// and I/O engines.
+    pub pools: Duration,
     /// The allocator: loading the checkpoint's free map and settling it
     /// after redo and undo.
     pub allocator: Duration,

@@ -37,9 +37,10 @@
 //! delta-logging or extent cloning by modeled cost (§III-D).
 //!
 //! Reads come in two shapes. [`Txn::get_blob`] presents the whole BLOB as
-//! one contiguous slice (`BlobPool::read_blob`: aliased from
-//! `lobster_buffer::ALIAS_MIN_BYTES` up, §IV-B, copied out of the frames
-//! below). Everything else — [`Txn::get_blob_range`],
+//! one contiguous slice (`BlobPool::read_blob`: in place when its frames sit
+//! back to back, as a placement framed as one run does; otherwise aliased
+//! from `lobster_buffer::ALIAS_MIN_BYTES` up, §IV-B, copied out of the
+//! frames below). Everything else — [`Txn::get_blob_range`],
 //! [`Txn::stream_blob_range`], the before-images and clone sources of the
 //! write verbs, every rehash — is a caller of the one ranged read in
 //! [`crate::content`], which walks the one addressing function
@@ -58,7 +59,7 @@ use crate::content::{self, Residency};
 use crate::db::Database;
 use crate::defrag::{FenceGuard, SourceGuard};
 use crate::lock::LockMode;
-use lobster_buffer::{FlushItem, FlushTicket, PinGate};
+use lobster_buffer::{FlushItem, FlushTicket, PinGate, Placement};
 use lobster_extent::{pieces, plan_growth, plan_sequence, ExtentSpec, SequencePlan};
 use lobster_sha256::Sha256;
 use lobster_sync::atomic::Ordering;
@@ -235,22 +236,26 @@ impl Txn {
         state.content_specs(&self.db.table, self.db.geo)
     }
 
-    /// Write `chunk` into the freshly allocated extent `alloc`, feeding
-    /// every copied byte to `digest`, and return the flush it now owes.
-    /// Only the pages `chunk` occupies are framed and flushed; the rest of
-    /// the allocation is slack the pool never sees.
+    /// Write `chunk` into the freshly allocated extent `alloc`, framed as
+    /// the next extent of `placement`, feeding every copied byte to
+    /// `digest`, and return the flush it now owes. Only the pages `chunk`
+    /// occupies are framed and flushed; the rest of the allocation is slack
+    /// the pool never sees.
     fn fill_fresh(
-        &mut self,
+        &self,
+        placement: &mut Placement<'_>,
         alloc: ExtentSpec,
         chunk: &[u8],
         digest: &mut dyn FnMut(&[u8]),
     ) -> Result<FlushItem> {
-        let pages = self.db.geo.pages_for(chunk.len() as u64).max(1);
-        let content = ExtentSpec::new(alloc.start, pages);
-        self.db
-            .blob_pool
-            .fill_extent_hashed(content, chunk, digest)?;
+        let content = ExtentSpec::new(alloc.start, self.content_pages(chunk.len()));
+        placement.fill_hashed(content, chunk, digest)?;
         Ok(FlushItem::whole(content))
+    }
+
+    /// The pages `len` bytes of fresh content are framed in.
+    fn content_pages(&self, len: usize) -> u64 {
+        self.db.geo.pages_for(len as u64).max(1)
     }
 
     /// Put the fresh extents filled so far (a new blob, growth, a cloned
@@ -442,7 +447,9 @@ impl Txn {
     /// every byte written to `digest`. The head pages of the tier extents
     /// are pushed onto `extents` and the tail is returned, ready for a Blob
     /// State. The one place a new placement is laid out: put, append
-    /// growth and relocation differ only in `source`.
+    /// growth and relocation differ only in `source`. The extents are framed
+    /// as one run of the pool's frames when a free one holds them all
+    /// (`BlobPool::place`), so a read of the BLOB finds them back to back.
     fn fill_plan(
         &mut self,
         plan: &SequencePlan,
@@ -454,9 +461,14 @@ impl Txn {
             Source::Bytes(data) => data.len(),
             Source::Placement(state) => state.size as usize,
         };
+        let count = plan.sizes.len() + usize::from(plan.tail_pages.is_some());
+        // Every extent but the last is full, so the content's pages are
+        // the placement's.
+        let pool = self.db.blob_pool.clone();
+        let mut placement = pool.place(count, self.content_pages(total));
         let mut tail = None;
         let mut off = 0usize;
-        for i in 0..plan.sizes.len() + usize::from(plan.tail_pages.is_some()) {
+        for i in 0..count {
             let spec = match plan.tail_pages {
                 Some(pages) if i == plan.sizes.len() => self.db.alloc.allocate_tail(pages)?,
                 _ => self.db.alloc.allocate_tier(plan.first_position + i)?,
@@ -464,10 +476,12 @@ impl Txn {
             self.ws.allocated.push(spec);
             let len = (total - off).min(self.db.geo.bytes_for(spec.pages) as usize);
             let item = match source {
-                Source::Bytes(data) => self.fill_fresh(spec, &data[off..off + len], digest)?,
+                Source::Bytes(data) => {
+                    self.fill_fresh(&mut placement, spec, &data[off..off + len], digest)?
+                }
                 Source::Placement(state) => {
                     let buf = self.read_slice(state, off as u64, len, Residency::Uncached)?;
-                    self.fill_fresh(spec, &buf, digest)?
+                    self.fill_fresh(&mut placement, spec, &buf, digest)?
                 }
             };
             self.ws.fresh.push(item);
@@ -484,9 +498,9 @@ impl Txn {
 
     // ----------------------------------------------------- blob read ----
 
-    /// Read the whole BLOB as one contiguous slice: zero-copy for a single
-    /// extent or a BLOB large enough to alias, copied out of the frames
-    /// otherwise (`BlobPool::read_blob`).
+    /// Read the whole BLOB as one contiguous slice: zero-copy when its
+    /// frames sit back to back or it is large enough to alias, copied out
+    /// of the frames otherwise (`BlobPool::read_blob`).
     pub fn get_blob<R>(
         &mut self,
         rel: &Relation,
@@ -810,7 +824,8 @@ impl Txn {
                 (old_size - covered) as usize,
                 Residency::Cached,
             )?;
-            let item = self.fill_fresh(clone_spec, &content, &mut |_| ())?;
+            let one = &mut self.db.blob_pool.place(1, 0);
+            let item = self.fill_fresh(one, clone_spec, &content, &mut |_| ())?;
             self.ws.toflush.push(item);
             self.ws.freed.push(ExtentSpec::new(tpid, tpages));
             state.extents.push(clone_spec.start);
@@ -1030,7 +1045,8 @@ impl Txn {
                 let live = (state.size - extent_start).min(ext_bytes) as usize;
                 let mut content = self.read_slice(&state, extent_start, live, Residency::Cached)?;
                 content[piece.offset..piece.offset + piece.len].copy_from_slice(slice);
-                let item = self.fill_fresh(clone_spec, &content, &mut |_| ())?;
+                let one = &mut self.db.blob_pool.place(1, 0);
+                let item = self.fill_fresh(one, clone_spec, &content, &mut |_| ())?;
                 self.ws.fresh.push(item);
                 self.ws.freed.push(old_spec);
                 if is_tail {

@@ -408,3 +408,48 @@ fn crash_round_keeps_recoverys_sha_fixpoint() {
         db2.blob_pool().audit().assert_no_leaked_pins();
     }
 }
+
+#[test]
+fn a_put_that_fails_partway_through_its_plan_returns_every_frame() {
+    // Device room for the four tier extents of a 100 KiB put (1 + 2 + 4 + 8
+    // pages) and none for its 10-page tail: the put frames and fills four
+    // extents out of its run of frames, then fails. Its rollback, and the
+    // run's unused frames, must give back every frame it took.
+    let h = Harness::new(cfg());
+    let lobster_buffer::BlobPool::Vm(pool) = h.db.blob_pool() else {
+        panic!("frames are the vmcache pool's");
+    };
+    let alloc = h.db.allocator();
+    let room = alloc.allocate_tail(15).unwrap();
+    let mut hoard = Vec::new();
+    while let Ok(page) = alloc.allocate_tail(1) {
+        hoard.push(page);
+    }
+    alloc.free_extent(room);
+
+    let before = pool.frames_in_use();
+    let copied = h.db.metrics().snapshot().memcpy_bytes;
+    let rel = h.db.relation("b").unwrap();
+    let mut t = h.db.begin();
+    let res = t.put_blob(&rel, KEY, &pattern(100 << 10, 3));
+    assert!(
+        matches!(res, Err(lobster_types::Error::OutOfSpace)),
+        "the tail must find no room: {res:?}"
+    );
+    let filled = h.db.metrics().snapshot().memcpy_bytes - copied;
+    assert_eq!(
+        filled,
+        15 * PAGE as u64,
+        "the four tier extents were filled"
+    );
+    t.abort();
+    assert_eq!(
+        pool.frames_in_use(),
+        before,
+        "frames leaked by the rollback"
+    );
+    h.db.blob_pool().audit().assert_no_leaked_pins();
+    for page in hoard {
+        alloc.free_extent(page);
+    }
+}

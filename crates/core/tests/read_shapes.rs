@@ -1,15 +1,17 @@
-//! The three shapes of a whole-BLOB read (`Txn::get_blob`): a multi-extent
-//! BLOB below `ALIAS_MIN_BYTES` is copied out of its frames, one at or
-//! above it is aliased, and a single extent is passed straight out of its
-//! frame. Each returns the bytes that were put — under `verify_reads` too,
-//! where a transient device lie clears on the re-read and persistent rot
-//! quarantines — and a read nested in another's closure on the same worker
-//! completes with its own bytes.
+//! The three shapes of a whole-BLOB read (`Txn::get_blob`): a BLOB whose
+//! extents sit back to back in the pool's frames — a single extent, or a
+//! placement or fault batch framed as one run — is read in place; one whose
+//! frames are scattered is copied out of them below `ALIAS_MIN_BYTES` and
+//! aliased at or above it. Each returns the bytes that were put — under
+//! `verify_reads` too, where a transient device lie clears on the re-read
+//! and persistent rot quarantines — and a read nested in another's closure
+//! on the same worker completes with its own bytes.
 
-use lobster_buffer::ALIAS_MIN_BYTES;
+use lobster_buffer::{BlobPool, ALIAS_MIN_BYTES};
 use lobster_core::{Config, Database, Relation, RelationKind};
+use lobster_extent::ExtentSpec;
 use lobster_storage::{Device, FaultConfig, FaultDevice, FaultKind, MemDevice};
-use lobster_types::Error;
+use lobster_types::{Error, Pid};
 use std::sync::Arc;
 
 const SMALL: usize = 100 << 10; // five extents under the default tiers
@@ -54,6 +56,43 @@ fn get_counted(db: &Arc<Database>, rel: &Relation, key: &[u8]) -> (Vec<u8>, u64,
     (got, delta.alias_ops, delta.memcpy_bytes)
 }
 
+/// First pid of the spacers [`scatter`] frames: far above anything the
+/// tests' stores allocate on their 64 MiB devices.
+const SPACERS: u64 = 12_000;
+
+/// Make the next fault of `key`'s BLOB land scattered: drop its extents
+/// and an earlier round's spacers from the pool, then fill every free frame
+/// with a pinned one-frame spacer except one hole per extent, of that
+/// extent's size, each walled off from the next. No free run then holds
+/// two of the extents, so each faults into a hole of its own and a read
+/// must copy or alias them.
+fn scatter(db: &Arc<Database>, rel: &Relation, key: &[u8]) {
+    let BlobPool::Vm(pool) = db.blob_pool() else {
+        panic!("the shapes are the vmcache pool's");
+    };
+    let state = db.begin().blob_state(rel, key).unwrap().unwrap();
+    let extents = state.extent_specs(db.tier_table());
+    db.blob_pool().drop_extents(&extents);
+    let earlier = (SPACERS..SPACERS + pool.frame_count()).map(|p| ExtentSpec::new(Pid::new(p), 1));
+    db.blob_pool().drop_extents(&earlier.collect::<Vec<_>>());
+    // Best fit fills the smaller free runs first, so the last spacers come
+    // from one run, back to back: free those in the holes' pattern.
+    let mut framed = Vec::new();
+    while pool.frames_in_use() < pool.frame_count() {
+        let spacer = ExtentSpec::new(Pid::new(SPACERS + framed.len() as u64), 1);
+        pool.create_extent(spacer).unwrap().set_prevent_evict();
+        framed.push(spacer);
+    }
+    let pattern: u64 = extents.iter().map(|e| e.pages + 1).sum();
+    let mut at = framed.len() - pattern as usize;
+    for hole in extents.iter().map(|e| e.pages as usize) {
+        framed[at..at + hole]
+            .iter()
+            .for_each(|&s| pool.drop_extent(s));
+        at += hole + 1; // the wall stays
+    }
+}
+
 fn aliasing(db: &Database) -> bool {
     match db.blob_pool() {
         lobster_buffer::BlobPool::Vm(p) => p.aliasing_enabled(),
@@ -75,11 +114,13 @@ fn each_size_reads_its_own_way() {
         put(&db, &rel, *key, &pattern(*len, i as u64));
     }
 
+    scatter(&db, &rel, b"small");
     let (got, alias_ops, memcpy) = get_counted(&db, &rel, b"small");
     assert_eq!(got, pattern(SMALL, 0));
     assert_eq!(alias_ops, 0, "a BLOB below the threshold is not mapped");
     assert_eq!(memcpy, SMALL as u64, "it is copied once");
 
+    scatter(&db, &rel, b"large");
     let (got, alias_ops, memcpy) = get_counted(&db, &rel, b"large");
     assert_eq!(got, pattern(LARGE, 1));
     if aliasing(&db) {
@@ -107,10 +148,39 @@ fn rotting(injections: u64) -> (Arc<Database>, Arc<Relation>, Arc<FaultDevice<Me
     .unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     put(&db, &rel, b"k", &pattern(SMALL, 7));
-    let state = db.begin().blob_state(&rel, b"k").unwrap().unwrap();
-    db.blob_pool()
-        .drop_extents(&state.extent_specs(db.tier_table()));
+    scatter(&db, &rel, b"k");
     (db, rel, data)
+}
+
+#[test]
+fn adjacent_extents_are_read_in_place() {
+    // A put frames its extents as one run, and so does the fault batch
+    // that reads them back cold: five extents and nine, neither mapped nor
+    // copied, warm and cold.
+    let db = Database::create(
+        Arc::new(MemDevice::new(64 << 20)),
+        Arc::new(MemDevice::new(8 << 20)),
+        cfg(false),
+    )
+    .unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let blobs: [(&[u8], usize, usize); 2] = [(b"small", SMALL, 5), (b"large", LARGE, 9)];
+    for (i, &(key, len, extents)) in blobs.iter().enumerate() {
+        put(&db, &rel, key, &pattern(len, i as u64));
+        let state = db.begin().blob_state(&rel, key).unwrap().unwrap();
+        assert_eq!(state.extent_specs(db.tier_table()).len(), extents);
+    }
+    for cold in [false, true] {
+        if cold {
+            db.checkpoint().unwrap();
+            db.blob_pool().drop_caches();
+        }
+        for (i, &(key, len, _)) in blobs.iter().enumerate() {
+            let (got, alias_ops, memcpy) = get_counted(&db, &rel, key);
+            assert!(got == pattern(len, i as u64), "{len} bytes, cold {cold}");
+            assert_eq!((alias_ops, memcpy), (0, 0), "{len} bytes, cold {cold}");
+        }
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 /// Because tier sizes are static, freed tier extents are recycled by exact
 /// size in O(1) — the property §V-G's experiment (Figure 11) relies on for
 /// stable performance at high storage utilization. Arbitrary sizes (tail
-/// extents, buffer-frame runs) fall back to best-fit over the free map.
+/// extents) fall back to best-fit over the free map.
 pub struct RangeAllocator {
     inner: Mutex<Inner>,
     capacity: u64,

@@ -15,7 +15,8 @@
 //! * [`pieces`] — the inverse question: which extent of a sequence holds a
 //!   given BLOB byte range, as an iterator of per-extent [`Piece`]s,
 //! * [`RangeAllocator`] — contiguous-range allocation with segregated free
-//!   lists (also reused by the buffer manager for frame ranges),
+//!   lists (device space; the buffer manager's frames merge instead, in
+//!   `lobster-buffer`),
 //! * [`ExtentAllocator`] — page-space allocation of tiered extents and
 //!   arbitrary-size tail extents.
 
