@@ -8,12 +8,11 @@
 //!   size-fair randomized eviction, and a `prevent_evict` pin used by the
 //!   single-flush commit protocol. A whole-BLOB read
 //!   ([`ExtentPool::read_blob`]) takes one of three shapes: extents framed
-//!   back to back — a placement or fault batch framed as one run
-//!   ([`BlobPool::place`], [`ExtentPool::fault_many`]) — are read **in
-//!   place**, one slice of the arena; scattered ones of at least
-//!   [`ALIAS_MIN_BYTES`] are presented as one contiguous zero-copy view by
-//!   **virtual-memory aliasing** ([`AliasingManager`], memfd+mmap — see
-//!   DESIGN.md substitution 2); smaller scattered ones are copied out of
+//!   back to back — a placement framed as one run ([`BlobPool::place`]) —
+//!   are read **in place**, one slice of the arena; scattered ones of at
+//!   least [`ALIAS_MIN_BYTES`] are presented as one contiguous zero-copy
+//!   view by **virtual-memory aliasing** ([`AliasingManager`], memfd+mmap —
+//!   see DESIGN.md substitution 2); smaller scattered ones are copied out of
 //!   their frames.
 //! * [`HashTablePool`] — the traditional design (`Our.ht` baseline):
 //!   per-page hash-map translation, scattered frames, malloc+memcpy reads.
@@ -341,8 +340,8 @@ mod tests {
     #[test]
     fn adjacent_frames_are_read_in_place() {
         // A 100 KiB BLOB of five extents and a 1 MiB one of nine, framed
-        // back to back when created and again when faulted back in as one
-        // batch: neither mapped nor copied.
+        // back to back when created and again when faulted back into the
+        // free run their own frames merged into: neither mapped nor copied.
         let pool = pool_sharing(512, Some(2 << 20));
         for (extents, len) in [
             (tier_blob(0, 25), 100 << 10),

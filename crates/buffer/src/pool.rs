@@ -10,9 +10,8 @@
 //! Each resident extent occupies a *contiguous* frame range in the arena, so
 //! an extent is always contiguous in memory. Free frames merge with their
 //! neighbours (`free_frames.rs`), and the fresh extents of a placement
-//! (`ExtentPool::take_run`) and the extents of a fault batch
-//! ([`ExtentPool::fault_many`]) are framed as one run whenever a free run
-//! holds them all. [`ExtentPool::read_blob`] has three shapes: a BLOB whose
+//! (`ExtentPool::take_run`) are framed as one run whenever a free run holds
+//! them all. [`ExtentPool::read_blob`] has three shapes: a BLOB whose
 //! extents sit back to back in the arena is read **in place**, one slice
 //! under its latches; scattered frames are **aliased** contiguously through
 //! virtual memory (§IV-B) from [`ALIAS_MIN_BYTES`] up and **copied** out
@@ -912,7 +911,15 @@ impl ExtentPool {
         self.metrics
             .cache_misses
             .fetch_add(claimed.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        self.frame_claims(&mut claimed)?;
+        for i in 0..claimed.len() {
+            match self.allocate_frames(claimed[i].0.pages) {
+                Ok(f) => claimed[i].1 = f,
+                Err(err) => {
+                    self.abandon_claims(&claimed, i);
+                    return Err(err);
+                }
+            }
+        }
         let t = self.metrics.latencies.timer();
         // SAFETY: the frames stay claimed until the wait returns.
         if unsafe { self.io.submit_and_wait(self.read_reqs(&claimed)) }.is_err() {
@@ -952,34 +959,6 @@ impl ExtentPool {
             })
             .map(|&spec| (spec, 0))
             .collect()
-    }
-
-    /// Frame every claim of a fault batch: back to back in list order when
-    /// a free run holds them all — nothing is evicted for it — else one at
-    /// a time, evicting as needed. On failure every claim is rolled back.
-    fn frame_claims(&self, claimed: &mut [(ExtentSpec, u64)]) -> Result<()> {
-        let total = claimed.iter().map(|(spec, _)| spec.pages).sum();
-        let run = match claimed.len() {
-            0 | 1 => None,
-            _ => self.frames.allocate(total),
-        };
-        if let Some(mut at) = run {
-            for (spec, frame) in claimed.iter_mut() {
-                *frame = at;
-                at += spec.pages;
-            }
-            return Ok(());
-        }
-        for i in 0..claimed.len() {
-            match self.allocate_frames(claimed[i].0.pages) {
-                Ok(f) => claimed[i].1 = f,
-                Err(err) => {
-                    self.abandon_claims(claimed, i);
-                    return Err(err);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Roll claims back to evicted; the first `framed` of them hold frames.
@@ -1431,10 +1410,10 @@ impl ExtentPool {
     ///
     /// Three shapes, tried in this order:
     /// 1. **In place**: every extent's frames begin where the previous
-    ///    one's content ends — a single extent always, and a placement or
-    ///    fault batch framed as one run ([`crate::BlobPool::place`],
-    ///    [`ExtentPool::fault_many`]). The BLOB is one slice of the arena,
-    ///    passed straight out under the latches: no map, no copy.
+    ///    one's content ends — a single extent always, and a placement
+    ///    framed as one run ([`crate::BlobPool::place`]). The BLOB is one
+    ///    slice of the arena, passed straight out under the latches: no
+    ///    map, no copy.
     /// 2. **Aliased**: scattered frames of a BLOB of at least
     ///    [`ALIAS_MIN_BYTES`] are mapped contiguously into the caller's
     ///    aliasing area (worker-local or shared, §IV-B).

@@ -236,20 +236,26 @@ impl Txn {
         state.content_specs(&self.db.table, self.db.geo)
     }
 
-    /// Write `chunk` into the freshly allocated extent `alloc`, framed as
-    /// the next extent of `placement`, feeding every copied byte to
-    /// `digest`, and return the flush it now owes. Only the pages `chunk`
-    /// occupies are framed and flushed; the rest of the allocation is slack
-    /// the pool never sees.
+    /// Write `chunk` into the freshly allocated extent `alloc` — framed as
+    /// the next extent of `placement` if it is one, else on its own —
+    /// feeding every copied byte to `digest`, and return the flush it now
+    /// owes. Only the pages `chunk` occupies are framed and flushed; the
+    /// rest of the allocation is slack the pool never sees.
     fn fill_fresh(
         &self,
-        placement: &mut Placement<'_>,
+        placement: Option<&mut Placement<'_>>,
         alloc: ExtentSpec,
         chunk: &[u8],
         digest: &mut dyn FnMut(&[u8]),
     ) -> Result<FlushItem> {
         let content = ExtentSpec::new(alloc.start, self.content_pages(chunk.len()));
-        placement.fill_hashed(content, chunk, digest)?;
+        match placement {
+            Some(placement) => placement.fill_hashed(content, chunk, digest)?,
+            None => self
+                .db
+                .blob_pool
+                .fill_extent_hashed(content, chunk, digest)?,
+        }
         Ok(FlushItem::whole(content))
     }
 
@@ -477,11 +483,11 @@ impl Txn {
             let len = (total - off).min(self.db.geo.bytes_for(spec.pages) as usize);
             let item = match source {
                 Source::Bytes(data) => {
-                    self.fill_fresh(&mut placement, spec, &data[off..off + len], digest)?
+                    self.fill_fresh(Some(&mut placement), spec, &data[off..off + len], digest)?
                 }
                 Source::Placement(state) => {
                     let buf = self.read_slice(state, off as u64, len, Residency::Uncached)?;
-                    self.fill_fresh(&mut placement, spec, &buf, digest)?
+                    self.fill_fresh(Some(&mut placement), spec, &buf, digest)?
                 }
             };
             self.ws.fresh.push(item);
@@ -824,8 +830,7 @@ impl Txn {
                 (old_size - covered) as usize,
                 Residency::Cached,
             )?;
-            let one = &mut self.db.blob_pool.place(1, 0);
-            let item = self.fill_fresh(one, clone_spec, &content, &mut |_| ())?;
+            let item = self.fill_fresh(None, clone_spec, &content, &mut |_| ())?;
             self.ws.toflush.push(item);
             self.ws.freed.push(ExtentSpec::new(tpid, tpages));
             state.extents.push(clone_spec.start);
@@ -1045,8 +1050,7 @@ impl Txn {
                 let live = (state.size - extent_start).min(ext_bytes) as usize;
                 let mut content = self.read_slice(&state, extent_start, live, Residency::Cached)?;
                 content[piece.offset..piece.offset + piece.len].copy_from_slice(slice);
-                let one = &mut self.db.blob_pool.place(1, 0);
-                let item = self.fill_fresh(one, clone_spec, &content, &mut |_| ())?;
+                let item = self.fill_fresh(None, clone_spec, &content, &mut |_| ())?;
                 self.ws.fresh.push(item);
                 self.ws.freed.push(old_spec);
                 if is_tail {

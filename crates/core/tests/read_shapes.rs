@@ -1,6 +1,6 @@
 //! The three shapes of a whole-BLOB read (`Txn::get_blob`): a BLOB whose
 //! extents sit back to back in the pool's frames — a single extent, or a
-//! placement or fault batch framed as one run — is read in place; one whose
+//! placement framed as one run — is read in place; one whose
 //! frames are scattered is copied out of them below `ALIAS_MIN_BYTES` and
 //! aliased at or above it. Each returns the bytes that were put — under
 //! `verify_reads` too, where a transient device lie clears on the re-read
@@ -60,18 +60,21 @@ fn get_counted(db: &Arc<Database>, rel: &Relation, key: &[u8]) -> (Vec<u8>, u64,
 /// tests' stores allocate on their 64 MiB devices.
 const SPACERS: u64 = 12_000;
 
-/// Make the next fault of `key`'s BLOB land scattered: drop its extents
-/// and an earlier round's spacers from the pool, then fill every free frame
-/// with a pinned one-frame spacer except one hole per extent, of that
-/// extent's size, each walled off from the next. No free run then holds
-/// two of the extents, so each faults into a hole of its own and a read
-/// must copy or alias them.
-fn scatter(db: &Arc<Database>, rel: &Relation, key: &[u8]) {
+/// Make the next faults of the `keys`' BLOBs land scattered: drop their
+/// extents and an earlier round's spacers from the pool, then fill every
+/// free frame with a pinned one-frame spacer except one hole per extent, of
+/// that extent's size, each walled off from the next. No free run then
+/// holds two of the extents, and best fit gives each extent a hole of its
+/// own size, so a read must copy or alias them.
+fn scatter<K: AsRef<[u8]>>(db: &Arc<Database>, rel: &Relation, keys: &[K]) {
     let BlobPool::Vm(pool) = db.blob_pool() else {
         panic!("the shapes are the vmcache pool's");
     };
-    let state = db.begin().blob_state(rel, key).unwrap().unwrap();
-    let extents = state.extent_specs(db.tier_table());
+    let mut extents = Vec::new();
+    for key in keys {
+        let state = db.begin().blob_state(rel, key.as_ref()).unwrap().unwrap();
+        extents.extend(state.extent_specs(db.tier_table()));
+    }
     db.blob_pool().drop_extents(&extents);
     let earlier = (SPACERS..SPACERS + pool.frame_count()).map(|p| ExtentSpec::new(Pid::new(p), 1));
     db.blob_pool().drop_extents(&earlier.collect::<Vec<_>>());
@@ -100,6 +103,17 @@ fn aliasing(db: &Database) -> bool {
     }
 }
 
+/// Whether a read of `len` scattered bytes maps them, and the bytes it
+/// copies: aliased from `ALIAS_MIN_BYTES` up when the pool aliases, else
+/// copied once.
+fn scattered_shape(db: &Database, len: usize) -> (bool, u64) {
+    if len as u64 >= ALIAS_MIN_BYTES && aliasing(db) {
+        (true, 0)
+    } else {
+        (false, len as u64)
+    }
+}
+
 #[test]
 fn each_size_reads_its_own_way() {
     let db = Database::create(
@@ -114,13 +128,13 @@ fn each_size_reads_its_own_way() {
         put(&db, &rel, *key, &pattern(*len, i as u64));
     }
 
-    scatter(&db, &rel, b"small");
+    scatter(&db, &rel, &[b"small"]);
     let (got, alias_ops, memcpy) = get_counted(&db, &rel, b"small");
     assert_eq!(got, pattern(SMALL, 0));
     assert_eq!(alias_ops, 0, "a BLOB below the threshold is not mapped");
     assert_eq!(memcpy, SMALL as u64, "it is copied once");
 
-    scatter(&db, &rel, b"large");
+    scatter(&db, &rel, &[b"large"]);
     let (got, alias_ops, memcpy) = get_counted(&db, &rel, b"large");
     assert_eq!(got, pattern(LARGE, 1));
     if aliasing(&db) {
@@ -148,15 +162,15 @@ fn rotting(injections: u64) -> (Arc<Database>, Arc<Relation>, Arc<FaultDevice<Me
     .unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     put(&db, &rel, b"k", &pattern(SMALL, 7));
-    scatter(&db, &rel, b"k");
+    scatter(&db, &rel, &[b"k"]);
     (db, rel, data)
 }
 
 #[test]
 fn adjacent_extents_are_read_in_place() {
-    // A put frames its extents as one run, and so does the fault batch
-    // that reads them back cold: five extents and nine, neither mapped nor
-    // copied, warm and cold.
+    // A put frames its extents as one run, and a cold read into an emptied
+    // pool frames them back to back from its one free run: five extents
+    // and nine, neither mapped nor copied, warm and cold.
     let db = Database::create(
         Arc::new(MemDevice::new(64 << 20)),
         Arc::new(MemDevice::new(8 << 20)),
@@ -226,21 +240,33 @@ fn a_read_nested_in_another_on_the_same_worker_completes() {
     for (i, (key, len)) in keys.iter().enumerate() {
         put(&db, &rel, key, &pattern(*len, i as u64));
     }
+    scatter(&db, &rel, &keys.map(|(key, _)| key));
     // Every pairing of the copy and alias paths, the inner read inside the
     // outer one's closure, on one worker: the inner copy gets a buffer of
-    // its own, the inner view an area of its own.
-    for (i, (outer, outer_len)) in keys.iter().enumerate() {
-        for (j, (inner, inner_len)) in keys.iter().enumerate() {
-            db.begin_with_worker(0)
+    // its own, the inner view an area of its own. Each read takes its
+    // scattered shape, so neither is read in place.
+    for (i, &(outer, outer_len)) in keys.iter().enumerate() {
+        for (j, &(inner, inner_len)) in keys.iter().enumerate() {
+            let before = db.metrics().snapshot();
+            let (inner_aliases, inner_copied) = db
+                .begin_with_worker(0)
                 .get_blob(&rel, outer, |view| {
-                    let got = db
-                        .begin_with_worker(0)
-                        .get_blob(&rel, inner, |v| v.to_vec())
-                        .unwrap();
-                    assert_eq!(got, pattern(*inner_len, j as u64));
-                    assert_eq!(view, &pattern(*outer_len, i as u64)[..]);
+                    let (got, alias_ops, memcpy) = get_counted(&db, &rel, inner);
+                    assert_eq!(got, pattern(inner_len, j as u64));
+                    assert_eq!(view, &pattern(outer_len, i as u64)[..]);
+                    (alias_ops, memcpy)
                 })
                 .unwrap();
+            let delta = db.metrics().snapshot() - before;
+            let (outer_aliases, outer_copied) = (
+                delta.alias_ops - inner_aliases,
+                delta.memcpy_bytes - inner_copied,
+            );
+            let pair = format!("{outer_len} bytes around {inner_len}");
+            let inner_shape = (inner_aliases > 0, inner_copied);
+            let outer_shape = (outer_aliases > 0, outer_copied);
+            assert_eq!(inner_shape, scattered_shape(&db, inner_len), "{pair}");
+            assert_eq!(outer_shape, scattered_shape(&db, outer_len), "{pair}");
         }
     }
 }
