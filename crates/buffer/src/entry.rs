@@ -10,9 +10,9 @@
 //! `tag`: `0xFF` = evicted, `0xFE` = locked exclusive, `0..=0xFC` = shared
 //! count (0 = resident, unlatched). An evicted word carries nothing else.
 //! The atomic stores the word XOR the evicted word, so an all-zero atomic
-//! reads as evicted and a page table is a zeroed allocation, which fresh
-//! memory provides without a write ([`Entry::table`]); only this file sees
-//! the stored form.
+//! reads as evicted and a page table is zeroed memory, which a fresh
+//! mapping provides without a write ([`Table`]); only this file sees the
+//! stored form.
 //!
 //! | from            | to              | method                          |
 //! |-----------------|-----------------|---------------------------------|
@@ -61,6 +61,97 @@ const EVICTED: u64 = TAG_EVICTED << TAG_SHIFT;
 #[inline]
 const fn flip(w: u64) -> u64 {
     w ^ EVICTED
+}
+
+/// A page table of evicted entries: all-zero atomics.
+///
+/// The words are an anonymous mapping of their own, not a zeroed heap
+/// block. The heap hands out a fresh block, which needs no clearing, or a
+/// recycled one, which it clears word by word, depending on what the
+/// process freed before: a table freed by an earlier open raises the
+/// allocator's mapping threshold past its own size. A mapping costs one call
+/// whatever came before, and the kernel zeroes each page of it when an
+/// entry on it is first touched. The model checker's atomics are not plain
+/// integers and Miri cannot map memory, so there, as for an empty table or
+/// a refused mapping, the words are a vector made one by one.
+pub(crate) struct Table {
+    words: Words,
+}
+
+enum Words {
+    Mapped { ptr: *mut AtomicU64, len: usize },
+    Heap(Vec<AtomicU64>),
+}
+
+// SAFETY: the mapping is owned by the table alone and freed only by its
+// drop; the words in it are atomics, which any thread may share.
+unsafe impl Send for Table {}
+// SAFETY: as above; `&Table` hands out only `&[AtomicU64]`.
+unsafe impl Sync for Table {}
+
+impl Table {
+    /// A table of `pages` evicted entries.
+    pub(crate) fn new(pages: u64) -> Table {
+        let len = pages as usize;
+        let words = match Self::map(len) {
+            Some(ptr) => Words::Mapped { ptr, len },
+            None => Words::Heap((0..len).map(|_| AtomicU64::new(flip(EVICTED))).collect()),
+        };
+        Table { words }
+    }
+
+    #[cfg(any(lobster_loom, miri))]
+    fn map(_len: usize) -> Option<*mut AtomicU64> {
+        None
+    }
+
+    /// `len` zeroed words in a private anonymous mapping, or `None` if
+    /// `len` is 0 or the mapping is refused.
+    #[cfg(not(any(lobster_loom, miri)))]
+    fn map(len: usize) -> Option<*mut AtomicU64> {
+        let bytes = len.checked_mul(std::mem::size_of::<AtomicU64>())?;
+        if bytes == 0 {
+            return None;
+        }
+        // SAFETY: a fresh private anonymous mapping aliases nothing; on
+        // success it is `bytes` long, page aligned and zero filled, and
+        // all-zero bytes are a valid `AtomicU64`.
+        let p = unsafe {
+            libc::mmap(
+                std::ptr::null_mut(),
+                bytes,
+                libc::PROT_READ | libc::PROT_WRITE,
+                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        (p != libc::MAP_FAILED).then_some(p.cast())
+    }
+}
+
+impl std::ops::Deref for Table {
+    type Target = [AtomicU64];
+
+    #[inline]
+    fn deref(&self) -> &[AtomicU64] {
+        match &self.words {
+            // SAFETY: `ptr` is the live mapping of `len` zero-initialised
+            // words `map` returned, unmapped only when the table drops.
+            Words::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            Words::Heap(words) => words,
+        }
+    }
+}
+
+impl Drop for Table {
+    fn drop(&mut self) {
+        if let Words::Mapped { ptr, len } = self.words {
+            // SAFETY: the exact pointer and length of the mapping `map`
+            // made, unmapped once, when nothing borrows the table any more.
+            unsafe { libc::munmap(ptr.cast(), len * std::mem::size_of::<AtomicU64>()) };
+        }
+    }
 }
 
 /// The latch state a word's tag decodes to.
@@ -148,36 +239,6 @@ pub(crate) struct Entry<'a> {
 impl<'a> Entry<'a> {
     /// Largest frame index the word can name.
     pub(crate) const MAX_FRAME: u64 = FRAME_MASK;
-
-    /// A page table of `pages` evicted entries: all-zero atomics, from a
-    /// zeroed allocation, so fresh memory is not written until an entry is.
-    #[cfg(not(lobster_loom))]
-    pub(crate) fn table(pages: u64) -> Vec<AtomicU64> {
-        let n = pages as usize;
-        if n == 0 {
-            return Vec::new();
-        }
-        // lint-allow(no-panic-in-request-path): a table the address space cannot hold is a misconfigured device, refused at open
-        let layout = std::alloc::Layout::array::<AtomicU64>(n).expect("page table size");
-        // SAFETY: the layout is non-empty; all-zero bytes are a valid
-        // `AtomicU64`; the vector takes the allocation with the element
-        // type, length and capacity it was made for, from the global
-        // allocator it frees into.
-        unsafe {
-            let ptr = std::alloc::alloc_zeroed(layout).cast::<AtomicU64>();
-            if ptr.is_null() {
-                std::alloc::handle_alloc_error(layout);
-            }
-            Vec::from_raw_parts(ptr, n, n)
-        }
-    }
-
-    /// A page table of `pages` evicted entries. The model checker's atomics
-    /// are not plain integers, so each is made on its own.
-    #[cfg(lobster_loom)]
-    pub(crate) fn table(pages: u64) -> Vec<AtomicU64> {
-        (0..pages).map(|_| AtomicU64::new(flip(EVICTED))).collect()
-    }
 
     #[inline]
     pub(crate) fn at(table: &'a [AtomicU64], pid: Pid, audit: &'a LatchLedger) -> Self {
@@ -398,7 +459,7 @@ mod tests {
     /// Walk one entry through `rows`; the ledger must end with no latch
     /// held. Returns the final word and the pins the ledger still records.
     fn run(name: &str, rows: &[Row]) -> (Seen, Vec<u64>) {
-        let table = Entry::table(1);
+        let table = Table::new(1);
         let audit = LatchLedger::new();
         let e = Entry::at(&table, Pid::new(0), &audit);
         for (i, &(op, granted, latch, pages)) in rows.iter().enumerate() {
@@ -537,7 +598,7 @@ mod model {
     const PID: Pid = Pid::new(0);
 
     struct World {
-        table: Vec<AtomicU64>,
+        table: Table,
         audit: LatchLedger,
         flushes: FlushLedger,
         /// `latch`: two cells a writer updates under the exclusive latch.
@@ -559,7 +620,7 @@ mod model {
     /// `extents` entries, the first `resident` of them framed and unlatched.
     fn world(extents: u64, resident: u64, free_frames: u64) -> World {
         let w = World {
-            table: Entry::table(extents),
+            table: Table::new(extents),
             audit: LatchLedger::new(),
             flushes: FlushLedger::new(),
             cells: Default::default(),

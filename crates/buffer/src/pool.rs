@@ -1,9 +1,9 @@
 //! The vmcache-style extent buffer pool.
 //!
-//! Pages are translated through a flat page table (`Vec<AtomicU64>` indexed
-//! by PID) with versioned-latch-style CAS state transitions — the userspace
-//! analogue of vmcache [55]. Latching is *coarse-grained at extent
-//! granularity* (§III-G): an extent of N pages has a single page-table
+//! Pages are translated through a flat page table (one `AtomicU64` per
+//! page, indexed by PID) with versioned-latch-style CAS state transitions —
+//! the userspace analogue of vmcache [55]. Latching is *coarse-grained at
+//! extent granularity* (§III-G): an extent of N pages has a single page-table
 //! entry on its head page, so N threads racing to read it perform one device
 //! read and one latch acquisition, not N.
 //!
@@ -37,7 +37,7 @@
 
 use crate::alias::{AliasConfig, AliasGuard, AliasingManager};
 use crate::arena::Arena;
-use crate::entry::{Entry, Excl, Latch, Seen};
+use crate::entry::{Entry, Excl, Latch, Seen, Table};
 use crate::flush_ledger::FlushLedger;
 use crate::free_frames::FreeFrames;
 use lobster_extent::{ExtentSpec, Piece};
@@ -258,7 +258,7 @@ impl Drop for FrameRun<'_> {
 pub struct ExtentPool {
     geo: Geometry,
     arena: Arena,
-    table: Vec<AtomicU64>,
+    table: Table,
     frames: FreeFrames,
     resident: Mutex<ResidentSet>,
     max_resident_pages: AtomicU64,
@@ -294,7 +294,7 @@ impl ExtentPool {
         let alias_bytes = cfg.alias.map(|a| a.total_bytes()).unwrap_or(0);
         let arena = Arena::new((cfg.frames as usize) * geo.page_size(), alias_bytes);
         let aliasing = cfg.alias.map(AliasingManager::new);
-        let table = Entry::table(page_capacity);
+        let table = Table::new(page_capacity);
         Arc::new(ExtentPool {
             geo,
             arena,
