@@ -11,6 +11,10 @@
 //! Device space keeps `lobster_extent::RangeAllocator`, whose exact-size
 //! free lists recycle a tier extent in O(1) (§V-G); frames are handed out in
 //! every size a content view can have, so merging is what keeps them usable.
+//!
+//! The evictor's hand (`sweep.rs`) also asks by position: how many frames
+//! are free from a given one on ([`FreeFrames::run_from`]), and for exactly
+//! those frames ([`FreeFrames::take`]).
 
 use lobster_sync::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
@@ -99,9 +103,38 @@ impl FreeFrames {
         runs.insert(from, to - from);
     }
 
+    /// How many free frames lie back to back from `frame` on: `frame` to the
+    /// end of the free run holding it, or `None` when it is in use.
+    pub(crate) fn run_from(&self, frame: u64) -> Option<u64> {
+        let runs = self.runs.lock();
+        let (&s, &l) = runs.by_start.range(..=frame).next_back()?;
+        (frame < s + l).then(|| s + l - frame)
+    }
+
+    /// Take `[start, start + pages)` if one free run holds it all, and say
+    /// whether it did; what the run holds around it stays free.
+    pub(crate) fn take(&self, start: u64, pages: u64) -> bool {
+        debug_assert!(pages > 0);
+        let mut runs = self.runs.lock();
+        let Some((&s, &l)) = runs.by_start.range(..=start).next_back() else {
+            return false;
+        };
+        if start + pages > s + l {
+            return false;
+        }
+        runs.remove(s, l);
+        if s < start {
+            runs.insert(s, start - s);
+        }
+        if start + pages < s + l {
+            runs.insert(start + pages, s + l - start - pages);
+        }
+        true
+    }
+
     /// Every free run as `(start, len)`, by start.
     #[cfg(test)]
-    fn runs(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn runs(&self) -> Vec<(u64, u64)> {
         let runs = self.runs.lock();
         runs.by_start.iter().map(|(&s, &l)| (s, l)).collect()
     }
@@ -138,19 +171,29 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
 
-        /// Random allocations and frees of what is held: the map and a
-        /// frame bitmap agree after every step, no two allocations overlap,
-        /// and an allocation fails only when no free run is long enough.
+        /// Random allocations, takes by position and frees of what is
+        /// held: the map and a frame bitmap agree after every step, no two
+        /// allocations overlap, an allocation fails only when no free run is
+        /// long enough, and a take only when a frame it names is in use.
         #[test]
         fn runs_match_a_frame_bitmap(
-            ops in proptest::collection::vec((any::<bool>(), 1u64..12, any::<u64>()), 1..80)
+            ops in proptest::collection::vec((0u8..3, 1u64..12, any::<u64>()), 1..80)
         ) {
             const FRAMES: u64 = 64;
             let map = FreeFrames::new(FRAMES);
             let mut used = vec![false; FRAMES as usize];
             let mut held: Vec<(u64, u64)> = Vec::new();
-            for (alloc, pages, pick) in ops {
-                if alloc || held.is_empty() {
+            for (op, pages, pick) in ops {
+                if op == 2 {
+                    let start = pick % (FRAMES - pages + 1);
+                    let free_from = used[start as usize..].iter().take_while(|&&u| !u).count() as u64;
+                    prop_assert_eq!(map.run_from(start), (free_from > 0).then_some(free_from));
+                    prop_assert_eq!(map.take(start, pages), free_from >= pages);
+                    if free_from >= pages {
+                        used[start as usize..(start + pages) as usize].fill(true);
+                        held.push((start, pages));
+                    }
+                } else if op == 0 || held.is_empty() {
                     let longest = map.runs().iter().map(|&(_, l)| l).max().unwrap_or(0);
                     match map.allocate(pages) {
                         Some(start) => {

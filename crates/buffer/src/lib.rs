@@ -4,9 +4,11 @@
 //!
 //! * [`ExtentPool`] — the vmcache-style pool: a flat page table with CAS
 //!   state transitions, **extent-granular (coarse) latching**, contiguous
-//!   frame ranges per extent out of free runs that merge when freed,
-//!   size-fair randomized eviction, and a `prevent_evict` pin used by the
-//!   single-flush commit protocol. A whole-BLOB read
+//!   frame ranges per extent out of free runs that merge when freed, one
+//!   evictor — a hand that sweeps the frames in arena order and frees a
+//!   window of contiguous frames, so eviction is per-page fair and a full
+//!   pool still frames a BLOB as one run — and a `prevent_evict` pin used
+//!   by the single-flush commit protocol. A whole-BLOB read
 //!   ([`ExtentPool::read_blob`]) takes one of three shapes: extents framed
 //!   back to back — a placement framed as one run ([`BlobPool::place`]) —
 //!   are read **in place**, one slice of the arena; scattered ones of at
@@ -32,6 +34,7 @@ mod free_frames;
 mod htpool;
 mod pool;
 mod stream;
+mod sweep;
 
 pub use alias::{AliasConfig, AliasGuard, AliasStats, AliasingManager};
 pub use arena::{Arena, OS_PAGE};
@@ -362,11 +365,67 @@ mod tests {
         }
     }
 
+    /// Fill every free frame of `pool` with a clean, unpinned one-page
+    /// extent, from pid `first` on.
+    fn fill_with_clean_pages(pool: &ExtentPool, first: u64) {
+        let free = pool.frame_count() - pool.frames_in_use();
+        for pid in first..first + free {
+            let page = ExtentSpec::new(Pid::new(pid), 1);
+            drop(pool.create_extent(page).unwrap());
+        }
+        assert_eq!(pool.frames_in_use(), pool.frame_count());
+    }
+
+    #[test]
+    fn a_full_pool_frames_a_placement_as_one_run_and_reads_it_in_place() {
+        // No free frame, and no two one-page extents of the filling that
+        // the hand may not evict: it clears a window of 256 frames for the
+        // nine extents of a 1 MiB placement.
+        let pool = pool_sharing(512, Some(2 << 20));
+        fill_with_clean_pages(&pool, 1000);
+        let extents = tier_blob(0, 256);
+        let len = ALIAS_MIN_BYTES as usize;
+        let want: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let blob = BlobPool::Vm(pool.clone());
+        let mut placement = blob.place(extents.len(), 256);
+        let mut at = 0;
+        for &e in &extents {
+            let bytes = (e.pages as usize) * 4096;
+            placement
+                .fill_hashed(e, &want[at..at + bytes], &mut |_| ())
+                .unwrap();
+            at += bytes;
+        }
+        drop(placement);
+        let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
+        assert!(got == want);
+        assert_eq!((alias_ops, memcpy), (0, 0));
+    }
+
+    #[test]
+    fn a_whole_blob_cold_fault_in_a_full_pool_is_read_in_place() {
+        // The nine extents of a 1 MiB BLOB, evicted, then every frame
+        // filled: one fault batch claims them all and takes one window.
+        let pool = pool_sharing(512, Some(2 << 20));
+        let extents = tier_blob(0, 256);
+        let len = ALIAS_MIN_BYTES as usize;
+        let want = resident_blob(&pool, &extents, len);
+        let items: Vec<FlushItem> = extents.iter().map(|&e| FlushItem::whole(e)).collect();
+        pool.flush_extents(&items).unwrap();
+        extents.iter().for_each(|&e| pool.drop_extent(e));
+        fill_with_clean_pages(&pool, 1000);
+        let before = pool.metrics().snapshot();
+        let (got, alias_ops, memcpy) = read_shape(&pool, &extents, len);
+        let delta = pool.metrics().snapshot() - before;
+        assert!(got == want);
+        assert_eq!(delta.fault_batches, 1, "one batch for the whole BLOB");
+        assert_eq!((alias_ops, memcpy), (0, 0));
+    }
+
     #[test]
     fn a_fault_wider_than_every_free_run_is_refused_until_an_unpin() {
         // 32 extents of two frames fill the arena; every other one is
-        // pinned, so evicting the rest frees runs of two frames and never
-        // three.
+        // pinned, so the hand finds windows of two frames and never three.
         let pool = vm_pool(64, false);
         let pair = |i: u64| ExtentSpec::new(Pid::new(2 * i), 2);
         for i in 0..32 {
@@ -376,6 +435,7 @@ mod tests {
             }
         }
         let wide = ExtentSpec::new(Pid::new(1000), 3);
+        // Each refusal is one revolution of the hand.
         let t = std::time::Instant::now();
         assert!(matches!(pool.fault_many(&[wide]), Err(Error::BufferFull)));
         assert!(matches!(pool.read_extent(wide), Err(Error::BufferFull)));
@@ -387,6 +447,10 @@ mod tests {
         assert!(
             !pool.is_resident(wide.start),
             "a refused fault leaves no claim"
+        );
+        assert!(
+            (0..32).all(|i| pool.is_resident(pair(i).start)),
+            "a sweep that finds no window evicts nothing"
         );
         // Unpinned, pair 2 and its evictable neighbours free six frames.
         pool.set_prevent_evict(pair(2).start, false);

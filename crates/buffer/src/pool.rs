@@ -10,12 +10,13 @@
 //! Each resident extent occupies a *contiguous* frame range in the arena, so
 //! an extent is always contiguous in memory. Free frames merge with their
 //! neighbours (`free_frames.rs`), and the fresh extents of a placement
-//! (`ExtentPool::take_run`) are framed as one run whenever a free run holds
-//! them all. [`ExtentPool::read_blob`] has three shapes: a BLOB whose
-//! extents sit back to back in the arena is read **in place**, one slice
-//! under its latches; scattered frames are **aliased** contiguously through
-//! virtual memory (§IV-B) from [`ALIAS_MIN_BYTES`] up and **copied** out
-//! below it.
+//! (`ExtentPool::take_run`) and the claims of a whole-BLOB fault batch
+//! ([`ExtentPool::fault_many`]) are framed as one run whenever a free run
+//! or a swept window holds them all. [`ExtentPool::read_blob`] has three
+//! shapes: a BLOB whose extents sit back to back in the arena is read **in
+//! place**, one slice under its latches; scattered frames are **aliased**
+//! contiguously through virtual memory (§IV-B) from [`ALIAS_MIN_BYTES`] up
+//! and **copied** out below it.
 //!
 //! The pool frames, faults, aliases and evicts exactly the `pages` a caller's
 //! [`ExtentSpec`] names, and records that count in the entry word. The engine
@@ -25,21 +26,26 @@
 //! the BLOB's exclusive key lock) is served by re-framing under the exclusive
 //! latch; one naming fewer simply sees the larger resident range.
 //!
-//! Eviction is randomized and *size-fair* (§III-G "Fair extent eviction"):
-//! an N-page extent is N times more likely to be evicted than a single page,
-//! implemented exactly as the paper's pseudo-code
-//! `if rand(MAX_EXT_SIZE) < extent_size[pid] { evict() }`.
+//! A pool without a free run long enough evicts through one hand
+//! (`sweep.rs`) that sweeps the frames in arena order and frees a *window*
+//! of contiguous frames made of free runs and whole clean, unlatched,
+//! unpinned extents. Each frame passes under the hand once a revolution, so
+//! eviction stays per-page fair (§III-G "Fair extent eviction": an N-page
+//! extent is N times as likely to be evicted as a single page), and a
+//! placement or a whole-BLOB fault batch gets its run of frames from a
+//! full pool too.
 //!
 //! The entry word — its layout, every legal transition, the ordering each
 //! one needs and the latch-ledger note that goes with it — lives in
 //! [`crate::entry`]; this file decides *which* transition to attempt and does
-//! the work between two of them (frames, device I/O, the resident set).
+//! the work between two of them (frames, device I/O, the owner map).
 
 use crate::alias::{AliasConfig, AliasGuard, AliasingManager};
 use crate::arena::Arena;
 use crate::entry::{Entry, Excl, Latch, Seen, Table};
 use crate::flush_ledger::FlushLedger;
 use crate::free_frames::FreeFrames;
+use crate::sweep::Sweep;
 use lobster_extent::{ExtentSpec, Piece};
 use lobster_metrics::Metrics;
 use lobster_storage::{wait_until, AsyncIo, BatchHandle, Device, IoKind, IoReq};
@@ -49,14 +55,13 @@ use lobster_sync::hint::spin_loop;
 use lobster_sync::thread::yield_now;
 use lobster_sync::{Arc, Mutex};
 use lobster_types::{Error, Geometry, Pid, Result, RetryPolicy};
-use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-// Memory-ordering note: every atomic in this file is a metrics counter, the
-// `max_resident_pages` eviction-fairness hint or the `prefetched_live` gate
-// — never the latch protocol, which is `entry.rs`'s alone.
+// Memory-ordering note: every atomic in this file is a metrics counter or
+// the `prefetched_live` gate — never the latch protocol, which is
+// `entry.rs`'s alone.
 
 /// Multi-extent BLOBs smaller than this are copied out of their frames by
 /// [`ExtentPool::read_blob`]; this size and larger ones are aliased.
@@ -86,49 +91,6 @@ impl LatchWait {
         } else {
             yield_now();
         }
-    }
-}
-
-// ------------------------------------------------------------- resident ---
-
-/// Registry of resident extents for eviction sampling: O(1) insert, remove,
-/// and uniform sampling.
-#[derive(Default)]
-struct ResidentSet {
-    vec: Vec<Pid>,
-    pos: HashMap<u64, usize>,
-}
-
-impl ResidentSet {
-    fn insert(&mut self, pid: Pid) {
-        if self.pos.contains_key(&pid.raw()) {
-            return;
-        }
-        self.pos.insert(pid.raw(), self.vec.len());
-        self.vec.push(pid);
-    }
-
-    fn remove(&mut self, pid: Pid) {
-        if let Some(i) = self.pos.remove(&pid.raw()) {
-            // lint-allow(no-panic-in-request-path): pos->vec invariant: an indexed pid implies a non-empty vec; the expect documents it
-            let last = self.vec.pop().expect("non-empty");
-            if i < self.vec.len() {
-                self.vec[i] = last;
-                self.pos.insert(last.raw(), i);
-            }
-        }
-    }
-
-    fn sample<R: Rng>(&self, rng: &mut R) -> Option<Pid> {
-        if self.vec.is_empty() {
-            None
-        } else {
-            Some(self.vec[rng.gen_range(0..self.vec.len())])
-        }
-    }
-
-    fn snapshot(&self) -> Vec<Pid> {
-        self.vec.clone()
     }
 }
 
@@ -260,8 +222,8 @@ pub struct ExtentPool {
     arena: Arena,
     table: Table,
     frames: FreeFrames,
-    resident: Mutex<ResidentSet>,
-    max_resident_pages: AtomicU64,
+    /// The evictor: the owner map and the hand that sweeps the frames.
+    sweep: Sweep,
     aliasing: Option<AliasingManager>,
     io: AsyncIo,
     device: Arc<dyn Device>,
@@ -300,8 +262,7 @@ impl ExtentPool {
             arena,
             table,
             frames: FreeFrames::new(cfg.frames),
-            resident: Mutex::new(ResidentSet::default()),
-            max_resident_pages: AtomicU64::new(1),
+            sweep: Sweep::new(cfg.frames),
             aliasing,
             io: AsyncIo::new(device.clone(), cfg.io_threads.max(1)),
             device,
@@ -355,6 +316,13 @@ impl ExtentPool {
         Entry::at(&self.table, pid, &self.audit)
     }
 
+    /// Frame the locked extent at `pid` as `pages` frames from `frame`, and
+    /// note in the owner map where its framing starts.
+    fn reframe(&self, pid: Pid, pages: u64, frame: u64) {
+        self.sweep.own(frame, pid);
+        self.entry(pid).reframe(pages, frame);
+    }
+
     // ------------------------------------------------------- latching ---
 
     /// Fix an extent shared, loading it from the device on a miss (one
@@ -386,7 +354,7 @@ impl ExtentPool {
         let entry = self.entry(spec.start);
         // Publish a framing loaded under a claim and stay on it, shared.
         let enter = |frame: u64| {
-            entry.reframe(spec.pages, frame);
+            self.reframe(spec.start, spec.pages, frame);
             entry.downgrade();
             (frame, spec.pages)
         };
@@ -492,11 +460,11 @@ impl ExtentPool {
     }
 
     /// `pages` frames back to back for the fresh extents of one placement,
-    /// if a free run that long exists; nothing is evicted to make one.
-    /// [`ExtentPool::create_extent_in`] frames the extents from it in
+    /// from a free run or a window the hand sweeps clear, if either holds
+    /// them. [`ExtentPool::create_extent_in`] frames the extents from it in
     /// order, so a BLOB read later finds them adjacent and is read in place.
     pub(crate) fn take_run(&self, pages: u64) -> Option<FrameRun<'_>> {
-        let start = self.frames.allocate(pages)?;
+        let start = self.run_of(pages)?;
         Some(FrameRun {
             pool: self,
             next: start,
@@ -557,8 +525,6 @@ impl ExtentPool {
                     // old frames hold nothing it needs.
                     if let Some(frame) = at {
                         self.frames.free(seen.frame(), seen.pages());
-                        self.max_resident_pages
-                            .fetch_max(spec.pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
                         frame
                     } else if seen.pages() >= spec.pages {
                         return Ok(guard(seen.frame(), seen.pages()));
@@ -576,7 +542,7 @@ impl ExtentPool {
                 }
             };
             // Stay locked on the new framing; the guard releases on drop.
-            entry.reframe(spec.pages, frame);
+            self.reframe(spec.start, spec.pages, frame);
             return Ok(guard(frame, spec.pages));
         }
     }
@@ -716,9 +682,6 @@ impl ExtentPool {
             self.frames.free(frame, spec.pages);
             return Err(err);
         }
-        self.resident.lock().insert(spec.start);
-        self.max_resident_pages
-            .fetch_max(spec.pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
         Ok(frame)
     }
 
@@ -802,7 +765,6 @@ impl ExtentPool {
         dst.copy_from_slice(src);
         self.metrics.bump_memcpy(src.len() as u64);
         self.frames.free(old_frame, old_pages);
-        self.max_resident_pages.fetch_max(pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
         Ok(frame)
     }
 
@@ -833,58 +795,25 @@ impl ExtentPool {
                 self.frame_count
             )));
         }
-        // Try, evict, retry. The attempt bound protects against livelock
-        // when everything is latched or prevent_evict'ed.
-        let mut attempts = 0u64;
-        let max_attempts = 128 + self.frame_count * 4;
-        loop {
-            if let Some(f) = self.frames.allocate(pages) {
-                return Ok(f);
-            }
-            attempts += 1;
-            if attempts > max_attempts {
-                return Err(Error::BufferFull);
-            }
-            self.try_evict_one();
-        }
+        self.run_of(pages).ok_or(Error::BufferFull)
     }
 
-    /// One randomized, size-fair eviction attempt.
-    fn try_evict_one(&self) {
-        let victim = {
-            let g = self.resident.lock();
-            let mut rng = rand::thread_rng();
-            g.sample(&mut rng)
-        };
-        let Some(pid) = victim else { return };
-        let entry = self.entry(pid);
-        let seen = entry.peek();
-        // No-steal: dirty extents are never evicted. BLOB content becomes
-        // clean at the commit flush; B-Tree nodes become clean at
-        // checkpoints — so the on-device tree always equals the last
-        // checkpoint, which logical redo/undo recovery relies on.
-        if !seen.evictable() {
-            return; // latched, dirty, pinned, or already gone
-        }
-        let pages = seen.pages();
-        // Fair eviction: rand(MAX_EXT_SIZE) < extent_size[pid].
-        // ordering: Relaxed; a monotonic hint for the fairness dice roll; a stale
-        // value only skews eviction probability, never correctness.
-        let max_pages = self.max_resident_pages.load(Ordering::Relaxed).max(1);
-        if pages < max_pages && rand::thread_rng().gen_range(0..max_pages) >= pages {
-            return;
-        }
-        if entry.try_lock(seen, Excl::Claim) {
-            self.evict_locked(pid, seen);
-        }
+    /// `pages` frames back to back: from the smallest free run that holds
+    /// them, else from a window the hand sweeps clear; `None` when the hand
+    /// found none in one revolution.
+    fn run_of(&self, pages: u64) -> Option<u64> {
+        self.frames.allocate(pages).or_else(|| {
+            let entry = |pid| self.entry(pid);
+            let evicted = |pid| self.note_prefetch_evicted(pid);
+            self.sweep.window(pages, &self.frames, entry, evicted)
+        })
     }
 
-    /// The one way out of the pool: with the entry — `seen` before that —
-    /// locked by a claim, give its frames back, leave the resident set and
-    /// publish the word evicted.
+    /// With the entry — `seen` before that — locked by a claim, give its
+    /// frames back and publish the word evicted. (The hand's windows keep
+    /// the frames of the extents they evict; `sweep.rs`.)
     fn evict_locked(&self, pid: Pid, seen: Seen) {
         self.frames.free(seen.frame(), seen.pages());
-        self.resident.lock().remove(pid);
         self.entry(pid).evict(Excl::Claim);
         self.note_prefetch_evicted(pid);
     }
@@ -894,7 +823,9 @@ impl ExtentPool {
     /// Batched cold-read faulting — the read-side analogue of
     /// [`ExtentPool::flush_extents`]: claim every still-evicted extent in
     /// `specs`, reserve frames for all of them, and submit their content
-    /// reads as **one** asynchronous batch. The latencies overlap on the
+    /// reads as **one** asynchronous batch. A batch that claimed every
+    /// extent of `specs` — a whole BLOB, cold — frames them back to back
+    /// from one run where one can be had, so the read finds them in place. The latencies overlap on the
     /// device, so a cold `num_extents`-extent BLOB costs
     /// `max(latency, bytes/bandwidth)` instead of `num_extents × latency`.
     ///
@@ -911,15 +842,8 @@ impl ExtentPool {
         self.metrics
             .cache_misses
             .fetch_add(claimed.len() as u64, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
-        for i in 0..claimed.len() {
-            match self.allocate_frames(claimed[i].0.pages) {
-                Ok(f) => claimed[i].1 = f,
-                Err(err) => {
-                    self.abandon_claims(&claimed, i);
-                    return Err(err);
-                }
-            }
-        }
+        let whole = claimed.len() == specs.len();
+        self.frame_claims(&mut claimed, whole)?;
         let t = self.metrics.latencies.timer();
         // SAFETY: the frames stay claimed until the wait returns.
         if unsafe { self.io.submit_and_wait(self.read_reqs(&claimed)) }.is_err() {
@@ -959,6 +883,36 @@ impl ExtentPool {
             })
             .map(|&spec| (spec, 0))
             .collect()
+    }
+
+    /// Frame every claim of a fault batch: back to back in list order from
+    /// one run when the batch claimed all of a BLOB (`whole`) and a run
+    /// can be had, else one at a time. On failure every claim is rolled
+    /// back.
+    fn frame_claims(&self, claimed: &mut [(ExtentSpec, u64)], whole: bool) -> Result<()> {
+        let total = claimed.iter().map(|(spec, _)| spec.pages).sum();
+        let run = if whole && claimed.len() > 1 {
+            self.run_of(total)
+        } else {
+            None
+        };
+        if let Some(mut at) = run {
+            for (spec, frame) in claimed.iter_mut() {
+                *frame = at;
+                at += spec.pages;
+            }
+            return Ok(());
+        }
+        for i in 0..claimed.len() {
+            match self.allocate_frames(claimed[i].0.pages) {
+                Ok(f) => claimed[i].1 = f,
+                Err(err) => {
+                    self.abandon_claims(claimed, i);
+                    return Err(err);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Roll claims back to evicted; the first `framed` of them hold frames.
@@ -1041,18 +995,9 @@ impl ExtentPool {
     /// Publish batch-loaded extents as resident and unlatched (shared
     /// count 0): the callers' subsequent `read_extent` calls then hit.
     fn publish_loaded(&self, claimed: &[(ExtentSpec, u64)]) {
-        {
-            let mut r = self.resident.lock();
-            for (spec, _) in claimed {
-                r.insert(spec.start);
-            }
-        }
         for (spec, frame) in claimed {
-            self.max_resident_pages
-                .fetch_max(spec.pages, Ordering::Relaxed); // ordering: Relaxed; monotonic fairness hint only (see try_evict_one)
-            let entry = self.entry(spec.start);
-            entry.reframe(spec.pages, *frame);
-            entry.unlock(Excl::Claim);
+            self.reframe(spec.start, spec.pages, *frame);
+            self.entry(spec.start).unlock(Excl::Claim);
         }
     }
 
@@ -1341,12 +1286,11 @@ impl ExtentPool {
     /// checkpointed tree references, and its own ticket lands it and clears
     /// its flags. Writing it here would put every page on the device twice.
     fn dirty_without_a_flight(&self) -> impl Iterator<Item = ExtentSpec> + '_ {
-        let snapshot = self.resident.lock().snapshot();
-        snapshot.into_iter().filter_map(move |pid| {
-            let seen = self.entry(pid).peek();
-            (seen.dirty() && !self.flushes.in_flight(pid))
-                .then(|| ExtentSpec::new(pid, seen.pages()))
-        })
+        let heads = self.sweep.heads(|pid| self.entry(pid));
+        heads
+            .into_iter()
+            .filter(move |&(pid, seen)| seen.dirty() && !self.flushes.in_flight(pid))
+            .map(|(pid, seen)| ExtentSpec::new(pid, seen.pages()))
     }
 
     /// Flush every dirty resident extent (checkpoint / shutdown) that has no
@@ -1370,10 +1314,8 @@ impl ExtentPool {
     pub fn drop_caches(&self) {
         // Publish in-flight readahead first so those frames are dropped too.
         self.drain_prefetches();
-        let snapshot = self.resident.lock().snapshot();
-        for pid in snapshot {
+        for (pid, seen) in self.sweep.heads(|pid| self.entry(pid)) {
             let entry = self.entry(pid);
-            let seen = entry.peek();
             if seen.evictable() && entry.try_lock(seen, Excl::Claim) {
                 self.evict_locked(pid, seen);
             }
@@ -1696,5 +1638,91 @@ impl DerefMut for XGuard<'_> {
 impl Drop for XGuard<'_> {
     fn drop(&mut self) {
         self.pool.entry(self.spec.start).unlock(Excl::Guard);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lobster_storage::MemDevice;
+    use proptest::prelude::*;
+
+    const FRAMES: u64 = 32;
+    /// Pages an extent may hold: its allocated capacity.
+    const CAPACITY: u64 = 8;
+
+    fn pool() -> Arc<ExtentPool> {
+        ExtentPool::new(
+            Arc::new(MemDevice::new(1 << 20)),
+            Geometry::new(4096),
+            PoolConfig {
+                frames: FRAMES,
+                alias: None,
+                io_threads: 1,
+            },
+            lobster_metrics::new_metrics(),
+        )
+    }
+
+    /// Extent `i` of the test, `pages` of it.
+    fn spec(i: u64, pages: u64) -> ExtentSpec {
+        ExtentSpec::new(Pid::new(i * CAPACITY), pages)
+    }
+
+    /// The owner map's walk against a frame bitmap: every resident extent
+    /// of `extents` is found at the frame and size its word names, the walk
+    /// finds nothing else, and its framings and the free runs cover every
+    /// frame exactly once.
+    fn agrees(pool: &ExtentPool, extents: u64) -> std::result::Result<(), TestCaseError> {
+        let heads = pool.sweep.heads(|pid| pool.entry(pid));
+        let resident: Vec<(Pid, u64, u64)> = (0..extents)
+            .map(|i| (spec(i, 0).start, pool.entry(spec(i, 0).start).peek()))
+            .filter(|(_, seen)| seen.is_resident())
+            .map(|(pid, seen)| (pid, seen.frame(), seen.pages()))
+            .collect();
+        let mut walked: Vec<(Pid, u64, u64)> = heads
+            .iter()
+            .map(|&(pid, seen)| (pid, seen.frame(), seen.pages()))
+            .collect();
+        walked.sort_by_key(|&(pid, ..)| pid.raw());
+        prop_assert_eq!(&walked, &resident);
+        let mut used = vec![false; FRAMES as usize];
+        let spans = resident.iter().map(|&(_, f, p)| (f, p));
+        for (start, len) in spans.chain(pool.frames.runs()) {
+            for f in start..start + len {
+                prop_assert!(!used[f as usize], "frame {f} framed or free twice");
+                used[f as usize] = true;
+            }
+        }
+        prop_assert!(used.iter().all(|&u| u), "a frame neither framed nor free");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// Random creates, growths, trims, drops, pins and cache drops of
+        /// six extents over 32 frames, the hand evicting whatever a full
+        /// pool needs: the owner map and a frame bitmap agree after every
+        /// step.
+        #[test]
+        fn owner_map_matches_a_frame_bitmap(
+            ops in proptest::collection::vec((0u8..6, 0u64..6, 1u64..=CAPACITY), 1..60)
+        ) {
+            let pool = pool();
+            for (op, i, pages) in ops {
+                match op {
+                    // Fresh content: nothing is read.
+                    0 => drop(pool.create_extent(spec(i, pages))),
+                    // Growth with nothing valid to load.
+                    1 => drop(pool.write_extent_growing(spec(i, pages), CAPACITY, 0)),
+                    2 => pool.trim_extent(spec(i, pages)),
+                    3 => pool.drop_extent(spec(i, pages)),
+                    4 => pool.set_prevent_evict(spec(i, 0).start, pages % 2 == 0),
+                    _ => pool.drop_caches(),
+                }
+                agrees(&pool, 6)?;
+            }
+        }
     }
 }

@@ -61,11 +61,13 @@ fn get_counted(db: &Arc<Database>, rel: &Relation, key: &[u8]) -> (Vec<u8>, u64,
 const SPACERS: u64 = 12_000;
 
 /// Make the next faults of the `keys`' BLOBs land scattered: drop their
-/// extents and an earlier round's spacers from the pool, then fill every
-/// free frame with a pinned one-frame spacer except one hole per extent, of
-/// that extent's size, each walled off from the next. No free run then
-/// holds two of the extents, and best fit gives each extent a hole of its
-/// own size, so a read must copy or alias them.
+/// extents and an earlier round's spacers from the pool, pin every other
+/// extent still resident, then fill every free frame with a pinned
+/// one-frame spacer except one hole per extent, of that extent's size, each
+/// walled off from the next. No free run then holds two of the extents,
+/// best fit gives each extent a hole of its own size, and the evictor's
+/// hand finds nothing it may evict to make a run, so a read must copy or
+/// alias them.
 fn scatter<K: AsRef<[u8]>>(db: &Arc<Database>, rel: &Relation, keys: &[K]) {
     let BlobPool::Vm(pool) = db.blob_pool() else {
         panic!("the shapes are the vmcache pool's");
@@ -78,6 +80,11 @@ fn scatter<K: AsRef<[u8]>>(db: &Arc<Database>, rel: &Relation, keys: &[K]) {
     db.blob_pool().drop_extents(&extents);
     let earlier = (SPACERS..SPACERS + pool.frame_count()).map(|p| ExtentSpec::new(Pid::new(p), 1));
     db.blob_pool().drop_extents(&earlier.collect::<Vec<_>>());
+    for pid in (0..SPACERS).map(Pid::new) {
+        if pool.is_resident(pid) {
+            pool.set_prevent_evict(pid, true);
+        }
+    }
     // Best fit fills the smaller free runs first, so the last spacers come
     // from one run, back to back: free those in the holes' pattern.
     let mut framed = Vec::new();
@@ -236,7 +243,10 @@ fn a_read_nested_in_another_on_the_same_worker_completes() {
     )
     .unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-    let keys: [(&[u8], usize); 2] = [(b"small", SMALL), (b"large", LARGE)];
+    // The large BLOB first: a fault batch of a whole BLOB takes one run
+    // where a free one holds it, and the hole of one of the large BLOB's
+    // extents would hold the whole small one.
+    let keys: [(&[u8], usize); 2] = [(b"large", LARGE), (b"small", SMALL)];
     for (i, (key, len)) in keys.iter().enumerate() {
         put(&db, &rel, key, &pattern(*len, i as u64));
     }
