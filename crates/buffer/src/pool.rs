@@ -823,11 +823,12 @@ impl ExtentPool {
     /// Batched cold-read faulting — the read-side analogue of
     /// [`ExtentPool::flush_extents`]: claim every still-evicted extent in
     /// `specs`, reserve frames for all of them, and submit their content
-    /// reads as **one** asynchronous batch. A batch that claimed every
-    /// extent of `specs` — a whole BLOB, cold — frames them back to back
-    /// from one run where one can be had, so the read finds them in place. The latencies overlap on the
+    /// reads as **one** asynchronous batch. The latencies overlap on the
     /// device, so a cold `num_extents`-extent BLOB costs
     /// `max(latency, bytes/bandwidth)` instead of `num_extents × latency`.
+    /// A batch that claimed every extent of `specs` — a whole BLOB, cold —
+    /// frames them back to back from one run where one can be had, so the
+    /// read finds them in place.
     ///
     /// Safe under concurrent eviction and faulting: claims go through the
     /// same `EVICTED → LOCKED` CAS as `read_extent`, in extent-list order,
@@ -1286,7 +1287,7 @@ impl ExtentPool {
     /// checkpointed tree references, and its own ticket lands it and clears
     /// its flags. Writing it here would put every page on the device twice.
     fn dirty_without_a_flight(&self) -> impl Iterator<Item = ExtentSpec> + '_ {
-        let heads = self.sweep.heads(|pid| self.entry(pid));
+        let heads = self.sweep.heads(&self.frames, |pid| self.entry(pid));
         heads
             .into_iter()
             .filter(move |&(pid, seen)| seen.dirty() && !self.flushes.in_flight(pid))
@@ -1314,7 +1315,7 @@ impl ExtentPool {
     pub fn drop_caches(&self) {
         // Publish in-flight readahead first so those frames are dropped too.
         self.drain_prefetches();
-        for (pid, seen) in self.sweep.heads(|pid| self.entry(pid)) {
+        for (pid, seen) in self.sweep.heads(&self.frames, |pid| self.entry(pid)) {
             let entry = self.entry(pid);
             if seen.evictable() && entry.try_lock(seen, Excl::Claim) {
                 self.evict_locked(pid, seen);
@@ -1674,7 +1675,7 @@ mod tests {
     /// finds nothing else, and its framings and the free runs cover every
     /// frame exactly once.
     fn agrees(pool: &ExtentPool, extents: u64) -> std::result::Result<(), TestCaseError> {
-        let heads = pool.sweep.heads(|pid| pool.entry(pid));
+        let heads = pool.sweep.heads(&pool.frames, |pid| pool.entry(pid));
         let resident: Vec<(Pid, u64, u64)> = (0..extents)
             .map(|i| (spec(i, 0).start, pool.entry(spec(i, 0).start).peek()))
             .filter(|(_, seen)| seen.is_resident())

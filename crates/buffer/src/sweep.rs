@@ -81,8 +81,14 @@ impl Sweep {
     }
 
     /// Every extent framed at the walk, in arena order, with its word as
-    /// the walk read it.
-    pub(crate) fn heads<'e>(&self, entry: impl Fn(Pid) -> Entry<'e> + Copy) -> Vec<(Pid, Seen)> {
+    /// the walk read it. The walk steps over each framing and each free
+    /// run whole, so it costs one step per extent and per free run, not
+    /// one per frame.
+    pub(crate) fn heads<'e>(
+        &self,
+        free: &FreeFrames,
+        entry: impl Fn(Pid) -> Entry<'e> + Copy,
+    ) -> Vec<(Pid, Seen)> {
         let mut heads = Vec::new();
         let mut frame = 0;
         while frame < self.frames() {
@@ -91,7 +97,7 @@ impl Sweep {
                     heads.push((pid, seen));
                     frame += seen.pages();
                 }
-                None => frame += 1,
+                None => frame += free.run_from(frame).unwrap_or(1),
             }
         }
         heads
@@ -136,6 +142,10 @@ impl Sweep {
                 (start, end) = (0, 0);
                 parts.clear();
             }
+            // No-steal: a dirty extent is never a victim. BLOB content
+            // becomes clean at the commit flush, B-Tree nodes at
+            // checkpoints, so the on-device tree always equals the last
+            // checkpoint, which logical redo/undo recovery relies on.
             let (step, part) = match self.head(end, entry) {
                 Some((pid, seen)) => (
                     seen.pages(),
