@@ -127,16 +127,6 @@ impl Sweep {
         // ends `pages` past it.
         let mut swept = 0;
         while swept < frames + pages {
-            if end - start >= pages {
-                match claim(&parts, start, pages, free, entry, &mut evicted) {
-                    Ok(()) => {
-                        *hand = (start + pages) % frames;
-                        return Some(start);
-                    }
-                    Err(changed) => (start, end) = (changed, changed),
-                }
-                parts.clear();
-            }
             // A window does not wrap around the end of the arena.
             if end >= frames {
                 (start, end) = (0, 0);
@@ -164,12 +154,21 @@ impl Sweep {
             };
             end += step;
             swept += step;
-            match part {
-                Some(part) => parts.push(part),
-                None => {
-                    start = end;
-                    parts.clear();
+            let Some(part) = part else {
+                start = end;
+                parts.clear();
+                continue;
+            };
+            parts.push(part);
+            if end - start >= pages {
+                match claim(&parts, start, pages, free, entry, &mut evicted) {
+                    Ok(()) => {
+                        *hand = (start + pages) % frames;
+                        return Some(start);
+                    }
+                    Err(changed) => (start, end) = (changed, changed),
                 }
+                parts.clear();
             }
         }
         *hand = end % frames;
