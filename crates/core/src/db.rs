@@ -286,7 +286,11 @@ impl Database {
             locks: LockManager::default(),
             registry: RwLock::new(Registry::default()),
             catalog_tree,
-            next_txn: AtomicU64::new(1),
+            // An open may run on from the log it replayed, so ids resume
+            // above every one it holds: a torn transaction of this session
+            // must never meet an older one's commit record or mark.
+            // (Relation ids resume as each relation is attached.)
+            next_txn: AtomicU64::new(existing.map_or(0, |(_, log)| last_txn(log)) + 1),
             next_rel: AtomicU32::new(1),
             metrics,
             ckpt_gate,
@@ -371,12 +375,17 @@ impl Database {
             comparators,
             cross_commit,
         )?;
+        // Only a log with chained frames may run on past this open: a frame
+        // past its end never joins it. Only a version-4 header's checkpoint
+        // begins one, so a chained log is also one under the current header
+        // version; a version-3 store's open checkpoints.
+        let chained = log.chained;
         let mut records = log.records;
         if superseded == 1 {
             db.wal.checkpoint_truncate()?;
             records.clear();
         }
-        let mut report = recover(&db, header.map, records)?;
+        let mut report = recover(&db, header.map, records, chained)?;
         report.phases.scan = scan;
         report.phases.pools = pools;
         Ok((db, report))
@@ -996,6 +1005,15 @@ impl Database {
             Ok(())
         })
     }
+}
+
+/// The largest transaction id a record of `log` carries, 0 if none does.
+fn last_txn(log: &LogScan) -> u64 {
+    log.records
+        .iter()
+        .filter_map(LogRecord::txn)
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! creation and on every checkpoint and reads them on open; the sharded
 //! engine's pre-scan reads and rewrites the cross-commit fields before any
 //! shard recovers. Every header this code accepts names a map: versions 1
-//! and 2, which did not, are refused.
+//! and 2, which did not, are refused. It writes version 4 and reads 3 too.
 
 use lobster_extent::{ExtentSpec, TierPolicy};
 use lobster_sha256::Sha256;
@@ -13,9 +13,12 @@ use lobster_types::{read_u32, read_u64, Error, Pid, Result};
 
 const LEN: usize = 4096;
 const MAGIC: u32 = 0x4C42_4442; // "LBDB"
-/// Version 3: the header names the free map of its checkpoint. Versions 1
-/// and 2 had the same block layout without it and are refused.
-const VERSION: u32 = 3;
+/// Version 4: the log this header's checkpoint begins chains its frame
+/// CRCs (FORMAT.md §2.1), so an open may run on from a log it replayed.
+/// Version 3 has the same block layout; its log's CRCs stand alone, and an
+/// open of it checkpoints, which writes version 4. Versions 1 and 2 had the
+/// layout without the free map and are refused.
+const VERSION: u32 = 4;
 const XCOMMIT_ABOVE_OFF: usize = 50;
 /// Most committed-above-watermark gtxns the header holds.
 pub(crate) const XCOMMIT_ABOVE_CAP: usize = 500;
@@ -55,7 +58,7 @@ impl Header {
             return Err(Error::Corruption("bad database magic".into()));
         }
         match read_u32(&block[4..]) {
-            VERSION => {}
+            3 | VERSION => {}
             1 | 2 => return Err(Error::Unsupported("format version 1 or 2: no free map")),
             v => return Err(Error::Corruption(format!("unknown format version {v}"))),
         }
@@ -241,7 +244,7 @@ mod tests {
         assert!(Header::decode(&good).is_ok());
         assert!(Header::decode(&vec![0u8; LEN]).is_err());
         assert!(Header::decode(&good[..100]).is_err());
-        for version in [0u32, 4] {
+        for version in [0u32, 5] {
             let mut bad = good.clone();
             bad[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(Header::decode(&bad).is_err(), "version {version}");
@@ -271,10 +274,10 @@ mod tests {
         block
     }
 
-    /// The parent block as version 3, naming [`MAP`].
+    /// The parent block as version 4, naming [`MAP`].
     fn current_block() -> Vec<u8> {
         let mut block = parent_block();
-        block[4] = 3;
+        block[4] = 4;
         block[MAP_OFF..MAP_OFF + 8].copy_from_slice(&9u64.to_le_bytes());
         block[MAP_OFF + 8..MAP_OFF + 16].copy_from_slice(&1u64.to_le_bytes());
         block[MAP_OFF + 16..MAP_OFF + 24].copy_from_slice(&24u64.to_le_bytes());
@@ -283,7 +286,7 @@ mod tests {
     }
 
     /// A version-1 block is refused as unsupported, not misread; the
-    /// version-3 layout keeps every field of it where it was.
+    /// version-4 layout keeps every field of it where it was.
     #[test]
     fn refuses_a_block_the_parent_commit_wrote_but_keeps_its_layout() {
         assert!(matches!(
@@ -306,6 +309,10 @@ mod tests {
         };
         assert_eq!(header, expected);
         assert_eq!(header.encode(), block, "bytes on disk changed");
+        // A version-3 block decodes to the same header, written back as 4.
+        let mut three = block.clone();
+        three[4] = 3;
+        assert_eq!(Header::decode(&three).unwrap(), expected);
     }
 
     /// Byte 21 was the store-wide tail-extent switch. A store created with
@@ -321,8 +328,8 @@ mod tests {
         assert_eq!(header.encode()[21], 1);
     }
 
-    /// A version-2 block is refused whatever its tail bytes hold; a
-    /// version-3 block whose map pid is zero names no map and is corrupt.
+    /// A version-2 block is refused whatever its tail bytes hold; a block of
+    /// version 3 or later whose map pid is zero names no map and is corrupt.
     #[test]
     fn only_a_version_3_header_names_a_map() {
         let mut block = current_block();

@@ -35,14 +35,20 @@
 //!    order (idempotent logical redo; the B-Tree durable state equals the
 //!    last checkpoint).
 //! 3. **Undo** — reverse the operations of uncommitted/failed transactions
-//!    in reverse log order (their B-Tree changes may have reached the
-//!    device through eviction).
+//!    in reverse log order. Their B-Tree changes never reached the device
+//!    (a dirty frame is never evictable, so node changes reach it only
+//!    through a checkpoint, which holds committed state only) and redo
+//!    skipped them; undo puts their before-images back, in content too: a
+//!    failed delta's bytes may have been written in place.
 //! 4. **Settle** the allocator — look up each key the log touches once and
 //!    free every page a record named that no final Blob State holds; what
 //!    a relation the log drops held is walked once ([`lobster_btree::BTree::walk`],
 //!    each inner node's children faulted as one batch) and retires with the
-//!    next checkpoint — then checkpoint, which writes the settled map, and
-//!    drop the caches.
+//!    next checkpoint — and drop the caches. An open that undid nothing
+//!    ends there: the log it replayed stays the log, and the store runs on
+//!    from it. One that rolled something back, or found a checkpoint cut
+//!    short, or a log with unchained frames, first checkpoints, which
+//!    writes the settled map and makes the rollback durable.
 
 use crate::blob_state::BlobState;
 use crate::catalog::{Relation, RelationKind};
@@ -62,7 +68,8 @@ use std::time::{Duration, Instant};
 pub struct RecoveryReport {
     /// Transactions whose effects were replayed.
     pub committed: u64,
-    /// Transactions rolled back (no commit record).
+    /// Transactions rolled back: without a commit record, undecided across
+    /// shards, or failed by SHA-256 validation.
     pub uncommitted: u64,
     /// Committed transactions failed by BLOB SHA-256 validation.
     pub sha_failures: u64,
@@ -96,7 +103,8 @@ pub struct OpenPhases {
     pub validate: Duration,
     /// Redo and undo.
     pub replay: Duration,
-    /// The closing checkpoint.
+    /// The closing checkpoint; zero for an open that undid nothing, which
+    /// runs on from its log without one.
     pub checkpoint: Duration,
 }
 
@@ -104,11 +112,13 @@ const CATALOG_REL_ID: u32 = 0;
 
 /// Recover `db` from `records`, the durable records of its log as the
 /// open read them, starting from `map`, the free map of the checkpoint
-/// that began this log.
+/// that began this log. `chained`: the log's frames are chained, so it may
+/// run on past this open if nothing is undone.
 pub(crate) fn recover(
     db: &Database,
     map: MapRef,
     records: Vec<LogRecord>,
+    chained: bool,
 ) -> Result<RecoveryReport> {
     // Phase 0: apply journaled page images. A crash between a checkpoint's
     // image fsync and its truncation leaves in-place node writes possibly
@@ -471,8 +481,8 @@ pub(crate) fn recover(
     // Release every page a record named that no final Blob State holds —
     // versions replaced, deleted or rolled back — looked up once per key
     // the log touches. What the relations the log drops held stays in use
-    // until the closing checkpoint's header names a map without it: a
-    // crash before that replays the drop and walks the dropped trees again.
+    // until a checkpoint's header names a map without it: a crash before
+    // that replays the drop and walks the dropped trees again.
     let t = Instant::now();
     let mut kept = Vec::new();
     let mut touched = HashSet::new();
@@ -503,11 +513,23 @@ pub(crate) fn recover(
     db.retiring.lock().extend(gone);
     report.phases.allocator += t.elapsed();
 
-    // Image-journaled checkpoint: a crash during these writes replays the
-    // same recovery again from intact state. It writes the settled map.
-    let t = Instant::now();
-    db.checkpoint_locked()?;
-    report.phases.checkpoint = t.elapsed();
+    // An open that undid nothing ends without a checkpoint: no transaction
+    // was rolled back (`uncommitted` counts the SHA-failed and undecided
+    // cross-shard ones too) and no checkpoint was cut short (no page
+    // image), so the device holds the last checkpoint's tree — a dirty
+    // frame is never evictable — and the replayed log, run on by this
+    // session, reads like one an uncrashed session wrote. The next
+    // checkpoint writes the settled map. Otherwise the closing checkpoint
+    // makes the rollback durable; it is image-journaled, so a crash during
+    // its writes replays the same recovery again from intact state.
+    let images = records
+        .iter()
+        .any(|r| matches!(r, LogRecord::PageImage { .. }));
+    if report.uncommitted != 0 || images || !chained {
+        let t = Instant::now();
+        db.checkpoint_locked()?;
+        report.phases.checkpoint = t.elapsed();
+    }
     // Drop every cached extent: recovery loaded extents of failed and
     // uncommitted transactions whose pages went back to the allocator;
     // leaving them resident would pin stale extent geometry onto pages
@@ -725,8 +747,9 @@ fn stored_value(db: &Database, relation: u32, key: &[u8]) -> Result<Option<Vec<u
     }
 }
 
-/// Recovery flushes everything at the end: waive the flush each written
-/// extent owes, so the final flush-all can clean it.
+/// Waive the flush each extent an undo wrote owes, so the closing
+/// checkpoint's flush-all writes and cleans it. Only an open that rolled
+/// something back writes any, and such an open always checkpoints.
 fn unpin(db: &Database, written: Vec<ExtentSpec>) {
     for spec in written {
         db.blob_pool.unpin_extent(spec);

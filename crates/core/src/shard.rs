@@ -317,9 +317,13 @@ impl ShardedDatabase {
             .into_iter()
             .unzip();
 
-        // After every shard recovered, all logs were truncated: no marker
-        // survives anywhere, every decision is final and fully applied, so
-        // the frontier resumes above everything ever observed.
+        // Every shard recovered under the persisted decision. A shard that
+        // rolled back an undecided marker's transaction checkpointed, so
+        // its log no longer holds it; a shard that undid nothing runs on
+        // from its log, whose markers were all decided committed, and the
+        // headers keep that decision for any later pre-scan. Every
+        // decision is final and fully applied, so the frontier resumes
+        // above everything ever observed.
         Ok((Self::over(shards, cfg, max_gtxn), reports))
     }
 

@@ -23,11 +23,16 @@
 //!   modes: a group's content is synced before its epochs complete;
 //! * every key resolves to a logged version, or to none, and its content
 //!   matches the SHA-256 of its Blob State;
-//! * an open whose log holds no in-place group after its last mark hashes
-//!   nothing: every other group's content was synced before its records,
-//!   under its own mark;
+//! * an open whose log holds no in-place or torn group after its last mark
+//!   hashes nothing: every other group's content was synced before its
+//!   records, under its own mark;
 //! * a second open finds the same state;
 //! * the allocator equals the audit walk, and the latch ledger is clean.
+//!
+//! An open that undid nothing runs on from the log it replayed, without a
+//! checkpoint. After such an open a second seeded session runs on the same
+//! log and power fails again, before any checkpoint; the reopen must pass
+//! the same checks, every key the first open read counting as acknowledged.
 //!
 //! Every seed runs once with `commit_wait` true and once false. A failing
 //! seed names itself in the panic; add it to [`FIXED`].
@@ -124,6 +129,46 @@ impl Sim {
         let wal = Arc::new(CrashDevice::write_back(MemDevice::new(WAL_CAP)));
         let db = Database::create(data.clone(), wal.clone(), cfg(commit_wait)).unwrap();
         let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+        Sim::on(data, wal, db, rel, HashMap::new(), HashSet::new())
+    }
+
+    /// A second session on what `media` holds, opened on write-back devices
+    /// over copies of it, if that open undid nothing and so ran on from its
+    /// log: every key then holds an acknowledged version. `in_place`: the
+    /// in-place transactions of the sessions before.
+    fn resume(
+        commit_wait: bool,
+        media: &Media,
+        in_place: HashSet<u64>,
+    ) -> Result<Option<Sim>, String> {
+        let data = Arc::new(CrashDevice::write_back(medium(&media.0)));
+        let wal = Arc::new(CrashDevice::write_back(medium(&media.1)));
+        let (db, _) = Database::open(data.clone(), wal.clone(), cfg(commit_wait))
+            .map_err(|e| e.to_string())?;
+        if db.metrics().snapshot().checkpoints != 0 {
+            return Ok(None);
+        }
+        let rel = db.relation("b").ok_or("the relation's creation was lost")?;
+        let acked = |(key, (content, _))| {
+            let v = Version {
+                content: Some(content),
+                logged: true,
+                acked: true,
+            };
+            (key, vec![v])
+        };
+        let history = contents(&db)?.into_iter().map(acked).collect();
+        Ok(Some(Sim::on(data, wal, db, rel, history, in_place)))
+    }
+
+    fn on(
+        data: Arc<CrashDevice<MemDevice>>,
+        wal: Arc<CrashDevice<MemDevice>>,
+        db: Arc<Database>,
+        rel: Arc<Relation>,
+        history: History,
+        in_place: HashSet<u64>,
+    ) -> Sim {
         // The database's own committer stays idle: every commit below
         // runs through this context's steps instead. Its budget admits
         // everything, as no thread would free it for a blocked driver.
@@ -143,8 +188,8 @@ impl Sim {
             ctx,
             sealed: Vec::new(),
             group: None,
-            history: HashMap::new(),
-            in_place: HashSet::new(),
+            history,
+            in_place,
         }
     }
 
@@ -223,6 +268,15 @@ impl Sim {
         }
     }
 
+    /// A torn **log** step: the oldest sealed set's records reach the log
+    /// without its commit record, the last frame of its write.
+    fn log_torn(&mut self) {
+        let ((_, ws), _) = self.sealed.remove(0);
+        let (commit, records) = ws.records.split_last().unwrap();
+        assert!(matches!(commit, LogRecord::TxnCommit { .. }));
+        self.db.wal.append_and_commit(records).unwrap();
+    }
+
     /// The commit thread's next step: log, write in place or retire.
     fn commit_step(&mut self, rng: &mut Rng) {
         match &self.group {
@@ -279,7 +333,10 @@ impl Sim {
             in_place,
             ..
         } = self;
-        let media = (medium(data.inner()), medium(wal.inner()));
+        let media = (
+            Arc::new(medium(data.inner())),
+            Arc::new(medium(wal.inner())),
+        );
         (media, Oracle { history, in_place })
     }
 }
@@ -340,10 +397,12 @@ struct Oracle {
     in_place: HashSet<u64>,
 }
 
-/// Whether a commit of an in-place transaction follows the last mark of
-/// `records`: its content was written after its records, so recovery may
-/// hash it (and what the group's mark would have covered).
-fn in_place_after_mark(records: &[LogRecord], in_place: &HashSet<u64>) -> bool {
+/// Whether recovery may hash: a commit of an in-place transaction follows
+/// the last mark of `records` (its content was written after its records,
+/// and what the group's mark would have covered is hashed with it), or a
+/// record of a transaction that never committed does (a torn group: the
+/// keys it touches are validated, whatever became of it).
+fn may_hash(records: &[LogRecord], in_place: &HashSet<u64>) -> bool {
     let mut commit_at = HashMap::new();
     let mut mark = None;
     for (i, rec) in records.iter().enumerate() {
@@ -354,11 +413,14 @@ fn in_place_after_mark(records: &[LogRecord], in_place: &HashSet<u64>) -> bool {
         }
     }
     let mut after = records.iter().skip(mark.map_or(0, |at| at + 1));
-    after.any(|rec| matches!(rec, LogRecord::TxnCommit { txn } if in_place.contains(txn)))
+    after.any(|rec| match rec {
+        LogRecord::TxnCommit { txn } => in_place.contains(txn),
+        rec => rec.txn().is_some_and(|txn| !commit_at.contains_key(&txn)),
+    })
 }
 
 /// A copy of what reached `dev`.
-fn medium(dev: &MemDevice) -> Arc<MemDevice> {
+fn medium(dev: &MemDevice) -> MemDevice {
     let copy = MemDevice::new(dev.capacity() as usize);
     let mut buf = vec![0u8; 1 << 20];
     for off in (0..dev.capacity()).step_by(buf.len()) {
@@ -366,7 +428,7 @@ fn medium(dev: &MemDevice) -> Arc<MemDevice> {
         dev.read_at(&mut buf[..n], off).unwrap();
         copy.write_at(&buf[..n], off).unwrap();
     }
-    Arc::new(copy)
+    copy
 }
 
 /// Every key of the relation: its content and its Blob State's SHA-256.
@@ -413,9 +475,9 @@ fn check(commit_wait: bool, media: Media, oracle: &Oracle) -> Result<(), String>
         Ok::<_, String>((db, report))
     };
     let (db, report) = open()?;
-    if report.validated != 0 && !in_place_after_mark(&records, &oracle.in_place) {
+    if report.validated != 0 && !may_hash(&records, &oracle.in_place) {
         return Err(format!(
-            "the open hashed {} versions, but no in-place group follows the last mark",
+            "the open hashed {} versions, but no in-place or torn group follows the last mark",
             report.validated
         ));
     }
@@ -464,7 +526,8 @@ fn check(commit_wait: bool, media: Media, oracle: &Oracle) -> Result<(), String>
         }
     }
     drop(db);
-    // The first open ended in a checkpoint: a second finds the same.
+    // The first open ended in a checkpoint, or replayed a log that it left
+    // as it was: a second finds the same.
     let again = contents(&open()?.0)?;
     if again != got {
         return Err("a second open changed the store".into());
@@ -472,15 +535,27 @@ fn check(commit_wait: bool, media: Media, oracle: &Oracle) -> Result<(), String>
     Ok(())
 }
 
-/// One seeded schedule, cut at a seeded step.
-fn run(seed: u64, commit_wait: bool) -> Result<(), String> {
+/// One seeded schedule, cut at a seeded step; then, if the open undid
+/// nothing, a second one on the log it ran on from, cut again. Returns
+/// the number of sessions run.
+fn run(seed: u64, commit_wait: bool) -> Result<u32, String> {
     let mut rng = Rng::new(seed);
     let mut sim = Sim::new(commit_wait);
-    let txns = 4 + rng.below(6);
-    let cut_at = rng.below(5 * txns);
-    sim.run(&mut rng, txns, cut_at);
-    let (media, oracle) = sim.cut();
-    check(commit_wait, media, &oracle)
+    let mut sessions = 0;
+    while sessions < 2 {
+        let txns = 4 + rng.below(6);
+        let cut_at = rng.below(5 * txns);
+        sim.run(&mut rng, txns, cut_at);
+        let (media, oracle) = sim.cut();
+        let next = Sim::resume(commit_wait, &media, oracle.in_place.clone())?;
+        check(commit_wait, media, &oracle).map_err(|e| format!("session {sessions}: {e}"))?;
+        sessions += 1;
+        match next {
+            Some(next) => sim = next,
+            None => break,
+        }
+    }
+    Ok(sessions)
 }
 
 /// Sweep-width multiplier for the nightly torture CI job
@@ -495,11 +570,14 @@ fn torture_mult() -> u64 {
 
 fn sweep(commit_wait: bool) {
     let seeds = (1..=SEEDS * torture_mult()).chain(FIXED.iter().copied());
+    let mut ran_on = 0;
     for seed in seeds {
-        if let Err(e) = run(seed, commit_wait) {
-            panic!("sim seed {seed} (commit_wait {commit_wait}): {e}; add it to FIXED");
+        match run(seed, commit_wait) {
+            Ok(sessions) => ran_on += u64::from(sessions == 2),
+            Err(e) => panic!("sim seed {seed} (commit_wait {commit_wait}): {e}; add it to FIXED"),
         }
     }
+    assert!(ran_on > 0, "no open ran on from its log");
 }
 
 #[test]
@@ -549,6 +627,49 @@ fn flush_before_log(broken: bool) -> Result<(), String> {
 fn broken_flush_before_log_is_caught() {
     flush_before_log(false).expect("the steps in order");
     let err = flush_before_log(true).expect_err("the broken driver was not caught");
+    assert!(
+        err.contains("acknowledged version"),
+        "caught for another reason: {err}"
+    );
+}
+
+/// A put that retires; power fails, and the open runs on from the log. The
+/// next session's delete of the put's key reaches the log torn: its
+/// records without its commit record. Its transaction id must not be the
+/// id of a committed transaction of that log, as it is in the broken
+/// session that restarts ids at 1: recovery would take the delete as
+/// committed.
+fn torn_after_run_on(broken: bool) -> Result<(), String> {
+    let mut sim = Sim::new(true);
+    let v0 = vec![5u8; 64 << 10];
+    sim.stage(b"k0".to_vec(), |t, rel| {
+        t.put_blob(rel, b"k0", &v0).unwrap();
+        Some(v0.clone())
+    });
+    sim.commit_in_order();
+    let (media, oracle) = sim.cut();
+    let mut sim = Sim::resume(true, &media, oracle.in_place)?.expect("the open ran on");
+    if broken {
+        sim.db
+            .next_txn
+            .store(1, lobster_sync::atomic::Ordering::SeqCst);
+    }
+    sim.stage(b"k0".to_vec(), |t, rel| {
+        t.delete_blob(rel, b"k0").unwrap();
+        None
+    });
+    sim.log_torn();
+    let (media, oracle) = sim.cut();
+    check(true, media, &oracle)
+}
+
+/// Run on correctly, the torn delete rolls back. Broken, it takes the
+/// commit record of the relation's creation, and the acknowledged put is
+/// gone.
+#[test]
+fn broken_restart_of_txn_ids_is_caught() {
+    torn_after_run_on(false).expect("ids that resume");
+    let err = torn_after_run_on(true).expect_err("the broken session was not caught");
     assert!(
         err.contains("acknowledged version"),
         "caught for another reason: {err}"

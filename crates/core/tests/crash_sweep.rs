@@ -15,10 +15,15 @@
 //! written before the commit record exists, so every prefix of those writes
 //! — including a torn one — must recover to "the put never happened", with
 //! nothing leaked.
+//!
+//! A third cuts power twice: an open that undid nothing runs on from the
+//! log it replayed, without a checkpoint, and the second cut lands at each
+//! write of the session after it, its first checkpoint included.
 
 use lobster_core::{Config, Database, RelationKind};
 use lobster_extent::ExtentSpec;
 use lobster_storage::{CrashDevice, Device, MemDevice};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn cfg() -> Config {
@@ -672,14 +677,15 @@ impl Device for HeaderOrder {
 /// checkpoint and at recovery's closing checkpoint — follows a sync that
 /// covers every earlier data write, the node flushes and the free map it
 /// names among them. A device that reorders unsynced writes cannot land
-/// the header before them.
+/// the header before them. The log ends in a torn group, so the open rolls
+/// a transaction back and closes with a checkpoint.
 #[test]
 fn every_header_write_follows_a_sync_of_the_writes_before_it() {
     let data = Arc::new(HeaderOrder {
         inner: MemDevice::new(64 << 20),
         seen: Default::default(),
     });
-    let wal: Arc<dyn Device> = Arc::new(MemDevice::new(16 << 20));
+    let wal = Arc::new(CrashDevice::new(MemDevice::new(16 << 20)));
     let db = Database::create(data.clone(), wal.clone(), cfg()).unwrap();
     let rel = db.create_relation("b", RelationKind::Blob).unwrap();
     for i in 0..40u64 {
@@ -691,12 +697,86 @@ fn every_header_write_follows_a_sync_of_the_writes_before_it() {
             db.checkpoint().unwrap();
         }
     }
+    // Four puts in one group, whose log write is torn in half: the first
+    // records land, the commit record does not.
+    wal.arm_after_writes(0, 128);
+    let mut t = db.begin();
+    for i in 40..44u64 {
+        t.put_blob(&rel, &i.to_be_bytes(), &pattern(3000, i))
+            .unwrap();
+    }
+    let _ = t.commit(); // "succeeds": the log lied
     drop(db); // a crash: the last puts are in the log
-    let (db, _) = Database::open(data.clone(), wal, cfg()).unwrap();
+    let wal = copy_device(wal.inner(), 16 << 20);
+    let (db, report) = Database::open(data.clone(), wal, cfg()).unwrap();
+    assert_eq!(report.uncommitted, 1, "{report:?}");
     db.checkpoint().unwrap();
     let headers = data.seen.lock().unwrap().1.clone();
     assert!(headers.len() >= 7, "{headers:?}");
     assert!(headers.iter().all(|&covered| covered), "{headers:?}");
+}
+
+/// An open that rolls a transaction back closes with a checkpoint, the one
+/// way the rollback is made durable. Were the log to run on, the next
+/// recovery would redo a later commit to the same key and then undo the
+/// torn transaction after it, putting the key back to where both began.
+#[test]
+fn a_rollback_at_open_is_checkpointed_before_the_log_runs_on() {
+    let data = Arc::new(MemDevice::new(64 << 20));
+    let wal = Arc::new(CrashDevice::new(MemDevice::new(16 << 20)));
+    let db = Database::create(data.clone(), wal.clone(), cfg()).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let mut t = db.begin();
+    t.put_blob(&rel, b"k", &pattern(6000, 1)).unwrap();
+    t.commit().unwrap();
+    // A group whose log write is torn in half: its first records, the
+    // delete of `k` among them, land; its commit record does not.
+    wal.arm_after_writes(0, 128);
+    let mut t = db.begin();
+    t.delete_blob(&rel, b"k").unwrap();
+    for key in [b"x", b"y", b"z"] {
+        t.put_blob(&rel, key, &pattern(6000, 2)).unwrap();
+    }
+    let _ = t.commit(); // "succeeds": the log lied
+    drop((db, rel));
+    let wal = copy_device(wal.inner(), 16 << 20);
+
+    let (db, report) = Database::open(data.clone(), wal.clone(), cfg()).unwrap();
+    assert_eq!(report.uncommitted, 1, "{report:?}");
+    assert_eq!(db.metrics().snapshot().checkpoints, 1);
+    let rel = db.relation("b").unwrap();
+    let mut t = db.begin();
+    t.delete_blob(&rel, b"k").unwrap();
+    t.commit().unwrap();
+    drop((db, rel)); // a crash: the delete is in the log
+
+    let (db, _) = Database::open(data, wal, cfg()).unwrap();
+    let mut t = db.begin();
+    let got = t.get_blob(&db.relation("b").unwrap(), b"k", |b| b.len());
+    assert!(got.is_err(), "the later delete was undone");
+    t.commit().unwrap();
+}
+
+/// A relation created after an open that ran on from its log takes an id
+/// the log never named: replay attached every relation the log names, the
+/// one it drops too. The log still holds that drop, and the next recovery
+/// tells relations apart by id: it skips validating a dropped one's keys.
+#[test]
+fn a_relation_created_after_an_open_that_ran_on_takes_a_fresh_id() {
+    let data = Arc::new(MemDevice::new(32 << 20));
+    let wal = Arc::new(MemDevice::new(8 << 20));
+    let db = Database::create(data.clone(), wal.clone(), cfg()).unwrap();
+    let old = db.create_relation("old", RelationKind::Blob).unwrap();
+    let mut t = db.begin();
+    t.put_blob(&old, b"k", &pattern(9000, 1)).unwrap();
+    t.commit().unwrap();
+    db.drop_relation("old").unwrap();
+    std::mem::forget(db);
+
+    let (db, report) = Database::open(data, wal, cfg()).unwrap();
+    assert!(report.phases.checkpoint.is_zero(), "{report:?}");
+    let new = db.create_relation("new", RelationKind::Blob).unwrap();
+    assert!(new.id > old.id, "{} reuses the dropped id", new.id);
 }
 
 /// The broken control: a checkpoint that wrote its free map after the
@@ -724,5 +804,229 @@ fn a_header_naming_an_unwritten_map_is_caught() {
         Err(lobster_types::Error::Corruption(msg)) => assert!(msg.contains("free map"), "{msg}"),
         Err(e) => panic!("refused for the wrong reason: {e}"),
         Ok(_) => panic!("a header naming an unwritten map was trusted"),
+    }
+}
+
+/// One power supply for a data and a log device: the write that uses up
+/// `left` — counted across both — is torn to `tear`/256 of its length, and
+/// it and every later write and sync fail on either device.
+struct Mains {
+    left: AtomicU64,
+    tear: usize,
+    /// Writes since the last [`Mains::arm`], the torn one included.
+    writes: AtomicU64,
+}
+
+impl Mains {
+    fn new(tear: usize) -> Arc<Self> {
+        Arc::new(Mains {
+            left: AtomicU64::new(u64::MAX),
+            tear,
+            writes: AtomicU64::new(0),
+        })
+    }
+
+    /// Cut at the `cut`-th write from now (`u64::MAX`: never).
+    fn arm(&self, cut: u64) {
+        self.writes.store(0, Ordering::SeqCst);
+        self.left.store(cut, Ordering::SeqCst);
+    }
+
+    fn off() -> lobster_types::Error {
+        lobster_types::Error::Io(std::io::Error::other("power cut"))
+    }
+}
+
+/// A device on [`Mains`].
+struct OnMains {
+    inner: MemDevice,
+    mains: Arc<Mains>,
+}
+
+impl Device for OnMains {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> lobster_types::Result<()> {
+        self.inner.read_at(buf, offset)
+    }
+
+    fn write_at(&self, buf: &[u8], offset: u64) -> lobster_types::Result<()> {
+        let left = &self.mains.left;
+        match left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)) {
+            Err(_) => Err(Mains::off()),
+            Ok(n) => {
+                self.mains.writes.fetch_add(1, Ordering::SeqCst);
+                if n > 1 {
+                    return self.inner.write_at(buf, offset);
+                }
+                let torn = buf.len() * self.mains.tear / 256;
+                self.inner.write_at(&buf[..torn], offset)?;
+                Err(Mains::off())
+            }
+        }
+    }
+
+    fn sync(&self) -> lobster_types::Result<()> {
+        match self.mains.left.load(Ordering::SeqCst) {
+            0 => Err(Mains::off()),
+            _ => self.inner.sync(),
+        }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+}
+
+/// Per key, every version a session tried to leave, the first being what
+/// it began with, and how many of them are acknowledged.
+type Tried = std::collections::BTreeMap<&'static [u8], (Vec<Option<Vec<u8>>>, usize)>;
+
+/// A store whose log ends in committed work after its checkpoint, cut
+/// there: its media, and what they hold.
+fn run_on_media() -> (MemDevice, MemDevice, Tried) {
+    let data = MemDevice::new(32 << 20);
+    let wal = MemDevice::new(8 << 20);
+    let (data, wal) = (Arc::new(data), Arc::new(wal));
+    let db = Database::create(data.clone(), wal.clone(), cfg()).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    db.checkpoint().unwrap();
+    let mut tried = Tried::new();
+    for (key, len, seed) in [
+        (&b"a0"[..], 40_000, 32),
+        (b"a1", 70_000, 33),
+        (b"gone", 9_000, 34),
+    ] {
+        let blob = pattern(len, seed);
+        let mut t = db.begin();
+        t.put_blob(&rel, key, &blob).unwrap();
+        t.commit().unwrap();
+        tried.insert(key, (vec![Some(blob)], 1));
+    }
+    let mut t = db.begin();
+    t.delete_blob(&rel, b"gone").unwrap();
+    t.commit().unwrap();
+    tried.insert(b"gone", (vec![None], 1));
+    std::mem::forget(db);
+    (
+        as_mem(&(data as Arc<dyn Device>)),
+        as_mem(&(wal as Arc<dyn Device>)),
+        tried,
+    )
+}
+
+/// One transaction of `verb` that leaves `new` at `key`, recorded in
+/// `tried` as acknowledged if its commit returns.
+fn attempt(
+    db: &Arc<Database>,
+    tried: &mut Tried,
+    key: &'static [u8],
+    new: Option<Vec<u8>>,
+    verb: impl FnOnce(&mut lobster_core::Txn) -> lobster_types::Result<()>,
+) -> lobster_types::Result<()> {
+    let (versions, acked) = tried.entry(key).or_insert_with(|| (vec![None], 1));
+    versions.push(new);
+    let mut t = db.begin();
+    verb(&mut t)?;
+    t.commit()?;
+    *acked = versions.len();
+    Ok(())
+}
+
+/// The session after an open that ran on from its log: a put, an in-place
+/// delta, an append, a delete, another put, the first checkpoint, a last
+/// put. It stops at the first error, as the power cut stops the process.
+fn session(db: &Arc<Database>, tried: &mut Tried) -> lobster_types::Result<()> {
+    let rel = db.relation("b").unwrap();
+    let last = |tried: &Tried, key: &[u8]| tried[key].0.last().cloned().flatten().unwrap();
+    let s0 = pattern(60_000, 41);
+    attempt(db, tried, b"s0", Some(s0.clone()), |t| {
+        t.put_blob(&rel, b"s0", &s0)
+    })?;
+    let mut a0 = last(tried, b"a0");
+    a0[100..116].fill(7);
+    attempt(db, tried, b"a0", Some(a0), |t| {
+        t.update_blob(&rel, b"a0", 100, &[7; 16])
+    })?;
+    let (mut a1, more) = (last(tried, b"a1"), pattern(20_000, 42));
+    a1.extend_from_slice(&more);
+    attempt(db, tried, b"a1", Some(a1), |t| {
+        t.append_blob(&rel, b"a1", &more)
+    })?;
+    attempt(db, tried, b"s0", None, |t| t.delete_blob(&rel, b"s0"))?;
+    let s1 = pattern(90_000, 43);
+    attempt(db, tried, b"s1", Some(s1.clone()), |t| {
+        t.put_blob(&rel, b"s1", &s1)
+    })?;
+    db.checkpoint()?;
+    let s2 = pattern(30_000, 44);
+    attempt(db, tried, b"s2", Some(s2.clone()), |t| {
+        t.put_blob(&rel, b"s2", &s2)
+    })
+}
+
+/// Power is cut at write `cut` of the session after an open that ran on
+/// from its log (`u64::MAX`: never), torn to `tear`/256. The reopen holds,
+/// for every key, its last acknowledged version or a later one the session
+/// tried; the allocator is the audit walk, and the store takes writes.
+/// Returns the writes the session issued.
+fn run_on_cut(cut: u64, tear: usize) -> u64 {
+    let (data, wal, mut tried) = run_on_media();
+    let mains = Mains::new(tear);
+    let on = |inner| {
+        Arc::new(OnMains {
+            inner,
+            mains: mains.clone(),
+        })
+    };
+    let (data, wal) = (on(data), on(wal));
+    let (db, report) = Database::open(data.clone(), wal.clone(), cfg()).unwrap();
+    let ran_on = db.metrics().snapshot().checkpoints == 0;
+    assert!(ran_on && report.phases.checkpoint.is_zero(), "{report:?}");
+    mains.arm(cut);
+    let completed = session(&db, &mut tried).is_ok();
+    assert!(completed || cut != u64::MAX);
+    std::mem::forget(db);
+
+    let at = format!("cut={cut} tear={tear}");
+    let capacity = |dev: &OnMains| dev.inner.capacity() as usize;
+    let reopened = (
+        copy_device(&data.inner, capacity(&data)),
+        copy_device(&wal.inner, capacity(&wal)),
+    );
+    let (db, _) = Database::open(reopened.0, reopened.1, cfg()).unwrap();
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{at}: {audit:?}");
+    let rel = db.relation("b").unwrap();
+    let mut t = db.begin();
+    for (key, (versions, acked)) in &tried {
+        let got = t.get_blob(&rel, key, |b| b.to_vec()).ok();
+        assert!(
+            versions[acked - 1..].contains(&got),
+            "{at}: {} holds no version it may",
+            String::from_utf8_lossy(key)
+        );
+    }
+    t.commit().unwrap();
+    let mut t = db.begin();
+    t.put_blob(&rel, b"post", &pattern(25_000, 45)).unwrap();
+    t.commit().unwrap();
+    db.checkpoint().unwrap();
+    let audit = db.audit_allocator().unwrap();
+    assert!(audit.is_exact(), "{at}, after a put: {audit:?}");
+    mains.writes.load(Ordering::SeqCst)
+}
+
+/// The double cut: an open that undid nothing runs on from its log, and
+/// power fails again at each write of the session after it — inside its
+/// commits and inside its first checkpoint, which carries what the open
+/// deferred. The torture multiplier adds tear points.
+#[test]
+fn second_cut_at_every_write_after_an_open_that_ran_on() {
+    let writes = run_on_cut(u64::MAX, 128);
+    assert!(writes >= 10, "{writes} writes");
+    let tears = [128, 0, 64, 192, 255, 32, 224, 96, 160, 1];
+    for &tear in tears.iter().cycle().take(torture_mult() as usize) {
+        for cut in 1..=writes {
+            run_on_cut(cut, tear);
+        }
     }
 }

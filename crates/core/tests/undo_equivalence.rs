@@ -198,7 +198,7 @@ fn commit_bytes(verb: Verb) -> (u64, u64) {
     let appended = db.wal().active_bytes() - before;
     let mut mark = Vec::new();
     if let Some(rec @ LogRecord::DataDurable { .. }) = db.wal().read_all().unwrap().last() {
-        lobster_wal::frame_record(&mut mark, 0, rec);
+        lobster_wal::frame_record(&mut mark, 0, 0, rec);
     }
     (appended - mark.len() as u64, appended)
 }

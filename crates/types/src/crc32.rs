@@ -25,7 +25,14 @@ static TABLE: [u32; 256] = build_table();
 
 /// Compute the CRC-32 checksum of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    crc32_seeded(0, data)
+}
+
+/// The CRC-32 of `data` continued from `seed`, the CRC-32 of whatever came
+/// before it: `crc32_seeded(crc32(a), b) == crc32(a ++ b)`, and a seed of 0
+/// is [`crc32`] itself. The log chains its frames this way.
+pub fn crc32_seeded(seed: u32, data: &[u8]) -> u32 {
+    let mut crc = !seed;
     for &byte in data {
         let idx = ((crc ^ byte as u32) & 0xFF) as usize;
         crc = (crc >> 8) ^ TABLE[idx];
@@ -46,6 +53,13 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn a_seed_continues_the_checksum() {
+        let (a, b) = (&b"1234"[..], &b"56789"[..]);
+        assert_eq!(crc32_seeded(crc32(a), b), 0xCBF4_3926);
+        assert_eq!(crc32_seeded(0, b), crc32(b));
     }
 
     #[test]

@@ -12,7 +12,7 @@ mod geometry;
 mod pid;
 mod retry;
 
-pub use crc32::crc32;
+pub use crc32::{crc32, crc32_seeded};
 pub use error::{Error, Result};
 pub use geometry::Geometry;
 pub use pid::{Pid, INVALID_PID};

@@ -7,7 +7,7 @@
 //! [`LogRecord::BlobChunk`] variant exists solely for the `Our.physlog`
 //! baseline, which logs full content like conventional engines.
 
-use lobster_types::{crc32, read_u32, read_u64, Error, Result};
+use lobster_types::{crc32_seeded, read_u32, read_u64, Error, Result};
 
 /// Identifier of a relation (table/index) in the catalog.
 pub type RelationId = u32;
@@ -373,16 +373,19 @@ impl Cursor<'_> {
 /// On-log frame: `[len: u32][crc: u32][epoch: u32][payload: len bytes]`.
 pub const FRAME_HEADER: usize = 12;
 
-/// Append a framed record to `out`.
-pub fn frame_record(out: &mut Vec<u8>, epoch: u32, rec: &LogRecord) {
+/// Append a framed record to `out`, its CRC-32 continued from `seed`
+/// (FORMAT.md §2.1): the previous frame's CRC in a chained log, 0 for its
+/// first frame and for every frame of a plain one. Returns the frame's CRC.
+pub fn frame_record(out: &mut Vec<u8>, epoch: u32, seed: u32, rec: &LogRecord) -> u32 {
     let start = out.len();
     out.extend_from_slice(&[0u8; FRAME_HEADER]);
     rec.encode(out);
     let payload_len = out.len() - start - FRAME_HEADER;
-    let crc = crc32(&out[start + FRAME_HEADER..]);
+    let crc = crc32_seeded(seed, &out[start + FRAME_HEADER..]);
     out[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     out[start + 8..start + 12].copy_from_slice(&epoch.to_le_bytes());
+    crc
 }
 
 /// The length of the frame of `epoch` at the start of `buf`, header
@@ -394,10 +397,11 @@ pub(crate) fn frame_len(buf: &[u8], epoch: u32) -> Option<usize> {
     (len != 0 && read_u32(&header[8..]) == epoch).then_some(FRAME_HEADER + len)
 }
 
-/// Parse one frame from `buf`; returns `(record, frame_len)` or `None` at
-/// end-of-log (zero length, wrong epoch, bad CRC, or truncation — all are
-/// treated as the end of the valid log, as in ARIES-style scans).
-pub fn parse_frame(buf: &[u8], epoch: u32) -> Option<(LogRecord, usize)> {
+/// Parse one frame from `buf` whose CRC continues from `seed`; returns
+/// `(record, frame_len, crc)` or `None` at end-of-log (zero length, wrong
+/// epoch, bad CRC, or truncation — all are treated as the end of the valid
+/// log, as in ARIES-style scans).
+pub fn parse_frame(buf: &[u8], epoch: u32, seed: u32) -> Option<(LogRecord, usize, u32)> {
     if buf.len() < FRAME_HEADER {
         return None;
     }
@@ -411,12 +415,12 @@ pub fn parse_frame(buf: &[u8], epoch: u32) -> Option<(LogRecord, usize)> {
         return None;
     }
     let payload = &buf[FRAME_HEADER..FRAME_HEADER + len];
-    if crc32(payload) != crc {
+    if crc32_seeded(seed, payload) != crc {
         return None;
     }
     LogRecord::decode(payload)
         .ok()
-        .map(|r| (r, FRAME_HEADER + len))
+        .map(|r| (r, FRAME_HEADER + len, crc))
 }
 
 #[cfg(test)]
@@ -496,14 +500,15 @@ mod tests {
     #[test]
     fn framing_roundtrip_sequence() {
         let mut log = Vec::new();
+        let mut seed = 0;
         for rec in samples() {
-            frame_record(&mut log, 5, &rec);
+            seed = frame_record(&mut log, 5, seed, &rec);
         }
-        let mut pos = 0;
+        let (mut pos, mut seed) = (0, 0);
         let mut seen = Vec::new();
-        while let Some((rec, n)) = parse_frame(&log[pos..], 5) {
+        while let Some((rec, n, crc)) = parse_frame(&log[pos..], 5, seed) {
             seen.push(rec);
-            pos += n;
+            (pos, seed) = (pos + n, crc);
         }
         assert_eq!(seen, samples());
         assert_eq!(pos, log.len());
@@ -512,24 +517,37 @@ mod tests {
     #[test]
     fn wrong_epoch_terminates_scan() {
         let mut log = Vec::new();
-        frame_record(&mut log, 1, &LogRecord::Checkpoint);
-        assert!(parse_frame(&log, 2).is_none());
+        frame_record(&mut log, 1, 0, &LogRecord::Checkpoint);
+        assert!(parse_frame(&log, 2, 0).is_none());
     }
 
     #[test]
     fn corruption_terminates_scan() {
         let mut log = Vec::new();
-        frame_record(&mut log, 1, &LogRecord::TxnCommit { txn: 42 });
+        frame_record(&mut log, 1, 0, &LogRecord::TxnCommit { txn: 42 });
         log[FRAME_HEADER + 2] ^= 0xFF;
-        assert!(parse_frame(&log, 1).is_none());
+        assert!(parse_frame(&log, 1, 0).is_none());
     }
 
     #[test]
     fn truncated_frame_is_end_of_log() {
         let mut log = Vec::new();
-        frame_record(&mut log, 1, &LogRecord::TxnCommit { txn: 42 });
+        frame_record(&mut log, 1, 0, &LogRecord::TxnCommit { txn: 42 });
         let cut = log.len() - 3;
-        assert!(parse_frame(&log[..cut], 1).is_none());
+        assert!(parse_frame(&log[..cut], 1, 0).is_none());
+    }
+
+    /// A frame parses only under the seed it was framed with: the CRC of
+    /// the frame before it in a chained log.
+    #[test]
+    fn a_chained_frame_needs_its_predecessors_crc() {
+        let mut log = Vec::new();
+        let first = frame_record(&mut log, 1, 0, &LogRecord::TxnBegin { txn: 1 });
+        let at = log.len();
+        frame_record(&mut log, 1, first, &LogRecord::TxnCommit { txn: 1 });
+        assert!(parse_frame(&log[at..], 1, first).is_some());
+        assert!(parse_frame(&log[at..], 1, 0).is_none());
+        assert!(parse_frame(&log[at..], 1, first ^ 1).is_none());
     }
 
     #[test]

@@ -51,16 +51,30 @@ pub struct LogScan {
     pub records: Vec<LogRecord>,
     /// The offset one past the last record: where the next append goes.
     pub end: Lsn,
+    /// Whether the log's frame CRCs are chained (FORMAT.md §2.1): every
+    /// log this build begins is; one begun under a version-3 store is not.
+    pub chained: bool,
+    /// The CRC the next frame's continues from: the last frame's in a
+    /// chained log, otherwise 0.
+    pub seed: u32,
 }
 
 /// Size of the log header block at offset 0.
 pub const WAL_HEADER: u64 = 4096;
 const WAL_MAGIC: u32 = 0x4C4F_4253; // "LOBS"
+/// The header's frame-format word: each frame's CRC continues from the
+/// previous frame's. A header with 0 there (every header a version-3 store
+/// wrote) heads a log whose CRCs stand alone.
+const CHAINED: u32 = 1;
 
 struct Staged {
     buf: Vec<u8>,
     /// Device offset at which `buf` begins.
     base: Lsn,
+    /// Whether frames are chained: true from this log's next truncate on.
+    chained: bool,
+    /// The CRC the next frame continues from (0 in a plain log).
+    seed: u32,
 }
 
 /// The shared write-ahead log.
@@ -84,6 +98,8 @@ impl Wal {
             staged: Mutex::new(Staged {
                 buf: Vec::new(),
                 base: WAL_HEADER,
+                chained: true,
+                seed: 0,
             }),
             flush_mutex: Mutex::new(()),
             flushed: AtomicU64::new(WAL_HEADER),
@@ -102,7 +118,10 @@ impl Wal {
     }
 
     /// Open the log `scan` read from `device`: new appends go after the
-    /// records it found, so the device is not read again.
+    /// records it found, in its frame format, so the device is not read
+    /// again. In a chained log, a frame that a reordering device left past
+    /// the scan's end never joins the log, even where later appends end
+    /// right before it: it continues the CRC of a frame that is not there.
     pub fn open_scanned(device: Arc<dyn Device>, scan: &LogScan, metrics: Metrics) -> Arc<Self> {
         Arc::new(Wal {
             device,
@@ -110,6 +129,8 @@ impl Wal {
             staged: Mutex::new(Staged {
                 buf: Vec::new(),
                 base: scan.end,
+                chained: scan.chained,
+                seed: scan.seed,
             }),
             flush_mutex: Mutex::new(()),
             flushed: AtomicU64::new(scan.end),
@@ -119,11 +140,13 @@ impl Wal {
         })
     }
 
-    /// Write and sync a header naming `epoch`, retrying transient faults.
+    /// Write and sync a header naming `epoch` and chained frames, retrying
+    /// transient faults.
     fn write_header(&self, epoch: u32) -> Result<()> {
         let mut header = vec![0u8; WAL_HEADER as usize];
         header[0..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
         header[4..8].copy_from_slice(&epoch.to_le_bytes());
+        header[8..12].copy_from_slice(&CHAINED.to_le_bytes());
         let (res, stats) = RetryPolicy::DEFAULT.run(|| {
             self.device.write_at(&header, 0)?;
             self.device.sync()
@@ -162,16 +185,21 @@ impl Wal {
     /// Stage a batch of records (one transaction's worth); returns the LSN
     /// one past the batch, to be passed to [`Wal::commit_to`].
     pub fn append_batch(&self, records: &[LogRecord]) -> Result<Lsn> {
-        let mut staged = self.staged.lock();
+        let mut guard = self.staged.lock();
+        let staged = &mut *guard;
         // Read under the lock a truncate changes it under.
         let epoch = self.epoch.load(Ordering::SeqCst);
-        let before = staged.buf.len();
+        let (before, seed) = (staged.buf.len(), staged.seed);
         for rec in records {
-            frame_record(&mut staged.buf, epoch, rec);
+            let crc = frame_record(&mut staged.buf, epoch, staged.seed, rec);
+            if staged.chained {
+                staged.seed = crc;
+            }
         }
         let end = staged.base + staged.buf.len() as u64;
         if end > self.device.capacity() {
             staged.buf.truncate(before);
+            staged.seed = seed;
             return Err(Error::OutOfSpace);
         }
         self.metrics
@@ -240,9 +268,10 @@ impl Wal {
 
     /// Logically truncate the log after a checkpoint: write a header of the
     /// next epoch (old records become unparseable), then restart right
-    /// after it. The caller must have flushed all dirty state *before*
-    /// calling this. A failed header write changes nothing: appends go on
-    /// in the old epoch, after its records.
+    /// after it, with chained frames whatever the old log's were. The
+    /// caller must have flushed all dirty state *before* calling this. A
+    /// failed header write changes nothing: appends go on in the old epoch,
+    /// after its records.
     pub fn checkpoint_truncate(&self) -> Result<()> {
         let _flush = self.flush_mutex.lock();
         let epoch = self.epoch.load(Ordering::SeqCst) + 1;
@@ -252,6 +281,7 @@ impl Wal {
         // committing later will re-stage. Truncation discards it.
         staged.buf.clear();
         staged.base = WAL_HEADER;
+        (staged.chained, staged.seed) = (true, 0);
         self.epoch.store(epoch, Ordering::SeqCst);
         drop(staged);
         self.flushed.store(WAL_HEADER, Ordering::Release); // ordering: Release; the rewritten header is durable before the frontier resets
@@ -261,7 +291,8 @@ impl Wal {
 
     /// Read back every durable record of the current epoch (recovery scan).
     pub fn read_all(&self) -> Result<Vec<LogRecord>> {
-        Self::read_records(&self.device, self.current_epoch())
+        let chained = self.staged.lock().chained;
+        Ok(Self::read_from(&self.device, self.current_epoch(), chained)?.0)
     }
 
     /// Analyze the durable log: record counts and byte volumes by type —
@@ -313,39 +344,55 @@ impl Wal {
             // header; surface corruption rather than reading out of bounds.
             return Err(Error::Corruption("truncated WAL header".into()));
         }
-        let mut header = [0u8; 8];
+        let mut header = [0u8; 12];
         device.read_at(&mut header, 0)?;
-        // lint-allow(no-panic-in-request-path): constant split of the fixed 8-byte header; cannot fail
+        // lint-allow(no-panic-in-request-path): constant split of the fixed 12-byte header; cannot fail
         let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
         if magic != WAL_MAGIC {
             return Err(Error::Corruption("bad WAL magic".into()));
         }
-        // lint-allow(no-panic-in-request-path): constant split of the fixed 8-byte header; cannot fail
+        // lint-allow(no-panic-in-request-path): constant split of the fixed 12-byte header; cannot fail
         let epoch = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let (records, end) = Self::read_from(device, epoch)?;
+        // lint-allow(no-panic-in-request-path): constant split of the fixed 12-byte header; cannot fail
+        let chained = match u32::from_le_bytes(header[8..12].try_into().unwrap()) {
+            0 => false,
+            CHAINED => true,
+            f => return Err(Error::Corruption(format!("unknown WAL frame format {f}"))),
+        };
+        let (records, end, seed) = Self::read_from(device, epoch, chained)?;
         Ok(LogScan {
             epoch,
             records,
             end,
+            chained,
+            seed,
         })
     }
 
-    /// Scan `device` for all valid records of `epoch`.
+    /// Scan `device` for all valid records of `epoch`, in the chained
+    /// format of every log this build begins; the header is not read.
     pub fn read_records(device: &Arc<dyn Device>, epoch: u32) -> Result<Vec<LogRecord>> {
-        Ok(Self::read_from(device, epoch)?.0)
+        Ok(Self::read_from(device, epoch, true)?.0)
     }
 
-    /// The valid records of `epoch` and the offset one past the last.
+    /// The valid records of `epoch`, the offset one past the last, and the
+    /// seed of the next frame. In a `chained` log each frame's CRC
+    /// continues from the previous frame's, so the log also ends at a frame
+    /// that continues another.
     ///
     /// Reads in windows that start at 64 KiB, so a short log costs one
     /// short read, and double up to 1 MiB — or to the frame that needs
     /// more. A frame of `epoch` that runs past a window is read again at
     /// the start of the next; the log ends at the first frame that does not
     /// parse although the window holds it whole.
-    fn read_from(device: &Arc<dyn Device>, epoch: u32) -> Result<(Vec<LogRecord>, Lsn)> {
+    fn read_from(
+        device: &Arc<dyn Device>,
+        epoch: u32,
+        chained: bool,
+    ) -> Result<(Vec<LogRecord>, Lsn, u32)> {
         let end = device.capacity();
         let mut records = Vec::new();
-        let mut pos = WAL_HEADER;
+        let (mut pos, mut seed) = (WAL_HEADER, 0);
         let mut window = vec![0u8; 64 << 10];
         loop {
             let take = window.len().min((end - pos) as usize);
@@ -354,9 +401,12 @@ impl Wal {
             }
             device.read_at(&mut window[..take], pos)?;
             let mut local = 0usize;
-            while let Some((rec, n)) = parse_frame(&window[local..take], epoch) {
+            while let Some((rec, n, crc)) = parse_frame(&window[local..take], epoch, seed) {
                 records.push(rec);
                 local += n;
+                if chained {
+                    seed = crc;
+                }
             }
             pos += local as u64;
             let rest = &window[local..take];
@@ -371,7 +421,7 @@ impl Wal {
                 _ => break,
             }
         }
-        Ok((records, pos))
+        Ok((records, pos, seed))
     }
 }
 
@@ -565,6 +615,86 @@ mod tests {
         assert_eq!(scan.records.len(), recs.len());
         assert!(scan.records == recs, "a record read back changed");
         assert_eq!(scan.end, wal.flushed_lsn());
+    }
+
+    /// A log of the frame format a version-3 store wrote: its header's
+    /// format word is 0, so each frame's CRC stands alone.
+    fn plain(dev: &Arc<dyn Device>) -> Arc<Wal> {
+        dev.write_at(&0u32.to_le_bytes(), 8).unwrap();
+        Wal::open(dev.clone(), lobster_metrics::new_metrics()).unwrap()
+    }
+
+    /// A reordering device lost the middle frame of three; a reopen appends
+    /// one record whose frame ends exactly where the third begins. Returns
+    /// what the next scan reads.
+    fn plant_past_the_end(chained: bool) -> Vec<LogRecord> {
+        let (mut wal, dev) = mk();
+        if !chained {
+            wal = plain(&dev);
+        }
+        let (a, lost, planted) = (
+            LogRecord::TxnBegin { txn: 1 },
+            LogRecord::TxnBegin { txn: 2 },
+            LogRecord::TxnCommit { txn: 2 },
+        );
+        wal.append_and_commit(std::slice::from_ref(&a)).unwrap();
+        let (from, to) = (wal.flushed_lsn(), wal.append_and_commit(&[lost]).unwrap());
+        wal.append_and_commit(&[planted]).unwrap();
+        dev.write_at(&vec![0; (to - from) as usize], from).unwrap();
+        drop(wal);
+
+        let scan = Wal::scan(&dev).unwrap();
+        assert_eq!(
+            (scan.records.len(), scan.end, scan.chained),
+            (1, from, chained)
+        );
+        let wal = Wal::open_scanned(dev.clone(), &scan, lobster_metrics::new_metrics());
+        let next = LogRecord::TxnBegin { txn: 3 };
+        assert_eq!(
+            wal.append_and_commit(&[next]).unwrap(),
+            to,
+            "ends where it begins"
+        );
+        Wal::scan(&dev).unwrap().records
+    }
+
+    /// The fence (FORMAT.md §2.1): a valid frame of the current epoch past
+    /// a scan's end stays out of the log when later appends end right
+    /// before it, because its CRC continues a frame that is not there. The
+    /// control, a log whose CRCs stand alone, adopts it.
+    #[test]
+    fn a_frame_past_the_end_never_joins_a_chained_log() {
+        let (a, next) = (
+            LogRecord::TxnBegin { txn: 1 },
+            LogRecord::TxnBegin { txn: 3 },
+        );
+        assert_eq!(plant_past_the_end(true), vec![a.clone(), next.clone()]);
+        let planted = LogRecord::TxnCommit { txn: 2 };
+        assert_eq!(plant_past_the_end(false), vec![a, next, planted]);
+    }
+
+    /// A plain log reads and grows as it was written, and its truncate
+    /// begins a chained one; a header naming neither format is corrupt.
+    #[test]
+    fn a_plain_log_stays_plain_until_its_truncate() {
+        let (wal, dev) = mk();
+        drop(wal);
+        let wal = plain(&dev);
+        let recs: Vec<_> = (1..4).map(|txn| LogRecord::TxnCommit { txn }).collect();
+        wal.append_and_commit(&recs[..2]).unwrap();
+        wal.append_and_commit(&recs[2..]).unwrap();
+        let scan = Wal::scan(&dev).unwrap();
+        assert_eq!(
+            (scan.records, scan.chained, scan.seed),
+            (recs.clone(), false, 0)
+        );
+        assert_eq!(wal.read_all().unwrap(), recs);
+        wal.checkpoint_truncate().unwrap();
+        wal.append_and_commit(&recs).unwrap();
+        let scan = Wal::scan(&dev).unwrap();
+        assert_eq!((scan.records, scan.chained), (recs, true));
+        dev.write_at(&2u32.to_le_bytes(), 8).unwrap();
+        assert!(matches!(Wal::scan(&dev), Err(Error::Corruption(_))));
     }
 
     #[test]
