@@ -45,10 +45,12 @@
 //!    a relation the log drops held is walked once ([`lobster_btree::BTree::walk`],
 //!    each inner node's children faulted as one batch) and retires with the
 //!    next checkpoint — and drop the caches. An open that undid nothing
-//!    ends there: the log it replayed stays the log, and the store runs on
-//!    from it. One that rolled something back, or found a checkpoint cut
-//!    short, or a log with unchained frames, first checkpoints, which
-//!    writes the settled map and makes the rollback durable.
+//!    syncs the data and then the log device, so that what it read from a
+//!    crashed process's unsynced writes is durable: the log it replayed
+//!    stays the log, and the store runs on from it. One that rolled
+//!    something back, or found a checkpoint cut short, or a log with
+//!    unchained frames, checkpoints instead, which writes the settled map
+//!    and makes the rollback durable.
 
 use crate::blob_state::BlobState;
 use crate::catalog::{Relation, RelationKind};
@@ -106,6 +108,9 @@ pub struct OpenPhases {
     /// The closing checkpoint; zero for an open that undid nothing, which
     /// runs on from its log without one.
     pub checkpoint: Duration,
+    /// The sync of the data and then the log device that ends an open which
+    /// runs on from its log; zero for one that checkpointed.
+    pub sync: Duration,
 }
 
 const CATALOG_REL_ID: u32 = 0;
@@ -525,10 +530,20 @@ pub(crate) fn recover(
     let images = records
         .iter()
         .any(|r| matches!(r, LogRecord::PageImage { .. }));
+    let t = Instant::now();
     if report.uncommitted != 0 || images || !chained {
-        let t = Instant::now();
         db.checkpoint_locked()?;
         report.phases.checkpoint = t.elapsed();
+    } else {
+        // What recovery read and validated may sit in a cache only: a
+        // process that crashed with the machine up leaves log frames and
+        // in-place content it wrote but never synced. Both are made
+        // durable before the store serves them, the content first, as a
+        // commit orders them: a power cut later must not take back a
+        // version this open exposed.
+        db.device.sync()?;
+        db.wal.sync()?;
+        report.phases.sync = t.elapsed();
     }
     // Drop every cached extent: recovery loaded extents of failed and
     // uncommitted transactions whose pages went back to the allocator;

@@ -23,9 +23,9 @@
 //!   modes: a group's content is synced before its epochs complete;
 //! * every key resolves to a logged version, or to none, and its content
 //!   matches the SHA-256 of its Blob State;
-//! * an open whose log holds no in-place or torn group after its last mark
-//!   hashes nothing: every other group's content was synced before its
-//!   records, under its own mark;
+//! * an open whose log holds no in-place group after its last mark hashes
+//!   nothing, unless it rolled back a torn group there: every other
+//!   group's content was synced before its records, under its own mark;
 //! * a second open finds the same state;
 //! * the allocator equals the audit walk, and the latch ledger is clean.
 //!
@@ -399,10 +399,11 @@ struct Oracle {
 
 /// Whether recovery may hash: a commit of an in-place transaction follows
 /// the last mark of `records` (its content was written after its records,
-/// and what the group's mark would have covered is hashed with it), or a
-/// record of a transaction that never committed does (a torn group: the
-/// keys it touches are validated, whatever became of it).
-fn may_hash(records: &[LogRecord], in_place: &HashSet<u64>) -> bool {
+/// and what the group's mark would have covered is hashed with it), or, in
+/// an open that `rolled_back` a transaction, a record of one that never
+/// committed does (a torn group: the keys it touches are validated,
+/// whatever became of it).
+fn may_hash(records: &[LogRecord], in_place: &HashSet<u64>, rolled_back: bool) -> bool {
     let mut commit_at = HashMap::new();
     let mut mark = None;
     for (i, rec) in records.iter().enumerate() {
@@ -415,7 +416,7 @@ fn may_hash(records: &[LogRecord], in_place: &HashSet<u64>) -> bool {
     let mut after = records.iter().skip(mark.map_or(0, |at| at + 1));
     after.any(|rec| match rec {
         LogRecord::TxnCommit { txn } => in_place.contains(txn),
-        rec => rec.txn().is_some_and(|txn| !commit_at.contains_key(&txn)),
+        rec => rolled_back && rec.txn().is_some_and(|txn| !commit_at.contains_key(&txn)),
     })
 }
 
@@ -475,9 +476,10 @@ fn check(commit_wait: bool, media: Media, oracle: &Oracle) -> Result<(), String>
         Ok::<_, String>((db, report))
     };
     let (db, report) = open()?;
-    if report.validated != 0 && !may_hash(&records, &oracle.in_place) {
+    let rolled_back = report.uncommitted != 0;
+    if report.validated != 0 && !may_hash(&records, &oracle.in_place, rolled_back) {
         return Err(format!(
-            "the open hashed {} versions, but no in-place or torn group follows the last mark",
+            "the open hashed {} versions, but no in-place group, or torn group it rolled back, follows the last mark",
             report.validated
         ));
     }

@@ -18,12 +18,15 @@
 //!
 //! A third cuts power twice: an open that undid nothing runs on from the
 //! log it replayed, without a checkpoint, and the second cut lands at each
-//! write of the session after it, its first checkpoint included.
+//! write of the session after it, its first checkpoint included. Before
+//! that, a process crash with the machine up leaves writes that no sync
+//! covered in the devices' caches; an open reads them, and a power cut
+//! follows.
 
 use lobster_core::{Config, Database, RelationKind};
 use lobster_extent::ExtentSpec;
 use lobster_storage::{CrashDevice, Device, MemDevice};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn cfg() -> Config {
@@ -805,6 +808,114 @@ fn a_header_naming_an_unwritten_map_is_caught() {
         Err(e) => panic!("refused for the wrong reason: {e}"),
         Ok(_) => panic!("a header naming an unwritten map was trusted"),
     }
+}
+
+/// A device over a write-back cache whose syncs fail once `dead` is set:
+/// the process stops between a write and the sync that would cover it,
+/// and the write stays readable in the cache while the machine is up.
+struct SyncLost {
+    cache: Arc<CrashDevice<MemDevice>>,
+    dead: AtomicBool,
+}
+
+impl Device for SyncLost {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> lobster_types::Result<()> {
+        self.cache.read_at(buf, offset)
+    }
+
+    fn write_at(&self, buf: &[u8], offset: u64) -> lobster_types::Result<()> {
+        self.cache.write_at(buf, offset)
+    }
+
+    fn sync(&self) -> lobster_types::Result<()> {
+        match self.dead.load(Ordering::SeqCst) {
+            true => Err(lobster_types::Error::Io(std::io::Error::other(
+                "the process died before its sync",
+            ))),
+            false => self.cache.sync(),
+        }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.cache.capacity()
+    }
+}
+
+/// A process crash, then a power cut. The process dies between a write of
+/// its last commit and the sync that would cover it — the log's records
+/// (`in_log`: a put) or the content of an in-place delta — with the
+/// machine up. An open on what the devices' caches hold replays the commit
+/// and runs on from the log; power then fails before anything else, and
+/// every version that open read must survive.
+fn process_crash_then_power_cut(in_log: bool) {
+    let data = Arc::new(CrashDevice::write_back(MemDevice::new(32 << 20)));
+    let wal = Arc::new(CrashDevice::write_back(MemDevice::new(8 << 20)));
+    let lost = |cache: &Arc<CrashDevice<MemDevice>>| {
+        Arc::new(SyncLost {
+            cache: cache.clone(),
+            dead: AtomicBool::new(false),
+        })
+    };
+    let (on_data, on_wal) = (lost(&data), lost(&wal));
+    let db = Database::create(on_data.clone(), on_wal.clone(), cfg()).unwrap();
+    let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+    let mut t = db.begin();
+    t.put_blob(&rel, b"k", &pattern(40_000, 51)).unwrap();
+    t.commit().unwrap();
+    let dying = if in_log { &on_wal } else { &on_data };
+    dying.dead.store(true, Ordering::SeqCst);
+    let mut t = db.begin();
+    match in_log {
+        true => t.put_blob(&rel, b"n", &pattern(30_000, 52)),
+        false => t.update_blob(&rel, b"k", 100, &[7; 16]),
+    }
+    .unwrap();
+    assert!(t.commit().is_err(), "the commit's sync failed");
+    drop((db, rel));
+
+    let read = |db: &Arc<Database>| {
+        let rel = db.relation("b").unwrap();
+        let mut t = db.begin();
+        let got = [&b"k"[..], b"n"].map(|key| t.get_blob(&rel, key, |b| b.to_vec()).ok());
+        t.commit().unwrap();
+        got
+    };
+    let (db, report) = Database::open(data.clone(), wal.clone(), cfg()).unwrap();
+    assert_eq!(report.uncommitted, 0, "{report:?}");
+    assert!(report.phases.checkpoint.is_zero(), "{report:?}");
+    let served = read(&db);
+    match in_log {
+        true => assert!(served[1].is_some(), "the open did not replay the put"),
+        false => assert_eq!(served[0].as_ref().unwrap()[100..116], [7; 16]),
+    }
+    drop(db);
+
+    data.crash_now();
+    wal.crash_now();
+    let (data, wal) = (
+        copy_device(data.inner(), 32 << 20),
+        copy_device(wal.inner(), 8 << 20),
+    );
+    let (db, _) = Database::open(data, wal, cfg()).unwrap();
+    assert!(
+        read(&db) == served,
+        "a power cut took back what an open served"
+    );
+    assert!(db.audit_allocator().unwrap().is_exact());
+}
+
+/// The open that runs on syncs the log device: the put's records, which
+/// only the crashed process's cache held, survive the later power cut.
+#[test]
+fn a_process_crash_before_a_log_sync_then_a_power_cut_keeps_what_the_open_read() {
+    process_crash_then_power_cut(true);
+}
+
+/// The open that runs on syncs the data device: the delta's content, which
+/// the open validated in the cache, survives the later power cut.
+#[test]
+fn a_process_crash_before_a_data_sync_then_a_power_cut_keeps_what_the_open_read() {
+    process_crash_then_power_cut(false);
 }
 
 /// One power supply for a data and a log device: the write that uses up

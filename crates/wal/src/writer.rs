@@ -289,6 +289,19 @@ impl Wal {
         Ok(())
     }
 
+    /// Sync the log device, retrying transient faults. An open that runs on
+    /// from the log it scanned calls this: a process that crashed may have
+    /// left frames that it wrote but never synced, readable in a cache, and
+    /// recovery replayed them.
+    pub fn sync(&self) -> Result<()> {
+        let (res, stats) = RetryPolicy::DEFAULT.run(|| self.device.sync());
+        self.metrics.bump_io_retry(stats.retries, stats.gave_up);
+        res?;
+        // ordering: relaxed metrics counter; snapshot readers tolerate staleness
+        self.metrics.fsyncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Read back every durable record of the current epoch (recovery scan).
     pub fn read_all(&self) -> Result<Vec<LogRecord>> {
         let chained = self.staged.lock().chained;
@@ -367,12 +380,6 @@ impl Wal {
             chained,
             seed,
         })
-    }
-
-    /// Scan `device` for all valid records of `epoch`, in the chained
-    /// format of every log this build begins; the header is not read.
-    pub fn read_records(device: &Arc<dyn Device>, epoch: u32) -> Result<Vec<LogRecord>> {
-        Ok(Self::read_from(device, epoch, true)?.0)
     }
 
     /// The valid records of `epoch`, the offset one past the last, and the

@@ -68,11 +68,23 @@ proptest! {
         b[0] ^= flip;
         dev.write_at(&b, at).unwrap();
 
-        let got = Wal::read_records(&dev, epoch).unwrap();
-        assert_prefix(&got, &records)?;
-        if at < lobster_wal::WAL_HEADER {
-            // Header damage cannot touch the frame stream itself.
-            prop_assert_eq!(got.len(), records.len());
+        // The header's magic, epoch and frame-format word fill its first
+        // 12 bytes; the rest of its block is padding.
+        match Wal::scan(&dev) {
+            Ok(scan) if scan.epoch == epoch => {
+                assert_prefix(&scan.records, &records)?;
+                if (12..lobster_wal::WAL_HEADER).contains(&at) {
+                    // Padding damage cannot touch the frame stream itself.
+                    prop_assert_eq!(scan.records.len(), records.len());
+                }
+            }
+            // A flipped epoch names no frame that was written.
+            Ok(scan) => {
+                prop_assert!((4..8).contains(&at), "epoch changed by a flip at {}", at);
+                prop_assert!(scan.records.is_empty());
+            }
+            // A flipped magic or frame-format word is refused.
+            Err(_) => prop_assert!(at < 12, "scan refused a flip at {}", at),
         }
     }
 
@@ -95,7 +107,9 @@ proptest! {
         let zeros = vec![0u8; (end - cut) as usize];
         dev.write_at(&zeros, cut).unwrap();
 
-        let got = Wal::read_records(&dev, epoch).unwrap();
+        let scan = Wal::scan(&dev).unwrap();
+        prop_assert_eq!(scan.epoch, epoch);
+        let got = scan.records;
         assert_prefix(&got, &records)?;
         // Reopen must also succeed and find a consistent end-of-log.
         let wal2 = Wal::open(dev, lobster_metrics::new_metrics()).unwrap();
@@ -139,8 +153,9 @@ fn targeted_frame_damage() {
     let orig = b[0];
     b[0] ^= 0xFF;
     dev.write_at(&b, end - 1).unwrap();
-    let got = Wal::read_records(&dev, epoch).unwrap();
-    assert_eq!(got.len(), records.len() - 1);
+    let scan = Wal::scan(&dev).unwrap();
+    assert_eq!(scan.epoch, epoch);
+    assert_eq!(scan.records.len(), records.len() - 1);
 
     // Restore, then hit the first frame: everything dies at once.
     b[0] = orig;
@@ -150,7 +165,7 @@ fn targeted_frame_damage() {
     dev.read_at(&mut hdr, first).unwrap();
     hdr[0] ^= 0x01;
     dev.write_at(&hdr, first).unwrap();
-    let got = Wal::read_records(&dev, epoch).unwrap();
+    let got = Wal::scan(&dev).unwrap().records;
     assert!(
         got.is_empty(),
         "a broken first frame ends the scan immediately"
