@@ -10,9 +10,9 @@
 //! for small objects.
 // lint-allow-file(ordering-audit): baseline cost-model bookkeeping (op/tuple/byte counters); Relaxed by design, nothing synchronizes on these atomics.
 
+use crate::alloc::RangeAllocator;
 use crate::fskit::PageCache;
 use crate::store::{snapshot_of, ObjectStore, StoreStats};
-use lobster_extent::RangeAllocator;
 use lobster_metrics::{new_metrics, Metrics};
 use lobster_storage::Device;
 use lobster_types::{Error, Result};

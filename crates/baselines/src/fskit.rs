@@ -20,8 +20,8 @@
 //!   fixed-size log-structured segments stay O(1).
 // lint-allow-file(ordering-audit): baseline cost-model bookkeeping (block/byte counters, fd ids); Relaxed by design, nothing synchronizes on these atomics.
 
+use crate::alloc::RangeAllocator;
 use crate::store::{snapshot_of, ObjectStore, StoreStats};
-use lobster_extent::RangeAllocator;
 use lobster_metrics::{new_metrics, Metrics};
 use lobster_storage::Device;
 use lobster_types::{Error, Result};

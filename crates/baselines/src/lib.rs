@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 
+mod alloc;
 mod dbms;
 mod fskit;
 mod store;

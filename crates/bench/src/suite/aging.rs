@@ -1,19 +1,24 @@
 //! Aging torture bench: weeks of create/delete/append churn compressed
 //! into minutes, with and without the background defragmenter.
 //!
-//! The aging mechanism under test: the per-tier exact-size free lists
-//! never merge adjacent ranges, so mixed-size churn shatters free space
-//! into small runs. Small allocations keep recycling exactly, but large
-//! multi-extent placements starve — the store still has plenty of free
-//! bytes yet cannot serve a big object, and clients burn retry budget.
-//! The defragmenter's coalesce + relocation passes repair the geometry
-//! online, so the same workload keeps its steady-state throughput and
-//! the fragmentation score stays bounded.
+//! The churn ages the store the way "Fragmentation in Large Object
+//! Repositories" describes: a fill near capacity, a random 70 % deletion,
+//! then a mixed create/delete/append load whose large puts (0.9–1.6 MiB)
+//! need long free runs between live small BLOBs. The allocator's free-run
+//! map merges each freed extent with its free neighbours, so free space
+//! does not shatter along old extent boundaries and a large put finds a
+//! run whenever that much free space sits together; what still ages is
+//! placement — puts carved from several holes — which the defragmenter's
+//! relocation pass repairs online.
 //!
 //! Two headline rows (`defrag-off`, `defrag-on` steady-state throughput)
-//! plus per-window throughput/fragmentation timelines as info rows.
-//! `LOBSTER_AGING_GATE=1` (set in CI) additionally hard-asserts the
-//! acceptance criteria: on/off ratio ≥ 1.2× and a bounded score.
+//! and their ratio, plus per-window throughput/fragmentation timelines as
+//! info rows. `LOBSTER_AGING_GATE=1` (set in CI) additionally
+//! hard-asserts: no operation refused (after its client retries) on
+//! either run, a fragmentation score that does not climb with defrag on,
+//! and a defragmenter that ran passes. The ratio is reported, not
+//! asserted: with free space merging at free, both runs sit near the same
+//! steady state.
 
 use crate::*;
 use lobster_core::{Database, DefragConfig, Defragmenter, Relation, RelationKind, Txn};
@@ -100,8 +105,9 @@ impl Churn {
         self.next_key - 1
     }
 
-    /// Shatter the free-space geometry the way months of mixed churn would:
-    /// sequential small fill near capacity, then random 70% deletion.
+    /// Age the store the way months of mixed churn would: sequential small
+    /// fill near capacity, then random 70% deletion, which leaves free space
+    /// in holes between the survivors.
     fn age(&mut self) {
         while self.db.utilization() < 0.90 && self.live.len() < 2_000 {
             let key = self.new_key();
@@ -198,9 +204,9 @@ fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
     let maintenance = defrag.then(|| {
         let d = Defragmenter::start(
             vec![db.clone()],
-            // Calm cadence: coalescing does the cheap heavy lifting every
-            // pass; a small relocation batch repairs the worst offenders
-            // without flooding the lock table or the commit pipeline.
+            // Calm cadence: a small relocation batch every pass repairs the
+            // worst offenders without flooding the lock table or the commit
+            // pipeline.
             DefragConfig {
                 interval: Duration::from_millis(10),
                 min_score: 0.02,
@@ -208,14 +214,14 @@ fn run_once(defrag: bool, attempts: usize) -> RunOutcome {
                 scrub_batch: 2,
             },
         );
-        // Let the first coalesce/relocation passes land before measuring,
+        // Let the first relocation passes land before measuring,
         // mirroring a store whose maintenance loop is always-on.
         std::thread::sleep(Duration::from_millis(30));
         d
     });
 
-    // Unmeasured warmup reaches the regime's steady state (off-run: bump
-    // slack exhausted; on-run: maintenance keeping up with churn). The
+    // Unmeasured warmup reaches the regime's steady state (off-run: the
+    // holes the aging left taken; on-run: maintenance keeping up with churn). The
     // on-run additionally warms until the client stops observing failures
     // — we measure the maintained steady state, not the catch-up ramp.
     for _ in 0..attempts / 5 {
@@ -341,10 +347,13 @@ pub fn run(report: &mut Report) {
     ));
 
     if std::env::var("LOBSTER_AGING_GATE").as_deref() == Ok("1") {
-        assert!(
-            ratio >= 1.2,
-            "aging gate: defrag-on steady state only {ratio:.2}x of defrag-off"
-        );
+        for (out, name) in outcomes.iter().zip(["defrag-off", "defrag-on"]) {
+            assert!(
+                out.failed_ops == 0,
+                "aging gate: {name} refused {} operations",
+                out.failed_ops
+            );
+        }
         let on = &outcomes[1].window_score;
         let early = on[2..WINDOWS / 2].iter().sum::<f64>() / (WINDOWS / 2 - 2) as f64;
         let late = on[WINDOWS - 3..].iter().sum::<f64>() / 3.0;

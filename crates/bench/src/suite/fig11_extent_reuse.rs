@@ -3,8 +3,11 @@
 //!
 //! Paper shape: every file system except F2FS drops in throughput as the
 //! storage approaches its limit (their anti-fragmentation machinery stops
-//! working near-full), while our per-tier exact-size free lists keep
-//! performance flat; all systems eventually stop at capacity.
+//! working near-full), while ours stays flat: a freed extent merges into
+//! the free runs around it, and the next extent of its tier takes an
+//! exact-size hole first. All systems eventually stop at capacity. The fs
+//! models keep free lists that never merge (`lobster-baselines`'s
+//! `RangeAllocator`), which is how they age.
 
 use crate::*;
 use lobster_baselines::{FsProfile, LobsterMode, ObjectStore};

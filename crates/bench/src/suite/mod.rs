@@ -141,8 +141,8 @@ static SPECS: &[BenchSpec] = &[
     BenchSpec {
         name: "aging",
         title: "Aging — churn torture with/without online defragmentation",
-        paper_ref: "§III-D free lists + maintenance",
-        paper: "defrag-on steady state >= 1.2x defrag-off (asserted under LOBSTER_AGING_GATE=1)",
+        paper_ref: "§III-D extent reuse + maintenance",
+        paper: "no op refused on either run, bounded fragmentation with defrag on (asserted under LOBSTER_AGING_GATE=1)",
         run: aging::run,
     },
 ];

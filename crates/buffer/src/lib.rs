@@ -30,7 +30,6 @@ mod arena;
 mod blob_pool;
 mod entry;
 mod flush_ledger;
-mod free_frames;
 mod htpool;
 mod pool;
 mod stream;

@@ -9,7 +9,8 @@
 //!
 //! Each resident extent occupies a *contiguous* frame range in the arena, so
 //! an extent is always contiguous in memory. Free frames merge with their
-//! neighbours (`free_frames.rs`), and the fresh extents of a placement
+//! neighbours ([`FreeFrames`], the map a shard's device pages use too),
+//! and the fresh extents of a placement
 //! (`ExtentPool::take_run`) and the claims of a whole-BLOB fault batch
 //! ([`ExtentPool::fault_many`]) are framed as one run whenever a free run
 //! or a swept window holds them all. [`ExtentPool::read_blob`] has three
@@ -44,9 +45,8 @@ use crate::alias::{AliasConfig, AliasGuard, AliasingManager};
 use crate::arena::Arena;
 use crate::entry::{Entry, Excl, Latch, Seen, Table};
 use crate::flush_ledger::FlushLedger;
-use crate::free_frames::FreeFrames;
 use crate::sweep::Sweep;
-use lobster_extent::{ExtentSpec, Piece};
+use lobster_extent::{ExtentSpec, FreeFrames, Piece};
 use lobster_metrics::Metrics;
 use lobster_storage::{wait_until, AsyncIo, BatchHandle, Device, IoKind, IoReq};
 use lobster_sync::atomic::{AtomicU64, Ordering};

@@ -28,7 +28,7 @@
 //! under `--cfg lobster_loom`.
 
 use crate::entry::{Entry, Excl, Seen, Table};
-use crate::free_frames::FreeFrames;
+use lobster_extent::FreeFrames;
 use lobster_sync::atomic::Ordering;
 use lobster_sync::Mutex;
 use lobster_types::Pid;

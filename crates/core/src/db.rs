@@ -594,7 +594,7 @@ impl Database {
         self.alloc.fragmentation_score()
     }
 
-    /// One synchronous maintenance pass (coalesce + bounded relocation
+    /// One synchronous maintenance pass (gauge + bounded relocation
     /// batch); the [`crate::Defragmenter`] thread calls this on an
     /// interval, tests and benches call it directly.
     pub fn defrag_pass(

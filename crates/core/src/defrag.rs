@@ -1,24 +1,22 @@
 //! Background maintenance: online defragmentation + cold-data scrub.
 //!
-//! Long create/delete/append churn ages the extent space two ways
-//! ("Fragmentation in Large Object Repositories"): free space shatters
-//! into runs too small for large tier requests, and blob placements
-//! scatter across discontiguous extent runs. Neither heals by itself —
-//! the exact-size free lists recycle fixed sizes in O(1) but never merge
-//! neighbours. The [`Defragmenter`] repairs both out-of-band:
+//! Long create/delete/append churn ages the extent space
+//! ("Fragmentation in Large Object Repositories"): blob placements
+//! scatter across discontiguous extent runs. Free space itself does not
+//! shatter — the allocator's free-run map merges a freed extent with its
+//! free neighbours — but what stays live between the holes keeps them
+//! apart, and a placement carved from several holes stays scattered. The
+//! [`Defragmenter`] repairs placements out of band:
 //!
-//! 1. **Geometry pass** — coalesce adjacent free ranges (and absorb a
-//!    run ending at the bump pointer back into the never-allocated
-//!    region), then publish the free-run fragmentation score as a gauge.
-//! 2. **Relocation pass** — when the score crosses the configured
-//!    threshold, pick the blobs with the most discontiguous extent runs
-//!    and move each to a fresh placement via [`Txn::relocate_blob`]:
-//!    exclusive key lock, non-evicting copy that re-hashes every byte
-//!    (the piggybacked scrub), WAL `BlobRelocate` record, atomic Blob
-//!    State swap, old extents quarantine-fenced until the durability
-//!    frontier frees them. Because the pass coalesces *first*, the new
-//!    placements carve contiguous runs instead of recycling shards.
-//! 3. **Scrub pass** — independently of relocation, re-hash a bounded
+//! 1. **Relocation pass** — publish the free-run fragmentation score as a
+//!    gauge; when it crosses the configured threshold, pick the blobs with
+//!    the most discontiguous extent runs and move each to a fresh
+//!    placement via [`Txn::relocate_blob`]: exclusive key lock,
+//!    non-evicting copy that re-hashes every byte (the piggybacked scrub),
+//!    WAL `BlobRelocate` record, atomic Blob State swap, old extents
+//!    quarantine-fenced until the durability frontier frees them — and
+//!    merges them into the runs around them.
+//! 2. **Scrub pass** — independently of relocation, re-hash a bounded
 //!    batch of idle blobs per pass against their Blob State SHA-256
 //!    (round-robin cursor), feeding failures into the same
 //!    verify-on-read → quarantine degradation ladder.
@@ -46,8 +44,8 @@ pub struct DefragConfig {
     /// Sleep between maintenance passes.
     pub interval: Duration,
     /// Relocate only while the allocator's free-run fragmentation score
-    /// is at least this (0 ⇒ always; 1.0 ⇒ never). The geometry pass
-    /// (coalesce + gauge) runs regardless.
+    /// is at least this (0 ⇒ always; 1.0 ⇒ never). The score's gauge is
+    /// published on every pass regardless.
     pub min_score: f64,
     /// Upper bound on blob relocations per pass per shard.
     pub batch_blobs: usize,
@@ -71,9 +69,7 @@ impl Default for DefragConfig {
 /// loop and inspectable in tests/benches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DefragPassReport {
-    /// Free-run merges performed by the geometry pass.
-    pub merges: usize,
-    /// Fragmentation score after coalescing, before relocations.
+    /// Fragmentation score before relocations.
     pub score: f64,
     /// Blobs successfully moved to a fresh placement.
     pub relocated: usize,
@@ -170,14 +166,10 @@ pub(crate) fn extent_runs(specs: &[ExtentSpec]) -> usize {
     runs
 }
 
-/// One maintenance pass over a single shard: coalesce free space,
-/// publish the fragmentation gauge, and relocate up to
-/// `cfg.batch_blobs` of the most-scattered blobs.
+/// One maintenance pass over a single shard: publish the fragmentation
+/// gauge and relocate up to `cfg.batch_blobs` of the most-scattered blobs.
 pub fn defrag_pass(db: &Arc<Database>, cfg: &DefragConfig) -> Result<DefragPassReport> {
-    // Coalesce first: relocation targets then carve contiguous runs out
-    // of the merged space instead of recycling same-size shards.
     let mut rep = DefragPassReport {
-        merges: db.alloc.coalesce_free_space(),
         score: db.alloc.fragmentation_score(),
         ..Default::default()
     };
@@ -235,9 +227,8 @@ pub fn defrag_pass(db: &Arc<Database>, cfg: &DefragConfig) -> Result<DefragPassR
             }
         }
     }
-    // The holes the relocations just opened merge on the next pass's
-    // leading coalesce; refresh the gauge now so timelines track the
-    // post-batch state.
+    // Refresh the gauge so timelines track the post-batch state (the old
+    // placements free, and merge, at the durability frontier).
     db.metrics.fragmentation_score_milli.store(
         (db.alloc.fragmentation_score() * 1000.0) as u64,
         // ordering: relaxed gauge; snapshot readers tolerate staleness

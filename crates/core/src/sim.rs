@@ -15,6 +15,10 @@
 //! * **write in place**: the logged group runs `StageCtx::write_in_place`;
 //! * **retire**: the written group runs `StageCtx::retire`.
 //!
+//! A schedule cut with a set sealed and no group in progress ends in a
+//! torn **log** step: the oldest sealed set's records reach the log
+//! without its commit record, so the open rolls it back.
+//!
 //! Only the device's I/O workers run beside the driver. At a seeded step
 //! boundary both devices lose power; the medium is reopened, and:
 //!
@@ -26,6 +30,8 @@
 //! * an open whose log holds no in-place group after its last mark hashes
 //!   nothing, unless it rolled back a torn group there: every other
 //!   group's content was synced before its records, under its own mark;
+//! * the log the open leaves names no transaction without its commit
+//!   record: a rollback ends in a checkpoint;
 //! * a second open finds the same state;
 //! * the allocator equals the audit walk, and the latch ledger is clean.
 //!
@@ -294,7 +300,8 @@ impl Sim {
     }
 
     /// The seeded schedule of `txns` transactions, up to step `cut_at` or
-    /// to its end.
+    /// to its end; with a set sealed and no group in progress, it ends in a
+    /// torn log step.
     fn run(&mut self, rng: &mut Rng, txns: u64, cut_at: u64) {
         let mut staged = 0;
         for _ in 0..cut_at {
@@ -318,6 +325,11 @@ impl Sim {
                 // Every key is held by an unretired commit.
                 None => self.commit_step(rng),
             }
+        }
+        // With a set sealed and no group in progress, the commit thread's
+        // next step is a log step: the cut tears it.
+        if self.group.is_none() && !self.sealed.is_empty() {
+            self.log_torn();
         }
     }
 
@@ -420,6 +432,16 @@ fn may_hash(records: &[LogRecord], in_place: &HashSet<u64>, rolled_back: bool) -
     })
 }
 
+/// Whether `records` name a transaction without its commit record.
+fn holds_a_loser(records: &[LogRecord]) -> bool {
+    let commits = records.iter().filter_map(|rec| match rec {
+        LogRecord::TxnCommit { txn } => Some(*txn),
+        _ => None,
+    });
+    let committed: HashSet<u64> = commits.collect();
+    (records.iter().filter_map(LogRecord::txn)).any(|txn| !committed.contains(&txn))
+}
+
 /// A copy of what reached `dev`.
 fn medium(dev: &MemDevice) -> MemDevice {
     let copy = MemDevice::new(dev.capacity() as usize);
@@ -458,7 +480,7 @@ fn name(key: &[u8]) -> String {
     String::from_utf8_lossy(key).into_owned()
 }
 
-/// The five properties over the reopened medium.
+/// The properties over the reopened medium.
 fn check(commit_wait: bool, media: Media, oracle: &Oracle) -> Result<(), String> {
     let history = &oracle.history;
     let wal: Arc<dyn Device> = media.1.clone();
@@ -477,6 +499,13 @@ fn check(commit_wait: bool, media: Media, oracle: &Oracle) -> Result<(), String>
     };
     let (db, report) = open()?;
     let rolled_back = report.uncommitted != 0;
+    // A rollback is made durable by the open's checkpoint. A log the open
+    // runs on from that still names the loser would have every later open
+    // undo it again, over what committed after it.
+    let left = lobster_wal::Wal::scan(&wal).map_err(|e| e.to_string())?;
+    if holds_a_loser(&left.records) {
+        return Err("the open runs on from a log that holds a transaction it rolled back".into());
+    }
     if report.validated != 0 && !may_hash(&records, &oracle.in_place, rolled_back) {
         return Err(format!(
             "the open hashed {} versions, but no in-place group, or torn group it rolled back, follows the last mark",

@@ -2,7 +2,7 @@
 //!
 //! Covers the relocation protocol end to end (atomic Blob State swap,
 //! fence lifecycle at the durability frontier, abort path), the
-//! maintenance pass (coalesce + bounded relocation batch driving the
+//! maintenance pass (gauge + bounded relocation batch driving the
 //! fragmentation score down), the standalone scrubber's degradation
 //! ladder, the background thread's pause/resume/drain contract, and the
 //! quarantine-fence round-trips — standalone and per-shard.
@@ -39,8 +39,8 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
     out
 }
 
-/// Interleaved create/delete churn that shatters the free lists, then a
-/// round of re-puts that inherit the scattered placements.
+/// Interleaved create/delete churn that leaves holes between live blobs,
+/// then a round of re-puts that inherit the scattered placements.
 fn churn(db: &Arc<Database>, rel: &Arc<lobster_core::Relation>, n: usize) {
     for i in 0..n {
         let mut t = db.begin();
@@ -185,7 +185,7 @@ fn defrag_pass_bounds_fragmentation_under_churn() {
             .unwrap();
         t.commit().unwrap();
     }
-    // Peak shatter: twelve scattered multi-extent holes.
+    // Peak fragmentation: twelve holes, kept apart by live blobs.
     let shattered = db.fragmentation_score();
     assert!(shattered > 0.0, "churn must fragment the free space");
     for i in (0..24).step_by(2) {

@@ -1442,8 +1442,8 @@ fn churn_does_not_leak_space() {
     db.wait_for_durability().unwrap();
     let baseline = db.utilization();
 
-    // 10 more rounds of identical churn must not grow the footprint: the
-    // exact-size free lists recycle every extent.
+    // 10 more rounds of identical churn must not grow the footprint: every
+    // freed extent merges back into the free runs the next round takes.
     for round in 0..10u64 {
         for i in 0..30u64 {
             put(

@@ -1,10 +1,10 @@
 //! Property-based tests over the core data structures and invariants.
 
 use lobster::core::{Config, Database, RelationKind};
-use lobster::extent::{plan_sequence, RangeAllocator, TierPolicy, TierTable};
+use lobster::extent::{plan_sequence, ExtentAllocator, ExtentSpec, TierPolicy, TierTable};
 use lobster::sha256::Sha256;
 use lobster::storage::MemDevice;
-use lobster::types::crc32;
+use lobster::types::{crc32, Pid};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -91,7 +91,7 @@ proptest! {
     }
 }
 
-// -------------------------------------------------------- range allocator ---
+// ------------------------------------------------------- extent allocator ---
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -100,23 +100,25 @@ proptest! {
     /// never lose capacity.
     #[test]
     fn allocator_ranges_disjoint(ops in proptest::collection::vec((1u64..64, any::<bool>()), 1..200)) {
-        let alloc = RangeAllocator::new(16 * 1024);
-        let mut live: Vec<(u64, u64)> = Vec::new();
+        let table = Arc::new(TierTable::new(TierPolicy::default()));
+        let alloc = ExtentAllocator::new(table, Pid::new(1), 16 * 1024);
+        let mut live: Vec<ExtentSpec> = Vec::new();
         for (size, free_one) in ops {
             if free_one && !live.is_empty() {
-                let (start, len) = live.swap_remove(0);
-                alloc.free(start, len);
-            } else if let Ok(start) = alloc.allocate(size) {
+                alloc.free_extent(live.swap_remove(0));
+            } else if let Ok(e) = alloc.allocate_tail(size) {
+                let start = e.start.raw();
                 // No overlap with any live range.
-                for &(s, l) in &live {
-                    prop_assert!(start + size <= s || s + l <= start,
-                        "overlap: [{start},{}) vs [{s},{})", start + size, s + l);
+                for l in &live {
+                    let (s, end) = (l.start.raw(), l.start.raw() + l.pages);
+                    prop_assert!(start + size <= s || end <= start,
+                        "overlap: [{start},{}) vs [{s},{end})", start + size);
                 }
-                live.push((start, size));
+                live.push(e);
             }
         }
-        let total: u64 = live.iter().map(|&(_, l)| l).sum();
-        prop_assert_eq!(alloc.in_use(), total);
+        let total: u64 = live.iter().map(|e| e.pages).sum();
+        prop_assert_eq!(alloc.pages_in_use(), total);
     }
 }
 
@@ -319,7 +321,6 @@ proptest! {
 // ------------------------------------------------- blob state encoding ----
 
 use lobster::core::BlobState;
-use lobster::types::Pid;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
